@@ -56,6 +56,10 @@ recover-test:
 # loops must stay on the typed vectors. A deliberate exception needs an
 # `interp-ok:` comment on the same line justifying it (one-time setup,
 # compilation-off fallback, boxed-column fallback, once-per-group work, ...).
+# The same goes for allocation in the access structure's per-cell files: a
+# row `.Clone()` or a `make(map` in frame/acyclic/vecrules/vecscan.go needs an
+# `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
+# copy a shared row once and then write in place — see DESIGN.md §16).
 lint-hotpath:
 	@bad=$$(grep -n 'eval\.\(Eval\|EvalBool\)(' internal/exec/*.go internal/core/*.go \
 		| grep -v '_test\.go' | grep -v 'interp-ok:'); \
@@ -73,6 +77,15 @@ lint-hotpath:
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \
 		echo "$$bad"; \
 		echo "stay on the typed vectors or add an 'interp-ok: <reason>' comment"; \
+		exit 1; \
+	fi; \
+	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
+		internal/core/vecrules.go internal/core/vecscan.go \
+		| grep -v 'alloc-ok:'); \
+	if [ -n "$$bad" ]; then \
+		echo "lint-hotpath: unannotated row clone or map allocation on the access structure's per-cell paths:"; \
+		echo "$$bad"; \
+		echo "write through Frame.write / reuse PE scratch, or add an 'alloc-ok: <reason>' comment"; \
 		exit 1; \
 	fi; \
 	echo "lint-hotpath: ok"

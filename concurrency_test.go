@@ -328,10 +328,10 @@ func TestReadersNeverBlockOnWriters(t *testing.T) {
 }
 
 // TestSnapshotGridByteIdentical replays one DML+query script under the
-// full ablation grid — Workers 1/4 × snapshot isolation on/off × fast
-// local path on/off — and requires byte-identical SELECT results in every
-// cell. The MVCC read path, the lock-based fallback, and the shared-rows
-// fast path are pure execution strategies; none may change an answer.
+// ablation grid — Workers 1/4 × snapshot isolation on/off — and requires
+// byte-identical SELECT results in every cell. The MVCC read path and the
+// lock-based fallback are pure execution strategies; neither may change an
+// answer.
 func TestSnapshotGridByteIdentical(t *testing.T) {
 	script := []string{
 		`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`,
@@ -359,13 +359,12 @@ func TestSnapshotGridByteIdentical(t *testing.T) {
 	var want [][]string
 	for _, workers := range []int{1, 4} {
 		for _, noSnap := range []bool{false, true} {
-			for _, noFast := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d snap=%v fast=%v", workers, !noSnap, !noFast)
+			{
+				name := fmt.Sprintf("workers=%d snap=%v", workers, !noSnap)
 				db := sqlsheet.Open()
 				cfg := db.Options()
 				cfg.Workers = workers
 				cfg.DisableSnapshotIsolation = noSnap
-				cfg.DisableFastLocalPath = noFast
 				db.Configure(cfg)
 				for _, stmt := range script {
 					db.MustExec(stmt)

@@ -233,13 +233,6 @@ type Config struct {
 	// byte-identical either way; this is the ablation baseline for the
 	// non-blocking-reads benchmarks.
 	DisableSnapshotIsolation bool
-	// DisableFastLocalPath keeps the spreadsheet engine cloning rows across
-	// the chunk-store boundary even for unbudgeted in-memory runs. With the
-	// fast path on (the default when MemoryBudget is 0), input rows are
-	// stored and returned by reference — safe because the engine replaces
-	// stored rows copy-on-write, never mutates them. Results are
-	// byte-identical either way (ablation knob).
-	DisableFastLocalPath bool
 }
 
 // defaultPlanCacheBudget bounds the serving-path cache when neither
@@ -1014,7 +1007,7 @@ func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapsho
 		VecMinRows:             o.VecMinRows,
 		Dist:                   s.dist,
 		Snap:                   snap,
-		FastLocalPath:          o.MemoryBudget == 0 && !o.DisableFastLocalPath,
+		FastLocalPath:          o.MemoryBudget == 0,
 	})
 	ex.Opts.PlanOpts = &plan.Options{
 		ForceJoin:              o.ForceJoin,

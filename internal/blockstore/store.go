@@ -15,9 +15,11 @@ package blockstore
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
 
@@ -32,11 +34,16 @@ type RowID struct {
 type Store interface {
 	// Append adds a row and returns its handle.
 	Append(row types.Row) RowID
-	// Get returns the row; the result must not be retained across other
-	// store calls (spilling stores may recycle block memory).
+	// Get returns the row for reading. The result must not be retained
+	// across other store calls (spilling stores may recycle block memory, and
+	// SetCol may move a row) and must not be written through: the store may
+	// be sharing it (see MemStore) and a spilling store must see every write
+	// to mark the block dirty. Writers use SetCol or Set.
 	Get(id RowID) types.Row
-	// Set overwrites the row.
+	// Set replaces the row; the store owns the new one from here on.
 	Set(id RowID, row types.Row)
+	// SetCol overwrites one value of the stored row in place.
+	SetCol(id RowID, col int, v types.Value)
 	// Len returns the number of stored rows.
 	Len() int
 	// Stats returns cumulative I/O statistics.
@@ -99,9 +106,27 @@ func (c *counters) snapshot() Stats {
 // Get and Len are safe for concurrent use once writes have stopped (reads
 // mutate nothing); interleaving Append/Set with other calls still requires
 // external synchronization, as with any Go slice.
+//
+// Rows are shared until first write and owned after: the first shared rows
+// (everything present at the last ShareAll or CloneShallow) may also be
+// referenced by the input relation or by another MemStore, so the first
+// SetCol on one of them copies it into the store's value arena; from then on
+// — and from birth for rows appended later — SetCol writes in place. A row
+// that is never written is never copied.
 type MemStore struct {
 	rows []types.Row
+	// shared is the number of leading rows that may be referenced from
+	// outside the store; owned marks those already copied into arena.
+	shared int
+	owned  colstore.Bitmap
+	nOwned int
+	arena  []types.Value
 }
+
+// arenaMaxRows caps one arena chunk. Result rows leave the engine by
+// reference, so a single retained row pins its whole chunk: the cap bounds
+// that to a few dozen rows while still cutting allocations sixty-fold.
+const arenaMaxRows = 64
 
 // NewMem returns an empty in-memory store.
 func NewMem() *MemStore { return &MemStore{} }
@@ -112,11 +137,57 @@ func (m *MemStore) Append(row types.Row) RowID {
 	return RowID{Slot: int32(len(m.rows) - 1)}
 }
 
+// Reserve makes room for n more rows, so a build that knows its row count
+// appends without regrowing the row table.
+func (m *MemStore) Reserve(n int) { m.rows = slices.Grow(m.rows, n) }
+
 // Get implements Store.
 func (m *MemStore) Get(id RowID) types.Row { return m.rows[id.Slot] }
 
 // Set implements Store.
-func (m *MemStore) Set(id RowID, row types.Row) { m.rows[id.Slot] = row }
+func (m *MemStore) Set(id RowID, row types.Row) {
+	m.rows[id.Slot] = row
+	if s := int(id.Slot); s < m.shared {
+		m.markOwned(s)
+	}
+}
+
+// SetCol implements Store: copy on first write, in place after.
+func (m *MemStore) SetCol(id RowID, col int, v types.Value) {
+	s := int(id.Slot)
+	if s < m.shared && m.markOwned(s) {
+		row := m.rows[s]
+		n := len(row)
+		if len(m.arena) < n {
+			m.arena = make([]types.Value, n*min(max(m.nOwned, 8), arenaMaxRows))
+		}
+		m.rows[s] = m.arena[:n:n]
+		m.arena = m.arena[n:]
+		copy(m.rows[s], row)
+	}
+	m.rows[s][col] = v
+}
+
+// markOwned records that shared row s now belongs to the store alone and
+// reports whether it was still shared.
+func (m *MemStore) markOwned(s int) bool {
+	if m.owned == nil {
+		m.owned = colstore.NewBitmap(m.shared)
+	}
+	if m.owned.Get(s) {
+		return false
+	}
+	m.owned.Set(s)
+	m.nOwned++
+	return true
+}
+
+// ShareAll declares every row stored so far shared with the caller: the
+// partition build appends input rows by reference (BuildOptions.ShareRows)
+// and calls this once, so the input relation survives any later write.
+func (m *MemStore) ShareAll() {
+	m.shared, m.owned, m.nOwned = len(m.rows), nil, 0
+}
 
 // Len implements Store.
 func (m *MemStore) Len() int { return len(m.rows) }
@@ -128,12 +199,16 @@ func (m *MemStore) Stats() Stats { return Stats{} }
 func (m *MemStore) Close() error { return nil }
 
 // CloneShallow returns an independent MemStore whose row table is copied
-// but whose rows are shared with the original. Sharing is safe under the
-// engine's write discipline: a stored row is never mutated in place —
-// writers clone the row and replace it via Set — so the original's rows
-// stay frozen no matter what the clone does.
+// but whose rows are shared with the original. Both sides treat every row
+// as shared from here on, so whichever writes a row first copies it and the
+// other keeps the unwritten one. m itself is only written when it still
+// owns rows, which makes concurrent clones of a never-written store (the
+// cached pristine structure) safe.
 func (m *MemStore) CloneShallow() *MemStore {
-	return &MemStore{rows: append([]types.Row(nil), m.rows...)}
+	if m.shared != len(m.rows) || m.nOwned != 0 {
+		m.ShareAll()
+	}
+	return &MemStore{rows: append([]types.Row(nil), m.rows...), shared: len(m.rows)}
 }
 
 // Config sizes a SpillStore.
@@ -304,6 +379,28 @@ func (s *SpillStore) Set(id RowID, row types.Row) {
 	old := b.rows[id.Slot]
 	b.rows[id.Slot] = row
 	delta := rowBytes(row) - rowBytes(old)
+	b.bytes += delta
+	s.resident += delta
+	b.dirty = true
+	s.touch(b)
+	s.enforceBudget(id.Block)
+}
+
+// SetCol implements Store. Every row of a spill store is its own (callers
+// hand rows over on Append, and reloaded blocks are decoded afresh), so the
+// write is in place; what matters is that it happens here, under the lock,
+// where the block is made resident and marked dirty — a write through a row
+// returned by Get would be lost at the block's next eviction.
+func (s *SpillStore) SetCol(id RowID, col int, v types.Value) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.blocks[id.Block]
+	if b.rows == nil {
+		s.load(id.Block)
+	}
+	row := b.rows[id.Slot]
+	delta := int64(len(v.S)) - int64(len(row[col].S))
+	row[col] = v
 	b.bytes += delta
 	s.resident += delta
 	b.dirty = true

@@ -112,6 +112,109 @@ func TestSpillStoreSetAfterEviction(t *testing.T) {
 	}
 }
 
+// TestSetColSurvivesEvictionBetweenWrites pins the write path the
+// spreadsheet engine uses: in-place SetCol on a row the store owns. The
+// block holding the row is evicted between the first and the second write
+// to one value, and again before the final read, so a second write that
+// touched only a stale copy of the row (or skipped marking the block dirty)
+// would lose it. Two values of one row are written the same way; the byte
+// accounting must follow a string that grows.
+func TestSetColSurvivesEvictionBetweenWrites(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sync", true: "async"}[async], func(t *testing.T) {
+			s := NewSpill(Config{BudgetBytes: 600, RowsPerBlock: 4, Dir: t.TempDir(), Async: async})
+			defer s.Close()
+			var ids []RowID
+			for i := 0; i < 64; i++ {
+				ids = append(ids, s.Append(row(i, "a", float64(i))))
+			}
+			target := ids[1] // first block: long evicted by now
+			evictTarget := func() {
+				t.Helper()
+				for _, id := range ids[32:] {
+					s.Get(id)
+				}
+				if s.blocks[target.Block].rows != nil {
+					t.Fatal("the target's block is still resident; the budget is not tight enough to test anything")
+				}
+			}
+			s.SetCol(target, 0, types.NewInt(100))
+			evictTarget()
+			s.SetCol(target, 0, types.NewInt(200)) // same value, second write
+			s.SetCol(target, 1, types.NewString("a much longer string than before"))
+			evictTarget()
+			s.SetCol(target, 2, types.NewFloat(2.5)) // another value of the row
+			evictTarget()
+			got := s.Get(target)
+			if got[0].Int() != 200 || got[1].S != "a much longer string than before" || got[2].F != 2.5 {
+				t.Fatalf("row after writes and evictions = %v", got)
+			}
+			if other := s.Get(ids[0]); other[0].Int() != 0 || other[1].S != "a" {
+				t.Fatalf("neighbouring row changed: %v", other)
+			}
+			var resident int64
+			for _, b := range s.blocks {
+				if b.rows != nil {
+					var n int64
+					for _, r := range b.rows {
+						n += rowBytes(r)
+					}
+					if n != b.bytes {
+						t.Fatalf("block accounts %d bytes, holds %d", b.bytes, n)
+					}
+					resident += n
+				}
+			}
+			if resident != s.resident {
+				t.Fatalf("store accounts %d resident bytes, holds %d", s.resident, resident)
+			}
+		})
+	}
+}
+
+// TestMemStoreCopyOnFirstWrite pins the ownership rule: a shared row is
+// copied by the first SetCol and written in place by later ones, rows
+// appended after ShareAll are the store's own, and a clone and its original
+// never see each other's writes.
+func TestMemStoreCopyOnFirstWrite(t *testing.T) {
+	input := []types.Row{row(1, "a"), row(2, "b")}
+	s := NewMem()
+	ids := []RowID{s.Append(input[0]), s.Append(input[1])}
+	s.ShareAll()
+	own := s.Append(row(3, "c"))
+
+	s.SetCol(ids[0], 0, types.NewInt(10))
+	first := s.Get(ids[0])
+	s.SetCol(ids[0], 1, types.NewString("z"))
+	if &first[0] != &s.Get(ids[0])[0] {
+		t.Error("second write to an owned row moved it again")
+	}
+	if input[0][0].Int() != 1 || input[0][1].S != "a" {
+		t.Errorf("write reached the shared input row: %v", input[0])
+	}
+	if &s.Get(ids[1])[0] != &input[1][0] {
+		t.Error("an unwritten row was copied")
+	}
+	ownRow := s.Get(own)
+	s.SetCol(own, 0, types.NewInt(30))
+	if &ownRow[0] != &s.Get(own)[0] || ownRow[0].Int() != 30 {
+		t.Error("a row appended after ShareAll was not written in place")
+	}
+
+	cp := s.CloneShallow()
+	cp.SetCol(ids[0], 0, types.NewInt(11))
+	s.SetCol(own, 1, types.NewString("orig"))
+	if got := s.Get(ids[0]); got[0].Int() != 10 {
+		t.Errorf("clone's write reached the original: %v", got)
+	}
+	if got := cp.Get(own); got[1].S != "c" {
+		t.Errorf("original's write reached the clone: %v", got)
+	}
+	if got := cp.Get(ids[0]); got[0].Int() != 11 || got[1].S != "z" {
+		t.Errorf("clone row = %v", got)
+	}
+}
+
 func TestSpillStoreReadYourWritesProperty(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(map[bool]string{false: "sync", true: "async"}[async], func(t *testing.T) {

@@ -48,11 +48,9 @@ type lsEntry struct {
 // scan — then the existential rules (LE), per the Auto-Acyclic algorithm.
 func (fe *frameEval) runRules(idxs []int) error {
 	var ls []*lsEntry
-	var le []*Rule
 	for _, ri := range idxs {
 		r := fe.m.Rules[ri]
 		if r.Existential {
-			le = append(le, r)
 			continue
 		}
 		entry, err := fe.prepareLS(r)
@@ -104,9 +102,11 @@ func (fe *frameEval) runRules(idxs []int) error {
 	fe.curAggs = nil
 
 	// Evaluate the existential formulas (scans II and III).
-	for _, r := range le {
-		if err := fe.applyExistential(r); err != nil {
-			return err
+	for _, ri := range idxs {
+		if r := fe.m.Rules[ri]; r.Existential {
+			if err := fe.applyExistential(r); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -154,10 +154,13 @@ func (fe *frameEval) prepareLS(r *Rule) (*lsEntry, error) {
 		return nil, err
 	}
 	entry := &lsEntry{rule: r, targets: targets}
-	_, cellAggs := sqlast.CellRefs(r.RHS)
+	cellAggs := r.cellAggs
 	for _, dims := range targets {
 		ctx := fe.targetCtx(r, dims)
-		am := make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs))
+		var am map[*sqlast.CellAgg]*aggInstance
+		if len(cellAggs) > 0 {
+			am = make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs)) // alloc-ok: one per target of an aggregate-bearing rule
+		}
 		for _, ca := range cellAggs {
 			inst, err := fe.buildInstance(ctx, ca)
 			if err != nil {
@@ -178,7 +181,7 @@ func (fe *frameEval) targetCtx(r *Rule, dims []types.Value) *eval.Context {
 	// The context must capture the cv values, not share fe.cv (multiple
 	// targets are prepared before any is evaluated).
 	bound := append([]types.Value(nil), dims...)
-	ctx := fe.ctxFor(nil)
+	ctx := fe.newCtx()
 	ctx.CurrentV = func(dim string) (types.Value, error) {
 		if d := fe.m.DimOrdinal(dim); d >= 0 {
 			return bound[d], nil
@@ -195,7 +198,7 @@ func (fe *frameEval) targetCtx(r *Rule, dims []types.Value) *eval.Context {
 // cartesian product of each qualifier's value list.
 func (fe *frameEval) ruleTargets(r *Rule) ([][]types.Value, error) {
 	lists := make([][]types.Value, len(r.Quals))
-	ctx := fe.ctxFor(nil)
+	ctx := fe.constCtx()
 	for i := range r.Quals {
 		q := &r.Quals[i]
 		switch q.Kind {
@@ -244,7 +247,7 @@ func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, ctx *eval.Context) 
 		}
 		pos = fe.insertRow(dims)
 	}
-	row := fe.f.Row(pos).Clone()
+	row := fe.f.Row(pos).Clone() // alloc-ok: per-cell path; the right side may scan the partition while the row is bound
 	rctx := *ctx
 	rctx.Binding = &eval.Binding{BS: fe.bs, Row: row}
 	v, err := fe.eval(&rctx, r.RHS)
@@ -283,17 +286,7 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 // aggregate maintenance.
 func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	fe.f.MarkUpdated(pos)
-	id := fe.f.ids[pos]
-	row := fe.f.b.store.Get(id)
-	oldV := row[mea]
-	changed := !(oldV.K == v.K && types.Equal(oldV, v))
-	if changed {
-		nr := row.Clone()
-		nr[mea] = v
-		fe.f.b.store.Set(id, nr)
-		fe.f.imgMark(mea)
-		row = nr
-	}
+	oldV, changed := fe.f.write(pos, mea, v)
 	if fe.assigned != nil {
 		fe.assigned[fe.f.flagKey(pos, mea)] = true
 	}
@@ -303,6 +296,7 @@ func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 		}
 	}
 	if changed && fe.maintained != nil {
+		row := fe.f.Row(pos)
 		for _, inst := range fe.maintained {
 			if err := inst.onWrite(fe, row, mea, oldV, v); err != nil {
 				return err
@@ -330,13 +324,11 @@ func (fe *frameEval) applyExistential(r *Rule) error {
 			return err
 		}
 	}
-	_, cellAggs := sqlast.CellRefs(r.RHS)
+	cellAggs := r.cellAggs
 	if len(cellAggs) == 0 {
 		// Fast path: no aggregates, so one shared context serves every
 		// target — cv() reads fe.cv, rebound per row.
-		ctx := fe.ctxFor(nil)
-		binding := &eval.Binding{BS: fe.bs}
-		ctx.Binding = binding
+		ctx, binding := fe.boundCtx()
 		for _, pos := range targets {
 			if err := fe.tick(); err != nil {
 				return err
@@ -355,12 +347,12 @@ func (fe *frameEval) applyExistential(r *Rule) error {
 		return nil
 	}
 	for _, pos := range targets {
-		row := fe.f.Row(pos).Clone()
+		row := fe.f.Row(pos).Clone() // alloc-ok: aggregate-bearing rule on the per-cell path; held across partition scans
 		dims := make([]types.Value, fe.m.NDby)
 		copy(dims, row[fe.m.NPby:fe.m.NPby+fe.m.NDby])
 		ctx := fe.targetCtx(r, dims)
 		if len(cellAggs) > 0 {
-			am := make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs))
+			am := make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs)) // alloc-ok: as the row above
 			var scans []*aggInstance
 			for _, ca := range cellAggs {
 				inst, err := fe.buildInstance(ctx, ca)
@@ -397,82 +389,92 @@ func (fe *frameEval) applyExistential(r *Rule) error {
 	return nil
 }
 
-// matchTargets scans the partition for rows matching an existential left
-// side.
-func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
-	ctx := fe.ctxFor(nil)
-	// Pre-evaluate constant qualifier parts.
-	type dimTest func(row types.Row) (bool, error)
-	tests := make([]dimTest, len(r.Quals))
+// qualConst holds the values an existential left-side qualifier compares
+// against, evaluated once per rule application.
+type qualConst struct {
+	val    types.Value // QualPoint
+	lo, hi types.Value // QualRange
+}
+
+// qualConsts evaluates the constant parts of r's left side, in qualifier
+// order, into the PE's scratch.
+func (fe *frameEval) qualConsts(r *Rule) ([]qualConst, error) {
+	ctx := fe.constCtx()
+	consts := append(fe.consts[:0], make([]qualConst, len(r.Quals))...)
+	fe.consts = consts
 	for i := range r.Quals {
 		q := &r.Quals[i]
-		col := fe.m.NPby + i
+		var err error
 		switch q.Kind {
-		case sqlast.QualStar:
-			tests[i] = func(types.Row) (bool, error) { return true, nil }
 		case sqlast.QualPoint:
-			v, err := fe.eval(ctx, q.Val)
-			if err != nil {
-				return nil, fmt.Errorf("%s: left side: %v", r.Label, err)
-			}
-			tests[i] = func(row types.Row) (bool, error) { return types.Equal(row[col], v), nil }
+			consts[i].val, err = fe.eval(ctx, q.Val)
 		case sqlast.QualRange:
-			lo, err := fe.eval(ctx, q.Lo)
-			if err != nil {
-				return nil, fmt.Errorf("%s: left side: %v", r.Label, err)
-			}
-			hi, err := fe.eval(ctx, q.Hi)
-			if err != nil {
-				return nil, fmt.Errorf("%s: left side: %v", r.Label, err)
-			}
-			loIncl, hiIncl := q.LoIncl, q.HiIncl
-			tests[i] = func(row types.Row) (bool, error) {
-				v := row[col]
-				if v.IsNull() || lo.IsNull() || hi.IsNull() {
-					return false, nil
-				}
-				cl := types.Compare(v, lo)
-				if cl < 0 || (cl == 0 && !loIncl) {
-					return false, nil
-				}
-				ch := types.Compare(v, hi)
-				if ch > 0 || (ch == 0 && !hiIncl) {
-					return false, nil
-				}
-				return true, nil
-			}
-		case sqlast.QualPred:
-			pred := q.Pred
-			// Hoisted per-rule: only the row binding varies per row.
-			pctx := *ctx
-			pbind := eval.Binding{BS: fe.bs}
-			pctx.Binding = &pbind
-			tests[i] = func(row types.Row) (bool, error) {
-				pbind.Row = row
-				return fe.evalBool(&pctx, pred)
-			}
-		case sqlast.QualForIn:
-			vals := q.forCache
-			tests[i] = func(row types.Row) (bool, error) {
-				for _, v := range vals {
-					if types.Equal(row[col], v) {
-						return true, nil
-					}
-				}
-				return false, nil
+			if consts[i].lo, err = fe.eval(ctx, q.Lo); err == nil {
+				consts[i].hi, err = fe.eval(ctx, q.Hi)
 			}
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: left side: %v", r.Label, err)
+		}
 	}
-	var out []int
+	return consts, nil
+}
+
+// matches tests one dimension value against a declarative qualifier (point,
+// range, FOR-IN list). Star and predicate qualifiers are not its business:
+// it reports true for them.
+func (q *Qual) matches(c *qualConst, v types.Value) bool {
+	switch q.Kind {
+	case sqlast.QualPoint:
+		return types.Equal(v, c.val)
+	case sqlast.QualRange:
+		if v.IsNull() || c.lo.IsNull() || c.hi.IsNull() {
+			return false
+		}
+		cl := types.Compare(v, c.lo)
+		if cl < 0 || (cl == 0 && !q.LoIncl) {
+			return false
+		}
+		ch := types.Compare(v, c.hi)
+		return ch < 0 || (ch == 0 && q.HiIncl)
+	case sqlast.QualForIn:
+		for _, fv := range q.forCache {
+			if types.Equal(v, fv) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// matchTargets scans the partition for rows matching an existential left
+// side. The result lives in the PE's scratch until the next call.
+func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
+	consts, err := fe.qualConsts(r)
+	if err != nil {
+		return nil, err
+	}
+	// Hoisted per rule: only the row binding varies per row.
+	pctx, pbind := &fe.predCtx, &fe.predBind
+	*pctx, *pbind = *fe.constCtx(), eval.Binding{BS: fe.bs}
+	pctx.Binding = pbind
+	out := fe.targets[:0]
 	var ferr error
 	fe.f.Each(func(pos int, row types.Row) bool {
 		if ferr = fe.tick(); ferr != nil {
 			return false
 		}
-		for _, t := range tests {
-			ok, err := t(row)
-			if err != nil {
-				ferr = err
+		for i := range r.Quals {
+			q := &r.Quals[i]
+			var ok bool
+			if q.Kind == sqlast.QualPred {
+				pbind.Row = row
+				ok, ferr = fe.evalBool(pctx, q.Pred)
+			} else {
+				ok = q.matches(&consts[i], row[fe.m.NPby+i])
+			}
+			if ferr != nil {
 				return false
 			}
 			if !ok {
@@ -482,6 +484,7 @@ func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
 		out = append(out, pos)
 		return true
 	})
+	fe.targets = out
 	return out, ferr
 }
 
@@ -492,9 +495,9 @@ func (fe *frameEval) sortTargets(r *Rule, targets []int) error {
 		keys []types.Value
 	}
 	ks := make([]keyed, len(targets))
-	ctx := fe.ctxFor(nil)
+	ctx := fe.constCtx()
 	for i, pos := range targets {
-		row := fe.f.Row(pos).Clone()
+		row := fe.f.Row(pos).Clone() // alloc-ok: ORDER BY rules only, once per target
 		rctx := *ctx
 		rctx.Binding = &eval.Binding{BS: fe.bs, Row: row}
 		keys := make([]types.Value, len(r.OrderBy))

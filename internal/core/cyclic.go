@@ -99,7 +99,7 @@ func (fe *frameEval) applyPointRuleStandalone(r *Rule) error {
 	if err != nil {
 		return err
 	}
-	_, cellAggs := sqlast.CellRefs(r.RHS)
+	cellAggs := r.cellAggs
 	for _, dims := range targets {
 		ctx := fe.targetCtx(r, dims)
 		if len(cellAggs) > 0 {

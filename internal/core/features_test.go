@@ -23,7 +23,7 @@ func TestForFromToIncrement(t *testing.T) {
 			t.Errorf("s[%d] = %v", year, got)
 		}
 	}
-	if _, ok := idx[keyOf(R(2001))]; ok {
+	if _, ok := idx[types.Key(R(2001)...)]; ok {
 		t.Error("2001 must not exist (increment 2)")
 	}
 }

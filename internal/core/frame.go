@@ -25,8 +25,26 @@ type PartitionSet struct {
 
 type bucket struct {
 	store  blockstore.Store
-	frames []*Frame          // spreadsheet partitions, in first-seen order
-	byKey  map[string]*Frame // PBY key -> frame
+	frames []*Frame // spreadsheet partitions, in first-seen order
+	// bytes is the bucket's share of EstimateBytes, summed while the build
+	// appends each row.
+	bytes int64
+}
+
+// posSet is a bitmap over frame positions that grows on demand.
+type posSet colstore.Bitmap
+
+func (s posSet) has(pos int) bool {
+	return pos>>6 < len(s) && colstore.Bitmap(s).Get(pos)
+}
+
+// set marks pos; n is the frame's current length, so the first mark sizes
+// the bitmap once and only later Inserts extend it.
+func (s *posSet) set(pos, n int) {
+	if need := (max(n, pos+1) + 63) >> 6; need > len(*s) {
+		*s = append(*s, make(posSet, need-len(*s))...)
+	}
+	colstore.Bitmap(*s).Set(pos)
 }
 
 // Frame is one spreadsheet partition: all rows sharing the PBY values.
@@ -39,15 +57,20 @@ type Frame struct {
 	// bucket stay clustered per frame, making partition scans and probes
 	// cheap (the paper clusters hash buckets on PBY+DBY for the same
 	// reason). Exactly one of index (hash) and bidx (B-tree, the paper's
-	// abandoned first implementation, kept as an ablation) is non-nil.
+	// abandoned first implementation, kept as an ablation) is non-nil. The
+	// build carves every key of a frame out of one string.
 	index map[string]int
 	bidx  *btree.Tree
-	// present snapshots the keys that existed before formula execution
-	// (the IS PRESENT predicate).
-	present map[string]bool
+	// indexShared marks index as shared with another structure
+	// (CloneForReuse): read freely, copy before the first Insert.
+	indexShared bool
+	// builtLen is the number of rows the build loaded. Rows are never
+	// removed and Insert appends, so a cell existed before formula execution
+	// (the IS PRESENT predicate) exactly when its position is below it.
+	builtLen int
 	// updated records positions assigned or created by a rule
 	// (RETURN UPDATED ROWS).
-	updated map[int]bool
+	updated posSet
 
 	// refFlags are the Auto-Cyclic convergence flags: two generations of
 	// per-cell "referenced" marks, alternated between iterations so that
@@ -60,30 +83,26 @@ type Frame struct {
 	// allocation-free.
 	keyScratch []byte
 
-	// img caches the frame's columnar snapshot (frameImage) so consecutive
-	// vectorized rules pay only for the columns written between them: every
-	// measure write marks its column in imgDirty, an Insert drops the cache
-	// (the row set changed), and the next snapshot rebuilds just the dirty
-	// columns. Single-PE frame ownership (see keyScratch) makes the cache
-	// race-free.
-	img      []*colstore.Column
-	imgRows  int
-	imgDirty []bool
+	// img caches the columns of the frame's columnar snapshot (frameImage)
+	// that kernels have asked for, so consecutive vectorized rules pay only
+	// for what was written between them: a measure write drops its column,
+	// an Insert drops the cache (the row set changed), and the next snapshot
+	// extracts just the missing columns it needs. Single-PE frame ownership
+	// (see keyScratch) makes the cache race-free.
+	img     []*colstore.Column
+	imgRows int
 }
 
-// imgMark records that a column's stored values changed since the cached
-// snapshot was taken.
+// imgMark drops a column from the cached snapshot: its stored values
+// changed.
 func (f *Frame) imgMark(col int) {
-	if f.img != nil && col < len(f.imgDirty) {
-		f.imgDirty[col] = true
+	if f.img != nil {
+		f.img[col] = nil
 	}
 }
 
 // imgDrop invalidates the cached snapshot entirely (row set changed).
-func (f *Frame) imgDrop() {
-	f.img = nil
-	f.imgDirty = nil
-}
+func (f *Frame) imgDrop() { f.img = nil }
 
 // StoreFactory builds the row store for one first-level bucket.
 type StoreFactory func() blockstore.Store
@@ -110,12 +129,7 @@ func ChooseBuckets(nRows int, avgRowBytes, budgetBytes int64, dop int) int {
 }
 
 // MarkUpdated records that a rule assigned or created the row at pos.
-func (f *Frame) MarkUpdated(pos int) {
-	if f.updated == nil {
-		f.updated = make(map[int]bool)
-	}
-	f.updated[pos] = true
-}
+func (f *Frame) MarkUpdated(pos int) { f.updated.set(pos, len(f.ids)) }
 
 // BuildPartitions loads rows (working-schema layout) into the two-level
 // structure. The paper requires DBY columns to uniquely identify a row
@@ -191,24 +205,6 @@ func HashValue(v types.Value, n int) int {
 	return bucketOf(types.AppendKey(nil, v), n)
 }
 
-// dbyKey builds the second-level hash key from a working-schema row.
-func dbyKey(m *Model, row types.Row) string {
-	buf := make([]byte, 0, 16*m.NDby)
-	for d := 0; d < m.NDby; d++ {
-		buf = types.AppendKey(buf, row[m.NPby+d])
-	}
-	return string(buf)
-}
-
-// keyOf builds the second-level key directly from dimension values.
-func keyOf(vals []types.Value) string {
-	buf := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		buf = types.AppendKey(buf, v)
-	}
-	return string(buf)
-}
-
 // Buckets returns the first-level partitions (for parallel execution).
 func (ps *PartitionSet) Buckets() []*bucket { return ps.buckets }
 
@@ -220,14 +216,14 @@ func (ps *PartitionSet) Rows(updatedOnly bool) []types.Row {
 	for _, b := range ps.buckets {
 		for _, f := range b.frames {
 			for pos, id := range f.ids {
-				if updatedOnly && !f.updated[pos] {
+				if updatedOnly && !f.updated.has(pos) {
 					continue
 				}
 				r := b.store.Get(id)
 				if !ps.shareRows {
 					// Spill-capable stores may reuse row storage after
 					// Close; hand out private copies.
-					r = r.Clone()
+					r = r.Clone() // alloc-ok: budgeted runs only, once per result row
 				}
 				out = append(out, r)
 			}
@@ -264,8 +260,9 @@ func (f *Frame) Len() int { return len(f.ids) }
 // PBY returns the partition's PBY values.
 func (f *Frame) PBY() []types.Value { return f.pby }
 
-// Row returns the row at position pos. The returned slice must not be
-// retained across other frame operations.
+// Row returns the row at position pos, for reading. The returned slice must
+// not be retained across other frame operations: a write may move the row
+// (first write of a shared row) or change it in place (every later one).
 func (f *Frame) Row(pos int) types.Row { return f.b.store.Get(f.ids[pos]) }
 
 // lookupKey probes the second-level index with an encoded DBY key.
@@ -279,11 +276,18 @@ func (f *Frame) lookupKey(key []byte) (int, bool) {
 
 // putKey registers a key at a row position.
 func (f *Frame) putKey(key string, pos int) {
-	if f.index != nil {
-		f.index[key] = pos
+	if f.index == nil {
+		f.bidx.Put(key, pos)
 		return
 	}
-	f.bidx.Put(key, pos)
+	if f.indexShared {
+		own := make(map[string]int, len(f.index)+8) // alloc-ok: once per frame, first Insert into a reused structure
+		for k, v := range f.index {
+			own[k] = v
+		}
+		f.index, f.indexShared = own, false
+	}
+	f.index[key] = pos
 }
 
 // dimsKey encodes dimension values into the frame's scratch buffer. The
@@ -328,40 +332,48 @@ func (f *Frame) LookupBatch(keyCols []*colstore.Column, out []int32) {
 
 // WasPresent reports whether the cell existed before the spreadsheet ran.
 func (f *Frame) WasPresent(dims []types.Value) bool {
-	return f.present[string(f.dimsKey(dims))]
+	pos, ok := f.Lookup(dims)
+	return ok && pos < f.builtLen
+}
+
+// write assigns one measure of the row at pos and returns the previous
+// value and whether the stored value changed. Every engine write goes
+// through here and on to Store.SetCol, which copies a still-shared row once
+// and writes in place from then on, so nothing is allocated per write; a row
+// obtained from Row or Each before the call may be stale after it.
+func (f *Frame) write(pos, col int, v types.Value) (old types.Value, changed bool) {
+	id := f.ids[pos]
+	old = f.b.store.Get(id)[col]
+	if old.K == v.K && types.Equal(old, v) {
+		return old, false
+	}
+	f.b.store.SetCol(id, col, v)
+	f.imgMark(col)
+	return old, true
 }
 
 // SetMeasure assigns one measure of the row at pos and reports whether the
 // stored value changed.
 func (f *Frame) SetMeasure(pos, col int, v types.Value) bool {
-	id := f.ids[pos]
-	row := f.b.store.Get(id)
-	old := row[col]
-	if old.K == v.K && types.Equal(old, v) {
-		return false
-	}
-	nr := row.Clone()
-	nr[col] = v
-	f.b.store.Set(id, nr)
-	f.imgMark(col)
-	return true
+	_, changed := f.write(pos, col, v)
+	return changed
 }
 
 // SetMeasureBulk writes one measure column for a batch of frame positions:
 // the columnar writeback of a vectorized rule. Positions are written in
 // slice order — the same cell order the per-cell path produces — with the
-// same mark-updated-then-compare-then-clone semantics as a single
+// same mark-updated-then-compare-then-write semantics as a single
 // assignment.
 func (f *Frame) SetMeasureBulk(pos []int32, col int, vals []types.Value) {
 	for i, p := range pos {
 		f.MarkUpdated(int(p))
-		f.SetMeasure(int(p), col, vals[i])
+		f.write(int(p), col, vals[i])
 	}
 }
 
 // Insert adds a new row for the given dimension values: PBY columns take
 // the partition's values, DBY columns the target values, measures NULL.
-// It returns the new row's position.
+// The store owns the row from birth. It returns the new row's position.
 func (f *Frame) Insert(m *Model, dims []types.Value) int {
 	row := make(types.Row, m.Schema.Len())
 	copy(row, f.pby)
@@ -369,7 +381,7 @@ func (f *Frame) Insert(m *Model, dims []types.Value) int {
 	id := f.b.store.Append(row)
 	pos := len(f.ids)
 	f.ids = append(f.ids, id)
-	f.putKey(keyOf(dims), pos)
+	f.putKey(string(f.dimsKey(dims)), pos)
 	f.imgDrop()
 	return pos
 }
@@ -392,7 +404,7 @@ func (f *Frame) flagKey(pos, mea int) int64 { return int64(pos)<<16 | int64(mea)
 // MarkReferenced records that a cell's measure was read in generation g.
 func (f *Frame) MarkReferenced(g int, pos, mea int) {
 	if f.refFlags[g] == nil {
-		f.refFlags[g] = make(map[int64]bool)
+		f.refFlags[g] = make(map[int64]bool) // alloc-ok: once per fixpoint generation, Auto-Cyclic only
 	}
 	f.refFlags[g][f.flagKey(pos, mea)] = true
 }

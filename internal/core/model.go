@@ -59,6 +59,10 @@ type Model struct {
 	// reason). Built once like compiled (see buildVecRules), read-only
 	// during execution.
 	vecRules map[*Rule]*vecRuleProg
+
+	// bs resolves column names against Schema; immutable, so every frame
+	// evaluation and kernel compilation shares it.
+	bs *eval.BoundSchema
 }
 
 type refMeaBinding struct {
@@ -99,6 +103,9 @@ type Rule struct {
 	Existential bool
 	// reads caches the cell accesses on the right side.
 	reads []access
+	// cellAggs caches the aggregate references on the right side
+	// (sqlast.CellRefs), which evaluation consults once per frame.
+	cellAggs []*sqlast.CellAgg
 	// lhsRect is the bounding rectangle of the cells the rule writes.
 	lhsRect Rect
 	// level index assigned by Analyze.
@@ -164,6 +171,7 @@ func Compile(clause *sqlast.SpreadsheetClause, working *types.Schema, refs []*Re
 		ReturnUpdated: clause.ReturnUpdated,
 		measures:      make(map[string]int),
 		refMeas:       make(map[string]refMeaBinding),
+		bs:            eval.FromSchema(working),
 	}
 	if m.NPby+m.NDby+m.NMea != working.Len() {
 		return nil, fmt.Errorf("spreadsheet: working schema has %d columns, clause classifies %d",
@@ -295,6 +303,7 @@ func (m *Model) compileRule(f *sqlast.Formula, idx int) (*Rule, error) {
 	}
 	r.reads = m.collectReads(r)
 	r.lhsRect = m.lhsRect(r)
+	_, r.cellAggs = sqlast.CellRefs(r.RHS)
 	return r, nil
 }
 
@@ -495,7 +504,7 @@ func (m *Model) checkRefCell(label string, ref *RefMeta, x *sqlast.CellRef) erro
 // and aggregates), ORDER BY keys, and aggregate arguments.
 func (m *Model) buildCompiled() {
 	m.compiled = make(map[sqlast.Expr]eval.CompiledExpr)
-	env := eval.FromSchema(m.Schema)
+	env := m.bs
 	reg := func(e sqlast.Expr) {
 		if e == nil {
 			return

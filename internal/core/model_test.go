@@ -91,7 +91,7 @@ func refMetaFor(t testing.TB, sc *sqlast.SpreadsheetClause, data map[string][]ty
 			rm.Meas = append(rm.Meas, mi.Name())
 		}
 		for _, row := range data[name] {
-			rm.Data[keyOf(row[:len(rm.Dims)])] = row
+			rm.Data[types.Key(row[:len(rm.Dims)]...)] = row
 		}
 		out = append(out, rm)
 	}
@@ -122,7 +122,7 @@ func run(t *testing.T, m *Model, rows []types.Row, opts RunOptions) map[string]t
 func indexRows(m *Model, out []types.Row) map[string]types.Row {
 	idx := make(map[string]types.Row, len(out))
 	for _, r := range out {
-		idx[keyOf(r[:m.NPby+m.NDby])] = r
+		idx[types.Key(r[:m.NPby+m.NDby]...)] = r
 	}
 	return idx
 }
@@ -130,7 +130,7 @@ func indexRows(m *Model, out []types.Row) map[string]types.Row {
 // cell fetches a result row by its pby+dby values.
 func cell(t *testing.T, idx map[string]types.Row, keys ...any) types.Row {
 	t.Helper()
-	r, ok := idx[keyOf(R(keys...))]
+	r, ok := idx[types.Key(R(keys...)...)]
 	if !ok {
 		t.Fatalf("no cell %v", keys)
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/btree"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
@@ -50,10 +52,11 @@ type BuildOptions struct {
 	Cols *ColSource
 	// ShareRows stores input rows by reference instead of cloning them into
 	// the bucket stores, and hands stored rows out of PartitionSet.Rows by
-	// reference too (the unbudgeted in-memory fast path). Safe because the
-	// engine replaces stored rows copy-on-write (SetMeasure clones before
-	// Set) and never mutates one in place; only valid for memory-resident
-	// stores, which never serialize rows across a spill boundary.
+	// reference too (the unbudgeted in-memory fast path). Safe because a
+	// MemStore holding shared rows copies each one on its first write and
+	// only then writes in place (blockstore.MemStore.ShareAll), so the input
+	// relation never changes; the build ignores the option for any other
+	// store, which takes ownership of the rows it is handed.
 	ShareRows bool
 }
 
@@ -89,6 +92,9 @@ type buildChunk struct {
 	dbyOff  []int32 // prefix offsets into dbyFlat (len rows+1)
 	dbyFlat []byte
 	dbyHash []uint32 // second-level hash per row
+	// bytes sums blockstore.RowBytes per first-level bucket: the scan walks
+	// the input in order, the cheapest place to look at every row once.
+	bytes []int64
 }
 
 // frameEntry is one row routed to a frame: its global input position, its
@@ -105,11 +111,15 @@ func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore Stor
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	ps := &PartitionSet{model: m, shareRows: o.ShareRows}
+	ps := &PartitionSet{model: m}
 	ps.buckets = make([]*bucket, nBuckets)
 	for i := range ps.buckets {
-		ps.buckets[i] = &bucket{store: newStore(), byKey: make(map[string]*Frame)}
+		ps.buckets[i] = &bucket{store: newStore()}
+		if _, mem := ps.buckets[i].store.(*blockstore.MemStore); !mem {
+			o.ShareRows = false
+		}
 	}
+	ps.shareRows = o.ShareRows
 	nChunks := (len(rows) + buildMorsel - 1) / buildMorsel
 	chunks := make([]*buildChunk, nChunks)
 	runBuildTasks(o.Workers, nChunks, func(ci int) {
@@ -182,6 +192,11 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 		pbyOff:  make([]int32, n+1),
 		dbyOff:  make([]int32, n+1),
 		dbyHash: make([]uint32, n),
+		bytes:   make([]int64, nBuckets),
+		// Sized for a typical key (types.Key's own guess); append regrows
+		// past it.
+		pbyFlat: make([]byte, 0, n*16*m.NPby),
+		dbyFlat: make([]byte, 0, n*16*m.NDby),
 	}
 	for i := 0; i < n; i++ {
 		ri := lo + i
@@ -193,6 +208,7 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 		}
 		c.pbyOff[i+1] = int32(len(c.pbyFlat))
 		c.bucket[i] = int32(int(h) % nBuckets)
+		c.bytes[c.bucket[i]] += blockstore.RowBytes(rows[ri])
 		h = fnvOffset32
 		for d := 0; d < m.NDby; d++ {
 			pre := len(c.dbyFlat)
@@ -210,46 +226,109 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 // store in second-level hash order so partitions stay block-clustered — the
 // same layout the serial build produces ("the hash access structure maintains
 // records within a hash bucket clustered on PBY and DBY column values").
+//
+// Allocation is per bucket, not per frame or per row: the routed entries,
+// the Frame structs, the row ids and the index keys each live in one flat
+// block that the frames slice up (a statement can have thousands of
+// five-row partitions), so a frame costs its hash table and nothing else.
 func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk, bi int32, o BuildOptions) error {
-	slot := make(map[*Frame]int)
-	var ents [][]frameEntry
+	// Pass 1: discover frames and count their rows.
+	byKey := make(map[string]int32) // PBY key -> frame number
+	var (
+		frameOf []int32 // frame number of each bucket row, in input order
+		fill    []int32 // rows per frame; pass 2 reuses it as a write cursor
+		first   []int   // input position of each frame's first row
+	)
 	for _, c := range chunks {
 		for i, cb := range c.bucket {
 			if cb != bi {
 				continue
 			}
 			pk := c.pbyFlat[c.pbyOff[i]:c.pbyOff[i+1]]
-			f := b.byKey[string(pk)]
-			if f == nil {
-				f = &Frame{
-					b:       b,
-					pby:     append([]types.Value(nil), rows[c.lo+i][:m.NPby]...),
-					present: make(map[string]bool),
-				}
-				if o.UseBTree {
-					f.bidx = btree.New()
-				} else {
-					f.index = make(map[string]int)
-				}
-				b.byKey[string(pk)] = f
-				b.frames = append(b.frames, f)
-				slot[f] = len(ents)
-				ents = append(ents, nil)
+			fi, seen := byKey[string(pk)]
+			if !seen {
+				fi = int32(len(fill))
+				byKey[string(pk)] = fi
+				fill = append(fill, 0)
+				first = append(first, c.lo+i)
 			}
-			ents[slot[f]] = append(ents[slot[f]], frameEntry{
-				ri:   c.lo + i,
-				hash: c.dbyHash[i],
-				key:  c.dbyFlat[c.dbyOff[i]:c.dbyOff[i+1]],
-			})
+			frameOf = append(frameOf, fi)
+			fill[fi]++
 		}
 	}
-	for fi, f := range b.frames {
-		es := ents[fi]
-		// Stable on hash: ties keep input order, exactly like the serial
-		// build's order-index sort.
-		sort.SliceStable(es, func(i, j int) bool { return es[i].hash < es[j].hash })
-		for _, e := range es {
-			if _, dup := f.lookupKey(e.key); dup {
+	// Pass 2: lay the entries out frame by frame.
+	off := make([]int32, len(fill)+1)
+	for fi, n := range fill {
+		off[fi+1] = off[fi] + n
+		fill[fi] = off[fi]
+	}
+	ents := make([]frameEntry, len(frameOf))
+	nkey, k := 0, 0
+	for _, c := range chunks {
+		for i, cb := range c.bucket {
+			if cb != bi {
+				continue
+			}
+			fi := frameOf[k]
+			k++
+			key := c.dbyFlat[c.dbyOff[i]:c.dbyOff[i+1]]
+			ents[fill[fi]] = frameEntry{ri: c.lo + i, hash: c.dbyHash[i], key: key}
+			fill[fi]++
+			nkey += len(key)
+		}
+	}
+
+	frames := make([]Frame, len(first))
+	b.frames = make([]*Frame, len(first))
+	ids := make([]blockstore.RowID, 0, len(ents))
+	var keys strings.Builder // never regrows: every index key is a slice of one string
+	keys.Grow(nkey)
+	var order []uint64 // sort scratch, reused across frames
+	ms, _ := b.store.(*blockstore.MemStore)
+	if ms != nil {
+		ms.Reserve(len(ents))
+	}
+	b.bytes = 256 + int64(len(frames))*128 + int64(len(ents))*(16+48) + int64(nkey)
+	for _, c := range chunks {
+		b.bytes += c.bytes[bi]
+	}
+	for fi := range frames {
+		f := &frames[fi]
+		b.frames[fi] = f
+		f.b = b
+		// Input rows are never written (cloned below, or copied on first
+		// write), so the frame can alias its first row's PBY prefix.
+		f.pby = rows[first[fi]][:m.NPby:m.NPby]
+		es := ents[off[fi]:off[fi+1]]
+		// Second-level hash order, ties in input order — exactly the serial
+		// build's stable order-index sort, as a plain sort of (hash, input
+		// rank) words.
+		order = order[:0]
+		for i, e := range es {
+			order = append(order, uint64(e.hash)<<32|uint64(i))
+		}
+		slices.Sort(order)
+		if o.UseBTree {
+			f.bidx = btree.New()
+		} else {
+			f.index = make(map[string]int, len(es))
+		}
+		base := len(ids)
+		for _, w := range order {
+			e := es[uint32(w)]
+			pos := len(ids) - base
+			at := keys.Len()
+			keys.Write(e.key)
+			dk := keys.String()[at:]
+			var dup bool
+			if f.index != nil {
+				// One probe: a duplicate key overwrites instead of growing.
+				f.index[dk] = pos
+				dup = len(f.index) != pos+1
+			} else if _, dup = f.bidx.Get(dk); !dup {
+				f.bidx.Put(dk, pos)
+			}
+			if dup {
 				return fmt.Errorf("spreadsheet: DBY columns (%s) do not uniquely identify row %v within its partition",
 					joinNames(m.DimNames()), rows[e.ri][m.NPby:m.NPby+m.NDby])
 			}
@@ -257,12 +336,14 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 			if !o.ShareRows {
 				r = r.Clone()
 			}
-			id := b.store.Append(r)
-			dk := string(e.key) // stored in index and present set
-			f.putKey(dk, len(f.ids))
-			f.ids = append(f.ids, id)
-			f.present[dk] = true
+			ids = append(ids, b.store.Append(r))
 		}
+		// Capacity clipped: an Insert appends into the frame's own copy.
+		f.ids = ids[base:len(ids):len(ids)]
+		f.builtLen = len(f.ids)
+	}
+	if o.ShareRows { // only ever set for MemStore buckets
+		ms.ShareAll()
 	}
 	return nil
 }

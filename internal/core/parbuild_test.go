@@ -54,7 +54,7 @@ func buildTestRows(n int, seed int64) []types.Row {
 
 // samePartitionSet asserts two access structures are byte-identical:
 // same bucketing, frame discovery order, row clustering, index contents and
-// present sets.
+// built lengths.
 func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 	t.Helper()
 	if len(a.buckets) != len(b.buckets) {
@@ -67,30 +67,27 @@ func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 		}
 		for fi := range ba.frames {
 			fa, fb := ba.frames[fi], bb.frames[fi]
-			if ka, kb := keyOf(fa.pby), keyOf(fb.pby); ka != kb {
+			if ka, kb := types.Key(fa.pby...), types.Key(fb.pby...); ka != kb {
 				t.Fatalf("bucket %d frame %d: pby %q vs %q", bi, fi, ka, kb)
 			}
 			if fa.Len() != fb.Len() {
 				t.Fatalf("bucket %d frame %d: len %d vs %d", bi, fi, fa.Len(), fb.Len())
 			}
+			if fa.builtLen != fb.builtLen || fa.builtLen != fa.Len() {
+				t.Fatalf("bucket %d frame %d: builtLen %d vs %d, len %d", bi, fi, fa.builtLen, fb.builtLen, fa.Len())
+			}
+			m := a.model
 			for pos := 0; pos < fa.Len(); pos++ {
 				ra, rb := fa.Row(pos), fb.Row(pos)
 				if types.Key(ra...) != types.Key(rb...) {
 					t.Fatalf("bucket %d frame %d pos %d: %v vs %v", bi, fi, pos, ra, rb)
 				}
-			}
-			if len(fa.present) != len(fb.present) {
-				t.Fatalf("bucket %d frame %d: present size differs", bi, fi)
-			}
-			for k := range fa.present {
-				if !fb.present[k] {
-					t.Fatalf("bucket %d frame %d: present key missing", bi, fi)
-				}
+				k := types.Key(ra[m.NPby : m.NPby+m.NDby]...)
 				pa, oka := fa.lookupKey([]byte(k))
 				pb, okb := fb.lookupKey([]byte(k))
-				if !oka || !okb || pa != pb {
-					t.Fatalf("bucket %d frame %d: index disagrees on %q: (%d,%v) vs (%d,%v)",
-						bi, fi, k, pa, oka, pb, okb)
+				if !oka || !okb || pa != pos || pb != pos {
+					t.Fatalf("bucket %d frame %d: index disagrees on %q: (%d,%v) vs (%d,%v), want %d",
+						bi, fi, k, pa, oka, pb, okb, pos)
 				}
 			}
 		}

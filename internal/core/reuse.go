@@ -10,12 +10,14 @@ import (
 // keeps one pristine copy per spreadsheet node and clones it again for each
 // execution, so formula evaluation always starts from build state.
 //
-// The clone shares what evaluation never mutates in place: the row slices
-// themselves (every engine write goes through Store.Set with a cloned row),
-// each frame's PBY values, and the pre-execution present-key snapshot
-// (frame Inserts do not update it by design). Everything evaluation does
-// mutate is copied (ids, the DBY hash index, the store's row table) or
-// reset (updated marks, convergence flags, key scratch).
+// Nothing a frame holds is copied: rows, PBY values, row ids and the DBY
+// hash index are all shared between ps and the clone, and each side copies
+// a piece only when it is about to change it — a row on its first write
+// (MemStore.CloneShallow), the index on the first Insert (Frame.putKey),
+// ids by appending past a clipped capacity. ps itself may therefore still
+// be evaluated afterwards (a cache miss evaluates the structure it has just
+// published a clone of). ps is only written when it has not been cloned
+// before, so concurrent clones of the cached pristine copy are safe.
 func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 	cp := &PartitionSet{model: ps.model, buckets: make([]*bucket, len(ps.buckets)), shareRows: ps.shareRows}
 	for bi, b := range ps.buckets {
@@ -23,53 +25,30 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 		if !ok {
 			return nil
 		}
-		nb := &bucket{
-			store:  ms.CloneShallow(),
-			frames: make([]*Frame, len(b.frames)),
-			byKey:  make(map[string]*Frame, len(b.byKey)),
-		}
-		remap := make(map[*Frame]*Frame, len(b.frames))
+		nb := &bucket{store: ms.CloneShallow(), frames: make([]*Frame, len(b.frames)), bytes: b.bytes}
+		fs := make([]Frame, len(b.frames))
 		for fi, f := range b.frames {
 			if f.bidx != nil {
 				return nil
 			}
-			nf := &Frame{
-				b:       nb,
-				pby:     f.pby,
-				ids:     append([]blockstore.RowID(nil), f.ids...),
-				index:   make(map[string]int, len(f.index)),
-				present: f.present,
+			if !f.indexShared {
+				f.indexShared = true
 			}
-			for k, v := range f.index {
-				nf.index[k] = v
-			}
-			nb.frames[fi] = nf
-			remap[f] = nf
-		}
-		for k, f := range b.byKey {
-			nb.byKey[k] = remap[f]
+			n := len(f.ids)
+			fs[fi] = Frame{b: nb, pby: f.pby, ids: f.ids[:n:n], index: f.index, indexShared: true, builtLen: f.builtLen}
+			nb.frames[fi] = &fs[fi]
 		}
 		cp.buckets[bi] = nb
 	}
 	return cp
 }
 
-// EstimateBytes approximates the structure's resident size for cache
-// budgeting: stored rows plus per-key index overhead.
+// EstimateBytes approximates the structure's resident size at build time
+// for cache budgeting: stored rows plus per-key index overhead.
 func (ps *PartitionSet) EstimateBytes() int64 {
 	var n int64
 	for _, b := range ps.buckets {
-		n += 256
-		for _, f := range b.frames {
-			n += 128
-			n += int64(len(f.ids)) * 16
-			for k := range f.index {
-				n += int64(len(k)) + 48
-			}
-			for _, id := range f.ids {
-				n += blockstore.RowBytes(b.store.Get(id))
-			}
-		}
+		n += b.bytes
 	}
 	return n
 }

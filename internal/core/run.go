@@ -77,7 +77,7 @@ type RunOptions struct {
 	Cols *ColSource
 	// Prebuilt, when non-nil, skips the partition build and evaluates this
 	// structure instead. The caller must pass a private copy (see
-	// PartitionSet.CloneForReuse); evaluation mutates it and Run closes it.
+	// PartitionSet.CloneForReuse); evaluation writes to it and Run closes it.
 	Prebuilt *PartitionSet
 	// OnBuilt, when non-nil, observes the freshly built structure after the
 	// build and before any formula evaluation — the window in which
@@ -142,18 +142,28 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 			return nil, ps.Stats(), err
 		}
 	} else {
+		fe := m.newFrameEval(&opts)
 		for _, b := range ps.buckets {
-			for _, f := range b.frames {
-				if err := opts.ctxErr(); err != nil {
-					return nil, ps.Stats(), err
-				}
-				if err := m.evalFrame(f, &opts); err != nil {
-					return nil, ps.Stats(), err
-				}
+			if err := fe.evalBucket(b); err != nil {
+				return nil, ps.Stats(), err
 			}
 		}
 	}
 	return ps.Rows(m.ReturnUpdated), ps.Stats(), nil
+}
+
+// evalBucket evaluates every frame of one first-level bucket, polling for
+// cancellation once per frame.
+func (fe *frameEval) evalBucket(b *bucket) error {
+	for _, f := range b.frames {
+		if err := fe.opts.ctxErr(); err != nil {
+			return err
+		}
+		if err := fe.evalFrame(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ctxErr polls the run's context (nil-safe); non-nil once cancelled.
@@ -188,18 +198,12 @@ func (m *Model) runParallel(ps *PartitionSet, opts *RunOptions) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fe := m.newFrameEval(opts)
 			for b := range work {
-				for _, f := range b.frames {
-					// Cancellation point: one poll per partition frame.
-					err := opts.ctxErr()
-					if err == nil {
-						err = m.evalFrame(f, opts)
-					}
-					if err != nil {
-						errs <- err
-						stopOnce.Do(func() { close(stop) })
-						return
-					}
+				if err := fe.evalBucket(b); err != nil {
+					errs <- err
+					stopOnce.Do(func() { close(stop) })
+					return
 				}
 			}
 		}()
@@ -318,12 +322,34 @@ func numVal(v float64, isInt bool) types.Value {
 	return types.NewFloat(v)
 }
 
-// frameEval carries the per-frame evaluation state.
+// frameEval carries the evaluation state of one processing element: the
+// frame it is working on plus scratch that outlives the frame (contexts,
+// the cv vector), so a statement with thousands of small partitions pays
+// for them once per PE.
 type frameEval struct {
 	m    *Model
 	f    *Frame
 	opts *RunOptions
 	bs   *eval.BoundSchema
+
+	// pad is the row bound where no frame row is: the current frame's PBY
+	// values, NULLs elsewhere. Read-only between frames.
+	pad types.Row
+	// padCtx and rowCtx are the two long-lived contexts (see their
+	// accessors); their hooks read fe.f and fe.cv at call time, so they
+	// follow the PE from frame to frame.
+	padCtx, rowCtx *eval.Context
+
+	// Scratch of matchTargets and qualConsts, which never nest: the
+	// qualifier constants, the predicate context and the target list of the
+	// existential rule being applied.
+	consts   []qualConst
+	predCtx  eval.Context
+	predBind eval.Binding
+	targets  []int
+	// imgNeed and imgTodo are frameImage's column lists: what a batch scan
+	// reads, and which of those the frame's cache lacks.
+	imgNeed, imgTodo []int
 
 	// cv values for the formula target currently being evaluated.
 	cv []types.Value // indexed by DBY ordinal; nil entry = not bound
@@ -366,14 +392,25 @@ func (fe *frameEval) tick() error {
 	return fe.opts.ctxErr()
 }
 
-func (m *Model) newFrameEval(f *Frame, opts *RunOptions) *frameEval {
+func (m *Model) newFrameEval(opts *RunOptions) *frameEval {
 	return &frameEval{
 		m:    m,
-		f:    f,
 		opts: opts,
-		bs:   eval.FromSchema(m.Schema),
+		bs:   m.bs,
 		cv:   make([]types.Value, m.NDby),
+		pad:  make(types.Row, m.Schema.Len()),
 	}
+}
+
+// tickN accounts for n rows at once, polling the context when the count
+// crosses a poll boundary.
+func (fe *frameEval) tickN(n int) error {
+	before := fe.ticks
+	fe.ticks += n
+	if before/(tickMask+1) == fe.ticks/(tickMask+1) {
+		return nil
+	}
+	return fe.opts.ctxErr()
 }
 
 // eval evaluates a formula expression through its compiled closure when the
@@ -399,10 +436,15 @@ func (fe *frameEval) evalBool(ctx *eval.Context, e sqlast.Expr) (bool, error) {
 	return eval.EvalBool(ctx, e) // interp-ok: fallback when compilation is off
 }
 
-// evalFrame runs the analysis plan over one spreadsheet partition.
-func (m *Model) evalFrame(f *Frame, opts *RunOptions) error {
-	fe := m.newFrameEval(f, opts)
-	if m.Iterate != nil || m.SeqOrder {
+// evalFrame runs the analysis plan over one spreadsheet partition, from
+// clean per-frame state.
+func (fe *frameEval) evalFrame(f *Frame) error {
+	fe.f = f
+	copy(fe.pad, f.pby)
+	clear(fe.cv)
+	fe.curAggs, fe.maintained, fe.assigned, fe.previousVals = nil, nil, nil, nil
+	fe.trackRefs, fe.changed, fe.gen = false, false, 0
+	if fe.m.Iterate != nil || fe.m.SeqOrder {
 		return fe.runSequential()
 	}
 	return fe.runAutomatic()
@@ -410,22 +452,39 @@ func (m *Model) evalFrame(f *Frame, opts *RunOptions) error {
 
 // --- evaluation contexts ---
 
-// ctxFor builds an evaluation context for right-side expressions, bound to
-// the given row (may be nil: partition constants only).
-func (fe *frameEval) ctxFor(row types.Row) *eval.Context {
+// constCtx returns the PE's shared context for evaluating partition
+// constants (left-side qualifier values, range bounds, aggregate
+// instances): bound to the pad row, cv() reading fe.cv. Callers must not
+// modify it; those that need to take newCtx.
+func (fe *frameEval) constCtx() *eval.Context {
+	if fe.padCtx == nil {
+		fe.padCtx = fe.newCtx()
+	}
+	return fe.padCtx
+}
+
+// boundCtx returns the PE's shared context for the aggregate-free
+// existential loop, which rebinds the context itself to each target row —
+// so cell-reference qualifiers evaluated through ctx.Cell see that row. One
+// user at a time: the loop does not nest.
+func (fe *frameEval) boundCtx() (*eval.Context, *eval.Binding) {
+	if fe.rowCtx == nil {
+		fe.rowCtx = fe.newCtx()
+	}
+	return fe.rowCtx, fe.rowCtx.Binding
+}
+
+// newCtx builds an evaluation context for right-side expressions, bound to
+// the pad row (partition constants only). Its hooks capture the context
+// itself: a copy rebound to a frame row (rctx := *ctx) still resolves the
+// qualifiers of nested cell references under the original binding.
+func (fe *frameEval) newCtx() *eval.Context {
 	nav := types.KeepNav
 	if fe.m.IgnoreNav {
 		nav = types.IgnoreNav
 	}
-	binding := &eval.Binding{BS: fe.bs, Row: row}
-	if row == nil {
-		// Expose PBY values only, padding the rest with NULLs.
-		pad := make(types.Row, fe.m.Schema.Len())
-		copy(pad, fe.f.pby)
-		binding.Row = pad
-	}
 	ctx := &eval.Context{
-		Binding:  binding,
+		Binding:  &eval.Binding{BS: fe.bs, Row: fe.pad},
 		Nav:      nav,
 		Subquery: fe.opts.Subquery,
 	}

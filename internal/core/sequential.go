@@ -63,7 +63,7 @@ func (fe *frameEval) snapshotPrevious(nodes []*sqlast.Previous) error {
 	if fe.previousVals == nil {
 		fe.previousVals = make(map[*sqlast.Previous]types.Value, len(nodes))
 	}
-	ctx := fe.ctxFor(nil)
+	ctx := fe.constCtx()
 	for _, p := range nodes {
 		v, err := fe.evalCellRef(ctx, p.Cell)
 		if err != nil {
@@ -77,7 +77,7 @@ func (fe *frameEval) snapshotPrevious(nodes []*sqlast.Previous) error {
 // evalUntil evaluates the UNTIL condition after an iteration. Cells read
 // directly see post-iteration values; previous() sees the snapshot.
 func (fe *frameEval) evalUntil(until sqlast.Expr) (bool, error) {
-	ctx := fe.ctxFor(nil)
+	ctx := fe.newCtx()
 	ctx.Previous = func(p *sqlast.CellRef) (types.Value, error) {
 		for node, v := range fe.previousVals {
 			if node.Cell == p {

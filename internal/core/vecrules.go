@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"sqlsheet/internal/colstore"
@@ -131,6 +132,10 @@ type vecRuleProg struct {
 	// existential left side, indexed by qualifier position (zero-value
 	// kernel elsewhere).
 	preds []eval.SelKernel
+	// cols lists the working-schema columns the batch reads out of the
+	// frame's rows, each once: what frameImage (existential rules) or the
+	// target mini image (single-cell rules) must materialise.
+	cols []int
 }
 
 // vecRuleCompiler carries the state of one rule's batch compilation.
@@ -208,7 +213,7 @@ func (c *vecRuleCompiler) cvOnly(e sqlast.Expr) (int, bool) {
 // colLeaf lowers a bare column reference inside a cell-reference qualifier.
 // Unlike the right side proper (bound to the target's frame row), qualifier
 // expressions evaluate under the padded binding captured by ctx.Cell
-// (ctxFor(nil)): PBY columns carry the partition value, everything past the
+// (the pad row): PBY columns carry the partition value, everything past the
 // PBY prefix reads as NULL. Resolving against the image instead would
 // (wrongly) read each row's own values, so the leaf broadcasts the same
 // constants the interpreter sees. Unresolvable names decline — the per-cell
@@ -363,9 +368,8 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 	if len(r.OrderBy) > 0 {
 		return &vecRuleProg{note: ruleVecNoOrderBy}
 	}
-	c := &vecRuleCompiler{m: m, r: r, bs: eval.FromSchema(m.Schema), base: m.Schema.Len()}
-	_, rhsAggs := sqlast.CellRefs(r.RHS)
-	c.qualPad = !r.Existential || len(rhsAggs) > 0
+	c := &vecRuleCompiler{m: m, r: r, bs: m.bs, base: m.Schema.Len()}
+	c.qualPad = !r.Existential || len(r.cellAggs) > 0
 	prog := &vecRuleProg{}
 	if r.Existential {
 		prog.preds = make([]eval.SelKernel, len(r.Quals))
@@ -396,7 +400,49 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 	prog.rhs = rhs
 	prog.leaves = c.leaves
 	prog.note = ruleVecYes
+	prog.cols = c.imageCols(prog)
 	return prog
+}
+
+// imageCols collects the schema columns prog's kernels read. An existential
+// rule also reads, straight from the image, the dimension column of every
+// declarative qualifier and cv() leaf and the measure column every cell leaf
+// gathers from; a single-cell rule takes those from its targets and the
+// frame instead.
+func (c *vecRuleCompiler) imageCols(prog *vecRuleProg) []int {
+	refs := prog.rhs.ColRefs(nil)
+	for li := range prog.leaves {
+		lf := &prog.leaves[li]
+		for _, k := range lf.qualKerns {
+			refs = k.ColRefs(refs)
+		}
+		if c.r.Existential {
+			switch lf.kind {
+			case leafCV:
+				refs = append(refs, c.m.NPby+lf.dim)
+			case leafCell:
+				refs = append(refs, lf.mea)
+			}
+		}
+	}
+	if c.r.Existential {
+		for i := range c.r.Quals {
+			switch c.r.Quals[i].Kind {
+			case sqlast.QualStar:
+			case sqlast.QualPred:
+				refs = prog.preds[i].ColRefs(refs)
+			default:
+				refs = append(refs, c.m.NPby+i)
+			}
+		}
+	}
+	var cols []int
+	for _, o := range refs {
+		if o < c.base && !slices.Contains(cols, o) {
+			cols = append(cols, o)
+		}
+	}
+	return cols
 }
 
 // buildVecRules populates the batch-rule registry. Like buildCompiled it
@@ -406,7 +452,7 @@ func (m *Model) buildVecRules() {
 	if m.vecRules != nil {
 		return
 	}
-	vr := make(map[*Rule]*vecRuleProg, len(m.Rules))
+	vr := make(map[*Rule]*vecRuleProg, len(m.Rules)) // alloc-ok: once per model
 	for _, r := range m.Rules {
 		vr[r] = m.compileVecRule(r)
 	}
@@ -461,35 +507,13 @@ func (fe *frameEval) vecApplyExistential(r *Rule) (bool, error) {
 		return false, nil
 	}
 	// Left-side constants, evaluated once exactly like matchTargets; any
-	// error falls back so the row path reproduces it with its own label.
-	ctx := fe.ctxFor(nil)
-	type dimSpec struct {
-		val    types.Value
-		lo, hi types.Value
+	// error falls back so the row path reproduces it.
+	consts, err := fe.qualConsts(r)
+	if err != nil {
+		return false, nil
 	}
-	specs := make([]dimSpec, len(r.Quals))
-	for i := range r.Quals {
-		q := &r.Quals[i]
-		switch q.Kind {
-		case sqlast.QualPoint:
-			v, err := fe.eval(ctx, q.Val)
-			if err != nil {
-				return false, nil
-			}
-			specs[i].val = v
-		case sqlast.QualRange:
-			lo, err := fe.eval(ctx, q.Lo)
-			if err != nil {
-				return false, nil
-			}
-			hi, err := fe.eval(ctx, q.Hi)
-			if err != nil {
-				return false, nil
-			}
-			specs[i].lo, specs[i].hi = lo, hi
-		}
-	}
-	img, err := fe.frameImage()
+	ctx := fe.constCtx()
+	img, err := fe.frameImage(prog.cols)
 	if err != nil {
 		return true, err // context cancellation; the scan ticked like the row path
 	}
@@ -512,35 +536,8 @@ rows:
 				continue
 			}
 			v := img.Cols[fe.m.NPby+i].Value(ri) // interp-ok: qualifier test reuses the row matcher's Equal/Compare verbatim
-			switch q.Kind {
-			case sqlast.QualPoint:
-				if !types.Equal(v, specs[i].val) {
-					continue rows
-				}
-			case sqlast.QualRange:
-				lo, hi := specs[i].lo, specs[i].hi
-				if v.IsNull() || lo.IsNull() || hi.IsNull() {
-					continue rows
-				}
-				cl := types.Compare(v, lo)
-				if cl < 0 || (cl == 0 && !q.LoIncl) {
-					continue rows
-				}
-				ch := types.Compare(v, hi)
-				if ch > 0 || (ch == 0 && !q.HiIncl) {
-					continue rows
-				}
-			case sqlast.QualForIn:
-				found := false
-				for _, fv := range q.forCache {
-					if types.Equal(v, fv) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					continue rows
-				}
+			if !q.matches(&consts[i], v) {
+				continue rows
 			}
 		}
 		sel = append(sel, int32(ri))
@@ -652,7 +649,7 @@ func (fe *frameEval) vecApplyPoints(e *lsEntry) (bool, error) {
 	}
 	poss := make([]int32, 0, len(e.targets))
 	tis := make([]int, 0, len(e.targets))
-	seen := make(map[int32]struct{}, len(e.targets))
+	var seen posSet
 targets:
 	for ti, dims := range e.targets {
 		// Trigger condition for promoted dimensions, as in applyPoint.
@@ -669,15 +666,14 @@ targets:
 			pos = fe.f.Insert(fe.m, dims)
 			fe.f.MarkUpdated(pos)
 		}
-		p32 := int32(pos)
-		if _, dup := seen[p32]; dup {
+		if seen.has(pos) {
 			// Two targets addressing one cell: the per-cell path
 			// interleaves the second target's reads with the first's
 			// write; keep the rule per cell.
 			return false, nil
 		}
-		seen[p32] = struct{}{}
-		poss = append(poss, p32)
+		seen.set(pos, fe.f.Len())
+		poss = append(poss, int32(pos))
 		tis = append(tis, ti)
 	}
 	nb := len(poss)
@@ -689,36 +685,21 @@ targets:
 	// what the per-cell path's probe returns at that point (self-reads
 	// were rejected at compile time, so no batch read can observe a value
 	// this rule writes). Only the schema columns some kernel actually reads
-	// are materialized; a rule whose right side is pure cv()/cell/aggregate
-	// leaves gathers nothing here.
-	ncols := fe.m.Schema.Len()
-	refs := prog.rhs.ColRefs(nil)
-	for li := range prog.leaves {
-		for _, k := range prog.leaves[li].qualKerns {
-			refs = k.ColRefs(refs)
-		}
-	}
-	need := make([]bool, ncols)
-	var needed []int
-	for _, o := range refs {
-		if o < ncols && !need[o] {
-			need[o] = true
-			needed = append(needed, o)
-		}
-	}
-	cols := make([]*colstore.Column, ncols)
-	if len(needed) > 0 {
-		bufs := make([][]types.Value, len(needed))
+	// (prog.cols) are materialized; a rule whose right side is pure
+	// cv()/cell/aggregate leaves gathers nothing here.
+	cols := make([]*colstore.Column, fe.m.Schema.Len())
+	if len(prog.cols) > 0 {
+		bufs := make([][]types.Value, len(prog.cols))
 		for i := range bufs {
 			bufs[i] = make([]types.Value, nb)
 		}
 		for k, pos := range poss {
 			row := fe.f.Row(int(pos))
-			for i, c := range needed {
+			for i, c := range prog.cols {
 				bufs[i][k] = row[c]
 			}
 		}
-		for i, c := range needed {
+		for i, c := range prog.cols {
 			cols[c] = colstore.FromValues(bufs[i])
 		}
 	}

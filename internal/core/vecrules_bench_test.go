@@ -36,7 +36,12 @@ func benchRuleRows(nmea int) []types.Row {
 // timed iteration applies the rules over an identical, settled frame set
 // (rules recompute their targets from the untouched source measure, so
 // repeated application is idempotent).
-func benchRuleLegs(b *testing.B, sql string, nmea int) {
+//
+// With cold set, every iteration instead evaluates a fresh CloneForReuse of
+// the pristine structure, built sharing its input rows — what a cold
+// statement's rule phase does on the serving path — so every cell write is a
+// first write and -benchmem reports the write path's allocation.
+func benchRuleLegs(b *testing.B, sql string, rows []types.Row, cold bool) {
 	legs := []struct {
 		name string
 		opts RunOptions
@@ -55,23 +60,27 @@ func benchRuleLegs(b *testing.B, sql string, nmea int) {
 			}
 			m.buildCompiled()
 			m.buildVecRules()
-			ps, err := BuildPartitions(m, benchRuleRows(nmea), 1,
-				func() blockstore.Store { return blockstore.NewMem() })
+			pristine, err := BuildPartitionsOpts(m, rows, 1,
+				func() blockstore.Store { return blockstore.NewMem() }, BuildOptions{ShareRows: cold})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer ps.Close()
+			defer pristine.Close()
 			opts := leg.opts
+			fe := m.newFrameEval(&opts)
 			evalAll := func() {
+				ps := pristine
+				if cold {
+					ps = pristine.CloneForReuse()
+				}
 				for _, bk := range ps.buckets {
-					for _, f := range bk.frames {
-						if err := m.evalFrame(f, &opts); err != nil {
-							b.Fatal(err)
-						}
+					if err := fe.evalBucket(bk); err != nil {
+						b.Fatal(err)
 					}
 				}
 			}
 			evalAll()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				evalAll()
@@ -93,7 +102,7 @@ func BenchmarkSpreadsheetRulesExistential(b *testing.B) {
 		( UPDATE u[*, *] = s[cv(p), cv(t)] * 1.1 + s[cv(p), cv(t) - 1] * 0.25,
 		  UPDATE v[p IN ('p0','p1','p2','p3','p4'), t > 1200] =
 			s[cv(p), cv(t) - 2] * 0.5 - s[cv(p), cv(t) - 3] / 8,
-		  UPDATE v[*, t > 1100] = s[cv(p), cv(t)] * 1.01 - s[cv(p), cv(t) - 4] )`, 3)
+		  UPDATE v[*, t > 1100] = s[cv(p), cv(t)] * 1.01 - s[cv(p), cv(t) - 4] )`, benchRuleRows(3), false)
 }
 
 // BenchmarkSpreadsheetRulesPointHeavy measures left-side FOR loops: 11,000
@@ -104,5 +113,31 @@ func BenchmarkSpreadsheetRulesPointHeavy(b *testing.B) {
 		SPREADSHEET PBY(r) DBY (p, t) MEA (s, u)
 		( UPSERT u[FOR p IN ('p0','p1','p2','p3','p4','p5','p6','p7','p8','p9'),
 			FOR t FROM 1000 TO 2099] =
-			s[cv(p), cv(t)] * 2 + s[cv(p), cv(t) - 1] * 0.5 + s[cv(p), cv(t) - 2] / 4 + 1 )`, 2)
+			s[cv(p), cv(t)] * 2 + s[cv(p), cv(t) - 1] * 0.5 + s[cv(p), cv(t) - 2] / 4 + 1 )`, benchRuleRows(2), false)
+}
+
+// BenchmarkSpreadsheetRulesCubeCold is the benchmark's cube_rules shape run
+// cold: six existential rules, each writing its own measure of every cell of
+// a 96-partition, 22k-cell slice (11-column rows), over a fresh clone of the
+// cached structure per iteration. allocs/op and B/op are the numbers to
+// watch: one row copy per cell, not one per cell per rule.
+func BenchmarkSpreadsheetRulesCubeCold(b *testing.B) {
+	rows := make([]types.Row, 0, 96*230)
+	for h := 0; h < 4; h++ {
+		for t := 0; t < 24; t++ {
+			for p := 0; p < 230; p++ {
+				name := fmt.Sprintf("P%03d", p)
+				if p == 0 {
+					name = "TOP"
+				}
+				rows = append(rows, types.Row{V("c1"), V(fmt.Sprintf("h%d", h)), V(fmt.Sprintf("1995-%02d", t)), V(name),
+					V(float64(p*7+t+1) * 0.5), V(0.0), V(0.0), V(0.0), V(0.0), V(0.0), V(0.0)})
+			}
+		}
+	}
+	benchRuleLegs(b, `SELECT c, h, t, p, s, share_1, share_2, share_3, share_4, share_5, share_6 FROM cube
+		SPREADSHEET PBY (c, h, t) DBY (p) MEA (s, share_1, share_2, share_3, share_4, share_5, share_6)
+		RULES UPDATE ( F1: share_1[*] = s[cv(p)] / s['P001'], F2: share_2[*] = s[cv(p)] / s['P002'],
+		  F3: share_3[*] = s[cv(p)] / s['P003'], F4: share_4[*] = s[cv(p)] * 1.7,
+		  F5: share_5[*] = share_1[cv(p)] + share_2[cv(p)], F6: share_6[*] = s[cv(p)] / s['TOP'] )`, rows, true)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/types"
@@ -97,7 +99,19 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 		}
 		kerns[i] = ks
 	}
-	img, err := fe.frameImage()
+	need := fe.imgNeed[:0]
+	for i, inst := range insts {
+		for di := range inst.vq {
+			if inst.vq[di].kind != vqStar {
+				need = append(need, fe.m.NPby+di)
+			}
+		}
+		for _, k := range kerns[i] {
+			need = k.ColRefs(need)
+		}
+	}
+	fe.imgNeed = need
+	img, err := fe.frameImage(need)
 	if err != nil {
 		return true, err
 	}
@@ -151,75 +165,57 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 	return true, nil
 }
 
-// frameImage snapshots the partition's current rows into a columnar image in
-// one scan, ticking per row exactly like the row scan it replaces. The
-// snapshot is cached on the frame: a later call re-extracts only the columns
-// written since (imgDirty), so a sequence of vectorized rules pays the full
-// row-to-column conversion once, then one column per assigned measure. The
-// returned table owns its Cols slice but shares the cached columns; callers
-// treat images as immutable (WithExtra copies before extending).
-func (fe *frameEval) frameImage() (*colstore.Table, error) {
+// frameImage returns a columnar image of the partition's current rows in
+// which the listed columns are materialised; any other column may be nil.
+// Columns are cached on the frame and dropped when written (imgMark) or when
+// the row set changes (imgDrop), so a sequence of vectorized rules extracts
+// each column it reads once, then again only after a rule assigned it; a
+// column no kernel reads is never extracted. Extraction is one scan ticking
+// per row exactly like the row scan it replaces. The returned table owns its
+// Cols slice but shares the cached columns; callers treat images as
+// immutable (WithExtra copies before extending).
+func (fe *frameEval) frameImage(need []int) (*colstore.Table, error) {
 	f := fe.f
-	ncols := fe.m.Schema.Len()
-	if f.img == nil || f.imgRows != f.Len() || len(f.img) != ncols {
-		b := colstore.NewBuilder(ncols)
-		var ferr error
-		f.Each(func(pos int, row types.Row) bool {
-			if ferr = fe.tick(); ferr != nil {
-				return false
-			}
-			b.Append(row)
-			return true
-		})
-		if ferr != nil {
-			return nil, ferr
-		}
-		t := b.Build()
-		f.img = append([]*colstore.Column(nil), t.Cols...)
-		f.imgRows = t.NRows
-		f.imgDirty = make([]bool, ncols)
-		return t, nil
+	n := f.Len()
+	if f.img == nil || f.imgRows != n {
+		f.img = make([]*colstore.Column, fe.m.Schema.Len())
+		f.imgRows = n
 	}
-	var dirty []int
-	for c, d := range f.imgDirty {
-		if d {
-			dirty = append(dirty, c)
+	todo := fe.imgTodo[:0]
+	for _, c := range need {
+		if f.img[c] == nil && !slices.Contains(todo, c) {
+			todo = append(todo, c)
 		}
 	}
-	if len(dirty) > 0 {
-		vals := make([][]types.Value, len(dirty))
-		for i := range vals {
-			vals[i] = make([]types.Value, 0, f.imgRows)
-		}
-		var ferr error
-		f.Each(func(pos int, row types.Row) bool {
-			if ferr = fe.tick(); ferr != nil {
-				return false
-			}
-			for i, c := range dirty {
-				vals[i] = append(vals[i], row[c])
-			}
-			return true
-		})
-		if ferr != nil {
-			return nil, ferr
-		}
-		for i, c := range dirty {
-			f.img[c] = colstore.FromValues(vals[i])
-			f.imgDirty[c] = false
+	fe.imgTodo = todo
+	if len(todo) == 0 {
+		// Cache hit: keep the cancellation polls of the scan this replaces.
+		if err := fe.tickN(n); err != nil {
+			return nil, err
 		}
 	} else {
-		// Cache hit: keep the per-row tick cadence (cancellation polls) of
-		// the scan this replaces.
-		for i := 0; i < f.imgRows; i++ {
-			if err := fe.tick(); err != nil {
-				return nil, err
+		vals := make([][]types.Value, len(todo))
+		for i := range vals {
+			vals[i] = make([]types.Value, n)
+		}
+		var ferr error
+		f.Each(func(pos int, row types.Row) bool {
+			if ferr = fe.tick(); ferr != nil {
+				return false
 			}
+			for i, c := range todo {
+				vals[i][pos] = row[c]
+			}
+			return true
+		})
+		if ferr != nil {
+			return nil, ferr
+		}
+		for i, c := range todo {
+			f.img[c] = colstore.FromValues(vals[i])
 		}
 	}
-	cols := make([]*colstore.Column, ncols)
-	copy(cols, f.img)
-	return &colstore.Table{NRows: f.imgRows, Cols: cols}, nil
+	return &colstore.Table{NRows: n, Cols: slices.Clone(f.img)}, nil
 }
 
 // vecMatchSel appends the image rows matching inst's dimension qualifiers to

@@ -61,6 +61,7 @@ type selFn func(in *VecInput, sel, out []int32) []int32
 type SelKernel struct {
 	fn   selFn
 	nOrd int
+	cols []int
 }
 
 // Valid reports whether a kernel was compiled.
@@ -69,6 +70,10 @@ func (k SelKernel) Valid() bool { return k.fn != nil }
 // MinCols returns 1 + the highest schema ordinal the kernel reads; an image
 // (or ColMap) must cover at least that many columns.
 func (k SelKernel) MinCols() int { return k.nOrd }
+
+// ColRefs appends every schema ordinal the kernel reads to dst (duplicates
+// possible), like ExprKernel.ColRefs.
+func (k SelKernel) ColRefs(dst []int) []int { return append(dst, k.cols...) }
 
 // Run applies the kernel over tbl. sel holds ascending candidate positions;
 // passing positions are appended to out (which must have cap ≥ len(sel)).
@@ -88,12 +93,14 @@ func CompileSelKernel(env *BoundSchema, e sqlast.Expr) SelKernel {
 	if fn == nil {
 		return SelKernel{}
 	}
-	return SelKernel{fn: fn, nOrd: c.nOrd}
+	return SelKernel{fn: fn, nOrd: c.nOrd, cols: c.cols}
 }
 
 type selCompiler struct {
 	env  *BoundSchema
 	nOrd int
+	// cols records every ordinal column resolved (SelKernel.ColRefs).
+	cols []int
 	// ext, when set, maps expression shapes the schema cannot resolve
 	// (cell references, cv(), aggregates) to extra image ordinals the
 	// caller promises to populate — the spreadsheet rule compiler's hook.
@@ -115,6 +122,7 @@ func (c *selCompiler) column(e sqlast.Expr) (int, bool) {
 	if idx+1 > c.nOrd {
 		c.nOrd = idx + 1
 	}
+	c.cols = append(c.cols, idx)
 	return idx, true
 }
 

@@ -98,11 +98,10 @@ type Options struct {
 	Snap *catalog.Snapshot
 	// FastLocalPath lets unbudgeted in-memory spreadsheet runs skip the
 	// defensive row clones at the chunk-store boundary (input rows into the
-	// access structure, result rows out of it). Safe because the engine
-	// never mutates a stored row in place — every write clones and replaces
-	// — and results are byte-identical either way. The DB layer sets it
-	// when MemoryBudget is 0 and the DisableFastLocalPath ablation knob is
-	// off.
+	// access structure, result rows out of it). Safe because the access
+	// structure copies a shared row on its first write and only then writes
+	// in place (core.BuildOptions.ShareRows), and results are byte-identical
+	// either way. The DB layer sets it exactly when MemoryBudget is 0.
 	FastLocalPath bool
 }
 

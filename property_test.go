@@ -323,3 +323,77 @@ func TestCompiledEvalPreservesResults(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInPlaceWritesNeverLeak is the ownership property of the access
+// structure's write path: a row is shared (with the base table's image, with
+// the cached pristine structure) until a rule first writes it and is written
+// in place from then on, and none of that may be observable. Each statement
+// overwrites its own input measure; it runs three times through the
+// structure cache (result cache off, so every run evaluates a clone of the
+// cached structure) and must return the same bytes each time, the same bytes
+// as every other configuration, and leave the base table untouched — across
+// MemoryBudget 0/small × Workers 1/4 × batch rules on/off. Run under -race
+// by `make race`: PEs write their own buckets while sharing the pristine
+// rows and indexes.
+func TestInPlaceWritesNeverLeak(t *testing.T) {
+	queries := []string{
+		// Self-read, so the per-cell path: s is overwritten cell by cell.
+		`SELECT r, p, t, s FROM f SPREADSHEET PBY(r) DBY(p, t) MEA(s) SEQUENTIAL ORDER
+		 ( s[*, *] = s[cv(p), cv(t)] * 2 ) ORDER BY r, p, t`,
+		// The batch path when enabled, under UPSERT: s overwritten from v, a
+		// second measure of the same rows written by a later rule, a cell
+		// created. No computed measure, so the input rows are g's own.
+		`SELECT r, p, t, s, v, x, y FROM g SPREADSHEET PBY(r) DBY(p, t) MEA(s, v, x, y)
+		 RULES UPSERT ( s[*, *] = v[cv(p), cv(t)] * 2,
+		                x[*, *] = s[cv(p), cv(t)] + v[cv(p), cv(t)],
+		                y['new', 2001] = v['dvd', 2001] * 2 ) ORDER BY r, p, t`,
+	}
+	bases := []string{
+		`SELECT r, p, t, s FROM f ORDER BY r, p, t`,
+		`SELECT r, p, t, s, v, x, y FROM g ORDER BY r, p, t`,
+	}
+	var want []*sqlsheet.Result
+	for _, budget := range []int64{0, 600} {
+		for _, workers := range []int{1, 4} {
+			for _, noVec := range []bool{false, true} {
+				name := fmt.Sprintf("budget=%d workers=%d batch=%v", budget, workers, !noVec)
+				db := randomFactDB(t, rand.New(rand.NewSource(7)))
+				db.MustExec(`CREATE TABLE g (r TEXT, p TEXT, t INT, s FLOAT, v FLOAT, x FLOAT, y FLOAT)`)
+				for _, row := range db.MustExec(bases[0]).Rows {
+					db.MustExec(fmt.Sprintf(`INSERT INTO g VALUES ('%s','%s',%s,%s,%s,0,0)`, row[0], row[1], row[2], row[3], row[3]))
+				}
+				db.Configure(sqlsheet.Config{
+					MemoryBudget: budget, SpillDir: t.TempDir(), Buckets: 3,
+					Workers: workers, Parallel: workers,
+					DisableResultCache: true, DisableVectorizedRules: noVec, VecMinRows: 1,
+				})
+				var before []*sqlsheet.Result
+				for _, b := range bases {
+					before = append(before, db.MustExec(b))
+				}
+				for qi, q := range queries {
+					for run := 0; run < 3; run++ {
+						res, err := db.Query(q)
+						if err != nil {
+							t.Fatalf("%s: query %d run %d: %v", name, qi, run, err)
+						}
+						if len(want) <= qi {
+							want = append(want, res)
+							if identicalResults(res, before[qi]) {
+								t.Fatalf("query %d did not overwrite its input measure", qi)
+							}
+						}
+						if !identicalResults(res, want[qi]) {
+							t.Fatalf("%s: query %d run %d differs:\n%s\nwant:\n%s", name, qi, run, res, want[qi])
+						}
+					}
+				}
+				for bi, b := range bases {
+					if after := db.MustExec(b); !identicalResults(after, before[bi]) {
+						t.Fatalf("%s: a spreadsheet write reached the base table:\n%s\nwant:\n%s", name, after, before[bi])
+					}
+				}
+			}
+		}
+	}
+}
