@@ -309,10 +309,10 @@ func BenchmarkAccessStructure(b *testing.B) {
 // compiledBenchDB builds an expression-benchmark fact table: enough rows
 // that per-row evaluation dominates, with string, integer and float columns
 // so predicates can mix arithmetic, LIKE, IN and BETWEEN.
-func compiledBenchDB(b *testing.B, disable bool) *sqlsheet.DB {
+func compiledBenchDB(b *testing.B) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisableCompiledEval: disable, DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{DisablePlanCache: true})
 	fillEF(b, db)
 	return db
 }
@@ -338,11 +338,9 @@ func fillEF(b *testing.B, db *sqlsheet.DB) {
 	}
 }
 
-// BenchmarkCompiledFilter measures an expression-heavy WHERE clause with
-// closure-compiled evaluation against the tree-walking interpreter
-// (Config.DisableCompiledEval). The predicate mixes arithmetic, LIKE,
-// a hashed IN-list, BETWEEN and boolean structure so per-row dispatch and
-// name resolution — the costs compilation removes — dominate.
+// BenchmarkCompiledFilter measures an expression-heavy WHERE clause. The
+// predicate mixes arithmetic, LIKE, a hashed IN-list, BETWEEN and boolean
+// structure so per-row expression evaluation dominates.
 func BenchmarkCompiledFilter(b *testing.B) {
 	q := `SELECT r, p, t FROM ef
 		WHERE (CASE WHEN r = 'west' THEN s * 1.15 WHEN r = 'east' THEN s * 0.95 ELSE s + 3.0 END) * 2.0
@@ -350,15 +348,7 @@ func BenchmarkCompiledFilter(b *testing.B) {
 		  AND (p LIKE 'd%' OR p IN ('vcr', 'tv', 'amp', 'tape', 'video', 'audio', 'cd', 'md', 'laser'))
 		  AND t BETWEEN 1981 AND 2004
 		  AND NOT (r = 'north' AND s < 5.0)`
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"compiled", false}, {"interpreted", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			db := compiledBenchDB(b, v.disable)
-			runQuery(b, db, q)
-		})
-	}
+	runQuery(b, compiledBenchDB(b), q)
 }
 
 // coldBenchDB is the vectorization-ablation variant of compiledBenchDB:
@@ -477,10 +467,10 @@ func BenchmarkColdJoinGroupBy(b *testing.B) {
 // probeBenchDB builds a table whose (r, p, t) keys are unique: 4 regions x
 // 32 products x 106 periods, one row per cell, so spreadsheet rules address
 // individual cells.
-func probeBenchDB(b *testing.B, disable bool) *sqlsheet.DB {
+func probeBenchDB(b *testing.B) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisableCompiledEval: disable, DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{DisablePlanCache: true})
 	db.MustExec(`CREATE TABLE es (r TEXT, p TEXT, t INT, s FLOAT)`)
 	regions := []string{"west", "east", "north", "south"}
 	var rows [][]any
@@ -508,15 +498,7 @@ func BenchmarkCompiledSpreadsheetProbe(b *testing.B) {
 		SPREADSHEET PBY(r, p) DBY(t) MEA(s) UPDATE ITERATE (8)
 		( s[*] = s[cv(t)] * 0.3 + s[cv(t)-1] * 0.2 + s[cv(t)-2] * 0.15 + s[cv(t)-3] * 0.1
 		       + s[cv(t)-4] * 0.1 + s[cv(t)-5] * 0.05 + s[cv(t)-6] * 0.05 + s[cv(t)-7] * 0.05 )`
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"compiled", false}, {"interpreted", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			db := probeBenchDB(b, v.disable)
-			runQuery(b, db, q)
-		})
-	}
+	runQuery(b, probeBenchDB(b), q)
 }
 
 // BenchmarkRepeatedQuery measures the serving path for a repeated statement —
@@ -547,7 +529,7 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			db := probeBenchDB(b, false)
+			db := probeBenchDB(b)
 			db.Configure(v.cfg)
 			// Prime so the timed loop measures the steady state (cold stays
 			// cold: its cache is disabled).

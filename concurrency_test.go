@@ -327,11 +327,10 @@ func TestReadersNeverBlockOnWriters(t *testing.T) {
 	}
 }
 
-// TestSnapshotGridByteIdentical replays one DML+query script under the
-// ablation grid — Workers 1/4 × snapshot isolation on/off — and requires
-// byte-identical SELECT results in every cell. The MVCC read path and the
-// lock-based fallback are pure execution strategies; neither may change an
-// answer.
+// TestSnapshotGridByteIdentical replays one DML+query script at Workers 1
+// and 4 and requires byte-identical SELECT results: the SELECTs read pinned
+// images, the DML before them wrote live rows under the exclusive lock, and
+// the worker count may not change an answer either way.
 func TestSnapshotGridByteIdentical(t *testing.T) {
 	script := []string{
 		`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`,
@@ -358,35 +357,30 @@ func TestSnapshotGridByteIdentical(t *testing.T) {
 
 	var want [][]string
 	for _, workers := range []int{1, 4} {
-		for _, noSnap := range []bool{false, true} {
-			{
-				name := fmt.Sprintf("workers=%d snap=%v", workers, !noSnap)
-				db := sqlsheet.Open()
-				cfg := db.Options()
-				cfg.Workers = workers
-				cfg.DisableSnapshotIsolation = noSnap
-				db.Configure(cfg)
-				for _, stmt := range script {
-					db.MustExec(stmt)
-				}
-				for qi, q := range queries {
-					res, err := db.Query(q)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, q, err)
-					}
-					got := rowsKey(res)
-					if want == nil || len(want) <= qi {
-						want = append(want, got)
-						continue
-					}
-					if len(got) != len(want[qi]) {
-						t.Fatalf("%s: query %d returned %d rows, want %d", name, qi, len(got), len(want[qi]))
-					}
-					for i := range got {
-						if got[i] != want[qi][i] {
-							t.Fatalf("%s: query %d row %d = %q, want %q", name, qi, i, got[i], want[qi][i])
-						}
-					}
+		name := fmt.Sprintf("workers=%d", workers)
+		db := sqlsheet.Open()
+		cfg := db.Options()
+		cfg.Workers = workers
+		db.Configure(cfg)
+		for _, stmt := range script {
+			db.MustExec(stmt)
+		}
+		for qi, q := range queries {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			got := rowsKey(res)
+			if want == nil || len(want) <= qi {
+				want = append(want, got)
+				continue
+			}
+			if len(got) != len(want[qi]) {
+				t.Fatalf("%s: query %d returned %d rows, want %d", name, qi, len(got), len(want[qi]))
+			}
+			for i := range got {
+				if got[i] != want[qi][i] {
+					t.Fatalf("%s: query %d row %d = %q, want %q", name, qi, i, got[i], want[qi][i])
 				}
 			}
 		}

@@ -68,9 +68,6 @@ type Row = types.Row
 //   - Writers mutate table row slices copy-on-write (UPDATE and DELETE
 //     replace the slice; INSERT appends past every published image's
 //     clipped length), so a pinned image is immutable for its lifetime.
-//   - Config.DisableSnapshotIsolation restores the previous regime —
-//     readers share the statement lock and scan live rows — as the ablation
-//     baseline; results are byte-identical either way.
 //   - catalog.Table.Version is atomic besides all this: the plan cache
 //     probes versions lock-free, and the exclusive path bumps them; result
 //     dependencies are stamped with the executing statement's *pinned*
@@ -94,8 +91,9 @@ type DB struct {
 	// version counters.
 	cache *plancache.Cache
 	// stmtMu is the statement-level lock implementing the contract above:
-	// mutations own it exclusively; snapshot readers skip it entirely (the
-	// shared mode survives only for DisableSnapshotIsolation).
+	// mutations own it exclusively; snapshot readers skip it entirely. Its
+	// shared mode is taken only to read db.wal (walCommit, WALEnabled,
+	// WALCounters).
 	stmtMu sync.RWMutex
 	// wal, when non-nil, is the write-ahead log (EnableWAL). walReplay
 	// suppresses re-logging while recovery replays the log; both are
@@ -177,19 +175,9 @@ type Config struct {
 	DisableFilterPushdown bool
 	DisableSingleScan     bool
 	DisableRangeProbe     bool
-	// DisableCompiledEval routes all per-row expression evaluation through
-	// the tree-walking interpreter instead of closure-compiled expressions.
-	// Results are byte-identical either way; this is an ablation knob.
-	DisableCompiledEval bool
 	// UseBTreeIndex swaps the spreadsheet's cell hash tables for B-trees
 	// (the paper's abandoned first access method; ablation only).
 	UseBTreeIndex bool
-	// DisableParallelBuild forces the serial partition build; the access
-	// structure (and every result byte) is identical either way.
-	DisableParallelBuild bool
-	// DisableParallelSort forces serial ORDER BY / window ordering; results
-	// are byte-identical either way.
-	DisableParallelSort bool
 	// DisableAsyncSpill keeps spill stores on synchronous eviction writes
 	// and disables read-ahead; results are byte-identical either way.
 	DisableAsyncSpill bool
@@ -227,12 +215,6 @@ type Config struct {
 	// access structures dominate). 0 shares MemoryBudget when that is set,
 	// and otherwise defaults to 64 MiB.
 	PlanCacheBudget int64
-	// DisableSnapshotIsolation restores lock-based reads: SELECT statements
-	// share the statement lock and scan live table rows instead of pinning
-	// MVCC images, so readers block behind writers again. Results are
-	// byte-identical either way; this is the ablation baseline for the
-	// non-blocking-reads benchmarks.
-	DisableSnapshotIsolation bool
 }
 
 // defaultPlanCacheBudget bounds the serving-path cache when neither
@@ -316,26 +298,6 @@ func (db *DB) SetDistributor(d exec.Distributor) {
 	db.sess.Store(&session{opts: old.opts, fp: fp, dist: d})
 }
 
-// readLock acquires the shared statement lock when snapshot isolation is
-// disabled (the lock-based ablation baseline) and is a no-op otherwise.
-// The returned function releases whatever was taken.
-func (db *DB) readLock(s *session) func() {
-	if !s.opts.DisableSnapshotIsolation {
-		return func() {}
-	}
-	db.stmtMu.RLock()
-	return db.stmtMu.RUnlock
-}
-
-// newSnapshot returns the per-statement MVCC snapshot, or nil when snapshot
-// isolation is disabled (callers then read live rows under the shared lock).
-func (db *DB) newSnapshot(s *session) *catalog.Snapshot {
-	if s.opts.DisableSnapshotIsolation {
-		return nil
-	}
-	return catalog.NewSnapshot()
-}
-
 // Result is a materialized query result.
 type Result struct {
 	Columns []string
@@ -417,7 +379,7 @@ type queryOutcome struct {
 // waste this call's cache stores but never taint them.
 func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt, forceExec, wantPlan bool) (*exec.Result, queryOutcome, error) {
 	var out queryOutcome
-	snap := db.newSnapshot(s)
+	snap := catalog.NewSnapshot()
 	if s.opts.DisablePlanCache {
 		res, err := db.runSelectUncached(ctx, s, snap, stmt, wantPlan, &out)
 		return res, out, err
@@ -449,16 +411,9 @@ func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt
 		}
 	}
 	ex := db.newExecutor(ctx, s, snap)
-	p, deps, hit := db.cache.Plan(e, db.cat)
-	if p == nil {
-		var err error
-		p, err = plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
-		if err != nil {
-			return nil, out, err
-		}
-		d, sheets := plancache.CollectDeps(db.cat, stmt, p, snap)
-		db.cache.SetPlan(e, stmt, p, d, sheets)
-		deps = d
+	p, deps, hit, err := db.planFor(e, stmt, snap, ex)
+	if err != nil {
+		return nil, out, err
 	}
 	out.planHit = hit
 	out.deps = plancache.DepString(deps)
@@ -482,6 +437,23 @@ func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt
 	}
 	db.fillCacheStats(&out)
 	return res, out, nil
+}
+
+// planFor returns the entry's cached plan, or builds one against the
+// statement's snapshot and registers it with the dependencies stamped from
+// that snapshot's pins. The caller holds e.ExecMu.
+func (db *DB) planFor(e *plancache.Entry, stmt *sqlast.SelectStmt, snap *catalog.Snapshot, ex *exec.Executor) (plan.Node, []plancache.Dep, bool, error) {
+	p, deps, hit := db.cache.Plan(e, db.cat)
+	if p != nil {
+		return p, deps, hit, nil
+	}
+	p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	deps, sheets := plancache.CollectDeps(db.cat, stmt, p, snap)
+	db.cache.SetPlan(e, stmt, p, deps, sheets)
+	return p, deps, hit, nil
 }
 
 // runSelectUncached is the cache-bypassing execution path (cache disabled,
@@ -550,7 +522,7 @@ func (db *DB) Exec(sql string) (*Result, error) {
 }
 
 // isReadOnly reports whether every statement of a batch is a SELECT (and the
-// batch may therefore run under the shared statement lock).
+// batch may therefore run without the statement lock).
 func isReadOnly(stmts []sqlast.Statement) bool {
 	for _, s := range stmts {
 		if _, ok := s.(*sqlast.SelectStmt); !ok {
@@ -585,8 +557,6 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 		return nil, err
 	}
 	if isReadOnly(stmts) {
-		unlock := db.readLock(s)
-		defer unlock()
 		var last *Result
 		for _, stmt := range stmts {
 			if err := ctx.Err(); err != nil {
@@ -671,21 +641,26 @@ func (db *DB) Query(sql string) (*Result, error) {
 
 // QueryContext is Query with cancellation (see ExecContext).
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	s := db.sess.Load()
+	res, _, err := db.query(ctx, db.sess.Load(), sql, false, false)
+	return res, err
+}
+
+// query is the one path behind the single-SELECT entry points: prepare the
+// text, then run it lock-free against its own snapshot (see runSelect for
+// forceExec and wantPlan).
+func (db *DB) query(ctx context.Context, s *session, sql string, forceExec, wantPlan bool) (*Result, queryOutcome, error) {
 	stmt, err := db.prepareQuery(s, sql)
 	if err != nil {
-		return nil, err
+		return nil, queryOutcome{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, queryOutcome{}, err
 	}
-	unlock := db.readLock(s)
-	defer unlock()
-	res, _, err := db.runSelect(ctx, s, stmt, false, false)
+	res, out, err := db.runSelect(ctx, s, stmt, forceExec, wantPlan)
 	if err != nil {
-		return nil, err
+		return nil, queryOutcome{}, err
 	}
-	return wrapResult(res), nil
+	return wrapResult(res), out, nil
 }
 
 // QueryStats runs a query and also returns the spreadsheet access
@@ -693,18 +668,8 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 // Result reuse is off whenever MemoryBudget is set, so budgeted runs always
 // report real I/O.
 func (db *DB) QueryStats(sql string) (*Result, blockstore.Stats, error) {
-	s := db.sess.Load()
-	stmt, err := db.prepareQuery(s, sql)
-	if err != nil {
-		return nil, blockstore.Stats{}, err
-	}
-	unlock := db.readLock(s)
-	defer unlock()
-	res, out, err := db.runSelect(context.Background(), s, stmt, false, false)
-	if err != nil {
-		return nil, blockstore.Stats{}, err
-	}
-	return wrapResult(res), out.sheet, nil
+	res, out, err := db.query(context.Background(), db.sess.Load(), sql, false, false)
+	return res, out.sheet, err
 }
 
 // OpStats re-exports the per-operator execution statistics collected by the
@@ -717,18 +682,8 @@ type OpStats = exec.Stats
 // serving-path cache's per-call flags and cumulative hit/miss/eviction
 // counters; a result hit reports no operator lines (nothing executed).
 func (db *DB) QueryOpStats(sql string) (*Result, OpStats, error) {
-	s := db.sess.Load()
-	stmt, err := db.prepareQuery(s, sql)
-	if err != nil {
-		return nil, OpStats{}, err
-	}
-	unlock := db.readLock(s)
-	defer unlock()
-	res, out, err := db.runSelect(context.Background(), s, stmt, false, false)
-	if err != nil {
-		return nil, OpStats{}, err
-	}
-	return wrapResult(res), out.ops, nil
+	res, out, err := db.query(context.Background(), db.sess.Load(), sql, false, false)
+	return res, out.ops, err
 }
 
 // ExplainAnalyze executes the query and returns the optimized plan followed
@@ -738,13 +693,7 @@ func (db *DB) QueryOpStats(sql string) (*Result, OpStats, error) {
 // annotations show exactly what a repeated Query call would reuse.
 func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	s := db.sess.Load()
-	stmt, err := db.prepareQuery(s, sql)
-	if err != nil {
-		return "", err
-	}
-	unlock := db.readLock(s)
-	defer unlock()
-	_, out, err := db.runSelect(context.Background(), s, stmt, true, true)
+	_, out, err := db.query(context.Background(), s, sql, true, true)
 	if err != nil {
 		return "", err
 	}
@@ -774,9 +723,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	unlock := db.readLock(s)
-	defer unlock()
-	snap := db.newSnapshot(s)
+	snap := catalog.NewSnapshot()
 	ex := db.newExecutor(context.Background(), s, snap)
 	if s.opts.DisablePlanCache {
 		p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
@@ -791,14 +738,9 @@ func (db *DB) Explain(sql string) (string, error) {
 	// must hold the entry's execution lock like any other plan use.
 	e.ExecMu.Lock()
 	defer e.ExecMu.Unlock()
-	p, _, hit := db.cache.Plan(e, db.cat)
-	if p == nil {
-		p, err = plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
-		if err != nil {
-			return "", err
-		}
-		deps, sheets := plancache.CollectDeps(db.cat, stmt, p, snap)
-		db.cache.SetPlan(e, stmt, p, deps, sheets)
+	p, _, hit, err := db.planFor(e, stmt, snap, ex)
+	if err != nil {
+		return "", err
 	}
 	return plan.Explain(p) + "cache: plan " + hitMiss(hit) + "\n", nil
 }
@@ -921,9 +863,6 @@ func (db *DB) MatViews() []string { return db.cat.MatViewNames() }
 // TableRows returns the row count of a table (0 if absent), read from the
 // table's published MVCC image so it never blocks behind a writer.
 func (db *DB) TableRows(name string) int {
-	s := db.sess.Load()
-	unlock := db.readLock(s)
-	defer unlock()
 	t, ok := db.cat.Get(name)
 	if !ok {
 		return 0
@@ -980,11 +919,11 @@ func ToValue(v any) Value {
 	return types.NewString(fmt.Sprint(v))
 }
 
-// newExecutor builds an executor for one statement. snap, when non-nil, is
-// the statement's MVCC snapshot: every table access (including plan-time
-// reference-subquery execution, since the executor doubles as the planner's
-// RefExecutor) pins and reads published images. DML executors pass nil and
-// read live rows under the exclusive statement lock.
+// newExecutor builds an executor for one statement. snap is a SELECT's MVCC
+// snapshot: every table access (including plan-time reference-subquery
+// execution, since the executor doubles as the planner's RefExecutor) pins
+// and reads published images. DML executors pass nil and read live rows
+// under the exclusive statement lock.
 func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapshot) *exec.Executor {
 	o := s.opts
 	ex := exec.New(db.cat, exec.Options{
@@ -998,9 +937,6 @@ func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapsho
 		DisableSingleScan:      o.DisableSingleScan,
 		DisableRangeProbe:      o.DisableRangeProbe,
 		UseBTreeIndex:          o.UseBTreeIndex,
-		DisableCompiledEval:    o.DisableCompiledEval,
-		DisableParallelBuild:   o.DisableParallelBuild,
-		DisableParallelSort:    o.DisableParallelSort,
 		DisableAsyncSpill:      o.DisableAsyncSpill,
 		DisableVectorizedExec:  o.DisableVectorizedExec,
 		DisableVectorizedRules: o.DisableVectorizedRules,
@@ -1016,13 +952,10 @@ func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapsho
 		DisableSheetRewrite:    o.DisableSheetRewrite,
 		DisableSheetPush:       o.DisableSheetPush,
 		DisableFilterPushdown:  o.DisableFilterPushdown,
-		DisableCompiledEval:    o.DisableCompiledEval,
 		Parallel:               o.Parallel,
 		Workers:                o.Workers,
 		PromoteIndependentDims: o.PromoteIndependentDims,
 		EnableMVRewrite:        o.EnableMVRewrite,
-		DisableParallelBuild:   o.DisableParallelBuild,
-		DisableParallelSort:    o.DisableParallelSort,
 		DisableVectorizedExec:  o.DisableVectorizedExec,
 		DisableVectorizedRules: o.DisableVectorizedRules,
 		Distributed:            s.dist != nil,

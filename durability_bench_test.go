@@ -72,45 +72,34 @@ func BenchmarkWALAppendConcurrent(b *testing.B) {
 }
 
 // BenchmarkReaderDuringDML measures SELECT latency while one writer
-// goroutine hammers single-row DML the whole time. snapshot=on is the MVCC
-// path (readers pin per-statement images, no lock); snapshot=off restores
-// the RWMutex regime where every reader queues behind the writer's
-// exclusive sections — the ablation shows what lock-free reads buy under
-// write pressure.
+// goroutine hammers single-row DML the whole time: readers pin per-statement
+// images and take no lock, so the number is what a read costs under write
+// pressure.
 func BenchmarkReaderDuringDML(b *testing.B) {
-	for _, noSnap := range []bool{false, true} {
-		name := "snapshot=on"
-		if noSnap {
-			name = "snapshot=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := sqlsheet.Open()
-			cfg := db.Options()
-			cfg.DisableSnapshotIsolation = noSnap
-			cfg.DisableResultCache = true // force every read onto the scan path
-			db.Configure(cfg)
-			db.MustExec(`CREATE TABLE f (k INT, v INT)`)
-			for i := 0; i < 5000; i++ {
-				db.MustExec(fmt.Sprintf(`INSERT INTO f VALUES (%d, %d)`, i, i))
-			}
-
-			var stop atomic.Bool
-			writerDone := make(chan struct{})
-			go func() {
-				defer close(writerDone)
-				for i := 0; !stop.Load(); i++ {
-					db.MustExec(fmt.Sprintf(`UPDATE f SET v = v + 1 WHERE k = %d`, i%5000))
-				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(`SELECT COUNT(*), SUM(k) FROM f`); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			stop.Store(true)
-			<-writerDone
-		})
+	db := sqlsheet.Open()
+	cfg := db.Options()
+	cfg.DisableResultCache = true // force every read onto the scan path
+	db.Configure(cfg)
+	db.MustExec(`CREATE TABLE f (k INT, v INT)`)
+	for i := 0; i < 5000; i++ {
+		db.MustExec(fmt.Sprintf(`INSERT INTO f VALUES (%d, %d)`, i, i))
 	}
+
+	var stop atomic.Bool
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; !stop.Load(); i++ {
+			db.MustExec(fmt.Sprintf(`UPDATE f SET v = v + 1 WHERE k = %d`, i%5000))
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(`SELECT COUNT(*), SUM(k) FROM f`); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-writerDone
 }

@@ -47,7 +47,7 @@ func staticEval(e sqlast.Expr) (types.Value, bool) {
 	if hasRef {
 		return types.Null, false
 	}
-	v, err := eval.Eval(&eval.Context{}, e) // interp-ok: one-time analysis of constant bounds
+	v, err := eval.Compile(nil, e).Eval(&eval.Context{})
 	if err != nil {
 		return types.Null, false
 	}

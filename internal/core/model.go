@@ -497,59 +497,36 @@ func (m *Model) checkRefCell(label string, ref *RefMeta, x *sqlast.CellRef) erro
 }
 
 // buildCompiled populates the compiled-expression registry against the
-// working schema. Every expression the per-cell loops evaluate is registered:
-// rule right sides as whole trees, plus — because cell-key probing and
-// target matching evaluate them standalone — each qualifier value, predicate
-// and range bound (including those nested inside right-side cell references
-// and aggregates), ORDER BY keys, and aggregate arguments.
+// working schema: every node of every rule's right side, left-side
+// qualifiers and ORDER BY keys, and of the UNTIL condition. The per-cell
+// loops evaluate whole trees and — for cell-key probing, target matching,
+// predicate enumeration and aggregate arguments — pieces of them standalone;
+// registering each node means no site has to say which pieces those are.
 func (m *Model) buildCompiled() {
 	m.compiled = make(map[sqlast.Expr]eval.CompiledExpr)
-	env := m.bs
-	reg := func(e sqlast.Expr) {
-		if e == nil {
-			return
-		}
-		if _, ok := m.compiled[e]; ok {
-			return
-		}
-		if c, err := eval.Compile(env, e); err == nil && c.Valid() {
-			m.compiled[e] = c
-		}
-	}
-	regQual := func(q *sqlast.DimQual) {
-		reg(q.Val)
-		reg(q.Pred)
-		reg(q.Lo)
-		reg(q.Hi)
-	}
-	for _, r := range m.Rules {
-		reg(r.RHS)
-		sqlast.WalkExpr(r.RHS, func(e sqlast.Expr) bool {
-			switch x := e.(type) {
-			case *sqlast.CellRef:
-				for i := range x.Quals {
-					regQual(&x.Quals[i])
-				}
-			case *sqlast.CellAgg:
-				for i := range x.Quals {
-					regQual(&x.Quals[i])
-				}
-				for _, a := range x.Args {
-					reg(a)
-				}
+	regTree := func(e sqlast.Expr) {
+		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+			if _, ok := m.compiled[n]; !ok {
+				m.compiled[n] = eval.Compile(m.bs, n)
 			}
 			return true
 		})
+	}
+	for _, r := range m.Rules {
+		regTree(r.RHS)
 		for i := range r.Quals {
 			q := &r.Quals[i]
-			reg(q.Val)
-			reg(q.Pred)
-			reg(q.Lo)
-			reg(q.Hi)
+			regTree(q.Val)
+			regTree(q.Pred)
+			regTree(q.Lo)
+			regTree(q.Hi)
 		}
 		for _, o := range r.OrderBy {
-			reg(o.Expr)
+			regTree(o.Expr)
 		}
+	}
+	if m.Iterate != nil {
+		regTree(m.Iterate.Until)
 	}
 }
 

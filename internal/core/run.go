@@ -51,9 +51,6 @@ type RunOptions struct {
 	// UseBTreeIndex swaps the second-level hash tables for B-trees — the
 	// paper's abandoned first access method, kept as an ablation (§7).
 	UseBTreeIndex bool
-	// DisableCompiledEval routes formula evaluation through the tree-walking
-	// interpreter instead of compiled closures (ablation knob).
-	DisableCompiledEval bool
 	// DisableVectorizedScan keeps aggregate partition scans on the row-at-a-
 	// time matcher/closure path instead of the batch columnar scan (see
 	// vecscan.go); the executor wires its DisableVectorizedExec here so one
@@ -102,7 +99,7 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 	if err := m.prepareForIn(opts.Subquery); err != nil {
 		return nil, blockstore.Stats{}, err
 	}
-	if m.compiled == nil && !opts.DisableCompiledEval {
+	if m.compiled == nil {
 		m.buildCompiled()
 	}
 	if !opts.DisableVectorizedRules {
@@ -254,7 +251,7 @@ func (m *Model) prepareForIn(runner eval.SubqueryRunner) error {
 			}
 			vals := make([]types.Value, len(q.ForVals))
 			for i, e := range q.ForVals {
-				v, err := eval.Eval(&eval.Context{Subquery: runner}, e) // interp-ok: one-time FOR-IN list materialization
+				v, err := eval.Compile(nil, e).Eval(&eval.Context{Subquery: runner})
 				if err != nil {
 					return fmt.Errorf("%s: FOR %s IN value %d: %v", r.Label, q.DimName, i+1, err)
 				}
@@ -273,17 +270,17 @@ const maxForEnumeration = 1 << 20
 // qualifier into its value list.
 func enumerateFromTo(q *Qual, runner eval.SubqueryRunner) ([]types.Value, error) {
 	ctx := &eval.Context{Subquery: runner}
-	lo, err := eval.Eval(ctx, q.ForFrom) // interp-ok: one-time FROM..TO bound
+	lo, err := eval.Compile(nil, q.ForFrom).Eval(ctx)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := eval.Eval(ctx, q.ForTo) // interp-ok: one-time FROM..TO bound
+	hi, err := eval.Compile(nil, q.ForTo).Eval(ctx)
 	if err != nil {
 		return nil, err
 	}
 	step := types.NewInt(1)
 	if q.ForStep != nil {
-		step, err = eval.Eval(ctx, q.ForStep) // interp-ok: one-time FROM..TO bound
+		step, err = eval.Compile(nil, q.ForStep).Eval(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -413,27 +410,34 @@ func (fe *frameEval) tickN(n int) error {
 	return fe.opts.ctxErr()
 }
 
-// eval evaluates a formula expression through its compiled closure when the
-// registry has one, falling back to the tree-walking interpreter (identical
-// semantics) otherwise. The registry is read-only during execution, so PEs
+// compiledFor returns the closure buildCompiled registered for a formula
+// expression. The registry holds every node of every rule, so a miss is an
+// engine bug and is reported as one. It is read-only during execution, so PEs
 // call this concurrently without locking.
-func (fe *frameEval) eval(ctx *eval.Context, e sqlast.Expr) (types.Value, error) {
-	if !fe.opts.DisableCompiledEval {
-		if c, ok := fe.m.compiled[e]; ok {
-			return c.Eval(ctx)
-		}
+func (fe *frameEval) compiledFor(e sqlast.Expr) (eval.CompiledExpr, error) {
+	c, ok := fe.m.compiled[e]
+	if !ok {
+		return c, fmt.Errorf("internal error: spreadsheet expression %s was not compiled", e)
 	}
-	return eval.Eval(ctx, e) // interp-ok: fallback when compilation is off
+	return c, nil
+}
+
+// eval evaluates a formula expression.
+func (fe *frameEval) eval(ctx *eval.Context, e sqlast.Expr) (types.Value, error) {
+	c, err := fe.compiledFor(e)
+	if err != nil {
+		return types.Null, err
+	}
+	return c.Eval(ctx)
 }
 
 // evalBool is eval with SQL boolean coercion (NULL counts as false).
 func (fe *frameEval) evalBool(ctx *eval.Context, e sqlast.Expr) (bool, error) {
-	if !fe.opts.DisableCompiledEval {
-		if c, ok := fe.m.compiled[e]; ok {
-			return c.EvalBool(ctx)
-		}
+	c, err := fe.compiledFor(e)
+	if err != nil {
+		return false, err
 	}
-	return eval.EvalBool(ctx, e) // interp-ok: fallback when compilation is off
+	return c.EvalBool(ctx)
 }
 
 // evalFrame runs the analysis plan over one spreadsheet partition, from

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
@@ -86,7 +85,7 @@ func (fe *frameEval) evalUntil(until sqlast.Expr) (bool, error) {
 		}
 		return types.Null, fmt.Errorf("previous(%s): no snapshot (internal)", p)
 	}
-	ok, err := eval.EvalBool(ctx, until) // interp-ok: once per ITERATE pass, not per cell
+	ok, err := fe.evalBool(ctx, until)
 	if err != nil {
 		return false, fmt.Errorf("UNTIL: %v", err)
 	}

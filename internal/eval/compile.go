@@ -14,34 +14,26 @@ import (
 // LIKE matchers — so the per-row cost is a chain of direct closure calls
 // with no type switch, no name lookup and no pattern re-analysis.
 //
+// Compilation is total: every node kind has a closure, and a node the
+// compiler does not know compiles to one that reports "cannot evaluate" on
+// each evaluation. Errors are never raised at compile time — a bad operator,
+// an ambiguous column or a division by zero surfaces per evaluation, so a
+// statement over zero rows still succeeds.
+//
 // Thread-safety contract: a compiled closure captures only immutable data
 // (AST nodes, folded constants, prebuilt matchers and sets). All per-row
 // state comes from the *Context argument, so one CompiledExpr instance is
 // shared safely by every morsel worker as long as each worker evaluates
-// with its own Context — the same contract eval.Eval already has.
-//
-// Equivalence contract: for every Context, CompiledExpr.Eval returns exactly
-// what eval.Eval returns — value, error and error text. Node kinds the
-// compiler does not specialize (subqueries, unknown nodes) fall back to a
-// thin closure over the interpreter, so behavior is identical by
-// construction; the compiled form is then marked partial (Full() == false).
+// with its own Context.
 
 // evalFn is the compiled form of one expression node.
 type evalFn func(*Context) (types.Value, error)
 
-// CompiledExpr is a closure-compiled expression. The zero value is invalid
-// (Valid() == false); callers treat that as "interpret instead".
+// CompiledExpr is a closure-compiled expression. The zero value is what a
+// nil (absent, optional) expression compiles to and must not be evaluated.
 type CompiledExpr struct {
-	fn   evalFn
-	full bool
+	fn evalFn
 }
-
-// Valid reports whether the expression was compiled at all.
-func (c CompiledExpr) Valid() bool { return c.fn != nil }
-
-// Full reports whether every node was specialized (false when some subtree
-// falls back to the interpreter, e.g. subqueries).
-func (c CompiledExpr) Full() bool { return c.full }
 
 // Eval runs the compiled expression under ctx.
 func (c CompiledExpr) Eval(ctx *Context) (types.Value, error) { return c.fn(ctx) }
@@ -58,45 +50,55 @@ func (c CompiledExpr) EvalBool(ctx *Context) (bool, error) {
 
 // Compile lowers e into a closure chain resolving column references against
 // env. env may be nil (every column then resolves dynamically through the
-// binding chain). A nil e compiles to the invalid zero CompiledExpr so
-// callers with optional expressions need no special case.
+// binding chain). A nil e compiles to the zero CompiledExpr.
 //
 // Contract: at evaluation time the innermost Binding's schema must be env —
 // ordinals resolved at compile time are read straight out of Binding.Row.
 // References not found in env resolve through the full binding chain at
 // runtime (correlated outer columns).
-func Compile(env *BoundSchema, e sqlast.Expr) (CompiledExpr, error) {
+func Compile(env *BoundSchema, e sqlast.Expr) CompiledExpr {
 	if e == nil {
-		return CompiledExpr{}, nil
+		return CompiledExpr{}
 	}
-	c := &compiler{env: env, full: true}
-	fn := c.compile(e)
-	return CompiledExpr{fn: fn, full: c.full}, nil
+	c := &compiler{env: env}
+	return CompiledExpr{fn: c.compile(e)}
 }
 
 // CompileMany compiles each expression of a projection or key list.
-func CompileMany(env *BoundSchema, exprs []sqlast.Expr) ([]CompiledExpr, error) {
+func CompileMany(env *BoundSchema, exprs []sqlast.Expr) []CompiledExpr {
 	if len(exprs) == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]CompiledExpr, len(exprs))
 	for i, e := range exprs {
-		ce, err := Compile(env, e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ce
+		out[i] = Compile(env, e)
 	}
-	return out, nil
+	return out
 }
 
 type compiler struct {
-	env  *BoundSchema
-	full bool
+	env *BoundSchema
+	// impure counts the impure nodes (see pureNode) compiled so far. A
+	// subtree that leaves it unchanged is constant.
+	impure int
 }
 
-// errFn compiles to a closure that fails with err on every evaluation —
-// the compiled analogue of the interpreter reporting the error per row.
+// pureNode reports whether a node's value is a function of its children's
+// values alone. Column, hook and subquery references read the Context;
+// aggregate calls and unknown nodes are an error of each evaluation, never a
+// constant.
+func pureNode(e sqlast.Expr) bool {
+	switch x := e.(type) {
+	case *sqlast.Literal, *sqlast.Unary, *sqlast.Binary, *sqlast.Between,
+		*sqlast.InList, *sqlast.IsNull, *sqlast.Like, *sqlast.Case:
+		return true
+	case *sqlast.FuncCall:
+		return !aggs.IsAggregate(x.Name)
+	}
+	return false
+}
+
+// errFn compiles to a closure that fails with err on every evaluation.
 func errFn(err error) evalFn {
 	return func(*Context) (types.Value, error) { return types.Null, err }
 }
@@ -106,15 +108,66 @@ func constFn(v types.Value) evalFn {
 	return func(*Context) (types.Value, error) { return v, nil }
 }
 
+// errNoSubquery is what a subquery node reports under a Context that has no
+// runner.
+var errNoSubquery = fmt.Errorf("subqueries not available in this context")
+
+// compile lowers one node and folds it when its subtree is constant.
 func (c *compiler) compile(e sqlast.Expr) evalFn {
-	if v, ok := foldConst(e); ok {
-		return constFn(v)
+	if lit, ok := e.(*sqlast.Literal); ok {
+		return constFn(lit.Val)
 	}
+	before := c.impure
+	if !pureNode(e) {
+		c.impure++
+	}
+	fn := c.compileNode(e)
+	if c.impure == before {
+		if v, ok := foldFn(fn); ok {
+			return constFn(v)
+		}
+	}
+	return fn
+}
+
+// foldConst evaluates e at compile time when it is a constant (see foldFn);
+// the kernel compilers use it to recognise constant operands. They ask at
+// every node on their way down a tree, so the test that nothing in e is
+// impure is a walk that stops at the first such node; only a constant subtree
+// is compiled, once, and its parent is not descended into.
+func foldConst(e sqlast.Expr) (types.Value, bool) {
+	if lit, ok := e.(*sqlast.Literal); ok {
+		return lit.Val, true
+	}
+	pure := true
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		pure = pure && pureNode(n)
+		return pure
+	})
+	if !pure {
+		return types.Null, false
+	}
+	return foldFn((&compiler{}).compile(e))
+}
+
+// foldFn runs the closure of a constant subtree once per Nav mode. Folding
+// is only safe when both runs succeed with the identical result: ctx.Nav
+// changes NULL arithmetic (IGNORE NAV), and errors (division by zero, bad
+// arity) must stay errors of each evaluation, not of compilation.
+func foldFn(fn evalFn) (types.Value, bool) {
+	keep, err := fn(&Context{Nav: types.KeepNav})
+	if err != nil {
+		return types.Null, false
+	}
+	ign, err := fn(&Context{Nav: types.IgnoreNav})
+	if err != nil || keep != ign {
+		return types.Null, false
+	}
+	return keep, true
+}
+
+func (c *compiler) compileNode(e sqlast.Expr) evalFn {
 	switch x := e.(type) {
-	case *sqlast.Literal:
-		return constFn(x.Val)
-	case *sqlast.ColumnRef:
-		return c.compileColumn(x)
 	case *sqlast.Unary:
 		return c.compileUnary(x)
 	case *sqlast.Binary:
@@ -139,6 +192,49 @@ func (c *compiler) compile(e sqlast.Expr) evalFn {
 		return c.compileCase(x)
 	case *sqlast.FuncCall:
 		return c.compileFunc(x)
+	}
+	switch x := e.(type) {
+	case *sqlast.ColumnRef:
+		return c.compileColumn(x)
+	case *sqlast.InSubquery:
+		xf := c.compile(x.X)
+		not := x.Not
+		return func(ctx *Context) (types.Value, error) {
+			if ctx.Subquery == nil {
+				return types.Null, errNoSubquery
+			}
+			v, err := xf(ctx)
+			if err != nil {
+				return types.Null, err
+			}
+			res, err := ctx.Subquery.In(x.Sub, ctx.Binding, v)
+			if err != nil {
+				return types.Null, err
+			}
+			if not {
+				return not3(res), nil
+			}
+			return res, nil
+		}
+	case *sqlast.Exists:
+		not := x.Not
+		return func(ctx *Context) (types.Value, error) {
+			if ctx.Subquery == nil {
+				return types.Null, errNoSubquery
+			}
+			ok, err := ctx.Subquery.Exists(x.Sub, ctx.Binding)
+			if err != nil {
+				return types.Null, err
+			}
+			return types.NewBool(ok != not), nil
+		}
+	case *sqlast.ScalarSubquery:
+		return func(ctx *Context) (types.Value, error) {
+			if ctx.Subquery == nil {
+				return types.Null, errNoSubquery
+			}
+			return ctx.Subquery.Scalar(x.Sub, ctx.Binding)
+		}
 	case *sqlast.CurrentV:
 		return func(ctx *Context) (types.Value, error) {
 			if ctx.CurrentV == nil {
@@ -182,64 +278,20 @@ func (c *compiler) compile(e sqlast.Expr) evalFn {
 	case *sqlast.Star:
 		return errFn(fmt.Errorf("'*' is not a value expression"))
 	}
-	// Subqueries and any node kind added after this compiler: interpret.
-	// The fallback keeps behavior identical for everything not specialized.
-	c.full = false
-	return func(ctx *Context) (types.Value, error) {
-		return Eval(ctx, e)
-	}
+	return errFn(fmt.Errorf("cannot evaluate %T", e))
 }
 
-// foldable reports whether e is a pure function of constants — no column,
-// hook, or subquery reference anywhere in the tree. Aggregate calls stay
-// unfolded so their per-evaluation errors match the interpreter's.
-func foldable(e sqlast.Expr) bool {
-	ok := true
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch x := n.(type) {
-		case *sqlast.Literal, *sqlast.Unary, *sqlast.Binary, *sqlast.Between,
-			*sqlast.InList, *sqlast.IsNull, *sqlast.Like, *sqlast.Case:
-		case *sqlast.FuncCall:
-			if aggs.IsAggregate(x.Name) {
-				ok = false
-			}
-		default:
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
-// foldConst evaluates a constant subtree at compile time. Folding is only
-// safe when evaluation succeeds under BOTH Nav modes with the identical
-// result: ctx.Nav changes NULL arithmetic (IGNORE NAV), and errors (division
-// by zero, bad arity) must stay runtime errors, surfaced per evaluation
-// exactly as the interpreter surfaces them.
-func foldConst(e sqlast.Expr) (types.Value, bool) {
-	if lit, ok := e.(*sqlast.Literal); ok {
-		return lit.Val, true
-	}
-	if !foldable(e) {
-		return types.Null, false
-	}
-	keep, err := Eval(&Context{Nav: types.KeepNav}, e)
-	if err != nil {
-		return types.Null, false
-	}
-	ign, err := Eval(&Context{Nav: types.IgnoreNav}, e)
-	if err != nil || keep != ign {
-		return types.Null, false
-	}
-	return keep, true
-}
+// inListSetThreshold is the list size past which an all-literal IN-list is
+// hashed instead of scanned (pushed predicates from the spreadsheet
+// optimizer routinely carry dozens of values).
+const inListSetThreshold = 9
 
 func (c *compiler) compileColumn(x *sqlast.ColumnRef) evalFn {
 	if c.env != nil {
 		idx, found, err := c.env.Resolve(x.Table, x.Name)
 		if err != nil {
-			// Ambiguous in the innermost schema: the interpreter reports it
-			// on every row; so do we (after the same nil-binding check).
+			// Ambiguous in the innermost schema: reported on every row, after
+			// the nil-binding check every column reference makes.
 			ambig := err
 			return func(ctx *Context) (types.Value, error) {
 				if ctx.Binding == nil {
@@ -528,8 +580,8 @@ func (c *compiler) compileInList(x *sqlast.InList) evalFn {
 			return res, nil
 		}
 	}
-	// Members with non-literal expressions: evaluate in order with the
-	// interpreter's short-circuit-on-match semantics.
+	// Members with non-literal expressions: evaluate in order, stopping at
+	// the first match (later members' errors are then never raised).
 	items := make([]evalFn, len(x.List))
 	for i, it := range x.List {
 		items[i] = c.compile(it)

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sqlsheet/internal/parser"
@@ -13,7 +14,8 @@ import (
 // exprGen builds random expression trees over the fixed test schema
 // (a INT, b FLOAT, c TEXT, d INT). It deliberately produces expressions
 // that error at runtime (division by zero, type mismatches, bad LIKE
-// operands) because Compile must reproduce interpreter errors exactly.
+// operands) because Compile must reproduce the reference interpreter's
+// errors (interp_test.go) exactly.
 type exprGen struct {
 	rng *rand.Rand
 }
@@ -152,16 +154,7 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		g := &exprGen{rng: rand.New(rand.NewSource(seed))}
 		e := g.expr(4)
-		ce, err := Compile(bs, e)
-		if err != nil {
-			t.Fatalf("seed %d: Compile(%s): %v", seed, e, err)
-		}
-		if !ce.Valid() {
-			t.Fatalf("seed %d: Compile(%s) returned invalid expression", seed, e)
-		}
-		if !ce.Full() {
-			t.Errorf("seed %d: Compile(%s) fell back to the interpreter for a supported node kind", seed, e)
-		}
+		ce := Compile(bs, e)
 		for ri, row := range rows {
 			for _, nav := range []types.NavMode{types.KeepNav, types.IgnoreNav} {
 				wctx := &Context{Binding: &Binding{BS: bs, Row: row}, Nav: nav}
@@ -177,9 +170,42 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// stubRunner is a SubqueryRunner that answers from the outer row instead of
+// running anything, so subquery nodes can be compared without an executor:
+// every answer is correlated (it reads the outer binding), and fail makes
+// each method return an error whose text must come through unchanged.
+type stubRunner struct{ fail bool }
+
+func (s stubRunner) outerD(outer *Binding) (types.Value, error) {
+	if s.fail {
+		return types.Null, fmt.Errorf("stub subquery failed")
+	}
+	return outer.Lookup("", "d")
+}
+
+func (s stubRunner) Scalar(_ *sqlast.SelectStmt, outer *Binding) (types.Value, error) {
+	return s.outerD(outer)
+}
+
+func (s stubRunner) Column(_ *sqlast.SelectStmt, outer *Binding) ([]types.Value, error) {
+	d, err := s.outerD(outer)
+	return []types.Value{d, types.NewInt(1), types.Null}, err
+}
+
+func (s stubRunner) Exists(_ *sqlast.SelectStmt, outer *Binding) (bool, error) {
+	d, err := s.outerD(outer)
+	return !d.IsNull() && d.Bool(), err
+}
+
+func (s stubRunner) In(sub *sqlast.SelectStmt, outer *Binding, v types.Value) (types.Value, error) {
+	vals, err := s.Column(sub, outer)
+	return InMembership(v, vals), err
+}
+
 // TestCompileMatchesInterpreterParsed re-checks equivalence on hand-written
 // expressions exercising specific code paths: constant folding, the hashed
-// IN-list, precompiled LIKE shapes, ambiguous columns and unbound rows.
+// IN-list, precompiled LIKE shapes, and the three subquery node kinds under
+// a working runner, a failing runner and no runner at all.
 func TestCompileMatchesInterpreterParsed(t *testing.T) {
 	bs := NewBoundSchema([]BoundCol{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}})
 	exprs := []string{
@@ -208,27 +234,47 @@ func TestCompileMatchesInterpreterParsed(t *testing.T) {
 		"upper(c) || '-' || lower(c)",
 		"a + 'oops'",
 		"-c",
+		"a IN (SELECT x FROM t)",
+		"a NOT IN (SELECT x FROM t)",
+		"a + 1 IN (SELECT x FROM t WHERE t.y = d)",
+		"1 / 0 IN (SELECT x FROM t)", // the missing runner is reported before the operand's error
+		"EXISTS (SELECT 1 FROM t WHERE t.x = a)",
+		"NOT EXISTS (SELECT 1 FROM t)",
+		"(SELECT max(x) FROM t WHERE t.y = d) + a",
+		"a > (SELECT x FROM t) OR c IS NULL",
+		"CASE WHEN EXISTS (SELECT 1 FROM t) THEN (SELECT x FROM t) ELSE a / 0 END",
+		"coalesce((SELECT x FROM t), 1 + 2)",
 	}
+	runners := []SubqueryRunner{stubRunner{}, stubRunner{fail: true}, nil}
 	rows := compileTestRows()
 	for _, src := range exprs {
 		e, err := parser.ParseExpr(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		ce, err := Compile(bs, e)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", src, err)
-		}
+		ce := Compile(bs, e)
 		for ri, row := range rows {
 			for _, nav := range []types.NavMode{types.KeepNav, types.IgnoreNav} {
-				want, werr := Eval(&Context{Binding: &Binding{BS: bs, Row: row}, Nav: nav}, e)
-				got, gerr := ce.Eval(&Context{Binding: &Binding{BS: bs, Row: row}, Nav: nav})
-				if !sameValErr(got, gerr, want, werr) {
-					t.Errorf("%q row %d nav %v: compiled=(%v,%v) interp=(%v,%v)",
-						src, ri, nav, got, gerr, want, werr)
+				for qi, run := range runners {
+					want, werr := Eval(&Context{Binding: &Binding{BS: bs, Row: row}, Nav: nav, Subquery: run}, e)
+					got, gerr := ce.Eval(&Context{Binding: &Binding{BS: bs, Row: row}, Nav: nav, Subquery: run})
+					if !sameValErr(got, gerr, want, werr) {
+						t.Errorf("%q row %d nav %v runner %d: compiled=(%v,%v) interp=(%v,%v)",
+							src, ri, nav, qi, got, gerr, want, werr)
+					}
 				}
 			}
 		}
+	}
+	// The text a subquery node reports without a runner is part of the
+	// contract (it is what a formula or a DML expression shows the user).
+	e, err := parser.ParseExpr("a IN (SELECT x FROM t)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gerr := Compile(bs, e).Eval(&Context{Binding: &Binding{BS: bs, Row: rows[0]}})
+	if gerr == nil || gerr.Error() != "subqueries not available in this context" {
+		t.Errorf("nil runner: got error %v", gerr)
 	}
 }
 
@@ -240,10 +286,7 @@ func TestCompileUnboundAndAmbiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := Compile(amb, e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := Compile(amb, e)
 	row := types.Row{types.NewInt(1), types.NewInt(2)}
 	want, werr := Eval(&Context{Binding: &Binding{BS: amb, Row: row}}, e)
 	got, gerr := ce.Eval(&Context{Binding: &Binding{BS: amb, Row: row}})
@@ -256,10 +299,7 @@ func TestCompileUnboundAndAmbiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce2, err := Compile(one, e2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce2 := Compile(one, e2)
 	want, werr = Eval(&Context{}, e2)
 	got, gerr = ce2.Eval(&Context{})
 	if !sameValErr(got, gerr, want, werr) {
@@ -267,19 +307,50 @@ func TestCompileUnboundAndAmbiguous(t *testing.T) {
 	}
 }
 
-// TestCompileNilAndFallback pins the CompiledExpr zero-value contract.
-func TestCompileNilAndFallback(t *testing.T) {
-	var zero CompiledExpr
-	if zero.Valid() {
-		t.Error("zero CompiledExpr must be invalid")
-	}
-	ce, err := Compile(NewBoundSchema(nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce.Valid() {
-		t.Error("Compile(nil) must return the invalid zero value")
+// TestCompileFoldsConstants pins what the fold may and may not do: a
+// constant subtree becomes its value, while one whose evaluation fails, or
+// differs between the Nav modes, stays an error (or a choice) of each
+// evaluation.
+func TestCompileFoldsConstants(t *testing.T) {
+	for src, want := range map[string]bool{
+		"1 + 2 * 3":                           true,
+		"upper('a') || 'b'":                   true,
+		"CASE WHEN 1 = 1 THEN 1 ELSE 1/0 END": true,
+		"1 / 0":                               false,
+		"NULL + 1":                            false, // NULL under KEEP NAV, 1 under IGNORE NAV
+		"a + 1":                               false,
+		"sum(1)":                              false,
+		"(SELECT 1 FROM t)":                   false,
+	} {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if _, ok := foldConst(e); ok != want {
+			t.Errorf("foldConst(%q) folded=%v, want %v", src, ok, want)
+		}
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt for debugging helpers above
+// TestKernelCompileAllocsLinear pins that the kernel compilers, which ask
+// foldConst about every node on their way down, build nothing for a subtree
+// that is not constant: doubling a left-deep `a + a + …` chain must about
+// double the allocations, not quadruple them.
+func TestKernelCompileAllocsLinear(t *testing.T) {
+	env := NewBoundSchema([]BoundCol{{Name: "a"}})
+	allocs := func(n int) float64 {
+		e, err := parser.ParseExpr("a" + strings.Repeat(" + a", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if !CompileExprKernel(env, e).Valid() {
+				t.Fatal("no kernel")
+			}
+		})
+	}
+	small, large := allocs(200), allocs(400)
+	if large > 2.5*small {
+		t.Errorf("allocations grew from %.0f (200 terms) to %.0f (400 terms); want linear", small, large)
+	}
+}

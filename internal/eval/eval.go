@@ -1,4 +1,6 @@
-// Package eval is the tree-walking expression evaluator. It is shared by the
+// Package eval evaluates expressions: Compile lowers an expression tree into
+// a closure chain (compile.go) and the kernel compilers lower it into
+// columnar batch kernels (vector.go, exprvec.go). It is shared by the
 // relational executor and the spreadsheet engine: spreadsheet-only constructs
 // (cell references, cv(), previous(), IS PRESENT) and subqueries are resolved
 // through hooks on the Context, so the evaluator itself stays independent of
@@ -168,176 +170,6 @@ func (b *Binding) Lookup(table, name string) (types.Value, error) {
 	return types.Null, fmt.Errorf("%w %q", ErrUnknownColumn, name)
 }
 
-// Eval computes the value of e under ctx.
-func Eval(ctx *Context, e sqlast.Expr) (types.Value, error) {
-	switch x := e.(type) {
-	case *sqlast.Literal:
-		return x.Val, nil
-	case *sqlast.ColumnRef:
-		if ctx.Binding == nil {
-			return types.Null, fmt.Errorf("column %s referenced with no row bound", x)
-		}
-		return ctx.Binding.Lookup(x.Table, x.Name)
-	case *sqlast.Unary:
-		return evalUnary(ctx, x)
-	case *sqlast.Binary:
-		return evalBinary(ctx, x)
-	case *sqlast.Between:
-		return evalBetween(ctx, x)
-	case *sqlast.InList:
-		return evalInList(ctx, x)
-	case *sqlast.InSubquery:
-		return evalInSubquery(ctx, x)
-	case *sqlast.Exists:
-		if ctx.Subquery == nil {
-			return types.Null, fmt.Errorf("subqueries not available in this context")
-		}
-		ok, err := ctx.Subquery.Exists(x.Sub, ctx.Binding)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(ok != x.Not), nil
-	case *sqlast.ScalarSubquery:
-		if ctx.Subquery == nil {
-			return types.Null, fmt.Errorf("subqueries not available in this context")
-		}
-		return ctx.Subquery.Scalar(x.Sub, ctx.Binding)
-	case *sqlast.IsNull:
-		v, err := Eval(ctx, x.X)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(v.IsNull() != x.Not), nil
-	case *sqlast.Like:
-		return evalLike(ctx, x)
-	case *sqlast.Case:
-		return evalCase(ctx, x)
-	case *sqlast.FuncCall:
-		return evalFunc(ctx, x)
-	case *sqlast.CurrentV:
-		if ctx.CurrentV == nil {
-			return types.Null, fmt.Errorf("cv(%s) outside a formula right side", x.Dim)
-		}
-		return ctx.CurrentV(x.Dim)
-	case *sqlast.CellRef:
-		if ctx.Cell == nil {
-			return types.Null, fmt.Errorf("cell reference %s outside a spreadsheet clause", x)
-		}
-		return ctx.Cell(x)
-	case *sqlast.CellAgg:
-		if ctx.CellAgg == nil {
-			return types.Null, fmt.Errorf("cell aggregate %s outside a spreadsheet clause", x)
-		}
-		return ctx.CellAgg(x)
-	case *sqlast.Previous:
-		if ctx.Previous == nil {
-			return types.Null, fmt.Errorf("previous() is only valid in UNTIL conditions")
-		}
-		return ctx.Previous(x.Cell)
-	case *sqlast.Present:
-		if ctx.Present == nil {
-			return types.Null, fmt.Errorf("IS PRESENT outside a spreadsheet clause")
-		}
-		ok, err := ctx.Present(x.Cell)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(ok != x.Not), nil
-	case *sqlast.Star:
-		return types.Null, fmt.Errorf("'*' is not a value expression")
-	}
-	return types.Null, fmt.Errorf("cannot evaluate %T", e)
-}
-
-// EvalBool evaluates a predicate under SQL three-valued logic; NULL is false.
-func EvalBool(ctx *Context, e sqlast.Expr) (bool, error) {
-	v, err := Eval(ctx, e)
-	if err != nil {
-		return false, err
-	}
-	return v.Bool(), nil
-}
-
-func evalUnary(ctx *Context, x *sqlast.Unary) (types.Value, error) {
-	v, err := Eval(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	switch x.Op {
-	case "-":
-		return types.Neg(v, ctx.Nav)
-	case "NOT":
-		if v.IsNull() {
-			return types.Null, nil
-		}
-		return types.NewBool(!v.Bool()), nil
-	}
-	return types.Null, fmt.Errorf("unknown unary operator %q", x.Op)
-}
-
-func evalBinary(ctx *Context, x *sqlast.Binary) (types.Value, error) {
-	switch x.Op {
-	case "AND":
-		l, err := Eval(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		if !l.IsNull() && !l.Bool() {
-			return types.NewBool(false), nil
-		}
-		r, err := Eval(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		if !r.IsNull() && !r.Bool() {
-			return types.NewBool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return types.Null, nil
-		}
-		return types.NewBool(true), nil
-	case "OR":
-		l, err := Eval(ctx, x.L)
-		if err != nil {
-			return types.Null, err
-		}
-		if !l.IsNull() && l.Bool() {
-			return types.NewBool(true), nil
-		}
-		r, err := Eval(ctx, x.R)
-		if err != nil {
-			return types.Null, err
-		}
-		if !r.IsNull() && r.Bool() {
-			return types.NewBool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return types.Null, nil
-		}
-		return types.NewBool(false), nil
-	}
-	l, err := Eval(ctx, x.L)
-	if err != nil {
-		return types.Null, err
-	}
-	r, err := Eval(ctx, x.R)
-	if err != nil {
-		return types.Null, err
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		return types.Arith(x.Op[0], l, r, ctx.Nav)
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return types.Null, nil
-		}
-		return types.NewString(l.String() + r.String()), nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return CompareSQL(x.Op, l, r), nil
-	}
-	return types.Null, fmt.Errorf("unknown operator %q", x.Op)
-}
-
 // CompareSQL applies a comparison operator under three-valued logic.
 func CompareSQL(op string, l, r types.Value) types.Value {
 	if l.IsNull() || r.IsNull() {
@@ -366,28 +198,6 @@ func CompareSQL(op string, l, r types.Value) types.Value {
 	return types.Null
 }
 
-func evalBetween(ctx *Context, x *sqlast.Between) (types.Value, error) {
-	v, err := Eval(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	lo, err := Eval(ctx, x.Lo)
-	if err != nil {
-		return types.Null, err
-	}
-	hi, err := Eval(ctx, x.Hi)
-	if err != nil {
-		return types.Null, err
-	}
-	ge := CompareSQL(">=", v, lo)
-	le := CompareSQL("<=", v, hi)
-	res := and3(ge, le)
-	if x.Not {
-		return not3(res), nil
-	}
-	return res, nil
-}
-
 func and3(a, b types.Value) types.Value {
 	if (!a.IsNull() && !a.Bool()) || (!b.IsNull() && !b.Bool()) {
 		return types.NewBool(false)
@@ -403,95 +213,6 @@ func not3(v types.Value) types.Value {
 		return types.Null
 	}
 	return types.NewBool(!v.Bool())
-}
-
-// inListSet is the hashed membership cache for large literal IN-lists.
-type inListSet struct {
-	set     map[string]bool
-	sawNull bool
-}
-
-// inListSetThreshold is the list size past which an all-literal IN-list is
-// hashed instead of scanned (pushed predicates from the spreadsheet
-// optimizer routinely carry dozens of values).
-const inListSetThreshold = 9
-
-func evalInList(ctx *Context, x *sqlast.InList) (types.Value, error) {
-	v, err := Eval(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	if len(x.List) >= inListSetThreshold {
-		cached := x.Cache(func() any {
-			s := &inListSet{set: make(map[string]bool, len(x.List))}
-			for _, it := range x.List {
-				lit, ok := it.(*sqlast.Literal)
-				if !ok {
-					return (*inListSet)(nil) // non-literal member: no cache
-				}
-				if lit.Val.IsNull() {
-					s.sawNull = true
-					continue
-				}
-				s.set[types.Key(lit.Val)] = true
-			}
-			return s
-		})
-		if s, _ := cached.(*inListSet); s != nil {
-			var res types.Value
-			switch {
-			case v.IsNull():
-				res = types.Null
-			case s.set[types.Key(v)]:
-				res = types.NewBool(true)
-			case s.sawNull:
-				res = types.Null
-			default:
-				res = types.NewBool(false)
-			}
-			if x.Not {
-				return not3(res), nil
-			}
-			return res, nil
-		}
-	}
-	res, err := inValues(ctx, v, func(yield func(types.Value) error) error {
-		for _, it := range x.List {
-			iv, err := Eval(ctx, it)
-			if err != nil {
-				return err
-			}
-			if err := yield(iv); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return types.Null, err
-	}
-	if x.Not {
-		return not3(res), nil
-	}
-	return res, nil
-}
-
-func evalInSubquery(ctx *Context, x *sqlast.InSubquery) (types.Value, error) {
-	if ctx.Subquery == nil {
-		return types.Null, fmt.Errorf("subqueries not available in this context")
-	}
-	v, err := Eval(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	res, err := ctx.Subquery.In(x.Sub, ctx.Binding, v)
-	if err != nil {
-		return types.Null, err
-	}
-	if x.Not {
-		return not3(res), nil
-	}
-	return res, nil
 }
 
 // InMembership implements the standard three-valued IN semantics over a
@@ -515,54 +236,6 @@ func InMembership(v types.Value, vals []types.Value) types.Value {
 		return types.Null
 	}
 	return types.NewBool(false)
-}
-
-// errFoundMatch short-circuits the membership scan.
-var errFoundMatch = fmt.Errorf("match")
-
-// inValues implements SQL IN semantics: TRUE on a match, NULL if no match
-// but some member (or the probe) is NULL, else FALSE.
-func inValues(_ *Context, v types.Value, each func(func(types.Value) error) error) (types.Value, error) {
-	if v.IsNull() {
-		return types.Null, nil
-	}
-	sawNull := false
-	err := each(func(iv types.Value) error {
-		if iv.IsNull() {
-			sawNull = true
-			return nil
-		}
-		if types.Equal(v, iv) {
-			return errFoundMatch
-		}
-		return nil
-	})
-	if err == errFoundMatch {
-		return types.NewBool(true), nil
-	}
-	if err != nil {
-		return types.Null, err
-	}
-	if sawNull {
-		return types.Null, nil
-	}
-	return types.NewBool(false), nil
-}
-
-func evalLike(ctx *Context, x *sqlast.Like) (types.Value, error) {
-	v, err := Eval(ctx, x.X)
-	if err != nil {
-		return types.Null, err
-	}
-	p, err := Eval(ctx, x.Pattern)
-	if err != nil {
-		return types.Null, err
-	}
-	if v.IsNull() || p.IsNull() {
-		return types.Null, nil
-	}
-	m := matcherFor(x, p.String())
-	return types.NewBool(m.match(v.String()) != x.Not), nil
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards.
@@ -591,36 +264,4 @@ func likeMatch(s, pat string) bool {
 		pi++
 	}
 	return pi == len(pat)
-}
-
-func evalCase(ctx *Context, x *sqlast.Case) (types.Value, error) {
-	if x.Operand != nil {
-		op, err := Eval(ctx, x.Operand)
-		if err != nil {
-			return types.Null, err
-		}
-		for _, w := range x.Whens {
-			wv, err := Eval(ctx, w.Cond)
-			if err != nil {
-				return types.Null, err
-			}
-			if !op.IsNull() && !wv.IsNull() && types.Equal(op, wv) {
-				return Eval(ctx, w.Then)
-			}
-		}
-	} else {
-		for _, w := range x.Whens {
-			ok, err := EvalBool(ctx, w.Cond)
-			if err != nil {
-				return types.Null, err
-			}
-			if ok {
-				return Eval(ctx, w.Then)
-			}
-		}
-	}
-	if x.Else != nil {
-		return Eval(ctx, x.Else)
-	}
-	return types.Null, nil
 }

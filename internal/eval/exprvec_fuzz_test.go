@@ -104,10 +104,7 @@ func FuzzExprKernel(f *testing.F) {
 		if _, ok := k.OutKind(tbl, nil); !ok || k.MinCols() > len(tbl.Cols) {
 			return // image representation unsupported: production would fall back
 		}
-		ce, err := Compile(bs, e)
-		if err != nil || !ce.Valid() {
-			t.Fatalf("kernel compiled but closure did not for %q: %v", src, err)
-		}
+		ce := Compile(bs, e)
 		// Full selection plus a pseudo-random subset: the subset exercises
 		// selective gather while keeping the closure comparison aligned.
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))

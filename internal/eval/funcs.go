@@ -4,29 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"sqlsheet/internal/aggs"
-	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
-
-// evalFunc dispatches scalar function calls. Aggregate names reaching the
-// evaluator directly are an error: the planner rewrites aggregates into
-// synthetic columns before evaluation, and cell aggregates become CellAgg
-// nodes at parse time.
-func evalFunc(ctx *Context, x *sqlast.FuncCall) (types.Value, error) {
-	if aggs.IsAggregate(x.Name) {
-		return types.Null, fmt.Errorf("aggregate %s() is not allowed in this context", x.Name)
-	}
-	args := make([]types.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := Eval(ctx, a)
-		if err != nil {
-			return types.Null, err
-		}
-		args[i] = v
-	}
-	return CallScalar(x.Name, args)
-}
 
 // CallScalar evaluates a built-in scalar function over already-computed
 // arguments.

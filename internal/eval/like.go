@@ -78,14 +78,11 @@ func (m *likeMatcher) match(s string) bool {
 	}
 }
 
-// matcherFor returns the precompiled matcher for node x and the pattern
-// string it produced this row. Constant patterns build the matcher once per
-// node (the InList.Cache idiom); varying patterns rebuild only when the
+// matcherFor returns the matcher for node x and the pattern string its
+// non-constant pattern expression produced this row (constant patterns are
+// matched by a matcher built at compile time). It rebuilds only when the
 // pattern changes, through a lock-free per-node slot that morsel workers can
 // share (a concurrent rebuild wastes work but is never wrong).
 func matcherFor(x *sqlast.Like, pat string) *likeMatcher {
-	if lit, ok := x.Pattern.(*sqlast.Literal); ok && !lit.Val.IsNull() {
-		return x.Cache(func() any { return compileLike(pat) }).(*likeMatcher)
-	}
 	return x.DynCache(pat, func() any { return compileLike(pat) }).(*likeMatcher)
 }

@@ -53,16 +53,6 @@ type Options struct {
 	// UseBTreeIndex swaps the cell hash tables for B-trees (access-path
 	// ablation, paper §7).
 	UseBTreeIndex bool
-	// DisableCompiledEval keeps per-row expressions on the tree-walking
-	// interpreter (ablation knob; results are byte-identical either way).
-	// The plan side carries the same flag in plan.Options.
-	DisableCompiledEval bool
-	// DisableParallelBuild forces the serial partition build (ablation;
-	// the structure built is byte-identical either way).
-	DisableParallelBuild bool
-	// DisableParallelSort forces serial run sorting for ORDER BY and window
-	// partition ordering (ablation; identical bytes either way).
-	DisableParallelSort bool
 	// DisableAsyncSpill keeps spill stores on synchronous eviction I/O and
 	// disables read-ahead (ablation; identical bytes either way).
 	DisableAsyncSpill bool
@@ -270,33 +260,6 @@ func (ex *Executor) ctx(bs *eval.BoundSchema, row types.Row, outer *eval.Binding
 	}
 }
 
-// evalC evaluates e through its compiled form when one is attached,
-// falling back to the interpreter (compilation disabled, or a plan built
-// without the compile pass). The fallback is behaviorally identical.
-func evalC(ctx *eval.Context, c eval.CompiledExpr, e sqlast.Expr) (types.Value, error) {
-	if c.Valid() {
-		return c.Eval(ctx)
-	}
-	return eval.Eval(ctx, e) // interp-ok: fallback when compilation is off
-}
-
-// evalBoolC is evalC under SQL three-valued logic (NULL is false).
-func evalBoolC(ctx *eval.Context, c eval.CompiledExpr, e sqlast.Expr) (bool, error) {
-	if c.Valid() {
-		return c.EvalBool(ctx)
-	}
-	return eval.EvalBool(ctx, e) // interp-ok: fallback when compilation is off
-}
-
-// pickC returns element i of a compiled-expression list, or the invalid
-// zero value when the list is short or absent.
-func pickC(cs []eval.CompiledExpr, i int) eval.CompiledExpr {
-	if i < len(cs) {
-		return cs[i]
-	}
-	return eval.CompiledExpr{}
-}
-
 func (ex *Executor) execScan(n *plan.Scan, outer *eval.Binding) (*Result, error) {
 	if res, err, ok := ex.execScanVec(n); ok {
 		return res, err
@@ -361,7 +324,7 @@ func (ex *Executor) scanRows(src []types.Row, schema *eval.BoundSchema, filter s
 			var out []types.Row
 			for _, r := range src[m.Lo:m.Hi] {
 				ctx.Binding.Row = r
-				ok, err := evalBoolC(ctx, filterC, filter)
+				ok, err := filterC.EvalBool(ctx)
 				if err != nil {
 					return err
 				}
@@ -381,7 +344,7 @@ func (ex *Executor) scanRows(src []types.Row, schema *eval.BoundSchema, filter s
 	var rows []types.Row
 	for _, r := range src {
 		ctx.Binding.Row = r
-		ok, err := evalBoolC(ctx, filterC, filter)
+		ok, err := filterC.EvalBool(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -468,9 +431,9 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 	projectMorsel := func(ctx *eval.Context, rows []types.Row, m morsel) error {
 		for i := m.Lo; i < m.Hi; i++ {
 			ctx.Binding.Row = in.Rows[i]
-			out := make(types.Row, len(n.Exprs))
-			for j, e := range n.Exprs {
-				v, err := evalC(ctx, pickC(n.ExprsC, j), e)
+			out := make(types.Row, len(n.ExprsC))
+			for j, c := range n.ExprsC {
+				v, err := c.Eval(ctx)
 				if err != nil {
 					return err
 				}

@@ -55,8 +55,8 @@ func (acc *groupAcc) addRows(n *plan.GroupBy, ctx *eval.Context, in *Result, ke 
 		} else {
 			acc.keyBuf = acc.keyBuf[:0]
 			acc.keyVals = acc.keyVals[:0]
-			for i, k := range n.Keys {
-				v, err := evalC(ctx, pickC(n.KeysC, i), k)
+			for _, k := range n.KeysC {
+				v, err := k.Eval(ctx)
 				if err != nil {
 					return err
 				}
@@ -87,8 +87,8 @@ func (acc *groupAcc) addRows(n *plan.GroupBy, ctx *eval.Context, in *Result, ke 
 				continue
 			}
 			vals := acc.argBuf[:0]
-			for j, arg := range spec.Call.Args {
-				v, err := evalC(ctx, pickC(pickCs(n.AggArgsC, i), j), arg)
+			for _, arg := range n.AggArgsC[i] {
+				v, err := arg.Eval(ctx)
 				if err != nil {
 					return err
 				}
@@ -97,15 +97,6 @@ func (acc *groupAcc) addRows(n *plan.GroupBy, ctx *eval.Context, in *Result, ke 
 			acc.argBuf = vals[:0]
 			g.accs[i].Add(vals...)
 		}
-	}
-	return nil
-}
-
-// pickCs indexes a slice-of-slices of compiled expressions, tolerating a
-// short or nil outer slice (compilation disabled).
-func pickCs(css [][]eval.CompiledExpr, i int) []eval.CompiledExpr {
-	if i < len(css) {
-		return css[i]
 	}
 	return nil
 }

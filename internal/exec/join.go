@@ -46,11 +46,11 @@ func (ex *Executor) execJoin(n *plan.Join, outer *eval.Binding) (*Result, error)
 // evalKeysInto computes a composite join key into buf (reused across rows
 // by each caller, so steady-state probing does not allocate); ok is false
 // when any key value is NULL (SQL equality never matches NULLs).
-func evalKeysInto(buf []byte, ctx *eval.Context, row types.Row, keys []sqlast.Expr, keysC []eval.CompiledExpr) ([]byte, bool, error) {
+func evalKeysInto(buf []byte, ctx *eval.Context, row types.Row, keys []eval.CompiledExpr) ([]byte, bool, error) {
 	ctx.Binding.Row = row
 	buf = buf[:0]
-	for i, k := range keys {
-		v, err := evalC(ctx, pickC(keysC, i), k)
+	for _, k := range keys {
+		v, err := k.Eval(ctx)
 		if err != nil {
 			return buf, false, err
 		}
@@ -108,7 +108,7 @@ func (ex *Executor) buildJoinTable(buildRes *Result, buildKeys []sqlast.Expr, bu
 				if ke != nil {
 					buf, ok = ke.keyInto(buf, i)
 				} else {
-					buf, ok, err = evalKeysInto(buf, ctx, buildRes.Rows[i], buildKeys, buildKeysC)
+					buf, ok, err = evalKeysInto(buf, ctx, buildRes.Rows[i], buildKeysC)
 					if err != nil {
 						return err
 					}
@@ -149,7 +149,7 @@ func (ex *Executor) buildJoinTable(buildRes *Result, buildKeys []sqlast.Expr, bu
 		if ke != nil {
 			buf, ok = ke.keyInto(buf, i)
 		} else {
-			buf, ok, err = evalKeysInto(buf, bctx, row, buildKeys, buildKeysC)
+			buf, ok, err = evalKeysInto(buf, bctx, row, buildKeysC)
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +232,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 			if pke != nil {
 				kbuf, ok = pke.keyInto(kbuf, i)
 			} else {
-				kbuf, ok, err = evalKeysInto(kbuf, pctx, probe, probeKeys, probeKeysC)
+				kbuf, ok, err = evalKeysInto(kbuf, pctx, probe, probeKeysC)
 				if err != nil {
 					return out, err
 				}
@@ -243,7 +243,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 					row := combine(probe, buildRes.Rows[bi])
 					if n.Residual != nil {
 						cctx.Binding.Row = row
-						pass, err := evalBoolC(cctx, n.ResidualC, n.Residual)
+						pass, err := n.ResidualC.EvalBool(cctx)
 						if err != nil {
 							return out, err
 						}
@@ -345,10 +345,7 @@ func (ex *Executor) nestedLoopJoin(n *plan.Join, l, r *Result, outer *eval.Bindi
 	for i := range n.LeftKeys {
 		on = andAll(on, &sqlast.Binary{Op: "=", L: n.LeftKeys[i], R: n.RightKeys[i]})
 	}
-	var onC eval.CompiledExpr
-	if on != nil && !ex.Opts.DisableCompiledEval {
-		onC, _ = eval.Compile(combined, on)
-	}
+	onC := eval.Compile(combined, on)
 
 	var out []types.Row
 	switch n.Type {
@@ -361,7 +358,7 @@ func (ex *Executor) nestedLoopJoin(n *plan.Join, l, r *Result, outer *eval.Bindi
 				if on != nil {
 					cctx.Binding.Row = row
 					var err error
-					pass, err = evalBoolC(cctx, onC, on)
+					pass, err = onC.EvalBool(cctx)
 					if err != nil {
 						return nil, err
 					}
@@ -384,7 +381,7 @@ func (ex *Executor) nestedLoopJoin(n *plan.Join, l, r *Result, outer *eval.Bindi
 				if on != nil {
 					cctx.Binding.Row = row
 					var err error
-					pass, err = evalBoolC(cctx, onC, on)
+					pass, err = onC.EvalBool(cctx)
 					if err != nil {
 						return nil, err
 					}

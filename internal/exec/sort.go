@@ -27,7 +27,7 @@ import (
 
 // sortedPerm returns the permutation of [0,n) that stable-sorts indices by
 // cmp (ties keep input order). Large inputs sort as parallel runs merged by a
-// loser tree; DisableParallelSort (or a small input) falls back to one serial
+// loser tree; a serial executor (Workers == 1) or a small input takes one
 // stable sort. Either path yields identical bytes.
 func (ex *Executor) sortedPerm(op string, n int, cmp func(a, b int) int) []int {
 	perm := make([]int, n)
@@ -38,7 +38,7 @@ func (ex *Executor) sortedPerm(op string, n int, cmp func(a, b int) int) []int {
 		return perm
 	}
 	size := ex.morselSize()
-	if ex.Opts.DisableParallelSort || n < 2*size {
+	if ex.workers() == 1 || n < 2*size {
 		stableSort(perm, cmp)
 		return perm
 	}
@@ -158,8 +158,8 @@ func (ex *Executor) execSort(n *plan.Sort, outer *eval.Binding) (*Result, error)
 	extract := func(ctx *eval.Context, m morsel) error {
 		for i := m.Lo; i < m.Hi; i++ {
 			ctx.Binding.Row = in.Rows[i]
-			for j, it := range n.Items {
-				v, err := evalC(ctx, pickC(n.ItemsC, j), it.Expr)
+			for j, c := range n.ItemsC {
+				v, err := c.Eval(ctx)
 				if err != nil {
 					return err
 				}
@@ -249,25 +249,15 @@ func (ex *Executor) externalSort(rows []types.Row, cmp func(a, b int) int) ([]ty
 		perm[i] = i
 	}
 	var next atomic.Int64
-	// Serial ablation sorts the same chunked runs (identical bytes), just
-	// without the worker pool.
-	w := 1
-	sortRun := func(i int) { stableSort(perm[runs[i].Lo:runs[i].Hi], cmp) }
-	if ex.Opts.DisableParallelSort {
-		for i := range runs {
-			sortRun(i)
-		}
-	} else {
-		w = ex.runPool(len(runs), func(int) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				sortRun(i)
+	w := ex.runPool(len(runs), func(int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(runs) {
+				return
 			}
-		})
-	}
+			stableSort(perm[runs[i].Lo:runs[i].Hi], cmp)
+		}
+	})
 	store := blockstore.NewSpill(blockstore.Config{
 		BudgetBytes:  ex.Opts.MemoryBudget,
 		Dir:          ex.Opts.SpillDir,

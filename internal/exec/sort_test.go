@@ -13,8 +13,8 @@ import (
 
 // TestSortedPermStableAndSorted checks the chunked parallel sort against the
 // definition of a stable sort: output sorted by key, ties in input order,
-// and identical across worker counts, morsel thresholds and the serial
-// ablation.
+// and identical across worker counts and morsel thresholds (Workers: 1 is
+// the one whole-input sort the others must reproduce).
 func TestSortedPermStableAndSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 2, 15, 16, 17, 160, 1000} {
@@ -23,7 +23,7 @@ func TestSortedPermStableAndSorted(t *testing.T) {
 			keys[i] = rng.Intn(7) // heavy duplication exercises stability
 		}
 		cmp := func(a, b int) int { return keys[a] - keys[b] }
-		ref := New(nil, Options{MorselSize: 8, Workers: 1, DisableParallelSort: true}).
+		ref := New(nil, Options{MorselSize: 8, Workers: 1}).
 			sortedPerm("sort", n, cmp)
 		for _, w := range []int{2, 8} {
 			ex := New(nil, Options{MorselSize: 8, Workers: w})
@@ -107,8 +107,8 @@ func fillSortTable(t testing.TB, run func(Options, string) (*Result, error), n i
 }
 
 // TestExecSortConfigsAgree runs ORDER BY under every data-movement
-// configuration — serial, parallel, external (async and sync spill), and the
-// serial-sort ablation — and requires byte-identical rows.
+// configuration — serial, parallel, external (async and sync spill, serial
+// and parallel run sorting) — and requires byte-identical rows.
 func TestExecSortConfigsAgree(t *testing.T) {
 	run, _ := sortEnv(t)
 	fillSortTable(t, run, 700)
@@ -120,10 +120,9 @@ func TestExecSortConfigsAgree(t *testing.T) {
 	configs := []Options{
 		{Workers: 1, MorselSize: 16},
 		{Workers: 8, MorselSize: 16},
-		{Workers: 8, MorselSize: 16, DisableParallelSort: true},
 		{Workers: 8, MorselSize: 16, MemoryBudget: 2048},
 		{Workers: 8, MorselSize: 16, MemoryBudget: 2048, DisableAsyncSpill: true},
-		{Workers: 1, MorselSize: 16, MemoryBudget: 2048, DisableParallelSort: true},
+		{Workers: 1, MorselSize: 16, MemoryBudget: 2048},
 	}
 	for _, q := range queries {
 		var ref []string

@@ -88,9 +88,6 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	// covers both.
 	par := ex.Opts.Parallel
 	bw := ex.workers()
-	if ex.Opts.DisableParallelBuild {
-		bw = 1
-	}
 	need := par
 	if bw > need {
 		need = bw
@@ -128,7 +125,6 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		DisableSingleScan:     ex.Opts.DisableSingleScan,
 		DisableRangeProbe:     ex.Opts.DisableRangeProbe,
 		UseBTreeIndex:         ex.Opts.UseBTreeIndex,
-		DisableCompiledEval:   ex.Opts.DisableCompiledEval,
 		DisableVectorizedScan: ex.Opts.DisableVectorizedExec,
 		DisableVectorizedRules: ex.Opts.DisableVectorizedExec ||
 			ex.Opts.DisableVectorizedRules,

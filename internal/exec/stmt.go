@@ -53,14 +53,14 @@ func (ex *Executor) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	}
 	bs := eval.FromSchema(t.Schema)
 	ctx := ex.ctx(bs, nil, nil)
-	whereC := ex.compileStmtExpr(bs, st.Where)
+	whereC := eval.Compile(bs, st.Where)
 	kept := t.Rows[:0:0]
 	n := 0
 	for _, row := range t.Rows {
 		keep := true
 		if st.Where != nil {
 			ctx.Binding.Row = row
-			match, err := evalBoolC(ctx, whereC, st.Where)
+			match, err := whereC.EvalBool(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -103,18 +103,15 @@ func (ex *Executor) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	}
 	bs := eval.FromSchema(t.Schema)
 	ctx := ex.ctx(bs, nil, nil)
-	whereC := ex.compileStmtExpr(bs, st.Where)
-	exprsC := make([]eval.CompiledExpr, len(st.Exprs))
-	for i, e := range st.Exprs {
-		exprsC[i] = ex.compileStmtExpr(bs, e)
-	}
+	whereC := eval.Compile(bs, st.Where)
+	exprsC := eval.CompileMany(bs, st.Exprs)
 	n := 0
 	next := make([]types.Row, len(t.Rows))
 	for ri, row := range t.Rows {
 		next[ri] = row
 		if st.Where != nil {
 			ctx.Binding.Row = row
-			match, err := evalBoolC(ctx, whereC, st.Where)
+			match, err := whereC.EvalBool(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -124,8 +121,8 @@ func (ex *Executor) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		}
 		ctx.Binding.Row = row
 		nr := row.Clone()
-		for i, e := range st.Exprs {
-			v, err := evalC(ctx, exprsC[i], e)
+		for i, c := range exprsC {
+			v, err := c.Eval(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -143,20 +140,6 @@ func (ex *Executor) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		t.Version.Add(1)
 	}
 	return rowCountResult(n), nil
-}
-
-// compileStmtExpr compiles a DML expression once per statement against the
-// target table's schema, honoring the compiled-eval toggle. Failures return
-// the invalid zero value, which routes evalC/evalBoolC to the interpreter.
-func (ex *Executor) compileStmtExpr(env *eval.BoundSchema, e sqlast.Expr) eval.CompiledExpr {
-	if e == nil || ex.Opts.DisableCompiledEval {
-		return eval.CompiledExpr{}
-	}
-	c, err := eval.Compile(env, e)
-	if err != nil {
-		return eval.CompiledExpr{}
-	}
-	return c
 }
 
 func rowCountResult(n int) *Result {
@@ -207,7 +190,7 @@ func (ex *Executor) execInsert(ins *sqlast.InsertStmt) (*Result, error) {
 			}
 			vals := make(types.Row, len(exprRow))
 			for i, e := range exprRow {
-				v, err := eval.Eval(ctx, e) // interp-ok: one-shot literal rows, no bound schema to compile against
+				v, err := eval.Compile(nil, e).Eval(ctx)
 				if err != nil {
 					return nil, err
 				}

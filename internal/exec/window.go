@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"sqlsheet/internal/aggs"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
@@ -42,10 +44,11 @@ func (ex *Executor) windowColumn(spec plan.WindowSpec, compiled map[sqlast.Expr]
 	ctx := ex.ctx(in.Schema, nil, outer)
 	evalAt := func(e sqlast.Expr, row types.Row) (types.Value, error) {
 		ctx.Binding.Row = row
-		if c, ok := compiled[e]; ok && c.Valid() {
-			return c.Eval(ctx)
+		c, ok := compiled[e]
+		if !ok {
+			return types.Null, fmt.Errorf("internal error: window expression %s was not compiled", e)
 		}
-		return eval.Eval(ctx, e) // interp-ok: fallback when compilation is off
+		return c.Eval(ctx)
 	}
 
 	// Partition.

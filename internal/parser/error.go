@@ -1,6 +1,9 @@
 package parser
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Error is a structured parse or lex error. Line and Col are 1-based and
 // computed from the byte Offset into the original statement text; Token is
@@ -13,11 +16,26 @@ type Error struct {
 	Offset int
 	Token  string
 	Msg    string
+	// Cause, when non-nil, is a sentinel the error wraps (ErrTooDeep).
+	Cause error
 }
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
+
+func (e *Error) Unwrap() error { return e.Cause }
+
+// maxNestingDepth bounds how deeply one statement may nest parentheses,
+// subqueries, join trees and NOT / sign chains — everything the parser (and
+// every later pass over the tree) handles by recursion. A wire frame is up
+// to 64 MiB, so without a bound a single request can ask for millions of
+// stack frames.
+const maxNestingDepth = 4096
+
+// ErrTooDeep is wrapped by the *Error a statement nested deeper than
+// maxNestingDepth fails with.
+var ErrTooDeep = errors.New("statement nests too deeply")
 
 // posError builds an *Error for the given byte offset into src.
 func posError(src string, offset int, token string, msg string) *Error {

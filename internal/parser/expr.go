@@ -9,6 +9,10 @@ import (
 
 // parseExpr parses at the lowest precedence level (OR).
 func (p *Parser) parseExpr() (sqlast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -40,6 +44,10 @@ func (p *Parser) parseAnd() (sqlast.Expr, error) {
 
 func (p *Parser) parseNot() (sqlast.Expr, error) {
 	if p.acceptKw("not") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -184,6 +192,12 @@ func (p *Parser) parseMultiplicative() (sqlast.Expr, error) {
 }
 
 func (p *Parser) parseUnary() (sqlast.Expr, error) {
+	if p.peekOp("-") || p.peekOp("+") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
+	}
 	switch {
 	case p.acceptOp("-"):
 		x, err := p.parseUnary()

@@ -12,6 +12,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT s[FOR t FROM 1 TO 3] FROM f SPREADSHEET DBY(t) MEA(s) (s[1]=2)")
 	f.Add("SELECT rank() OVER (PARTITION BY a ORDER BY b ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) FROM t")
 	f.Add("CREATE MATERIALIZED VIEW v AS SELECT * FROM t; REFRESH v FULL; DROP VIEW v")
+	f.Add(deepParens(100000))
 	f.Fuzz(func(t *testing.T, sql string) {
 		// Must not panic; errors are expected for most inputs.
 		stmts, err := Parse(sql)

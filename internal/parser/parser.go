@@ -17,6 +17,8 @@ type Parser struct {
 	// inModel enables spreadsheet-only syntax: cell references (ident[...]),
 	// cv(), previous(), IS PRESENT.
 	inModel bool
+	// depth counts the open recursive productions (see enter).
+	depth int
 }
 
 // Parse parses one or more ';'-separated statements.
@@ -167,6 +169,20 @@ func (p *Parser) expectKw(kw string) error {
 	}
 	return nil
 }
+
+// enter opens one level of a self-recursive production; the caller defers
+// leave. Past maxNestingDepth it fails with an error wrapping ErrTooDeep.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > maxNestingDepth {
+		err := p.errf("nesting deeper than %d levels", maxNestingDepth).(*Error)
+		err.Cause = ErrTooDeep
+		return err
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) errf(format string, args ...any) error {
 	t := p.peek()
@@ -439,6 +455,10 @@ func (p *Parser) parseInsert() (sqlast.Statement, error) {
 // --- queries ---
 
 func (p *Parser) parseSelectStmt() (*sqlast.SelectStmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	stmt := &sqlast.SelectStmt{}
 	if p.acceptKw("with") {
 		for {
@@ -555,25 +575,12 @@ func (p *Parser) parseQueryTerm() (sqlast.QueryExpr, error) {
 	}, nil
 }
 
-// parenStartsQuery reports whether the '(' at the cursor opens a subquery.
+// parenStartsQuery reports whether the '(' at the cursor opens a subquery:
+// the token after it is SELECT or WITH. One token of lookahead — "((" is an
+// expression or a join tree whose inner parenthesis is looked at in turn.
 func (p *Parser) parenStartsQuery() bool {
-	depth := 0
-	for n := 0; ; n++ {
-		t := p.peekAt(n)
-		if t.kind == tkEOF {
-			return false
-		}
-		if t.kind == tkOp && t.text == "(" {
-			depth++
-			continue
-		}
-		if depth == 1 && t.kind == tkIdent {
-			return !t.quoted && (t.text == "select" || t.text == "with")
-		}
-		if depth == 1 {
-			return false
-		}
-	}
+	t := p.peekAt(1)
+	return t.kind == tkIdent && !t.quoted && (t.text == "select" || t.text == "with")
 }
 
 func (p *Parser) parseSelectBody() (*sqlast.SelectBody, error) {
@@ -745,6 +752,10 @@ func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
 
 func (p *Parser) parseTablePrimary() (sqlast.TableRef, error) {
 	if p.peekOp("(") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		if p.parenStartsQuery() {
 			p.next()
 			sub, err := p.parseSelectStmt()

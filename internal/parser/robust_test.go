@@ -1,8 +1,11 @@
 package parser
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 )
 
 // corpus holds representative statements whose mutations must never panic
@@ -58,19 +61,48 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
+// deepParens is SELECT ((((…1…)))) with depth pairs of parentheses: the
+// input whose lookahead used to rescan to EOF at every level (45 s at
+// depth 100k).
+func deepParens(depth int) string {
+	return "SELECT " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth)
+}
+
 // TestDeepNestingNoOverflow guards the recursive-descent parser against
-// pathological nesting.
+// pathological nesting: 2000 levels parse, and past maxNestingDepth every
+// self-recursive production — parentheses, NOT and sign chains, derived
+// tables, join trees — fails fast with ErrTooDeep instead of recursing on.
 func TestDeepNestingNoOverflow(t *testing.T) {
-	depth := 2000
-	expr := ""
-	for i := 0; i < depth; i++ {
-		expr += "("
+	if _, err := Parse(deepParens(2000)); err != nil {
+		t.Fatalf("depth 2000: %v", err)
 	}
-	expr += "1"
-	for i := 0; i < depth; i++ {
-		expr += ")"
+	// Rejected in under 100 ms — or, where even tokenizing the input takes
+	// a good part of that (the race detector, a loaded host), in a small
+	// multiple of the tokenizing time: linear either way, not 45 s.
+	sql := deepParens(100000)
+	start := time.Now()
+	if _, err := lex(sql); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseExpr(expr); err != nil {
-		t.Fatalf("deep parens: %v", err)
+	lexTime := time.Since(start)
+	start = time.Now()
+	_, err := Parse(sql)
+	if took := time.Since(start); took > 100*time.Millisecond && took > 3*lexTime {
+		t.Errorf("depth 100k: rejected in %v (tokenizing alone %v), want < 100ms", took, lexTime)
+	}
+	var pe *Error
+	if !errors.Is(err, ErrTooDeep) || !errors.As(err, &pe) {
+		t.Errorf("depth 100k: got %v, want a *Error wrapping ErrTooDeep", err)
+	}
+	const depth = 3 * maxNestingDepth
+	for name, sql := range map[string]string{
+		"not":     "SELECT " + strings.Repeat("NOT ", depth) + "a FROM t",
+		"sign":    "SELECT " + strings.Repeat("- ", depth) + "a FROM t", // "--" would open a comment
+		"derived": "SELECT * FROM " + strings.Repeat("(SELECT * FROM ", depth) + "t" + strings.Repeat(")", depth),
+		"joins":   "SELECT * FROM " + strings.Repeat("(", depth) + "t" + strings.Repeat(")", depth),
+	} {
+		if _, err := Parse(sql); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s at depth %d: got %v, want ErrTooDeep", name, depth, err)
+		}
 	}
 }

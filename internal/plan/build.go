@@ -26,9 +26,7 @@ func Build(cat *catalog.Catalog, stmt *sqlast.SelectStmt, opts *Options) (Node, 
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableCompiledEval {
-		compilePlan(n, map[Node]bool{})
-	}
+	compilePlan(n, map[Node]bool{})
 	// Runs even when vectorized execution is disabled: the pass then only
 	// records vectorized=no(disabled) notes for EXPLAIN, attaching no kernels.
 	vectorizePlan(n, map[Node]bool{}, opts.DisableVectorizedExec,
@@ -75,13 +73,13 @@ func (b *builder) buildStmt(stmt *sqlast.SelectStmt) (Node, error) {
 		s := &Sort{Input: n, Items: items}
 		// Annotate only for an explicitly configured worker count: Workers=0
 		// means "all cores", which would make EXPLAIN machine-dependent.
-		if b.opts.Workers > 1 && !b.opts.DisableParallelSort {
+		if b.opts.Workers > 1 {
 			s.Note = fmt.Sprintf("parallel chunked sort (%d workers, loser-tree merge)", b.opts.Workers)
 		}
 		n = s
 	}
 	if stmt.Limit != nil {
-		v, err := eval.Eval(&eval.Context{}, stmt.Limit)
+		v, err := eval.Compile(nil, stmt.Limit).Eval(&eval.Context{})
 		if err != nil || !v.IsNumeric() {
 			return nil, fmt.Errorf("LIMIT must be a numeric constant")
 		}

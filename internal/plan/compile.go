@@ -5,11 +5,10 @@ import (
 	"sqlsheet/internal/sqlast"
 )
 
-// compilePlan attaches closure-compiled forms of every per-row expression to
-// the plan after optimization, so the executor's hot loops run closure
-// chains instead of re-walking ASTs. Compilation is best-effort: a failure
-// leaves the slot invalid and the executor falls back to the interpreter,
-// which is always behaviorally identical.
+// compilePlan attaches the closure-compiled form of every per-row expression
+// to the plan after optimization; the executor's row loops evaluate nothing
+// else. Compilation cannot fail (see eval.Compile): what is wrong with an
+// expression is reported when a row is evaluated.
 //
 // Expressions compile against the schema they are evaluated under at run
 // time: a Scan/CTERef filter against the node's own (aliased) schema, a
@@ -23,36 +22,36 @@ func compilePlan(n Node, visited map[Node]bool) {
 	visited[n] = true
 	switch x := n.(type) {
 	case *Scan:
-		x.FilterC = compileExpr(x.Schema(), x.Filter)
+		x.FilterC = eval.Compile(x.Schema(), x.Filter)
 	case *CTERef:
-		x.FilterC = compileExpr(x.Schema(), x.Filter)
+		x.FilterC = eval.Compile(x.Schema(), x.Filter)
 		compilePlan(x.Def.Plan, visited)
 	case *Filter:
-		x.CondC = compileExpr(x.Input.Schema(), x.Cond)
+		x.CondC = eval.Compile(x.Input.Schema(), x.Cond)
 	case *Project:
-		x.ExprsC = compileExprs(x.Input.Schema(), x.Exprs)
+		x.ExprsC = eval.CompileMany(x.Input.Schema(), x.Exprs)
 	case *Join:
-		x.LeftKeysC = compileExprs(x.L.Schema(), x.LeftKeys)
-		x.RightKeysC = compileExprs(x.R.Schema(), x.RightKeys)
-		x.ResidualC = compileExpr(x.Schema(), x.Residual)
+		x.LeftKeysC = eval.CompileMany(x.L.Schema(), x.LeftKeys)
+		x.RightKeysC = eval.CompileMany(x.R.Schema(), x.RightKeys)
+		x.ResidualC = eval.Compile(x.Schema(), x.Residual)
 	case *GroupBy:
-		x.KeysC = compileExprs(x.Input.Schema(), x.Keys)
+		x.KeysC = eval.CompileMany(x.Input.Schema(), x.Keys)
 		x.AggArgsC = make([][]eval.CompiledExpr, len(x.Aggs))
 		for i, spec := range x.Aggs {
-			x.AggArgsC[i] = compileExprs(x.Input.Schema(), spec.Call.Args)
+			x.AggArgsC[i] = eval.CompileMany(x.Input.Schema(), spec.Call.Args)
 		}
 	case *Sort:
 		items := make([]sqlast.Expr, len(x.Items))
 		for i, it := range x.Items {
 			items[i] = it.Expr
 		}
-		x.ItemsC = compileExprs(x.Input.Schema(), items)
+		x.ItemsC = eval.CompileMany(x.Input.Schema(), items)
 	case *Window:
 		x.Compiled = map[sqlast.Expr]eval.CompiledExpr{}
 		env := x.Input.Schema()
 		add := func(e sqlast.Expr) {
 			if e != nil {
-				x.Compiled[e] = compileExpr(env, e)
+				x.Compiled[e] = eval.Compile(env, e)
 			}
 		}
 		for _, spec := range x.Specs {
@@ -85,9 +84,9 @@ const (
 
 // vectorizePlan attaches vectorized selection and compute kernels to the
 // plan's filter, projection and aggregation sites, and records each node's
-// vectorized= note. Best-effort like compilePlan: expressions without a
-// kernel form leave the slot invalid and the executor keeps the per-row
-// closure path. Kernel compilation is a pure function of the expression and
+// vectorized= note. Best-effort: expressions without a kernel form leave the
+// slot invalid and the executor keeps the per-row closure path. Kernel
+// compilation is a pure function of the expression and
 // schema, so EXPLAIN's annotations stay machine-independent; the executor
 // may still fall back at run time when a column's representation (mixed-kind
 // boxed values, string operands under arithmetic) has no typed vector.
@@ -190,23 +189,4 @@ func kernelNote(ok bool) string {
 		return vecYes
 	}
 	return vecNoUnsupported
-}
-
-func compileExpr(env *eval.BoundSchema, e sqlast.Expr) eval.CompiledExpr {
-	ce, err := eval.Compile(env, e)
-	if err != nil {
-		return eval.CompiledExpr{}
-	}
-	return ce
-}
-
-func compileExprs(env *eval.BoundSchema, es []sqlast.Expr) []eval.CompiledExpr {
-	if len(es) == 0 {
-		return nil
-	}
-	out := make([]eval.CompiledExpr, len(es))
-	for i, e := range es {
-		out[i] = compileExpr(env, e)
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-
-	"sqlsheet/internal/eval"
 )
 
 // Explain renders a plan tree as indented text, including the optimizer's
@@ -25,27 +23,26 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(b, " as %s", x.Alias)
 		}
 		if x.Filter != nil {
-			fmt.Fprintf(b, " filter=%s compiled=%s vectorized=%s", x.Filter, yesNo(x.FilterC.Valid()), vecNote(x.VecNote, x.FilterK.Valid()))
+			fmt.Fprintf(b, " filter=%s vectorized=%s", x.Filter, vecNote(x.VecNote, x.FilterK.Valid()))
 		}
 		b.WriteByte('\n')
 	case *CTERef:
 		fmt.Fprintf(b, "%sCTE %s as %s", pad, x.Def.Name, x.Alias)
 		if x.Filter != nil {
-			fmt.Fprintf(b, " filter=%s compiled=%s", x.Filter, yesNo(x.FilterC.Valid()))
+			fmt.Fprintf(b, " filter=%s", x.Filter)
 		}
 		b.WriteByte('\n')
 		explainNode(b, x.Def.Plan, depth+1)
 	case *Filter:
-		fmt.Fprintf(b, "%sFilter %s compiled=%s vectorized=%s\n", pad, x.Cond, yesNo(x.CondC.Valid()), vecNote(x.VecNote, x.CondK.Valid()))
+		fmt.Fprintf(b, "%sFilter %s vectorized=%s\n", pad, x.Cond, vecNote(x.VecNote, x.CondK.Valid()))
 		explainNode(b, x.Input, depth+1)
 	case *Project:
 		names := make([]string, len(x.Exprs))
 		for i, e := range x.Exprs {
 			names[i] = e.String()
 		}
-		fmt.Fprintf(b, "%sProject %s compiled=%s vectorized=%s\n", pad,
-			strings.Join(names, ", "), yesNo(len(x.ExprsC) == len(x.Exprs) && allValid(x.ExprsC)),
-			vecNote(x.VecNote, false))
+		fmt.Fprintf(b, "%sProject %s vectorized=%s\n", pad,
+			strings.Join(names, ", "), vecNote(x.VecNote, false))
 		explainNode(b, x.Input, depth+1)
 	case *Join:
 		fmt.Fprintf(b, "%s%s Join (%s)", pad, x.Type, x.Method)
@@ -60,12 +57,6 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		if x.Residual != nil {
 			fmt.Fprintf(b, " residual=%s", x.Residual)
 		}
-		if len(x.LeftKeys) > 0 || x.Residual != nil {
-			joinCompiled := len(x.LeftKeysC) == len(x.LeftKeys) && allValid(x.LeftKeysC) &&
-				len(x.RightKeysC) == len(x.RightKeys) && allValid(x.RightKeysC) &&
-				(x.Residual == nil || x.ResidualC.Valid())
-			fmt.Fprintf(b, " compiled=%s", yesNo(joinCompiled))
-		}
 		fmt.Fprintf(b, " vectorized=%s", vecNote(x.VecNote, false))
 		b.WriteByte('\n')
 		explainNode(b, x.L, depth+1)
@@ -79,9 +70,8 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		for i, a := range x.Aggs {
 			aggsS[i] = a.Call.String()
 		}
-		fmt.Fprintf(b, "%sGroupBy keys=[%s] aggs=[%s] compiled=%s vectorized=%s%s\n", pad,
+		fmt.Fprintf(b, "%sGroupBy keys=[%s] aggs=[%s] vectorized=%s%s\n", pad,
 			strings.Join(keys, ", "), strings.Join(aggsS, ", "),
-			yesNo(len(x.KeysC) == len(x.Keys) && allValid(x.KeysC)),
 			vecNote(x.VecNote, false), distNote(x.DistNote))
 		explainNode(b, x.Input, depth+1)
 	case *Union:
@@ -192,13 +182,4 @@ func distNote(note string) string {
 		return ""
 	}
 	return " distributed=" + note
-}
-
-func allValid(cs []eval.CompiledExpr) bool {
-	for _, c := range cs {
-		if !c.Valid() {
-			return false
-		}
-	}
-	return true
 }

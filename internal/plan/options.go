@@ -80,15 +80,6 @@ type Options struct {
 	// problem is undecidable, the exact-match restriction is not). Off by
 	// default: a rewrite may serve data stale since the last REFRESH.
 	EnableMVRewrite bool
-	// DisableCompiledEval keeps every per-row expression on the tree-walking
-	// interpreter instead of the closure-compiled form (ablation knob; the
-	// two paths produce byte-identical results).
-	DisableCompiledEval bool
-	// DisableParallelBuild / DisableParallelSort mirror the executor's
-	// ablation knobs so EXPLAIN annotations reflect the paths a query will
-	// actually take; see exec.Options.
-	DisableParallelBuild bool
-	DisableParallelSort  bool
 	// DisableVectorizedExec keeps scans, filters and key encoding on the
 	// row-at-a-time paths instead of columnar batch kernels (ablation knob;
 	// the two paths produce byte-identical results). The executor carries

@@ -100,7 +100,7 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 	// Annotate only for an explicitly configured worker count (Workers=0
 	// resolves to the core count at run time, which would make EXPLAIN
 	// output machine-dependent).
-	if b.opts.Workers > 1 && !b.opts.DisableParallelBuild {
+	if b.opts.Workers > 1 {
 		sheet.Notes = append(sheet.Notes,
 			fmt.Sprintf("parallel partition build (%d workers)", b.opts.Workers))
 	}

@@ -18,7 +18,7 @@ type Window struct {
 	Input Node
 	Specs []WindowSpec
 	// Compiled maps each spec's argument / PARTITION BY / ORDER BY
-	// expression to its compiled form (nil when compilation is disabled).
+	// expression to its compiled form.
 	Compiled map[sqlast.Expr]eval.CompiledExpr
 	schema   *eval.BoundSchema
 }

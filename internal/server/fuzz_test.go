@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/binary"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,8 @@ func FuzzWireProtocol(f *testing.F) {
 	f.Add(append(frame("PING"), frame("QUERY\nSELECT 1")...)) // pipelined
 	f.Add(append(frame("PING"), 0x00, 0x00, 0x00))            // valid then torn
 	f.Add([]byte("GET /metrics HTTP/1.1\r\nHost: localhost")) // wrong protocol
+	// 100k nested parentheses: rejected by the parser's depth bound.
+	f.Add(frame("QUERY\nSELECT " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addr := fuzzServer(t)

@@ -3,7 +3,6 @@
 package sqlast
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"sqlsheet/internal/types"
@@ -49,22 +48,11 @@ type Between struct {
 	Not       bool
 }
 
-// InList is X [NOT] IN (e1, e2, ...). Large all-literal lists are hashed
-// once on first evaluation (SetCache/Cache), so pushed membership
-// predicates probe instead of scanning.
+// InList is X [NOT] IN (e1, e2, ...).
 type InList struct {
 	X    Expr
 	List []Expr
 	Not  bool
-
-	cacheOnce sync.Once
-	cache     any
-}
-
-// Cache builds (once) and returns the evaluator's membership cache.
-func (e *InList) Cache(build func() any) any {
-	e.cacheOnce.Do(func() { e.cache = build() })
-	return e.cache
 }
 
 // InSubquery is X [NOT] IN (SELECT ...).
@@ -91,23 +79,15 @@ type IsNull struct {
 	Not bool
 }
 
-// Like is X [NOT] LIKE pattern. The evaluator caches its precompiled
-// pattern matcher here: Cache for constant patterns (built once), DynCache
-// for patterns that vary per row (rebuilt only when the pattern changes).
+// Like is X [NOT] LIKE pattern. The evaluator caches the matcher of a
+// pattern that varies per row here (DynCache: rebuilt only when the pattern
+// changes); a constant pattern's matcher is built when the expression is
+// compiled.
 type Like struct {
 	X, Pattern Expr
 	Not        bool
 
-	cacheOnce sync.Once
-	cache     any
-	dyn       atomic.Value // always holds a likeDyn
-}
-
-// Cache builds (once) and returns the evaluator's matcher for a constant
-// pattern.
-func (e *Like) Cache(build func() any) any {
-	e.cacheOnce.Do(func() { e.cache = build() })
-	return e.cache
+	dyn atomic.Value // always holds a likeDyn
 }
 
 // likeDyn pairs a pattern string with its matcher for DynCache.

@@ -26,15 +26,14 @@ const movementQuery = `SELECT r, p, t, s FROM f
 	ORDER BY r, p, t`
 
 // TestDataMovementConfigsPreserveResults is the acceptance property for this
-// layer: Workers=1 versus Workers=N, hash versus B-tree access structures,
-// and each ablation knob (DisableParallelBuild, DisableParallelSort,
-// DisableAsyncSpill) all yield byte-identical rows, in memory and under a
-// budget that forces spilling.
+// layer: Workers=1 (serial build, one whole-input sort) versus Workers=N
+// (parallel build, chunked sort), hash versus B-tree access structures, and
+// async versus sync spill all yield byte-identical rows, in memory and under
+// a budget that forces spilling.
 func TestDataMovementConfigsPreserveResults(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		db := randomFactDB(t, rand.New(rand.NewSource(seed)))
-		base := sqlsheet.Config{Parallel: 1, Workers: 1, Buckets: 7, MorselSize: 16,
-			DisableParallelBuild: true, DisableParallelSort: true, DisableAsyncSpill: true}
+		base := sqlsheet.Config{Parallel: 1, Workers: 1, Buckets: 7, MorselSize: 16, DisableAsyncSpill: true}
 		db.Configure(base)
 		ref, err := db.Query(movementQuery)
 		if err != nil {
@@ -53,8 +52,6 @@ func TestDataMovementConfigsPreserveResults(t *testing.T) {
 			{"parallel", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16}},
 			{"parallel-btree", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, UseBTreeIndex: true}},
 			{"serial-btree", sqlsheet.Config{Parallel: 1, Workers: 1, Buckets: 7, MorselSize: 16, UseBTreeIndex: true}},
-			{"no-parallel-build", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, DisableParallelBuild: true}},
-			{"no-parallel-sort", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, DisableParallelSort: true}},
 			{"spill-async", spill(sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16})},
 			{"spill-sync", spill(sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, DisableAsyncSpill: true})},
 			{"spill-serial", spill(base)},
@@ -150,10 +147,10 @@ func TestConcurrentDataMovement(t *testing.T) {
 }
 
 // TestExplainDataMovementNotes checks that EXPLAIN advertises the parallel
-// strategies exactly when they are configured: an explicit Workers>1 without
-// the ablation knobs annotates both the Sort and the Spreadsheet; the default
-// configuration (Workers=0 resolves to the core count at run time) and the
-// disabled variants stay silent so EXPLAIN output is machine-independent.
+// strategies exactly when they are configured: an explicit Workers>1
+// annotates both the Sort and the Spreadsheet; Workers=1 is serial and says
+// nothing, and so does the default configuration (Workers=0 resolves to the
+// core count at run time), so EXPLAIN output is machine-independent.
 func TestExplainDataMovementNotes(t *testing.T) {
 	db := newFactDB(t)
 	const buildNote = "parallel partition build"
@@ -171,13 +168,13 @@ func TestExplainDataMovementNotes(t *testing.T) {
 		t.Errorf("Workers=4 explain lacks sort note:\n%s", out)
 	}
 
-	db.Configure(sqlsheet.Config{Workers: 4, DisableParallelBuild: true, DisableParallelSort: true})
+	db.Configure(sqlsheet.Config{Workers: 1})
 	out, err = db.Explain(movementQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, buildNote) || strings.Contains(out, sortNote) {
-		t.Errorf("ablated explain still advertises parallel strategies:\n%s", out)
+		t.Errorf("serial explain still advertises parallel strategies:\n%s", out)
 	}
 
 	db.Configure(sqlsheet.Config{})

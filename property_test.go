@@ -270,60 +270,6 @@ func identicalResults(a, b *sqlsheet.Result) bool {
 	return true
 }
 
-// TestCompiledEvalPreservesResults is the compiled-evaluation equivalence
-// property at the database level: for random data, every query — filters,
-// joins, group-bys, windows, LIKE/IN predicates, DML and spreadsheet
-// formulas — returns byte-identical results with compilation on (default)
-// and off (DisableCompiledEval, the ablation knob).
-func TestCompiledEvalPreservesResults(t *testing.T) {
-	queries := []string{
-		`SELECT r, p, t, s FROM f WHERE s * 2 + 1 > 50 AND p LIKE 'd%' OR t IN (1996, 1999, 2001)`,
-		`SELECT upper(r) || '-' || p, s / 2.0 FROM f WHERE NOT (t BETWEEN 1997 AND 1999)`,
-		`SELECT a.r, a.p, a.s + b.s FROM f a JOIN f b ON a.r = b.r AND a.p = b.p AND a.t = b.t - 1`,
-		`SELECT r, p, sum(s), count(*), avg(s + 1) FROM f WHERE t >= 1996 GROUP BY r, p ORDER BY r, p`,
-		`SELECT r, p, t, s, row_number() OVER (PARTITION BY r ORDER BY s DESC, p, t) FROM f ORDER BY r, p, t`,
-		`SELECT r, p, t, s FROM f
-		 SPREADSHEET PBY(r) DBY(p, t) MEA(s) UPDATE
-		 ( s['dvd', 2001] = s['dvd', 2000] * 1.2 + avg(s)['tv', 1995 < t < 2001],
-		   s[*, 2002] = s[cv(p), 2001] + 1 )`,
-		`SELECT r, p, t, s FROM f
-		 SPREADSHEET PBY(r) DBY(p, t) MEA(s)
-		 ( UPSERT s['all', 2003] = sum(s)[p != 'all', t = 2001] )`,
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dbOn := randomFactDB(t, rng)
-		rng = rand.New(rand.NewSource(seed))
-		dbOff := randomFactDB(t, rng)
-		dbOff.Configure(sqlsheet.Config{DisableCompiledEval: true})
-		// DML must behave identically too: apply the same update to both.
-		upd := `UPDATE f SET s = s * 1.5 + 1 WHERE p LIKE 'v%' AND t % 2 = 0`
-		dbOn.MustExec(upd)
-		dbOff.MustExec(upd)
-		for _, q := range queries {
-			on, err := dbOn.Query(q)
-			if err != nil {
-				t.Logf("seed %d compiled: %s: %v", seed, q, err)
-				return false
-			}
-			off, err := dbOff.Query(q)
-			if err != nil {
-				t.Logf("seed %d interpreted: %s: %v", seed, q, err)
-				return false
-			}
-			if !identicalResults(on, off) {
-				t.Logf("seed %d: results differ for %s\ncompiled:\n%s\ninterpreted:\n%s",
-					seed, q, on, off)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestInPlaceWritesNeverLeak is the ownership property of the access
 // structure's write path: a row is shared (with the base table's image, with
 // the cached pristine structure) until a rule first writes it and is written

@@ -175,6 +175,33 @@ func TestVectorizedEqualsInterpreter(t *testing.T) {
 	}
 }
 
+// TestVectorizedFactQueries runs the grid over the sparse random fact table
+// the optimizer properties use: expression-heavy filters and projections,
+// a self-join on a computed key, ordered group-by, a window, and spreadsheet
+// formulas mixing cell references, range aggregates and UPSERT, after an
+// UPDATE whose SET and WHERE are themselves compiled expressions.
+func TestVectorizedFactQueries(t *testing.T) {
+	queries := []string{
+		`SELECT r, p, t, s FROM f WHERE s * 2 + 1 > 50 AND p LIKE 'd%' OR t IN (1996, 1999, 2001)`,
+		`SELECT upper(r) || '-' || p, s / 2.0 FROM f WHERE NOT (t BETWEEN 1997 AND 1999)`,
+		`SELECT a.r, a.p, a.s + b.s FROM f a JOIN f b ON a.r = b.r AND a.p = b.p AND a.t = b.t - 1`,
+		`SELECT r, p, sum(s), count(*), avg(s + 1) FROM f WHERE t >= 1996 GROUP BY r, p ORDER BY r, p`,
+		`SELECT r, p, t, s, row_number() OVER (PARTITION BY r ORDER BY s DESC, p, t) FROM f ORDER BY r, p, t`,
+		`SELECT r, p, t, s FROM f
+		 SPREADSHEET PBY(r) DBY(p, t) MEA(s) UPDATE
+		 ( s['dvd', 2001] = s['dvd', 2000] * 1.2 + avg(s)['tv', 1995 < t < 2001],
+		   s[*, 2002] = s[cv(p), 2001] + 1 )`,
+		`SELECT r, p, t, s FROM f
+		 SPREADSHEET PBY(r) DBY(p, t) MEA(s)
+		 ( UPSERT s['all', 2003] = sum(s)[p != 'all', t = 2001] )`,
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		db := randomFactDB(t, rand.New(rand.NewSource(seed)))
+		db.MustExec(`UPDATE f SET s = s * 1.5 + 1 WHERE p LIKE 'v%' AND t % 2 = 0`)
+		checkVectorGrid(t, db, queries)
+	}
+}
+
 // TestVectorizedAllNullAndEmpty covers the degenerate images: a column that
 // is entirely NULL (KindNull representation, no vector storage), an empty
 // table (zero chunks), and filters that select nothing.
