@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench-parallel bench bench-compare bench-cache bench-serve bench-vector bench-rules bench-shard bench-wal lint-hotpath
+.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath
 
 build:
 	$(GO) build ./...
@@ -117,97 +117,11 @@ race-vector:
 	$(GO) test -race ./internal/colstore/ ./internal/blockstore/ ./internal/eval/ ./internal/exec/ ./internal/core/
 	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial' .
 
-# Morsel-driven operator benchmarks swept across core counts; compare ns/op
-# at -cpu 1 vs 4 (see BENCH_parallel.json for a recorded baseline).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel(Join|GroupBy)' -cpu 1,2,4 -benchmem .
-
-# Expression-evaluation benchmarks: an expression-heavy filter and a
-# spreadsheet cell-probe microbenchmark, swept across core counts. The
-# serving-path cache tiers ride along (cold / plan-only / warm; see
-# BENCH_cache.json).
+# The benchmark: bench/run.sh builds the server from this checkout and drives
+# the four BENCHMARK.json workloads (dash_warm, sheet_cold, scan_cold,
+# ingest_mixed) end to end over loopback; see bench/README.md. The Benchmark*
+# functions in the _test.go files (spill, external sort, shard, WAL, kernels,
+# the paper's figures) remain runnable with plain `go test -bench`; no
+# baseline of theirs is checked in.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompiled(Filter|SpreadsheetProbe)|BenchmarkRepeatedQuery' -cpu 1,2,4 -benchmem .
-
-# Serving-path cache benchmark: one repeated spreadsheet statement at each
-# cache tier — cold (DisablePlanCache), warm-plan-only (DisableResultCache:
-# cached plan + version-checked structure reuse) and warm (result hit).
-# cmd/benchjson diffs against the checked-in BENCH_cache.json and rewrites it.
-bench-cache:
-	$(GO) test -run '^$$' -bench 'BenchmarkRepeatedQuery' -benchmem . | \
-	$(GO) run ./cmd/benchjson -diff BENCH_cache.json -out BENCH_cache.json \
-		-command "make bench-cache" \
-		-note "serving-path cache tiers: cold vs plan/structure reuse vs result hit"
-
-# Data-movement benchmarks (parallel partition build, external merge sort,
-# spill-store throughput) swept across core counts. cmd/benchjson diffs the
-# run against the checked-in BENCH_storage.json baseline and rewrites it; drop
-# the rewrite by deleting `-out` if you only want the comparison. -fail-over
-# exits nonzero (before rewriting the baseline) when any benchmark regresses
-# by more than 50% — wide enough to ride out container timing noise, tight
-# enough to catch a vectorized path silently falling back to the row engine.
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBuild$$|BenchmarkExternalSort|BenchmarkSpillThroughput' \
-		-cpu 1,4 -benchmem ./... | \
-	$(GO) run ./cmd/benchjson -diff BENCH_storage.json -out BENCH_storage.json -fail-over 50 \
-		-command "make bench-compare" \
-		-note "data-movement baselines: partition build, external merge sort, spill throughput"
-
-# Vectorized cold-path benchmark: columnar selection and compute kernels,
-# batch aggregation and key encoders against the row-at-a-time compiled
-# closures, ablated with Config.DisableVectorizedExec (results are
-# byte-identical either way — see TestVectorized* in vector_test.go).
-# cmd/benchjson diffs against the checked-in BENCH_vector.json baseline and
-# rewrites it.
-bench-vector:
-	$(GO) test -run '^$$' -bench 'BenchmarkColdScanFilter|BenchmarkColdGroupBy|BenchmarkColdProjection|BenchmarkColdAgg|BenchmarkColdJoinGroupBy' -benchmem . | \
-	$(GO) run ./cmd/benchjson -diff BENCH_vector.json -out BENCH_vector.json -merge \
-		-command "make bench-vector" \
-		-note "cold-path vectorization: columnar kernels vs row-at-a-time closures (DisableVectorizedExec ablation)"
-
-# Batch rule engine benchmark: spreadsheet rule application (evalFrame over
-# a prebuilt 100k-cell partition set) under the vectorized kernels vs the
-# per-cell interpreter, ablated with DisableVectorizedRules (byte-identical
-# results either way — see TestVectorizedRulesMatchRowPath). Shares the
-# BENCH_vector.json baseline with bench-vector; -fail-over guards against a
-# rule silently falling off the batch path.
-bench-rules:
-	$(GO) test -run '^$$' -bench 'BenchmarkSpreadsheetRules' -benchmem ./internal/core/ | \
-	$(GO) run ./cmd/benchjson -diff BENCH_vector.json -out BENCH_vector.json -fail-over 50 -merge \
-		-command "make bench-rules" \
-		-note "batch rule application: existential and FOR-loop rules, vectorized vs per-cell (DisableVectorizedRules ablation)"
-
-# Sharded-execution benchmark: one spreadsheet statement (32 partitions,
-# per-cell prefix aggregates) executed single-process vs scattered to 1 and
-# 2 worker servers (serial workers, serial coordinator — the topology is
-# the only variable). cmd/benchjson diffs against the checked-in
-# BENCH_shard.json baseline and rewrites it; -fail-over guards against the
-# distribution path silently falling back to local execution. Note the
-# workers=2 vs workers=1 ratio only shows inter-process scaling on hosts
-# with ≥2 CPUs; single-core hosts time-slice the workers and pin it at ~1×.
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedSpreadsheet' -benchmem ./internal/server/ | \
-	$(GO) run ./cmd/benchjson -diff BENCH_shard.json -out BENCH_shard.json -fail-over 50 -merge \
-		-command "make bench-shard" \
-		-note "sharded spreadsheet execution: local vs 1-worker vs 2-worker scatter-gather"
-
-# WAL durability benchmarks: single-statement DML throughput under fsync
-# none/group/always plus the no-WAL baseline, the 8-way concurrent group-
-# commit case (coalesced/op reports fsyncs saved per statement), and reader
-# latency during a sustained write burst (readers pin MVCC images and take no
-# lock). cmd/benchjson diffs against the checked-in BENCH_wal.json baseline
-# and rewrites it.
-bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend$$|BenchmarkWALAppendConcurrent|BenchmarkReaderDuringDML' -benchmem . | \
-	$(GO) run ./cmd/benchjson -diff BENCH_wal.json -out BENCH_wal.json -merge \
-		-command "make bench-wal" \
-		-note "WAL durability: fsync mode throughput, group-commit coalescing, concurrent-reader latency under write burst"
-
-# Serving-layer throughput: end-to-end client round-trips at 1, 8 and 64
-# concurrent sessions, serving-path cache cold vs warm. cmd/benchjson diffs
-# against the checked-in BENCH_serve.json baseline and rewrites it.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem ./internal/server/ | \
-	$(GO) run ./cmd/benchjson -diff BENCH_serve.json -out BENCH_serve.json \
-		-command "make bench-serve" \
-		-note "serving layer: 1/8/64 concurrent client sessions, cold vs warm serving-path cache"
+	bash bench/run.sh

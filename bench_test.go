@@ -13,7 +13,10 @@ import (
 	"testing"
 
 	"sqlsheet"
+	"sqlsheet/internal/core"
+	"sqlsheet/internal/exec"
 	"sqlsheet/internal/experiments"
+	"sqlsheet/internal/plan"
 )
 
 // benchScale keeps full -bench=. runs in seconds; use cmd/experiments
@@ -29,7 +32,7 @@ func setupBench(b *testing.B, cfg sqlsheet.Config) *sqlsheet.DB {
 	// Benchmarks repeat one statement b.N times; with the serving-path cache
 	// warm they would measure a cache probe, not the engine.
 	// BenchmarkRepeatedQuery measures the cache itself.
-	cfg.DisablePlanCache = true
+	cfg.Ablate.DisablePlanCache = true
 	db.Configure(cfg)
 	return db
 }
@@ -50,7 +53,7 @@ func BenchmarkTable1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	runQuery(b, db, `SELECT m, m_yago, m_qago FROM time_dt WHERE m IN ('1999-01','1999-02','1999-03')`)
 }
 
@@ -59,13 +62,13 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	variants := []struct {
 		name string
-		cfg  sqlsheet.Config
+		plan plan.Ablation
 	}{
-		{"no-pushing", sqlsheet.Config{DisableSheetPush: true}},
-		{"extended", sqlsheet.Config{Push: sqlsheet.PushExtended}},
-		{"unfold", sqlsheet.Config{Push: sqlsheet.PushUnfold}},
-		{"subquery-nl", sqlsheet.Config{Push: sqlsheet.PushRefSubquery, ForceJoin: sqlsheet.JoinNestedLoop}},
-		{"subquery-hash", sqlsheet.Config{Push: sqlsheet.PushRefSubquery, ForceJoin: sqlsheet.JoinHash}},
+		{"no-pushing", plan.Ablation{DisableSheetPush: true}},
+		{"extended", plan.Ablation{Push: sqlsheet.PushExtended}},
+		{"unfold", plan.Ablation{Push: sqlsheet.PushUnfold}},
+		{"subquery-nl", plan.Ablation{Push: sqlsheet.PushRefSubquery, ForceJoin: sqlsheet.JoinNestedLoop}},
+		{"subquery-hash", plan.Ablation{Push: sqlsheet.PushRefSubquery, ForceJoin: sqlsheet.JoinHash}},
 	}
 	for _, sel := range []float64{0.004, 0.012} {
 		db, _, err := experiments.Setup(benchScale)
@@ -83,9 +86,7 @@ func BenchmarkFig2(b *testing.B) {
 		q := experiments.S5Query(3, base[:k])
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("sel=%g/%s", sel, v.name), func(b *testing.B) {
-				cfg := v.cfg
-				cfg.DisablePlanCache = true
-				db.Configure(cfg)
+				db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Plan: v.plan}})
 				runQuery(b, db, q)
 			})
 		}
@@ -123,7 +124,7 @@ func BenchmarkFig4Parallel(b *testing.B) {
 	q := experiments.S5Query(6, nil)
 	for _, dop := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
-			db := setupBench(b, sqlsheet.Config{Parallel: dop, Buckets: dop * 4})
+			db := setupBench(b, sqlsheet.Config{Parallel: dop, Ablate: sqlsheet.Ablation{Engine: core.Ablation{Buckets: dop * 4}}})
 			runQuery(b, db, q)
 		})
 	}
@@ -148,8 +149,14 @@ func BenchmarkFig5Memory(b *testing.B) {
 	syncSpill := os.Getenv("SQLSHEET_SYNC_SPILL") != ""
 	for _, pct := range []int{30, 60, 100, 120} {
 		b.Run(fmt.Sprintf("pct=%d", pct), func(b *testing.B) {
-			db.Configure(sqlsheet.Config{MemoryBudget: largest * int64(pct) / 100, Buckets: 8,
-				SpillDir: b.TempDir(), DisableAsyncSpill: syncSpill, DisablePlanCache: true})
+			db.Configure(sqlsheet.Config{
+				MemoryBudget: largest * int64(pct) / 100, SpillDir: b.TempDir(),
+				Ablate: sqlsheet.Ablation{
+					DisablePlanCache: true,
+					Exec:             exec.Ablation{DisableAsyncSpill: syncSpill},
+					Engine:           core.Ablation{Buckets: 8},
+				},
+			})
 			runQuery(b, db, q)
 		})
 	}
@@ -163,7 +170,7 @@ func BenchmarkAblation(b *testing.B) {
 	// table exercises both optimizations.
 	mk := func(cfg sqlsheet.Config) *sqlsheet.DB {
 		db := sqlsheet.Open()
-		cfg.DisablePlanCache = true
+		cfg.Ablate.DisablePlanCache = true
 		db.Configure(cfg)
 		db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`)
 		for _, r := range []string{"w", "e"} {
@@ -189,16 +196,16 @@ func BenchmarkAblation(b *testing.B) {
 		  s['vcr',2003] = s['vcr',2002] + sum(s)['vcr', 1980 <= t <= 2001]
 		)`
 	cases := []struct {
-		name string
-		cfg  sqlsheet.Config
+		name   string
+		engine core.Ablation
 	}{
-		{"full", sqlsheet.Config{}},
-		{"no-single-scan", sqlsheet.Config{DisableSingleScan: true}},
-		{"no-range-probe", sqlsheet.Config{DisableRangeProbe: true, DisableSingleScan: true}},
+		{"full", core.Ablation{}},
+		{"no-single-scan", core.Ablation{DisableSingleScan: true}},
+		{"no-range-probe", core.Ablation{DisableRangeProbe: true, DisableSingleScan: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			db := mk(c.cfg)
+			db := mk(sqlsheet.Config{Ablate: sqlsheet.Ablation{Engine: c.engine}})
 			runQuery(b, db, q)
 		})
 	}
@@ -210,7 +217,7 @@ func BenchmarkAblation(b *testing.B) {
 // comparison; both return identical values (TestWindowEqualsSpreadsheet...).
 func BenchmarkWindowVsSpreadsheet(b *testing.B) {
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	db.MustExec(`CREATE TABLE wf (g INT, t INT, s FLOAT)`)
 	for g := 0; g < 200; g++ {
 		for t := 0; t < 40; t++ {
@@ -236,7 +243,7 @@ func BenchmarkWindowVsSpreadsheet(b *testing.B) {
 func parallelBenchDB(b *testing.B, workers int) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{Workers: workers, DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Workers: workers, Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	db.MustExec(`CREATE TABLE fact (k INT, g INT, v FLOAT)`)
 	db.MustExec(`CREATE TABLE dim (k INT, name TEXT, w FLOAT)`)
 	const nFact, nDim, nGroups = 120000, 512, 1024
@@ -276,22 +283,6 @@ func BenchmarkParallelGroupBy(b *testing.B) {
 	runQuery(b, db, `SELECT g, SUM(v), COUNT(*), AVG(v) FROM fact GROUP BY g`)
 }
 
-// BenchmarkAccessPath reproduces the paper's §7 access-method note: the
-// hash-table cell index against the B-tree the authors first implemented
-// and abandoned ("more expensive ... mostly due to code path length").
-func BenchmarkAccessPath(b *testing.B) {
-	q := experiments.S5Query(3, nil)
-	for _, v := range []struct {
-		name  string
-		btree bool
-	}{{"hash", false}, {"btree", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			db := setupBench(b, sqlsheet.Config{UseBTreeIndex: v.btree})
-			runQuery(b, db, q)
-		})
-	}
-}
-
 // BenchmarkAccessStructure isolates the two-level hash structure: building
 // it and point-probing it through single-cell formulas.
 func BenchmarkAccessStructure(b *testing.B) {
@@ -312,7 +303,7 @@ func BenchmarkAccessStructure(b *testing.B) {
 func compiledBenchDB(b *testing.B) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	fillEF(b, db)
 	return db
 }
@@ -359,7 +350,7 @@ func BenchmarkCompiledFilter(b *testing.B) {
 func coldBenchDB(b *testing.B, disableVec bool) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisableVectorizedExec: disableVec, DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedExec: disableVec}}})
 	fillEF(b, db)
 	return db
 }
@@ -470,7 +461,7 @@ func BenchmarkColdJoinGroupBy(b *testing.B) {
 func probeBenchDB(b *testing.B) *sqlsheet.DB {
 	b.Helper()
 	db := sqlsheet.Open()
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	db.MustExec(`CREATE TABLE es (r TEXT, p TEXT, t INT, s FLOAT)`)
 	regions := []string{"west", "east", "north", "south"}
 	var rows [][]any
@@ -519,12 +510,12 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 		name string
 		cfg  sqlsheet.Config
 	}{
-		{"cold", sqlsheet.Config{DisablePlanCache: true}},
+		{"cold", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}}},
 		// Cold with the vectorized cold path ablated: the gap between the
 		// two cold legs is what columnar scans/partition-key encoding buy
 		// before any cache tier kicks in (DESIGN.md §12).
-		{"cold-novec", sqlsheet.Config{DisablePlanCache: true, DisableVectorizedExec: true}},
-		{"warm-plan-only", sqlsheet.Config{DisableResultCache: true}},
+		{"cold-novec", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedExec: true}}}},
+		{"warm-plan-only", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}}},
 		{"warm", sqlsheet.Config{}},
 	}
 	for _, v := range variants {

@@ -77,8 +77,8 @@ func TestCacheByteIdenticalResults(t *testing.T) {
 		cfg  sqlsheet.Config
 	}{
 		{"full-cache", sqlsheet.Config{}},
-		{"plan-only", sqlsheet.Config{DisableResultCache: true}},
-		{"no-cache", sqlsheet.Config{DisablePlanCache: true}},
+		{"plan-only", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}}},
+		{"no-cache", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}}},
 	}
 	dbs := make([]*sqlsheet.DB, len(tiers))
 	for i, tier := range tiers {
@@ -171,7 +171,7 @@ func TestCacheExplainAnnotations(t *testing.T) {
 	}
 
 	// With the cache disabled there must be no cache annotations at all.
-	off := cacheTestDB(t, sqlsheet.Config{DisablePlanCache: true})
+	off := cacheTestDB(t, sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	p, err := off.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestCacheOpStatsCounters(t *testing.T) {
 	}
 
 	// Structure reuse shows up when the result tier is off.
-	po := cacheTestDB(t, sqlsheet.Config{DisableResultCache: true})
+	po := cacheTestDB(t, sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}})
 	if _, _, err := po.QueryOpStats(q); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCacheFingerprintSharing(t *testing.T) {
 func TestCacheDisabledKnobs(t *testing.T) {
 	q := cacheQueries[0]
 
-	off := cacheTestDB(t, sqlsheet.Config{DisablePlanCache: true})
+	off := cacheTestDB(t, sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	for i := 0; i < 2; i++ {
 		_, st, err := off.QueryOpStats(q)
 		if err != nil {
@@ -294,7 +294,7 @@ func TestCacheDisabledKnobs(t *testing.T) {
 		}
 	}
 
-	po := cacheTestDB(t, sqlsheet.Config{DisableResultCache: true})
+	po := cacheTestDB(t, sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}})
 	for i := 0; i < 3; i++ {
 		_, st, err := po.QueryOpStats(q)
 		if err != nil {

@@ -68,7 +68,7 @@ func TestSpillPlusParallel(t *testing.T) {
 	}
 	cfg := db.Options()
 	cfg.Parallel = 4
-	cfg.Buckets = 6
+	cfg.Ablate.Engine.Buckets = 6
 	cfg.MemoryBudget = 1500
 	cfg.SpillDir = t.TempDir()
 	db.Configure(cfg)

@@ -140,7 +140,9 @@ const (
 	JoinNestedLoop = plan.JoinNestedLoop
 )
 
-// Config holds session-level options.
+// Config holds the session options a server operator sets. Everything that
+// exists only to measure one optimization against its baseline lives under
+// Ablate.
 type Config struct {
 	// Parallel is the spreadsheet degree of parallelism (number of PEs).
 	Parallel int
@@ -151,49 +153,18 @@ type Config struct {
 	// spreadsheet PEs share one core budget of max(Workers, Parallel), so
 	// combining both cannot oversubscribe the host.
 	Workers int
-	// MorselSize overrides the operator morsel size in rows (0 = 1024).
-	// Mainly for tests; results do depend on it for floating-point group-bys
-	// (partials merge in morsel order), so keep it fixed when comparing runs.
-	MorselSize int
-	// Buckets overrides the number of first-level hash partitions (0 =
-	// automatic).
-	Buckets int
 	// MemoryBudget bounds each first-level partition's resident memory in
 	// bytes; 0 = unbounded. Exceeding it spills blocks to disk under a
-	// weighted-LRU policy (Fig. 5's regime).
+	// weighted-LRU policy (Fig. 5's regime). Result reuse is off whenever it
+	// is set: the budgeted regime measures access-structure I/O, which a
+	// result hit would bypass.
 	MemoryBudget int64
 	// SpillDir is the spill directory (default: the OS temp dir).
 	SpillDir string
-	// Push selects the reference-pushing transform (default extended).
-	Push PushStrategy
-	// ForceJoin overrides join method selection.
-	ForceJoin JoinMethod
-	// Optimizer toggles (all false = everything enabled).
-	DisableSheetPrune     bool
-	DisableSheetRewrite   bool
-	DisableSheetPush      bool
-	DisableFilterPushdown bool
-	DisableSingleScan     bool
-	DisableRangeProbe     bool
-	// UseBTreeIndex swaps the spreadsheet's cell hash tables for B-trees
-	// (the paper's abandoned first access method; ablation only).
-	UseBTreeIndex bool
-	// DisableAsyncSpill keeps spill stores on synchronous eviction writes
-	// and disables read-ahead; results are byte-identical either way.
-	DisableAsyncSpill bool
-	// DisableVectorizedExec keeps scans, filters and key encoding on the
-	// row-at-a-time engine instead of columnar batch kernels over cached
-	// table images; results are byte-identical either way (ablation knob).
-	DisableVectorizedExec bool
-	// DisableVectorizedRules keeps spreadsheet formula application on the
-	// per-cell path instead of batch rule kernels; results are byte-
-	// identical either way (ablation knob). DisableVectorizedExec implies
-	// it, so one flag still ablates every batch layer at once.
-	DisableVectorizedRules bool
-	// VecMinRows overrides the spreadsheet engine's minimum batch size
-	// (partition rows for scans and existential rules, enumerated targets
-	// for single-cell rules); 0 uses the engine default (64).
-	VecMinRows int
+	// PlanCacheBudget bounds the cache's resident bytes (cached results and
+	// access structures dominate). 0 shares MemoryBudget when that is set,
+	// and otherwise defaults to 64 MiB.
+	PlanCacheBudget int64
 	// PromoteIndependentDims enables S4-style duplication of an
 	// independent dimension into the distribution key when PBY is empty.
 	PromoteIndependentDims bool
@@ -201,20 +172,32 @@ type Config struct {
 	// materialized views whose definition matches exactly. Off by default
 	// because a rewrite may serve data stale since the last REFRESH.
 	EnableMVRewrite bool
+	// Ablate holds the ablation toggles. The zero value — every optimization
+	// on, every size automatic — is the serving configuration; only tests
+	// and internal/experiments populate it.
+	Ablate Ablation
+}
+
+// Ablation groups every ablation toggle, each declared once by the layer
+// that reads it: the cache toggles here, the rest in the executor's, the
+// optimizer's and the spreadsheet engine's own structs. Apart from
+// Exec.MorselSize (which reorders floating-point group-by merges) no setting
+// changes result bytes.
+type Ablation struct {
 	// DisablePlanCache turns the serving-path statement cache off entirely:
-	// every call re-lexes, re-parses, re-plans, re-compiles and re-executes
-	// (the pre-cache behaviour; ablation knob).
+	// every call re-lexes, re-parses, re-plans, re-compiles and re-executes.
 	DisablePlanCache bool
 	// DisableResultCache keeps the plan/closure/access-structure cache but
 	// disables full result-set reuse, so every call re-executes its plan.
-	// Result reuse is also off whenever MemoryBudget is set: the budgeted
-	// regime (Fig. 5) measures access-structure I/O, which a result hit
-	// would bypass.
 	DisableResultCache bool
-	// PlanCacheBudget bounds the cache's resident bytes (cached results and
-	// access structures dominate). 0 shares MemoryBudget when that is set,
-	// and otherwise defaults to 64 MiB.
-	PlanCacheBudget int64
+	// Exec: operator morsel size, synchronous spill.
+	Exec exec.Ablation
+	// Plan: Fig. 2's push strategy and join method, formula pruning,
+	// predicate pushing, filter pushdown.
+	Plan plan.Ablation
+	// Engine: first-level bucket count, single-scan and range-probe
+	// optimizations, the vectorized layers and their batch-size cutoff.
+	Engine core.Ablation
 }
 
 // defaultPlanCacheBudget bounds the serving-path cache when neither
@@ -236,9 +219,10 @@ func cacheBudget(cfg Config) int64 {
 // results cached with it on must not be served with it off, and vice versa.
 const distFingerprintBit = 0x9e3779b97f4a7c15
 
-// configFingerprint hashes every Config field so sessions with different
-// knobs never share cache entries (several knobs legally change result
-// bytes, e.g. MorselSize reorders float group-by merges).
+// configFingerprint hashes every Config field, the nested Ablate structs
+// included (%+v prints them field by field), so sessions with different
+// knobs never share cache entries (MorselSize legally changes result bytes:
+// it reorders float group-by merges).
 func configFingerprint(cfg Config) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -318,7 +302,7 @@ func (r *Result) String() string {
 // entirely (the fingerprint is whitespace- and case-insensitive, so
 // reformatted texts share the parse too).
 func (db *DB) prepare(s *session, sql string) ([]sqlast.Statement, error) {
-	if s.opts.DisablePlanCache {
+	if s.opts.Ablate.DisablePlanCache {
 		return parser.Parse(sql)
 	}
 	fp, err := parser.Fingerprint(sql)
@@ -380,13 +364,13 @@ type queryOutcome struct {
 func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt, forceExec, wantPlan bool) (*exec.Result, queryOutcome, error) {
 	var out queryOutcome
 	snap := catalog.NewSnapshot()
-	if s.opts.DisablePlanCache {
+	if s.opts.Ablate.DisablePlanCache {
 		res, err := db.runSelectUncached(ctx, s, snap, stmt, wantPlan, &out)
 		return res, out, err
 	}
 	key := plancache.Key{Stmt: sqlast.Fingerprint(stmt), Cfg: s.fp}
 	e := db.cache.Entry(key)
-	useResult := !forceExec && !s.opts.DisableResultCache && s.opts.MemoryBudget == 0
+	useResult := !forceExec && !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0
 	if useResult {
 		if schema, rows, deps, ok := db.cache.Result(e, db.cat); ok {
 			out.resultHit, out.planHit = true, true
@@ -420,7 +404,9 @@ func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt
 	if wantPlan {
 		out.planText = plan.Explain(p)
 	}
-	ex.Opts.Structs = db.structCache(s, e)
+	if s.opts.MemoryBudget == 0 { // spill-backed structures rebuild per run
+		ex.Opts.Structs = cacheStructs{c: db.cache, e: e}
+	}
 	res, err := ex.Execute(p, nil)
 	out.sheet, out.ops = ex.SheetStats, ex.ExecStats
 	out.structReused = ex.ExecStats.Cache.StructuresReused
@@ -431,7 +417,7 @@ func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt
 	// new versions between this entry's dependency stamping and this call's
 	// pins, the rows do not correspond to the stamp and must not be
 	// registered under it.
-	if !s.opts.DisableResultCache && s.opts.MemoryBudget == 0 && ctx.Err() == nil &&
+	if !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0 && ctx.Err() == nil &&
 		plancache.DepsMatchSnapshot(deps, snap) {
 		db.cache.SetResult(e, res.Schema, res.Rows)
 	}
@@ -501,16 +487,6 @@ func (s cacheStructs) Lookup(n *plan.Spreadsheet) (*core.PartitionSet, bool) {
 
 func (s cacheStructs) Store(n *plan.Spreadsheet, ps *core.PartitionSet) {
 	s.c.StoreStructure(s.e, n, ps)
-}
-
-// structCache returns the structure cache view of an entry, or nil when
-// structures are not reusable under the current options (spill-backed
-// stores rebuild per run; B-tree indexes have no cloning support).
-func (db *DB) structCache(s *session, e *plancache.Entry) exec.StructureCache {
-	if s.opts.MemoryBudget > 0 || s.opts.UseBTreeIndex {
-		return nil
-	}
-	return cacheStructs{c: db.cache, e: e}
 }
 
 // Exec runs one or more ';'-separated statements, returning the result of
@@ -698,7 +674,7 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 		return "", err
 	}
 	text := out.planText + "\nexecution:\n" + out.ops.String()
-	if !s.opts.DisablePlanCache {
+	if !s.opts.Ablate.DisablePlanCache {
 		text += "cache: plan " + hitMiss(out.planHit) + "\n"
 		if out.structReused > 0 {
 			text += fmt.Sprintf("cache: structure reused (table versions %s)\n", out.deps)
@@ -725,7 +701,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	}
 	snap := catalog.NewSnapshot()
 	ex := db.newExecutor(context.Background(), s, snap)
-	if s.opts.DisablePlanCache {
+	if s.opts.Ablate.DisablePlanCache {
 		p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
 		if err != nil {
 			return "", err
@@ -922,42 +898,30 @@ func ToValue(v any) Value {
 // newExecutor builds an executor for one statement. snap is a SELECT's MVCC
 // snapshot: every table access (including plan-time reference-subquery
 // execution, since the executor doubles as the planner's RefExecutor) pins
-// and reads published images. DML executors pass nil and read live rows
-// under the exclusive statement lock.
+// and reads published images. DML executors pass nil and get a snapshot of
+// their own, which under the exclusive statement lock pins the live state at
+// statement start. The ablation structs go down whole.
 func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapshot) *exec.Executor {
 	o := s.opts
 	ex := exec.New(db.cat, exec.Options{
-		Ctx:                    ctx,
-		Parallel:               o.Parallel,
-		Workers:                o.Workers,
-		MorselSize:             o.MorselSize,
-		Buckets:                o.Buckets,
-		MemoryBudget:           o.MemoryBudget,
-		SpillDir:               o.SpillDir,
-		DisableSingleScan:      o.DisableSingleScan,
-		DisableRangeProbe:      o.DisableRangeProbe,
-		UseBTreeIndex:          o.UseBTreeIndex,
-		DisableAsyncSpill:      o.DisableAsyncSpill,
-		DisableVectorizedExec:  o.DisableVectorizedExec,
-		DisableVectorizedRules: o.DisableVectorizedRules,
-		VecMinRows:             o.VecMinRows,
-		Dist:                   s.dist,
-		Snap:                   snap,
-		FastLocalPath:          o.MemoryBudget == 0,
+		Ctx:           ctx,
+		Parallel:      o.Parallel,
+		Workers:       o.Workers,
+		MemoryBudget:  o.MemoryBudget,
+		SpillDir:      o.SpillDir,
+		Ablate:        o.Ablate.Exec,
+		Engine:        o.Ablate.Engine,
+		Dist:          s.dist,
+		Snap:          snap,
+		FastLocalPath: o.MemoryBudget == 0,
 	})
 	ex.Opts.PlanOpts = &plan.Options{
-		ForceJoin:              o.ForceJoin,
-		Push:                   o.Push,
-		DisableSheetPrune:      o.DisableSheetPrune,
-		DisableSheetRewrite:    o.DisableSheetRewrite,
-		DisableSheetPush:       o.DisableSheetPush,
-		DisableFilterPushdown:  o.DisableFilterPushdown,
+		Ablate:                 o.Ablate.Plan,
+		Engine:                 o.Ablate.Engine,
 		Parallel:               o.Parallel,
 		Workers:                o.Workers,
 		PromoteIndependentDims: o.PromoteIndependentDims,
 		EnableMVRewrite:        o.EnableMVRewrite,
-		DisableVectorizedExec:  o.DisableVectorizedExec,
-		DisableVectorizedRules: o.DisableVectorizedRules,
 		Distributed:            s.dist != nil,
 		Exec:                   ex,
 	}

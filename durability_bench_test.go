@@ -78,7 +78,7 @@ func BenchmarkWALAppendConcurrent(b *testing.B) {
 func BenchmarkReaderDuringDML(b *testing.B) {
 	db := sqlsheet.Open()
 	cfg := db.Options()
-	cfg.DisableResultCache = true // force every read onto the scan path
+	cfg.Ablate.DisableResultCache = true // force every read onto the scan path
 	db.Configure(cfg)
 	db.MustExec(`CREATE TABLE f (k INT, v INT)`)
 	for i := 0; i < 5000; i++ {

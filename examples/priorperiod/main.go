@@ -58,7 +58,7 @@ func main() {
 	fmt.Print(plan)
 
 	cfg := db.Options()
-	cfg.Push = sqlsheet.PushRefSubquery
+	cfg.Ablate.Plan.Push = sqlsheet.PushRefSubquery
 	db.Configure(cfg)
 	plan, err = db.Explain(q)
 	if err != nil {

@@ -92,29 +92,6 @@ func TestModelKeywordAlias(t *testing.T) {
 	}
 }
 
-func TestBTreeIndexMatchesHash(t *testing.T) {
-	db := newFactDB(t)
-	q := `SELECT r, p, t, s FROM f
-		SPREADSHEET PBY(r) DBY (p, t) MEA (s)
-		( s[*, 2003] = s[cv(p), 2002] * 1.5,
-		  UPSERT s['video', 2003] = s['tv', 2003] + s['vcr', 2003] )
-		ORDER BY r, p, t`
-	hash, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := db.Options()
-	cfg.UseBTreeIndex = true
-	db.Configure(cfg)
-	bt, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResults(hash, bt) {
-		t.Fatal("B-tree access path changed results")
-	}
-}
-
 func TestDeleteAndUpdateDML(t *testing.T) {
 	db := sqlsheet.Open()
 	db.MustExec(`CREATE TABLE t (a INT, b TEXT)`)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqlsheet"
+	"sqlsheet/internal/core"
 )
 
 var (
@@ -82,8 +83,8 @@ func getRuleFuzzDBs() (*sqlsheet.DB, *sqlsheet.DB) {
 			db.Configure(cfg)
 			return db
 		}
-		ruleFuzzBatch = mk(sqlsheet.Config{Workers: 1, VecMinRows: 1, DisablePlanCache: true})
-		ruleFuzzRow = mk(sqlsheet.Config{Workers: 1, DisableVectorizedRules: true, DisablePlanCache: true})
+		ruleFuzzBatch = mk(sqlsheet.Config{Workers: 1, Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{VecMinRows: 1}}})
+		ruleFuzzRow = mk(sqlsheet.Config{Workers: 1, Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedRules: true}}})
 	})
 	return ruleFuzzBatch, ruleFuzzRow
 }

@@ -1,12 +1,15 @@
 package sqlsheet_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sqlsheet"
+	"sqlsheet/internal/parser"
 )
 
 // newFactDB builds the paper's electronics warehouse f(r, p, t, s, c).
@@ -112,7 +115,7 @@ func TestJoinsMatchAcrossMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := db.Options()
-	cfg.ForceJoin = sqlsheet.JoinNestedLoop
+	cfg.Ablate.Plan.ForceJoin = sqlsheet.JoinNestedLoop
 	db.Configure(cfg)
 	r2, err := db.Query(q)
 	if err != nil {
@@ -314,7 +317,7 @@ func TestQueryS1AllPushStrategies(t *testing.T) {
 				('dvd','1999-03',90),('dvd','1998-03',30),('dvd','1998-12',45),
 				('dvd','1999-02',999),('vcr','1999-01',1)`)
 			cfg := db.Options()
-			cfg.Push = push
+			cfg.Ablate.Plan.Push = push
 			db.Configure(cfg)
 			res, err := db.Query(`
 				SELECT p, m, s, r_yago, r_qago FROM
@@ -378,9 +381,9 @@ func TestPruningThroughView(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := db.Options()
-	cfg.DisableSheetPrune = true
-	cfg.DisableSheetPush = true
-	cfg.DisableFilterPushdown = true
+	cfg.Ablate.Plan.DisableSheetPrune = true
+	cfg.Ablate.Plan.DisableSheetPush = true
+	cfg.Ablate.Plan.DisableFilterPushdown = true
 	db.Configure(cfg)
 	raw, err := db.Query(q)
 	if err != nil {
@@ -622,5 +625,60 @@ func TestS4UpsertWithPromotion(t *testing.T) {
 	}
 	if len(base.Rows) != len(promoted.Rows) {
 		t.Fatalf("spurious rows under promotion: %d vs %d", len(base.Rows), len(promoted.Rows))
+	}
+}
+
+// TestOperatorChainBound: a loop-built operator chain is as deep as it is
+// long. 4,000 terms (51 s when every pass stringified or re-walked the chain
+// per node) must plan and run in linear time, and 100,000 terms must be
+// refused by the parser's depth bound, not handed to the recursive passes.
+// The bounds are 250 ms, or — under the race detector or on a loaded host —
+// a small multiple of what the same statement at 250 terms (resp. tokenizing
+// alone) takes: linear either way.
+func TestOperatorChainBound(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE t (a INT)`)
+	db.MustExec(`INSERT INTO t VALUES (1)`)
+	chain := func(terms int) string { return "SELECT a" + strings.Repeat("+1", terms) + " AS x FROM t" }
+	timed := func(sql string) (*sqlsheet.Result, error, time.Duration) {
+		start := time.Now()
+		res, err := db.Query(sql)
+		return res, err, time.Since(start)
+	}
+	if _, err, _ := timed(chain(250)); err != nil { // warm-up: first-use costs are not the chain's
+		t.Fatal(err)
+	}
+	_, _, ref := timed(chain(251))
+	res, err, took := timed(chain(4000))
+	if err != nil {
+		t.Fatalf("4000 terms: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 4001 {
+		t.Fatalf("4000 terms: got %v, want 4001", res.Rows)
+	}
+	if took > 250*time.Millisecond && took > 48*ref {
+		t.Errorf("4000 terms took %v (251 terms: %v), want < 250ms", took, ref)
+	}
+	// With GROUP BY the rewriter has keys to look up at every node.
+	res, err, took = timed("SELECT a" + strings.Repeat("+1", 4000) + ", count(*) FROM t GROUP BY a" + strings.Repeat("+1", 4000))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 4001 {
+		t.Fatalf("4000 terms grouped: %v, %v", res, err)
+	}
+	if took > 250*time.Millisecond && took > 96*ref {
+		t.Errorf("4000 terms grouped took %v (251 terms ungrouped: %v), want < 250ms", took, ref)
+	}
+
+	deep := chain(100000)
+	start := time.Now()
+	if _, err := parser.Fingerprint(deep); err != nil {
+		t.Fatal(err)
+	}
+	lexTime := time.Since(start)
+	_, err, took = timed(deep)
+	if !errors.Is(err, parser.ErrTooDeep) {
+		t.Fatalf("100000 terms: got %v, want an error wrapping parser.ErrTooDeep", err)
+	}
+	if took > 250*time.Millisecond && took > 4*lexTime {
+		t.Errorf("100000 terms refused in %v (tokenizing alone %v), want < 250ms", took, lexTime)
 	}
 }

@@ -1,147 +1,34 @@
 package blockstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
 
-// codec serializes blocks of rows for the spill file. The format is
-// private to a single store's lifetime, so it carries no cross-version
-// compatibility — just a leading tag selecting the encoding:
+// encodeBlock serializes a block of rows for the spill file as a colstore page
+// (colstore.AppendPage): column-major, dictionary- and varint-compressed,
+// decoded without per-value kind tags; a mixed-kind column travels boxed
+// inside the page. The format is private to a single store's lifetime, so
+// it carries no cross-version compatibility.
 //
-//	block    := tag:byte payload
-//	tag 1    := columnar page (colstore.AppendPage) — the normal case;
-//	            rectangular blocks compress column-major with dictionary
-//	            and varint encoding and decode without per-value kind tags
-//	tag 0    := legacy row-major fallback, kept for ragged blocks:
-//	rowBlock := rowCount:uvarint row*
-//	row      := valCount:uvarint value*
-//	value    := kind:byte payload
-type codec struct{}
-
-const (
-	blockRows     byte = 0
-	blockColumnar byte = 1
-)
-
-func (codec) encodeBlock(rows []types.Row) []byte {
+// A page needs a rectangular block. Both users of the spill store — bucket
+// stores of the spreadsheet access structure and external-sort runs — store
+// rows of one arity, so a ragged block is a caller bug and an encode error,
+// not a second format.
+func encodeBlock(rows []types.Row) ([]byte, error) {
 	ncols := 0
 	if len(rows) > 0 {
 		ncols = len(rows[0])
 	}
-	buf := []byte{blockColumnar}
-	if out, ok := colstore.AppendPage(buf, ncols, rows); ok {
-		return out
+	out, ok := colstore.AppendPage(nil, ncols, rows)
+	if !ok {
+		return nil, fmt.Errorf("block of %d rows is not rectangular (%d columns expected)", len(rows), ncols)
 	}
-	return codec{}.encodeRowBlock(rows)
+	return out, nil
 }
 
-func (codec) encodeRowBlock(rows []types.Row) []byte {
-	buf := []byte{blockRows}
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, r := range rows {
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		for _, v := range r {
-			buf = append(buf, byte(v.K))
-			switch v.K {
-			case types.KindNull:
-			case types.KindInt, types.KindBool:
-				buf = binary.AppendVarint(buf, v.I)
-			case types.KindFloat:
-				buf = binary.AppendUvarint(buf, math.Float64bits(v.F))
-			case types.KindString:
-				buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-				buf = append(buf, v.S...)
-			}
-		}
-	}
-	return buf
-}
-
-func (codec) decodeBlock(data []byte) ([]types.Row, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("empty block")
-	}
-	tag := data[0]
-	data = data[1:]
-	switch tag {
-	case blockColumnar:
-		return colstore.DecodePage(data)
-	case blockRows:
-		return codec{}.decodeRowBlock(data)
-	}
-	return nil, fmt.Errorf("unknown block tag %d", tag)
-}
-
-func (codec) decodeRowBlock(data []byte) ([]types.Row, error) {
-	pos := 0
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("corrupt block at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	iv := func() (int64, error) {
-		v, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("corrupt block at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nrows, err := uv()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]types.Row, 0, nrows)
-	for r := uint64(0); r < nrows; r++ {
-		nvals, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		row := make(types.Row, nvals)
-		for i := range row {
-			if pos >= len(data) {
-				return nil, fmt.Errorf("truncated block")
-			}
-			k := types.Kind(data[pos])
-			pos++
-			switch k {
-			case types.KindNull:
-				row[i] = types.Null
-			case types.KindInt, types.KindBool:
-				n, err := iv()
-				if err != nil {
-					return nil, err
-				}
-				row[i] = types.Value{K: k, I: n}
-			case types.KindFloat:
-				bits, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				row[i] = types.NewFloat(math.Float64frombits(bits))
-			case types.KindString:
-				n, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				if pos+int(n) > len(data) {
-					return nil, fmt.Errorf("truncated string")
-				}
-				row[i] = types.NewString(string(data[pos : pos+int(n)]))
-				pos += int(n)
-			default:
-				return nil, fmt.Errorf("unknown kind %d", k)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+func decodeBlock(data []byte) ([]types.Row, error) {
+	return colstore.DecodePage(data)
 }

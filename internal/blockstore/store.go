@@ -255,7 +255,6 @@ type SpillStore struct {
 	fileEnd  int64
 	stats    counters
 	nrows    int
-	codec    codec
 
 	// Async-spill state (nil/zero when cfg.Async is off or nothing has
 	// spilled yet). pending holds encoded blocks whose pwrite has not
@@ -516,7 +515,10 @@ func (s *SpillStore) ensureFile() {
 func (s *SpillStore) evict(i int32) {
 	b := s.blocks[i]
 	if b.dirty {
-		data := s.codec.encodeBlock(b.rows)
+		data, err := encodeBlock(b.rows)
+		if err != nil {
+			panic(fmt.Errorf("blockstore: spill encode: %w", err))
+		}
 		s.ensureFile()
 		b.off, b.length = s.fileEnd, int64(len(data))
 		s.fileEnd += int64(len(data))
@@ -575,7 +577,7 @@ func (s *SpillStore) load(i int32) {
 // installBlock decodes an encoded block image into block b and charges the
 // load to the budget and statistics. Called with s.mu held.
 func (s *SpillStore) installBlock(i int32, b *block, data []byte) {
-	rows, err := s.codec.decodeBlock(data)
+	rows, err := decodeBlock(data)
 	if err != nil {
 		panic(fmt.Sprintf("blockstore: decode: %v", err))
 	}

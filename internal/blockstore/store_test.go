@@ -3,6 +3,7 @@ package blockstore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -421,39 +422,64 @@ func TestStatsConcurrentWithIO(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	var c codec
-	rows := []types.Row{
-		row(1, 2.5, "hello", nil, true),
-		row(-42, -0.0, "", nil, false),
-		{},
+// TestRaggedBlockIsAnEncodeError pins the single spill format: a block whose
+// rows differ in arity has no page encoding, and the store must say so when
+// the block is evicted — not fall back to some other representation.
+func TestRaggedBlockIsAnEncodeError(t *testing.T) {
+	ragged := []types.Row{row(1, "a"), row(2), row(3, "c")}
+	if data, err := encodeBlock(ragged); err == nil {
+		t.Fatalf("ragged block encoded to %d bytes, want an error", len(data))
 	}
-	out, err := c.decodeBlock(c.encodeBlock(rows))
+	// Mixed kinds in one column are not ragged: they travel boxed in a page.
+	mixed := []types.Row{row(1, 2.5, "hello", nil, true), row("x", -0.0, "", nil, false)}
+	data, err := encodeBlock(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(rows) {
-		t.Fatalf("rows = %d", len(out))
+	out, err := decodeBlock(data)
+	if err != nil || len(out) != len(mixed) {
+		t.Fatalf("decode: %d rows, err %v", len(out), err)
 	}
-	for i := range rows {
-		if len(out[i]) != len(rows[i]) {
-			t.Fatalf("row %d len", i)
-		}
-		for j := range rows[i] {
-			if out[i][j].K != rows[i][j].K || !types.Equal(out[i][j], rows[i][j]) {
-				t.Errorf("row %d col %d: %v != %v", i, j, out[i][j], rows[i][j])
+	for i := range mixed {
+		for j := range mixed[i] {
+			if out[i][j].K != mixed[i][j].K || !types.Equal(out[i][j], mixed[i][j]) {
+				t.Errorf("row %d col %d: %v != %v", i, j, out[i][j], mixed[i][j])
 			}
 		}
+	}
+
+	s := NewSpill(Config{BudgetBytes: 1, RowsPerBlock: 4, Dir: t.TempDir()})
+	defer s.Close()
+	for _, r := range ragged {
+		s.Append(r) // one resident block: the active block is never evicted
+	}
+	var failure error
+	func() {
+		defer func() { failure, _ = recover().(error) }()
+		for i := 0; i < 4; i++ {
+			s.Append(row(i, "next block")) // pushes the ragged block out
+		}
+	}()
+	if failure == nil || !strings.Contains(failure.Error(), "not rectangular") {
+		t.Fatalf("evicting a ragged block: got %v, want a not-rectangular encode error", failure)
+	}
+	if st := s.Stats(); st.BytesSpilled != 0 || st.SpillWrites != 0 {
+		t.Errorf("ragged block reached the spill file: %+v", st)
 	}
 }
 
 func TestCodecCorruptData(t *testing.T) {
-	var c codec
-	if _, err := c.decodeBlock([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
+	if _, err := decodeBlock(nil); err == nil {
+		t.Error("empty block must fail")
+	}
+	if _, err := decodeBlock([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Error("overlong varint must fail")
 	}
-	good := c.encodeBlock([]types.Row{row("abcdef")})
-	if _, err := c.decodeBlock(good[:len(good)-3]); err == nil {
+	good, err := encodeBlock([]types.Row{row("abcdef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeBlock(good[:len(good)-3]); err == nil {
 		t.Error("truncated string must fail")
 	}
 }

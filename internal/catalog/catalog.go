@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/mvcc"
 	"sqlsheet/internal/types"
 )
@@ -24,18 +23,15 @@ import (
 // and deletes, and the serving-path cache snapshots it to invalidate
 // derived artifacts. Version is atomic because cache probes read it
 // lock-free while a concurrent writer (holding the DB statement lock, which
-// readers of *other* tables do not contend on) bumps it; Rows itself is
-// only safe under the reader/writer discipline documented on sqlsheet.DB.
+// readers of *other* tables do not contend on) bumps it. Rows is the
+// writer's master copy: only code holding the exclusive statement lock (or
+// owning the table outright) touches it; everything that scans reads the
+// published image (Img), with its columnar transposition cached on it.
 type Table struct {
 	Name    string
 	Schema  *types.Schema
 	Rows    []types.Row
 	Version atomic.Int64
-
-	// colMu serializes columnar image builds; colImg caches the latest
-	// image, keyed by the Version it was built at (see Columnar).
-	colMu  sync.Mutex
-	colImg atomic.Pointer[colImage]
 
 	// img is the last published MVCC image: the row set readers under
 	// snapshot isolation scan. Writers publish at statement boundaries
@@ -45,75 +41,19 @@ type Table struct {
 	img atomic.Pointer[mvcc.Image]
 }
 
-// colImage is one cached columnar image: the table's rows transposed into
-// typed vectors at a specific version. img is nil when the rows were not
-// rectangular at that version (the negative result is cached too). Besides
-// the version, the key records the row slice's identity (length and first
-// element address) so code that swaps Rows wholesale without bumping
-// Version — tests mostly — still gets a fresh image; in-place row
-// replacement (UPDATE/DELETE) always bumps Version.
-type colImage struct {
-	version int64
-	nrows   int
-	first   *types.Row
-	img     *colstore.Table
-}
-
-func (ci *colImage) fresh(v int64, rows []types.Row) bool {
-	if ci == nil || ci.version != v || ci.nrows != len(rows) {
-		return false
-	}
-	if len(rows) == 0 {
-		return ci.first == nil
-	}
-	return ci.first == &rows[0]
-}
-
-// Columnar returns a columnar image of the table's current rows, built
-// lazily and cached until the next mutation invalidates it. It returns nil
-// when the rows are not rectangular. Callers must hold whatever lock makes
-// t.Rows safe to scan (the DB statement read lock); Version is read first
-// so an image is never published under a version newer than the rows it
-// was built from.
-func (t *Table) Columnar() *colstore.Table {
-	v := t.Version.Load()
-	if ci := t.colImg.Load(); ci.fresh(v, t.Rows) {
-		return ci.img
-	}
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if ci := t.colImg.Load(); ci.fresh(v, t.Rows) {
-		return ci.img
-	}
-	img := colstore.FromRows(t.Schema.Len(), t.Rows)
-	ci := &colImage{version: v, nrows: len(t.Rows), img: img}
-	if len(t.Rows) > 0 {
-		ci.first = &t.Rows[0]
-	}
-	t.colImg.Store(ci)
-	return img
-}
-
 // Publish installs the table's current rows as its readable MVCC image.
 // The caller must hold the lock that makes t.Rows safe to read (the
-// exclusive statement lock, or exclusive ownership of a fresh table). When
-// the live columnar cache is fresh at the published version the image
-// inherits it, so the snapshot and no-snapshot paths share one
-// transposition.
+// exclusive statement lock, or exclusive ownership of a fresh table).
 func (t *Table) Publish() {
-	v := t.Version.Load()
-	im := mvcc.NewImage(v, t.Schema.Len(), t.Rows)
-	if ci := t.colImg.Load(); ci.fresh(v, t.Rows) {
-		im.SeedColumnar(ci.img)
-	}
-	t.img.Store(im)
+	t.img.Store(mvcc.NewImage(t.Version.Load(), t.Schema.Len(), t.Rows))
 }
 
-// Img returns the table's last published image. Catalog-registered tables
-// always have one (Create and CreateMatView publish before the table
-// becomes visible); for a Table constructed directly — tests, the shard
-// workers' ephemeral catalogs — it falls back to a one-off image of the
-// live rows, which those single-owner callers read safely by construction.
+// Img returns the table's last published image: what every scan reads.
+// Catalog-registered tables always have one (Create and CreateMatView
+// publish before the table becomes visible), so rows assigned or inserted
+// afterwards are invisible to readers until the next Publish. A Table
+// constructed directly and never published falls back to a one-off image of
+// its rows, which its single owner reads safely by construction.
 func (t *Table) Img() *mvcc.Image {
 	if im := t.img.Load(); im != nil {
 		return im

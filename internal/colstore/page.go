@@ -20,8 +20,7 @@ import (
 //	nulls  := hasNulls:byte [bitmap: ceil(nrows/64)*8 bytes]   (repr 1..5)
 //
 // Typed payloads carry only non-NULL slots in row order; the null bitmap
-// says which slots were skipped. Boxed columns carry every slot kind-tagged,
-// the same value encoding as the legacy row codec.
+// says which slots were skipped. Boxed columns carry every slot kind-tagged.
 const (
 	pageAllNull byte = iota
 	pageInt
@@ -33,7 +32,7 @@ const (
 )
 
 // AppendPage appends the page encoding of rows to buf. ok=false means the
-// rows are ragged (no columnar image); the caller keeps its row codec.
+// rows are ragged (no columnar image) and nothing was appended.
 func AppendPage(buf []byte, ncols int, rows []types.Row) ([]byte, bool) {
 	t := FromRows(ncols, rows)
 	if t == nil {

@@ -14,7 +14,7 @@ import (
 // aggregates of a level computed before its formulas, sharing one partition
 // scan), SCC steps run with the Auto-Cyclic fixpoint algorithm.
 func (fe *frameEval) runAutomatic() error {
-	if !fe.opts.DisableSingleScan && fe.m.canSingleScan() {
+	if !fe.opts.Ablate.DisableSingleScan && fe.m.canSingleScan() {
 		return fe.runSingleScan()
 	}
 	for _, lv := range fe.m.levels {

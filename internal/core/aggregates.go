@@ -112,13 +112,13 @@ func (fe *frameEval) buildInstance(ctx *eval.Context, a *sqlast.CellAgg) (*aggIn
 				}
 				return true, nil
 			}
-			if vals, ok := enumerateRange(lo, hi, loIncl, hiIncl); ok && !fe.opts.DisableRangeProbe {
+			if vals, ok := enumerateRange(lo, hi, loIncl, hiIncl); ok && !fe.opts.Ablate.DisableRangeProbe {
 				inst.lists[i] = vals
 			} else {
 				allEnumerable = false
 			}
 		case sqlast.QualPred:
-			if vals, ok := fe.enumeratePred(ctx, q.Pred, q.Dim); ok && !fe.opts.DisableRangeProbe {
+			if vals, ok := fe.enumeratePred(ctx, q.Pred, q.Dim); ok && !fe.opts.Ablate.DisableRangeProbe {
 				inst.lists[i] = vals
 			} else {
 				allEnumerable = false

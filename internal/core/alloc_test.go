@@ -24,7 +24,7 @@ func TestFrameProbeDoesNotAllocate(t *testing.T) {
 		R("west", "tv", 1999, 30.0),
 		R("east", "dvd", 2000, 40.0),
 	}
-	ps, err := buildPartitions(m, rows, 2, func() blockstore.Store { return blockstore.NewMem() }, false)
+	ps, err := BuildPartitionsOpts(m, rows, 2, func() blockstore.Store { return blockstore.NewMem() }, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestFrameWritesSurviveEviction(t *testing.T) {
 				rows = append(rows, R("west", p, float64(p), 0.0))
 			}
 			var store *blockstore.SpillStore
-			ps, err := BuildPartitions(m, rows, 1, func() blockstore.Store {
+			ps, err := BuildPartitionsOpts(m, rows, 1, func() blockstore.Store {
 				store = blockstore.NewSpill(blockstore.Config{BudgetBytes: 800, RowsPerBlock: 4, Dir: t.TempDir(), Async: async})
 				return store
-			})
+			}, BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

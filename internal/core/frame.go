@@ -2,7 +2,6 @@ package core
 
 import (
 	"sqlsheet/internal/blockstore"
-	"sqlsheet/internal/btree"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
@@ -56,11 +55,8 @@ type Frame struct {
 	// index maps the DBY key to the row's position in ids. Records within a
 	// bucket stay clustered per frame, making partition scans and probes
 	// cheap (the paper clusters hash buckets on PBY+DBY for the same
-	// reason). Exactly one of index (hash) and bidx (B-tree, the paper's
-	// abandoned first implementation, kept as an ablation) is non-nil. The
-	// build carves every key of a frame out of one string.
+	// reason). The build carves every key of a frame out of one string.
 	index map[string]int
-	bidx  *btree.Tree
 	// indexShared marks index as shared with another structure
 	// (CloneForReuse): read freely, copy before the first Insert.
 	indexShared bool
@@ -130,28 +126,6 @@ func ChooseBuckets(nRows int, avgRowBytes, budgetBytes int64, dop int) int {
 
 // MarkUpdated records that a rule assigned or created the row at pos.
 func (f *Frame) MarkUpdated(pos int) { f.updated.set(pos, len(f.ids)) }
-
-// BuildPartitions loads rows (working-schema layout) into the two-level
-// structure. The paper requires DBY columns to uniquely identify a row
-// within each partition; duplicates are an error.
-//
-// Rows are appended to each bucket's store clustered by frame ("the hash
-// access structure maintains records within a hash bucket clustered on PBY
-// and DBY column values"), so evaluating one spreadsheet partition touches
-// a contiguous run of blocks — the locality Fig. 5 depends on.
-func BuildPartitions(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory) (*PartitionSet, error) {
-	return buildPartitions(m, rows, nBuckets, newStore, false)
-}
-
-// BuildPartitionsBTree builds the structure with B-tree second-level
-// indexes instead of hash tables (access-path ablation).
-func BuildPartitionsBTree(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory) (*PartitionSet, error) {
-	return buildPartitions(m, rows, nBuckets, newStore, true)
-}
-
-func buildPartitions(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory, useBTree bool) (*PartitionSet, error) {
-	return BuildPartitionsOpts(m, rows, nBuckets, newStore, BuildOptions{UseBTree: useBTree})
-}
 
 func joinNames(ns []string) string {
 	out := ""
@@ -267,19 +241,12 @@ func (f *Frame) Row(pos int) types.Row { return f.b.store.Get(f.ids[pos]) }
 
 // lookupKey probes the second-level index with an encoded DBY key.
 func (f *Frame) lookupKey(key []byte) (int, bool) {
-	if f.index != nil {
-		pos, ok := f.index[string(key)] // no-alloc map probe
-		return pos, ok
-	}
-	return f.bidx.Get(string(key))
+	pos, ok := f.index[string(key)] // no-alloc map probe
+	return pos, ok
 }
 
 // putKey registers a key at a row position.
 func (f *Frame) putKey(key string, pos int) {
-	if f.index == nil {
-		f.bidx.Put(key, pos)
-		return
-	}
 	if f.indexShared {
 		own := make(map[string]int, len(f.index)+8) // alloc-ok: once per frame, first Insert into a reused structure
 		for k, v := range f.index {

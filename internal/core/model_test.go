@@ -784,7 +784,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		  s[*, 2003] = s[cv(p), 2002] * 1.2,
 		  UPSERT s['video', 2002] = s['tv',2002] + s['vcr',2002]
 		)`, nil)
-	par, _, err := m2.Run(fRows(), RunOptions{Parallel: 4, Buckets: 8})
+	par, _, err := m2.Run(fRows(), RunOptions{Parallel: 4, Ablate: Ablation{Buckets: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,7 +852,7 @@ func TestSingleScanMatchesPerLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := mustModel(t, sql, nil)
-	r2, _, err := m2.Run(fRows(), RunOptions{DisableSingleScan: true})
+	r2, _, err := m2.Run(fRows(), RunOptions{Ablate: Ablation{DisableSingleScan: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -912,7 +912,7 @@ func TestRangeProbeMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := mustModel(t, sql, nil)
-	r2, _, err := m2.Run(rows, RunOptions{DisableRangeProbe: true, DisableSingleScan: true})
+	r2, _, err := m2.Run(rows, RunOptions{Ablate: Ablation{DisableRangeProbe: true, DisableSingleScan: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"sqlsheet/internal/blockstore"
-	"sqlsheet/internal/btree"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
@@ -37,11 +36,8 @@ import (
 // buildMorsel is the number of rows one scan task encodes at a time.
 const buildMorsel = 4096
 
-// BuildOptions selects the second-level access method and the build
-// parallelism.
+// BuildOptions selects the build parallelism and how rows enter the stores.
 type BuildOptions struct {
-	// UseBTree swaps the second-level hash tables for B-trees (ablation).
-	UseBTree bool
 	// Workers is the number of build workers; <=1 builds serially. The
 	// output is identical for every value.
 	Workers int
@@ -105,8 +101,14 @@ type frameEntry struct {
 	key  []byte
 }
 
-// BuildPartitionsOpts builds the two-level access structure with explicit
-// build options. See BuildPartitions for the structure's invariants.
+// BuildPartitionsOpts loads rows (working-schema layout) into the two-level
+// access structure. The paper requires DBY columns to uniquely identify a row
+// within each partition; duplicates are an error.
+//
+// Rows are appended to each bucket's store clustered by frame ("the hash
+// access structure maintains records within a hash bucket clustered on PBY
+// and DBY column values"), so evaluating one spreadsheet partition touches
+// a contiguous run of blocks — the locality Fig. 5 depends on.
 func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory, o BuildOptions) (*PartitionSet, error) {
 	if nBuckets < 1 {
 		nBuckets = 1
@@ -308,11 +310,7 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 			order = append(order, uint64(e.hash)<<32|uint64(i))
 		}
 		slices.Sort(order)
-		if o.UseBTree {
-			f.bidx = btree.New()
-		} else {
-			f.index = make(map[string]int, len(es))
-		}
+		f.index = make(map[string]int, len(es))
 		base := len(ids)
 		for _, w := range order {
 			e := es[uint32(w)]
@@ -320,15 +318,9 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 			at := keys.Len()
 			keys.Write(e.key)
 			dk := keys.String()[at:]
-			var dup bool
-			if f.index != nil {
-				// One probe: a duplicate key overwrites instead of growing.
-				f.index[dk] = pos
-				dup = len(f.index) != pos+1
-			} else if _, dup = f.bidx.Get(dk); !dup {
-				f.bidx.Put(dk, pos)
-			}
-			if dup {
+			// One probe: a duplicate key overwrites instead of growing.
+			f.index[dk] = pos
+			if len(f.index) != pos+1 {
 				return fmt.Errorf("spreadsheet: DBY columns (%s) do not uniquely identify row %v within its partition",
 					joinNames(m.DimNames()), rows[e.ri][m.NPby:m.NPby+m.NDby])
 			}

@@ -95,30 +95,27 @@ func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 }
 
 // TestParallelBuildMatchesSerial checks that the morsel-partitioned build is
-// byte-identical to the serial build across worker counts, bucket counts and
-// both access methods, including chunk boundaries (row counts straddling
-// buildMorsel).
+// byte-identical to the serial build across worker counts and bucket counts,
+// including chunk boundaries (row counts straddling buildMorsel).
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	m := buildTestModel(t)
 	mem := func() blockstore.Store { return blockstore.NewMem() }
 	for _, n := range []int{0, 1, 100, buildMorsel - 1, buildMorsel + 37} {
 		rows := buildTestRows(n, int64(n)+1)
 		for _, nb := range []int{1, 4, 13} {
-			for _, bt := range []bool{false, true} {
-				serial, err := BuildPartitionsOpts(m, rows, nb, mem, BuildOptions{UseBTree: bt, Workers: 1})
+			serial, err := BuildPartitionsOpts(m, rows, nb, mem, BuildOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 8} {
+				par, err := BuildPartitionsOpts(m, rows, nb, mem, BuildOptions{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range []int{2, 8} {
-					par, err := BuildPartitionsOpts(m, rows, nb, mem, BuildOptions{UseBTree: bt, Workers: w})
-					if err != nil {
-						t.Fatal(err)
-					}
-					samePartitionSet(t, serial, par)
-					par.Close()
-				}
-				serial.Close()
+				samePartitionSet(t, serial, par)
+				par.Close()
 			}
+			serial.Close()
 		}
 	}
 }

@@ -14,8 +14,6 @@ type OuterInfo struct {
 	// UsedMeasures lists the measure ordinals the outer block references;
 	// nil means unknown (assume all).
 	UsedMeasures map[int]bool
-	// NoRewrite disables the left-side restriction of surviving sinks.
-	NoRewrite bool
 }
 
 // Prune removes formulas whose outputs the outer block provably discards,
@@ -81,7 +79,7 @@ func (m *Model) Prune(outer OuterInfo) (pruned, rewritten []string) {
 			}
 			continue
 		}
-		if !outer.NoRewrite && m.rewriteRule(r, outer) {
+		if m.rewriteRule(r, outer) {
 			rewritten = append(rewritten, r.Label)
 		}
 	}

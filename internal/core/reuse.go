@@ -6,7 +6,7 @@ import (
 
 // CloneForReuse returns an independent copy of a pristine — freshly built,
 // never evaluated — partition set, or nil when the structure is not
-// reusable (spill-backed stores, B-tree indexes). The serving-path cache
+// reusable (spill-backed stores). The serving-path cache
 // keeps one pristine copy per spreadsheet node and clones it again for each
 // execution, so formula evaluation always starts from build state.
 //
@@ -28,9 +28,6 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 		nb := &bucket{store: ms.CloneShallow(), frames: make([]*Frame, len(b.frames)), bytes: b.bytes}
 		fs := make([]Frame, len(b.frames))
 		for fi, f := range b.frames {
-			if f.bidx != nil {
-				return nil
-			}
 			if !f.indexShared {
 				f.indexShared = true
 			}

@@ -21,6 +21,46 @@ type PromotedDim struct {
 	Dby int // DBY ordinal of the dimension
 }
 
+// Ablation is the spreadsheet engine's set of ablation toggles: switches
+// that exist so tests and internal/experiments can compare an optimization
+// against its baseline. Results are byte-identical for every setting. The
+// zero value enables everything; no serving caller sets a field. This is the
+// only declaration of these toggles — the planner, the executor and
+// sqlsheet.Config carry the struct by value.
+type Ablation struct {
+	// Buckets overrides the number of first-level hash partitions
+	// (0 = chosen from the input size, memory budget and PE count).
+	Buckets int
+	// DisableSingleScan turns off the cross-level single-scan aggregate
+	// maintenance optimization (per-level scans instead).
+	DisableSingleScan bool
+	// DisableRangeProbe turns off unfolding of small integer ranges into
+	// point probes (the paper's F1 transformation), forcing scans.
+	DisableRangeProbe bool
+	// DisableVectorizedExec keeps every batch layer on its row-at-a-time
+	// path: the executor's scans, filters, projections, aggregation and key
+	// encoding (no kernels are compiled into the plan), the engine's
+	// aggregate partition scans (vecscan.go), and — by implication — rule
+	// application.
+	DisableVectorizedExec bool
+	// DisableVectorizedRules keeps formula application on the per-cell path
+	// instead of the batch rule kernels (vecrules.go) while the other batch
+	// layers stay on.
+	DisableVectorizedRules bool
+	// VecMinRows overrides the minimum batch size (partition rows for
+	// scans and existential rules, enumerated targets for single-cell
+	// rules) below which the batch paths stay per row; <=0 uses the
+	// default (64). Shared by vecscan.go and vecrules.go.
+	VecMinRows int
+}
+
+// RulesVectorized reports whether formula application uses the batch rule
+// kernels: DisableVectorizedExec implies DisableVectorizedRules, so one flag
+// ablates every batch layer at once.
+func (a Ablation) RulesVectorized() bool {
+	return !a.DisableVectorizedExec && !a.DisableVectorizedRules
+}
+
 // RunOptions configures spreadsheet execution.
 type RunOptions struct {
 	// Ctx, when non-nil, makes evaluation cancellable. The engine polls it
@@ -34,37 +74,15 @@ type RunOptions struct {
 	// BuildWorkers is the number of workers for the partition build; <=1
 	// builds serially. The structure produced is identical either way.
 	BuildWorkers int
-	// Buckets overrides the number of first-level hash partitions.
-	Buckets int
 	// NewStore supplies the per-bucket row store; nil uses in-memory.
 	NewStore StoreFactory
 	// Subquery executes subqueries inside formula expressions.
 	Subquery eval.SubqueryRunner
 	// Promoted lists dimensions duplicated into PBY for parallelism.
 	Promoted []PromotedDim
-	// DisableSingleScan turns off the cross-level single-scan aggregate
-	// maintenance optimization (per-level scans instead).
-	DisableSingleScan bool
-	// DisableRangeProbe turns off unfolding of small integer ranges into
-	// point probes (the paper's F1 transformation), forcing scans.
-	DisableRangeProbe bool
-	// UseBTreeIndex swaps the second-level hash tables for B-trees — the
-	// paper's abandoned first access method, kept as an ablation (§7).
-	UseBTreeIndex bool
-	// DisableVectorizedScan keeps aggregate partition scans on the row-at-a-
-	// time matcher/closure path instead of the batch columnar scan (see
-	// vecscan.go); the executor wires its DisableVectorizedExec here so one
-	// ablation flag covers both engines.
-	DisableVectorizedScan bool
-	// DisableVectorizedRules keeps formula application on the per-cell
-	// path instead of the batch rule kernels (see vecrules.go). Results
-	// are bit-identical either way; this is the ablation knob.
-	DisableVectorizedRules bool
-	// VecMinRows overrides the minimum batch size (partition rows for
-	// scans and existential rules, enumerated targets for single-cell
-	// rules) below which the batch paths stay per row; <=0 uses the
-	// default (64). Shared by vecscan.go and vecrules.go.
-	VecMinRows int
+	// Ablate carries the engine's ablation toggles; the zero value is the
+	// serving configuration.
+	Ablate Ablation
 	// Stats, when non-nil, receives batch-versus-row path counters
 	// (atomic; shared safely by parallel PEs).
 	Stats *VecStats
@@ -102,14 +120,14 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 	if m.compiled == nil {
 		m.buildCompiled()
 	}
-	if !opts.DisableVectorizedRules {
+	if opts.Ablate.RulesVectorized() {
 		m.buildVecRules()
 	}
 	newStore := opts.NewStore
 	if newStore == nil {
 		newStore = func() blockstore.Store { return blockstore.NewMem() }
 	}
-	nb := opts.Buckets
+	nb := opts.Ablate.Buckets
 	if nb <= 0 {
 		nb = opts.Parallel
 		if nb < 1 {
@@ -120,7 +138,6 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 	if ps == nil {
 		var err error
 		ps, err = BuildPartitionsOpts(m, rows, nb, newStore, BuildOptions{
-			UseBTree:  opts.UseBTreeIndex,
 			Workers:   opts.BuildWorkers,
 			Cols:      opts.Cols,
 			ShareRows: opts.FastLocal,

@@ -42,7 +42,7 @@ import (
 // annotated with a reason EXPLAIN surfaces. At runtime any batch-stage
 // error or unsupported column representation falls back before a single
 // measure is written, so the per-cell path reproduces results — and error
-// text and error position — exactly. RunOptions.DisableVectorizedRules
+// text and error position — exactly. Ablation.DisableVectorizedRules
 // ablates the layer; RunOptions.Stats counts the decisions.
 
 // Rule vectorization notes, surfaced by EXPLAIN next to each rule. The
@@ -492,7 +492,7 @@ func (m *Model) vecProg(r *Rule) *vecRuleProg {
 // Auto-Cyclic, inverse maintenance under single-scan, assignment counting).
 func (fe *frameEval) vecRuleReady(prog *vecRuleProg) bool {
 	return prog != nil && prog.note == ruleVecYes &&
-		!fe.opts.DisableVectorizedRules &&
+		fe.opts.Ablate.RulesVectorized() &&
 		!fe.trackRefs && fe.maintained == nil && fe.assigned == nil
 }
 

@@ -47,7 +47,7 @@ func benchRuleLegs(b *testing.B, sql string, rows []types.Row, cold bool) {
 		opts RunOptions
 	}{
 		{"vectorized", RunOptions{}},
-		{"interpreted", RunOptions{DisableVectorizedRules: true}},
+		{"interpreted", RunOptions{Ablate: Ablation{DisableVectorizedRules: true}}},
 	}
 	for _, leg := range legs {
 		b.Run(leg.name, func(b *testing.B) {

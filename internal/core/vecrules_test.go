@@ -89,9 +89,9 @@ func TestVectorizedRulesMatchRowPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stats := &VecStats{}
 			mb := mustModel(t, vecGridSQL+tc.rules, nil)
-			batch := run(t, mb, vecGridRows(), RunOptions{VecMinRows: 1, Stats: stats})
+			batch := run(t, mb, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 1}, Stats: stats})
 			mr := mustModel(t, vecGridSQL+tc.rules, nil)
-			rowp := run(t, mr, vecGridRows(), RunOptions{DisableVectorizedRules: true})
+			rowp := run(t, mr, vecGridRows(), RunOptions{Ablate: Ablation{DisableVectorizedRules: true}})
 			sameCells(t, batch, rowp)
 			if tc.batch && stats.RuleBatch.Load() == 0 {
 				t.Fatalf("expected batch rule applications, stats=%+v notes=%v",
@@ -111,9 +111,9 @@ func TestVectorizedRulesMatchRowPath(t *testing.T) {
 func TestVectorizedRulesErrorParity(t *testing.T) {
 	const rules = `( UPDATE u[*, *] = s[cv(p), cv(t)] / (s[cv(p), cv(t)] - s[cv(p), cv(t)]) )`
 	mb := mustModel(t, vecGridSQL+rules, nil)
-	_, _, errB := mb.Run(vecGridRows(), RunOptions{VecMinRows: 1})
+	_, _, errB := mb.Run(vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 1}})
 	mr := mustModel(t, vecGridSQL+rules, nil)
-	_, _, errR := mr.Run(vecGridRows(), RunOptions{DisableVectorizedRules: true})
+	_, _, errR := mr.Run(vecGridRows(), RunOptions{Ablate: Ablation{DisableVectorizedRules: true}})
 	if errB == nil || errR == nil {
 		t.Fatalf("expected division-by-zero on both paths, batch=%v row=%v", errB, errR)
 	}
@@ -130,13 +130,13 @@ func TestVecMinRowsCutoff(t *testing.T) {
 	// Each partition holds 120 rows.
 	small := &VecStats{}
 	ms := mustModel(t, vecGridSQL+rules, nil)
-	under := run(t, ms, vecGridRows(), RunOptions{VecMinRows: 121, Stats: small})
+	under := run(t, ms, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 121}, Stats: small})
 	if small.RuleBatch.Load() != 0 || small.RuleRow.Load() == 0 {
 		t.Fatalf("cutoff 121 over 120-row partitions: stats=%+v", small)
 	}
 	big := &VecStats{}
 	mbig := mustModel(t, vecGridSQL+rules, nil)
-	over := run(t, mbig, vecGridRows(), RunOptions{VecMinRows: 120, Stats: big})
+	over := run(t, mbig, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 120}, Stats: big})
 	if big.RuleRow.Load() != 0 || big.RuleBatch.Load() == 0 {
 		t.Fatalf("cutoff 120 over 120-row partitions: stats=%+v", big)
 	}

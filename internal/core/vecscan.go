@@ -30,21 +30,20 @@ import (
 // all-or-nothing over the instance list: one predicate qualifier, cv()-
 // bearing argument or batchless aggregate keeps the whole scan on the row
 // path, and on the kernel domain the only runtime error is division by
-// zero, raised with the row path's exact message. RunOptions.
-// DisableVectorizedScan (wired from the executor's DisableVectorizedExec)
-// ablates the layer.
+// zero, raised with the row path's exact message.
+// Ablation.DisableVectorizedExec ablates the layer.
 
 // defaultVecMinRows keeps tiny batches on the row path: building the
 // columnar image costs one extra pass over the rows, which only pays off
 // once the kernel loops have enough rows to amortize it. Both batch
 // engines — the aggregate scan here and the rule kernels in vecrules.go —
-// share the cutoff, overridable via RunOptions.VecMinRows.
+// share the cutoff, overridable via Ablation.VecMinRows.
 const defaultVecMinRows = 64
 
 // vecMinRows resolves the batch-size cutoff for this run.
 func (opts *RunOptions) vecMinRows() int {
-	if opts.VecMinRows > 0 {
-		return opts.VecMinRows
+	if opts.Ablate.VecMinRows > 0 {
+		return opts.Ablate.VecMinRows
 	}
 	return defaultVecMinRows
 }
@@ -74,7 +73,7 @@ type vecQual struct {
 // accumulators (scanFeed's contract), so replacing inst.acc with the
 // unboxed batch state is exact.
 func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
-	if fe.opts.DisableVectorizedScan || fe.trackRefs || fe.m.IgnoreNav || fe.f.Len() < fe.opts.vecMinRows() {
+	if fe.opts.Ablate.DisableVectorizedExec || fe.trackRefs || fe.m.IgnoreNav || fe.f.Len() < fe.opts.vecMinRows() {
 		return false, nil
 	}
 	kerns := make([][]eval.ExprKernel, len(insts))

@@ -132,22 +132,41 @@ func (c *compiler) compile(e sqlast.Expr) evalFn {
 
 // foldConst evaluates e at compile time when it is a constant (see foldFn);
 // the kernel compilers use it to recognise constant operands. They ask at
-// every node on their way down a tree, so the test that nothing in e is
-// impure is a walk that stops at the first such node; only a constant subtree
-// is compiled, once, and its parent is not descended into.
-func foldConst(e sqlast.Expr) (types.Value, bool) {
+// every node on their way down a tree, so whether anything below a node is
+// impure is decided once per node and remembered: the walk down a deep
+// operator chain stays linear. Only a constant subtree is compiled, once, and
+// its parent is not descended into.
+func (c *selCompiler) foldConst(e sqlast.Expr) (types.Value, bool) {
 	if lit, ok := e.(*sqlast.Literal); ok {
 		return lit.Val, true
 	}
-	pure := true
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		pure = pure && pureNode(n)
-		return pure
-	})
-	if !pure {
+	if !c.pureTree(e) {
 		return types.Null, false
 	}
 	return foldFn((&compiler{}).compile(e))
+}
+
+// pureTree reports whether every node of e's subtree is pure (see pureNode).
+func (c *selCompiler) pureTree(e sqlast.Expr) bool {
+	if _, lit := e.(*sqlast.Literal); lit || !pureNode(e) {
+		return lit
+	}
+	if pure, known := c.pure[e]; known {
+		return pure
+	}
+	pure := true
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		if n == e {
+			return true
+		}
+		pure = pure && c.pureTree(n)
+		return false // children only; they recurse for themselves
+	})
+	if c.pure == nil {
+		c.pure = map[sqlast.Expr]bool{}
+	}
+	c.pure[e] = pure
+	return pure
 }
 
 // foldFn runs the closure of a constant subtree once per Nav mode. Folding

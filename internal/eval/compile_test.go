@@ -326,7 +326,7 @@ func TestCompileFoldsConstants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, ok := foldConst(e); ok != want {
+		if _, ok := (&selCompiler{}).foldConst(e); ok != want {
 			t.Errorf("foldConst(%q) folded=%v, want %v", src, ok, want)
 		}
 	}

@@ -219,7 +219,7 @@ func CompileExprKernelExt(env *BoundSchema, e sqlast.Expr, ext func(sqlast.Expr)
 }
 
 func compileExprNode(c *selCompiler, e sqlast.Expr) *exprNode {
-	if v, ok := foldConst(e); ok {
+	if v, ok := c.foldConst(e); ok {
 		return &exprNode{op: opConst, val: v}
 	}
 	if c.ext != nil {

@@ -105,6 +105,8 @@ type selCompiler struct {
 	// (cell references, cv(), aggregates) to extra image ordinals the
 	// caller promises to populate — the spreadsheet rule compiler's hook.
 	ext func(sqlast.Expr) (int, bool)
+	// pure remembers pureTree's verdict per node.
+	pure map[sqlast.Expr]bool
 }
 
 // column resolves a kernel-eligible column reference: found in the
@@ -128,7 +130,7 @@ func (c *selCompiler) column(e sqlast.Expr) (int, bool) {
 
 // compileSel lowers e (negated when neg) to a kernel stage, or nil.
 func (c *selCompiler) compileSel(e sqlast.Expr, neg bool) selFn {
-	if v, ok := foldConst(e); ok {
+	if v, ok := c.foldConst(e); ok {
 		return constSel(v, neg)
 	}
 	switch x := e.(type) {
@@ -147,8 +149,8 @@ func (c *selCompiler) compileSel(e sqlast.Expr, neg bool) selFn {
 		if !ok {
 			return nil
 		}
-		lo, okLo := foldConst(x.Lo)
-		hi, okHi := foldConst(x.Hi)
+		lo, okLo := c.foldConst(x.Lo)
+		hi, okHi := c.foldConst(x.Hi)
 		if !okLo || !okHi {
 			return nil
 		}
@@ -196,13 +198,13 @@ func (c *selCompiler) compileBinarySel(x *sqlast.Binary, neg bool) selFn {
 			if rOrd, ok := c.column(x.R); ok {
 				return cmpColCol(lOrd, rOrd, x.Op, neg)
 			}
-			if cv, ok := foldConst(x.R); ok {
+			if cv, ok := c.foldConst(x.R); ok {
 				return cmpColConst(lOrd, x.Op, cv, neg)
 			}
 			return nil
 		}
 		if rOrd, ok := c.column(x.R); ok {
-			if cv, ok := foldConst(x.L); ok {
+			if cv, ok := c.foldConst(x.L); ok {
 				// const OP col  ≡  col mirror(OP) const: Equal is symmetric
 				// and Compare is antisymmetric, NaN and kind-order included.
 				return cmpColConst(rOrd, mirrorOp(x.Op), cv, neg)

@@ -13,11 +13,27 @@ import (
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/catalog"
 	"sqlsheet/internal/colstore"
+	"sqlsheet/internal/core"
 	"sqlsheet/internal/eval"
+	"sqlsheet/internal/mvcc"
 	"sqlsheet/internal/plan"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
+
+// Ablation is the executor's set of ablation toggles; the optimizer's live
+// in plan.Ablation and the spreadsheet engine's in core.Ablation. The zero
+// value is the serving configuration; no serving caller sets a field.
+type Ablation struct {
+	// MorselSize overrides the operator morsel size in rows (0 = 1024).
+	// Morsel boundaries — and therefore result bytes, floating-point
+	// accumulation included — depend only on this and the input size,
+	// never on Workers.
+	MorselSize int
+	// DisableAsyncSpill keeps spill stores on synchronous eviction I/O and
+	// disables read-ahead (identical bytes either way).
+	DisableAsyncSpill bool
+}
 
 // Options configures execution.
 type Options struct {
@@ -34,40 +50,19 @@ type Options struct {
 	// 0 = runtime.NumCPU(); 1 = serial operators. The pool and the
 	// spreadsheet PEs share one core budget of max(Workers, Parallel).
 	Workers int
-	// MorselSize overrides the operator morsel size in rows (0 = 1024).
-	// Morsel boundaries — and therefore result bytes, floating-point
-	// accumulation included — depend only on this and the input size,
-	// never on Workers.
-	MorselSize int
-	// Buckets overrides the number of first-level hash partitions.
-	Buckets int
 	// MemoryBudget bounds each first-level partition's resident bytes;
 	// 0 = unbounded (in-memory stores, no spilling).
 	MemoryBudget int64
 	// SpillDir is where budgeted stores spill (default: os.TempDir()).
 	SpillDir string
-	// DisableSingleScan / DisableRangeProbe toggle spreadsheet execution
-	// optimizations (ablation knobs).
-	DisableSingleScan bool
-	DisableRangeProbe bool
-	// UseBTreeIndex swaps the cell hash tables for B-trees (access-path
-	// ablation, paper §7).
-	UseBTreeIndex bool
-	// DisableAsyncSpill keeps spill stores on synchronous eviction I/O and
-	// disables read-ahead (ablation; identical bytes either way).
-	DisableAsyncSpill bool
-	// DisableVectorizedExec keeps scans, filters and key encoding on the
-	// row-at-a-time paths instead of columnar batch kernels (ablation knob;
-	// identical bytes either way). The plan side carries the same flag in
-	// plan.Options so kernels are not even compiled when it is set.
-	DisableVectorizedExec bool
-	// DisableVectorizedRules keeps spreadsheet formula application on the
-	// per-cell path instead of batch rule kernels (ablation knob; identical
-	// bytes either way). DisableVectorizedExec implies it.
-	DisableVectorizedRules bool
-	// VecMinRows overrides the spreadsheet engine's minimum batch size;
-	// <=0 uses the engine default.
-	VecMinRows int
+	// Ablate carries the executor's own ablation toggles.
+	Ablate Ablation
+	// Engine carries the spreadsheet engine's ablation toggles, handed to
+	// every Model.Run. The executor itself reads DisableVectorizedExec,
+	// which keeps its scans, filters and key encoding on the row-at-a-time
+	// paths; PlanOpts carries the same struct so kernels are not even
+	// compiled when it is set.
+	Engine core.Ablation
 	// PlanOpts is used when the executor plans subqueries itself.
 	PlanOpts *plan.Options
 	// Structs, when non-nil, lets execSpreadsheet reuse cached access
@@ -79,12 +74,14 @@ type Options struct {
 	// byte-identical to local execution (see Distributor); a nil or
 	// declining distributor means everything runs in this process.
 	Dist Distributor
-	// Snap, when non-nil, runs the statement under snapshot isolation:
-	// every table scan reads the MVCC image pinned at the statement's first
-	// access instead of the live rows, so SELECTs need no statement lock.
-	// Nil reads the live rows directly — the caller must then hold whatever
-	// lock makes them safe (the exclusive statement lock for DML, or sole
-	// ownership for tests and the shard workers' ephemeral catalogs).
+	// Snap is the statement's MVCC snapshot: every table scan reads the
+	// image pinned at the statement's first access to that table. A SELECT
+	// passes its own, so planning, execution and dependency stamping share
+	// the pins; nil makes New pin a fresh one. A DML executor leaves it nil
+	// and so reads the last published images, which under the exclusive
+	// statement lock are the live state at statement start (the database
+	// publishes after every mutating statement) — a statement never scans
+	// rows it is itself writing.
 	Snap *catalog.Snapshot
 	// FastLocalPath lets unbudgeted in-memory spreadsheet runs skip the
 	// defensive row clones at the chunk-store boundary (input rows into the
@@ -135,6 +132,9 @@ type Executor struct {
 
 // New creates an executor over a catalog.
 func New(cat *catalog.Catalog, opts Options) *Executor {
+	if opts.Snap == nil {
+		opts.Snap = catalog.NewSnapshot()
+	}
 	ex := &Executor{
 		Cat:       cat,
 		Opts:      opts,
@@ -264,27 +264,15 @@ func (ex *Executor) execScan(n *plan.Scan, outer *eval.Binding) (*Result, error)
 	if res, err, ok := ex.execScanVec(n); ok {
 		return res, err
 	}
-	return ex.scanRows(ex.tableRows(n.Table), n.Schema(), n.Filter, n.FilterC, outer)
+	return ex.scanRows(ex.image(n.Table).Rows, n.Schema(), n.Filter, n.FilterC, outer)
 }
 
-// tableRows returns the rows a scan of t reads: the snapshot-pinned image
-// under snapshot isolation, the live rows otherwise.
-func (ex *Executor) tableRows(t *catalog.Table) []types.Row {
-	if ex.Opts.Snap != nil {
-		return ex.Opts.Snap.Pin(t).Rows
-	}
-	return t.Rows
-}
-
-// tableImage returns the columnar image and matching row set for scans of
-// t. Under snapshot isolation both come from the pinned image, so the
-// vectorized path can never pair a newer transposition with older rows.
-func (ex *Executor) tableImage(t *catalog.Table) (*colstore.Table, []types.Row) {
-	if ex.Opts.Snap != nil {
-		im := ex.Opts.Snap.Pin(t)
-		return im.Columnar(), im.Rows
-	}
-	return t.Columnar(), t.Rows
+// image is the one way a scan reads a table: the image the statement's
+// snapshot pinned at its first access to t. Its rows and their columnar
+// transposition belong together, so the vectorized path can never pair a
+// newer transposition with older rows.
+func (ex *Executor) image(t *catalog.Table) *mvcc.Image {
+	return ex.Opts.Snap.Pin(t)
 }
 
 func (ex *Executor) execCTERef(n *plan.CTERef, outer *eval.Binding) (*Result, error) {
@@ -360,7 +348,7 @@ func (ex *Executor) execFilter(n *plan.Filter, outer *eval.Binding) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if !ex.Opts.DisableVectorizedExec && vecRunnable(in, n.CondK) {
+	if !ex.Opts.Engine.DisableVectorizedExec && vecRunnable(in, n.CondK) {
 		return ex.vecFilter(in, n.CondK, in.Schema)
 	}
 	return ex.scanRows(in.Rows, in.Schema, n.Cond, n.CondC, outer)
@@ -375,7 +363,7 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 	// Each morsel shares one flat value backing (rows are full-length
 	// sub-slices, so per-row appends cannot clobber neighbours), and
 	// columnar provenance composes through the ordinal map.
-	if !ex.Opts.DisableVectorizedExec {
+	if !ex.Opts.Engine.DisableVectorizedExec {
 		if ords, ok := plainOrdinals(in.Schema, n.Exprs); ok {
 			rows := make([]types.Row, len(in.Rows))
 			gather := func(m morsel) {

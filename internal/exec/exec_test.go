@@ -29,6 +29,7 @@ func newEnv(t testing.TB) (*catalog.Catalog, func(sql string, opts *plan.Options
 				ex.Opts.PlanOpts = &plan.Options{Exec: ex}
 			}
 			last, err = ex.ExecStatement(s)
+			cat.PublishAll() // as the database does after every statement
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +108,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	mustRun(t, run, `CREATE TABLE a (x INT); CREATE TABLE b (y INT)`)
 	mustRun(t, run, `INSERT INTO a VALUES (1), (NULL); INSERT INTO b VALUES (1), (NULL)`)
 	for _, m := range []plan.JoinMethod{plan.JoinHash, plan.JoinNestedLoop} {
-		res, err := run(`SELECT x, y FROM a JOIN b ON x = y`, &plan.Options{ForceJoin: m})
+		res, err := run(`SELECT x, y FROM a JOIN b ON x = y`, &plan.Options{Ablate: plan.Ablation{ForceJoin: m}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +148,11 @@ func TestHashEqualsNestedLoopProperty(t *testing.T) {
 			}
 			rt.Rows = append(rt.Rows, types.Row{k, types.NewInt(int64(rng.Intn(10)))})
 		}
+		cat.PublishAll() // scans read published images, not the master slices
 		for _, jt := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN"} {
 			q := fmt.Sprintf(`SELECT l.k, l.v, r.k, r.w FROM l %s r ON l.k = r.k AND l.v < 8`, jt)
-			h, err1 := run(q, &plan.Options{ForceJoin: plan.JoinHash})
-			n, err2 := run(q, &plan.Options{ForceJoin: plan.JoinNestedLoop})
+			h, err1 := run(q, &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinHash}})
+			n, err2 := run(q, &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinNestedLoop}})
 			if err1 != nil || err2 != nil {
 				t.Logf("errs: %v %v", err1, err2)
 				return false
@@ -247,11 +249,11 @@ func TestInSubqueryStrategiesAgree(t *testing.T) {
 		`SELECT a FROM t WHERE a IN (SELECT b FROM s) ORDER BY a`,
 		`SELECT a FROM t WHERE a NOT IN (SELECT b FROM s WHERE b IS NOT NULL) ORDER BY a`,
 	} {
-		h, err := run(q, &plan.Options{ForceJoin: plan.JoinHash})
+		h, err := run(q, &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinHash}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := run(q, &plan.Options{ForceJoin: plan.JoinNestedLoop})
+		n, err := run(q, &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinNestedLoop}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,5 +265,84 @@ func TestInSubqueryStrategiesAgree(t *testing.T) {
 	res := mustRun(t, run, `SELECT a FROM t WHERE a NOT IN (SELECT b FROM s)`)
 	if len(res.Rows) != 0 {
 		t.Errorf("NOT IN with NULL member = %v", res.Rows)
+	}
+}
+
+// TestNilSnapReadsOneImage pins the executor's one read path: with
+// Options.Snap nil, New pins a snapshot of its own, so every scan of a
+// statement reads the image published before it — never the master slice a
+// writer (possibly this very statement) is appending to — and keeps reading
+// that image if the catalog publishes while the executor is still in use.
+func TestNilSnapReadsOneImage(t *testing.T) {
+	cat, run := newEnv(t)
+	mustRun(t, run, `CREATE TABLE t (a INT)`)
+	mustRun(t, run, `INSERT INTO t VALUES (1), (2), (3)`)
+	exec1 := func(ex *Executor, sql string) *Result {
+		t.Helper()
+		stmts, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ex.ExecStatement(stmts[0])
+		if err != nil {
+			t.Fatalf("%v\nsql: %s", err, sql)
+		}
+		return res
+	}
+	count := func(ex *Executor, table string) int64 {
+		t.Helper()
+		return exec1(ex, `SELECT count(*) FROM `+table).Rows[0][0].Int()
+	}
+
+	// INSERT … SELECT from the target itself inserts the rows the statement
+	// started with, and after a mid-statement publish the same executor
+	// still reads them.
+	ex := New(cat, Options{})
+	if n := exec1(ex, `INSERT INTO t SELECT a + 10 FROM t`).Rows[0][0].Int(); n != 3 {
+		t.Fatalf("INSERT … SELECT FROM the target inserted %d rows, want 3", n)
+	}
+	cat.PublishAll()
+	if n := count(ex, "t"); n != 3 {
+		t.Errorf("after a mid-statement publish the executor counts %d rows, want the 3 it pinned", n)
+	}
+	if n := count(New(cat, Options{}), "t"); n != 6 {
+		t.Errorf("the next statement counts %d rows, want 6", n)
+	}
+
+	// REFRESH recomputes from the base table's image; what is published after
+	// it pinned does not leak into the statement.
+	mustRun(t, run, `CREATE MATERIALIZED VIEW mv AS SELECT a FROM t`)
+	mustRun(t, run, `INSERT INTO t VALUES (100)`)
+	ex = New(cat, Options{})
+	if got := exec1(ex, `REFRESH mv`).Rows[0]; got[0].S != "full" || got[1].Int() != 7 {
+		t.Fatalf("REFRESH = %v, want a full refresh of 7 rows", got)
+	}
+	mustRun(t, run, `INSERT INTO t VALUES (101)`)
+	if n := count(ex, "t"); n != 7 {
+		t.Errorf("after a later publish the REFRESH executor counts %d base rows, want the 7 it pinned", n)
+	}
+	if n := count(New(cat, Options{}), "mv"); n != 7 {
+		t.Errorf("mv has %d rows, want 7", n)
+	}
+
+	// The shard worker's shape: rows assigned to a catalog table's master
+	// slice are read once published, and not before.
+	w, err := cat.Create("w", types.NewSchemaNames("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Rows = []types.Row{{types.NewInt(1)}, {types.NewInt(2)}}
+	if n := count(New(cat, Options{}), "w"); n != 0 {
+		t.Errorf("unpublished rows are visible: count = %d", n)
+	}
+	w.Publish()
+	if n := count(New(cat, Options{}), "w"); n != 2 {
+		t.Errorf("published rows: count = %d, want 2", n)
+	}
+	// A table outside any catalog was never published: Img falls back to a
+	// one-off image of its rows.
+	bare := &catalog.Table{Name: "bare", Schema: w.Schema, Rows: w.Rows}
+	if got := catalog.NewSnapshot().Pin(bare).Rows; len(got) != 2 {
+		t.Errorf("never-published table pins %d rows, want 2", len(got))
 	}
 }

@@ -202,7 +202,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	// built exactly as before; the image is provenance over the same values
 	// (colstore.Gather is bit-exact, with -1 yielding the NULL slots the
 	// null-extended side's zero values already hold).
-	carry := !ex.Opts.DisableVectorizedExec &&
+	carry := !ex.Opts.Engine.DisableVectorizedExec &&
 		vecOK(probeRes) && vecOK(buildRes) && vecCovers(probeRes) && vecCovers(buildRes)
 
 	// probeMorsel probes one row range against the (now read-only) table.
@@ -211,9 +211,9 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	// outputs stitched in morsel order equal the serial output exactly.
 	pke := ex.vecKeyEnc(probeRes, probeKeys)
 	type probeOut struct {
-		rows []types.Row
-		pidx []int32 // probe-side image row per output row (carry only)
-		bidx []int32 // build-side image row, -1 = null-extended (carry only)
+		rows     []types.Row
+		probeIdx []int32 // probe-side image row per output row (carry only)
+		buildIdx []int32 // build-side image row, -1 = null-extended (carry only)
 	}
 	probeMorsel := func(pctx, cctx *eval.Context, m morsel) (probeOut, error) {
 		var out probeOut
@@ -221,8 +221,8 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		emit := func(row types.Row, pi int, bi int32) {
 			out.rows = append(out.rows, row)
 			if carry {
-				out.pidx = append(out.pidx, resImgRow(probeRes, pi))
-				out.bidx = append(out.bidx, bi)
+				out.probeIdx = append(out.probeIdx, resImgRow(probeRes, pi))
+				out.buildIdx = append(out.buildIdx, bi)
 			}
 		}
 		for i := m.Lo; i < m.Hi; i++ {
@@ -284,11 +284,11 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		if !carry {
 			return res
 		}
-		pidx := make([]int32, 0, total)
-		bidx := make([]int32, 0, total)
+		probeIdx := make([]int32, 0, total)
+		buildIdx := make([]int32, 0, total)
 		for _, p := range parts {
-			pidx = append(pidx, p.pidx...)
-			bidx = append(bidx, p.bidx...)
+			probeIdx = append(probeIdx, p.probeIdx...)
+			buildIdx = append(buildIdx, p.buildIdx...)
 		}
 		pw, bw := len(probeRes.Schema.Cols), len(buildRes.Schema.Cols)
 		poff, boff := 0, pw
@@ -297,10 +297,10 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		}
 		img := &colstore.Table{NRows: total, Cols: make([]*colstore.Column, pw+bw), Rows: rows}
 		for j := 0; j < pw; j++ {
-			img.Cols[poff+j] = colstore.Gather(vecCol(probeRes, j), pidx)
+			img.Cols[poff+j] = colstore.Gather(vecCol(probeRes, j), probeIdx)
 		}
 		for j := 0; j < bw; j++ {
-			img.Cols[boff+j] = colstore.Gather(vecCol(buildRes, j), bidx)
+			img.Cols[boff+j] = colstore.Gather(vecCol(buildRes, j), buildIdx)
 		}
 		res.Img = img
 		return res

@@ -64,8 +64,8 @@ func (ex *Executor) workers() int {
 
 // morselSize returns the configured morsel size in rows.
 func (ex *Executor) morselSize() int {
-	if ex.Opts.MorselSize > 0 {
-		return ex.Opts.MorselSize
+	if ex.Opts.Ablate.MorselSize > 0 {
+		return ex.Opts.Ablate.MorselSize
 	}
 	return defaultMorselSize
 }

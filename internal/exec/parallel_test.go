@@ -31,7 +31,7 @@ func TestMakeMorsels(t *testing.T) {
 }
 
 func TestMorselCountThreshold(t *testing.T) {
-	ex := New(nil, Options{MorselSize: 16})
+	ex := New(nil, Options{Ablate: Ablation{MorselSize: 16}})
 	if got := ex.morselCount(31); got != 0 {
 		t.Errorf("below threshold: morselCount(31) = %d, want 0", got)
 	}

@@ -139,7 +139,7 @@ func (vs *valSet) contains(v types.Value) types.Value {
 // low selectivities); otherwise a hash set is built once per statement.
 func (r *runner) In(sub *sqlast.SelectStmt, outer *eval.Binding, v types.Value) (types.Value, error) {
 	ex := r.ex
-	nestedLoop := ex.planOpts().ForceJoin == plan.JoinNestedLoop
+	nestedLoop := ex.planOpts().Ablate.ForceJoin == plan.JoinNestedLoop
 	if nestedLoop {
 		vals, err := r.Column(sub, outer)
 		if err != nil {

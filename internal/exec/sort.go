@@ -262,7 +262,7 @@ func (ex *Executor) externalSort(rows []types.Row, cmp func(a, b int) int) ([]ty
 		BudgetBytes:  ex.Opts.MemoryBudget,
 		Dir:          ex.Opts.SpillDir,
 		RowsPerBlock: 16,
-		Async:        !ex.Opts.DisableAsyncSpill,
+		Async:        !ex.Opts.Ablate.DisableAsyncSpill,
 	})
 	defer store.Close()
 	// Spill each run in sorted order. Appends are sequential per store, so

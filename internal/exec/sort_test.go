@@ -23,10 +23,10 @@ func TestSortedPermStableAndSorted(t *testing.T) {
 			keys[i] = rng.Intn(7) // heavy duplication exercises stability
 		}
 		cmp := func(a, b int) int { return keys[a] - keys[b] }
-		ref := New(nil, Options{MorselSize: 8, Workers: 1}).
+		ref := New(nil, Options{Ablate: Ablation{MorselSize: 8}, Workers: 1}).
 			sortedPerm("sort", n, cmp)
 		for _, w := range []int{2, 8} {
-			ex := New(nil, Options{MorselSize: 8, Workers: w})
+			ex := New(nil, Options{Ablate: Ablation{MorselSize: 8}, Workers: w})
 			perm := ex.sortedPerm("sort", n, cmp)
 			if len(perm) != n {
 				t.Fatalf("n=%d w=%d: len %d", n, w, len(perm))
@@ -72,6 +72,7 @@ func sortEnv(t testing.TB) (func(opts Options, sql string) (*Result, error), *ca
 			ex := New(cat, opts)
 			ex.Opts.PlanOpts = &plan.Options{Exec: ex}
 			last, err = ex.ExecStatement(s)
+			cat.PublishAll() // as the database does after every statement
 			if err != nil {
 				return nil, err
 			}
@@ -118,11 +119,11 @@ func TestExecSortConfigsAgree(t *testing.T) {
 		`SELECT a, b, c FROM t ORDER BY a`, // duplicate-heavy: stability visible
 	}
 	configs := []Options{
-		{Workers: 1, MorselSize: 16},
-		{Workers: 8, MorselSize: 16},
-		{Workers: 8, MorselSize: 16, MemoryBudget: 2048},
-		{Workers: 8, MorselSize: 16, MemoryBudget: 2048, DisableAsyncSpill: true},
-		{Workers: 1, MorselSize: 16, MemoryBudget: 2048},
+		{Workers: 1, Ablate: Ablation{MorselSize: 16}},
+		{Workers: 8, Ablate: Ablation{MorselSize: 16}},
+		{Workers: 8, Ablate: Ablation{MorselSize: 16}, MemoryBudget: 2048},
+		{Workers: 8, Ablate: Ablation{MorselSize: 16, DisableAsyncSpill: true}, MemoryBudget: 2048},
+		{Workers: 1, Ablate: Ablation{MorselSize: 16}, MemoryBudget: 2048},
 	}
 	for _, q := range queries {
 		var ref []string
@@ -157,7 +158,7 @@ func TestExecSortConfigsAgree(t *testing.T) {
 func TestExternalSortSpills(t *testing.T) {
 	run, cat := sortEnv(t)
 	fillSortTable(t, run, 700)
-	ex := New(cat, Options{Workers: 4, MorselSize: 16, MemoryBudget: 2048})
+	ex := New(cat, Options{Workers: 4, Ablate: Ablation{MorselSize: 16}, MemoryBudget: 2048})
 	ex.Opts.PlanOpts = &plan.Options{Exec: ex}
 	stmt, err := parser.ParseQuery(`SELECT a, b, c FROM t ORDER BY b, c`)
 	if err != nil {
@@ -189,15 +190,8 @@ func TestExternalSortSpills(t *testing.T) {
 // O(runs + workers), not O(rows). The former per-row key slices alone would
 // blow this bound by two orders of magnitude.
 func TestSortKeyExtractionAllocs(t *testing.T) {
-	cat := catalog.New()
-	ex := New(cat, Options{MorselSize: 256, Workers: 2})
-	ex.Opts.PlanOpts = &plan.Options{Exec: ex}
-	setup := `CREATE TABLE t (a INT, b FLOAT)`
-	stmts, err := parser.Parse(setup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.ExecStatement(stmts[0]); err != nil {
+	run, cat := sortEnv(t)
+	if _, err := run(Options{}, `CREATE TABLE t (a INT, b FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	const n = 4000
@@ -209,14 +203,12 @@ func TestSortKeyExtractionAllocs(t *testing.T) {
 			}
 			sql += fmt.Sprintf("(%d, %d.5)", i%97, (i*31)%89)
 		}
-		ins, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.ExecStatement(ins[0]); err != nil {
+		if _, err := run(Options{}, sql); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ex := New(cat, Options{Ablate: Ablation{MorselSize: 256}, Workers: 2})
+	ex.Opts.PlanOpts = &plan.Options{Exec: ex}
 	buildPlan := func(sql string) plan.Node {
 		q, err := parser.ParseQuery(sql)
 		if err != nil {
@@ -235,8 +227,9 @@ func TestSortKeyExtractionAllocs(t *testing.T) {
 	unsorted := buildPlan(`SELECT a, b FROM t`)
 	measure := func(node plan.Node) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := ex.Execute(node, nil); err != nil {
-				t.Fatal(err)
+			res, err := ex.Execute(node, nil)
+			if err != nil || len(res.Rows) != n {
+				t.Fatalf("got %d rows, err %v; want %d", len(res.Rows), err, n)
 			}
 		})
 	}

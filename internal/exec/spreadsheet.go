@@ -54,16 +54,17 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	newStore := func() blockstore.Store { return blockstore.NewMem() }
 	if ex.Opts.MemoryBudget > 0 {
 		budget, dir := ex.Opts.MemoryBudget, ex.Opts.SpillDir
-		async := !ex.Opts.DisableAsyncSpill
+		async := !ex.Opts.Ablate.DisableAsyncSpill
 		newStore = func() blockstore.Store {
 			return blockstore.NewSpill(blockstore.Config{BudgetBytes: budget, Dir: dir, RowsPerBlock: 16, Async: async})
 		}
 	}
-	// Bucket choice uses the requested PE count so partitioning (and
-	// result row order) stays deterministic regardless of budget grants.
-	buckets := ex.Opts.Buckets
-	if buckets <= 0 {
-		buckets = core.ChooseBuckets(len(inRows), 64, ex.Opts.MemoryBudget, ex.Opts.Parallel)
+	// The engine's toggles go down whole, with the bucket count resolved:
+	// the choice uses the requested PE count so partitioning (and result row
+	// order) stays deterministic regardless of budget grants.
+	engine := ex.Opts.Engine
+	if engine.Buckets <= 0 {
+		engine.Buckets = core.ChooseBuckets(len(inRows), 64, ex.Opts.MemoryBudget, ex.Opts.Parallel)
 	}
 	// Scatter-gather: ship the working rows to the worker fleet when the
 	// planner marked this node distributable. The coordinator merges
@@ -72,7 +73,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	// structure-reuse hit (prebuilt) skips distribution — cloning the
 	// cached build is strictly cheaper than a network round trip.
 	if d := ex.Opts.Dist; d != nil && outer == nil && prebuilt == nil && n.DistNote == plan.DistYes {
-		rows, handled, err := d.DistributeSheet(ex, n, inRows, buckets)
+		rows, handled, err := d.DistributeSheet(ex, n, inRows, engine.Buckets)
 		if err != nil {
 			return nil, err
 		}
@@ -115,23 +116,16 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	start := time.Now()
 	rows, stats, err := n.Model.Run(inRows, core.RunOptions{
-		Ctx:                   ex.Opts.Ctx,
-		Parallel:              par,
-		BuildWorkers:          bw,
-		Buckets:               buckets,
-		NewStore:              newStore,
-		Subquery:              &runner{ex: ex},
-		Promoted:              n.Promoted,
-		DisableSingleScan:     ex.Opts.DisableSingleScan,
-		DisableRangeProbe:     ex.Opts.DisableRangeProbe,
-		UseBTreeIndex:         ex.Opts.UseBTreeIndex,
-		DisableVectorizedScan: ex.Opts.DisableVectorizedExec,
-		DisableVectorizedRules: ex.Opts.DisableVectorizedExec ||
-			ex.Opts.DisableVectorizedRules,
-		VecMinRows: ex.Opts.VecMinRows,
-		Cols:       inCols,
-		Prebuilt:   prebuilt,
-		OnBuilt:    onBuilt,
+		Ctx:          ex.Opts.Ctx,
+		Parallel:     par,
+		BuildWorkers: bw,
+		NewStore:     newStore,
+		Subquery:     &runner{ex: ex},
+		Promoted:     n.Promoted,
+		Ablate:       engine,
+		Cols:         inCols,
+		Prebuilt:     prebuilt,
+		OnBuilt:      onBuilt,
 		// FastLocalPath is only set for unbudgeted sessions (see
 		// db.newExecutor), so the stores above are memory-resident and rows
 		// may cross the store boundary by reference; the MemoryBudget guard

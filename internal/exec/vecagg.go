@@ -50,7 +50,7 @@ type vecGroupPlan struct {
 // whole-operator and raise the identical error), or an aggregate without a
 // batch accumulator.
 func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result, ke *keyEnc) *vecGroupPlan {
-	if ex.Opts.DisableVectorizedExec || !vecOK(in) {
+	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(in) {
 		return nil
 	}
 	if len(n.Keys) > 0 && ke == nil {

@@ -23,7 +23,7 @@ import (
 
 // execProjectVec attempts the batch projection. ok=false keeps the row path.
 func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error, bool) {
-	if ex.Opts.DisableVectorizedExec || !vecOK(in) {
+	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(in) {
 		return nil, nil, false
 	}
 	if len(n.Exprs) == 0 || len(n.ExprsK) != len(n.Exprs) {

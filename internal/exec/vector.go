@@ -22,7 +22,7 @@ import (
 // replicate the compiled-closure semantics exactly (see eval.CompileSelKernel),
 // filter outputs are the same row pointers in the same order, and key
 // encoding uses colstore.Column.AppendKey, which is pinned to
-// types.AppendKey's byte format. Options.DisableVectorizedExec ablates the
+// types.AppendKey's byte format. core.Ablation.DisableVectorizedExec ablates the
 // whole layer.
 
 // vecOK reports whether r carries well-formed columnar provenance: Rows[i]
@@ -90,10 +90,11 @@ func resImgRow(r *Result, i int) int32 {
 // the table's columnar image as identity provenance; a filtered scan with a
 // kernel runs it morsel-parallel. ok=false keeps the row path.
 func (ex *Executor) execScanVec(n *plan.Scan) (*Result, error, bool) {
-	if ex.Opts.DisableVectorizedExec {
+	if ex.Opts.Engine.DisableVectorizedExec {
 		return nil, nil, false
 	}
-	img, tblRows := ex.tableImage(n.Table)
+	im := ex.image(n.Table)
+	img, tblRows := im.Columnar(), im.Rows
 	if img == nil || img.NRows != len(tblRows) {
 		return nil, nil, false
 	}
@@ -194,7 +195,7 @@ type keyEnc struct {
 // vectorized execution is off, res carries no usable provenance, or any key
 // is not a plain column reference.
 func (ex *Executor) vecKeyEnc(res *Result, keys []sqlast.Expr) *keyEnc {
-	if ex.Opts.DisableVectorizedExec || !vecOK(res) {
+	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(res) {
 		return nil
 	}
 	ords, ok := plainOrdinals(res.Schema, keys)
@@ -249,7 +250,7 @@ func (k *keyEnc) groupKeyInto(buf []byte, i int) []byte {
 // the spreadsheet partition build, or nil when vectorized execution is off
 // or res carries no columnar provenance.
 func (ex *Executor) vecColSource(res *Result, nOrds int) *core.ColSource {
-	if ex.Opts.DisableVectorizedExec || !vecOK(res) {
+	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(res) {
 		return nil
 	}
 	if nOrds > vecWidth(res) {

@@ -15,6 +15,7 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/blockstore"
+	"sqlsheet/internal/core"
 )
 
 // Scale presets.
@@ -50,7 +51,7 @@ func withWorkers(cfg sqlsheet.Config) sqlsheet.Config {
 	cfg.Workers = Workers
 	// Experiments time the engine; a warm serving-path cache would answer
 	// repeated timing iterations without executing.
-	cfg.DisablePlanCache = true
+	cfg.Ablate.DisablePlanCache = true
 	return cfg
 }
 
@@ -207,16 +208,16 @@ func Fig2(scale sqlsheet.APBScale, selectivities []float64) ([]Series, error) {
 		cfg  func(c *sqlsheet.Config)
 	}
 	variants := []variant{
-		{"no-pushing", func(c *sqlsheet.Config) { c.DisableSheetPush = true }},
-		{"extended-pushing", func(c *sqlsheet.Config) { c.Push = sqlsheet.PushExtended }},
-		{"formula-unfolding", func(c *sqlsheet.Config) { c.Push = sqlsheet.PushUnfold }},
+		{"no-pushing", func(c *sqlsheet.Config) { c.Ablate.Plan.DisableSheetPush = true }},
+		{"extended-pushing", func(c *sqlsheet.Config) { c.Ablate.Plan.Push = sqlsheet.PushExtended }},
+		{"formula-unfolding", func(c *sqlsheet.Config) { c.Ablate.Plan.Push = sqlsheet.PushUnfold }},
 		{"subquery-nested-loop", func(c *sqlsheet.Config) {
-			c.Push = sqlsheet.PushRefSubquery
-			c.ForceJoin = sqlsheet.JoinNestedLoop
+			c.Ablate.Plan.Push = sqlsheet.PushRefSubquery
+			c.Ablate.Plan.ForceJoin = sqlsheet.JoinNestedLoop
 		}},
 		{"subquery-forced-hash", func(c *sqlsheet.Config) {
-			c.Push = sqlsheet.PushRefSubquery
-			c.ForceJoin = sqlsheet.JoinHash
+			c.Ablate.Plan.Push = sqlsheet.PushRefSubquery
+			c.Ablate.Plan.ForceJoin = sqlsheet.JoinHash
 		}},
 	}
 	var out []Series
@@ -287,7 +288,7 @@ func Fig4(scale sqlsheet.APBScale, formulaCounts []int, dops []int) ([]Series, e
 	}
 	par := Series{Name: "parallel-speedup"}
 	for _, dop := range dops {
-		db.Configure(withWorkers(sqlsheet.Config{Parallel: dop, Buckets: dop * 4}))
+		db.Configure(withWorkers(sqlsheet.Config{Parallel: dop, Ablate: sqlsheet.Ablation{Engine: core.Ablation{Buckets: dop * 4}}}))
 		secs, rows, err := timeQuery(db, S5Query(maxN, nil))
 		if err != nil {
 			return nil, err
@@ -300,7 +301,7 @@ func Fig4(scale sqlsheet.APBScale, formulaCounts []int, dops []int) ([]Series, e
 	// formulation catch up when it too is parallelized?
 	opPar := Series{Name: "operator-parallel-joins"}
 	for _, dop := range dops {
-		db.Configure(sqlsheet.Config{Workers: dop, DisablePlanCache: true})
+		db.Configure(sqlsheet.Config{Workers: dop, Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 		secs, rows, err := timeQuery(db, S5JoinQuery(maxN, nil))
 		if err != nil {
 			return nil, err
@@ -339,7 +340,7 @@ func Fig5(scale sqlsheet.APBScale, percents []int) (Series, []int64, error) {
 	var loads []int64
 	for _, pct := range percents {
 		budget := largest * int64(pct) / 100
-		db.Configure(withWorkers(sqlsheet.Config{MemoryBudget: budget, Buckets: 8}))
+		db.Configure(withWorkers(sqlsheet.Config{MemoryBudget: budget, Ablate: sqlsheet.Ablation{Engine: core.Ablation{Buckets: 8}}}))
 		start := time.Now()
 		result, stats, err := db.QueryStats(q)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sqlsheet"
+	"sqlsheet/internal/plan"
 )
 
 func TestS5SpreadsheetEqualsJoins(t *testing.T) {
@@ -70,13 +71,14 @@ func TestFig2StrategiesAgree(t *testing.T) {
 	q := S5Query(3, prods)
 
 	var baseline []string
-	for _, cfg := range []sqlsheet.Config{
+	for _, ab := range []plan.Ablation{
 		{DisableSheetPush: true, DisableSheetPrune: true},
 		{Push: sqlsheet.PushExtended},
 		{Push: sqlsheet.PushUnfold},
 		{Push: sqlsheet.PushRefSubquery},
 		{Push: sqlsheet.PushRefSubquery, ForceJoin: sqlsheet.JoinNestedLoop},
 	} {
+		cfg := sqlsheet.Config{Ablate: sqlsheet.Ablation{Plan: ab}}
 		db.Configure(cfg)
 		res, err := db.Query(q)
 		if err != nil {

@@ -84,10 +84,3 @@ func (im *Image) Columnar() *colstore.Table {
 	im.colImg.Store(&colCache{img: img})
 	return img
 }
-
-// SeedColumnar pre-fills the columnar cache (the publisher carries over the
-// table's live columnar image when it is fresh at the published version, so
-// the two caches share one transposition instead of building it twice).
-func (im *Image) SeedColumnar(img *colstore.Table) {
-	im.colImg.Store(&colCache{img: img})
-}

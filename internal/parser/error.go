@@ -27,8 +27,9 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Cause }
 
 // maxNestingDepth bounds how deeply one statement may nest parentheses,
-// subqueries, join trees and NOT / sign chains — everything the parser (and
-// every later pass over the tree) handles by recursion. A wire frame is up
+// subqueries, join trees, NOT / sign chains and chains of binary operators —
+// everything the parser, or any later pass over the tree, handles by
+// recursion. A wire frame is up
 // to 64 MiB, so without a bound a single request can ask for millions of
 // stack frames.
 const maxNestingDepth = 4096

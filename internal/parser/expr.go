@@ -13,33 +13,51 @@ func (p *Parser) parseExpr() (sqlast.Expr, error) {
 		return nil, err
 	}
 	defer p.leave()
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("or") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
+	return p.parseChain(p.parseAnd, func() string {
+		if p.acceptKw("or") {
+			return "OR"
 		}
-		left = &sqlast.Binary{Op: "OR", L: left, R: right}
-	}
-	return left, nil
+		return ""
+	})
 }
 
 func (p *Parser) parseAnd() (sqlast.Expr, error) {
-	left, err := p.parseNot()
+	return p.parseChain(p.parseNot, func() string {
+		if p.acceptKw("and") || p.acceptOp("AND") {
+			return "AND"
+		}
+		return ""
+	})
+}
+
+// parseChain parses "operand (op operand)*" into a left-deep tree; nextOp
+// consumes and returns the next operator of this precedence level, or "".
+// The loop does not recurse, but the tree it builds is as deep as the chain
+// is long and every later pass walks it by recursion, so each operator holds
+// one nesting level until the chain ends: a+1+1+… is bounded like ((((…)))).
+// (An error abandons the parse, so only the normal exit gives the levels
+// back.)
+func (p *Parser) parseChain(operand func() (sqlast.Expr, error), nextOp func() string) (sqlast.Expr, error) {
+	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKw("and") || p.acceptOp("AND") {
-		right, err := p.parseNot()
+	base := p.depth
+	for {
+		op := nextOp()
+		if op == "" {
+			p.depth = base
+			return left, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		right, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		left = &sqlast.Binary{Op: "AND", L: left, R: right}
+		left = &sqlast.Binary{Op: op, L: left, R: right}
 	}
-	return left, nil
 }
 
 func (p *Parser) parseNot() (sqlast.Expr, error) {
@@ -152,43 +170,21 @@ func (p *Parser) parseComparisonRest(left sqlast.Expr) (sqlast.Expr, error) {
 }
 
 func (p *Parser) parseAdditive() (sqlast.Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.peekOp("+"), p.peekOp("-"), p.peekOp("||"):
-			op := p.next().text
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &sqlast.Binary{Op: op, L: left, R: right}
-		default:
-			return left, nil
+	return p.parseChain(p.parseMultiplicative, func() string {
+		if p.peekOp("+") || p.peekOp("-") || p.peekOp("||") {
+			return p.next().text
 		}
-	}
+		return ""
+	})
 }
 
 func (p *Parser) parseMultiplicative() (sqlast.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.peekOp("*"), p.peekOp("/"), p.peekOp("%"):
-			op := p.next().text
-			right, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			left = &sqlast.Binary{Op: op, L: left, R: right}
-		default:
-			return left, nil
+	return p.parseChain(p.parseUnary, func() string {
+		if p.peekOp("*") || p.peekOp("/") || p.peekOp("%") {
+			return p.next().text
 		}
-	}
+		return ""
+	})
 }
 
 func (p *Parser) parseUnary() (sqlast.Expr, error) {

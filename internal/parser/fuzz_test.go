@@ -13,6 +13,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT rank() OVER (PARTITION BY a ORDER BY b ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) FROM t")
 	f.Add("CREATE MATERIALIZED VIEW v AS SELECT * FROM t; REFRESH v FULL; DROP VIEW v")
 	f.Add(deepParens(100000))
+	f.Add(operatorChain(4000))
+	f.Add(operatorChain(100000))
 	f.Fuzz(func(t *testing.T, sql string) {
 		// Must not panic; errors are expected for most inputs.
 		stmts, err := Parse(sql)

@@ -538,8 +538,14 @@ func (p *Parser) parseQueryExpr() (sqlast.QueryExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// As in parseChain, every UNION of the left-deep chain holds one nesting
+	// level until the chain ends.
+	base := p.depth
 	for p.peekKw("union") {
 		p.next()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		all := p.acceptKw("all")
 		right, err := p.parseQueryTerm()
 		if err != nil {
@@ -547,6 +553,7 @@ func (p *Parser) parseQueryExpr() (sqlast.QueryExpr, error) {
 		}
 		left = &sqlast.Union{L: left, R: right, All: all}
 	}
+	p.depth = base
 	return left, nil
 }
 
@@ -708,6 +715,9 @@ func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	// As in parseChain, every join of the left-deep chain holds one nesting
+	// level until the chain ends.
+	base := p.depth
 	for {
 		var jt sqlast.JoinType
 		switch {
@@ -726,9 +736,13 @@ func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
 			p.next()
 			jt = sqlast.JoinCross
 		default:
+			p.depth = base
 			return left, nil
 		}
 		if err := p.expectKw("join"); err != nil {
+			return nil, err
+		}
+		if err := p.enter(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseTablePrimary()

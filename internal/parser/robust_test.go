@@ -68,13 +68,29 @@ func deepParens(depth int) string {
 	return "SELECT " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth)
 }
 
+// operatorChain is SELECT a+1+1+…+1 FROM t with the given number of terms:
+// parsed by a loop, but a tree as deep as it is long for every later pass.
+func operatorChain(terms int) string {
+	return "SELECT a" + strings.Repeat("+1", terms) + " FROM t"
+}
+
 // TestDeepNestingNoOverflow guards the recursive-descent parser against
 // pathological nesting: 2000 levels parse, and past maxNestingDepth every
 // self-recursive production — parentheses, NOT and sign chains, derived
-// tables, join trees — fails fast with ErrTooDeep instead of recursing on.
+// tables, join trees — and every loop that builds a left-deep tree — binary
+// operator, UNION and JOIN chains — fails fast with ErrTooDeep instead of
+// handing later passes an arbitrarily deep tree.
 func TestDeepNestingNoOverflow(t *testing.T) {
 	if _, err := Parse(deepParens(2000)); err != nil {
 		t.Fatalf("depth 2000: %v", err)
+	}
+	if _, err := Parse(operatorChain(4000)); err != nil {
+		t.Fatalf("4000-term chain: %v", err)
+	}
+	// A chain gives its levels back when it ends: many shallow chains in a
+	// row are not deep.
+	if _, err := Parse("SELECT " + strings.Repeat("1+1+1, ", 3*maxNestingDepth) + "1"); err != nil {
+		t.Fatalf("many short chains: %v", err)
 	}
 	// Rejected in under 100 ms — or, where even tokenizing the input takes
 	// a good part of that (the race detector, a loaded host), in a small
@@ -100,6 +116,12 @@ func TestDeepNestingNoOverflow(t *testing.T) {
 		"sign":    "SELECT " + strings.Repeat("- ", depth) + "a FROM t", // "--" would open a comment
 		"derived": "SELECT * FROM " + strings.Repeat("(SELECT * FROM ", depth) + "t" + strings.Repeat(")", depth),
 		"joins":   "SELECT * FROM " + strings.Repeat("(", depth) + "t" + strings.Repeat(")", depth),
+		"plus":    operatorChain(depth),
+		"times":   "SELECT a" + strings.Repeat("*2", depth) + " FROM t",
+		"and":     "SELECT a FROM t WHERE a = 1" + strings.Repeat(" AND a = 1", depth),
+		"or":      "SELECT a FROM t WHERE a = 1" + strings.Repeat(" OR a = 1", depth),
+		"union":   "SELECT 1" + strings.Repeat(" UNION ALL SELECT 1", depth),
+		"join":    "SELECT 1 FROM t" + strings.Repeat(" CROSS JOIN t", depth),
 	} {
 		if _, err := Parse(sql); !errors.Is(err, ErrTooDeep) {
 			t.Errorf("%s at depth %d: got %v, want ErrTooDeep", name, depth, err)

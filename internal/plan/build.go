@@ -26,14 +26,7 @@ func Build(cat *catalog.Catalog, stmt *sqlast.SelectStmt, opts *Options) (Node, 
 	if err != nil {
 		return nil, err
 	}
-	compilePlan(n, map[Node]bool{})
-	// Runs even when vectorized execution is disabled: the pass then only
-	// records vectorized=no(disabled) notes for EXPLAIN, attaching no kernels.
-	vectorizePlan(n, map[Node]bool{}, opts.DisableVectorizedExec,
-		opts.DisableVectorizedExec || opts.DisableVectorizedRules)
-	if opts.Distributed {
-		distributePlan(n, map[Node]bool{})
-	}
+	(&annotator{opts: opts, visited: map[Node]bool{}}).walk(n)
 	return n, nil
 }
 
@@ -497,7 +490,7 @@ func (n *Alias) Children() []Node          { return []Node{n.Input} }
 // condition.
 func newJoin(l, r Node, jt sqlast.JoinType, on sqlast.Expr, opts *Options) *Join {
 	cols := append(append([]eval.BoundCol{}, l.Schema().Cols...), r.Schema().Cols...)
-	j := &Join{L: l, R: r, Type: jt, Method: opts.ForceJoin, schema: eval.NewBoundSchema(cols)}
+	j := &Join{L: l, R: r, Type: jt, Method: opts.Ablate.ForceJoin, schema: eval.NewBoundSchema(cols)}
 	if on != nil {
 		keysL, keysR, residual := splitEqui(on, l.Schema(), r.Schema())
 		j.LeftKeys, j.RightKeys, j.Residual = keysL, keysR, residual
@@ -570,6 +563,10 @@ type aggRewriter struct {
 	keyNames map[string]string // key expr string -> output column name
 	specs    []AggSpec
 	seen     map[string]string // agg call string -> output column name
+	// text holds the canonical text of every node of the expression being
+	// rewritten, rendered once (keys and aggregate calls are matched by
+	// text; stringifying per node would be quadratic in the depth).
+	text map[sqlast.Expr]string
 }
 
 func newAggRewriter(keys []sqlast.Expr) *aggRewriter {
@@ -590,7 +587,31 @@ func (ar *aggRewriter) rewrite(e sqlast.Expr) sqlast.Expr {
 	if e == nil {
 		return nil
 	}
-	if name, ok := ar.keyNames[e.String()]; ok {
+	if len(ar.keyNames) == 0 && !hasAggregateCall(e) {
+		return e // no key and no aggregate: nothing to look up
+	}
+	ar.text = sqlast.SubexprText(e)
+	return ar.rewriteNode(e)
+}
+
+// hasAggregateCall reports whether e calls an aggregate function outside
+// subqueries.
+func hasAggregateCall(e sqlast.Expr) bool {
+	found := false
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		if fc, ok := n.(*sqlast.FuncCall); ok && aggs.IsAggregate(fc.Name) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+func (ar *aggRewriter) rewriteNode(e sqlast.Expr) sqlast.Expr {
+	if e == nil {
+		return nil
+	}
+	if name, ok := ar.keyNames[ar.text[e]]; ok {
 		if c, isCol := e.(*sqlast.ColumnRef); isCol {
 			// Plain column keys keep their name; no rewrite needed unless
 			// qualified differently.
@@ -601,7 +622,7 @@ func (ar *aggRewriter) rewrite(e sqlast.Expr) sqlast.Expr {
 	switch x := e.(type) {
 	case *sqlast.FuncCall:
 		if aggs.IsAggregate(x.Name) {
-			key := x.String()
+			key := ar.text[x]
 			if name, ok := ar.seen[key]; ok {
 				return &sqlast.ColumnRef{Name: name}
 			}
@@ -612,29 +633,29 @@ func (ar *aggRewriter) rewrite(e sqlast.Expr) sqlast.Expr {
 		}
 		args := make([]sqlast.Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = ar.rewrite(a)
+			args[i] = ar.rewriteNode(a)
 		}
 		return &sqlast.FuncCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}
 	case *sqlast.Unary:
-		return &sqlast.Unary{Op: x.Op, X: ar.rewrite(x.X)}
+		return &sqlast.Unary{Op: x.Op, X: ar.rewriteNode(x.X)}
 	case *sqlast.Binary:
-		return &sqlast.Binary{Op: x.Op, L: ar.rewrite(x.L), R: ar.rewrite(x.R)}
+		return &sqlast.Binary{Op: x.Op, L: ar.rewriteNode(x.L), R: ar.rewriteNode(x.R)}
 	case *sqlast.Between:
-		return &sqlast.Between{X: ar.rewrite(x.X), Lo: ar.rewrite(x.Lo), Hi: ar.rewrite(x.Hi), Not: x.Not}
+		return &sqlast.Between{X: ar.rewriteNode(x.X), Lo: ar.rewriteNode(x.Lo), Hi: ar.rewriteNode(x.Hi), Not: x.Not}
 	case *sqlast.InList:
 		list := make([]sqlast.Expr, len(x.List))
 		for i, it := range x.List {
-			list[i] = ar.rewrite(it)
+			list[i] = ar.rewriteNode(it)
 		}
-		return &sqlast.InList{X: ar.rewrite(x.X), List: list, Not: x.Not}
+		return &sqlast.InList{X: ar.rewriteNode(x.X), List: list, Not: x.Not}
 	case *sqlast.IsNull:
-		return &sqlast.IsNull{X: ar.rewrite(x.X), Not: x.Not}
+		return &sqlast.IsNull{X: ar.rewriteNode(x.X), Not: x.Not}
 	case *sqlast.Like:
-		return &sqlast.Like{X: ar.rewrite(x.X), Pattern: ar.rewrite(x.Pattern), Not: x.Not}
+		return &sqlast.Like{X: ar.rewriteNode(x.X), Pattern: ar.rewriteNode(x.Pattern), Not: x.Not}
 	case *sqlast.Case:
-		c := &sqlast.Case{Operand: ar.rewrite(x.Operand), Else: ar.rewrite(x.Else)}
+		c := &sqlast.Case{Operand: ar.rewriteNode(x.Operand), Else: ar.rewriteNode(x.Else)}
 		for _, w := range x.Whens {
-			c.Whens = append(c.Whens, sqlast.When{Cond: ar.rewrite(w.Cond), Then: ar.rewrite(w.Then)})
+			c.Whens = append(c.Whens, sqlast.When{Cond: ar.rewriteNode(w.Cond), Then: ar.rewriteNode(w.Then)})
 		}
 		return c
 	case *sqlast.WindowFunc:
@@ -643,14 +664,14 @@ func (ar *aggRewriter) rewrite(e sqlast.Expr) sqlast.Expr {
 		// aggregates (e.g. avg(sum(s)) OVER ()).
 		nf := &sqlast.FuncCall{Name: x.Func.Name, Star: x.Func.Star, Distinct: x.Func.Distinct}
 		for _, a := range x.Func.Args {
-			nf.Args = append(nf.Args, ar.rewrite(a))
+			nf.Args = append(nf.Args, ar.rewriteNode(a))
 		}
 		w := &sqlast.WindowFunc{Func: nf, Frame: x.Frame}
 		for _, pe := range x.PartitionBy {
-			w.PartitionBy = append(w.PartitionBy, ar.rewrite(pe))
+			w.PartitionBy = append(w.PartitionBy, ar.rewriteNode(pe))
 		}
 		for _, o := range x.OrderBy {
-			w.OrderBy = append(w.OrderBy, sqlast.OrderItem{Expr: ar.rewrite(o.Expr), Desc: o.Desc})
+			w.OrderBy = append(w.OrderBy, sqlast.OrderItem{Expr: ar.rewriteNode(o.Expr), Desc: o.Desc})
 		}
 		return w
 	}

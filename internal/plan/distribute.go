@@ -6,8 +6,9 @@ import (
 	"sqlsheet/internal/sqlast"
 )
 
-// The distribution pass decides, per plan node, whether the executor may
-// hand the node to the scatter-gather coordinator (internal/shard). It only
+// The distribution verdicts decide, per plan node, whether the executor may
+// hand the node to the scatter-gather coordinator (internal/shard). The
+// annotate walk attaches them when a distributor is configured; it only
 // annotates — DistNote carries the verdict plus EXPLAIN's distributed=
 // fallback reason — and never changes plan shape, so a distributed and a
 // local plan stay structurally identical (a prerequisite for byte-identical
@@ -35,26 +36,6 @@ const (
 	distNoComplexKeys = "no(non-column-keys)"
 	distNoQualified   = "no(qualified-arg-columns)"
 )
-
-// distributePlan annotates every Spreadsheet and GroupBy node with its
-// distribution verdict.
-func distributePlan(n Node, visited map[Node]bool) {
-	if n == nil || visited[n] {
-		return
-	}
-	visited[n] = true
-	switch x := n.(type) {
-	case *CTERef:
-		distributePlan(x.Def.Plan, visited)
-	case *Spreadsheet:
-		x.DistNote = sheetDistNote(x)
-	case *GroupBy:
-		x.DistNote = groupDistNote(x)
-	}
-	for _, ch := range n.Children() {
-		distributePlan(ch, visited)
-	}
-}
 
 // sheetDistNote checks a spreadsheet node against the coordinator's
 // contract: the worker re-compiles the model from a synthesized statement

@@ -13,7 +13,7 @@ func optimize(n Node, opts *Options) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableFilterPushdown {
+	if !opts.Ablate.DisableFilterPushdown {
 		n = pushFilters(n)
 	}
 	return n, nil

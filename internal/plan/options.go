@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"sqlsheet/internal/core"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
@@ -48,21 +49,36 @@ type RefExecutor interface {
 	Rows(stmt *sqlast.SelectStmt) (*eval.BoundSchema, []types.Row, error)
 }
 
-// Options steers planning and optimization. The zero value gives default
-// behaviour with every optimization enabled.
-type Options struct {
+// Ablation is the optimizer's set of ablation toggles: the transform and
+// join-method selections of the paper's Fig. 2 and the switches that turn
+// one optimization off so tests and internal/experiments can measure it
+// against its baseline. The zero value is the serving configuration; no
+// serving caller sets a field. This is the only declaration of these
+// toggles — exec.Options and sqlsheet.Config carry the struct by value.
+type Ablation struct {
 	// ForceJoin overrides join method selection (JoinAuto = pick).
 	ForceJoin JoinMethod
 	// Push selects the reference-pushing transform.
 	Push PushStrategy
-	// DisableSheetPrune turns off formula pruning (PruneFormulas).
+	// DisableSheetPrune turns off formula pruning and the left-side
+	// restriction of surviving sink formulas (PruneFormulas).
 	DisableSheetPrune bool
-	// DisableSheetRewrite turns off left-side restriction of sink formulas.
-	DisableSheetRewrite bool
 	// DisableSheetPush turns off predicate pushing through spreadsheets.
 	DisableSheetPush bool
 	// DisableFilterPushdown turns off generic filter pushdown.
 	DisableFilterPushdown bool
+}
+
+// Options steers planning and optimization. The zero value gives default
+// behaviour with every optimization enabled.
+type Options struct {
+	// Ablate carries the optimizer's ablation toggles.
+	Ablate Ablation
+	// Engine carries the spreadsheet engine's ablation toggles. The planner
+	// reads the two vectorization switches: with DisableVectorizedExec no
+	// kernel is compiled into the plan, and EXPLAIN's vectorized= notes
+	// (per node and per rule) reflect the path that will execute.
+	Engine core.Ablation
 	// Parallel is the spreadsheet degree of parallelism.
 	Parallel int
 	// Workers is the operator worker-pool size for morsel-driven parallel
@@ -80,15 +96,6 @@ type Options struct {
 	// problem is undecidable, the exact-match restriction is not). Off by
 	// default: a rewrite may serve data stale since the last REFRESH.
 	EnableMVRewrite bool
-	// DisableVectorizedExec keeps scans, filters and key encoding on the
-	// row-at-a-time paths instead of columnar batch kernels (ablation knob;
-	// the two paths produce byte-identical results). The executor carries
-	// the same flag in exec.Options.
-	DisableVectorizedExec bool
-	// DisableVectorizedRules keeps spreadsheet formula application on the
-	// per-cell path (ablation knob; byte-identical results). Mirrored here
-	// so EXPLAIN's per-rule vectorized= notes reflect the executed path.
-	DisableVectorizedRules bool
 	// Distributed runs the distribution pass: spreadsheet and group-by
 	// nodes get a DistNote verdict ("yes" / "no(reason)", printed as
 	// distributed= by EXPLAIN) deciding whether the executor may hand them

@@ -248,7 +248,7 @@ func TestUnfoldStrategyRewritesRules(t *testing.T) {
 	}
 	// No Exec hook: plan must still build (predicate simply stays).
 	cat := testCatalog(t)
-	n, err := Build(cat, stmt, &Options{Push: PushUnfold})
+	n, err := Build(cat, stmt, &Options{Ablate: Ablation{Push: PushUnfold}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCTEPlan(t *testing.T) {
 
 func TestExplainJoinDetails(t *testing.T) {
 	n := mustPlan(t, `SELECT f.p FROM f JOIN dim ON f.p = dim.p AND f.t > 5`,
-		&Options{ForceJoin: JoinHash})
+		&Options{Ablate: Ablation{ForceJoin: JoinHash}})
 	out := Explain(n)
 	if !strings.Contains(out, "(hash)") {
 		t.Errorf("forced method missing:\n%s", out)

@@ -180,13 +180,10 @@ func rewriteSheetFilter(f *Filter, opts *Options) (Node, error) {
 	}
 
 	// Formula pruning and rewriting.
-	if !opts.DisableSheetPrune {
+	if !opts.Ablate.DisableSheetPrune {
 		outer := core.OuterInfo{DimBounds: dimBounds}
 		if len(chain.usedMeasures) > 0 {
 			outer.UsedMeasures = chain.usedMeasures
-		}
-		if opts.DisableSheetRewrite {
-			outer.NoRewrite = true
 		}
 		pruned, rewritten := m.Prune(outer)
 		for _, p := range pruned {
@@ -197,7 +194,7 @@ func rewriteSheetFilter(f *Filter, opts *Options) (Node, error) {
 		}
 	}
 
-	if opts.DisableSheetPush {
+	if opts.Ablate.DisableSheetPush {
 		return f, nil
 	}
 
@@ -244,7 +241,7 @@ func rewriteSheetFilter(f *Filter, opts *Options) (Node, error) {
 			pushed = andExpr(pushed, tc.translated)
 			sheet.Notes = append(sheet.Notes, "pushed independent-dimension predicate "+tc.translated.String())
 			continue
-		case funcInd[d] && !independent[d] && opts.Push != PushNone:
+		case funcInd[d] && !independent[d] && opts.Ablate.Push != PushNone:
 			outerB := m.PredBound(tc.translated, dim)
 			if vals, ok := outerB.FiniteVals(); ok && len(vals) > 0 {
 				pred, note, err := pushThroughReference(m, d, vals, opts)
@@ -295,7 +292,7 @@ func pushThroughReference(m *core.Model, d int, outerVals []types.Value, opts *O
 	for i, v := range outerVals {
 		valLits[i] = &sqlast.Literal{Val: v}
 	}
-	switch opts.Push {
+	switch opts.Ablate.Push {
 	case PushRefSubquery:
 		// dim IN (SELECT dim FROM ref WHERE dim IN vals UNION SELECT mea ...).
 		var union sqlast.QueryExpr
@@ -338,7 +335,7 @@ func pushThroughReference(m *core.Model, d int, outerVals []types.Value, opts *O
 		}
 		all := append([]types.Value{}, outerVals...)
 		all = appendDistinct(all, vals)
-		if opts.Push == PushUnfold {
+		if opts.Ablate.Push == PushUnfold {
 			lookup := func(measure string, v types.Value) (types.Value, bool) {
 				lv, ok := perMeasure[measure][types.Key(v)]
 				return lv, ok

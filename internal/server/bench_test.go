@@ -28,7 +28,7 @@ func BenchmarkServe(b *testing.B) {
 				db := newFactDB(b)
 				if mode == "cold" {
 					cfg := db.Options()
-					cfg.DisablePlanCache = true
+					cfg.Ablate.DisablePlanCache = true
 					db.Configure(cfg)
 				}
 				srv := startServer(b, db, server.Config{

@@ -11,6 +11,8 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/client"
+	"sqlsheet/internal/core"
+	"sqlsheet/internal/exec"
 	"sqlsheet/internal/server"
 	"sqlsheet/internal/shard"
 	"sqlsheet/internal/types"
@@ -130,7 +132,7 @@ func TestClusterByteIdenticalGrid(t *testing.T) {
 	workers := startWorkers(t, 4)
 
 	oracle := newFactDB(t)
-	oracle.Configure(sqlsheet.Config{MorselSize: 16, Buckets: 4})
+	oracle.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}, Engine: core.Ablation{Buckets: 4}}})
 	want := make([]string, len(clusterQueries))
 	for i, q := range clusterQueries {
 		want[i] = queryCanon(t, oracle, q)
@@ -147,7 +149,8 @@ func TestClusterByteIdenticalGrid(t *testing.T) {
 		for _, dbw := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d,workers=%d", nw, dbw), func(t *testing.T) {
 				db, coord := distFactDB(t, workers[:nw], sqlsheet.Config{
-					MorselSize: 16, Buckets: 4, Parallel: dbw, Workers: dbw,
+					Parallel: dbw, Workers: dbw,
+					Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}, Engine: core.Ablation{Buckets: 4}},
 				})
 				for i, q := range clusterQueries {
 					if got := queryCanon(t, db, q); got != want[i] {
@@ -346,11 +349,11 @@ func TestClusterWorkerRestartReconnect(t *testing.T) {
 // per-worker subplan serialization on shared coordinator connections).
 func TestClusterConcurrentSessions(t *testing.T) {
 	workers := startWorkers(t, 2)
-	db, _ := distFactDB(t, workers, sqlsheet.Config{MorselSize: 16})
+	db, _ := distFactDB(t, workers, sqlsheet.Config{Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	srv := startServer(t, db, server.Config{MaxInFlight: 8, MaxQueue: 64, QueueWait: 30 * time.Second})
 
 	oracle := newFactDB(t)
-	oracle.Configure(sqlsheet.Config{MorselSize: 16})
+	oracle.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	want := make([]string, len(clusterQueries))
 	for i, q := range clusterQueries {
 		want[i] = queryCanon(t, oracle, q)
@@ -410,7 +413,7 @@ func BenchmarkShardedSpreadsheet(b *testing.B) {
 		  UPDATE v[*] = sum(u)[d <= cv(d)]*0.001 + m[cv(d)] )`
 	newBigDB := func(b *testing.B) *sqlsheet.DB {
 		db := sqlsheet.Open()
-		db.Configure(sqlsheet.Config{Parallel: 1, Workers: 1, DisablePlanCache: true})
+		db.Configure(sqlsheet.Config{Parallel: 1, Workers: 1, Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 		db.MustExec(`CREATE TABLE big (r INT, d INT, m FLOAT, u FLOAT, v FLOAT)`)
 		for r := 0; r < 32; r++ {
 			for d := 1; d <= 256; d++ {

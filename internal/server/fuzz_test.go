@@ -67,6 +67,9 @@ func FuzzWireProtocol(f *testing.F) {
 	f.Add([]byte("GET /metrics HTTP/1.1\r\nHost: localhost")) // wrong protocol
 	// 100k nested parentheses: rejected by the parser's depth bound.
 	f.Add(frame("QUERY\nSELECT " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000)))
+	// Operator chains: 4,000 terms are answered, 100,000 hit the same bound.
+	f.Add(frame("QUERY\nSELECT a" + strings.Repeat("+1", 4000) + " FROM tiny"))
+	f.Add(frame("QUERY\nSELECT a" + strings.Repeat("+1", 100000) + " FROM tiny"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addr := fuzzServer(t)

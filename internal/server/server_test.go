@@ -12,6 +12,7 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/client"
+	"sqlsheet/internal/parser"
 	"sqlsheet/internal/server"
 	"sqlsheet/internal/wire"
 )
@@ -326,6 +327,59 @@ func TestParseErrorOverWire(t *testing.T) {
 	}
 	if got := srv.Metrics.ParseErrors.Load(); got != 1 {
 		t.Errorf("parse_errors = %d, want 1", got)
+	}
+}
+
+// TestOperatorChainOverWire is the wire-side half of the root package's
+// TestOperatorChainBound: a 4,000-term a+1+1+… is answered and a
+// 100,000-term one is refused as a parse error by the depth bound, each in
+// 250 ms or — under the race detector or on a loaded host — a small multiple
+// of a linear reference (the same statement at 250 terms; tokenizing alone).
+func TestOperatorChainOverWire(t *testing.T) {
+	srv := startServer(t, newFactDB(t), server.Config{})
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	chain := func(terms int) string {
+		return "SELECT t" + strings.Repeat("+1", terms) + " FROM f WHERE r = 'west' AND p = 'dvd' AND t = 1992"
+	}
+	timed := func(sql string) (*wire.Result, error, time.Duration) {
+		start := time.Now()
+		res, err := c.Query(sql)
+		return res, err, time.Since(start)
+	}
+	if _, err, _ := timed(chain(250)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, ref := timed(chain(251))
+	res, err, took := timed(chain(4000))
+	if err != nil {
+		t.Fatalf("4000 terms: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1992+4000 {
+		t.Fatalf("4000 terms: got %v", res.Rows)
+	}
+	if took > 250*time.Millisecond && took > 48*ref {
+		t.Errorf("4000 terms took %v (251 terms: %v), want < 250ms", took, ref)
+	}
+
+	deep := chain(100000)
+	start := time.Now()
+	if _, err := parser.Fingerprint(deep); err != nil {
+		t.Fatal(err)
+	}
+	lexTime := time.Since(start)
+	_, err, took = timed(deep)
+	we, ok := err.(*wire.Error)
+	// errors.Is(err, parser.ErrTooDeep) does not cross the wire; the
+	// message of the *parser.Error that wraps it does.
+	if !ok || we.Code != wire.CodeParseError || !strings.Contains(we.Msg, "nesting deeper than") {
+		t.Fatalf("100000 terms: got %v, want the depth bound's PARSE_ERROR", err)
+	}
+	if took > 250*time.Millisecond && took > 6*lexTime {
+		t.Errorf("100000 terms refused in %v (tokenizing alone %v), want < 250ms", took, lexTime)
 	}
 }
 

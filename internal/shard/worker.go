@@ -104,8 +104,10 @@ func execGroupSubplan(ctx context.Context, e *Envelope, rows []types.Row, opts W
 		return err
 	}
 	// Assign directly: Insert would re-coerce values, and the shipped rows
-	// are already in engine representation.
+	// are already in engine representation. Publish, because the executor
+	// scans images, never the master slice.
 	t.Rows = rows
+	t.Publish()
 	pn, err := plan.Build(cat, stmt, &plan.Options{Parallel: 1, Workers: 1})
 	if err != nil {
 		return fmt.Errorf("shard: group subplan plan: %w", err)

@@ -1,21 +1,18 @@
 package sqlast
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // FormatStatement renders a statement back to parseable SQL. The output is
 // canonical: parsing it again yields a tree that formats identically, which
 // the materialized-view rewriter uses to match queries against stored view
 // definitions, and the parser round-trip tests rely on.
 func FormatStatement(s Statement) string {
-	var b strings.Builder
+	var b textWriter
 	formatStatement(&b, s)
 	return b.String()
 }
 
-func formatStatement(b *strings.Builder, s Statement) {
+func formatStatement(b *textWriter, s Statement) {
 	switch x := s.(type) {
 	case *SelectStmt:
 		formatSelect(b, x)
@@ -50,7 +47,7 @@ func formatStatement(b *strings.Builder, s Statement) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString("(" + exprList(row) + ")")
+			b.str("(").list(row).str(")")
 		}
 	case *CreateView:
 		b.WriteString("CREATE ")
@@ -69,7 +66,7 @@ func formatStatement(b *strings.Builder, s Statement) {
 	case *DeleteStmt:
 		b.WriteString("DELETE FROM " + QuoteIdent(x.Table))
 		if x.Where != nil {
-			b.WriteString(" WHERE " + x.Where.String())
+			b.str(" WHERE ").expr(x.Where)
 		}
 	case *UpdateStmt:
 		b.WriteString("UPDATE " + QuoteIdent(x.Table) + " SET ")
@@ -77,10 +74,10 @@ func formatStatement(b *strings.Builder, s Statement) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(QuoteIdent(x.Cols[i]) + " = " + x.Exprs[i].String())
+			b.ident(x.Cols[i]).str(" = ").expr(x.Exprs[i])
 		}
 		if x.Where != nil {
-			b.WriteString(" WHERE " + x.Where.String())
+			b.str(" WHERE ").expr(x.Where)
 		}
 	default:
 		fmt.Fprintf(b, "/* unprintable %T */", s)
@@ -101,7 +98,7 @@ func kindSQL(k interface{ String() string }) string {
 	return "TEXT"
 }
 
-func formatSelect(b *strings.Builder, s *SelectStmt) {
+func formatSelect(b *textWriter, s *SelectStmt) {
 	for i, cte := range s.With {
 		if i == 0 {
 			b.WriteString("WITH ")
@@ -116,23 +113,15 @@ func formatSelect(b *strings.Builder, s *SelectStmt) {
 		b.WriteString(" ")
 	}
 	formatQueryExpr(b, s.Query)
-	for i, o := range s.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(o.Expr.String())
-		if o.Desc {
-			b.WriteString(" DESC")
-		}
+	if len(s.OrderBy) > 0 {
+		b.str(" ORDER BY ").orderBy(s.OrderBy)
 	}
 	if s.Limit != nil {
-		b.WriteString(" LIMIT " + s.Limit.String())
+		b.str(" LIMIT ").expr(s.Limit)
 	}
 }
 
-func formatQueryExpr(b *strings.Builder, q QueryExpr) {
+func formatQueryExpr(b *textWriter, q QueryExpr) {
 	switch x := q.(type) {
 	case *Union:
 		formatQueryExpr(b, x.L)
@@ -146,7 +135,7 @@ func formatQueryExpr(b *strings.Builder, q QueryExpr) {
 	}
 }
 
-func formatBody(b *strings.Builder, body *SelectBody) {
+func formatBody(b *textWriter, body *SelectBody) {
 	b.WriteString("SELECT ")
 	if body.Distinct {
 		b.WriteString("DISTINCT ")
@@ -155,7 +144,7 @@ func formatBody(b *strings.Builder, body *SelectBody) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(item.Expr.String())
+		b.expr(item.Expr)
 		if item.Alias != "" {
 			b.WriteString(" AS " + QuoteIdent(item.Alias))
 		}
@@ -169,20 +158,20 @@ func formatBody(b *strings.Builder, body *SelectBody) {
 		formatTableRef(b, tr)
 	}
 	if body.Where != nil {
-		b.WriteString(" WHERE " + body.Where.String())
+		b.str(" WHERE ").expr(body.Where)
 	}
 	if len(body.GroupBy) > 0 {
-		b.WriteString(" GROUP BY " + exprList(body.GroupBy))
+		b.str(" GROUP BY ").list(body.GroupBy)
 	}
 	if body.Having != nil {
-		b.WriteString(" HAVING " + body.Having.String())
+		b.str(" HAVING ").expr(body.Having)
 	}
 	if body.Spreadsheet != nil {
 		formatSheet(b, body.Spreadsheet)
 	}
 }
 
-func formatTableRef(b *strings.Builder, tr TableRef) {
+func formatTableRef(b *textWriter, tr TableRef) {
 	switch x := tr.(type) {
 	case *TableName:
 		b.WriteString(QuoteIdent(x.Name))
@@ -211,7 +200,7 @@ func formatTableRef(b *strings.Builder, tr TableRef) {
 		}
 		formatTableRef(b, x.R)
 		if x.On != nil {
-			b.WriteString(" ON " + x.On.String())
+			b.str(" ON ").expr(x.On)
 		}
 		b.WriteString(")")
 		if x.Alias != "" {
@@ -220,7 +209,7 @@ func formatTableRef(b *strings.Builder, tr TableRef) {
 	}
 }
 
-func formatSheet(b *strings.Builder, sc *SpreadsheetClause) {
+func formatSheet(b *textWriter, sc *SpreadsheetClause) {
 	b.WriteString(" SPREADSHEET")
 	if sc.ReturnUpdated {
 		b.WriteString(" RETURN UPDATED ROWS")
@@ -232,14 +221,14 @@ func formatSheet(b *strings.Builder, sc *SpreadsheetClause) {
 		}
 		b.WriteString(" ON (")
 		formatSelect(b, ref.Query)
-		b.WriteString(") DBY (" + exprList(ref.DBY) + ") MEA (")
+		b.str(") DBY (").list(ref.DBY).str(") MEA (")
 		formatMea(b, ref.MEA)
 		b.WriteString(")")
 	}
 	if len(sc.PBY) > 0 {
-		b.WriteString(" PBY (" + exprList(sc.PBY) + ")")
+		b.str(" PBY (").list(sc.PBY).str(")")
 	}
-	b.WriteString(" DBY (" + exprList(sc.DBY) + ") MEA (")
+	b.str(" DBY (").list(sc.DBY).str(") MEA (")
 	formatMea(b, sc.MEA)
 	b.WriteString(")")
 	if sc.DefaultMode == ModeUpdate {
@@ -254,7 +243,7 @@ func formatSheet(b *strings.Builder, sc *SpreadsheetClause) {
 	if sc.Iterate != nil {
 		fmt.Fprintf(b, " ITERATE (%d)", sc.Iterate.N)
 		if sc.Iterate.Until != nil {
-			b.WriteString(" UNTIL (" + sc.Iterate.Until.String() + ")")
+			b.str(" UNTIL (").expr(sc.Iterate.Until).str(")")
 		}
 	}
 	b.WriteString(" ( ")
@@ -267,12 +256,12 @@ func formatSheet(b *strings.Builder, sc *SpreadsheetClause) {
 	b.WriteString(" )")
 }
 
-func formatMea(b *strings.Builder, items []MeaItem) {
+func formatMea(b *textWriter, items []MeaItem) {
 	for i, mi := range items {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(mi.Expr.String())
+		b.expr(mi.Expr)
 		if mi.Alias != "" {
 			b.WriteString(" AS " + QuoteIdent(mi.Alias))
 		}

@@ -5,145 +5,188 @@ import (
 	"strings"
 )
 
-func (e *Literal) String() string { return e.Val.SQLLiteral() }
+// textWriter is the one buffer a rendering goes through: a node writes
+// itself and recurses into its children on the same buffer, so rendering is
+// linear in the output. (Concatenating the children's String() results copies
+// the left operand's text once per level — quadratic for an operator chain
+// a+1+1+…, which is as deep as it is long.) Its methods chain, so a node
+// still reads as the concatenation it renders to.
+type textWriter struct {
+	strings.Builder
+	// spans, when non-nil, records where each expression node's text landed
+	// (see SubexprText).
+	spans map[Expr][2]int
+}
 
-func (e *ColumnRef) String() string {
-	if e.Table != "" {
-		return QuoteIdent(e.Table) + "." + QuoteIdent(e.Name)
+func (b *textWriter) str(parts ...string) *textWriter {
+	for _, p := range parts {
+		b.WriteString(p)
 	}
-	return QuoteIdent(e.Name)
+	return b
 }
 
-func (e *Star) String() string {
-	if e.Table != "" {
-		return e.Table + ".*"
+// strIf writes s when cond holds.
+func (b *textWriter) strIf(cond bool, s string) *textWriter {
+	if cond {
+		b.WriteString(s)
 	}
-	return "*"
+	return b
 }
 
-func (e *Unary) String() string {
-	if e.Op == "NOT" {
-		return "NOT " + e.X.String()
+func (b *textWriter) ident(name string) *textWriter { return b.str(QuoteIdent(name)) }
+
+// expr appends e's SQL text.
+func (b *textWriter) expr(e Expr) *textWriter {
+	start := b.Len()
+	b.node(e)
+	if b.spans != nil {
+		b.spans[e] = [2]int{start, b.Len()}
 	}
-	return e.Op + e.X.String()
+	return b
 }
 
-func (e *Binary) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
-}
-
-func (e *Between) String() string {
-	n := ""
-	if e.Not {
-		n = " NOT"
-	}
-	return e.X.String() + n + " BETWEEN " + e.Lo.String() + " AND " + e.Hi.String()
-}
-
-func exprList(es []Expr) string {
-	ss := make([]string, len(es))
+func (b *textWriter) list(es []Expr) *textWriter {
 	for i, e := range es {
-		ss[i] = e.String()
+		b.strIf(i > 0, ", ").expr(e)
 	}
-	return strings.Join(ss, ", ")
+	return b
 }
 
-func (e *InList) String() string {
-	n := ""
-	if e.Not {
-		n = " NOT"
-	}
-	return e.X.String() + n + " IN (" + exprList(e.List) + ")"
+func (b *textWriter) subquery(sub *SelectStmt) *textWriter {
+	b.str("(")
+	formatSelect(b, sub)
+	return b.str(")")
 }
 
-func (e *InSubquery) String() string {
-	n := ""
-	if e.Not {
-		n = " NOT"
+func (b *textWriter) orderBy(items []OrderItem) *textWriter {
+	for i, o := range items {
+		b.strIf(i > 0, ", ").expr(o.Expr).strIf(o.Desc, " DESC")
 	}
-	return e.X.String() + n + " IN (" + FormatStatement(e.Sub) + ")"
+	return b
 }
 
-func (e *Exists) String() string {
-	n := ""
-	if e.Not {
-		n = "NOT "
-	}
-	return n + "EXISTS (" + FormatStatement(e.Sub) + ")"
+func exprString(e Expr) string {
+	var b textWriter
+	return b.expr(e).String()
 }
 
-func (e *ScalarSubquery) String() string { return "(" + FormatStatement(e.Sub) + ")" }
-
-func (e *IsNull) String() string {
-	if e.Not {
-		return e.X.String() + " IS NOT NULL"
+// SubexprText renders e once and returns the text of e and of every
+// expression node below it, each a substring of that one rendering: what
+// calling String on every node would return, in time linear in the output
+// instead of quadratic in the depth.
+func SubexprText(e Expr) map[Expr]string {
+	b := textWriter{spans: map[Expr][2]int{}}
+	text := b.expr(e).String()
+	out := make(map[Expr]string, len(b.spans))
+	for n, sp := range b.spans {
+		out[n] = text[sp[0]:sp[1]]
 	}
-	return e.X.String() + " IS NULL"
+	return out
 }
 
-func (e *Like) String() string {
-	n := ""
-	if e.Not {
-		n = " NOT"
-	}
-	return e.X.String() + n + " LIKE " + e.Pattern.String()
-}
+func (e *Literal) String() string        { return e.Val.SQLLiteral() }
+func (e *ColumnRef) String() string      { return exprString(e) }
+func (e *Star) String() string           { return exprString(e) }
+func (e *Unary) String() string          { return exprString(e) }
+func (e *Binary) String() string         { return exprString(e) }
+func (e *Between) String() string        { return exprString(e) }
+func (e *InList) String() string         { return exprString(e) }
+func (e *InSubquery) String() string     { return exprString(e) }
+func (e *Exists) String() string         { return exprString(e) }
+func (e *ScalarSubquery) String() string { return exprString(e) }
+func (e *IsNull) String() string         { return exprString(e) }
+func (e *Like) String() string           { return exprString(e) }
+func (e *Case) String() string           { return exprString(e) }
+func (e *FuncCall) String() string       { return exprString(e) }
+func (e *CurrentV) String() string       { return exprString(e) }
+func (e *WindowFunc) String() string     { return exprString(e) }
+func (e *CellRef) String() string        { return exprString(e) }
+func (e *CellAgg) String() string        { return exprString(e) }
+func (e *Previous) String() string       { return exprString(e) }
+func (e *Present) String() string        { return exprString(e) }
 
-func (e *Case) String() string {
-	var b strings.Builder
-	b.WriteString("CASE")
-	if e.Operand != nil {
-		b.WriteString(" " + e.Operand.String())
-	}
-	for _, w := range e.Whens {
-		fmt.Fprintf(&b, " WHEN %s THEN %s", w.Cond, w.Then)
-	}
-	if e.Else != nil {
-		b.WriteString(" ELSE " + e.Else.String())
-	}
-	b.WriteString(" END")
-	return b.String()
-}
-
-func (e *FuncCall) String() string {
-	if e.Star {
-		return QuoteIdent(e.Name) + "(*)"
-	}
-	d := ""
-	if e.Distinct {
-		d = "DISTINCT "
-	}
-	return QuoteIdent(e.Name) + "(" + d + exprList(e.Args) + ")"
-}
-
-func (e *CurrentV) String() string { return "cv(" + QuoteIdent(e.Dim) + ")" }
-
-func (e *WindowFunc) String() string {
-	var b strings.Builder
-	b.WriteString(e.Func.String())
-	b.WriteString(" OVER (")
-	if len(e.PartitionBy) > 0 {
-		b.WriteString("PARTITION BY " + exprList(e.PartitionBy))
-	}
-	for i, o := range e.OrderBy {
-		if i == 0 {
-			if len(e.PartitionBy) > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString("ORDER BY ")
+func (b *textWriter) node(e Expr) {
+	switch e := e.(type) {
+	case *Literal:
+		b.str(e.Val.SQLLiteral())
+	case *ColumnRef:
+		if e.Table != "" {
+			b.ident(e.Table).str(".")
+		}
+		b.ident(e.Name)
+	case *Star:
+		b.strIf(e.Table != "", e.Table+".").str("*")
+	case *Unary:
+		b.str(e.Op).strIf(e.Op == "NOT", " ").expr(e.X)
+	case *Binary:
+		b.str("(").expr(e.L).str(" ", e.Op, " ").expr(e.R).str(")")
+	case *Between:
+		b.expr(e.X).strIf(e.Not, " NOT").str(" BETWEEN ").expr(e.Lo).str(" AND ").expr(e.Hi)
+	case *InList:
+		b.expr(e.X).strIf(e.Not, " NOT").str(" IN (").list(e.List).str(")")
+	case *InSubquery:
+		b.expr(e.X).strIf(e.Not, " NOT").str(" IN ").subquery(e.Sub)
+	case *Exists:
+		b.strIf(e.Not, "NOT ").str("EXISTS ").subquery(e.Sub)
+	case *ScalarSubquery:
+		b.subquery(e.Sub)
+	case *IsNull:
+		b.expr(e.X).str(" IS").strIf(e.Not, " NOT").str(" NULL")
+	case *Like:
+		b.expr(e.X).strIf(e.Not, " NOT").str(" LIKE ").expr(e.Pattern)
+	case *Case:
+		b.str("CASE")
+		if e.Operand != nil {
+			b.str(" ").expr(e.Operand)
+		}
+		for _, w := range e.Whens {
+			b.str(" WHEN ").expr(w.Cond).str(" THEN ").expr(w.Then)
+		}
+		if e.Else != nil {
+			b.str(" ELSE ").expr(e.Else)
+		}
+		b.str(" END")
+	case *FuncCall:
+		b.ident(e.Name)
+		if e.Star {
+			b.str("(*)")
 		} else {
-			b.WriteString(", ")
+			b.str("(").strIf(e.Distinct, "DISTINCT ").list(e.Args).str(")")
 		}
-		b.WriteString(o.Expr.String())
-		if o.Desc {
-			b.WriteString(" DESC")
+	case *CurrentV:
+		b.str("cv(").ident(e.Dim).str(")")
+	case *WindowFunc:
+		b.expr(e.Func).str(" OVER (")
+		if len(e.PartitionBy) > 0 {
+			b.str("PARTITION BY ").list(e.PartitionBy)
 		}
+		if len(e.OrderBy) > 0 {
+			b.strIf(len(e.PartitionBy) > 0, " ").str("ORDER BY ").orderBy(e.OrderBy)
+		}
+		if e.Frame != nil {
+			fmt.Fprintf(b, " ROWS BETWEEN %s AND %s", e.Frame.Start, e.Frame.End)
+		}
+		b.str(")")
+	case *CellRef:
+		if e.Sheet != "" {
+			b.ident(e.Sheet).str(".")
+		}
+		b.ident(e.Measure).quals(e.Quals)
+	case *CellAgg:
+		b.ident(e.Func)
+		if e.Star {
+			b.str("(*)")
+		} else {
+			b.str("(").list(e.Args).str(")")
+		}
+		b.quals(e.Quals)
+	case *Previous:
+		b.str("previous(").expr(e.Cell).str(")")
+	case *Present:
+		b.expr(e.Cell).str(" IS").strIf(e.Not, " NOT").str(" PRESENT")
+	default:
+		panic(fmt.Sprintf("sqlast: no rendering for %T", e))
 	}
-	if e.Frame != nil {
-		fmt.Fprintf(&b, " ROWS BETWEEN %s AND %s", e.Frame.Start, e.Frame.End)
-	}
-	b.WriteByte(')')
-	return b.String()
 }
 
 // String renders a frame bound the way it is written.
@@ -164,16 +207,21 @@ func (fb FrameBound) String() string {
 }
 
 func (q DimQual) String() string {
+	var b textWriter
+	return b.qual(q).String()
+}
+
+func (b *textWriter) qual(q DimQual) *textWriter {
 	switch q.Kind {
 	case QualStar:
-		return "*"
+		return b.str("*")
 	case QualPoint:
 		if q.Dim != "" {
-			return QuoteIdent(q.Dim) + "=" + q.Val.String()
+			b.ident(q.Dim).str("=")
 		}
-		return q.Val.String()
+		return b.expr(q.Val)
 	case QualPred:
-		return q.Pred.String()
+		return b.expr(q.Pred)
 	case QualRange:
 		lo, hi := "<", "<"
 		if q.LoIncl {
@@ -182,78 +230,45 @@ func (q DimQual) String() string {
 		if q.HiIncl {
 			hi = "<="
 		}
-		return q.Lo.String() + lo + QuoteIdent(q.Dim) + hi + q.Hi.String()
+		return b.expr(q.Lo).str(lo).ident(q.Dim).str(hi).expr(q.Hi)
 	case QualForIn:
-		if q.ForSub != nil {
-			return "FOR " + QuoteIdent(q.Dim) + " IN (" + FormatStatement(q.ForSub) + ")"
-		}
-		if q.ForFrom != nil {
-			out := "FOR " + QuoteIdent(q.Dim) + " FROM " + q.ForFrom.String() + " TO " + q.ForTo.String()
+		b.str("FOR ").ident(q.Dim)
+		switch {
+		case q.ForSub != nil:
+			return b.str(" IN ").subquery(q.ForSub)
+		case q.ForFrom != nil:
+			b.str(" FROM ").expr(q.ForFrom).str(" TO ").expr(q.ForTo)
 			if q.ForStep != nil {
-				out += " INCREMENT " + q.ForStep.String()
+				b.str(" INCREMENT ").expr(q.ForStep)
 			}
-			return out
+			return b
 		}
-		return "FOR " + QuoteIdent(q.Dim) + " IN (" + exprList(q.ForVals) + ")"
+		return b.str(" IN (").list(q.ForVals).str(")")
 	}
-	return "?"
+	return b.str("?")
 }
 
-func qualList(qs []DimQual) string {
-	ss := make([]string, len(qs))
+// quals appends a cell reference's bracketed qualifier list.
+func (b *textWriter) quals(qs []DimQual) *textWriter {
+	b.str("[")
 	for i, q := range qs {
-		ss[i] = q.String()
+		b.strIf(i > 0, ", ").qual(q)
 	}
-	return strings.Join(ss, ", ")
-}
-
-func (e *CellRef) String() string {
-	s := QuoteIdent(e.Measure)
-	if e.Sheet != "" {
-		s = QuoteIdent(e.Sheet) + "." + s
-	}
-	return s + "[" + qualList(e.Quals) + "]"
-}
-
-func (e *CellAgg) String() string {
-	args := exprList(e.Args)
-	if e.Star {
-		args = "*"
-	}
-	return QuoteIdent(e.Func) + "(" + args + ")[" + qualList(e.Quals) + "]"
-}
-
-func (e *Previous) String() string { return "previous(" + e.Cell.String() + ")" }
-
-func (e *Present) String() string {
-	if e.Not {
-		return e.Cell.String() + " IS NOT PRESENT"
-	}
-	return e.Cell.String() + " IS PRESENT"
+	return b.str("]")
 }
 
 // String renders the formula roughly as written, for EXPLAIN output.
 func (f *Formula) String() string {
-	var b strings.Builder
+	var b textWriter
 	if f.Label != "" {
-		b.WriteString(QuoteIdent(f.Label) + ": ")
+		b.ident(f.Label).str(": ")
 	}
 	if m := f.Mode.String(); m != "" {
-		b.WriteString(m + " ")
+		b.str(m, " ")
 	}
-	b.WriteString(f.LHS.String())
-	for i, o := range f.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(o.Expr.String())
-		if o.Desc {
-			b.WriteString(" DESC")
-		}
+	b.expr(f.LHS)
+	if len(f.OrderBy) > 0 {
+		b.str(" ORDER BY ").orderBy(f.OrderBy)
 	}
-	b.WriteString(" = ")
-	b.WriteString(f.RHS.String())
-	return b.String()
+	return b.str(" = ").expr(f.RHS).String()
 }

@@ -27,13 +27,22 @@ const movementQuery = `SELECT r, p, t, s FROM f
 
 // TestDataMovementConfigsPreserveResults is the acceptance property for this
 // layer: Workers=1 (serial build, one whole-input sort) versus Workers=N
-// (parallel build, chunked sort), hash versus B-tree access structures, and
-// async versus sync spill all yield byte-identical rows, in memory and under
-// a budget that forces spilling.
+// (parallel build, chunked sort) and async versus sync spill all yield
+// byte-identical rows, in memory and under a budget that forces spilling.
 func TestDataMovementConfigsPreserveResults(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		db := randomFactDB(t, rand.New(rand.NewSource(seed)))
-		base := sqlsheet.Config{Parallel: 1, Workers: 1, Buckets: 7, MorselSize: 16, DisableAsyncSpill: true}
+		// Buckets and MorselSize are pinned: row order follows the bucket
+		// count, and a small morsel puts a few hundred rows on the chunked
+		// paths.
+		cfg := func(par, workers int, syncSpill bool) sqlsheet.Config {
+			c := sqlsheet.Config{Parallel: par, Workers: workers}
+			c.Ablate.Engine.Buckets = 7
+			c.Ablate.Exec.MorselSize = 16
+			c.Ablate.Exec.DisableAsyncSpill = syncSpill
+			return c
+		}
+		base := cfg(1, 1, true)
 		db.Configure(base)
 		ref, err := db.Query(movementQuery)
 		if err != nil {
@@ -49,11 +58,9 @@ func TestDataMovementConfigsPreserveResults(t *testing.T) {
 			name string
 			cfg  sqlsheet.Config
 		}{
-			{"parallel", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16}},
-			{"parallel-btree", sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, UseBTreeIndex: true}},
-			{"serial-btree", sqlsheet.Config{Parallel: 1, Workers: 1, Buckets: 7, MorselSize: 16, UseBTreeIndex: true}},
-			{"spill-async", spill(sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16})},
-			{"spill-sync", spill(sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16, DisableAsyncSpill: true})},
+			{"parallel", cfg(3, 8, false)},
+			{"spill-async", spill(cfg(3, 8, false))},
+			{"spill-sync", spill(cfg(3, 8, true))},
 			{"spill-serial", spill(base)},
 		}
 		for _, v := range variants {
@@ -80,8 +87,10 @@ func TestDataMovementConfigsPreserveResults(t *testing.T) {
 // the spill store.
 func TestDataMovementSpillEngages(t *testing.T) {
 	db := randomFactDB(t, rand.New(rand.NewSource(1)))
-	db.Configure(sqlsheet.Config{Parallel: 3, Workers: 8, Buckets: 7, MorselSize: 16,
-		MemoryBudget: 1500, SpillDir: t.TempDir()})
+	cfg := sqlsheet.Config{Parallel: 3, Workers: 8, MemoryBudget: 1500, SpillDir: t.TempDir()}
+	cfg.Ablate.Engine.Buckets = 7
+	cfg.Ablate.Exec.MorselSize = 16
+	db.Configure(cfg)
 	_, stats, err := db.QueryStats(movementQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +112,8 @@ func TestConcurrentDataMovement(t *testing.T) {
 	cfg := db.Options()
 	cfg.Parallel = 2
 	cfg.Workers = 4
-	cfg.Buckets = 6
-	cfg.MorselSize = 16
+	cfg.Ablate.Engine.Buckets = 6
+	cfg.Ablate.Exec.MorselSize = 16
 	cfg.MemoryBudget = 1500
 	cfg.SpillDir = t.TempDir()
 	db.Configure(cfg)
@@ -210,16 +219,18 @@ func BenchmarkExternalSort(b *testing.B) {
 	}
 	q := `SELECT a, b, c FROM big ORDER BY b, a`
 	variants := []struct {
-		name string
-		cfg  sqlsheet.Config
+		name      string
+		budget    int64
+		syncSpill bool
 	}{
-		{"mem", sqlsheet.Config{}},
-		{"spill-async", sqlsheet.Config{MemoryBudget: 64 << 10}},
-		{"spill-sync", sqlsheet.Config{MemoryBudget: 64 << 10, DisableAsyncSpill: true}},
+		{"mem", 0, false},
+		{"spill-async", 64 << 10, false},
+		{"spill-sync", 64 << 10, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			cfg := v.cfg
+			cfg := sqlsheet.Config{MemoryBudget: v.budget}
+			cfg.Ablate.Exec.DisableAsyncSpill = v.syncSpill
 			cfg.Workers = runtime.GOMAXPROCS(0) // -cpu N sweeps the pool size
 			if cfg.MemoryBudget > 0 {
 				cfg.SpillDir = b.TempDir()

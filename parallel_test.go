@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sqlsheet"
+	"sqlsheet/internal/exec"
 	"sqlsheet/internal/types"
 )
 
@@ -79,12 +80,12 @@ func TestParallelOperatorsEqualSerial(t *testing.T) {
 		for qi, q := range queries {
 			// MorselSize 16 puts a few hundred rows well past the 2×-morsel
 			// threshold, so the morsel path is exercised at both settings.
-			db.Configure(sqlsheet.Config{Workers: 1, MorselSize: 16})
+			db.Configure(sqlsheet.Config{Workers: 1, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 			serial, err := db.Query(q)
 			if err != nil {
 				t.Fatalf("seed %d query %d serial: %v\n%s", seed, qi, err, q)
 			}
-			db.Configure(sqlsheet.Config{Workers: 8, MorselSize: 16})
+			db.Configure(sqlsheet.Config{Workers: 8, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 			parallel, err := db.Query(q)
 			if err != nil {
 				t.Fatalf("seed %d query %d parallel: %v\n%s", seed, qi, err, q)
@@ -109,7 +110,7 @@ func TestParallelOperatorsEqualSerial(t *testing.T) {
 func TestQueryOpStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := parallelPropDB(t, rng)
-	db.Configure(sqlsheet.Config{Workers: 2, MorselSize: 16})
+	db.Configure(sqlsheet.Config{Workers: 2, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	q := `SELECT t2.d, SUM(t1.b) FROM t1 JOIN t2 ON t1.a = t2.k GROUP BY t2.d`
 	_, ops, err := db.QueryOpStats(q)
 	if err != nil {
@@ -152,12 +153,12 @@ func TestWorkersWithSpreadsheetParallel(t *testing.T) {
 	// Baseline keeps Parallel=4 (bucket partitioning, and so row order, is a
 	// function of the requested PE count) but serial operators; the combined
 	// run adds the worker pool on top.
-	db.Configure(sqlsheet.Config{Workers: 1, Parallel: 4, MorselSize: 16})
+	db.Configure(sqlsheet.Config{Workers: 1, Parallel: 4, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	want, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Configure(sqlsheet.Config{Workers: 1, Parallel: 1, MorselSize: 16})
+	db.Configure(sqlsheet.Config{Workers: 1, Parallel: 1, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	serial, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestWorkersWithSpreadsheetParallel(t *testing.T) {
 		t.Fatal("Parallel=4 and Parallel=1 disagree as multisets")
 	}
 
-	db.Configure(sqlsheet.Config{Workers: 4, Parallel: 4, MorselSize: 16})
+	db.Configure(sqlsheet.Config{Workers: 4, Parallel: 4, Ablate: sqlsheet.Ablation{Exec: exec.Ablation{MorselSize: 16}}})
 	done := make(chan *sqlsheet.Result, 1)
 	errc := make(chan error, 1)
 	go func() {

@@ -9,6 +9,8 @@ import (
 	"testing/quick"
 
 	"sqlsheet"
+	"sqlsheet/internal/core"
+	"sqlsheet/internal/plan"
 )
 
 // rowsKey flattens a result into a sorted multiset signature.
@@ -90,11 +92,10 @@ func TestOptimizationsPreserveResults(t *testing.T) {
 			t.Logf("optimized: %v", err)
 			return false
 		}
-		db.Configure(sqlsheet.Config{
-			DisableSheetPrune: true, DisableSheetRewrite: true,
-			DisableSheetPush: true, DisableFilterPushdown: true,
-			DisableSingleScan: true, DisableRangeProbe: true,
-		})
+		db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{
+			Plan:   plan.Ablation{DisableSheetPrune: true, DisableSheetPush: true, DisableFilterPushdown: true},
+			Engine: core.Ablation{DisableSingleScan: true, DisableRangeProbe: true},
+		}})
 		raw, err := db.Query(q)
 		if err != nil {
 			t.Logf("raw: %v", err)
@@ -128,7 +129,7 @@ func TestParallelEqualsSerialProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		db.Configure(sqlsheet.Config{Parallel: 3, Buckets: 7})
+		db.Configure(sqlsheet.Config{Parallel: 3, Ablate: sqlsheet.Ablation{Engine: core.Ablation{Buckets: 7}}})
 		par, err := db.Query(q)
 		if err != nil {
 			t.Log(err)
@@ -206,7 +207,7 @@ func TestMemoryBudgetPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{500, 2000, 100000} {
-		db.Configure(sqlsheet.Config{MemoryBudget: budget, SpillDir: t.TempDir(), Buckets: 5})
+		db.Configure(sqlsheet.Config{MemoryBudget: budget, SpillDir: t.TempDir(), Ablate: sqlsheet.Ablation{Engine: core.Ablation{Buckets: 5}}})
 		res, err := db.Query(q)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
@@ -309,9 +310,12 @@ func TestInPlaceWritesNeverLeak(t *testing.T) {
 					db.MustExec(fmt.Sprintf(`INSERT INTO g VALUES ('%s','%s',%s,%s,%s,0,0)`, row[0], row[1], row[2], row[3], row[3]))
 				}
 				db.Configure(sqlsheet.Config{
-					MemoryBudget: budget, SpillDir: t.TempDir(), Buckets: 3,
+					MemoryBudget: budget, SpillDir: t.TempDir(),
 					Workers: workers, Parallel: workers,
-					DisableResultCache: true, DisableVectorizedRules: noVec, VecMinRows: 1,
+					Ablate: sqlsheet.Ablation{
+						DisableResultCache: true,
+						Engine:             core.Ablation{Buckets: 3, DisableVectorizedRules: noVec, VecMinRows: 1},
+					},
 				})
 				var before []*sqlsheet.Result
 				for _, b := range bases {

@@ -1,10 +1,10 @@
 // Property tests for the vectorized cold path: every query must return
 // byte-identical rows (exact float bits, exact order) with vectorized
 // execution on and off, at every worker count. The ablation knob
-// (Config.DisableVectorizedExec) switches between columnar selection kernels
-// and the row-at-a-time compiled closures, so any divergence is a semantics
-// bug in a kernel, the columnar image, or key encoding — never acceptable
-// drift.
+// (Config.Ablate.Engine.DisableVectorizedExec) switches between columnar
+// selection kernels and the row-at-a-time compiled closures, so any
+// divergence is a semantics bug in a kernel, the columnar image, or key
+// encoding — never acceptable drift.
 package sqlsheet_test
 
 import (
@@ -16,29 +16,39 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/colstore"
+	"sqlsheet/internal/core"
+	"sqlsheet/internal/exec"
 )
 
 // vectorConfigs is the ablation grid: the first entry is the baseline
-// (interpreted, serial); every other entry must match it exactly.
+// (interpreted, serial); every other entry must match it exactly. Every
+// entry runs uncached with a 16-row morsel.
 func vectorConfigs() []struct {
 	name string
 	cfg  sqlsheet.Config
 } {
+	mk := func(workers int, engine core.Ablation) sqlsheet.Config {
+		return sqlsheet.Config{Workers: workers, Ablate: sqlsheet.Ablation{
+			DisablePlanCache: true,
+			Exec:             exec.Ablation{MorselSize: 16},
+			Engine:           engine,
+		}}
+	}
 	return []struct {
 		name string
 		cfg  sqlsheet.Config
 	}{
-		{"interp-serial", sqlsheet.Config{Workers: 1, MorselSize: 16, DisableVectorizedExec: true, DisablePlanCache: true}},
-		{"interp-parallel", sqlsheet.Config{Workers: 8, MorselSize: 16, DisableVectorizedExec: true, DisablePlanCache: true}},
-		{"vec-serial", sqlsheet.Config{Workers: 1, MorselSize: 16, DisablePlanCache: true}},
-		{"vec-parallel", sqlsheet.Config{Workers: 8, MorselSize: 16, DisablePlanCache: true}},
+		{"interp-serial", mk(1, core.Ablation{DisableVectorizedExec: true})},
+		{"interp-parallel", mk(8, core.Ablation{DisableVectorizedExec: true})},
+		{"vec-serial", mk(1, core.Ablation{})},
+		{"vec-parallel", mk(8, core.Ablation{})},
 		// Scan/operator kernels on, batch rule application off: isolates the
 		// rule-engine ablation from the generic vectorized executor.
-		{"rules-off-serial", sqlsheet.Config{Workers: 1, MorselSize: 16, DisableVectorizedRules: true, DisablePlanCache: true}},
-		{"rules-off-parallel", sqlsheet.Config{Workers: 8, MorselSize: 16, DisableVectorizedRules: true, DisablePlanCache: true}},
+		{"rules-off-serial", mk(1, core.Ablation{DisableVectorizedRules: true})},
+		{"rules-off-parallel", mk(8, core.Ablation{DisableVectorizedRules: true})},
 		// Cutoff forced to 1: every partition takes the batch paths, however
 		// small, so the grid's tiny fixtures still exercise the kernels.
-		{"vec-low-cutoff", sqlsheet.Config{Workers: 1, MorselSize: 16, VecMinRows: 1, DisablePlanCache: true}},
+		{"vec-low-cutoff", mk(1, core.Ablation{VecMinRows: 1})},
 	}
 }
 
@@ -430,7 +440,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 	db.MustExec(`CREATE TABLE e (a INT, c TEXT)`)
 	db.MustExec(`INSERT INTO e VALUES (1, 'x'), (2, 'y')`)
 
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	out, err := db.Explain(`SELECT a FROM e WHERE a > 1 AND c LIKE 'x%'`)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +456,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 	if !strings.Contains(out, "vectorized=no") {
 		t.Errorf("unsupported predicate lacks vectorized=no:\n%s", out)
 	}
-	db.Configure(sqlsheet.Config{DisablePlanCache: true, DisableVectorizedExec: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedExec: true}}})
 	out, err = db.Explain(`SELECT a FROM e WHERE a > 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +563,7 @@ func TestExplainVectorizedRules(t *testing.T) {
 		  UPDATE u[*, t > 2000] = avg(s)[cv(p), 1990 <= t <= 1999],
 		  UPDATE s['tv', 2001] = s['tv', 2000] * 2 )`
 
-	db.Configure(sqlsheet.Config{DisablePlanCache: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
 	out, err := db.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +581,7 @@ func TestExplainVectorizedRules(t *testing.T) {
 		t.Errorf("ITERATE rule lacks vectorized=no(iterate):\n%s", it)
 	}
 
-	db.Configure(sqlsheet.Config{DisablePlanCache: true, DisableVectorizedRules: true})
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedRules: true}}})
 	out, err = db.Explain(q)
 	if err != nil {
 		t.Fatal(err)
