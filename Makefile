@@ -67,8 +67,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRuleKernel$$' -fuzztime 3s .
 
 # lint-hotpath flags per-row types.Value boxing (Column.Value / types.New*)
-# inside the vectorized kernel files — kernel loops must stay on the typed
-# vectors. A deliberate exception needs an `interp-ok:` comment on the same
+# inside the vectorized kernel files and the image derivation
+# (internal/colstore/derive.go: extend/patch/gather run once per written row
+# of every version) — these loops must stay on the typed vectors. A deliberate exception needs an `interp-ok:` comment on the same
 # line justifying it (boxed-column fallback, once-per-group work, ...).
 # The same goes for allocation in the access structure's per-cell files: a
 # row `.Clone()` or a `make(map` in frame/acyclic/vecrules/vecscan.go needs an
@@ -78,6 +79,7 @@ lint-hotpath:
 	@bad=$$(grep -n '\.Value(\|types\.New[A-Z]' internal/eval/vector.go internal/eval/exprvec.go \
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
 		internal/exec/vecproject.go internal/core/vecscan.go internal/core/vecrules.go \
+		internal/colstore/derive.go \
 		| grep -v 'interp-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \
@@ -110,12 +112,15 @@ race: vet
 	$(GO) test -race ./...
 
 # Targeted race pass over the vectorized cold path: the columnar packages,
-# the kernel compiler, the executor/core consumers, and the root ablation
-# property tests (TestVectorized* runs the kernels morsel-parallel against
-# the shared image cache and selection pool). Part of `make verify`.
+# the image versions that share vectors with their predecessors (mvcc and
+# catalog: the aliasing discipline of derived images lives there), the kernel
+# compiler, the executor/core consumers, and the root ablation property tests
+# (TestVectorized* runs the kernels morsel-parallel against the shared image
+# cache and selection pool; TestDMLGrid runs UPDATE/DELETE by kernel and by
+# closure over derived images). Part of `make verify`.
 race-vector:
-	$(GO) test -race ./internal/colstore/ ./internal/blockstore/ ./internal/eval/ ./internal/exec/ ./internal/core/
-	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial' .
+	$(GO) test -race ./internal/colstore/ ./internal/mvcc/ ./internal/catalog/ ./internal/blockstore/ ./internal/eval/ ./internal/exec/ ./internal/core/
+	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial|TestDMLGrid' .
 
 # The benchmark: bench/run.sh builds the server from this checkout and drives
 # the four BENCHMARK.json workloads (dash_warm, sheet_cold, scan_cold,

@@ -531,3 +531,38 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkUpdateSlice is the ingest workload's UPDATE — one (c, h, t) slice of
+// the benchmark cube (≈ 177.7k rows) — finding its rows by per-row closure
+// (vectorized execution off) against by selection kernel over the image's
+// columnar form, which each statement derives from the previous one's. The
+// "kernel" leg therefore also carries what the closure leg never pays: keeping
+// a columnar form current. EXPERIMENTS.md "A write costs what it touches".
+func BenchmarkUpdateSlice(b *testing.B) {
+	for _, v := range []struct {
+		name    string
+		disable bool
+	}{{"kernel", false}, {"closure", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			db := sqlsheet.Open()
+			db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{Engine: core.Ablation{DisableVectorizedExec: v.disable}}})
+			if _, err := db.InstallAPB(sqlsheet.APBScale{Seed: 7, ProductFanout: []int{2, 3, 3, 3, 4, 4},
+				Channels: 4, Customers: 8, Years: 2, Density: 0.1}); err != nil {
+				b.Fatal(err)
+			}
+			months := db.MustExec(`SELECT m FROM time_dt ORDER BY m`).Rows
+			stmt := func(i int) string {
+				return fmt.Sprintf(`UPDATE apb_cube SET s = s + 1 WHERE c = 'cust%02d' AND h = 'chan%d' AND t = '%s'`,
+					i%8, i/8%4, months[i/32%len(months)][0].S)
+			}
+			db.MustExec(stmt(0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				if n := db.MustExec(stmt(i)).Rows[0][0].Int(); n == 0 {
+					b.Fatalf("%s updated nothing", stmt(i))
+				}
+			}
+		})
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"sqlsheet/internal/catalog"
 	"sqlsheet/internal/core"
 	"sqlsheet/internal/exec"
+	"sqlsheet/internal/mvcc"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/plan"
 	"sqlsheet/internal/plancache"
@@ -772,8 +773,8 @@ func (db *DB) Insert(table string, rows ...[]any) error {
 
 // insertLocked logs and applies a programmatic row load; the caller holds
 // the exclusive statement lock. The record is appended before t.Insert runs
-// (replay re-applies through the same coercion, re-failing at the same row
-// if the original failed mid-batch).
+// (replay re-applies through the same coercion, re-failing as a whole if the
+// original failed: Insert stores all rows or none).
 func (db *DB) insertLocked(table string, rows []types.Row) (wal.Pos, error) {
 	t, ok := db.cat.Get(table)
 	if !ok {
@@ -783,12 +784,7 @@ func (db *DB) insertLocked(table string, rows []types.Row) (wal.Pos, error) {
 	if err != nil {
 		return pos, err
 	}
-	for _, row := range rows {
-		if err := t.Insert(row); err != nil {
-			return pos, err
-		}
-	}
-	return pos, nil
+	return pos, t.Insert(rows...)
 }
 
 // LoadCSV bulk-loads CSV data into an existing table. Unlike the other
@@ -869,6 +865,17 @@ func (db *DB) CacheCounters() CacheCounters {
 		Invalidations: c.Invalidations,
 	}
 }
+
+// ImageCounters is a snapshot of how the columnar forms of table images came
+// to be: FullBuilds transposed every row (each for one reason, listed in
+// Fallbacks: "no-lineage" when there was nothing to derive from, otherwise
+// the part of the delta the previous form's representation could not take),
+// Derived were made from the previous version's form at the cost of the
+// DerivedRows the version touched.
+type ImageCounters = mvcc.CounterValues
+
+// ImageCounters snapshots the table-image build statistics.
+func (db *DB) ImageCounters() ImageCounters { return db.cat.ImageCounters() }
 
 // ToValue converts a Go value into an engine Value.
 func ToValue(v any) Value {

@@ -157,11 +157,7 @@ func (db *DB) applyWALRecord(s *session, rec wal.Record) {
 		if !ok {
 			return
 		}
-		for _, row := range rows {
-			if t.Insert(row) != nil {
-				break
-			}
-		}
+		_ = t.Insert(rows...) // re-fails as the original did
 		db.cat.PublishAll()
 	case wal.KindAPB:
 		p, err := wal.DecodeAPB(rec.Data)

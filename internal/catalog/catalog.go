@@ -39,13 +39,35 @@ type Table struct {
 	// lock; readers pin it lock-free through a Snapshot. See internal/mvcc
 	// for the copy-on-write discipline that makes this safe.
 	img atomic.Pointer[mvcc.Image]
+	// delta is what the UPDATE or DELETE since the last Publish handed over
+	// (Replace); the next image takes it as its lineage. counters is the
+	// owning catalog's, nil for a table outside one.
+	delta    *mvcc.Delta
+	counters *mvcc.Counters
 }
 
 // Publish installs the table's current rows as its readable MVCC image.
 // The caller must hold the lock that makes t.Rows safe to read (the
 // exclusive statement lock, or exclusive ownership of a fresh table).
+// The image records how it follows the one it replaces (a few words; see
+// mvcc.Image.Follow) and nothing else happens here: whoever first wants the
+// columnar form pays for it, outside the statement lock.
 func (t *Table) Publish() {
-	t.img.Store(mvcc.NewImage(t.Version.Load(), t.Schema.Len(), t.Rows))
+	im := mvcc.NewImage(t.Version.Load(), t.Schema.Len(), t.Rows)
+	im.Follow(t.img.Load(), t.delta, t.counters)
+	t.delta = nil
+	t.img.Store(im)
+}
+
+// Replace installs d.Rows as the table's rows after an UPDATE or DELETE,
+// copy-on-write: d.Rows is a new slice, never the published one written in
+// place. d says which positions of the image the statement read it touched;
+// the next Publish hands that to the new image (and ignores it if anything
+// else changed the table in between).
+func (t *Table) Replace(d *mvcc.Delta) {
+	t.Rows = d.Rows
+	t.Version.Add(1)
+	t.delta = d
 }
 
 // Img returns the table's last published image: what every scan reads.
@@ -82,7 +104,14 @@ type Catalog struct {
 	tables map[string]*Table
 	views  map[string]*View
 	mviews map[string]*MatView
+	// images counts how the columnar forms of this catalog's table images
+	// came to be (built in full or derived).
+	images mvcc.Counters
 }
+
+// ImageCounters snapshots how the columnar forms of this catalog's table
+// images came to be.
+func (c *Catalog) ImageCounters() mvcc.CounterValues { return c.images.Snapshot() }
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -98,7 +127,7 @@ func (c *Catalog) Create(name string, schema *types.Schema) (*Table, error) {
 	if c.nameInUse(name) {
 		return nil, fmt.Errorf("table %q already exists", name)
 	}
-	t := &Table{Name: name, Schema: schema}
+	t := &Table{Name: name, Schema: schema, counters: &c.images}
 	// Publish the empty image before the table becomes visible, so a
 	// snapshot reader racing the creating statement pins a well-defined
 	// (empty) state instead of nil.
@@ -135,9 +164,12 @@ func (c *Catalog) Names() []string {
 }
 
 // Insert appends rows to a table, coercing each value to the declared
-// column kind where a kind is declared.
+// column kind where a kind is declared. It is all or nothing: a row that
+// cannot be stored leaves the table as it was. Version advances once per
+// appended row (incremental view refresh and image lineage count on it).
 func (t *Table) Insert(rows ...types.Row) error {
-	for _, r := range rows {
+	cps := make([]types.Row, len(rows))
+	for ri, r := range rows {
 		if len(r) != t.Schema.Len() {
 			return fmt.Errorf("table %q: row has %d values, schema has %d columns", t.Name, len(r), t.Schema.Len())
 		}
@@ -149,9 +181,10 @@ func (t *Table) Insert(rows ...types.Row) error {
 			}
 			cp[i] = cv
 		}
-		t.Rows = append(t.Rows, cp)
-		t.Version.Add(1)
+		cps[ri] = cp
 	}
+	t.Rows = append(t.Rows, cps...)
+	t.Version.Add(int64(len(cps)))
 	return nil
 }
 

@@ -107,6 +107,7 @@ func (c *Catalog) CreateMatView(mv *MatView) error {
 	}
 	mv.Name = name
 	mv.Table.Name = name
+	mv.Table.counters = &c.images
 	// The backing table was constructed outside Create; publish its image
 	// before it becomes visible to snapshot readers.
 	mv.Table.Publish()

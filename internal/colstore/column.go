@@ -43,6 +43,9 @@ func (b Bitmap) Get(i int) bool { return b[uint(i)>>6]&(1<<(uint(i)&63)) != 0 }
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[uint(i)>>6] |= 1 << (uint(i) & 63) }
 
+// Clear clears bit i.
+func (b Bitmap) Clear(i int) { b[uint(i)>>6] &^= 1 << (uint(i) & 63) }
+
 // Column is one column of a Table. Exactly one representation is populated:
 //
 //   - Kind INT/BOOL: Ints (booleans store 0/1, mirroring types.Value.I)

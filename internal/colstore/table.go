@@ -10,6 +10,10 @@ type Table struct {
 	NRows int
 	Cols  []*Column
 	Rows  []types.Row
+
+	// tail is the room behind a derived table's vectors (see derive.go);
+	// nil for a table built in full, whose vectors are exactly sized.
+	tail *tail
 }
 
 // Rectangular reports whether every row has exactly ncols values; only
@@ -24,6 +28,8 @@ func Rectangular(ncols int, rows []types.Row) bool {
 }
 
 // FromRows builds the columnar image of rows, or nil when rows are ragged.
+// It is the definition of the image: Extend, Patch and Keep derive the same
+// image from a predecessor's and are tested against it.
 func FromRows(ncols int, rows []types.Row) *Table {
 	if !Rectangular(ncols, rows) {
 		return nil

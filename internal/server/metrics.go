@@ -95,6 +95,19 @@ type Snapshot struct {
 		Evictions     int64 `json:"evictions"`
 		Invalidations int64 `json:"invalidations"`
 	} `json:"cache"`
+
+	// Images says how the columnar forms of table images came to be: built
+	// in full (each for one of the reasons under fallbacks) or derived from
+	// the previous version's form at the cost of the rows that changed.
+	Images ImagesSnapshot `json:"images"`
+}
+
+// ImagesSnapshot is the /metrics shape of sqlsheet.ImageCounters.
+type ImagesSnapshot struct {
+	FullBuilds  int64            `json:"full_builds"`
+	Derived     int64            `json:"derived"`
+	DerivedRows int64            `json:"derived_rows"`
+	Fallbacks   map[string]int64 `json:"fallbacks"`
 }
 
 // WALSnapshot is the /metrics shape of the write-ahead log counters.

@@ -503,6 +503,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Cache.StructReuses = cc.StructReuses
 	snap.Cache.Evictions = cc.Evictions
 	snap.Cache.Invalidations = cc.Invalidations
+	snap.Images = ImagesSnapshot(s.db.ImageCounters())
 	if s.cfg.ShardMetrics != nil {
 		snap.Shard = s.cfg.ShardMetrics()
 	}

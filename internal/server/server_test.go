@@ -20,7 +20,11 @@ import (
 // newFactDB builds the paper's electronics warehouse f(r, p, t, s, c).
 func newFactDB(t testing.TB) *sqlsheet.DB {
 	t.Helper()
-	db := sqlsheet.Open()
+	return fillFactDB(t, sqlsheet.Open())
+}
+
+func fillFactDB(t testing.TB, db *sqlsheet.DB) *sqlsheet.DB {
+	t.Helper()
 	db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT, c FLOAT)`)
 	for _, r := range []string{"west", "east"} {
 		for _, p := range []string{"dvd", "vcr", "tv"} {
@@ -439,6 +443,58 @@ func TestMetricsEndpoint(t *testing.T) {
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d, want 200", health.StatusCode)
+	}
+}
+
+// TestMetricsImages: on a WAL-backed server, INSERT → SELECT → INSERT →
+// SELECT builds the fact table's columnar image in full once — for the first
+// SELECT, on the image the table had when its row slice last moved — and
+// derives every image after that from its predecessor's; /metrics says so.
+func TestMetricsImages(t *testing.T) {
+	db := sqlsheet.Open()
+	if err := db.EnableWAL(t.TempDir(), sqlsheet.SyncGroup); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	srv := startServer(t, fillFactDB(t, db), server.Config{MetricsAddr: "127.0.0.1:0"})
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	images := func() server.ImagesSnapshot {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap server.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.WAL == nil || snap.WAL.Appends == 0 {
+			t.Errorf("wal section missing: %+v", snap.WAL)
+		}
+		return snap.Images
+	}
+	run := func(stmt string) {
+		t.Helper()
+		if _, err := c.Query(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	run(`INSERT INTO f VALUES ('north', 'dvd', 2003, 1, 2), ('north', 'tv', 2003, 3, 4)`)
+	run(`SELECT r, SUM(s) AS total FROM f WHERE p = 'dvd' GROUP BY r ORDER BY r`)
+	first := images()
+	if first.FullBuilds != 1 || first.Fallbacks["no-lineage"] != 1 || len(first.Fallbacks) != 5 {
+		t.Errorf("after the first SELECT images = %+v, want one full build, under no-lineage, and all five reasons listed", first)
+	}
+	run(`INSERT INTO f VALUES ('north', 'vcr', 2003, 5, 6)`)
+	run(`SELECT r, SUM(s) AS total FROM f WHERE p = 'vcr' GROUP BY r ORDER BY r`)
+	second := images()
+	if second.FullBuilds != 1 || second.Derived != first.Derived+1 || second.DerivedRows != first.DerivedRows+1 {
+		t.Errorf("after INSERT and SELECT images went %+v → %+v, want no full build and one derivation of the one inserted row", first, second)
 	}
 }
 
