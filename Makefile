@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath
+.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath lint-writepath
 
 build:
 	$(GO) build ./...
@@ -15,12 +15,13 @@ test:
 # Tier-1 verification: everything must build, every test must pass (including
 # the serving-layer suite), every fuzz target must survive a few seconds of
 # mutation, no per-row boxing or per-cell allocation may sneak into the
-# kernel files unannotated, and the vectorized-path packages must be
+# kernel files unannotated, the root package must publish and log in one place
+# only, and the vectorized-path packages must be
 # race-clean (the columnar image cache and selection-pool are shared across
 # worker goroutines; race-vector is targeted so verify stays fast —
 # full-module `make race` remains the pre-merge gate for goroutine-heavy
 # changes).
-verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath race-vector
+verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath lint-writepath race-vector
 
 # Serving-layer gate: wire codec round-trips, fuzz seed corpus, and the
 # in-process sqlsheetd integration suite (32 concurrent sessions vs serial
@@ -45,12 +46,14 @@ cluster-test:
 # directory, and require a clean prefix covering every acknowledged
 # statement, byte-identical to a serial replay. The WAL unit suite (framing,
 # rotation, checkpoint truncation, torn-tail recovery, FuzzWALReplay seed
-# corpus) and the root-package recovery round-trips ride along. Part of
-# `make verify`.
+# corpus) and the root-package recovery round-trips ride along, with the write
+# path's own contract: a failed statement leaves no trace in memory or in the
+# log, recovery is strict, a failed append poisons the log, LoadCSV parses
+# outside the lock. Part of `make verify`.
 recover-test:
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'TestRecover' ./internal/server/
-	$(GO) test -race -run 'TestWAL' .
+	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
 # Fuzz gate: each of the seven fuzz targets (SQL text, statement round-trip,
 # whole queries, rule kernels, expression kernels, wire bytes against a live
@@ -97,6 +100,24 @@ lint-hotpath:
 		exit 1; \
 	fi; \
 	echo "lint-hotpath: ok"
+
+# lint-writepath keeps the write path one path. Publishing table images and
+# appending to the log are the two things that must only ever happen inside
+# the write function (mutateLocked in write.go: apply → append → publish), so
+# the root package's non-test files may call Catalog.PublishAll once and the
+# log's Append once. A second call site is a second write path: route the new
+# mutation through DB.mutate instead. (checkpointLocked writes through
+# Log.Checkpoint's callback and is unaffected.)
+lint-writepath:
+	@for call in 'PublishAll(' '\.Append('; do \
+		hits=$$(grep -n "$$call" $$(ls *.go | grep -v '_test\.go$$') | grep -v ':[0-9]*:[[:space:]]*//'); \
+		if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ]; then \
+			echo "lint-writepath: want exactly one call of $$call in the root package, found:"; \
+			echo "$$hits"; \
+			exit 1; \
+		fi; \
+	done; \
+	echo "lint-writepath: ok"
 
 vet:
 	$(GO) vet ./...

@@ -1,26 +1,14 @@
 package sqlsheet
 
 import (
+	"context"
+
 	"sqlsheet/internal/apb"
-	"sqlsheet/internal/wal"
 )
 
 // APBScale sizes the bundled APB-1-style benchmark dataset (the workload of
 // the paper's experiments). Zero fields take laptop-scale defaults.
-type APBScale struct {
-	// Seed drives the deterministic generator.
-	Seed int64
-	// ProductFanout gives children-per-node for the 6 levels below the
-	// product hierarchy's top (7 levels total).
-	ProductFanout []int
-	// Channels / Customers are base member counts; Years sizes the time
-	// dimension (12 months per year).
-	Channels  int
-	Customers int
-	Years     int
-	// Density is the fact-table density; the paper's experiments use 0.1.
-	Density float64
-}
+type APBScale = apb.Config
 
 // APBInfo summarizes an installed dataset.
 type APBInfo struct {
@@ -29,36 +17,11 @@ type APBInfo struct {
 
 // InstallAPB generates the APB dataset and registers its tables:
 // apb_fact(c,h,t,p,s), apb_cube(c,h,t,p,s), product_dt(p, parent1, parent2,
-// parent3, lvl) and time_dt(m, m_yago, m_qago).
+// parent3, lvl) and time_dt(m, m_yago, m_qago) — all four, or none when one
+// of the names is taken.
 func (db *DB) InstallAPB(scale APBScale) (APBInfo, error) {
-	d := apb.Generate(apb.Config{
-		Seed:          scale.Seed,
-		ProductFanout: scale.ProductFanout,
-		Channels:      scale.Channels,
-		Customers:     scale.Customers,
-		Years:         scale.Years,
-		Density:       scale.Density,
-	})
-	db.stmtMu.Lock()
-	// The generator is deterministic in its scale parameters, so the log
-	// records only those; replay regenerates the dataset.
-	pos, err := db.logRecord(wal.KindAPB, wal.EncodeAPB(wal.APBParams{
-		Seed:          scale.Seed,
-		ProductFanout: scale.ProductFanout,
-		Channels:      scale.Channels,
-		Customers:     scale.Customers,
-		Years:         scale.Years,
-		Density:       scale.Density,
-	}))
-	if err == nil {
-		err = d.Install(db.cat)
-	}
-	db.cat.PublishAll()
-	db.stmtMu.Unlock()
-	if err == nil {
-		err = db.walCommit(pos)
-	}
-	if err != nil {
+	d := apb.Generate(scale)
+	if err := db.mutate(context.Background(), db.apbMutation(scale, d)); err != nil {
 		return APBInfo{}, err
 	}
 	return APBInfo{

@@ -58,14 +58,17 @@ type Row = types.Row
 //     statement pins per-table MVCC images (catalog.Snapshot) published by
 //     the last completed mutation and reads only those. Readers never block
 //     writers and writers never block readers.
-//   - Exec takes the statement lock exclusively when its batch contains
-//     anything besides SELECTs (DDL, DML, REFRESH), serializing mutations
-//     against each other; after every mutating statement it publishes fresh
-//     table images (catalog.PublishAll), so snapshot readers observe
-//     statement-boundary states only — never a half-applied mutation.
-//     A SELECT-only Exec runs lock-free like Query.
-//   - Programmatic mutators (CreateTable, Insert, LoadCSV, InstallAPB,
-//     Configure) also take the exclusive lock and publish.
+//   - Every mutation — an Exec batch containing anything besides SELECTs
+//     (DDL, DML, REFRESH), CreateTable, Insert, LoadCSV, InstallAPB, and
+//     each record recovery replays — goes through one function (mutate, in
+//     write.go): under the exclusive statement lock, which serializes
+//     mutations against each other, it is applied, appended to the log and
+//     only then published (catalog.PublishAll), so snapshot readers observe
+//     statement-boundary states only — never a half-applied mutation, and
+//     never one that failed: a statement that returns an error has changed
+//     nothing, is not in the log and was never published. A SELECT-only Exec
+//     runs lock-free like Query. Configure and SetDistributor take the same
+//     lock to swap the session.
 //   - Writers mutate table row slices copy-on-write (UPDATE and DELETE
 //     replace the slice; INSERT appends past every published image's
 //     clipped length), so a pinned image is immutable for its lifetime.
@@ -74,10 +77,11 @@ type Row = types.Row
 //     dependencies are stamped with the executing statement's *pinned*
 //     versions, so a result computed against snapshot V is never registered
 //     (or served) under a version installed mid-flight.
-//   - When a write-ahead log is enabled (EnableWAL), mutating statements
-//     append a log record before applying and are acknowledged only after
-//     the record is durable per the configured SyncMode; EnableWAL must be
-//     called before the DB is shared between goroutines.
+//   - When a write-ahead log is enabled (EnableWAL), a mutation's record is
+//     appended after it applies and before it is published, and the call is
+//     acknowledged only after the record is durable per the configured
+//     SyncMode; EnableWAL must be called before the DB is shared between
+//     goroutines.
 type DB struct {
 	cat *catalog.Catalog
 	// sess holds the session options, their fingerprint and the optional
@@ -93,18 +97,15 @@ type DB struct {
 	cache *plancache.Cache
 	// stmtMu is the statement-level lock implementing the contract above:
 	// mutations own it exclusively; snapshot readers skip it entirely. Its
-	// shared mode is taken only to read db.wal (walCommit, WALEnabled,
-	// WALCounters).
+	// shared mode is taken only to read db.wal (WALEnabled, WALCounters).
 	stmtMu sync.RWMutex
-	// wal, when non-nil, is the write-ahead log (EnableWAL). walReplay
-	// suppresses re-logging while recovery replays the log; both are
-	// written before the DB is shared and accessed by writers under the
-	// exclusive statement lock.
-	wal       *wal.Log
-	walReplay bool
-	// walAutoCP triggers a checkpoint compaction when the log exceeds this
-	// many bytes (checked at write-batch boundaries).
-	walAutoCP int64
+	// wal, when non-nil, is the write-ahead log. EnableWAL attaches it after
+	// replaying it (so nothing replayed is logged again) and Close detaches
+	// it, both under the exclusive statement lock. failed is the error that
+	// poisoned it (wal.Log.Err): a statement is applied and not logged, so
+	// the DB refuses every later mutation, also once the log is detached.
+	wal    *wal.Log
+	failed error
 }
 
 // session is one immutable configuration state; DB.sess swaps whole values.
@@ -516,11 +517,11 @@ func isReadOnly(stmts []sqlast.Statement) bool {
 // statement lock exclusively; a SELECT-only batch runs lock-free against
 // per-statement snapshots. The lock is only acquired after cancellation is
 // checked, so a timed-out request never queues behind a writer just to
-// fail. With a write-ahead log enabled, each mutating statement is logged
-// before it applies and the call returns only after the batch's log records
-// are durable per the configured SyncMode (the group-commit fsync runs
-// after the lock is released, so concurrent writers coalesce fsyncs without
-// serializing behind the disk).
+// fail. A batch stops at its first failing statement: that statement has
+// changed nothing, the ones before it stay applied. With a write-ahead log
+// enabled the call returns, on either exit, only after the records of the
+// statements that did apply are durable per the configured SyncMode (see
+// mutate).
 func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	s := db.sess.Load()
 	stmts, err := db.prepare(s, sql)
@@ -547,59 +548,15 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 		}
 		return last, nil
 	}
-	db.stmtMu.Lock()
-	last, pos, err := db.execWriteBatch(ctx, s, stmts)
-	db.stmtMu.Unlock()
-	if err != nil {
-		return nil, err
+	var last *Result
+	muts := make([]mutation, len(stmts))
+	for i, stmt := range stmts {
+		muts[i] = db.stmtMutation(ctx, s, stmt, &last)
 	}
-	if err := db.walCommit(pos); err != nil {
+	if err := db.mutate(ctx, muts...); err != nil {
 		return nil, err
 	}
 	return last, nil
-}
-
-// execWriteBatch runs a batch containing at least one mutation; the caller
-// holds the exclusive statement lock. Every mutating statement is appended
-// to the write-ahead log (when enabled) before it executes, and fresh MVCC
-// images are published after it, so lock-free readers only ever pin
-// statement-boundary states. The returned position is the batch's last
-// logged record, for the caller to commit after releasing the lock.
-func (db *DB) execWriteBatch(ctx context.Context, s *session, stmts []sqlast.Statement) (*Result, wal.Pos, error) {
-	var last *Result
-	var pos wal.Pos
-	for _, stmt := range stmts {
-		if err := ctx.Err(); err != nil {
-			return nil, pos, err
-		}
-		if sel, ok := stmt.(*sqlast.SelectStmt); ok {
-			res, _, err := db.runSelect(ctx, s, sel, false, false)
-			if err != nil {
-				return nil, pos, err
-			}
-			last = wrapResult(res)
-			continue
-		}
-		p, err := db.logRecord(wal.KindStmt, []byte(sqlast.FormatStatement(stmt)))
-		if err != nil {
-			return nil, pos, err
-		}
-		if p != (wal.Pos{}) {
-			pos = p
-		}
-		ex := db.newExecutor(ctx, s, nil)
-		res, err := ex.ExecStatement(stmt)
-		// Publish even on error: a failed statement may have applied
-		// partially (and bumped versions) before failing; readers must see
-		// that state, and WAL replay reproduces it deterministically.
-		db.cat.PublishAll()
-		if err != nil {
-			return nil, pos, err
-		}
-		last = wrapResult(res)
-	}
-	db.maybeCheckpointLocked()
-	return last, pos, nil
 }
 
 // MustExec is Exec that panics on error (setup code and examples).
@@ -729,16 +686,7 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 	for i, c := range cols {
 		sc[i] = types.Column(c)
 	}
-	db.stmtMu.Lock()
-	pos, err := db.logRecord(wal.KindCreate, wal.EncodeCreate(name, sc))
-	if err == nil {
-		_, err = db.cat.Create(name, types.NewSchema(sc...))
-	}
-	db.stmtMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return db.walCommit(pos)
+	return db.mutate(context.Background(), db.createMutation(name, sc))
 }
 
 // Column declares one table column.
@@ -750,8 +698,9 @@ func ColFloat(name string) Column  { return Column{Name: name, Kind: types.KindF
 func ColString(name string) Column { return Column{Name: name, Kind: types.KindString} }
 func ColBool(name string) Column   { return Column{Name: name, Kind: types.KindBool} }
 
-// Insert appends rows to a table programmatically. Values may be Go ints,
-// floats, strings, bools, nil, or Value.
+// Insert appends rows to a table programmatically, all of them or (when one
+// does not fit the schema) none. Values may be Go ints, floats, strings,
+// bools, nil, or Value.
 func (db *DB) Insert(table string, rows ...[]any) error {
 	conv := make([]types.Row, len(rows))
 	for j, r := range rows {
@@ -761,65 +710,27 @@ func (db *DB) Insert(table string, rows ...[]any) error {
 		}
 		conv[j] = row
 	}
-	db.stmtMu.Lock()
-	pos, err := db.insertLocked(table, conv)
-	db.cat.PublishAll()
-	db.stmtMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return db.walCommit(pos)
+	return db.mutate(context.Background(), db.rowsMutation(table, conv))
 }
 
-// insertLocked logs and applies a programmatic row load; the caller holds
-// the exclusive statement lock. The record is appended before t.Insert runs
-// (replay re-applies through the same coercion, re-failing as a whole if the
-// original failed: Insert stores all rows or none).
-func (db *DB) insertLocked(table string, rows []types.Row) (wal.Pos, error) {
-	t, ok := db.cat.Get(table)
-	if !ok {
-		return wal.Pos{}, fmt.Errorf("unknown table %q", table)
-	}
-	pos, err := db.logRecord(wal.KindRows, wal.EncodeRows(table, rows))
-	if err != nil {
-		return pos, err
-	}
-	return pos, t.Insert(rows...)
-}
-
-// LoadCSV bulk-loads CSV data into an existing table. Unlike the other
-// mutators, the delta is logged after the load (an io.Reader cannot be
-// replayed): a crash between apply and append loses the load, but the call
-// had not returned, so durability-implies-acknowledged still holds.
+// LoadCSV bulk-loads CSV data into an existing table and returns the number
+// of rows loaded. The whole reader is parsed before the statement lock is
+// taken — a slow or stalled reader delays nobody — and the parsed rows then
+// go in exactly as Insert's do: all of them or, when any record is malformed
+// or cannot be stored, none.
 func (db *DB) LoadCSV(table string, r io.Reader, skipHeader bool) (int, error) {
-	db.stmtMu.Lock()
-	n, pos, err := db.loadCSVLocked(table, r, skipHeader)
-	db.cat.PublishAll()
-	db.stmtMu.Unlock()
-	if err != nil {
-		return n, err
-	}
-	return n, db.walCommit(pos)
-}
-
-func (db *DB) loadCSVLocked(table string, r io.Reader, skipHeader bool) (int, wal.Pos, error) {
 	t, ok := db.cat.Get(table)
 	if !ok {
-		return 0, wal.Pos{}, fmt.Errorf("unknown table %q", table)
+		return 0, fmt.Errorf("unknown table %q", table)
 	}
-	before := len(t.Rows)
-	n, err := t.LoadCSV(r, skipHeader)
-	var pos wal.Pos
-	if len(t.Rows) > before {
-		// Log whatever actually landed (possibly a partial batch when err
-		// is non-nil) so replay reproduces the same state.
-		p, logErr := db.logRecord(wal.KindRows, wal.EncodeRows(table, t.Rows[before:]))
-		if logErr != nil && err == nil {
-			err = logErr
-		}
-		pos = p
+	rows, err := catalog.ReadCSV(r, t.Schema.Len(), skipHeader)
+	if err != nil {
+		return 0, err
 	}
-	return n, pos, err
+	if err := db.mutate(context.Background(), db.rowsMutation(table, rows)); err != nil {
+		return 0, err
+	}
+	return len(rows), nil
 }
 
 // Tables lists the catalog's table names (materialized views included:

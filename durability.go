@@ -1,13 +1,9 @@
 package sqlsheet
 
 import (
-	"context"
 	"fmt"
 
-	"sqlsheet/internal/apb"
-	"sqlsheet/internal/parser"
 	"sqlsheet/internal/sqlast"
-	"sqlsheet/internal/types"
 	"sqlsheet/internal/wal"
 )
 
@@ -16,7 +12,7 @@ type SyncMode = wal.SyncMode
 
 // Sync modes for EnableWAL: SyncGroup coalesces post-apply fsyncs across
 // concurrent committers (the default), SyncAlways fsyncs before every
-// statement applies, SyncNone never fsyncs.
+// statement is published, SyncNone never fsyncs.
 const (
 	SyncGroup  = wal.SyncGroup
 	SyncAlways = wal.SyncAlways
@@ -29,17 +25,23 @@ func ParseSyncMode(s string) (SyncMode, error) { return wal.ParseSyncMode(s) }
 // WALCounters re-exports the log's cumulative statistics for monitoring.
 type WALCounters = wal.Counters
 
-// walDefaultAutoCheckpoint compacts the log once it exceeds 64 MiB.
-const walDefaultAutoCheckpoint int64 = 64 << 20
+// walAutoCheckpoint is the log size past which a write compacts it.
+const walAutoCheckpoint int64 = 64 << 20
 
 // EnableWAL attaches a write-ahead log in dir, first replaying any existing
-// log so the database recovers the state it last acknowledged: statements
-// re-execute in log order (re-failing deterministically where the original
-// failed, reproducing partial-application states bit for bit), programmatic
-// loads re-apply their recorded rows, and APB installs regenerate from
-// their recorded scale. Call it on a freshly opened DB before sharing it
-// between goroutines; subsequent mutations are logged before they apply and
-// acknowledged only after their records are durable per mode.
+// log so the database recovers the state it last acknowledged. Each record is
+// decoded back into the mutation that wrote it and applied through the write
+// path's own per-mutation step with no log attached: statements re-execute in
+// log order, programmatic loads re-apply their recorded rows, and APB installs
+// regenerate from their recorded scale. Only mutations that succeeded are ever
+// logged, so replay is strict: a well-framed record that does not decode or
+// does not apply fails EnableWAL with an error naming the record's ordinal
+// and kind, rather than silently dropping a statement someone was told had
+// committed (a torn or corrupt frame still just ends the log: nothing after
+// it was acknowledged). On error the DB holds a partial replay and must be
+// discarded. Call it on a freshly opened DB before sharing it between
+// goroutines; subsequent mutations are logged as they apply and acknowledged
+// only after their records are durable per mode.
 func (db *DB) EnableWAL(dir string, mode SyncMode) error {
 	s := db.sess.Load()
 	db.stmtMu.Lock()
@@ -51,24 +53,40 @@ func (db *DB) EnableWAL(dir string, mode SyncMode) error {
 	if err != nil {
 		return err
 	}
-	db.walReplay = true
+	n := 0
 	err = l.Replay(func(rec wal.Record) error {
-		db.applyWALRecord(s, rec)
+		n++
+		if rec.Kind == wal.KindReset {
+			// A checkpoint's leading marker: the records that follow rebuild
+			// the full state, so everything replayed so far is dropped. Replay
+			// already starts at the newest checkpoint segment, on a fresh DB,
+			// so normally there is nothing to drop — this keeps the record's
+			// meaning honest regardless.
+			for _, name := range append(db.cat.ViewNames(), db.cat.Names()...) {
+				db.cat.DropObject(name)
+			}
+			return nil
+		}
+		muts, err := db.decodeRecord(s, rec)
+		for _, m := range muts {
+			if err != nil {
+				break
+			}
+			err = db.mutateLocked(m, nil) // no log attached: nothing is appended
+		}
+		if err != nil {
+			return fmt.Errorf("sqlsheet: wal recovery: record %d (kind %q): %v", n, rec.Kind, err)
+		}
 		return nil
 	})
-	db.walReplay = false
 	if err != nil {
 		l.Close()
 		return err
 	}
-	db.cat.PublishAll()
 	db.wal = l
-	if db.walAutoCP <= 0 {
-		db.walAutoCP = walDefaultAutoCheckpoint
-	}
 	// A long recovery log means the previous process never compacted;
 	// checkpoint now so the next restart replays one segment.
-	if l.SizeBytes() > db.walAutoCP {
+	if l.SizeBytes() > walAutoCheckpoint {
 		return db.checkpointLocked()
 	}
 	return nil
@@ -76,7 +94,8 @@ func (db *DB) EnableWAL(dir string, mode SyncMode) error {
 
 // Close releases the write-ahead log (fsyncing per mode on the way out).
 // It is a no-op when no log is attached; the in-memory database remains
-// usable but further mutations are no longer logged.
+// usable but further mutations are no longer logged — or, if the log had
+// failed, still refused.
 func (db *DB) Close() error {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
@@ -84,6 +103,9 @@ func (db *DB) Close() error {
 		return nil
 	}
 	err := db.wal.Close()
+	if db.failed == nil {
+		db.failed = db.wal.Err()
+	}
 	db.wal = nil
 	return err
 }
@@ -107,126 +129,22 @@ func (db *DB) WALCounters() (WALCounters, bool) {
 	return l.Counters(), true
 }
 
-// applyWALRecord replays one log record against the catalog. Replay is
-// tolerant: undecodable or re-failing records leave exactly the state the
-// original failure left (logging happens before applying, so a failed
-// statement is in the log and re-fails the same way), and never abort
-// recovery.
-func (db *DB) applyWALRecord(s *session, rec wal.Record) {
-	switch rec.Kind {
-	case wal.KindReset:
-		// A checkpoint's leading marker: the records that follow rebuild
-		// the full state, so everything replayed so far is dropped.
-		// Replay already starts at the newest checkpoint segment, and
-		// recovery runs on a fresh DB, so normally there is nothing to
-		// drop — this keeps the record's meaning honest regardless.
-		for _, name := range db.cat.MatViewNames() {
-			db.cat.DropObject(name)
-		}
-		for _, name := range db.cat.ViewNames() {
-			db.cat.DropObject(name)
-		}
-		for _, name := range db.cat.Names() {
-			db.cat.Drop(name)
-		}
-	case wal.KindStmt:
-		stmts, err := parser.Parse(string(rec.Data))
-		if err != nil {
-			return
-		}
-		for _, stmt := range stmts {
-			if _, ok := stmt.(*sqlast.SelectStmt); ok {
-				continue
-			}
-			ex := db.newExecutor(context.Background(), s, nil)
-			_, _ = ex.ExecStatement(stmt)
-			db.cat.PublishAll()
-		}
-	case wal.KindCreate:
-		name, cols, err := wal.DecodeCreate(rec.Data)
-		if err != nil {
-			return
-		}
-		_, _ = db.cat.Create(name, types.NewSchema(cols...))
-	case wal.KindRows:
-		table, rows, err := wal.DecodeRows(rec.Data)
-		if err != nil {
-			return
-		}
-		t, ok := db.cat.Get(table)
-		if !ok {
-			return
-		}
-		_ = t.Insert(rows...) // re-fails as the original did
-		db.cat.PublishAll()
-	case wal.KindAPB:
-		p, err := wal.DecodeAPB(rec.Data)
-		if err != nil {
-			return
-		}
-		d := apb.Generate(apb.Config{
-			Seed:          p.Seed,
-			ProductFanout: p.ProductFanout,
-			Channels:      p.Channels,
-			Customers:     p.Customers,
-			Years:         p.Years,
-			Density:       p.Density,
-		})
-		_ = d.Install(db.cat)
-		db.cat.PublishAll()
-	}
-}
-
-// logRecord appends one record to the write-ahead log; it is a no-op when
-// no log is attached or recovery is replaying. The caller holds the
-// exclusive statement lock.
-func (db *DB) logRecord(kind byte, data []byte) (wal.Pos, error) {
-	if db.wal == nil || db.walReplay {
-		return wal.Pos{}, nil
-	}
-	return db.wal.Append(kind, data)
-}
-
-// walCommit makes everything up to pos durable (group commit); called after
-// the statement lock is released so fsyncs coalesce across writers instead
-// of serializing them. Running outside the lock means it can race Close,
-// so the log pointer is loaded under the shared lock; if Close won the
-// race the statement's record was fsynced on the way out (Log.Commit also
-// treats an already-closed log as covered), so nil is correct, not lost
-// durability.
-func (db *DB) walCommit(pos wal.Pos) error {
-	db.stmtMu.RLock()
-	l := db.wal
-	db.stmtMu.RUnlock()
-	if l == nil {
-		return nil
-	}
-	return l.Commit(pos)
-}
-
-// maybeCheckpointLocked compacts the log when it has outgrown the
-// auto-checkpoint threshold; the caller holds the exclusive statement lock.
-func (db *DB) maybeCheckpointLocked() {
-	if db.wal == nil || db.walReplay || db.walAutoCP <= 0 {
-		return
-	}
-	if db.wal.SizeBytes() > db.walAutoCP {
-		_ = db.checkpointLocked()
-	}
-}
-
 // Checkpoint compacts the write-ahead log: the full database state is
-// written to a fresh segment as create/row-load records (views and
-// materialized views as their defining statements) and every older segment
-// is deleted, bounding both disk usage and restart replay time. The swap
-// is crash-atomic — temp file, fsync, rename, directory fsync, leading
-// reset marker — so a kill at any point recovers either the old history or
-// the checkpoint, never a mix (see wal.Log.Checkpoint).
+// written to a fresh segment and every older segment is deleted, bounding
+// both disk usage and restart replay time. The swap is crash-atomic — temp
+// file, fsync, rename, directory fsync, leading reset marker — so a kill at
+// any point recovers either the old history or the checkpoint, never a mix
+// (see wal.Log.Checkpoint).
 //
-// A materialized view is checkpointed by definition, so recovery recomputes
-// it from the restored base tables: an MV that was stale (unREFRESHed) at
-// checkpoint time comes back fresh. Base tables and plain views round-trip
-// exactly.
+// Every table, a materialized view's rows included, is a create record and a
+// row-load record; every view and materialized view is then a CREATE FORCE
+// statement, which registers the definition over what is already there
+// without planning or running it. So the checkpoint is a log strict recovery
+// always accepts, whatever the definitions read (each other in any order, a
+// table dropped since, data their query now fails on), and everything
+// round-trips exactly: a materialized view that was stale comes back with
+// the same stale rows. Only its refresh bookmarks are not kept — its first
+// REFRESH after a recovery is a full one.
 func (db *DB) Checkpoint() error {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
@@ -239,9 +157,6 @@ func (db *DB) checkpointLocked() error {
 	}
 	return db.wal.Checkpoint(func(app func(kind byte, data []byte) error) error {
 		for _, name := range db.cat.Names() {
-			if _, isMV := db.cat.MatViewDef(name); isMV {
-				continue // restored via its CREATE MATERIALIZED VIEW below
-			}
 			t, ok := db.cat.Get(name)
 			if !ok {
 				continue
@@ -255,24 +170,13 @@ func (db *DB) checkpointLocked() error {
 				}
 			}
 		}
-		// Plain views before materialized ones: MV definitions may read
-		// views, and both may read only base tables, which are already in.
-		for _, name := range db.cat.ViewNames() {
-			v, ok := db.cat.ViewDef(name)
-			if !ok {
-				continue
+		for _, name := range append(db.cat.ViewNames(), db.cat.MatViewNames()...) {
+			stmt := &sqlast.CreateView{Name: name, Force: true}
+			if mv, ok := db.cat.MatViewDef(name); ok {
+				stmt.Query, stmt.Materialized = mv.Query, true
+			} else if v, ok := db.cat.ViewDef(name); ok {
+				stmt.Query = v.Query
 			}
-			stmt := &sqlast.CreateView{Name: v.Name, Query: v.Query}
-			if err := app(wal.KindStmt, []byte(sqlast.FormatStatement(stmt))); err != nil {
-				return err
-			}
-		}
-		for _, name := range db.cat.MatViewNames() {
-			mv, ok := db.cat.MatViewDef(name)
-			if !ok {
-				continue
-			}
-			stmt := &sqlast.CreateView{Name: mv.Name, Query: mv.Query, Materialized: true}
 			if err := app(wal.KindStmt, []byte(sqlast.FormatStatement(stmt))); err != nil {
 				return err
 			}

@@ -2,12 +2,16 @@ package sqlsheet_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sqlsheet"
+	"sqlsheet/internal/types"
+	"sqlsheet/internal/wal"
 )
 
 // walFactDB builds the warehouse with the WAL attached from the start, so
@@ -129,6 +133,84 @@ func TestWALCheckpointRecover(t *testing.T) {
 	assertSameState(t, db, db2)
 }
 
+// TestWALCheckpointRestoresEveryDefinition checkpoints the definitions a
+// replay that re-validated or re-ran them would choke on — and recovery is
+// strict, so choking means the database does not start: views and
+// materialized views that read each other against alphabetical order, ones
+// whose source table has been dropped, a materialized view whose query now
+// fails on the data, and a stale one, which must come back as stale as it was.
+func TestWALCheckpointRestoresEveryDefinition(t *testing.T) {
+	dir := t.TempDir()
+	db := walFactDB(t, dir, sqlsheet.SyncGroup)
+	db.MustExec(`CREATE TABLE f (a INT, b INT)`)
+	db.MustExec(`INSERT INTO f VALUES (1, 10), (2, 20)`)
+	db.MustExec(`CREATE VIEW zb AS SELECT a, b FROM f`)
+	db.MustExec(`CREATE VIEW aa AS SELECT a FROM zb`)
+	db.MustExec(`CREATE MATERIALIZED VIEW zm AS SELECT a, b FROM f`)
+	db.MustExec(`CREATE MATERIALIZED VIEW am AS SELECT a FROM zm`)
+	db.MustExec(`CREATE VIEW av AS SELECT a FROM am`)
+	db.MustExec(`CREATE MATERIALIZED VIEW ex AS SELECT a + 1, COUNT(*) FROM f GROUP BY a + 1`) // unnamed columns
+	db.MustExec(`CREATE TABLE gone (x INT)`)
+	db.MustExec(`INSERT INTO gone VALUES (7)`)
+	db.MustExec(`CREATE MATERIALIZED VIEW orphan AS SELECT x FROM gone`)
+	db.MustExec(`CREATE VIEW dangling AS SELECT x FROM gone`)
+	db.MustExec(`DROP TABLE gone`)
+	db.MustExec(`CREATE TABLE d (x INT)`)
+	db.MustExec(`INSERT INTO d VALUES (2)`)
+	db.MustExec(`CREATE MATERIALIZED VIEW frac AS SELECT 10 / x AS q FROM d`)
+	db.MustExec(`UPDATE d SET x = 0`)
+	if _, err := db.Exec(`REFRESH frac FULL`); err == nil {
+		t.Fatal("frac still evaluates; the case needs a definition that fails")
+	}
+	db.MustExec(`INSERT INTO f VALUES (3, 30)`) // zm and am are now stale
+
+	queries := []string{
+		`SELECT a, b FROM zb ORDER BY a`, `SELECT a FROM aa ORDER BY a`,
+		`SELECT a, b FROM zm ORDER BY a`, `SELECT a FROM am ORDER BY a`, `SELECT a FROM av ORDER BY a`,
+		`SELECT x FROM orphan`, `SELECT q FROM frac`, `SELECT x FROM dangling`, `SELECT * FROM ex`,
+	}
+	same := func(stage string, want, got *sqlsheet.DB) {
+		t.Helper()
+		w := fmt.Sprint(want.Tables(), want.Views(), want.MatViews())
+		if g := fmt.Sprint(got.Tables(), got.Views(), got.MatViews()); g != w {
+			t.Fatalf("%s: recovered catalog %s, live %s", stage, g, w)
+		}
+		for _, q := range queries {
+			wr, werr := want.Query(q)
+			gr, gerr := got.Query(q)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) || (werr == nil && !sameResults(wr, gr)) {
+				t.Fatalf("%s: %s\nlive:      %v (err %v)\nrecovered: %v (err %v)", stage, q, wr, werr, gr, gerr)
+			}
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := recoverDB(t, dir)
+	same("checkpoint", db, db2)
+	if res := db2.MustExec(`SELECT a FROM zm`); len(res.Rows) != 2 {
+		t.Fatalf("stale zm recovered with %d rows, want the 2 it had", len(res.Rows))
+	}
+	db2.Close()
+
+	// Statements after the checkpoint that name the restored objects: they
+	// applied live, so they must replay.
+	for _, q := range []string{`DROP VIEW dangling`, `DROP MATERIALIZED VIEW orphan`, `REFRESH zm`, `REFRESH am`, `INSERT INTO f VALUES (4, 40)`, `REFRESH zm`} {
+		db.MustExec(q)
+	}
+	if _, err := db.Exec(`REFRESH frac`); err == nil {
+		t.Fatal("REFRESH frac succeeded")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db3 := recoverDB(t, dir)
+	same("checkpoint + tail", db, db3)
+	if res := db3.MustExec(`SELECT a FROM zm`); len(res.Rows) != 4 {
+		t.Fatalf("refreshed zm recovered with %d rows, want 4", len(res.Rows))
+	}
+}
+
 // TestWALCheckpointCrashWindow simulates a kill between a checkpoint
 // becoming durable and the removal of the history it compacted: recovery
 // must rebuild from the checkpoint alone — replaying the leftover history
@@ -165,31 +247,85 @@ func TestWALCheckpointCrashWindow(t *testing.T) {
 	}
 }
 
-// TestWALReplayedFailureIsDeterministic: a failing statement is logged
-// before it applies, so recovery re-fails it the same way and converges on
-// the same state.
-func TestWALReplayedFailureIsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	db := walFactDB(t, dir, sqlsheet.SyncGroup)
-	db.MustExec(`CREATE TABLE t (a INT)`)
-	db.MustExec(`INSERT INTO t VALUES (1)`)
-	// Batch where the second statement fails: the first stays applied
-	// (statement-level atomicity), and both are in the log.
-	if _, err := db.Exec(`INSERT INTO t VALUES (2); INSERT INTO missing VALUES (3)`); err == nil {
-		t.Fatal("expected error from INSERT into missing table")
+// TestWALRecoveryIsStrict: only mutations that succeeded are logged, so a
+// well-framed record that does not decode or does not apply is a lost
+// acknowledged statement, not a replayed failure: EnableWAL reports which
+// record instead of carrying on without it. (The third log is what a build
+// that logged before applying left behind after a failed INSERT.)
+func TestWALRecoveryIsStrict(t *testing.T) {
+	create := wal.EncodeCreate("t", []types.Column{{Name: "a", Kind: types.KindInt}})
+	for _, c := range []struct {
+		name string
+		kind byte
+		data []byte
+		want string
+	}{
+		{"rows for a table nobody created", wal.KindRows, wal.EncodeRows("missing", []types.Row{{types.NewInt(1)}}), `record 2 (kind 'R')`},
+		{"statement text that does not parse", wal.KindStmt, []byte(`INSERT INTO`), `record 2 (kind 'S')`},
+		{"statement that fails", wal.KindStmt, []byte(`INSERT INTO t VALUES ('x')`), `record 2 (kind 'S')`},
+		{"create record cut short", wal.KindCreate, create[:len(create)-2], `record 2 (kind 'C')`},
+		{"kind no build writes", 'Q', nil, `record 2 (kind 'Q')`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := wal.Open(dir, wal.SyncNone, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []struct {
+				kind byte
+				data []byte
+			}{{wal.KindCreate, create}, {c.kind, c.data}, {wal.KindStmt, []byte(`INSERT INTO t VALUES (1)`)}} {
+				if _, err := l.Append(rec.kind, rec.data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = sqlsheet.Open().EnableWAL(dir, sqlsheet.SyncGroup)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("EnableWAL = %v, want an error naming %s", err, c.want)
+			}
+		})
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	db2 := recoverDB(t, dir)
-	w := db.MustExec(`SELECT a FROM t ORDER BY a`)
-	g, err := db2.Query(`SELECT a FROM t ORDER BY a`)
-	if err != nil {
+// TestLoadCSVParsesOutsideTheLock: LoadCSV reads its whole input before it
+// takes the statement lock, so a reader that stalls holds up nobody.
+func TestLoadCSVParsesOutsideTheLock(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE t (k TEXT, v INT)`)
+	pr, pw := io.Pipe()
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := db.LoadCSV("t", pr, false)
+		loaded <- err
+	}()
+	// The pipe is unbuffered: once this returns LoadCSV has consumed the
+	// line and sits in the next Read, for as long as the test keeps it there.
+	if _, err := pw.Write([]byte("a,1\n")); err != nil {
 		t.Fatal(err)
 	}
-	if !sameResults(w, g) {
-		t.Fatalf("recovered %v, want %v", g.Rows, w.Rows)
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(`INSERT INTO t VALUES ('b', 2)`)
+		inserted <- err
+	}()
+	select {
+	case err := <-inserted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("INSERT is waiting behind a LoadCSV whose reader has stalled")
+	}
+	pw.Close()
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	if n := db.TableRows("t"); n != 2 {
+		t.Fatalf("t has %d rows, want the INSERT's and the CSV's", n)
 	}
 }
 

@@ -256,26 +256,32 @@ func (d *Data) genCube() {
 
 // Install registers the dataset's tables in a catalog:
 // apb_fact(c,h,t,p,s), apb_cube(c,h,t,p,s), product_dt(p,parent1,parent2,
-// parent3,lvl), time_dt(m,m_yago,m_qago).
+// parent3,lvl), time_dt(m,m_yago,m_qago). It creates all four or none: every
+// name is checked before the first table exists.
 func (d *Data) Install(cat *catalog.Catalog) error {
-	mk := func(name string, schema *types.Schema, rows []types.Row) error {
-		t, err := cat.Create(name, schema)
+	tables := []struct {
+		name string
+		cols []string
+		rows []types.Row
+	}{
+		{"apb_fact", []string{"c", "h", "t", "p", "s"}, d.Fact},
+		{"apb_cube", []string{"c", "h", "t", "p", "s"}, d.Cube},
+		{"product_dt", []string{"p", "parent1", "parent2", "parent3", "lvl"}, d.ProductDT},
+		{"time_dt", []string{"m", "m_yago", "m_qago"}, d.TimeDT},
+	}
+	for _, tb := range tables {
+		if cat.InUse(tb.name) {
+			return fmt.Errorf("table %q already exists", tb.name)
+		}
+	}
+	for _, tb := range tables {
+		t, err := cat.Create(tb.name, types.NewSchemaNames(tb.cols...))
 		if err != nil {
 			return err
 		}
-		t.Rows = append(t.Rows, rows...)
-		return nil
+		t.Rows = append(t.Rows, tb.rows...)
 	}
-	if err := mk("apb_fact", types.NewSchemaNames("c", "h", "t", "p", "s"), d.Fact); err != nil {
-		return err
-	}
-	if err := mk("apb_cube", types.NewSchemaNames("c", "h", "t", "p", "s"), d.Cube); err != nil {
-		return err
-	}
-	if err := mk("product_dt", types.NewSchemaNames("p", "parent1", "parent2", "parent3", "lvl"), d.ProductDT); err != nil {
-		return err
-	}
-	return mk("time_dt", types.NewSchemaNames("m", "m_yago", "m_qago"), d.TimeDT)
+	return nil
 }
 
 // ProductsAtLevel returns the codes of products at the given level.

@@ -209,34 +209,29 @@ func Coerce(v types.Value, k types.Kind) (types.Value, error) {
 	return types.Null, fmt.Errorf("cannot store %s value as %s", v.K, k)
 }
 
-// LoadCSV reads CSV data into the table. Columns are matched positionally;
-// values parse as int, then float, then string; empty fields become NULL.
-func (t *Table) LoadCSV(r io.Reader, skipHeader bool) (int, error) {
+// ReadCSV parses CSV data into rows of the given width, touching no table:
+// the caller hands them to Insert, which stores all of them or none. Values
+// parse as int, then float, then string; empty fields become NULL.
+func ReadCSV(r io.Reader, width int, skipHeader bool) ([]types.Row, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = t.Schema.Len()
-	n := 0
-	first := true
-	for {
+	cr.FieldsPerRecord = width
+	var rows []types.Row
+	for first := true; ; first = false {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return n, nil
+			return rows, nil
 		}
 		if err != nil {
-			return n, err
+			return nil, err
 		}
 		if first && skipHeader {
-			first = false
 			continue
 		}
-		first = false
 		row := make(types.Row, len(rec))
 		for i, f := range rec {
 			row[i] = ParseField(f)
 		}
-		if err := t.Insert(row); err != nil {
-			return n, err
-		}
-		n++
+		rows = append(rows, row)
 	}
 }
 

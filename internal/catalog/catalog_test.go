@@ -60,9 +60,12 @@ func TestInsertCoercion(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	c := New()
 	tb, _ := c.Create("f", types.NewSchemaNames("t", "s", "p"))
-	n, err := tb.LoadCSV(strings.NewReader("t,s,p\n2000,1.5,tv\n2001,,vcr\n"), true)
-	if err != nil || n != 2 {
-		t.Fatalf("LoadCSV: n=%d err=%v", n, err)
+	rows, err := ReadCSV(strings.NewReader("t,s,p\n2000,1.5,tv\n2001,,vcr\n"), tb.Schema.Len(), true)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("ReadCSV: %d rows, err=%v", len(rows), err)
+	}
+	if err := tb.Insert(rows...); err != nil {
+		t.Fatal(err)
 	}
 	if tb.Rows[0][0].Int() != 2000 || tb.Rows[0][1].F != 1.5 || tb.Rows[0][2].S != "tv" {
 		t.Errorf("row 0 = %v", tb.Rows[0])

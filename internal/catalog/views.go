@@ -74,6 +74,13 @@ func (c *Catalog) nameInUse(name string) bool {
 	return ok
 }
 
+// InUse reports whether a table, view or materialized view has the name.
+func (c *Catalog) InUse(name string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.nameInUse(strings.ToLower(name))
+}
+
 // CreateView registers a plain view.
 func (c *Catalog) CreateView(name string, query *sqlast.SelectStmt) (*View, error) {
 	name = strings.ToLower(name)
@@ -96,21 +103,33 @@ func (c *Catalog) ViewDef(name string) (*View, bool) {
 	return v, ok
 }
 
-// CreateMatView registers a materialized view and its backing table.
+// ViewQuery returns a plain view's definition, nil when name is not one: the
+// lookup sqlast.WalkTables expands views with.
+func (c *Catalog) ViewQuery(name string) *sqlast.SelectStmt {
+	if v, ok := c.ViewDef(name); ok {
+		return v.Query
+	}
+	return nil
+}
+
+// CreateMatView registers a materialized view and its backing table, which
+// is either new or the plain table already registered under the name.
 func (c *Catalog) CreateMatView(mv *MatView) error {
 	name := strings.ToLower(mv.Name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensureViews()
-	if c.nameInUse(name) {
+	if c.nameInUse(name) && (c.tables[name] != mv.Table || c.mviews[name] != nil) {
 		return fmt.Errorf("object %q already exists", name)
 	}
 	mv.Name = name
-	mv.Table.Name = name
-	mv.Table.counters = &c.images
-	// The backing table was constructed outside Create; publish its image
-	// before it becomes visible to snapshot readers.
-	mv.Table.Publish()
+	if c.tables[name] == nil {
+		mv.Table.Name = name
+		mv.Table.counters = &c.images
+		// The backing table was constructed outside Create; publish its
+		// image before it becomes visible to snapshot readers.
+		mv.Table.Publish()
+	}
 	c.mviews[name] = mv
 	c.tables[name] = mv.Table
 	return nil

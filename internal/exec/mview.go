@@ -20,36 +20,39 @@ import (
 
 func (ex *Executor) execCreateView(cv *sqlast.CreateView) (*Result, error) {
 	if !cv.Materialized {
-		// Validate the definition by planning it once.
-		if _, err := plan.Build(ex.Cat, cv.Query, ex.planOpts()); err != nil {
-			return nil, fmt.Errorf("view %s: %v", cv.Name, err)
+		if !cv.Force { // validate the definition by planning it once
+			if _, err := plan.Build(ex.Cat, cv.Query, ex.planOpts()); err != nil {
+				return nil, fmt.Errorf("view %s: %v", cv.Name, err)
+			}
 		}
 		if _, err := ex.Cat.CreateView(cv.Name, cv.Query); err != nil {
 			return nil, err
 		}
 		return &Result{Schema: eval.NewBoundSchema(nil)}, nil
 	}
-	res, err := ex.runStmt(cv.Query)
-	if err != nil {
-		return nil, fmt.Errorf("materialized view %s: %v", cv.Name, err)
-	}
-	cols := make([]types.Column, len(res.Schema.Cols))
-	for i, c := range res.Schema.Cols {
-		cols[i] = types.Column{Name: c.Name}
-	}
-	mv := &catalog.MatView{
-		Name:   cv.Name,
-		Query:  cv.Query,
-		DefSQL: sqlast.FormatStatement(cv.Query),
-		Table:  &catalog.Table{Schema: types.NewSchema(cols...), Rows: res.Rows},
+	mv := &catalog.MatView{Name: cv.Name, Query: cv.Query, DefSQL: sqlast.FormatStatement(cv.Query)}
+	if t, ok := ex.Cat.Get(cv.Name); cv.Force && ok {
+		// Adopt the table as it stands. No watermarks: nothing says how fresh
+		// its rows are, so the first REFRESH recomputes them.
+		mv.Table = t
+	} else {
+		res, err := ex.runStmt(cv.Query)
+		if err != nil {
+			return nil, fmt.Errorf("materialized view %s: %v", cv.Name, err)
+		}
+		cols := make([]types.Column, len(res.Schema.Cols))
+		for i, c := range res.Schema.Cols {
+			cols[i] = types.Column{Name: c.Name}
+		}
+		mv.Table = &catalog.Table{Schema: types.NewSchema(cols...), Rows: res.Rows}
+		mv.Watermarks, mv.Versions = ex.snapshotWatermarks(cv.Query)
 	}
 	mv.MainSource, mv.PbyCols = ex.analyzeIncremental(cv.Query)
-	mv.Watermarks, mv.Versions = ex.snapshotWatermarks(cv.Query)
 	if err := ex.Cat.CreateMatView(mv); err != nil {
 		return nil, err
 	}
 	return &Result{Schema: eval.NewBoundSchema([]eval.BoundCol{{Name: "rows"}}),
-		Rows: []types.Row{{types.NewInt(int64(len(res.Rows)))}}}, nil
+		Rows: []types.Row{{types.NewInt(int64(len(mv.Table.Rows)))}}}, nil
 }
 
 func (ex *Executor) runStmt(stmt *sqlast.SelectStmt) (*Result, error) {
@@ -87,7 +90,7 @@ func (ex *Executor) execRefresh(st *sqlast.RefreshStmt) (*Result, error) {
 // refreshMatView returns the refresh mode used ("noop", "incremental",
 // "full") and the number of rows (re)computed.
 func (ex *Executor) refreshMatView(mv *catalog.MatView, forceFull bool) (string, int, error) {
-	full := forceFull || mv.MainSource == "" || len(mv.PbyCols) == 0
+	full := forceFull || mv.MainSource == "" || len(mv.PbyCols) == 0 || mv.Versions == nil
 	if !full {
 		// Any change to a secondary source (dimension tables, reference
 		// sheets) invalidates partition-level reasoning.
@@ -129,6 +132,9 @@ func (ex *Executor) refreshMatView(mv *catalog.MatView, forceFull bool) (string,
 	res, err := ex.runStmt(mv.Query)
 	if err != nil {
 		return "", 0, err
+	}
+	if got, want := len(res.Schema.Cols), mv.Table.Schema.Len(); got != want { // an adopted table of another shape
+		return "", 0, fmt.Errorf("materialized view %s: its query yields %d columns, its table has %d", mv.Name, got, want)
 	}
 	mv.Table.Rows = res.Rows
 	// The backing table's contents changed without going through Insert;
@@ -275,92 +281,16 @@ func (ex *Executor) analyzeIncremental(stmt *sqlast.SelectStmt) (string, []catal
 }
 
 // snapshotWatermarks records the current row count and mutation version of
-// every base table the statement reads (views expand; unknown names are
-// skipped — they will force a full refresh when they appear later).
+// every base table the statement reads, in any clause (views expand; unknown
+// names are skipped — they will force a full refresh when they appear later).
 func (ex *Executor) snapshotWatermarks(stmt *sqlast.SelectStmt) (map[string]int, map[string]int64) {
-	out := map[string]int{}
+	rows := map[string]int{}
 	vers := map[string]int64{}
-	seenViews := map[string]bool{}
-	var walkStmt func(s *sqlast.SelectStmt)
-	var walkQuery func(q sqlast.QueryExpr)
-	var walkRef func(tr sqlast.TableRef)
-	var walkExprSubs func(e sqlast.Expr)
-
-	note := func(name string) {
-		if v, ok := ex.Cat.ViewDef(name); ok {
-			if !seenViews[name] {
-				seenViews[name] = true
-				walkStmt(v.Query)
-			}
-			return
-		}
+	sqlast.WalkTables(stmt, ex.Cat.ViewQuery, func(name string) {
 		if t, ok := ex.Cat.Get(name); ok {
-			out[t.Name] = len(t.Rows)
+			rows[t.Name] = len(t.Rows)
 			vers[t.Name] = t.Version.Load()
 		}
-	}
-	walkExprSubs = func(e sqlast.Expr) {
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			switch x := n.(type) {
-			case *sqlast.InSubquery:
-				walkStmt(x.Sub)
-			case *sqlast.Exists:
-				walkStmt(x.Sub)
-			case *sqlast.ScalarSubquery:
-				walkStmt(x.Sub)
-			case *sqlast.CellRef:
-				for _, q := range x.Quals {
-					if q.ForSub != nil {
-						walkStmt(q.ForSub)
-					}
-				}
-			}
-			return true
-		})
-	}
-	walkRef = func(tr sqlast.TableRef) {
-		switch x := tr.(type) {
-		case *sqlast.TableName:
-			note(x.Name)
-		case *sqlast.SubqueryRef:
-			walkStmt(x.Sub)
-		case *sqlast.JoinRef:
-			walkRef(x.L)
-			walkRef(x.R)
-			walkExprSubs(x.On)
-		}
-	}
-	walkQuery = func(q sqlast.QueryExpr) {
-		switch x := q.(type) {
-		case *sqlast.Union:
-			walkQuery(x.L)
-			walkQuery(x.R)
-		case *sqlast.SelectBody:
-			for _, tr := range x.From {
-				walkRef(tr)
-			}
-			walkExprSubs(x.Where)
-			walkExprSubs(x.Having)
-			for _, it := range x.Items {
-				walkExprSubs(it.Expr)
-			}
-			if sc := x.Spreadsheet; sc != nil {
-				for _, ref := range sc.Refs {
-					walkStmt(ref.Query)
-				}
-				for _, f := range sc.Rules {
-					walkExprSubs(f.RHS)
-					walkExprSubs(f.LHS)
-				}
-			}
-		}
-	}
-	walkStmt = func(s *sqlast.SelectStmt) {
-		for _, cte := range s.With {
-			walkStmt(cte.Query)
-		}
-		walkQuery(s.Query)
-	}
-	walkStmt(stmt)
-	return out, vers
+	})
+	return rows, vers
 }

@@ -274,12 +274,13 @@ func (p *Parser) parseUpdate() (sqlast.Statement, error) {
 	return st, nil
 }
 
-// parseCreate dispatches CREATE TABLE / CREATE [MATERIALIZED] VIEW.
+// parseCreate dispatches CREATE TABLE / CREATE [FORCE] [MATERIALIZED] VIEW.
 func (p *Parser) parseCreate() (sqlast.Statement, error) {
 	p.next() // CREATE
+	force := p.acceptKw("force")
 	materialized := p.acceptKw("materialized")
 	switch {
-	case !materialized && p.peekKw("table"):
+	case !force && !materialized && p.peekKw("table"):
 		return p.parseCreateTableBody()
 	case p.acceptKw("view"):
 		name, err := p.parseIdent("view name")
@@ -293,9 +294,9 @@ func (p *Parser) parseCreate() (sqlast.Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sqlast.CreateView{Name: name, Query: q, Materialized: materialized}, nil
+		return &sqlast.CreateView{Name: name, Query: q, Materialized: materialized, Force: force}, nil
 	}
-	return nil, p.errf("expected TABLE or [MATERIALIZED] VIEW after CREATE, found %q", p.peek().text)
+	return nil, p.errf("expected TABLE or [FORCE] [MATERIALIZED] VIEW after CREATE, found %q", p.peek().text)
 }
 
 func (p *Parser) parseRefresh() (sqlast.Statement, error) {

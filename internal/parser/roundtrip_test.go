@@ -26,6 +26,8 @@ var roundtripCorpus = []string{
 	`INSERT INTO t SELECT a, b FROM u`,
 	`CREATE VIEW v AS SELECT a FROM t`,
 	`CREATE MATERIALIZED VIEW mv AS SELECT a FROM t WHERE a > 0`,
+	`CREATE FORCE VIEW v AS SELECT a FROM t`,
+	`CREATE FORCE MATERIALIZED VIEW mv AS SELECT a FROM t`,
 	`REFRESH mv FULL`,
 	`DROP TABLE t`,
 	`DELETE FROM t WHERE a = 1 AND b LIKE 'x%'`,

@@ -13,10 +13,10 @@ import (
 // spreadsheet nodes owned by the plan (eligible for structure caching).
 //
 // Names come from two walks that cross-check each other:
-//   - the AST walk descends into CTE bodies, derived tables, every subquery
-//     form (IN/EXISTS/scalar, FOR-IN qualifier subqueries), reference
-//     spreadsheets and view definitions — catching tables the planner turns
-//     into executor-private subplans that never appear as plan Scans;
+//   - the AST walk (sqlast.WalkTables) descends into CTE bodies, derived
+//     tables, every subquery form, reference spreadsheets and view
+//     definitions — catching tables the planner turns into executor-private
+//     subplans that never appear as plan Scans;
 //   - the plan walk collects Scan tables — catching objects the optimizer
 //     substituted (view expansion, materialized-view rewrite targets).
 //
@@ -31,13 +31,13 @@ import (
 // would open a staleness window: deps stamped V+1, rows computed from V,
 // and the entry served as long as the catalog stays at V+1.
 func CollectDeps(cat *catalog.Catalog, stmt *sqlast.SelectStmt, p plan.Node, snap *catalog.Snapshot) ([]Dep, map[*plan.Spreadsheet]bool) {
-	w := &depWalker{cat: cat, names: map[string]bool{}}
-	w.stmt(stmt)
+	seen := map[string]bool{}
+	sqlast.WalkTables(stmt, cat.ViewQuery, func(n string) { seen[n] = true })
 	sheets := make(map[*plan.Spreadsheet]bool)
-	walkPlan(p, w.names, sheets, map[plan.Node]bool{})
+	walkPlan(p, seen, sheets, map[plan.Node]bool{})
 
-	names := make([]string, 0, len(w.names))
-	for n := range w.names {
+	names := make([]string, 0, len(seen))
+	for n := range seen {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -85,131 +85,6 @@ func DepsMatchSnapshot(deps []Dep, snap *catalog.Snapshot) bool {
 		}
 	}
 	return true
-}
-
-type depWalker struct {
-	cat   *catalog.Catalog
-	names map[string]bool
-}
-
-func (w *depWalker) stmt(s *sqlast.SelectStmt) {
-	if s == nil {
-		return
-	}
-	for _, cte := range s.With {
-		w.stmt(cte.Query)
-	}
-	w.query(s.Query)
-	for _, o := range s.OrderBy {
-		w.expr(o.Expr)
-	}
-	w.expr(s.Limit)
-}
-
-func (w *depWalker) query(q sqlast.QueryExpr) {
-	switch x := q.(type) {
-	case *sqlast.Union:
-		w.query(x.L)
-		w.query(x.R)
-	case *sqlast.SelectBody:
-		for _, it := range x.Items {
-			w.expr(it.Expr)
-		}
-		for _, tr := range x.From {
-			w.tableRef(tr)
-		}
-		w.expr(x.Where)
-		for _, g := range x.GroupBy {
-			w.expr(g)
-		}
-		w.expr(x.Having)
-		w.spreadsheet(x.Spreadsheet)
-	}
-}
-
-func (w *depWalker) spreadsheet(sp *sqlast.SpreadsheetClause) {
-	if sp == nil {
-		return
-	}
-	for _, r := range sp.Refs {
-		w.stmt(r.Query)
-	}
-	for _, e := range sp.PBY {
-		w.expr(e)
-	}
-	for _, e := range sp.DBY {
-		w.expr(e)
-	}
-	for _, m := range sp.MEA {
-		w.expr(m.Expr)
-	}
-	if sp.Iterate != nil {
-		w.expr(sp.Iterate.Until)
-	}
-	for _, f := range sp.Rules {
-		w.expr(f.LHS)
-		w.expr(f.RHS)
-		for _, o := range f.OrderBy {
-			w.expr(o.Expr)
-		}
-	}
-}
-
-func (w *depWalker) tableRef(tr sqlast.TableRef) {
-	switch x := tr.(type) {
-	case *sqlast.TableName:
-		w.name(x.Name)
-	case *sqlast.SubqueryRef:
-		w.stmt(x.Sub)
-	case *sqlast.JoinRef:
-		w.tableRef(x.L)
-		w.tableRef(x.R)
-		w.expr(x.On)
-	}
-}
-
-// expr walks an expression, descending into every subquery form (WalkExpr
-// itself stops at subquery boundaries) and into FOR-IN qualifier subqueries
-// of cell references.
-func (w *depWalker) expr(e sqlast.Expr) {
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch x := n.(type) {
-		case *sqlast.InSubquery:
-			w.stmt(x.Sub)
-		case *sqlast.Exists:
-			w.stmt(x.Sub)
-		case *sqlast.ScalarSubquery:
-			w.stmt(x.Sub)
-		case *sqlast.CellRef:
-			w.quals(x.Quals)
-		case *sqlast.CellAgg:
-			w.quals(x.Quals)
-		}
-		return true
-	})
-}
-
-func (w *depWalker) quals(qs []sqlast.DimQual) {
-	for i := range qs {
-		if qs[i].ForSub != nil {
-			w.stmt(qs[i].ForSub)
-		}
-	}
-}
-
-// name records a referenced object name. Names that resolve to a view are
-// expanded recursively — a view's result changes when its underlying tables
-// do, so those tables join the snapshot. CTE names may shadow table names;
-// recording the shadowed table anyway only over-approximates (spurious
-// invalidation, never a stale serve).
-func (w *depWalker) name(n string) {
-	if w.names[n] {
-		return
-	}
-	w.names[n] = true
-	if v, ok := w.cat.ViewDef(n); ok {
-		w.stmt(v.Query)
-	}
 }
 
 // walkPlan collects Scan tables and plan-owned spreadsheet nodes, following

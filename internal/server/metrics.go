@@ -110,17 +110,20 @@ type ImagesSnapshot struct {
 	Fallbacks   map[string]int64 `json:"fallbacks"`
 }
 
-// WALSnapshot is the /metrics shape of the write-ahead log counters.
+// WALSnapshot is the /metrics shape of sqlsheet.WALCounters. Failed is the
+// write or fsync error that poisoned the log: while it is set the server
+// answers reads and refuses every mutation.
 type WALSnapshot struct {
-	Appends        int64 `json:"appends"`
-	BytesWritten   int64 `json:"bytes_written"`
-	Fsyncs         int64 `json:"fsyncs"`
-	CoalescedSyncs int64 `json:"coalesced_syncs"`
-	Checkpoints    int64 `json:"checkpoints"`
-	Replayed       int64 `json:"replayed"`
-	TruncatedTail  int64 `json:"truncated_tail"`
-	Segments       int64 `json:"segments"`
-	SizeBytes      int64 `json:"size_bytes"`
+	Appends        int64  `json:"appends"`
+	BytesWritten   int64  `json:"bytes_written"`
+	Fsyncs         int64  `json:"fsyncs"`
+	CoalescedSyncs int64  `json:"coalesced_syncs"`
+	Checkpoints    int64  `json:"checkpoints"`
+	Replayed       int64  `json:"replayed"`
+	TruncatedTail  int64  `json:"truncated_tail"`
+	Segments       int64  `json:"segments"`
+	SizeBytes      int64  `json:"size_bytes"`
+	Failed         string `json:"failed,omitempty"`
 }
 
 // snapshot materializes the current counter values.

@@ -508,17 +508,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Shard = s.cfg.ShardMetrics()
 	}
 	if wc, ok := s.db.WALCounters(); ok {
-		snap.WAL = &WALSnapshot{
-			Appends:        wc.Appends,
-			BytesWritten:   wc.BytesWritten,
-			Fsyncs:         wc.Fsyncs,
-			CoalescedSyncs: wc.CoalescedSyncs,
-			Checkpoints:    wc.Checkpoints,
-			Replayed:       wc.Replayed,
-			TruncatedTail:  wc.TruncatedTail,
-			Segments:       wc.Segments,
-			SizeBytes:      wc.SizeBytes,
-		}
+		ws := WALSnapshot(wc)
+		snap.WAL = &ws
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

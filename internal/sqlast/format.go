@@ -51,6 +51,9 @@ func formatStatement(b *textWriter, s Statement) {
 		}
 	case *CreateView:
 		b.WriteString("CREATE ")
+		if x.Force {
+			b.WriteString("FORCE ")
+		}
 		if x.Materialized {
 			b.WriteString("MATERIALIZED ")
 		}

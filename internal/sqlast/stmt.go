@@ -129,11 +129,16 @@ type InsertStmt struct {
 
 // CreateView is CREATE [MATERIALIZED] VIEW name AS query. Plain views store
 // the query and expand at plan time; materialized views store rows and
-// support REFRESH (the paper's §7 "Materialized Views" direction).
+// support REFRESH (the paper's §7 "Materialized Views" direction). FORCE
+// (Oracle's CREATE FORCE VIEW, and for a materialized view its ON PREBUILT
+// TABLE) registers the definition without planning or running it; a
+// materialized view then adopts the table of its name as its rows. It is how
+// a checkpoint records a definition so that it restores whatever it reads.
 type CreateView struct {
 	Name         string
 	Query        *SelectStmt
 	Materialized bool
+	Force        bool
 }
 
 // RefreshStmt is REFRESH [MATERIALIZED VIEW] name [FULL|INCREMENTAL].

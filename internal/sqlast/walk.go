@@ -125,3 +125,136 @@ func HasSubquery(e Expr) bool {
 	})
 	return found
 }
+
+// WalkTables calls fn once for every distinct relation name stmt reads,
+// wherever the name appears: FROM lists and joins, CTE bodies, derived
+// tables, every subquery form (IN/EXISTS/scalar, FOR-IN qualifier subqueries
+// of cell references and cell aggregates) in every clause — select items,
+// WHERE, GROUP BY, HAVING, ORDER BY, LIMIT, PBY/DBY/MEA expressions, rules,
+// ITERATE … UNTIL — and reference spreadsheets. view resolves a name to its
+// view definition (nil when it is not a view): a view's result changes when
+// its underlying relations do, so fn sees the view's name and then the names
+// its definition reads. CTE names may shadow table names; reporting the
+// shadowed table anyway only over-approximates.
+func WalkTables(stmt *SelectStmt, view func(name string) *SelectStmt, fn func(name string)) {
+	w := &tableWalker{view: view, fn: fn, seen: map[string]bool{}}
+	w.stmt(stmt)
+}
+
+type tableWalker struct {
+	view func(string) *SelectStmt
+	fn   func(string)
+	seen map[string]bool
+}
+
+func (w *tableWalker) stmt(s *SelectStmt) {
+	if s == nil {
+		return
+	}
+	for _, cte := range s.With {
+		w.stmt(cte.Query)
+	}
+	w.query(s.Query)
+	for _, o := range s.OrderBy {
+		w.expr(o.Expr)
+	}
+	w.expr(s.Limit)
+}
+
+func (w *tableWalker) query(q QueryExpr) {
+	switch x := q.(type) {
+	case *Union:
+		w.query(x.L)
+		w.query(x.R)
+	case *SelectBody:
+		for _, it := range x.Items {
+			w.expr(it.Expr)
+		}
+		for _, tr := range x.From {
+			w.tableRef(tr)
+		}
+		w.expr(x.Where)
+		for _, g := range x.GroupBy {
+			w.expr(g)
+		}
+		w.expr(x.Having)
+		w.spreadsheet(x.Spreadsheet)
+	}
+}
+
+func (w *tableWalker) spreadsheet(sp *SpreadsheetClause) {
+	if sp == nil {
+		return
+	}
+	for _, r := range sp.Refs {
+		w.stmt(r.Query)
+	}
+	for _, e := range sp.PBY {
+		w.expr(e)
+	}
+	for _, e := range sp.DBY {
+		w.expr(e)
+	}
+	for _, m := range sp.MEA {
+		w.expr(m.Expr)
+	}
+	if sp.Iterate != nil {
+		w.expr(sp.Iterate.Until)
+	}
+	for _, f := range sp.Rules {
+		w.expr(f.LHS)
+		w.expr(f.RHS)
+		for _, o := range f.OrderBy {
+			w.expr(o.Expr)
+		}
+	}
+}
+
+func (w *tableWalker) tableRef(tr TableRef) {
+	switch x := tr.(type) {
+	case *TableName:
+		w.name(x.Name)
+	case *SubqueryRef:
+		w.stmt(x.Sub)
+	case *JoinRef:
+		w.tableRef(x.L)
+		w.tableRef(x.R)
+		w.expr(x.On)
+	}
+}
+
+func (w *tableWalker) expr(e Expr) { WalkExpr(e, w.subqueries) }
+
+// subqueries is WalkExpr's callback: WalkExpr itself stops at subquery
+// boundaries, so every subquery form, and the FOR-IN qualifier subqueries of
+// cell references, are entered from here.
+func (w *tableWalker) subqueries(n Expr) bool {
+	switch x := n.(type) {
+	case *InSubquery:
+		w.stmt(x.Sub)
+	case *Exists:
+		w.stmt(x.Sub)
+	case *ScalarSubquery:
+		w.stmt(x.Sub)
+	case *CellRef:
+		w.quals(x.Quals)
+	case *CellAgg:
+		w.quals(x.Quals)
+	}
+	return true
+}
+
+func (w *tableWalker) quals(qs []DimQual) {
+	for i := range qs {
+		w.stmt(qs[i].ForSub)
+	}
+}
+
+func (w *tableWalker) name(n string) {
+	if w.seen[n] {
+		return
+	}
+	w.seen[n] = true
+	w.fn(n)
+	w.stmt(w.view(n))
+}

@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log behind sqlsheetd's crash
-// safety: every mutating statement is appended as a length-prefixed,
-// CRC-checksummed record before (or alongside — see SyncMode) its effects
-// apply, and recovery replays the log so a restarted process comes back
+// safety: every mutating statement that applied is appended as a
+// length-prefixed, CRC-checksummed record before any reader can see its
+// effects and before it is acknowledged (see SyncMode for when the record is
+// durable), and recovery replays the log so a restarted process comes back
 // with exactly the state it acknowledged.
 //
 // Layout: the log is a directory of segment files (wal-00000001.log, ...).
@@ -43,15 +44,15 @@ import (
 type SyncMode int
 
 const (
-	// SyncGroup (the default) fsyncs after a statement applies, outside
+	// SyncGroup (the default) fsyncs after a statement is published, outside
 	// the statement lock, coalescing concurrent commits into one fsync
 	// (group commit): an acknowledgement still implies durability, but N
 	// back-to-back writers share fsyncs instead of paying one each.
 	SyncGroup SyncMode = iota
-	// SyncAlways fsyncs inside Append, before the statement applies —
-	// the strict write-ahead discipline. Slowest, used by the recovery
-	// tests where the kill window must never contain an applied-but-
-	// unlogged statement.
+	// SyncAlways fsyncs inside Append, before the statement is published:
+	// no reader ever sees a statement a crash could lose. Slowest, used by
+	// the recovery tests where the kill window must never contain a
+	// visible-but-unlogged statement.
 	SyncAlways
 	// SyncNone never fsyncs; durability is whatever the OS page cache
 	// survives. Benchmark baseline and bulk-load mode.
@@ -120,6 +121,9 @@ type Counters struct {
 	TruncatedTail  int64 // torn/corrupt frames dropped at recovery
 	Segments       int64 // segment files currently on disk
 	SizeBytes      int64 // bytes currently on disk across segments
+	// Failed is the append or fsync error that poisoned the log (see
+	// Log.Err); empty while the log is healthy.
+	Failed string
 }
 
 // Pos identifies an appended record's end position for Commit: everything
@@ -158,6 +162,35 @@ type Log struct {
 	checkpoints    atomic.Int64
 	replayed       atomic.Int64
 	truncatedTail  atomic.Int64
+
+	// failed is the first error of an Append or of an fsync. It is sticky —
+	// every later Append, Commit and Checkpoint returns it — for three
+	// reasons. A short write leaves torn bytes in the segment that a later
+	// append would land behind (replay stops at the first torn frame, losing
+	// it). A retried fsync may report success for pages the kernel already
+	// dropped. And the database appends a statement after applying it: a
+	// statement whose append failed for any reason, a segment that would not
+	// open included, is in memory and not in the log, and the only way that
+	// stays one loudly failed statement is that nothing is ever logged, or
+	// published, on top of it.
+	failed atomic.Pointer[error]
+}
+
+// Err returns the append or fsync error that poisoned the log, nil while it
+// is healthy. A poisoned log accepts nothing more; what it held before the
+// error still replays.
+func (l *Log) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the log's sticky error unless one is already set, and
+// returns the one that is.
+func (l *Log) fail(err error) error {
+	l.failed.CompareAndSwap(nil, &err)
+	return l.Err()
 }
 
 const defaultSegBytes = 16 << 20
@@ -382,14 +415,18 @@ const maxRecordBytes = 1 << 30
 
 // Append frames and writes one record, rotating segments as needed. Under
 // SyncAlways the write is durable when Append returns; under SyncGroup the
-// caller must Commit the returned position after applying the statement;
-// under SyncNone the position is meaningless and Commit is a no-op.
+// caller must Commit the returned position before acknowledging the
+// statement; under SyncNone the position is meaningless and Commit is a
+// no-op. Any error poisons the log (see Err).
 func (l *Log) Append(kind byte, data []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.Err(); err != nil {
+		return Pos{}, err
+	}
 	if l.f == nil || l.off >= l.segBytes {
 		if err := l.rotateLocked(); err != nil {
-			return Pos{}, err
+			return Pos{}, l.fail(err)
 		}
 	}
 	payload := make([]byte, 0, 1+len(data))
@@ -399,10 +436,10 @@ func (l *Log) Append(kind byte, data []byte) (Pos, error) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := l.f.Write(hdr[:]); err != nil {
-		return Pos{}, fmt.Errorf("wal: append: %v", err)
+		return Pos{}, l.fail(fmt.Errorf("wal: append: %v", err))
 	}
 	if _, err := l.f.Write(payload); err != nil {
-		return Pos{}, fmt.Errorf("wal: append: %v", err)
+		return Pos{}, l.fail(fmt.Errorf("wal: append: %v", err))
 	}
 	l.off += int64(len(hdr) + len(payload))
 	l.appends.Add(1)
@@ -410,7 +447,7 @@ func (l *Log) Append(kind byte, data []byte) (Pos, error) {
 	pos := Pos{seg: l.seg, end: l.off}
 	if l.mode == SyncAlways {
 		if err := l.f.Sync(); err != nil {
-			return Pos{}, fmt.Errorf("wal: fsync: %v", err)
+			return Pos{}, l.fail(fmt.Errorf("wal: fsync: %v", err))
 		}
 		l.fsyncs.Add(1)
 		l.markSynced(pos)
@@ -469,13 +506,16 @@ func (l *Log) markSynced(pos Pos) {
 // the disk.
 func (l *Log) Commit(pos Pos) error {
 	if l.mode != SyncGroup || pos.seg == 0 {
-		return nil
+		return l.Err()
 	}
 	l.mu.Lock()
 	f, seg, off := l.f, l.seg, l.off
 	l.mu.Unlock()
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
+	if err := l.Err(); err != nil {
+		return err
+	}
 	if pos.seg < l.syncedSeg || (pos.seg == l.syncedSeg && pos.end <= l.syncedOff) {
 		l.coalescedSyncs.Add(1)
 		return nil
@@ -495,7 +535,7 @@ func (l *Log) Commit(pos Pos) error {
 	// here — before closing the file they fsynced, and an already-closed
 	// file means pos was covered above.
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %v", err)
+		return l.fail(fmt.Errorf("wal: fsync: %v", err))
 	}
 	l.fsyncs.Add(1)
 	if seg > l.syncedSeg || (seg == l.syncedSeg && off > l.syncedOff) {
@@ -522,6 +562,9 @@ func (l *Log) Commit(pos Pos) error {
 func (l *Log) Checkpoint(write func(app func(kind byte, data []byte) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.Err(); err != nil {
+		return err
+	}
 	old := append([]int64(nil), l.segments...)
 	oldF := l.f
 	seg := l.seg + 1
@@ -645,6 +688,9 @@ func (l *Log) Counters() Counters {
 		Replayed:       l.replayed.Load(),
 		TruncatedTail:  l.truncatedTail.Load(),
 	}
+	if err := l.Err(); err != nil {
+		c.Failed = err.Error()
+	}
 	l.mu.Lock()
 	c.Segments = int64(len(l.segments))
 	l.mu.Unlock()
@@ -666,7 +712,7 @@ func (l *Log) Close() error {
 	}
 	if l.mode != SyncNone {
 		if err := l.f.Sync(); err != nil {
-			return err
+			return l.fail(fmt.Errorf("wal: fsync: %v", err))
 		}
 		l.fsyncs.Add(1)
 		l.markSynced(Pos{seg: l.seg, end: l.off})

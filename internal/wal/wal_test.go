@@ -342,7 +342,8 @@ func TestCommitConcurrentWithRotation(t *testing.T) {
 	}
 }
 
-// TestCommitAfterCloseIsCleanNoop covers the walCommit/Close race: Close
+// TestCommitAfterCloseIsCleanNoop covers the race between DB.mutate's commit
+// (issued after the statement lock is released) and DB.Close: Close
 // fsyncs and advances the durable mark, so a commit that arrives after it
 // finds its position covered and succeeds without touching the closed file.
 func TestCommitAfterCloseIsCleanNoop(t *testing.T) {
@@ -366,6 +367,98 @@ func TestCommitAfterCloseIsCleanNoop(t *testing.T) {
 // TestSizeBytesCountsPreexistingSegments: right after Open, before any
 // append, the newest on-disk segment shares its number with l.seg but is
 // not open in this process — SizeBytes must stat it, not report zero.
+// TestFailedWriteOrSyncPoisonsTheLog: after a write or fsync error the log
+// accepts nothing more. Were the next append allowed, it would land behind
+// the torn bytes of the failed one, where replay never reaches it; a retried
+// fsync may report success for pages the kernel already dropped. What the
+// log held before the error still replays.
+func TestFailedWriteOrSyncPoisonsTheLog(t *testing.T) {
+	for _, mode := range []SyncMode{SyncGroup, SyncAlways} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := l.Append(KindStmt, []byte("acknowledged"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(good); err != nil {
+				t.Fatal(err)
+			}
+			// Swap the segment for a handle that rejects writes and fsyncs
+			// alike: the same file, opened read-only.
+			healthy := l.f
+			ro, err := os.Open(healthy.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ro.Close()
+			l.f = ro
+			_, first := l.Append(KindStmt, []byte("torn"))
+			if first == nil {
+				t.Fatal("append to a read-only segment succeeded")
+			}
+			// The disk "recovers"; the log must not.
+			l.f = healthy
+			if _, err := l.Append(KindStmt, []byte("after")); err == nil || err.Error() != first.Error() {
+				t.Errorf("append after a failed append = %v, want the first error %v", err, first)
+			}
+			if err := l.Commit(good); err == nil || err.Error() != first.Error() {
+				t.Errorf("commit after a failed append = %v, want the first error %v", err, first)
+			}
+			if err := l.Checkpoint(func(func(byte, []byte) error) error { return nil }); err == nil {
+				t.Error("checkpoint of a poisoned log succeeded")
+			}
+			if c := l.Counters(); c.Failed != first.Error() || c.Appends != 1 {
+				t.Errorf("counters %+v, want Failed = %q and the one good append", c, first)
+			}
+			healthy.Close()
+
+			l2, err := Open(dir, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recs := collect(t, l2); len(recs) != 1 || string(recs[0].Data) != "acknowledged" {
+				t.Errorf("replayed %d records %v, want the acknowledged one", len(recs), recs)
+			}
+		})
+	}
+}
+
+// TestFailedCommitPoisonsTheLog: the group-commit fsync is the other place
+// the disk can say no.
+func TestFailedCommitPoisonsTheLog(t *testing.T) {
+	l, err := Open(t.TempDir(), SyncGroup, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := l.Append(KindStmt, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := l.f
+	defer healthy.Close()
+	ro, err := os.Open(healthy.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close() // fsync of a closed handle fails
+	l.f = ro
+	first := l.Commit(pos)
+	if first == nil {
+		t.Fatal("commit through a closed handle succeeded")
+	}
+	l.f = healthy
+	if err := l.Commit(pos); err == nil {
+		t.Error("commit retried after a failed fsync succeeded")
+	}
+	if _, err := l.Append(KindStmt, []byte("y")); err == nil {
+		t.Error("append after a failed fsync succeeded")
+	}
+}
+
 func TestSizeBytesCountsPreexistingSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, SyncNone, 0)

@@ -3,6 +3,8 @@ package sqlsheet_test
 import (
 	"strings"
 	"testing"
+
+	"sqlsheet"
 )
 
 func TestViewWithSpreadsheetPrunes(t *testing.T) {
@@ -76,6 +78,63 @@ func TestViewErrorsAndDrop(t *testing.T) {
 	}
 	if _, err := db.Exec(`DROP TABLE nonexistent`); err == nil {
 		t.Error("dropping unknown object must fail")
+	}
+}
+
+// TestCreateForceView: FORCE registers a definition as given — a view over
+// what does not exist (yet), a materialized view over the table that already
+// holds its rows, whose first REFRESH is a full one.
+func TestCreateForceView(t *testing.T) {
+	db := newFactDB(t)
+	db.MustExec(`CREATE FORCE VIEW v AS SELECT x FROM later`)
+	if _, err := db.Query(`SELECT x FROM v`); err == nil {
+		t.Error("a view over a missing table must fail when queried")
+	}
+	db.MustExec(`CREATE TABLE later (x INT)`)
+	db.MustExec(`INSERT INTO later VALUES (5)`)
+	if res := db.MustExec(`SELECT x FROM v`); len(res.Rows) != 1 {
+		t.Errorf("forced view over a table created later: %v", res.Rows)
+	}
+	if _, err := db.Exec(`CREATE FORCE VIEW v AS SELECT x FROM later`); err == nil {
+		t.Error("FORCE must not replace an existing view")
+	}
+
+	db.MustExec(`CREATE TABLE pre (x INT)`)
+	db.MustExec(`INSERT INTO pre VALUES (1), (2)`)
+	db.MustExec(`CREATE FORCE MATERIALIZED VIEW pre AS SELECT x FROM later`)
+	if res := db.MustExec(`SELECT x FROM pre`); len(res.Rows) != 2 {
+		t.Errorf("adopted rows: %v, want the table's 2", res.Rows)
+	}
+	if _, err := db.Exec(`CREATE FORCE MATERIALIZED VIEW pre AS SELECT x FROM later`); err == nil {
+		t.Error("FORCE must not replace an existing materialized view")
+	}
+	if rr := db.MustExec(`REFRESH pre`); rr.Rows[0][0].String() != "full" {
+		t.Errorf("first refresh of an adopted table = %v, want full", rr.Rows[0])
+	}
+	if res := db.MustExec(`SELECT x FROM pre`); len(res.Rows) != 1 || res.Rows[0][0].String() != "5" {
+		t.Errorf("after refresh: %v, want the definition's one row", res.Rows)
+	}
+	// An adopted table has no refresh bookmarks until that first refresh.
+	db.MustExec(`CREATE TABLE sheet (r TEXT, p TEXT, t INT, s FLOAT)`)
+	db.MustExec(`CREATE FORCE MATERIALIZED VIEW sheet AS SELECT r, p, t, s FROM f
+		SPREADSHEET PBY(r) DBY (p, t) MEA (s) ( UPSERT s['video', 2002] = s['tv', 2002] + s['vcr', 2002] )`)
+	for _, want := range []string{"full", "noop", "incremental"} {
+		if want == "incremental" {
+			db.MustExec(`INSERT INTO f VALUES ('west', 'tv', 2003, 1, 1)`)
+		}
+		if rr := db.MustExec(`REFRESH sheet`); rr.Rows[0][0].String() != want {
+			t.Errorf("refresh of an adopted sheet = %v, want %s", rr.Rows[0], want)
+		}
+	}
+	db.MustExec(`CREATE TABLE wide (x INT, y INT)`)
+	db.MustExec(`CREATE FORCE MATERIALIZED VIEW wide AS SELECT x FROM later`)
+	if _, err := db.Exec(`REFRESH wide`); err == nil {
+		t.Error("a refresh must not fill a two-column table with one-column rows")
+	}
+	// With no table to adopt it is CREATE MATERIALIZED VIEW.
+	db.MustExec(`CREATE FORCE MATERIALIZED VIEW fresh AS SELECT x FROM later`)
+	if res := db.MustExec(`SELECT x FROM fresh`); len(res.Rows) != 1 {
+		t.Errorf("forced materialized view without a table: %v", res.Rows)
 	}
 }
 
@@ -256,4 +315,32 @@ func TestUpdateForcesFullMVRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, res.Rows[0][0], 1024, "refreshed value") // 1000 + vcr 24
+}
+
+// TestMVRefreshSeesEverySourceTable: a source a view reads only through a
+// subquery in a MEA expression is a source all the same. When it changes, a
+// refresh after an append to the main table must not recompute just the
+// appended partition and leave the others on the old value.
+func TestMVRefreshSeesEverySourceTable(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`)
+	db.MustExec(`INSERT INTO f VALUES ('west', 'dvd', 2001, 5), ('east', 'dvd', 2001, 5)`)
+	db.MustExec(`CREATE TABLE d (x INT)`)
+	db.MustExec(`INSERT INTO d VALUES (2)`)
+	db.MustExec(`CREATE MATERIALIZED VIEW mv AS
+		SELECT r, p, t, s, k FROM f
+		SPREADSHEET PBY(r) DBY (p, t) MEA (s, (SELECT MAX(x) FROM d) AS k)
+		( UPSERT s['dvd', 2002] = s['dvd', 2001] * k['dvd', 2001] )`)
+	db.MustExec(`UPDATE d SET x = 3`)
+	db.MustExec(`INSERT INTO f VALUES ('west', 'vcr', 2001, 1)`)
+	rr := db.MustExec(`REFRESH mv`)
+	if mode := rr.Rows[0][0].String(); mode != "full" {
+		t.Errorf("REFRESH after a change to d ran %s, want full", mode)
+	}
+	const q = `SELECT r, p, t, s, k FROM mv ORDER BY r, p, t`
+	got := db.MustExec(q)
+	db.MustExec(`REFRESH mv FULL`)
+	if want := db.MustExec(q); !sameResults(want, got) {
+		t.Errorf("REFRESH left %v, REFRESH FULL gives %v", got.Rows, want.Rows)
+	}
 }
