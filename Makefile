@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath lint-writepath
+.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath lint-onepath
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,13 @@ test:
 # Tier-1 verification: everything must build, every test must pass (including
 # the serving-layer suite), every fuzz target must survive a few seconds of
 # mutation, no per-row boxing or per-cell allocation may sneak into the
-# kernel files unannotated, the root package must publish and log in one place
-# only, and the vectorized-path packages must be
+# kernel files unannotated, the root package must publish, log, plan and
+# execute in one place each, and the vectorized-path packages must be
 # race-clean (the columnar image cache and selection-pool are shared across
 # worker goroutines; race-vector is targeted so verify stays fast —
 # full-module `make race` remains the pre-merge gate for goroutine-heavy
 # changes).
-verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath lint-writepath race-vector
+verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath lint-onepath race-vector
 
 # Serving-layer gate: wire codec round-trips, fuzz seed corpus, and the
 # in-process sqlsheetd integration suite (32 concurrent sessions vs serial
@@ -101,23 +101,27 @@ lint-hotpath:
 	fi; \
 	echo "lint-hotpath: ok"
 
-# lint-writepath keeps the write path one path. Publishing table images and
-# appending to the log are the two things that must only ever happen inside
-# the write function (mutateLocked in write.go: apply → append → publish), so
-# the root package's non-test files may call Catalog.PublishAll once and the
-# log's Append once. A second call site is a second write path: route the new
-# mutation through DB.mutate instead. (checkpointLocked writes through
-# Log.Checkpoint's callback and is unaffected.)
-lint-writepath:
-	@for call in 'PublishAll(' '\.Append('; do \
+# lint-onepath keeps the write path and the read path one path each.
+# Publishing table images and appending to the log must only ever happen
+# inside the write function (mutateLocked in write.go: apply → append →
+# publish); building a plan and executing it only inside the read function
+# (read in db.go: lookup → result → claim → plan → execute → store). So the
+# root package's non-test files may call Catalog.PublishAll, the log's
+# Append, plan.Build and Executor.Execute once each. A second call site is a
+# second path: route the new mutation through DB.mutate, the new SELECT
+# through DB.read. (checkpointLocked writes through Log.Checkpoint's callback
+# and is unaffected; DML executes through Executor.ExecStatement inside a
+# mutation.)
+lint-onepath:
+	@for call in 'PublishAll(' '\.Append(' 'plan\.Build(' '\.Execute('; do \
 		hits=$$(grep -n "$$call" $$(ls *.go | grep -v '_test\.go$$') | grep -v ':[0-9]*:[[:space:]]*//'); \
 		if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ]; then \
-			echo "lint-writepath: want exactly one call of $$call in the root package, found:"; \
+			echo "lint-onepath: want exactly one call of $$call in the root package, found:"; \
 			echo "$$hits"; \
 			exit 1; \
 		fi; \
 	done; \
-	echo "lint-writepath: ok"
+	echo "lint-onepath: ok"
 
 vet:
 	$(GO) vet ./...

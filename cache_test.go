@@ -4,7 +4,9 @@
 package sqlsheet_test
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -199,8 +201,8 @@ func TestCacheOpStatsCounters(t *testing.T) {
 	if st1.Cache.PlanHit || st1.Cache.ResultHit {
 		t.Errorf("first run must be a miss: %+v", st1.Cache)
 	}
-	if st1.Cache.Misses == 0 {
-		t.Errorf("cumulative misses should count the first run: %+v", st1.Cache)
+	if c := db.CacheCounters(); c.PlanMisses == 0 {
+		t.Errorf("cumulative misses should count the first run: %+v", c)
 	}
 
 	_, st2, err := db.QueryOpStats(q)
@@ -212,8 +214,8 @@ func TestCacheOpStatsCounters(t *testing.T) {
 	}
 	// A result hit answers before the plan lookup, so only the result
 	// counter advances.
-	if st2.Cache.ResultHits == 0 {
-		t.Errorf("cumulative result-hit counter should have advanced: %+v", st2.Cache)
+	if c := db.CacheCounters(); c.ResultHits == 0 {
+		t.Errorf("cumulative result-hit counter should have advanced: %+v", c)
 	}
 
 	db.MustExec(`DELETE FROM sales WHERE t = 1998`)
@@ -224,8 +226,8 @@ func TestCacheOpStatsCounters(t *testing.T) {
 	if st3.Cache.PlanHit || st3.Cache.ResultHit {
 		t.Errorf("post-DML run must miss: %+v", st3.Cache)
 	}
-	if st3.Cache.Invalidations == 0 {
-		t.Errorf("invalidation should be counted: %+v", st3.Cache)
+	if c := db.CacheCounters(); c.Invalidations == 0 {
+		t.Errorf("invalidation should be counted: %+v", c)
 	}
 
 	// Structure reuse shows up when the result tier is off.
@@ -240,8 +242,8 @@ func TestCacheOpStatsCounters(t *testing.T) {
 	if !st5.Cache.PlanHit || st5.Cache.ResultHit {
 		t.Errorf("plan-only tier: want plan hit without result hit: %+v", st5.Cache)
 	}
-	if st5.Cache.StructuresReused == 0 || st5.Cache.StructReuses == 0 {
-		t.Errorf("plan-only tier should reuse the access structure: %+v", st5.Cache)
+	if c := po.CacheCounters(); st5.Cache.StructuresReused == 0 || c.StructReuses == 0 {
+		t.Errorf("plan-only tier should reuse the access structure: %+v, %+v", st5.Cache, c)
 	}
 }
 
@@ -289,8 +291,8 @@ func TestCacheDisabledKnobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Cache.PlanHit || st.Cache.ResultHit || st.Cache.Hits != 0 {
-			t.Errorf("DisablePlanCache run %d: cache activity %+v", i, st.Cache)
+		if c := off.CacheCounters(); st.Cache.PlanHit || st.Cache.ResultHit || c.PlanHits != 0 {
+			t.Errorf("DisablePlanCache run %d: cache activity %+v, %+v", i, st.Cache, c)
 		}
 	}
 
@@ -300,8 +302,152 @@ func TestCacheDisabledKnobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Cache.ResultHit || st.Cache.ResultHits != 0 {
-			t.Errorf("DisableResultCache run %d: result served from cache %+v", i, st.Cache)
+		if c := po.CacheCounters(); st.Cache.ResultHit || c.ResultHits != 0 {
+			t.Errorf("DisableResultCache run %d: result served from cache %+v, %+v", i, st.Cache, c)
+		}
+	}
+}
+
+// stripCacheNotes drops the "cache: …" lines of an EXPLAIN text.
+func stripCacheNotes(text string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if !strings.HasPrefix(line, "cache:") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// TestReadPathsAgree crosses every read entry point with every cache mode —
+// full, plan-only, off, and busy (each statement's entry held as by a
+// concurrent execution, so every call plans and executes privately) — over
+// the property queries, before and after DML: rows render byte-identically,
+// and plans are identical once the cache lines are stripped.
+func TestReadPathsAgree(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  sqlsheet.Config
+		busy bool
+	}{
+		{"full", sqlsheet.Config{}, false},
+		{"plan-only", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}}, false},
+		{"off", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}}, false},
+		{"busy", sqlsheet.Config{}, true},
+	}
+	reads := []struct {
+		name string
+		run  func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error)
+	}{
+		{"Query", (*sqlsheet.DB).Query},
+		{"QueryContext", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
+			return db.QueryContext(context.Background(), q)
+		}},
+		{"QueryStats", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
+			res, _, err := db.QueryStats(q)
+			return res, err
+		}},
+		{"QueryOpStats", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
+			res, _, err := db.QueryOpStats(q)
+			return res, err
+		}},
+		{"Exec", (*sqlsheet.DB).Exec},
+		{"Exec after no-op DELETE", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
+			return db.Exec(`DELETE FROM sales WHERE t < 0; ` + q)
+		}},
+	}
+	plans := []struct {
+		name string
+		run  func(db *sqlsheet.DB, q string) (string, error)
+	}{
+		{"Explain", (*sqlsheet.DB).Explain},
+		{"ExplainAnalyze", func(db *sqlsheet.DB, q string) (string, error) {
+			text, err := db.ExplainAnalyze(q)
+			plan, _, _ := strings.Cut(text, "\nexecution:\n")
+			return plan, err
+		}},
+	}
+	dbs := make([]*sqlsheet.DB, len(modes))
+	for i, m := range modes {
+		dbs[i] = cacheTestDB(t, m.cfg)
+		if m.busy {
+			for _, q := range cacheQueries {
+				dbs[i].HoldEntry(t, q)
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, q := range cacheQueries {
+			var wantRows, wantPlan string
+			for i, m := range modes {
+				for _, r := range reads {
+					res, err := r.run(dbs[i], q)
+					if err != nil {
+						t.Fatalf("%s: %s %s %q: %v", stage, m.name, r.name, q, err)
+					}
+					if got := res.String(); wantRows == "" {
+						wantRows = got
+					} else if got != wantRows {
+						t.Errorf("%s: %s %s diverged on %q:\ngot:\n%s\nwant:\n%s", stage, m.name, r.name, q, got, wantRows)
+					}
+				}
+				for _, p := range plans {
+					text, err := p.run(dbs[i], q)
+					if err != nil {
+						t.Fatalf("%s: %s %s %q: %v", stage, m.name, p.name, q, err)
+					}
+					if got := stripCacheNotes(text); wantPlan == "" {
+						wantPlan = got
+					} else if got != wantPlan {
+						t.Errorf("%s: %s %s diverged on %q:\ngot:\n%s\nwant:\n%s", stage, m.name, p.name, q, got, wantPlan)
+					}
+				}
+			}
+		}
+	}
+	check("initial")
+	for _, stmt := range []string{
+		`INSERT INTO sales VALUES ('west', 'dvd', 2003, 42.5)`,
+		`UPDATE sales SET s = s + 1 WHERE p = 'vcr' AND t = 2000`,
+	} {
+		for _, db := range dbs {
+			db.MustExec(stmt)
+		}
+		check(stmt)
+	}
+	// The busy mode really never claimed an entry: no plan was looked up.
+	if c := dbs[3].CacheCounters(); c.PlanHits+c.PlanMisses != 0 {
+		t.Errorf("busy mode reached a cached plan: %+v", c)
+	}
+}
+
+// TestResultRowsSliceBelongsToCaller pins the Result contract: rows are
+// shared with the result cache, but the top-level slice is the caller's, so
+// sorting it, overwriting it through a truncate-and-append, or appending to
+// it does not change what the next hit returns.
+func TestResultRowsSliceBelongsToCaller(t *testing.T) {
+	db := cacheTestDB(t, sqlsheet.Config{})
+	q := cacheQueries[0]
+	want := render(t, db, q)
+	for i, change := range []func(rows []sqlsheet.Row) []sqlsheet.Row{
+		func(rows []sqlsheet.Row) []sqlsheet.Row {
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i][3].Float() > rows[j][3].Float() })
+			return rows
+		},
+		func(rows []sqlsheet.Row) []sqlsheet.Row { return append(rows[:len(rows)-1], rows[0]) },
+		func(rows []sqlsheet.Row) []sqlsheet.Row { return append(rows, rows[0]) },
+	} {
+		res, st, err := db.QueryOpStats(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Cache.ResultHit {
+			t.Fatalf("change %d: want a result hit, got %+v", i, st.Cache)
+		}
+		res.Rows = change(res.Rows)
+		if got := render(t, db, q); got != want {
+			t.Errorf("change %d to the caller's slice reached the cache:\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
 }

@@ -53,11 +53,14 @@ type Row = types.Row
 // DB is an embedded database: a catalog of tables plus session options.
 //
 // Concurrency contract (audited for the serving layer):
-//   - Any number of Query/QueryStats/QueryOpStats/Explain/ExplainAnalyze
-//     calls may run concurrently, and they acquire no lock at all: each
-//     statement pins per-table MVCC images (catalog.Snapshot) published by
-//     the last completed mutation and reads only those. Readers never block
-//     writers and writers never block readers.
+//   - Every SELECT — Query*, Explain*, a SELECT in an Exec batch — goes
+//     through one function (read). Any number may run concurrently and none
+//     takes the statement lock: each pins per-table MVCC images
+//     (catalog.Snapshot) published by the last completed mutation and reads
+//     only those, so readers never block writers and writers never block
+//     readers. A read's one lock is its cache entry's ExecMu, taken by
+//     TryLock: a caller that finds it held goes on privately, so no read,
+//     Explain included, waits for another.
 //   - Every mutation — an Exec batch containing anything besides SELECTs
 //     (DDL, DML, REFRESH), CreateTable, Insert, LoadCSV, InstallAPB, and
 //     each record recovery replays — goes through one function (mutate, in
@@ -66,9 +69,8 @@ type Row = types.Row
 //     only then published (catalog.PublishAll), so snapshot readers observe
 //     statement-boundary states only — never a half-applied mutation, and
 //     never one that failed: a statement that returns an error has changed
-//     nothing, is not in the log and was never published. A SELECT-only Exec
-//     runs lock-free like Query. Configure and SetDistributor take the same
-//     lock to swap the session.
+//     nothing, is not in the log and was never published. Configure and
+//     SetDistributor take the same lock to swap the session.
 //   - Writers mutate table row slices copy-on-write (UPDATE and DELETE
 //     replace the slice; INSERT appends past every published image's
 //     clipped length), so a pinned image is immutable for its lifetime.
@@ -285,6 +287,12 @@ func (db *DB) SetDistributor(d exec.Distributor) {
 }
 
 // Result is a materialized query result.
+//
+// Rows are shared and read-only: a repeated statement may be answered from
+// the result cache, which hands every caller the same Row values, so writing
+// into a Row (res.Rows[i][j] = …) changes what later identical queries
+// return. The top-level slice belongs to the caller: appending to it,
+// truncating it or sorting it affects no one else.
 type Result struct {
 	Columns []string
 	Rows    []Row
@@ -323,158 +331,131 @@ func (db *DB) prepare(s *session, sql string) ([]sqlast.Statement, error) {
 	return stmts, nil
 }
 
-// prepareQuery prepares a single-SELECT text, reproducing ParseQuery's
-// error messages for anything else.
-func (db *DB) prepareQuery(s *session, sql string) (*sqlast.SelectStmt, error) {
-	stmts, err := db.prepare(s, sql)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
-	}
-	q, ok := stmts[0].(*sqlast.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("statement is not a query")
-	}
-	return q, nil
+// readMode says how far read takes a SELECT and what it reports.
+type readMode uint8
+
+const (
+	// serve answers the query, from a cached result when one is valid.
+	serve readMode = iota
+	// analyze always executes, and reports the plan and what was reused.
+	analyze
+	// explain stops after planning and reports the plan.
+	explain
+)
+
+// readOutcome is what a read reports besides its rows: the executor's
+// statistics (ops.Cache holds the per-call cache flags) and, in analyze and
+// explain mode, the plan text and its cache annotations.
+type readOutcome struct {
+	sheet blockstore.Stats
+	ops   exec.Stats
+	plan  string // plan.Explain of the plan read used
+	notes string // "cache: …" lines; none when the cache is off
 }
 
-// queryOutcome carries per-call cache information alongside a result, for
-// stats reporting and EXPLAIN annotations.
-type queryOutcome struct {
-	planHit      bool
-	resultHit    bool
-	structReused int
-	deps         string // "table=version, ..." of the dependency snapshot
-	planText     string // filled when wantPlan
-	sheet        blockstore.Stats
-	ops          exec.Stats
-}
-
-// runSelect executes one SELECT through the serving-path cache. A valid
-// cached result is returned directly (unless forceExec); otherwise the
-// cached — or freshly built — plan executes with access-structure reuse,
-// serialized per entry because cached plans carry mutable state. A caller
-// that finds the entry busy executes privately rather than queueing, so
-// concurrent identical statements never serialize behind each other.
+// read is the one read path: every SELECT, whatever public call it arrived
+// through, lives its whole life here — look up the cache entry, answer from
+// a cached result, claim the entry, pin a snapshot and plan, execute, store
+// the result — each stage one step, in that order.
 //
-// Each call pins its own MVCC snapshot: planning (which may execute
-// reference subqueries), execution and dependency stamping all read the
-// same pinned images, so a writer installing new versions mid-flight can
-// waste this call's cache stores but never taint them.
-func (db *DB) runSelect(ctx context.Context, s *session, stmt *sqlast.SelectStmt, forceExec, wantPlan bool) (*exec.Result, queryOutcome, error) {
-	var out queryOutcome
-	snap := catalog.NewSnapshot()
-	if s.opts.Ablate.DisablePlanCache {
-		res, err := db.runSelectUncached(ctx, s, snap, stmt, wantPlan, &out)
-		return res, out, err
-	}
-	key := plancache.Key{Stmt: sqlast.Fingerprint(stmt), Cfg: s.fp}
-	e := db.cache.Entry(key)
-	useResult := !forceExec && !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0
-	if useResult {
-		if schema, rows, deps, ok := db.cache.Result(e, db.cat); ok {
-			out.resultHit, out.planHit = true, true
-			out.deps = plancache.DepString(deps)
-			db.fillCacheStats(&out)
-			return &exec.Result{Schema: schema, Rows: rows}, out, nil
-		}
-	}
-	if !e.ExecMu.TryLock() {
-		// Another goroutine is executing this entry; run privately.
-		res, err := db.runSelectUncached(ctx, s, snap, stmt, wantPlan, &out)
-		return res, out, err
-	}
-	defer e.ExecMu.Unlock()
-	if useResult {
-		// Re-check under the lock: the previous holder may have cached it.
-		if schema, rows, deps, ok := db.cache.Result(e, db.cat); ok {
-			out.resultHit, out.planHit = true, true
-			out.deps = plancache.DepString(deps)
-			db.fillCacheStats(&out)
-			return &exec.Result{Schema: schema, Rows: rows}, out, nil
-		}
-	}
-	ex := db.newExecutor(ctx, s, snap)
-	p, deps, hit, err := db.planFor(e, stmt, snap, ex)
-	if err != nil {
+// A cache-off session has no entry, and neither has a caller that finds the
+// entry claimed by a concurrent execution of the same statement: cached
+// plans are stateful (lazy Analyze, closure registry, per-run reference-sheet
+// data), so one execution of an entry runs at a time, and a caller that finds
+// it busy plans and executes privately instead of queueing — concurrent
+// identical statements never serialize behind each other, and Explain never
+// waits. "Cache off" and "entry busy" are therefore the same path.
+//
+// Each call pins its own MVCC snapshot: planning (which may execute reference
+// subqueries), execution and dependency stamping all read the same pinned
+// images, so a writer installing new versions mid-flight can waste this
+// call's cache stores but never taint them.
+func (db *DB) read(ctx context.Context, s *session, stmt *sqlast.SelectStmt, mode readMode) (*Result, readOutcome, error) {
+	var out readOutcome
+	if err := ctx.Err(); err != nil {
 		return nil, out, err
 	}
-	out.planHit = hit
-	out.deps = plancache.DepString(deps)
-	if wantPlan {
-		out.planText = plan.Explain(p)
+	// 1. Look up the entry.
+	var e *plancache.Entry
+	if !s.opts.Ablate.DisablePlanCache {
+		e = db.cache.Entry(plancache.Key{Stmt: sqlast.Fingerprint(stmt), Cfg: s.fp})
 	}
-	if s.opts.MemoryBudget == 0 { // spill-backed structures rebuild per run
+	// Results are reused only unbudgeted: the budgeted regime measures
+	// access-structure I/O, which a result hit would bypass.
+	reuse := e != nil && !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0
+	// 2. A served query takes a valid cached result as its answer.
+	if reuse && mode == serve {
+		if schema, rows, _, ok := db.cache.Result(e, db.cat); ok {
+			out.ops.Cache = exec.CacheStats{PlanHit: true, ResultHit: true}
+			return wrapResult(&exec.Result{Schema: schema, Rows: rows}), out, nil
+		}
+	}
+	// 3. Claim the entry; a busy one means going on with none.
+	if e != nil && e.ExecMu.TryLock() {
+		defer e.ExecMu.Unlock()
+	} else {
+		e, reuse = nil, false
+	}
+	// 4. Pin the snapshot and get the plan: the entry's, or one built against
+	// the snapshot and registered with the dependencies stamped from its pins.
+	snap := catalog.NewSnapshot()
+	ex := db.newExecutor(ctx, s, snap)
+	var p plan.Node
+	var deps []plancache.Dep
+	planHit := false
+	if e != nil {
+		p, deps, planHit = db.cache.Plan(e, db.cat)
+	}
+	if p == nil {
+		var err error
+		if p, err = plan.Build(db.cat, stmt, ex.Opts.PlanOpts); err != nil {
+			return nil, readOutcome{}, err
+		}
+		if e != nil {
+			var sheets map[*plan.Spreadsheet]bool
+			deps, sheets = plancache.CollectDeps(db.cat, stmt, p, snap)
+			db.cache.SetPlan(e, stmt, p, deps, sheets)
+		}
+	}
+	if mode != serve {
+		out.plan = plan.Explain(p)
+		if !s.opts.Ablate.DisablePlanCache {
+			out.notes = "cache: plan " + hitMiss(planHit) + "\n"
+		}
+	}
+	// 5. Explain stops at the plan.
+	if mode == explain {
+		return nil, out, nil
+	}
+	// 6. Execute, reusing the entry's access structures; spill-backed
+	// structures rebuild per run.
+	if e != nil && s.opts.MemoryBudget == 0 {
 		ex.Opts.Structs = cacheStructs{c: db.cache, e: e}
 	}
 	res, err := ex.Execute(p, nil)
-	out.sheet, out.ops = ex.SheetStats, ex.ExecStats
-	out.structReused = ex.ExecStats.Cache.StructuresReused
 	if err != nil {
-		return nil, out, err
+		return nil, readOutcome{}, err
 	}
-	// DepsMatchSnapshot closes the staleness window: if a writer installed
-	// new versions between this entry's dependency stamping and this call's
-	// pins, the rows do not correspond to the stamp and must not be
-	// registered under it.
-	if !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0 && ctx.Err() == nil &&
-		plancache.DepsMatchSnapshot(deps, snap) {
+	out.sheet, out.ops = ex.SheetStats, ex.ExecStats
+	out.ops.Cache.PlanHit = planHit
+	if mode == analyze && out.ops.Cache.StructuresReused > 0 {
+		out.notes += fmt.Sprintf("cache: structure reused (table versions %s)\n", plancache.DepString(deps))
+	}
+	// 7. Store the result. DepsMatchSnapshot closes the staleness window: if
+	// a writer installed new versions between this entry's dependency
+	// stamping and this call's pins, the rows do not correspond to the stamp
+	// and must not be registered under it.
+	if reuse && ctx.Err() == nil && plancache.DepsMatchSnapshot(deps, snap) {
 		db.cache.SetResult(e, res.Schema, res.Rows)
 	}
-	db.fillCacheStats(&out)
-	return res, out, nil
+	return wrapResult(res), out, nil
 }
 
-// planFor returns the entry's cached plan, or builds one against the
-// statement's snapshot and registers it with the dependencies stamped from
-// that snapshot's pins. The caller holds e.ExecMu.
-func (db *DB) planFor(e *plancache.Entry, stmt *sqlast.SelectStmt, snap *catalog.Snapshot, ex *exec.Executor) (plan.Node, []plancache.Dep, bool, error) {
-	p, deps, hit := db.cache.Plan(e, db.cat)
-	if p != nil {
-		return p, deps, hit, nil
+func hitMiss(hit bool) string {
+	if hit {
+		return "hit"
 	}
-	p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	deps, sheets := plancache.CollectDeps(db.cat, stmt, p, snap)
-	db.cache.SetPlan(e, stmt, p, deps, sheets)
-	return p, deps, hit, nil
-}
-
-// runSelectUncached is the cache-bypassing execution path (cache disabled,
-// or the entry is busy).
-func (db *DB) runSelectUncached(ctx context.Context, s *session, snap *catalog.Snapshot, stmt *sqlast.SelectStmt, wantPlan bool, out *queryOutcome) (*exec.Result, error) {
-	ex := db.newExecutor(ctx, s, snap)
-	p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
-	if err != nil {
-		return nil, err
-	}
-	if wantPlan {
-		out.planText = plan.Explain(p)
-	}
-	res, err := ex.Execute(p, nil)
-	out.sheet, out.ops = ex.SheetStats, ex.ExecStats
-	return res, err
-}
-
-// fillCacheStats stamps the per-call flags and cumulative counters into the
-// outcome's operator stats (surfaced by QueryOpStats).
-func (db *DB) fillCacheStats(out *queryOutcome) {
-	c := db.cache.Counters()
-	out.ops.Cache = exec.CacheStats{
-		PlanHit:          out.planHit,
-		ResultHit:        out.resultHit,
-		StructuresReused: out.structReused,
-		Hits:             c.PlanHits,
-		Misses:           c.PlanMisses,
-		ResultHits:       c.ResultHits,
-		StructReuses:     c.StructReuses,
-		Evictions:        c.Evictions,
-		Invalidations:    c.Invalidations,
-	}
+	return "miss"
 }
 
 // cacheStructs adapts a plan-cache entry to exec.StructureCache.
@@ -493,8 +474,8 @@ func (s cacheStructs) Store(n *plan.Spreadsheet, ps *core.PartitionSet) {
 
 // Exec runs one or more ';'-separated statements, returning the result of
 // the last one. Use it for DDL, DML and queries alike. SELECT statements go
-// through the serving-path cache; everything else executes directly (and
-// invalidates dependents via catalog version counters).
+// through the read path and its cache; everything else through the write
+// path (and invalidates dependents via catalog version counters).
 func (db *DB) Exec(sql string) (*Result, error) {
 	return db.ExecContext(context.Background(), sql)
 }
@@ -534,21 +515,15 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var last *Result
 	if isReadOnly(stmts) {
-		var last *Result
 		for _, stmt := range stmts {
-			if err := ctx.Err(); err != nil {
+			if last, _, err = db.read(ctx, s, stmt.(*sqlast.SelectStmt), serve); err != nil {
 				return nil, err
 			}
-			res, _, err := db.runSelect(ctx, s, stmt.(*sqlast.SelectStmt), false, false)
-			if err != nil {
-				return nil, err
-			}
-			last = wrapResult(res)
 		}
 		return last, nil
 	}
-	var last *Result
 	muts := make([]mutation, len(stmts))
 	for i, stmt := range stmts {
 		muts[i] = db.stmtMutation(ctx, s, stmt, &last)
@@ -575,26 +550,26 @@ func (db *DB) Query(sql string) (*Result, error) {
 
 // QueryContext is Query with cancellation (see ExecContext).
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	res, _, err := db.query(ctx, db.sess.Load(), sql, false, false)
+	res, _, err := db.query(ctx, sql, serve)
 	return res, err
 }
 
-// query is the one path behind the single-SELECT entry points: prepare the
-// text, then run it lock-free against its own snapshot (see runSelect for
-// forceExec and wantPlan).
-func (db *DB) query(ctx context.Context, s *session, sql string, forceExec, wantPlan bool) (*Result, queryOutcome, error) {
-	stmt, err := db.prepareQuery(s, sql)
+// query is prepare → read for the single-SELECT entry points, reproducing
+// ParseQuery's error messages for a text that is not exactly one SELECT.
+func (db *DB) query(ctx context.Context, sql string, mode readMode) (*Result, readOutcome, error) {
+	s := db.sess.Load()
+	stmts, err := db.prepare(s, sql)
 	if err != nil {
-		return nil, queryOutcome{}, err
+		return nil, readOutcome{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, queryOutcome{}, err
+	if len(stmts) != 1 {
+		return nil, readOutcome{}, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
 	}
-	res, out, err := db.runSelect(ctx, s, stmt, forceExec, wantPlan)
-	if err != nil {
-		return nil, queryOutcome{}, err
+	stmt, ok := stmts[0].(*sqlast.SelectStmt)
+	if !ok {
+		return nil, readOutcome{}, fmt.Errorf("statement is not a query")
 	}
-	return wrapResult(res), out, nil
+	return db.read(ctx, s, stmt, mode)
 }
 
 // QueryStats runs a query and also returns the spreadsheet access
@@ -602,7 +577,7 @@ func (db *DB) query(ctx context.Context, s *session, sql string, forceExec, want
 // Result reuse is off whenever MemoryBudget is set, so budgeted runs always
 // report real I/O.
 func (db *DB) QueryStats(sql string) (*Result, blockstore.Stats, error) {
-	res, out, err := db.query(context.Background(), db.sess.Load(), sql, false, false)
+	res, out, err := db.query(context.Background(), sql, serve)
 	return res, out.sheet, err
 }
 
@@ -613,10 +588,10 @@ type OpStats = exec.Stats
 // QueryOpStats runs a query and also returns the per-operator parallel
 // execution statistics. Operators that ran serially (input below the morsel
 // threshold, or not parallelizable) do not appear. Stats.Cache carries the
-// serving-path cache's per-call flags and cumulative hit/miss/eviction
-// counters; a result hit reports no operator lines (nothing executed).
+// serving-path cache's per-call flags (CacheCounters has the cumulative
+// totals); a result hit reports no operator lines (nothing executed).
 func (db *DB) QueryOpStats(sql string) (*Result, OpStats, error) {
-	res, out, err := db.query(context.Background(), db.sess.Load(), sql, false, false)
+	res, out, err := db.query(context.Background(), sql, serve)
 	return res, out.ops, err
 }
 
@@ -626,57 +601,24 @@ func (db *DB) QueryOpStats(sql string) (*Result, OpStats, error) {
 // served — but does reuse the cached plan and access structures, so the
 // annotations show exactly what a repeated Query call would reuse.
 func (db *DB) ExplainAnalyze(sql string) (string, error) {
-	s := db.sess.Load()
-	_, out, err := db.query(context.Background(), s, sql, true, true)
+	_, out, err := db.query(context.Background(), sql, analyze)
 	if err != nil {
 		return "", err
 	}
-	text := out.planText + "\nexecution:\n" + out.ops.String()
-	if !s.opts.Ablate.DisablePlanCache {
-		text += "cache: plan " + hitMiss(out.planHit) + "\n"
-		if out.structReused > 0 {
-			text += fmt.Sprintf("cache: structure reused (table versions %s)\n", out.deps)
-		}
-	}
-	return text, nil
-}
-
-func hitMiss(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
+	return out.plan + "\nexecution:\n" + out.ops.String() + out.notes, nil
 }
 
 // Explain returns the optimized plan of a query as indented text, including
 // spreadsheet analysis (levels, pruned formulas, pushed predicates) and,
-// when the cache is enabled, whether the plan came from it.
+// when the cache is enabled, whether the plan came from it. It never waits:
+// while the statement's cache entry is busy executing, it plans privately
+// and reports a miss.
 func (db *DB) Explain(sql string) (string, error) {
-	s := db.sess.Load()
-	stmt, err := db.prepareQuery(s, sql)
+	_, out, err := db.query(context.Background(), sql, explain)
 	if err != nil {
 		return "", err
 	}
-	snap := catalog.NewSnapshot()
-	ex := db.newExecutor(context.Background(), s, snap)
-	if s.opts.Ablate.DisablePlanCache {
-		p, err := plan.Build(db.cat, stmt, ex.Opts.PlanOpts)
-		if err != nil {
-			return "", err
-		}
-		return plan.Explain(p), nil
-	}
-	key := plancache.Key{Stmt: sqlast.Fingerprint(stmt), Cfg: s.fp}
-	e := db.cache.Entry(key)
-	// Explain mutates the plan's spreadsheet Model (lazy Analyze), so it
-	// must hold the entry's execution lock like any other plan use.
-	e.ExecMu.Lock()
-	defer e.ExecMu.Unlock()
-	p, _, hit, err := db.planFor(e, stmt, snap, ex)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(p) + "cache: plan " + hitMiss(hit) + "\n", nil
+	return out.plan + out.notes, nil
 }
 
 // CreateTable registers a table programmatically. Column kinds come from
@@ -755,27 +697,10 @@ func (db *DB) TableRows(name string) int {
 
 // CacheCounters is a snapshot of the serving-path cache's cumulative
 // counters, re-exported for the metrics endpoint and monitoring.
-type CacheCounters struct {
-	PlanHits      int64
-	PlanMisses    int64
-	ResultHits    int64
-	StructReuses  int64
-	Evictions     int64
-	Invalidations int64
-}
+type CacheCounters = plancache.Counters
 
 // CacheCounters snapshots the statement cache's cumulative statistics.
-func (db *DB) CacheCounters() CacheCounters {
-	c := db.cache.Counters()
-	return CacheCounters{
-		PlanHits:      c.PlanHits,
-		PlanMisses:    c.PlanMisses,
-		ResultHits:    c.ResultHits,
-		StructReuses:  c.StructReuses,
-		Evictions:     c.Evictions,
-		Invalidations: c.Invalidations,
-	}
-}
+func (db *DB) CacheCounters() CacheCounters { return db.cache.Counters() }
 
 // ImageCounters is a snapshot of how the columnar forms of table images came
 // to be: FullBuilds transposed every row (each for one reason, listed in

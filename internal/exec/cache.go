@@ -18,9 +18,9 @@ type StructureCache interface {
 	Store(n *plan.Spreadsheet, ps *core.PartitionSet)
 }
 
-// CacheStats reports the serving-path cache's involvement in one statement
-// (the flags and StructuresReused) together with the cache's cumulative
-// counters at completion time. Zero when the cache is disabled.
+// CacheStats reports the serving-path cache's involvement in one statement.
+// Zero when the cache is disabled; the cumulative totals are the cache's
+// own counters (plancache.Counters).
 type CacheStats struct {
 	// PlanHit reports that this statement reused a cached plan (a result
 	// hit implies a plan hit: the result was produced by the cached plan).
@@ -31,12 +31,4 @@ type CacheStats struct {
 	// StructuresReused counts spreadsheet access structures this statement
 	// cloned from cache instead of rebuilding.
 	StructuresReused int
-
-	// Cumulative cache counters (lifetime of the DB's cache).
-	Hits          int64 // plan lookups answered from cache
-	Misses        int64 // plan lookups that had to build
-	ResultHits    int64 // statements answered from cached results
-	StructReuses  int64 // access structures served for cloning
-	Evictions     int64 // entries dropped by the byte-budget LRU
-	Invalidations int64 // entries dropped because a dependency version moved
 }

@@ -96,14 +96,16 @@ type shard struct {
 	bytes      int64
 }
 
-// Counters is a snapshot of the cache's cumulative statistics.
+// Counters is a snapshot of the cache's cumulative statistics, the one
+// declaration of them (sqlsheet.CacheCounters and the /metrics cache block
+// are this struct).
 type Counters struct {
-	PlanHits      int64
-	PlanMisses    int64
-	ResultHits    int64
-	StructReuses  int64
-	Evictions     int64
-	Invalidations int64
+	PlanHits      int64 // plan lookups answered from cache
+	PlanMisses    int64 // plan lookups that had to build
+	ResultHits    int64 // statements answered from cached results
+	StructReuses  int64 // access structures served for cloning
+	Evictions     int64 // entries dropped by the byte-budget LRU
+	Invalidations int64 // entries dropped because a dependency version moved
 }
 
 // Cache is the sharded LRU. Safe for concurrent use.

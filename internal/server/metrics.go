@@ -87,19 +87,22 @@ type Snapshot struct {
 		SumMS   float64      `json:"sum_ms"`
 	} `json:"latency"`
 
-	Cache struct {
-		PlanHits      int64 `json:"plan_hits"`
-		PlanMisses    int64 `json:"plan_misses"`
-		ResultHits    int64 `json:"result_hits"`
-		StructReuses  int64 `json:"struct_reuses"`
-		Evictions     int64 `json:"evictions"`
-		Invalidations int64 `json:"invalidations"`
-	} `json:"cache"`
+	Cache CacheSnapshot `json:"cache"`
 
 	// Images says how the columnar forms of table images came to be: built
 	// in full (each for one of the reasons under fallbacks) or derived from
 	// the previous version's form at the cost of the rows that changed.
 	Images ImagesSnapshot `json:"images"`
+}
+
+// CacheSnapshot is the /metrics shape of sqlsheet.CacheCounters.
+type CacheSnapshot struct {
+	PlanHits      int64 `json:"plan_hits"`
+	PlanMisses    int64 `json:"plan_misses"`
+	ResultHits    int64 `json:"result_hits"`
+	StructReuses  int64 `json:"struct_reuses"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 // ImagesSnapshot is the /metrics shape of sqlsheet.ImageCounters.

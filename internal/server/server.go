@@ -468,7 +468,8 @@ func (s *Server) classify(err error) *wire.Error {
 
 // resultColumns flattens a DB result for the wire. Column kinds are derived
 // from the data (the engine is dynamically typed): the kind of the first
-// non-NULL value per column, NULL if the column never holds one.
+// non-NULL value per column, NULL if the column never holds one. The rows
+// go out as they are: the encoder only reads them.
 func resultColumns(res *sqlsheet.Result) (cols []string, kinds []string, rows []types.Row) {
 	if res == nil {
 		return nil, nil, nil
@@ -485,24 +486,14 @@ func resultColumns(res *sqlsheet.Result) (cols []string, kinds []string, rows []
 		}
 		kinds[i] = k.String()
 	}
-	rows = make([]types.Row, len(res.Rows))
-	for i, r := range res.Rows {
-		rows[i] = types.Row(r)
-	}
-	return cols, kinds, rows
+	return cols, kinds, res.Rows
 }
 
 // --- HTTP endpoints ---
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.Metrics.snapshot()
-	cc := s.db.CacheCounters()
-	snap.Cache.PlanHits = cc.PlanHits
-	snap.Cache.PlanMisses = cc.PlanMisses
-	snap.Cache.ResultHits = cc.ResultHits
-	snap.Cache.StructReuses = cc.StructReuses
-	snap.Cache.Evictions = cc.Evictions
-	snap.Cache.Invalidations = cc.Invalidations
+	snap.Cache = CacheSnapshot(s.db.CacheCounters())
 	snap.Images = ImagesSnapshot(s.db.ImageCounters())
 	if s.cfg.ShardMetrics != nil {
 		snap.Shard = s.cfg.ShardMetrics()

@@ -103,14 +103,11 @@ func (db *DB) mutateLocked(m mutation, pos *wal.Pos) error {
 
 // stmtMutation is record kind S: one parsed statement, logged as its
 // canonical text. out receives the statement's result. A SELECT (legal
-// inside a write batch) runs through the serving cache and has no record.
+// inside a write batch) goes through the read path and has no record.
 func (db *DB) stmtMutation(ctx context.Context, s *session, stmt sqlast.Statement, out **Result) mutation {
 	if sel, ok := stmt.(*sqlast.SelectStmt); ok {
-		return mutation{apply: func() error {
-			res, _, err := db.runSelect(ctx, s, sel, false, false)
-			if err == nil {
-				*out = wrapResult(res)
-			}
+		return mutation{apply: func() (err error) {
+			*out, _, err = db.read(ctx, s, sel, serve)
 			return err
 		}}
 	}
