@@ -55,7 +55,8 @@ recover-test:
 	$(GO) test -race -run 'TestRecover' ./internal/server/
 	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
-# Fuzz gate: each of the seven fuzz targets (SQL text, statement round-trip,
+# Fuzz gate: each of the eight fuzz targets (SQL text, statement round-trip,
+# the streaming text fingerprint against its definition over lex() tokens,
 # whole queries, rule kernels, expression kernels, wire bytes against a live
 # server, WAL bytes) runs for 3 s beyond its seed corpus. `go test
 # -fuzz` takes one target in one package per invocation, hence the list.
@@ -63,6 +64,7 @@ recover-test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 3s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 3s ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 3s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzExprKernel$$' -fuzztime 3s ./internal/eval/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireProtocol$$' -fuzztime 3s ./internal/server/

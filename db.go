@@ -42,6 +42,7 @@ import (
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 	"sqlsheet/internal/wal"
+	"sqlsheet/internal/wire"
 )
 
 // Value is the scalar value type of results.
@@ -297,6 +298,21 @@ type Result struct {
 	Columns []string
 	Rows    []Row
 	inner   *exec.Result
+	// hit is the result-cache hit that answered the statement, if one did.
+	hit *plancache.Hit
+}
+
+// Reply is the result's wire reply: the payload of the OK frame sqlsheetd
+// sends for it. A result the cache served answers with the reply stored on
+// its cache entry, encoded from the cache's own rows on the result's first
+// hit and kept for every hit after it; any other result is encoded from
+// Columns and Rows as they are.
+func (r *Result) Reply() []byte {
+	encode := func(rows []Row) []byte { return wire.EncodeReply(r.Columns, rows) }
+	if r.hit != nil {
+		return r.hit.Reply(encode)
+	}
+	return encode(r.Rows)
 }
 
 // String renders the result as an aligned table.
@@ -310,25 +326,25 @@ func (r *Result) String() string {
 // prepare is the shared entry step for every statement path: it parses sql
 // through the statement-text cache, so a repeated text skips the parser
 // entirely (the fingerprint is whitespace- and case-insensitive, so
-// reformatted texts share the parse too).
-func (db *DB) prepare(s *session, sql string) ([]sqlast.Statement, error) {
+// reformatted texts share the parse too), and returns each statement's
+// plan-cache key, computed once per parse (plancache.StmtKeys).
+func (db *DB) prepare(s *session, sql string) ([]sqlast.Statement, []uint64, error) {
 	if s.opts.Ablate.DisablePlanCache {
-		return parser.Parse(sql)
+		return parseWithKeys(sql)
 	}
 	fp, err := parser.Fingerprint(sql)
 	if err != nil {
 		// Lexically invalid; let the parser produce its usual error.
-		return parser.Parse(sql)
+		return parseWithKeys(sql)
 	}
-	if stmts, ok := db.cache.Text(fp); ok {
-		return stmts, nil
-	}
+	return db.cache.Prepare(fp, func() ([]sqlast.Statement, error) { return parser.Parse(sql) })
+}
+
+// parseWithKeys is prepare without the text cache. The keys are zero: with
+// the cache off no read has an entry to look up.
+func parseWithKeys(sql string) ([]sqlast.Statement, []uint64, error) {
 	stmts, err := parser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	db.cache.SetText(fp, stmts)
-	return stmts, nil
+	return stmts, make([]uint64, len(stmts)), err
 }
 
 // readMode says how far read takes a SELECT and what it reports.
@@ -356,7 +372,8 @@ type readOutcome struct {
 // read is the one read path: every SELECT, whatever public call it arrived
 // through, lives its whole life here — look up the cache entry, answer from
 // a cached result, claim the entry, pin a snapshot and plan, execute, store
-// the result — each stage one step, in that order.
+// the result — each stage one step, in that order. key is the statement's
+// plan-cache key from prepare.
 //
 // A cache-off session has no entry, and neither has a caller that finds the
 // entry claimed by a concurrent execution of the same statement: cached
@@ -370,7 +387,7 @@ type readOutcome struct {
 // subqueries), execution and dependency stamping all read the same pinned
 // images, so a writer installing new versions mid-flight can waste this
 // call's cache stores but never taint them.
-func (db *DB) read(ctx context.Context, s *session, stmt *sqlast.SelectStmt, mode readMode) (*Result, readOutcome, error) {
+func (db *DB) read(ctx context.Context, s *session, stmt *sqlast.SelectStmt, key uint64, mode readMode) (*Result, readOutcome, error) {
 	var out readOutcome
 	if err := ctx.Err(); err != nil {
 		return nil, out, err
@@ -378,16 +395,19 @@ func (db *DB) read(ctx context.Context, s *session, stmt *sqlast.SelectStmt, mod
 	// 1. Look up the entry.
 	var e *plancache.Entry
 	if !s.opts.Ablate.DisablePlanCache {
-		e = db.cache.Entry(plancache.Key{Stmt: sqlast.Fingerprint(stmt), Cfg: s.fp})
+		e = db.cache.Entry(plancache.Key{Stmt: key, Cfg: s.fp})
 	}
 	// Results are reused only unbudgeted: the budgeted regime measures
 	// access-structure I/O, which a result hit would bypass.
 	reuse := e != nil && !s.opts.Ablate.DisableResultCache && s.opts.MemoryBudget == 0
-	// 2. A served query takes a valid cached result as its answer.
+	// 2. A served query takes a valid cached result as its answer, and with
+	// it the entry's stored reply (Result.Reply).
 	if reuse && mode == serve {
-		if schema, rows, _, ok := db.cache.Result(e, db.cat); ok {
+		if hit, ok := db.cache.Hit(e, db.cat); ok {
 			out.ops.Cache = exec.CacheStats{PlanHit: true, ResultHit: true}
-			return wrapResult(&exec.Result{Schema: schema, Rows: rows}), out, nil
+			res := wrapResult(&exec.Result{Schema: hit.Schema, Rows: hit.Rows()})
+			res.hit = hit
+			return res, out, nil
 		}
 	}
 	// 3. Claim the entry; a busy one means going on with none.
@@ -505,7 +525,7 @@ func isReadOnly(stmts []sqlast.Statement) bool {
 // mutate).
 func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	s := db.sess.Load()
-	stmts, err := db.prepare(s, sql)
+	stmts, keys, err := db.prepare(s, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -517,8 +537,8 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	}
 	var last *Result
 	if isReadOnly(stmts) {
-		for _, stmt := range stmts {
-			if last, _, err = db.read(ctx, s, stmt.(*sqlast.SelectStmt), serve); err != nil {
+		for i, stmt := range stmts {
+			if last, _, err = db.read(ctx, s, stmt.(*sqlast.SelectStmt), keys[i], serve); err != nil {
 				return nil, err
 			}
 		}
@@ -526,7 +546,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	}
 	muts := make([]mutation, len(stmts))
 	for i, stmt := range stmts {
-		muts[i] = db.stmtMutation(ctx, s, stmt, &last)
+		muts[i] = db.stmtMutation(ctx, s, stmt, keys[i], &last)
 	}
 	if err := db.mutate(ctx, muts...); err != nil {
 		return nil, err
@@ -558,7 +578,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 // ParseQuery's error messages for a text that is not exactly one SELECT.
 func (db *DB) query(ctx context.Context, sql string, mode readMode) (*Result, readOutcome, error) {
 	s := db.sess.Load()
-	stmts, err := db.prepare(s, sql)
+	stmts, keys, err := db.prepare(s, sql)
 	if err != nil {
 		return nil, readOutcome{}, err
 	}
@@ -569,7 +589,7 @@ func (db *DB) query(ctx context.Context, sql string, mode readMode) (*Result, re
 	if !ok {
 		return nil, readOutcome{}, fmt.Errorf("statement is not a query")
 	}
-	return db.read(ctx, s, stmt, mode)
+	return db.read(ctx, s, stmt, keys[0], mode)
 }
 
 // QueryStats runs a query and also returns the spreadsheet access

@@ -1,6 +1,10 @@
 package parser
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
 
 func fp(t *testing.T, sql string) uint64 {
 	t.Helper()
@@ -91,4 +95,102 @@ func TestFingerprintLexError(t *testing.T) {
 	if _, err := Fingerprint(`SELECT 'unterminated`); err == nil {
 		t.Error("expected lex error for unterminated string")
 	}
+}
+
+// Token texts are length-delimited: a string literal whose bytes spell the
+// old separator and kind bytes of a different token sequence must not hash
+// like that sequence (it did when each text ended in a 0 byte).
+func TestFingerprintNoReassociation(t *testing.T) {
+	two, one := "SELECT 'a', 'b' FROM f", "SELECT 'a\x00\x04,\x00\x03b' FROM f"
+	if fp(t, two) == fp(t, one) {
+		t.Errorf("fingerprints of %q and %q collided", two, one)
+	}
+	if fpShape(t, two) == fpShape(t, one) {
+		t.Errorf("shape fingerprints of %q and %q collided", two, one)
+	}
+}
+
+// dashStatement is the size and shape of a dashboard statement: a reference
+// spreadsheet, three share rules and an IN list, all ASCII.
+const dashStatement = `SELECT c, h, t, p, s, share_1, share_2, share_3 FROM (SELECT c, h, t, p, s, share_1, share_2, share_3 FROM apb_cube
+  SPREADSHEET REFERENCE pref ON (SELECT p, parent1, parent2, parent3 FROM product_dt) DBY (p) MEA (parent1, parent2, parent3)
+  PBY (c, h, t) DBY (p) MEA (s, 0 share_1, 0 share_2, 0 share_3)
+  RULES UPDATE (F1: share_1[*] = s[cv(p)] / s[parent1[cv(p)]], F2: share_2[*] = s[cv(p)] / s[parent2[cv(p)]], F3: share_3[*] = s[cv(p)] / s[parent3[cv(p)]])) v
+WHERE p IN ('P0012', 'P0031', 'P0047', 'P0052', 'It''s', 'P0077', 'P0081', 'P0093') AND c = 'C007' AND h = "Chan1" ORDER BY c, h, t, p;`
+
+// TestFingerprintAllocs pins the streaming fingerprint: no token slice, no
+// lowercased or unescaped copies — nothing allocated for an ASCII statement.
+func TestFingerprintAllocs(t *testing.T) {
+	if _, err := Fingerprint(dashStatement); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []bool{false, true} {
+		if avg := testing.AllocsPerRun(100, func() { fingerprint(dashStatement, shape) }); avg != 0 {
+			t.Errorf("fingerprint (shape=%v) of a dashboard statement allocates %.1f times; want 0", shape, avg)
+		}
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	b.SetBytes(int64(len(dashStatement)))
+	for i := 0; i < b.N; i++ {
+		Fingerprint(dashStatement)
+	}
+}
+
+// referenceFingerprint is the fingerprint's definition, computed from lex()'s
+// tokens: trailing semicolons dropped, then per token its header byte, its
+// text's length as a uvarint and the text.
+func referenceFingerprint(sql string, shape bool) (uint64, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return 0, err
+	}
+	end := len(toks) - 1 // drop tkEOF
+	for end > 0 && toks[end-1].kind == tkOp && toks[end-1].text == ";" {
+		end--
+	}
+	var enc []byte
+	for _, t := range toks[:end] {
+		text := t.text
+		if shape && (t.kind == tkNumber || t.kind == tkString) {
+			text = "?"
+		}
+		head := byte(t.kind)
+		if t.quoted {
+			head |= 0x80
+		}
+		enc = append(enc, head)
+		enc = binary.AppendUvarint(enc, uint64(len(text)))
+		enc = append(enc, text...)
+	}
+	h := fnv.New64a()
+	h.Write(enc)
+	return h.Sum64(), nil
+}
+
+// FuzzFingerprint checks the streaming fingerprint against its definition on
+// arbitrary input: same hash, or the same lexer error.
+func FuzzFingerprint(f *testing.F) {
+	for _, seed := range corpus {
+		f.Add(seed)
+	}
+	f.Add(dashStatement)
+	f.Add("SELECT 'a', 'b' FROM f")
+	f.Add("SELECT 'a\x00\x04,\x00\x03b' FROM f")
+	f.Add(`SELECT "Ünïcode""Q", 'x''y"z' FROM "a""b" WHERE x != 1 & y <> 2;; ;`)
+	f.Add("SELECT \"\xff\xfe\" FROM f")
+	f.Add("SELECT 'unterminated")
+	f.Fuzz(func(t *testing.T, sql string) {
+		for _, shape := range []bool{false, true} {
+			got, err := fingerprint(sql, shape)
+			want, wantErr := referenceFingerprint(sql, shape)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("shape=%v: error %v, lex error %v", shape, err, wantErr)
+			}
+			if got != want {
+				t.Fatalf("shape=%v: streaming fingerprint %#x, from lex() tokens %#x", shape, got, want)
+			}
+		}
+	})
 }

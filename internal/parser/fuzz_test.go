@@ -15,6 +15,9 @@ func FuzzParse(f *testing.F) {
 	f.Add(deepParens(100000))
 	f.Add(operatorChain(4000))
 	f.Add(operatorChain(100000))
+	// Two texts that shared a fingerprint while token texts ended in a 0 byte.
+	f.Add("SELECT 'a', 'b' FROM f")
+	f.Add("SELECT 'a\x00\x04,\x00\x03b' FROM f")
 	f.Fuzz(func(t *testing.T, sql string) {
 		// Must not panic; errors are expected for most inputs.
 		stmts, err := Parse(sql)

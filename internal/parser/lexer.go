@@ -27,83 +27,110 @@ type token struct {
 	quoted bool
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
+// scanner holds the lexer's one set of rules: it finds the next token's kind
+// and extent without building its text. lex turns each span into a token;
+// fingerprint hashes each span's canonical bytes where they lie.
+type scanner struct {
+	src string
+	pos int
+}
+
+// span is one scanned token. Its raw text is src[start:end], quotes and
+// escapes included; text renders the canonical form the parser sees.
+type span struct {
+	kind       tokenKind
+	start, end int
+	quoted     bool   // a double-quoted identifier
+	esc        int    // doubled quotes inside a string literal or quoted identifier
+	op         string // canonical operator text (tkOp)
 }
 
 // lex tokenizes src fully up front; the parser then walks the slice.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	s := scanner{src: src}
+	var toks []token
 	for {
-		l.skipSpaceAndComments()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tkEOF, pos: l.pos})
-			return l.toks, nil
+		sp, err := s.next()
+		if err != nil {
+			return nil, err
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(c):
-			l.pos++
-			for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tkIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start})
-		case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		case c == '"':
-			// Quoted identifier; "" escapes an embedded quote.
-			l.pos++
-			var id strings.Builder
-			for {
-				if l.pos >= len(l.src) {
-					return nil, posError(l.src, start, `"`, "unterminated quoted identifier")
-				}
-				if l.src[l.pos] == '"' {
-					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-						id.WriteByte('"')
-						l.pos += 2
-						continue
-					}
-					l.pos++
-					break
-				}
-				id.WriteByte(l.src[l.pos])
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tkIdent, text: strings.ToLower(id.String()), pos: start, quoted: true})
-		default:
-			if err := l.lexOp(); err != nil {
-				return nil, err
-			}
+		toks = append(toks, token{kind: sp.kind, text: sp.text(src), pos: sp.start, quoted: sp.quoted})
+		if sp.kind == tkEOF {
+			return toks, nil
 		}
 	}
 }
 
-func (l *lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+// text is the token's canonical text: identifiers lowercased, literals
+// unescaped, operators canonical. It copies only what it must change.
+func (sp span) text(src string) string {
+	switch {
+	case sp.kind == tkOp:
+		return sp.op
+	case sp.kind == tkString:
+		return unescape(src[sp.start+1:sp.end-1], sp.esc, "'")
+	case sp.quoted:
+		return strings.ToLower(unescape(src[sp.start+1:sp.end-1], sp.esc, `"`))
+	case sp.kind == tkIdent:
+		return strings.ToLower(src[sp.start:sp.end])
+	}
+	return src[sp.start:sp.end]
+}
+
+// unescape folds each doubled quote q of a literal's body into one.
+func unescape(body string, esc int, q string) string {
+	if esc == 0 {
+		return body
+	}
+	return strings.ReplaceAll(body, q+q, q)
+}
+
+// next scans one token; at the end of input it returns a tkEOF span.
+func (s *scanner) next() (span, error) {
+	s.skipSpaceAndComments()
+	start := s.pos
+	if start >= len(s.src) {
+		return span{kind: tkEOF, start: start, end: start}, nil
+	}
+	c := s.src[start]
+	switch {
+	case isIdentStart(c):
+		s.pos++
+		for s.pos < len(s.src) && isIdentPart(s.src[s.pos]) {
+			s.pos++
+		}
+		return span{kind: tkIdent, start: start, end: s.pos}, nil
+	case isDigit(c) || c == '.' && start+1 < len(s.src) && isDigit(s.src[start+1]):
+		s.scanNumber()
+		return span{kind: tkNumber, start: start, end: s.pos}, nil
+	case c == '\'':
+		esc, err := s.scanQuoted("unterminated string literal")
+		return span{kind: tkString, start: start, end: s.pos, esc: esc}, err
+	case c == '"':
+		// Quoted identifier; "" escapes an embedded quote.
+		esc, err := s.scanQuoted("unterminated quoted identifier")
+		return span{kind: tkIdent, start: start, end: s.pos, quoted: true, esc: esc}, err
+	}
+	op, err := s.scanOp()
+	return span{kind: tkOp, start: start, end: s.pos, op: op}, err
+}
+
+func (s *scanner) skipSpaceAndComments() {
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+			s.pos++
+		case c == '-' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '-':
+			for s.pos < len(s.src) && s.src[s.pos] != '\n' {
+				s.pos++
 			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			end := strings.Index(l.src[l.pos+2:], "*/")
+		case c == '/' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '*':
+			end := strings.Index(s.src[s.pos+2:], "*/")
 			if end < 0 {
-				l.pos = len(l.src)
+				s.pos = len(s.src)
 			} else {
-				l.pos += 2 + end + 2
+				s.pos += 2 + end + 2
 			}
 		default:
 			return
@@ -111,89 +138,80 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func (l *lexer) lexNumber() error {
-	start := l.pos
+func (s *scanner) scanNumber() {
+	start := s.pos
 	seenDot, seenExp := false, false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
 		switch {
 		case isDigit(c):
-			l.pos++
+			s.pos++
 		case c == '.' && !seenDot && !seenExp:
 			seenDot = true
-			l.pos++
-		case (c == 'e' || c == 'E') && !seenExp && l.pos > start:
-			next := l.pos + 1
-			if next < len(l.src) && (l.src[next] == '+' || l.src[next] == '-') {
+			s.pos++
+		case (c == 'e' || c == 'E') && !seenExp && s.pos > start:
+			next := s.pos + 1
+			if next < len(s.src) && (s.src[next] == '+' || s.src[next] == '-') {
 				next++
 			}
-			if next < len(l.src) && isDigit(l.src[next]) {
+			if next < len(s.src) && isDigit(s.src[next]) {
 				seenExp = true
-				l.pos = next + 1
+				s.pos = next + 1
 			} else {
-				goto done
+				return
 			}
 		default:
-			goto done
+			return
 		}
 	}
-done:
-	l.toks = append(l.toks, token{kind: tkNumber, text: l.src[start:l.pos], pos: start})
-	return nil
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tkString, text: b.String(), pos: start})
-			return nil
+// scanQuoted scans a literal delimited by the quote at s.pos, inside which a
+// doubled quote stands for one, and returns how many doubled quotes it held.
+func (s *scanner) scanQuoted(unterminated string) (int, error) {
+	start := s.pos
+	q := s.src[start]
+	esc := 0
+	for s.pos++; s.pos < len(s.src); s.pos++ {
+		if s.src[s.pos] != q {
+			continue
 		}
-		b.WriteByte(c)
-		l.pos++
+		if s.pos+1 < len(s.src) && s.src[s.pos+1] == q {
+			esc++
+			s.pos++
+			continue
+		}
+		s.pos++
+		return esc, nil
 	}
-	return posError(l.src, start, "'", "unterminated string literal")
+	return 0, posError(s.src, start, s.src[start:start+1], unterminated)
 }
 
-// two-character operators, longest match first.
-var twoCharOps = []string{"<=", ">=", "<>", "!=", "||", ":="}
-
-func (l *lexer) lexOp() error {
-	start := l.pos
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		for _, op := range twoCharOps {
-			if two == op {
-				if op == "!=" {
-					op = "<>"
-				}
-				l.toks = append(l.toks, token{kind: tkOp, text: op, pos: start})
-				l.pos += 2
-				return nil
-			}
-		}
+// scanOp scans one operator, two-character ones first, and returns its
+// canonical text.
+func (s *scanner) scanOp() (string, error) {
+	start := s.pos
+	c, next := s.src[start], byte(0)
+	if start+1 < len(s.src) {
+		next = s.src[start+1]
 	}
-	c := l.src[l.pos]
+	switch {
+	case c == '<' && (next == '=' || next == '>'), c == '>' && next == '=', c == '|' && next == '|', c == ':' && next == '=':
+		s.pos += 2
+		return s.src[start:s.pos], nil
+	case c == '!' && next == '=':
+		s.pos += 2
+		return "<>", nil
+	}
 	switch c {
-	case '+', '-', '*', '/', '%', '=', '<', '>', '(', ')', '[', ']', ',', '.', ';', ':', '&':
-		op := string(c)
-		if c == '&' {
-			op = "AND" // the paper writes & for AND in one listing
-		}
-		l.toks = append(l.toks, token{kind: tkOp, text: op, pos: start})
-		l.pos++
-		return nil
+	case '&':
+		s.pos++
+		return "AND", nil // the paper writes & for AND in one listing
+	case '+', '-', '*', '/', '%', '=', '<', '>', '(', ')', '[', ']', ',', '.', ';', ':':
+		s.pos++
+		return s.src[start:s.pos], nil
 	}
-	return posError(l.src, start, string(c), fmt.Sprintf("unexpected character %q", string(c)))
+	return "", posError(s.src, start, string(c), fmt.Sprintf("unexpected character %q", string(c)))
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

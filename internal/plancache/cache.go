@@ -3,7 +3,8 @@
 // An entry accumulates, in order of cost, the parsed AST, the optimized plan
 // (whose spreadsheet Model carries the eval.Compile closure registry), the
 // pristine two-level hash access structures built for the plan's spreadsheet
-// nodes, and the full result set. Every cached artifact downstream of the
+// nodes, the full result set and, once the result is served again, its
+// encoded reply. Every cached artifact downstream of the
 // AST is guarded by a dependency snapshot — the identity and version of each
 // catalog object the statement can read — and is dropped the moment any
 // dependency moved (DML bumps table versions; DDL changes object identity).
@@ -85,7 +86,12 @@ type Entry struct {
 	schema    *eval.BoundSchema
 	rows      []types.Row
 	hasResult bool
-	bytes     int64
+	// resultGen numbers the results stored in the entry, so an attach that
+	// read one result never lands on its successor.
+	resultGen uint64
+	// reply is the result's encoded reply, attached on its first hit.
+	reply []byte
+	bytes int64
 }
 
 type shard struct {
@@ -103,6 +109,7 @@ type Counters struct {
 	PlanHits      int64 // plan lookups answered from cache
 	PlanMisses    int64 // plan lookups that had to build
 	ResultHits    int64 // statements answered from cached results
+	ReplyHits     int64 // result hits answered with the stored reply payload
 	StructReuses  int64 // access structures served for cloning
 	Evictions     int64 // entries dropped by the byte-budget LRU
 	Invalidations int64 // entries dropped because a dependency version moved
@@ -114,12 +121,13 @@ type Cache struct {
 	shards [numShards]shard
 
 	textMu    sync.Mutex
-	text      map[uint64][]sqlast.Statement
+	text      map[uint64]parsed
 	textOrder []uint64 // FIFO eviction order
 
 	planHits      atomic.Int64
 	planMisses    atomic.Int64
 	resultHits    atomic.Int64
+	replyHits     atomic.Int64
 	structReuses  atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
@@ -129,7 +137,7 @@ type Cache struct {
 // structure retention but still caches ASTs and plans up to one entry's
 // base charge per statement).
 func New(budget int64) *Cache {
-	c := &Cache{text: make(map[uint64][]sqlast.Statement)}
+	c := &Cache{text: make(map[uint64]parsed)}
 	c.budget.Store(budget)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*Entry)
@@ -147,6 +155,7 @@ func (c *Cache) Counters() Counters {
 		PlanHits:      c.planHits.Load(),
 		PlanMisses:    c.planMisses.Load(),
 		ResultHits:    c.resultHits.Load(),
+		ReplyHits:     c.replyHits.Load(),
 		StructReuses:  c.structReuses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
@@ -233,6 +242,7 @@ func (e *Entry) clearDerived() {
 	e.schema = nil
 	e.rows = nil
 	e.hasResult = false
+	e.reply = nil
 	e.bytes = entryBaseBytes
 }
 
@@ -339,6 +349,28 @@ func (c *Cache) Stmt(e *Entry) *sqlast.SelectStmt {
 // still current. The returned row slice is a fresh top-level slice (rows
 // shared), so callers may append/reorder without corrupting the cache.
 func (c *Cache) Result(e *Entry, cat *catalog.Catalog) (*eval.BoundSchema, []types.Row, []Dep, bool) {
+	h, ok := c.Hit(e, cat)
+	if !ok {
+		return nil, nil, nil, false
+	}
+	return h.Schema, h.Rows(), h.deps, true
+}
+
+// Hit is one result-cache hit: the entry's result as the lookup found it,
+// with the reply payload the entry held then.
+type Hit struct {
+	Schema *eval.BoundSchema
+	c      *Cache
+	e      *Entry
+	gen    uint64
+	rows   []types.Row // the entry's own slice: read-only, never handed out
+	deps   []Dep
+	reply  []byte
+}
+
+// Hit looks up the entry's cached result, as Result does, for a caller that
+// may also serve its reply.
+func (c *Cache) Hit(e *Entry, cat *catalog.Catalog) (*Hit, bool) {
 	sh := c.shardOf(e.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -346,13 +378,43 @@ func (c *Cache) Result(e *Entry, cat *catalog.Catalog) (*eval.BoundSchema, []typ
 		c.invalidate(sh, e)
 	}
 	if !e.hasResult {
-		return nil, nil, nil, false
+		return nil, false
 	}
 	c.resultHits.Add(1)
 	sh.touch(e)
-	out := make([]types.Row, len(e.rows))
-	copy(out, e.rows)
-	return e.schema, out, e.deps, true
+	return &Hit{Schema: e.schema, c: c, e: e, gen: e.resultGen, rows: e.rows, deps: e.deps, reply: e.reply}, true
+}
+
+// Rows returns a fresh top-level copy of the hit's rows, the caller's to
+// append to and reorder (the rows themselves are shared).
+func (h *Hit) Rows() []types.Row {
+	out := make([]types.Row, len(h.rows))
+	copy(out, h.rows)
+	return out
+}
+
+// Reply returns the hit's encoded reply. If the entry held one at the lookup,
+// that is the answer (a reply hit). Otherwise encode renders the entry's own
+// rows — never a caller's copy, which may have been reordered — and the
+// payload is attached to the entry and charged to the budget, unless the
+// result was replaced, invalidated or evicted since the lookup: then it
+// answers this call only.
+func (h *Hit) Reply(encode func(rows []types.Row) []byte) []byte {
+	if h.reply != nil {
+		h.c.replyHits.Add(1)
+		return h.reply
+	}
+	reply := encode(h.rows)
+	sh := h.c.shardOf(h.e.key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := h.e; !e.dead && e.hasResult && e.resultGen == h.gen && e.reply == nil {
+		e.reply = reply
+		e.bytes += int64(cap(reply))
+		sh.bytes += int64(cap(reply))
+		h.c.evictOver(sh, e)
+	}
+	return reply
 }
 
 // SetResult stores a result set against the entry's current plan. The rows
@@ -374,9 +436,10 @@ func (c *Cache) SetResult(e *Entry, schema *eval.BoundSchema, rows []types.Row) 
 	}
 	sh.bytes -= e.bytes
 	if e.hasResult {
-		e.rows, e.schema, e.hasResult = nil, nil, false
+		e.rows, e.schema, e.hasResult, e.reply = nil, nil, false, nil
 		e.bytes = entryBaseBytes + e.structsBytes()
 	}
+	e.resultGen++
 	e.schema = schema
 	e.rows = kept
 	e.hasResult = true
@@ -434,6 +497,46 @@ func (c *Cache) StoreStructure(e *Entry, n *plan.Spreadsheet, ps *core.Partition
 
 // --- statement-text cache ---
 
+// parsed is one statement text's parse with each statement's key.
+type parsed struct {
+	stmts []sqlast.Statement
+	keys  []uint64
+}
+
+// StmtKeys returns each statement's plan-cache key (Key.Stmt): the
+// sqlast.Fingerprint of a SELECT, 0 for any other statement (it has no
+// entry). A key renders the whole tree, so the text cache computes it once
+// per parse and keeps it beside the AST.
+func StmtKeys(stmts []sqlast.Statement) []uint64 {
+	keys := make([]uint64, len(stmts))
+	for i, st := range stmts {
+		if sel, ok := st.(*sqlast.SelectStmt); ok {
+			keys[i] = sqlast.Fingerprint(sel)
+		}
+	}
+	return keys
+}
+
+// Prepare returns the parse of the statement text whose fingerprint is fp,
+// with each statement's key: the one recorded for fp, or — on a miss — what
+// parse returns, recorded with its keys. The statements are shared, as
+// Text's are.
+func (c *Cache) Prepare(fp uint64, parse func() ([]sqlast.Statement, error)) ([]sqlast.Statement, []uint64, error) {
+	c.textMu.Lock()
+	p, ok := c.text[fp]
+	c.textMu.Unlock()
+	if ok {
+		return p.stmts, p.keys, nil
+	}
+	stmts, err := parse()
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := StmtKeys(stmts)
+	c.setText(fp, parsed{stmts, keys})
+	return stmts, keys, nil
+}
+
 // Text returns the parsed statements previously recorded for a text
 // fingerprint. The statements are shared: callers must either treat them as
 // read-only or serialize execution (the DB layer holds ExecMu around any
@@ -441,12 +544,16 @@ func (c *Cache) StoreStructure(e *Entry, n *plan.Spreadsheet, ps *core.Partition
 func (c *Cache) Text(fp uint64) ([]sqlast.Statement, bool) {
 	c.textMu.Lock()
 	defer c.textMu.Unlock()
-	stmts, ok := c.text[fp]
-	return stmts, ok
+	p, ok := c.text[fp]
+	return p.stmts, ok
 }
 
-// SetText records the parse of a statement text.
+// SetText records the parse of a statement text, with its keys.
 func (c *Cache) SetText(fp uint64, stmts []sqlast.Statement) {
+	c.setText(fp, parsed{stmts, StmtKeys(stmts)})
+}
+
+func (c *Cache) setText(fp uint64, p parsed) {
 	c.textMu.Lock()
 	defer c.textMu.Unlock()
 	if _, ok := c.text[fp]; ok {
@@ -456,7 +563,7 @@ func (c *Cache) SetText(fp uint64, stmts []sqlast.Statement) {
 		delete(c.text, c.textOrder[0])
 		c.textOrder = c.textOrder[1:]
 	}
-	c.text[fp] = stmts
+	c.text[fp] = p
 	c.textOrder = append(c.textOrder, fp)
 }
 

@@ -251,3 +251,93 @@ func TestShardSpread(t *testing.T) {
 	}
 	_ = fmt.Sprintf // keep fmt import if assertions change
 }
+
+// TestReplyAttach: a hit's encoded reply is attached once, to the result it
+// was encoded from, charged to the budget, and dropped with that result.
+func TestReplyAttach(t *testing.T) {
+	cat := testCatalog(t, "f")
+	rowsA := []types.Row{{types.NewInt(1)}, {types.NewInt(2)}}
+	rowsB := []types.Row{{types.NewInt(3)}}
+	calls := 0
+	encode := func(rows []types.Row) []byte {
+		calls++
+		return []byte(fmt.Sprint(rows))
+	}
+	stored := func(c *Cache, stmt uint64, rows []types.Row) *Entry {
+		e := c.Entry(Key{Stmt: stmt})
+		c.SetPlan(e, &sqlast.SelectStmt{}, planFor(cat, "f"), []Dep{snapDep(t, cat, "f")}, nil)
+		c.SetResult(e, nil, rows)
+		return e
+	}
+	hit := func(c *Cache, e *Entry) *Hit {
+		t.Helper()
+		h, ok := c.Hit(e, cat)
+		if !ok {
+			t.Fatal("want a result hit")
+		}
+		return h
+	}
+
+	c := New(1 << 20)
+	e := stored(c, 1, rowsA)
+	for i := 0; i < 3; i++ {
+		if got := string(hit(c, e).Reply(encode)); got != fmt.Sprint(rowsA) {
+			t.Fatalf("hit %d replied %q", i, got)
+		}
+	}
+	if calls != 1 || c.Counters().ReplyHits != 2 || c.Counters().ResultHits != 3 {
+		t.Fatalf("3 hits: %d encodes, counters %+v; want 1 encode and 2 reply hits", calls, c.Counters())
+	}
+
+	// A replacement between lookup and attach: the late reply answers its own
+	// call with its own rows and is not kept for the new result.
+	e = stored(c, 2, rowsA)
+	h := hit(c, e)
+	c.SetResult(e, nil, rowsB)
+	if got := string(h.Reply(encode)); got != fmt.Sprint(rowsA) {
+		t.Fatalf("late reply %q, want the rows it was read with", got)
+	}
+	if e.reply != nil {
+		t.Fatal("an attach that lost the race with SetResult landed")
+	}
+	if got := string(hit(c, e).Reply(encode)); got != fmt.Sprint(rowsB) || e.reply == nil {
+		t.Fatalf("new result replied %q (stored %v)", got, e.reply != nil)
+	}
+	c.SetResult(e, nil, rowsA)
+	if e.reply != nil {
+		t.Fatal("SetResult kept the old result's reply")
+	}
+
+	// Invalidation drops the reply with the result.
+	if hit(c, e).Reply(encode); e.reply == nil {
+		t.Fatal("reply not attached")
+	}
+	tb, _ := cat.Get("f")
+	tb.Version.Add(1)
+	if _, ok := c.Hit(e, cat); ok || e.reply != nil || e.bytes != entryBaseBytes {
+		t.Fatalf("after a version bump: hit %v, reply kept %v, bytes %d", ok, e.reply != nil, e.bytes)
+	}
+
+	// The payload is charged: two entries of one shard fit its budget slice
+	// until one of them stores a reply larger than the slack.
+	c = New(1 << 30)
+	a, b := stored(c, 8, rowsA), stored(c, 16, rowsA) // 8 and 16 share a shard
+	sh := c.shardOf(a.key)
+	if sh != c.shardOf(b.key) {
+		t.Fatal("keys 8 and 16 must share a shard")
+	}
+	c.SetBudget(numShards * (sh.bytes + 4096))
+	aBefore := a.bytes
+	payload := make([]byte, 8192)
+	hit(c, a).Reply(func([]types.Row) []byte { return payload })
+	if a.bytes != aBefore+int64(cap(payload)) {
+		t.Fatalf("entry charged %d bytes for a %d-byte reply", a.bytes-aBefore, cap(payload))
+	}
+	if !b.dead || c.Counters().Evictions != 1 || sh.bytes != a.bytes {
+		t.Fatalf("an 8 KiB reply over 4 KiB of slack: neighbour dead %v, evictions %d, shard %d bytes vs entry %d",
+			b.dead, c.Counters().Evictions, sh.bytes, a.bytes)
+	}
+	if _, ok := c.Hit(b, cat); ok {
+		t.Fatal("the evicted entry still serves its result")
+	}
+}

@@ -70,6 +70,9 @@ func FuzzWireProtocol(f *testing.F) {
 	// Operator chains: 4,000 terms are answered, 100,000 hit the same bound.
 	f.Add(frame("QUERY\nSELECT a" + strings.Repeat("+1", 4000) + " FROM tiny"))
 	f.Add(frame("QUERY\nSELECT a" + strings.Repeat("+1", 100000) + " FROM tiny"))
+	// A literal spelling the bytes that once separated tokens in the text
+	// fingerprint, after the statement those bytes spell.
+	f.Add(append(frame("QUERY\nSELECT 'a', 'b' FROM tiny"), frame("QUERY\nSELECT 'a\x00\x04,\x00\x03b' FROM tiny")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addr := fuzzServer(t)

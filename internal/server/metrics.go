@@ -100,6 +100,7 @@ type CacheSnapshot struct {
 	PlanHits      int64 `json:"plan_hits"`
 	PlanMisses    int64 `json:"plan_misses"`
 	ResultHits    int64 `json:"result_hits"`
+	ReplyHits     int64 `json:"reply_hits"`
 	StructReuses  int64 `json:"struct_reuses"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`

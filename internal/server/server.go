@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,7 +26,6 @@ import (
 	"sqlsheet"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/shard"
-	"sqlsheet/internal/types"
 	"sqlsheet/internal/wire"
 )
 
@@ -213,7 +213,9 @@ func (s *Server) acceptLoop() {
 }
 
 // handleConn runs one session: a loop of framed requests, each answered with
-// exactly one framed response. A protocol-level fault gets an ERR
+// exactly one framed response. Requests are read through a per-session
+// buffer, so a small request costs one read; every frame goes out in one
+// write (wire.WriteFrame). A protocol-level fault gets an ERR
 // PROTOCOL_ERROR response when the transport still works, then the session
 // closes. Panics are contained to the session.
 func (s *Server) handleConn(conn net.Conn, st *connState) {
@@ -233,8 +235,9 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		s.wg.Done()
 	}()
 
+	br := bufio.NewReader(conn)
 	for {
-		payload, err := wire.ReadFrame(conn)
+		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// Clean close, torn frame, or oversized length: if the error was
 			// a policy rejection (not an I/O failure) try to say so first.
@@ -300,7 +303,8 @@ func isIOError(err error) bool {
 }
 
 // runQuery admits, executes, and encodes one query. Always returns a
-// response frame payload.
+// response frame payload; a result-cache hit returns the reply stored with
+// the result (sqlsheet.Result.Reply).
 func (s *Server) runQuery(sql string) []byte {
 	if s.draining.Load() {
 		return wire.EncodeError(&wire.Error{Code: wire.CodeShutdown, Msg: "server is shutting down"})
@@ -327,8 +331,10 @@ func (s *Server) runQuery(sql string) []byte {
 	if err != nil {
 		return wire.EncodeError(s.classify(err))
 	}
-	cols, kinds, rows := resultColumns(res)
-	return wire.EncodeResult(cols, kinds, rows)
+	if res == nil {
+		return wire.EncodeReply(nil, nil)
+	}
+	return res.Reply()
 }
 
 // handleSubplan admits and executes one worker-side subplan, streaming PART
@@ -464,29 +470,6 @@ func (s *Server) classify(err error) *wire.Error {
 	}
 	s.Metrics.ExecErrors.Add(1)
 	return &wire.Error{Code: wire.CodeExecError, Msg: err.Error()}
-}
-
-// resultColumns flattens a DB result for the wire. Column kinds are derived
-// from the data (the engine is dynamically typed): the kind of the first
-// non-NULL value per column, NULL if the column never holds one. The rows
-// go out as they are: the encoder only reads them.
-func resultColumns(res *sqlsheet.Result) (cols []string, kinds []string, rows []types.Row) {
-	if res == nil {
-		return nil, nil, nil
-	}
-	cols = res.Columns
-	kinds = make([]string, len(cols))
-	for i := range kinds {
-		k := types.KindNull
-		for _, row := range res.Rows {
-			if i < len(row) && row[i].K != types.KindNull {
-				k = row[i].K
-				break
-			}
-		}
-		kinds[i] = k.String()
-	}
-	return cols, kinds, res.Rows
 }
 
 // --- HTTP endpoints ---

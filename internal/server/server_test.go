@@ -431,9 +431,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("latency count = %d, want 4", snap.Latency.Count)
 	}
 	// Three identical SELECTs: at least one should have come from the
-	// plan/result cache, proving the re-export works end to end.
+	// plan/result cache, proving the re-export works end to end. Every result
+	// hit but the first is answered with the reply stored on that first one.
 	if snap.Cache.PlanHits+snap.Cache.ResultHits < 1 {
 		t.Errorf("cache counters not re-exported: %+v", snap.Cache)
+	}
+	if snap.Cache.ResultHits < 1 || snap.Cache.ReplyHits != snap.Cache.ResultHits-1 {
+		t.Errorf("reply_hits = %d with result_hits = %d, want result_hits - 1", snap.Cache.ReplyHits, snap.Cache.ResultHits)
 	}
 
 	health, err := http.Get("http://" + srv.MetricsAddr() + "/healthz")
@@ -531,5 +535,139 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := client.Dial(srv.Addr().String()); err == nil {
 		t.Error("dial after shutdown should fail")
+	}
+}
+
+// TestLiteralCannotStandForTokensOverWire: one client's statement text must
+// never be answered with another's parse. A string literal holding the bytes
+// the fingerprint once used to separate tokens was answered with the columns
+// of the statement those bytes spelled.
+func TestLiteralCannotStandForTokensOverWire(t *testing.T) {
+	srv := startServer(t, newFactDB(t), server.Config{})
+	a, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < 3; i++ { // miss, first hit, stored reply
+		if res, err := a.Query(`SELECT 'a', 'b' FROM f WHERE t = 1992 AND r = 'west' AND p = 'dvd'`); err != nil || len(res.Cols) != 2 {
+			t.Fatalf("two literals: %v, %v", res, err)
+		}
+	}
+	res, err := b.Query("SELECT 'a\x00\x04,\x00\x03b' FROM f WHERE t = 1992 AND r = 'west' AND p = 'dvd'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cols) != 1 || len(res.Rows) != 1 || res.Rows[0][0].String() != "a\x00\x04,\x00\x03b" {
+		t.Fatalf("one literal answered with columns %q and rows %v", res.Cols, res.Rows)
+	}
+}
+
+// TestReplyUnderConcurrentWrites: eight sessions repeat one statement while
+// a writer moves its table through a series of versions. Whatever the
+// interleaving of stored replies, attaches, invalidations and re-executions,
+// every reply must be the reply of some published version. Run under -race
+// via `make race`.
+func TestReplyUnderConcurrentWrites(t *testing.T) {
+	const versions, sessions, queries = 12, 8, 60
+	q := `SELECT r, p, SUM(s) AS total, COUNT(*) AS n FROM f GROUP BY r, p ORDER BY r, p`
+	write := func(v int) string { return fmt.Sprintf(`UPDATE f SET s = s + %d WHERE t = %d`, v, 1992+v%10) }
+
+	// The reply of every version, replayed serially.
+	ref := newFactDB(t)
+	want := map[string]bool{}
+	for v := 0; v <= versions; v++ {
+		if v > 0 {
+			ref.MustExec(write(v))
+		}
+		res, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := wire.DecodeResponse(res.Reply())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[canon(r)] = true
+	}
+
+	srv := startServer(t, newFactDB(t), server.Config{MaxInFlight: 8, MaxQueue: 64, QueueWait: 30 * time.Second})
+	var wg, ready sync.WaitGroup
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	errs := make(chan error, sessions+1)
+	done := make(chan struct{})
+	ready.Add(sessions)
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			c, err := client.Dial(srv.Addr().String())
+			if err != nil {
+				ready.Done()
+				errs <- err
+				return
+			}
+			defer c.Close()
+			// Each session answers once before the writer starts and keeps
+			// going until it has answered queries times and the writer is done.
+			for i := 0; ; i++ {
+				res, err := c.Query(q)
+				if i == 0 {
+					ready.Done()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("session %d query %d: %v", s, i, err)
+					return
+				}
+				got := canon(res)
+				if !want[got] {
+					errs <- fmt.Errorf("session %d query %d: reply matches no published version:\n%s", s, i, got)
+					return
+				}
+				mu.Lock()
+				seen[got] = true
+				mu.Unlock()
+				select {
+				case <-done:
+					if i >= queries {
+						return
+					}
+				default:
+				}
+			}
+		}(s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		ready.Wait()
+		c, err := client.Dial(srv.Addr().String())
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer c.Close()
+		for v := 1; v <= versions; v++ {
+			if _, err := c.Query(write(v)); err != nil {
+				errs <- fmt.Errorf("version %d: %v", v, err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(seen) < 2 {
+		t.Errorf("sessions saw %d version(s); the writer did not overlap them", len(seen))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 
@@ -38,17 +39,21 @@ const (
 	CodeShutdown      = "SHUTDOWN"       // server is draining and rejects new work
 )
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in one call: on a TCP or Unix
+// connection one vectored write (writev) of header and payload, on any other
+// writer one Write of the two copied together.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(len(payload)))
+	switch w.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		bufs := net.Buffers{hdr, payload}
+		_, err := bufs.WriteTo(w)
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(append(hdr, payload...))
 	return err
 }
 
@@ -173,30 +178,87 @@ func (e *Error) Error() string {
 //	<quoted col names, tab-separated>     (omitted when ncols == 0)
 //	<col kinds, tab-separated>            (omitted when ncols == 0)
 //	<encoded cells, tab-separated> × nrows
+//
+// It appends into one buffer sized up front, with no per-value garbage.
 func EncodeResult(cols []string, kinds []string, rows []types.Row) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "OK %d %d\n", len(cols), len(rows))
+	b := make([]byte, 0, resultSize(cols, kinds, rows))
+	b = append(b, "OK "...)
+	b = strconv.AppendInt(b, int64(len(cols)), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(rows)), 10)
+	b = append(b, '\n')
 	if len(cols) > 0 {
 		for i, c := range cols {
 			if i > 0 {
-				b.WriteByte('\t')
+				b = append(b, '\t')
 			}
-			b.WriteString(strconv.Quote(c))
+			b = strconv.AppendQuote(b, c)
 		}
-		b.WriteByte('\n')
-		b.WriteString(strings.Join(kinds, "\t"))
-		b.WriteByte('\n')
+		b = append(b, '\n')
+		for i, k := range kinds {
+			if i > 0 {
+				b = append(b, '\t')
+			}
+			b = append(b, k...)
+		}
+		b = append(b, '\n')
 	}
 	for _, row := range rows {
 		for i, v := range row {
 			if i > 0 {
-				b.WriteByte('\t')
+				b = append(b, '\t')
 			}
-			b.WriteString(encodeValue(v))
+			b = appendValue(b, v)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
+}
+
+// resultSize estimates EncodeResult's output: exact for the header lines and
+// for unescaped strings, a typical width for numbers.
+func resultSize(cols []string, kinds []string, rows []types.Row) int {
+	n := 24
+	for _, c := range cols {
+		n += len(c) + 3
+	}
+	for _, k := range kinds {
+		n += len(k) + 1
+	}
+	for _, row := range rows {
+		n += len(row) + 1
+		for _, v := range row {
+			switch v.K {
+			case types.KindString:
+				n += len(v.S) + 3
+			case types.KindFloat:
+				n += 20
+			case types.KindInt:
+				n += 8
+			default:
+				n += 2
+			}
+		}
+	}
+	return n
+}
+
+// EncodeReply renders the OK response for a query result. The engine is
+// dynamically typed, so the column kinds are derived from the data: the kind
+// of a column's first non-NULL value, NULL if it never holds one.
+func EncodeReply(cols []string, rows []types.Row) []byte {
+	kinds := make([]string, len(cols))
+	for i := range kinds {
+		k := types.KindNull
+		for _, row := range rows {
+			if i < len(row) && row[i].K != types.KindNull {
+				k = row[i].K
+				break
+			}
+		}
+		kinds[i] = k.String()
+	}
+	return EncodeResult(cols, kinds, rows)
 }
 
 // EncodePart renders one streamed SUBPLAN partial-result frame: the PART
@@ -330,27 +392,25 @@ func decodeResult(head string, sc *bufio.Scanner) (*Result, error) {
 
 // --- value codec ---
 
-// encodeValue renders one scalar with a kind tag: N (null), I<int>,
+// appendValue renders one scalar with a kind tag: N (null), I<int>,
 // F<shortest-exact float>, S<%q string>, B0/B1. The float form round-trips
 // bit-exactly through strconv; the string form is %q so tabs and newlines
 // cannot break the line structure.
-func encodeValue(v types.Value) string {
+func appendValue(b []byte, v types.Value) []byte {
 	switch v.K {
-	case types.KindNull:
-		return "N"
 	case types.KindInt:
-		return "I" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, 'I'), v.I, 10)
 	case types.KindFloat:
-		return "F" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 'F'), v.F, 'g', -1, 64)
 	case types.KindString:
-		return "S" + strconv.Quote(v.S)
+		return strconv.AppendQuote(append(b, 'S'), v.S)
 	case types.KindBool:
 		if v.I != 0 {
-			return "B1"
+			return append(b, "B1"...)
 		}
-		return "B0"
+		return append(b, "B0"...)
 	}
-	return "N"
+	return append(b, 'N')
 }
 
 func decodeValue(s string) (types.Value, error) {
@@ -395,7 +455,7 @@ func decodeValue(s string) (types.Value, error) {
 // F<exact float> / S<%q> / B0 / B1). The write-ahead log reuses it for row
 // records so WAL payloads round-trip values bit-exactly the same way the
 // protocol does.
-func EncodeValue(v types.Value) string { return encodeValue(v) }
+func EncodeValue(v types.Value) string { return string(appendValue(make([]byte, 0, 24), v)) }
 
 // DecodeValue parses a value rendered by EncodeValue.
 func DecodeValue(s string) (types.Value, error) { return decodeValue(s) }

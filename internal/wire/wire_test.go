@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,5 +168,178 @@ func TestPartFrames(t *testing.T) {
 	// And a PART frame is not a decodable terminal response.
 	if _, err := DecodeResponse(EncodePart(chunk)); err == nil {
 		t.Fatal("PART frame must not decode as a response")
+	}
+}
+
+// countingWriter counts Write calls and keeps the bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite: a frame reaches the writer in one call, header and
+// payload together, and reads back as written.
+func TestWriteFrameOneWrite(t *testing.T) {
+	var w countingWriter
+	payloads := [][]byte{[]byte("PONG\n"), {}, bytes.Repeat([]byte("x"), 100000)}
+	for i, p := range payloads {
+		if err := WriteFrame(&w, p); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != i+1 {
+			t.Fatalf("after %d frames the writer saw %d writes", i+1, w.writes)
+		}
+	}
+	for _, want := range payloads {
+		got, err := ReadFrame(&w.Buffer)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame read back as %d bytes (%v), want %d", len(got), err, len(want))
+		}
+	}
+}
+
+// referenceEncodeResult is the encoder as it was before it appended into one
+// buffer: a strings.Builder, one string per value, then a copy to []byte.
+// EncodeResult must produce exactly its bytes.
+func referenceEncodeResult(cols []string, kinds []string, rows []types.Row) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "OK %d %d\n", len(cols), len(rows))
+	if len(cols) > 0 {
+		for i, c := range cols {
+			if i > 0 {
+				b.WriteByte('\t')
+			}
+			b.WriteString(strconv.Quote(c))
+		}
+		b.WriteByte('\n')
+		b.WriteString(strings.Join(kinds, "\t"))
+		b.WriteByte('\n')
+	}
+	for _, row := range rows {
+		for i, v := range row {
+			if i > 0 {
+				b.WriteByte('\t')
+			}
+			b.WriteString(referenceEncodeValue(v))
+		}
+		b.WriteByte('\n')
+	}
+	return []byte(b.String())
+}
+
+func referenceEncodeValue(v types.Value) string {
+	switch v.K {
+	case types.KindNull:
+		return "N"
+	case types.KindInt:
+		return "I" + strconv.FormatInt(v.I, 10)
+	case types.KindFloat:
+		return "F" + strconv.FormatFloat(v.F, 'g', -1, 64)
+	case types.KindString:
+		return "S" + strconv.Quote(v.S)
+	case types.KindBool:
+		if v.I != 0 {
+			return "B1"
+		}
+		return "B0"
+	}
+	return "N"
+}
+
+func TestEncodeResultMatchesReference(t *testing.T) {
+	cases := []struct {
+		name  string
+		cols  []string
+		kinds []string
+		rows  []types.Row
+	}{
+		{"floats", []string{"f"}, []string{"FLOAT"}, []types.Row{
+			{types.NewFloat(math.NaN())}, {types.NewFloat(math.Inf(1))}, {types.NewFloat(math.Inf(-1))},
+			{types.NewFloat(math.Copysign(0, -1))}, {types.NewFloat(0.1)}, {types.NewFloat(1e300)},
+			{types.NewFloat(math.SmallestNonzeroFloat64)}, {types.NewFloat(-1.0 / 3)},
+		}},
+		{"ints", []string{"i"}, []string{"INT"}, []types.Row{
+			{types.NewInt(math.MinInt64)}, {types.NewInt(math.MaxInt64)}, {types.NewInt(0)}, {types.NewInt(-7)},
+		}},
+		{"null and bools", []string{"a", "b"}, []string{"NULL", "BOOL"}, []types.Row{
+			{types.Null, types.NewBool(true)}, {types.Null, types.NewBool(false)},
+		}},
+		{"strings", []string{"s\tname", "q\"\n"}, []string{"STRING", "STRING"}, []types.Row{
+			{types.NewString("tab\there"), types.NewString("new\nline")},
+			{types.NewString(`"quoted" \ 'single'`), types.NewString("")},
+			{types.NewString("bad \xff\xfe utf8"), types.NewString("ünï\x00code")},
+		}},
+		{"mixed kinds in a column", []string{"m"}, []string{"INT"}, []types.Row{
+			{types.NewInt(1)}, {types.NewString("x")}, {types.Null}, {types.NewFloat(2.5)},
+		}},
+		{"zero columns", nil, nil, nil},
+		{"zero columns, empty rows", nil, nil, []types.Row{{}, {}}},
+		{"no rows", []string{"a", "b"}, []string{"NULL", "NULL"}, nil},
+	}
+	for _, c := range cases {
+		got, want := EncodeResult(c.cols, c.kinds, c.rows), referenceEncodeResult(c.cols, c.kinds, c.rows)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\ngot  %q\nwant %q", c.name, got, want)
+		}
+		for _, row := range c.rows {
+			for _, v := range row {
+				if got, want := EncodeValue(v), referenceEncodeValue(v); got != want {
+					t.Errorf("%s: EncodeValue = %q, want %q", c.name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzEncodeResult checks EncodeResult byte for byte against the reference
+// encoder on arbitrary values.
+func FuzzEncodeResult(f *testing.F) {
+	f.Add("col", "a\tb\n\"c\"", int64(math.MinInt64), math.NaN(), true, uint8(3))
+	f.Add("", "\xff", int64(0), math.Copysign(0, -1), false, uint8(0))
+	f.Fuzz(func(t *testing.T, col, s string, i int64, fl float64, b bool, shape uint8) {
+		vals := []types.Value{types.NewString(s), types.NewInt(i), types.NewFloat(fl), types.NewBool(b), types.Null}
+		ncols := int(shape%4) + 1
+		cols := make([]string, ncols)
+		var rows []types.Row
+		for r := 0; r < int(shape/4%4); r++ {
+			row := make(types.Row, ncols)
+			for j := range row {
+				cols[j] = col + strconv.Itoa(j)
+				row[j] = vals[(r+j+int(shape))%len(vals)]
+			}
+			rows = append(rows, row)
+		}
+		if shape&0x80 != 0 {
+			cols = nil
+			rows = append(rows, types.Row{})
+		}
+		kinds := make([]string, len(cols))
+		for j := range kinds {
+			kinds[j] = vals[j%len(vals)].K.String()
+		}
+		if got, want := EncodeResult(cols, kinds, rows), referenceEncodeResult(cols, kinds, rows); !bytes.Equal(got, want) {
+			t.Fatalf("got  %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestEncodeReplyKinds: a column's kind is that of its first non-NULL value,
+// NULL when it has none.
+func TestEncodeReplyKinds(t *testing.T) {
+	rows := []types.Row{
+		{types.Null, types.NewInt(1), types.Null},
+		{types.NewString("x"), types.NewFloat(2), types.Null},
+	}
+	res, err := DecodeResponse(EncodeReply([]string{"a", "b", "c"}, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Kinds, ","); got != "STRING,INT,NULL" {
+		t.Errorf("kinds = %s, want STRING,INT,NULL", got)
 	}
 }

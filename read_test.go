@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sqlsheet/internal/plancache"
-	"sqlsheet/internal/sqlast"
 )
 
 // HoldEntry claims the plan-cache entry a single-SELECT text reads under
@@ -16,11 +15,11 @@ import (
 func (db *DB) HoldEntry(t testing.TB, sql string) {
 	t.Helper()
 	s := db.sess.Load()
-	stmts, err := db.prepare(s, sql)
+	_, keys, err := db.prepare(s, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := db.cache.Entry(plancache.Key{Stmt: sqlast.Fingerprint(stmts[0].(*sqlast.SelectStmt)), Cfg: s.fp})
+	e := db.cache.Entry(plancache.Key{Stmt: keys[0], Cfg: s.fp})
 	e.ExecMu.Lock()
 	t.Cleanup(e.ExecMu.Unlock)
 }

@@ -6,6 +6,7 @@ import (
 
 	"sqlsheet/internal/apb"
 	"sqlsheet/internal/parser"
+	"sqlsheet/internal/plancache"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 	"sqlsheet/internal/wal"
@@ -103,11 +104,12 @@ func (db *DB) mutateLocked(m mutation, pos *wal.Pos) error {
 
 // stmtMutation is record kind S: one parsed statement, logged as its
 // canonical text. out receives the statement's result. A SELECT (legal
-// inside a write batch) goes through the read path and has no record.
-func (db *DB) stmtMutation(ctx context.Context, s *session, stmt sqlast.Statement, out **Result) mutation {
+// inside a write batch) goes through the read path, under its key, and has
+// no record.
+func (db *DB) stmtMutation(ctx context.Context, s *session, stmt sqlast.Statement, key uint64, out **Result) mutation {
 	if sel, ok := stmt.(*sqlast.SelectStmt); ok {
 		return mutation{apply: func() (err error) {
-			*out, _, err = db.read(ctx, s, sel, serve)
+			*out, _, err = db.read(ctx, s, sel, key, serve)
 			return err
 		}}
 	}
@@ -172,9 +174,10 @@ func (db *DB) decodeRecord(s *session, rec wal.Record) ([]mutation, error) {
 		if err != nil {
 			return nil, err
 		}
+		keys := plancache.StmtKeys(stmts)
 		muts := make([]mutation, len(stmts))
 		for i, stmt := range stmts {
-			muts[i] = db.stmtMutation(context.Background(), s, stmt, new(*Result))
+			muts[i] = db.stmtMutation(context.Background(), s, stmt, keys[i], new(*Result))
 		}
 		return muts, nil
 	case wal.KindCreate:

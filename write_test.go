@@ -254,7 +254,8 @@ func TestWALAppendFailurePoisonsTheDB(t *testing.T) {
 	// A batch runs its SELECTs up to the write that is refused: its first
 	// statement is a read, and reads keep working.
 	var got *Result
-	sel := db.stmtMutation(context.Background(), db.sess.Load(), mustParse(t, `SELECT a FROM t`), &got)
+	stmt := mustParse(t, `SELECT a FROM t`)
+	sel := db.stmtMutation(context.Background(), db.sess.Load(), stmt, sqlast.Fingerprint(stmt.(*sqlast.SelectStmt)), &got)
 	db.stmtMu.Lock()
 	err = db.mutateLocked(sel, nil)
 	db.stmtMu.Unlock()
