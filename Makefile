@@ -144,10 +144,12 @@ race: vet
 # compiler, the executor/core consumers, and the root ablation property tests
 # (TestVectorized* runs the kernels morsel-parallel against the shared image
 # cache and selection pool; TestDMLGrid runs UPDATE/DELETE by kernel and by
-# closure over derived images). Part of `make verify`.
+# closure over derived images; TestBucketBatchMatchesRowPath runs rules as one
+# batch per bucket on 4 PEs, each PE owning its buckets' image caches). Part
+# of `make verify`.
 race-vector:
 	$(GO) test -race ./internal/colstore/ ./internal/mvcc/ ./internal/catalog/ ./internal/blockstore/ ./internal/eval/ ./internal/exec/ ./internal/core/
-	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial|TestDMLGrid' .
+	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial|TestDMLGrid|TestBucketBatchMatchesRowPath' .
 
 # The benchmark: bench/run.sh builds the server from this checkout and drives
 # the four BENCHMARK.json workloads (dash_warm, sheet_cold, scan_cold,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqlsheet"
+	"sqlsheet/internal/core"
 )
 
 func TestReturnUpdatedRowsSQL(t *testing.T) {
@@ -74,6 +75,66 @@ func TestUniqueDimensionSQL(t *testing.T) {
 	}
 	if len(res.Rows) != 2 || res.Rows[1][1].Float() != 13 {
 		t.Errorf("grouped = %v", res.Rows)
+	}
+}
+
+// refKeyDB holds a main sheet over p ∈ {a, b, NULL} and a product → parent
+// table d, filled by the caller.
+func refKeyDB(t *testing.T, parents string) *sqlsheet.DB {
+	t.Helper()
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE f (p TEXT, s FLOAT)`)
+	db.MustExec(`INSERT INTO f VALUES ('a', 1), ('b', 2), (NULL, 3)`)
+	db.MustExec(`CREATE TABLE d (p TEXT, par TEXT)`)
+	db.MustExec(`INSERT INTO d VALUES ` + parents)
+	return db
+}
+
+const refKeyQuery = `SELECT p, s, u FROM f
+	SPREADSHEET REFERENCE pr ON (SELECT p, par FROM d) DBY (p) MEA (par)
+	DBY (p) MEA (s, 0 u)
+	( UPDATE u[*] = s[par[cv(p)]] )
+	ORDER BY p`
+
+// refKeyConfigs runs the reference read per cell and as one batch.
+var refKeyConfigs = []sqlsheet.Config{
+	{Ablate: sqlsheet.Ablation{Engine: core.Ablation{DisableVectorizedRules: true}}},
+	{Ablate: sqlsheet.Ablation{Engine: core.Ablation{VecMinRows: 1}}},
+}
+
+// TestReferenceSheetDuplicateKey: a reference sheet's DBY columns must
+// identify a row, as the main sheet's must — two rows for 'a' are an error
+// naming the sheet, not a lookup that silently reads the last of them.
+func TestReferenceSheetDuplicateKey(t *testing.T) {
+	db := refKeyDB(t, `('a', 'b'), ('a', 'a')`)
+	for _, cfg := range refKeyConfigs {
+		db.Configure(cfg)
+		_, err := db.Query(refKeyQuery)
+		if err == nil || !strings.Contains(err.Error(), "do not uniquely identify") || !strings.Contains(err.Error(), "reference sheet pr") {
+			t.Fatalf("duplicate reference key: err = %v", err)
+		}
+	}
+}
+
+// TestReferenceSheetNullKey: one NULL key is a key like any other, on the
+// reference sheet as on the main sheet — a NULL cv(p) reads the reference
+// row keyed NULL, and 'b', which the sheet lacks, reads a NULL parent, whose
+// cell is the main sheet's NULL row.
+func TestReferenceSheetNullKey(t *testing.T) {
+	db := refKeyDB(t, `(NULL, 'b'), ('a', 'b')`)
+	for _, cfg := range refKeyConfigs {
+		db.Configure(cfg)
+		res, err := db.Query(refKeyQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, r := range res.Rows {
+			got[r[0].String()] = r[2].String()
+		}
+		if got["a"] != "2" || got["NULL"] != "2" || got["b"] != "3" || len(got) != 3 {
+			t.Fatalf("u by p = %v (rows %v)", got, res.Rows)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sqlsheet_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -63,18 +64,30 @@ var (
 
 // getRuleFuzzDBs returns two identically-populated databases, one pinned to
 // the batch rule engine (cutoff 1) and one pinned to the per-cell
-// interpreter, so a fuzzed rule set can be differentially executed.
+// interpreter, so a fuzzed rule set can be differentially executed. The
+// working table has two 120-cell partitions and forty of 1–6 cells (one
+// bucket holds them all, so a batch rule runs over many partitions at once);
+// the reference table maps each product to another (ref, one NULL, one
+// missing) and to a weight (m2).
 func getRuleFuzzDBs() (*sqlsheet.DB, *sqlsheet.DB) {
 	ruleFuzzOnce.Do(func() {
 		mk := func(cfg sqlsheet.Config) *sqlsheet.DB {
 			db := sqlsheet.Open()
 			db.MustExec(`CREATE TABLE rf (r TEXT, p TEXT, t INT, s FLOAT, u FLOAT)`)
-			rows := make([][]any, 0, 2*4*30)
+			db.MustExec(`CREATE TABLE rd (p TEXT, ref TEXT, m2 FLOAT)`)
+			db.MustExec(`INSERT INTO rd VALUES ('tv','vcr',2), ('vcr','dvd',0.5), ('dvd',NULL,1.25), ('laser','tv',NULL)`)
+			prods := []string{"tv", "vcr", "dvd", "amp"}
+			rows := make([][]any, 0, 2*4*30+40*6)
 			for _, r := range []string{"east", "west"} {
-				for pi, p := range []string{"tv", "vcr", "dvd", "amp"} {
+				for pi, p := range prods {
 					for yr := 1980; yr < 2010; yr++ {
 						rows = append(rows, []any{r, p, yr, float64(yr-1979)*1.5 + float64(pi)*7.25, 0.0})
 					}
+				}
+			}
+			for k := 0; k < 40; k++ {
+				for i := 0; i <= k%6; i++ {
+					rows = append(rows, []any{fmt.Sprintf("k%02d", k), prods[(k+i)%4], 2000 + i/2, float64(k) + float64(i)*0.75, 0.0})
 				}
 			}
 			if err := db.Insert("rf", rows...); err != nil {
@@ -102,13 +115,16 @@ func FuzzRuleKernel(f *testing.F) {
 		`UPDATE u[p IN ('tv','dvd'), 1990 <= t <= 2005] = avg(s)[cv(p), 1990 <= t <= 1999]`,
 		`UPDATE u[*, *] = z[cv(p), cv(t)]`,
 		`UPDATE s['tv', 2005] = s['tv', 1980] * 2`,
+		`UPDATE u[*, *] = s[ref[cv(p)], cv(t)]`,
+		`UPDATE u[*, *] = m2[cv(p)] * s[cv(p), cv(t)]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, rules string) {
-		q := `SELECT r, p, t, s, u FROM rf SPREADSHEET PBY(r) DBY (p, t) MEA (s, u) (` +
-			rules + `) ORDER BY r, p, t`
+		q := `SELECT r, p, t, s, u FROM rf SPREADSHEET
+			REFERENCE rs ON (SELECT p, ref, m2 FROM rd) DBY (p) MEA (ref, m2)
+			PBY(r) DBY (p, t) MEA (s, u) (` + rules + `) ORDER BY r, p, t`
 		batch, row := getRuleFuzzDBs()
 		resB, errB := batch.Query(q)
 		resR, errR := row.Query(q)

@@ -107,7 +107,7 @@ func (b *Builder) Len() int { return b.n }
 func (b *Builder) Build() *Table {
 	t := &Table{NRows: b.n, Cols: make([]*Column, len(b.vals))}
 	for ci := range b.vals {
-		t.Cols[ci] = buildColumnVals(b.vals[ci])
+		t.Cols[ci] = buildColumnVals(b.vals[ci], true)
 	}
 	return t
 }
@@ -117,7 +117,15 @@ func (b *Builder) Build() *Table {
 // bitmaps, dictionary encoding with plain-string overflow, boxed storage
 // for mixed kinds). The slice may be retained (mixed-kind columns keep it).
 func FromValues(vals []types.Value) *Column {
-	return buildColumnVals(vals)
+	return buildColumnVals(vals, true)
+}
+
+// FromValuesPlain is FromValues with strings stored plain, never
+// dictionary-encoded: for a transient image that kernels read a few times,
+// where building the dictionary (a map probe per value) costs more than it
+// saves.
+func FromValuesPlain(vals []types.Value) *Column {
+	return buildColumnVals(vals, false)
 }
 
 // Broadcast builds an n-row column where every slot holds v — the columnar
@@ -153,8 +161,9 @@ func Broadcast(v types.Value, n int) *Column {
 }
 
 // buildColumnVals is buildColumn over column-major boxed values: the same
-// two passes deciding representation, then filling exact-sized vectors.
-func buildColumnVals(vals []types.Value) *Column {
+// two passes deciding representation, then filling exact-sized vectors
+// (strings dictionary-encoded when dict is set, plain otherwise).
+func buildColumnVals(vals []types.Value, dict bool) *Column {
 	n := len(vals)
 	kind := types.KindNull
 	hasNull := false
@@ -205,9 +214,25 @@ func buildColumnVals(vals []types.Value) *Column {
 			}
 		}
 	case types.KindString:
-		fillStringVals(c, vals)
+		if dict {
+			fillStringVals(c, vals)
+		} else {
+			fillPlainVals(c, vals)
+		}
 	}
 	return c
+}
+
+// fillPlainVals stores a string column from boxed values plain.
+func fillPlainVals(c *Column, vals []types.Value) {
+	c.Strs = make([]string, len(vals))
+	for i, v := range vals {
+		if v.IsNull() {
+			c.Nulls.Set(i)
+		} else {
+			c.Strs[i] = v.S
+		}
+	}
 }
 
 // fillStringVals dictionary-encodes a string column from boxed values,
@@ -225,14 +250,7 @@ func fillStringVals(c *Column, vals []types.Value) {
 		code, ok := dictIdx[v.S]
 		if !ok {
 			if len(dict) >= DictMaxEntries {
-				c.Strs = make([]string, n)
-				for j, vv := range vals {
-					if vv.IsNull() {
-						c.Nulls.Set(j)
-					} else {
-						c.Strs[j] = vv.S
-					}
-				}
+				fillPlainVals(c, vals)
 				return
 			}
 			code = uint32(len(dict))

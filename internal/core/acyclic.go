@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sqlsheet/internal/eval"
@@ -10,17 +11,19 @@ import (
 )
 
 // runAutomatic executes the analysis plan for an AUTOMATIC ORDER
-// spreadsheet: plain levels run with the Auto-Acyclic algorithm (all
-// aggregates of a level computed before its formulas, sharing one partition
-// scan), SCC steps run with the Auto-Cyclic fixpoint algorithm.
+// spreadsheet over the current frame: plain levels run with the
+// Auto-Acyclic algorithm (all aggregates of a level computed before its
+// formulas, sharing one partition scan), SCC steps run with the Auto-Cyclic
+// fixpoint algorithm. Only buckets evalBucket runs frame at a time come here
+// (see levelMajor); the rest run level by level over the whole bucket.
 func (fe *frameEval) runAutomatic() error {
-	if !fe.opts.Ablate.DisableSingleScan && fe.m.canSingleScan() {
+	if fe.m.singleScan(fe.opts.Ablate) {
 		return fe.runSingleScan()
 	}
 	for _, lv := range fe.m.levels {
 		switch lv.kind {
 		case stepLevel:
-			if err := fe.runRules(lv.rules); err != nil {
+			if err := fe.runLevel(lv.rules, fe.own()); err != nil {
 				return err
 			}
 		case stepSCC:
@@ -43,10 +46,42 @@ type lsEntry struct {
 	ctxs    []*eval.Context
 }
 
-// runRules evaluates one level: first the single-cell rules (LS) — their
-// aggregates computed up front, scan-mode instances sharing one partition
-// scan — then the existential rules (LE), per the Auto-Acyclic algorithm.
-func (fe *frameEval) runRules(idxs []int) error {
+// runLevel evaluates one level over fs, a run of one bucket's frames, per
+// the Auto-Acyclic algorithm: first the single-cell rules (LS), frame by
+// frame, then each existential rule (LE) in turn over every frame — as one
+// batch when its kernels apply, else frame by frame per cell. Frames are
+// independent, so this level → rule → frame order gives every frame the
+// state the frame-at-a-time order gives it; only which of several failing
+// frames reports its error can differ.
+func (fe *frameEval) runLevel(idxs []int, fs []*Frame) error {
+	for _, ri := range idxs {
+		if !fe.m.Rules[ri].Existential {
+			for _, f := range fs {
+				if err := fe.enter(f); err != nil {
+					return err
+				}
+				if err := fe.runPoints(idxs); err != nil {
+					return err
+				}
+			}
+			break // one pass per frame runs every single-cell rule of the level
+		}
+	}
+	for _, ri := range idxs {
+		if r := fe.m.Rules[ri]; r.Existential {
+			if err := fe.applyExistential(r, fs); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runPoints evaluates the single-cell rules (LS) of one level over the
+// current frame: their aggregates computed up front, scan-mode instances
+// sharing one partition scan (I), then each rule as one batch when its
+// kernels apply (see vecrules.go), per cell otherwise.
+func (fe *frameEval) runPoints(idxs []int) error {
 	var ls []*lsEntry
 	for _, ri := range idxs {
 		r := fe.m.Rules[ri]
@@ -81,14 +116,12 @@ func (fe *frameEval) runRules(idxs []int) error {
 		}
 	}
 
-	// Evaluate the single-cell formulas, each rule as one batch when its
-	// kernels apply (see vecrules.go), per cell otherwise.
 	for _, e := range ls {
 		handled, err := fe.vecApplyPoints(e)
 		if err != nil {
 			return err
 		}
-		fe.opts.Stats.countRule(handled)
+		fe.opts.Stats.countRule(handled, 1)
 		if handled {
 			continue
 		}
@@ -100,15 +133,6 @@ func (fe *frameEval) runRules(idxs []int) error {
 		}
 	}
 	fe.curAggs = nil
-
-	// Evaluate the existential formulas (scans II and III).
-	for _, ri := range idxs {
-		if r := fe.m.Rules[ri]; r.Existential {
-			if err := fe.applyExistential(r); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -306,15 +330,30 @@ func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	return nil
 }
 
-// applyExistential fires an existential rule: scan (II) finds the target
-// rows, then each target evaluates its right side — with scan (III) for any
-// non-probe aggregates.
-func (fe *frameEval) applyExistential(r *Rule) error {
-	if handled, err := fe.vecApplyExistential(r); handled {
-		fe.opts.Stats.countRule(true)
+// applyExistential fires an existential rule over fs, a run of one bucket's
+// frames: one batch when its kernels apply (vecApplyExistential), otherwise
+// per cell, frame by frame.
+func (fe *frameEval) applyExistential(r *Rule, fs []*Frame) error {
+	if handled, err := fe.vecApplyExistential(r, fs); handled {
+		fe.opts.Stats.countRule(true, len(fs))
 		return err
 	}
-	fe.opts.Stats.countRule(false)
+	for _, f := range fs {
+		if err := fe.enter(f); err != nil {
+			return err
+		}
+		fe.opts.Stats.countRule(false, 1)
+		if err := fe.applyExistentialCells(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyExistentialCells fires an existential rule over the current frame,
+// per cell: scan (II) finds the target rows, then each target evaluates its
+// right side — with scan (III) for any non-probe aggregates.
+func (fe *frameEval) applyExistentialCells(r *Rule) error {
 	targets, err := fe.matchTargets(r)
 	if err != nil {
 		return err
@@ -396,12 +435,11 @@ type qualConst struct {
 	lo, hi types.Value // QualRange
 }
 
-// qualConsts evaluates the constant parts of r's left side, in qualifier
-// order, into the PE's scratch.
-func (fe *frameEval) qualConsts(r *Rule) ([]qualConst, error) {
+// qualConsts evaluates the constant parts of r's left side under the
+// current frame, in qualifier order, into consts (one slot per qualifier;
+// star, predicate and FOR-IN slots are left alone).
+func (fe *frameEval) qualConsts(r *Rule, consts []qualConst) error {
 	ctx := fe.constCtx()
-	consts := append(fe.consts[:0], make([]qualConst, len(r.Quals))...)
-	fe.consts = consts
 	for i := range r.Quals {
 		q := &r.Quals[i]
 		var err error
@@ -414,10 +452,10 @@ func (fe *frameEval) qualConsts(r *Rule) ([]qualConst, error) {
 			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%s: left side: %v", r.Label, err)
+			return fmt.Errorf("%s: left side: %v", r.Label, err)
 		}
 	}
-	return consts, nil
+	return nil
 }
 
 // matches tests one dimension value against a declarative qualifier (point,
@@ -451,8 +489,9 @@ func (q *Qual) matches(c *qualConst, v types.Value) bool {
 // matchTargets scans the partition for rows matching an existential left
 // side. The result lives in the PE's scratch until the next call.
 func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
-	consts, err := fe.qualConsts(r)
-	if err != nil {
+	consts := slices.Grow(fe.consts[:0], len(r.Quals))[:len(r.Quals)]
+	fe.consts = consts
+	if err := fe.qualConsts(r, consts); err != nil {
 		return nil, err
 	}
 	// Hoisted per rule: only the row binding varies per row.

@@ -62,7 +62,7 @@ func (fe *frameEval) runSCC(rules []int) error {
 			r := fe.m.Rules[ri]
 			var err error
 			if r.Existential {
-				err = fe.applyExistential(r)
+				err = fe.applyExistential(r, fe.own())
 			} else {
 				err = fe.applyPointRuleStandalone(r)
 			}

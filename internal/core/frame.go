@@ -3,6 +3,7 @@ package core
 import (
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/colstore"
+	"sqlsheet/internal/eval"
 	"sqlsheet/internal/types"
 )
 
@@ -28,6 +29,27 @@ type bucket struct {
 	// bytes is the bucket's share of EstimateBytes, summed while the build
 	// appends each row.
 	bytes int64
+
+	// img caches the columns kernels have asked for of one columnar image
+	// over a run of the bucket's frames, frames[imgLo:imgLo+len(imgOff)-1],
+	// laid out frame after frame: imgOff[i] is the first image row of the
+	// run's i-th frame and the last entry is the row count. A batch rule
+	// images every frame of the bucket at once, a partition scan one frame
+	// (or reads its rows out of a cached run that covers it). A measure write
+	// drops the written column, an Insert drops the cache (the row set and
+	// the offsets changed), and the next image extracts just the missing
+	// columns it needs. A bucket is evaluated by exactly one PE, which makes
+	// the cache race-free.
+	img    []*colstore.Column
+	imgLo  int
+	imgOff []int
+}
+
+// imgMark drops a column from the cached image: its stored values changed.
+func (b *bucket) imgMark(col int) {
+	if b.img != nil {
+		b.img[col] = nil
+	}
 }
 
 // posSet is a bitmap over frame positions that grows on demand.
@@ -48,7 +70,9 @@ func (s *posSet) set(pos, n int) {
 
 // Frame is one spreadsheet partition: all rows sharing the PBY values.
 type Frame struct {
-	b   *bucket
+	b *bucket
+	// ord is the frame's position in b.frames.
+	ord int
 	pby []types.Value
 	// ids holds the partition's rows in insertion order.
 	ids []blockstore.RowID
@@ -78,27 +102,7 @@ type Frame struct {
 	// re-entrantly, so a single buffer makes steady-state cell probes
 	// allocation-free.
 	keyScratch []byte
-
-	// img caches the columns of the frame's columnar snapshot (frameImage)
-	// that kernels have asked for, so consecutive vectorized rules pay only
-	// for what was written between them: a measure write drops its column,
-	// an Insert drops the cache (the row set changed), and the next snapshot
-	// extracts just the missing columns it needs. Single-PE frame ownership
-	// (see keyScratch) makes the cache race-free.
-	img     []*colstore.Column
-	imgRows int
 }
-
-// imgMark drops a column from the cached snapshot: its stored values
-// changed.
-func (f *Frame) imgMark(col int) {
-	if f.img != nil {
-		f.img[col] = nil
-	}
-}
-
-// imgDrop invalidates the cached snapshot entirely (row set changed).
-func (f *Frame) imgDrop() { f.img = nil }
 
 // StoreFactory builds the row store for one first-level bucket.
 type StoreFactory func() blockstore.Store
@@ -274,25 +278,25 @@ func (f *Frame) Lookup(dims []types.Value) (pos int, ok bool) {
 	return f.lookupKey(f.dimsKey(dims))
 }
 
-// LookupBatch probes the second-level index for every row of a columnar key
-// image: keyCols holds one column per DBY dimension, out receives the frame
-// position of each row's cell or -1 on a miss. The key bytes come from
+// LookupBatch probes the second-level index for a batch of keys held in a
+// columnar key image: keyCols holds one column per DBY dimension, rows[i] is
+// the row of those columns holding key i, and out[i] receives the frame
+// position of key i's cell or -1 on a miss. The key bytes come from
 // Column.AppendKey — byte-identical to the types.AppendKey encoding Lookup
 // uses, including integral-float normalization — through one reused scratch
-// buffer, so the whole batch is a run of no-alloc map probes: the paper's
-// F1 unfolding done once per rule instead of once per cell.
-func (f *Frame) LookupBatch(keyCols []*colstore.Column, out []int32) {
-	n := len(out)
-	for r := 0; r < n; r++ {
+// buffer, so the whole batch is a run of no-alloc map probes: the paper's F1
+// unfolding done once per rule instead of once per cell.
+func (f *Frame) LookupBatch(keyCols []*colstore.Column, rows []int32, out []int32) {
+	for i, r := range rows {
 		buf := f.keyScratch[:0]
 		for _, c := range keyCols {
-			buf = c.AppendKey(buf, r)
+			buf = c.AppendKey(buf, int(r))
 		}
 		f.keyScratch = buf
 		if pos, ok := f.lookupKey(buf); ok {
-			out[r] = int32(pos)
+			out[i] = int32(pos)
 		} else {
-			out[r] = -1
+			out[i] = -1
 		}
 	}
 }
@@ -315,7 +319,7 @@ func (f *Frame) write(pos, col int, v types.Value) (old types.Value, changed boo
 		return old, false
 	}
 	f.b.store.SetCol(id, col, v)
-	f.imgMark(col)
+	f.b.imgMark(col)
 	return old, true
 }
 
@@ -326,15 +330,15 @@ func (f *Frame) SetMeasure(pos, col int, v types.Value) bool {
 	return changed
 }
 
-// SetMeasureBulk writes one measure column for a batch of frame positions:
-// the columnar writeback of a vectorized rule. Positions are written in
-// slice order — the same cell order the per-cell path produces — with the
-// same mark-updated-then-compare-then-write semantics as a single
-// assignment.
-func (f *Frame) SetMeasureBulk(pos []int32, col int, vals []types.Value) {
+// SetMeasureBulk writes one measure column for a batch of frame positions,
+// pos[i] taking slot k0+i of a rule's result vector: the columnar writeback
+// of a vectorized rule. Positions are written in slice order — the same cell
+// order the per-cell path produces — with the same
+// mark-updated-then-compare-then-write semantics as a single assignment.
+func (f *Frame) SetMeasureBulk(pos []int32, col int, vec *eval.ExprVec, k0 int) {
 	for i, p := range pos {
 		f.MarkUpdated(int(p))
-		f.write(int(p), col, vals[i])
+		f.write(int(p), col, vec.BoxValue(k0+i))
 	}
 }
 
@@ -349,7 +353,7 @@ func (f *Frame) Insert(m *Model, dims []types.Value) int {
 	pos := len(f.ids)
 	f.ids = append(f.ids, id)
 	f.putKey(string(f.dimsKey(dims)), pos)
-	f.imgDrop()
+	f.b.img = nil
 	return pos
 }
 

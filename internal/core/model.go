@@ -79,9 +79,33 @@ type RefMeta struct {
 	Meas   []string // measure column names
 	Schema *types.Schema
 
-	// Data is filled before Run by materializing the reference query:
-	// an index from the DBY key to the row (dims ++ meas layout).
+	// Data is filled before Run by materializing the reference query (see
+	// Load): an index from the DBY key to the row (dims ++ meas layout).
 	Data map[string]types.Row
+}
+
+// Load indexes the reference query's rows (dims ++ meas layout) by their
+// DBY key into Data. As on the main sheet, the DBY columns must identify a
+// row: a second row with the key of an earlier one is an error naming the
+// sheet, and Data keeps its previous contents. A NULL key is a key like any
+// other (one row may have it).
+func (r *RefMeta) Load(rows []types.Row) error {
+	data := make(map[string]types.Row, len(rows))
+	nd := len(r.Dims)
+	var key []byte
+	for _, row := range rows {
+		key = key[:0]
+		for _, v := range row[:nd] {
+			key = types.AppendKey(key, v)
+		}
+		if _, dup := data[string(key)]; dup {
+			return fmt.Errorf("spreadsheet: DBY columns (%s) of reference sheet %s do not uniquely identify row %v",
+				joinNames(r.Dims), r.Name, row[:nd])
+		}
+		data[string(key)] = row
+	}
+	r.Data = data
+	return nil
 }
 
 // Rule is a compiled formula.
@@ -528,6 +552,26 @@ func (m *Model) buildCompiled() {
 	if m.Iterate != nil {
 		regTree(m.Iterate.Until)
 	}
+}
+
+// refBinding resolves a reference-sheet cell reference — unqualified by its
+// measure name, sheet-qualified by sheet and measure — to the sheet and the
+// measure's ordinal in the sheet's row layout.
+func (m *Model) refBinding(c *sqlast.CellRef) (refMeaBinding, bool) {
+	if rb, ok := m.refMeas[c.Measure]; ok && (c.Sheet == "" || rb.sheet.Name == c.Sheet) {
+		return rb, true
+	}
+	if c.Sheet == "" {
+		return refMeaBinding{}, false
+	}
+	if ref := m.findRef(c.Sheet); ref != nil {
+		for i, mn := range ref.Meas {
+			if mn == c.Measure {
+				return refMeaBinding{sheet: ref, mea: len(ref.Dims) + i}, true
+			}
+		}
+	}
+	return refMeaBinding{}, false
 }
 
 func (m *Model) findRef(name string) *RefMeta {

@@ -83,15 +83,15 @@ func refMetaFor(t testing.TB, sc *sqlast.SpreadsheetClause, data map[string][]ty
 		if name == "" {
 			name = fmt.Sprintf("ref_%d", i+1)
 		}
-		rm := &RefMeta{Name: name, Src: rs, Data: map[string]types.Row{}}
+		rm := &RefMeta{Name: name, Src: rs}
 		for _, e := range rs.DBY {
 			rm.Dims = append(rm.Dims, e.(*sqlast.ColumnRef).Name)
 		}
 		for _, mi := range rs.MEA {
 			rm.Meas = append(rm.Meas, mi.Name())
 		}
-		for _, row := range data[name] {
-			rm.Data[types.Key(row[:len(rm.Dims)]...)] = row
+		if err := rm.Load(data[name]); err != nil {
+			t.Fatal(err)
 		}
 		out = append(out, rm)
 	}

@@ -297,7 +297,7 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 	for fi := range frames {
 		f := &frames[fi]
 		b.frames[fi] = f
-		f.b = b
+		f.b, f.ord = b, fi
 		// Input rows are never written (cloned below, or copied on first
 		// write), so the frame can alias its first row's PBY prefix.
 		f.pby = rows[first[fi]][:m.NPby:m.NPby]

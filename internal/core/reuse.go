@@ -32,7 +32,7 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 				f.indexShared = true
 			}
 			n := len(f.ids)
-			fs[fi] = Frame{b: nb, pby: f.pby, ids: f.ids[:n:n], index: f.index, indexShared: true, builtLen: f.builtLen}
+			fs[fi] = Frame{b: nb, ord: fi, pby: f.pby, ids: f.ids[:n:n], index: f.index, indexShared: true, builtLen: f.builtLen}
 			nb.frames[fi] = &fs[fi]
 		}
 		cp.buckets[bi] = nb

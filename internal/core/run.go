@@ -48,9 +48,10 @@ type Ablation struct {
 	// layers stay on.
 	DisableVectorizedRules bool
 	// VecMinRows overrides the minimum batch size (partition rows for
-	// scans and existential rules, enumerated targets for single-cell
-	// rules) below which the batch paths stay per row; <=0 uses the
-	// default (64). Shared by vecscan.go and vecrules.go.
+	// scans, the rows of every partition of a first-level bucket for
+	// existential rules, enumerated targets for single-cell rules) below
+	// which the batch paths stay per row; <=0 uses the default (64). Shared
+	// by vecscan.go and vecrules.go.
 	VecMinRows int
 }
 
@@ -166,9 +167,23 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 	return ps.Rows(m.ReturnUpdated), ps.Stats(), nil
 }
 
-// evalBucket evaluates every frame of one first-level bucket, polling for
-// cancellation once per frame.
+// evalBucket evaluates every frame of one first-level bucket: level → rule →
+// frame over the whole bucket where levelMajor allows it, so a batchable
+// existential rule fires once for every partition of the bucket, frame by
+// frame otherwise. Both orders poll for cancellation once per frame visited
+// (and every few thousand rows a batch images).
 func (fe *frameEval) evalBucket(b *bucket) error {
+	if fe.levelMajor(b) {
+		if len(b.frames) == 0 {
+			return nil
+		}
+		for _, lv := range fe.m.levels {
+			if err := fe.runLevel(lv.rules, b.frames); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for _, f := range b.frames {
 		if err := fe.opts.ctxErr(); err != nil {
 			return err
@@ -178,6 +193,24 @@ func (fe *frameEval) evalBucket(b *bucket) error {
 		}
 	}
 	return nil
+}
+
+// levelMajor reports whether b runs level → rule → frame: the model's levels
+// are plain (AUTOMATIC ORDER without ITERATE, cycles or single scan, so no
+// per-frame state outlives a level) and the bucket's rows stay in memory. A
+// spilling store keeps the frame-at-a-time order, which is what keeps one
+// partition's blocks resident while its rules run (Fig. 5's regime). The
+// choice ignores the rule-batching ablation, so the per-cell oracle runs the
+// same loop order as the batch engine.
+func (fe *frameEval) levelMajor(b *bucket) bool {
+	m := fe.m
+	_, mem := b.store.(*blockstore.MemStore)
+	return mem && !m.SeqOrder && m.Iterate == nil && !m.cyclic && !m.singleScan(fe.opts.Ablate)
+}
+
+// singleScan reports whether the cross-level single-scan optimization runs.
+func (m *Model) singleScan(a Ablation) bool {
+	return !a.DisableSingleScan && m.canSingleScan()
 }
 
 // ctxErr polls the run's context (nil-safe); non-nil once cancelled.
@@ -361,9 +394,17 @@ type frameEval struct {
 	predCtx  eval.Context
 	predBind eval.Binding
 	targets  []int
-	// imgNeed and imgTodo are frameImage's column lists: what a batch scan
-	// reads, and which of those the frame's cache lacks.
+	// imgNeed and imgTodo are image's column lists: what a batch scan
+	// reads, and which of those the bucket's cache lacks.
 	imgNeed, imgTodo []int
+	// refKey is refColumn's key-encoding buffer.
+	refKey []byte
+	// boxed is the scratch batch kernels build image columns in (see
+	// boxedScratch), all NULL between uses.
+	boxed []types.Value
+	// iota, full and probed are the batch rules' index scratch: identity,
+	// and probeFrames' result and probe buffers.
+	iota, full, probed []int32
 
 	// cv values for the formula target currently being evaluated.
 	cv []types.Value // indexed by DBY ordinal; nil entry = not bound
@@ -457,12 +498,33 @@ func (fe *frameEval) evalBool(ctx *eval.Context, e sqlast.Expr) (bool, error) {
 	return c.EvalBool(ctx)
 }
 
-// evalFrame runs the analysis plan over one spreadsheet partition, from
-// clean per-frame state.
-func (fe *frameEval) evalFrame(f *Frame) error {
+// setFrame makes f the frame the PE evaluates: the pad row takes its PBY
+// values and cv() starts unbound.
+func (fe *frameEval) setFrame(f *Frame) {
 	fe.f = f
 	copy(fe.pad, f.pby)
 	clear(fe.cv)
+}
+
+// enter polls for cancellation, then makes f the current frame.
+func (fe *frameEval) enter(f *Frame) error {
+	if err := fe.opts.ctxErr(); err != nil {
+		return err
+	}
+	fe.setFrame(f)
+	return nil
+}
+
+// own is the current frame as a one-frame run of its bucket, for the level
+// and rule runners on the frame-at-a-time path.
+func (fe *frameEval) own() []*Frame {
+	return fe.f.b.frames[fe.f.ord : fe.f.ord+1]
+}
+
+// evalFrame runs the analysis plan over one spreadsheet partition, from
+// clean per-frame state.
+func (fe *frameEval) evalFrame(f *Frame) error {
+	fe.setFrame(f)
 	fe.curAggs, fe.maintained, fe.assigned, fe.previousVals = nil, nil, nil, nil
 	fe.trackRefs, fe.changed, fe.gen = false, false, 0
 	if fe.m.Iterate != nil || fe.m.SeqOrder {
@@ -588,22 +650,9 @@ func (fe *frameEval) evalCellRef(ctx *eval.Context, c *sqlast.CellRef) (types.Va
 		}
 	}
 	// Reference-sheet lookup.
-	rb, ok := fe.m.refMeas[c.Measure]
-	if !ok || (c.Sheet != "" && rb.sheet.Name != c.Sheet) {
-		if c.Sheet != "" {
-			if ref := fe.m.findRef(c.Sheet); ref != nil {
-				for i, mn := range ref.Meas {
-					if mn == c.Measure {
-						rb = refMeaBinding{sheet: ref, mea: len(ref.Dims) + i}
-						ok = true
-						break
-					}
-				}
-			}
-		}
-		if !ok {
-			return types.Null, fmt.Errorf("unknown measure %q", c.Measure)
-		}
+	rb, ok := fe.m.refBinding(c)
+	if !ok {
+		return types.Null, fmt.Errorf("unknown measure %q", c.Measure)
 	}
 	var arr [48]byte
 	key, err := fe.evalCellKey(ctx, c.Quals, arr[:0])

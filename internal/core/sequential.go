@@ -39,7 +39,7 @@ func (fe *frameEval) runSequential() error {
 			}
 		}
 		for _, lv := range fe.m.levels {
-			if err := fe.runRules(lv.rules); err != nil {
+			if err := fe.runLevel(lv.rules, fe.own()); err != nil {
 				return err
 			}
 		}

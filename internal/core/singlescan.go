@@ -100,13 +100,13 @@ func (fe *frameEval) runSingleScan() error {
 	for _, le := range all {
 		for _, e := range le.ls {
 			// Agg-free models (maintained stays nil) batch exactly like
-			// runRules; any maintained aggregate forces the per-cell path so
+			// runPoints; any maintained aggregate forces the per-cell path so
 			// inverse maintenance observes every write.
 			handled, err := fe.vecApplyPoints(e)
 			if err != nil {
 				return err
 			}
-			fe.opts.Stats.countRule(handled)
+			fe.opts.Stats.countRule(handled, 1)
 			if handled {
 				continue
 			}

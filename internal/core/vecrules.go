@@ -11,39 +11,48 @@ import (
 )
 
 // Batch rule application: the per-cell formula loops — applyPoint over the
-// enumerated targets of a single-cell rule, applyExistential over the scan
-// (II) matches of an existential rule — are replaced, for rules on the
+// enumerated targets of a single-cell rule, applyExistentialCells over the
+// scan (II) matches of an existential rule — are replaced, for rules on the
 // kernel domain, by one batch per rule:
 //
-//  1. the frame is snapshotted into a columnar image (frameImage, shared
-//     with the batch aggregate scan) — or, for single-cell rules, the
-//     target rows are gathered into a mini image after every UPSERT miss
-//     has been appended in target order;
-//  2. the left side becomes a selection: declarative qualifiers run the
-//     row matcher's own types.Equal / NULL-rejecting types.Compare tests
-//     over the image, predicate qualifiers run as selection kernels
-//     (eval.CompileSelKernel — TRUE-set identical to evalBool);
+//  1. an existential rule images every frame of its bucket at once (image:
+//     one columnar table, each frame a row range of it, shared with the batch
+//     aggregate scan through the bucket's image cache) — the level-major loop
+//     of evalBucket hands it the whole bucket; a single-cell rule gathers its
+//     frame's target rows into a mini image after every UPSERT miss has been
+//     appended in target order;
+//  2. the left side becomes a selection: declarative qualifiers run the row
+//     matcher's own types.Equal / NULL-rejecting types.Compare tests over
+//     the image with each frame's own constants, predicate qualifiers run as
+//     selection kernels (eval.CompileSelKernel — TRUE-set identical to
+//     evalBool);
 //  3. the right side runs as one expression kernel
 //     (eval.CompileExprKernelExt) whose extension leaves resolve what the
-//     schema cannot: cv() becomes a dimension-column read (or a broadcast
-//     PBY constant), an aggregate becomes a broadcast of its precomputed
-//     accumulator result, and a point cell reference becomes qualifier
-//     kernels producing key columns, one Frame.LookupBatch bulk probe over
-//     them, and a columnar gather of the referenced measure — the paper's
-//     F1 probe unfolding done once per rule instead of once per cell;
-//  4. the result vector is written back with Frame.SetMeasureBulk, in the
-//     per-cell path's exact cell order with its exact compare-then-clone
-//     assignment semantics.
+//     schema cannot: cv() becomes a dimension-column read (or the partition
+//     constant of each frame), an aggregate becomes each frame's precomputed
+//     accumulator result, a reference-sheet point read becomes qualifier
+//     kernels producing key columns, one probe of the sheet's index per row
+//     and a gather of the read measure, and a main-sheet point reference
+//     becomes qualifier kernels producing key columns, one bulk probe of
+//     each row's own frame (Frame.LookupBatch) and a columnar gather of the
+//     referenced measure — the paper's F1 probe unfolding done once per rule
+//     instead of once per cell. A reference read may stand inside a
+//     main-sheet reference's qualifier, so s[parent1[cv(p)]] — the paper's
+//     join with the reference sheet followed by a self-join — is two chained
+//     gathers;
+//  4. the result vector is written back frame by frame with
+//     Frame.SetMeasureBulk, in the per-cell path's exact cell order with its
+//     exact compare-then-clone assignment semantics.
 //
 // The decision is per rule and conservative: ITERATE/sequential models,
-// cyclic (SCC) rules, ORDER BY, IGNORE NAV, reference-sheet reads,
-// self-reading cell references, cv() inside aggregate qualifiers and
-// anything else off the kernel domain keeps the rule on the per-cell path,
-// annotated with a reason EXPLAIN surfaces. At runtime any batch-stage
-// error or unsupported column representation falls back before a single
-// measure is written, so the per-cell path reproduces results — and error
-// text and error position — exactly. Ablation.DisableVectorizedRules
-// ablates the layer; RunOptions.Stats counts the decisions.
+// cyclic (SCC) rules, ORDER BY, IGNORE NAV, self-reading cell references,
+// cv() inside aggregate qualifiers and anything else off the kernel domain
+// keeps the rule on the per-cell path, annotated with a reason EXPLAIN
+// surfaces. At runtime any batch-stage error or unsupported column
+// representation falls back before a single measure is written, so the
+// per-cell path reproduces results — and error text and error position —
+// exactly. Ablation.DisableVectorizedRules ablates the layer without changing
+// the loop order; RunOptions.Stats counts the decisions.
 
 // Rule vectorization notes, surfaced by EXPLAIN next to each rule. The
 // "yes" value doubles as the runtime gate: only a prog whose note is
@@ -61,8 +70,9 @@ const (
 )
 
 // VecStats counts batch-versus-row decisions during a run: one Rule tick
-// per rule application (per frame), one Scan tick per aggregate partition
-// scan. Counters are atomic so parallel PEs share one struct.
+// per rule application to a frame (a batch over a whole bucket ticks once per
+// frame), one Scan tick per aggregate partition scan. Counters are atomic so
+// parallel PEs share one struct.
 type VecStats struct {
 	RuleBatch atomic.Int64
 	RuleRow   atomic.Int64
@@ -70,15 +80,15 @@ type VecStats struct {
 	ScanRow   atomic.Int64
 }
 
-// countRule records one rule application (nil-safe).
-func (s *VecStats) countRule(batch bool) {
+// countRule records the application of one rule to n frames (nil-safe).
+func (s *VecStats) countRule(batch bool, n int) {
 	if s == nil {
 		return
 	}
 	if batch {
-		s.RuleBatch.Add(1)
+		s.RuleBatch.Add(int64(n))
 	} else {
-		s.RuleRow.Add(1)
+		s.RuleRow.Add(int64(n))
 	}
 }
 
@@ -100,6 +110,7 @@ const (
 	leafCV    = iota // cv(dim) over a DBY dimension
 	leafPbyCV        // cv(dim) over a PBY column (partition constant)
 	leafCell         // point cell reference on the main sheet
+	leafRef          // point read of a reference-sheet measure
 	leafAgg          // aggregate reference (accumulator precomputed)
 	leafNull         // bare dim/measure column reference (NULL per target)
 )
@@ -108,17 +119,21 @@ const (
 type vecLeaf struct {
 	kind int
 	// ord is the leaf's column ordinal in the extended image
-	// (Schema.Len() + leaf index).
+	// (Schema.Len() + leaf index). A leaf's qualifier kernels read only
+	// leaves of lower ordinal, so filling the columns in order is a
+	// topological order.
 	ord int
 	// dim is the DBY ordinal (leafCV) or PBY ordinal (leafPbyCV).
 	dim int
-	// mea is the referenced measure's working-schema ordinal (leafCell).
+	// mea is the referenced measure's ordinal: in the working schema
+	// (leafCell) or in the reference sheet's row layout (leafRef).
 	mea  int
+	ref  *RefMeta // leafRef
 	cell *sqlast.CellRef
 	agg  *sqlast.CellAgg
 	// qualKerns computes the cell reference's point-qualifier values, one
-	// kernel per DBY dimension; their output columns are the LookupBatch
-	// key image (leafCell).
+	// kernel per dimension of the sheet it reads; their output columns are
+	// the probe's key image (leafCell, leafRef).
 	qualKerns []eval.ExprKernel
 }
 
@@ -133,9 +148,14 @@ type vecRuleProg struct {
 	// kernel elsewhere).
 	preds []eval.SelKernel
 	// cols lists the working-schema columns the batch reads out of the
-	// frame's rows, each once: what frameImage (existential rules) or the
-	// target mini image (single-cell rules) must materialise.
+	// frames' rows, each once: what image (existential rules) or the target
+	// mini image (single-cell rules) must materialise.
 	cols []int
+	// typed lists the image columns the right side computes on, directly or
+	// through a cell leaf's gather: a mixed-kind (boxed) one has no kernel,
+	// so an existential batch checks them first and falls back before
+	// building anything else.
+	typed []int
 }
 
 // vecRuleCompiler carries the state of one rule's batch compilation.
@@ -184,21 +204,27 @@ func (c *vecRuleCompiler) leafOrd(e sqlast.Expr) (int, bool) {
 	}
 	// Bare column references fall through to the kernel's own schema
 	// resolution: the per-cell path binds the right side to the target's
-	// frame row (applyPoint/applyExistential), so reading the image column
-	// at the same ordinal is exactly the interpreter's value — dims and
-	// measures alike (a measure read is the cell's own pre-write value;
+	// frame row (applyPoint/applyExistentialCells), so reading the image
+	// column at the same ordinal is exactly the interpreter's value — dims
+	// and measures alike (a measure read is the cell's own pre-write value;
 	// duplicate targets force the per-cell path, so no batch target is
 	// written before it is read).
 	return 0, false
 }
 
-// cvOnly is the restricted hook for cell-reference qualifier kernels:
-// only cv() and bare column references resolve, so a nested cell reference
-// or aggregate inside a qualifier keeps the whole rule per-cell.
+// cvOnly is the restricted hook for cell-reference qualifier kernels: cv(),
+// bare column references and reference-sheet reads resolve, so a nested
+// main-sheet cell reference or an aggregate inside a qualifier keeps the
+// whole rule per-cell.
 func (c *vecRuleCompiler) cvOnly(e sqlast.Expr) (int, bool) {
 	switch x := e.(type) {
 	case *sqlast.CurrentV:
 		return c.cvLeaf(x)
+	case *sqlast.CellRef:
+		if x.Sheet == "" && c.m.MeasureOrdinal(x.Measure) >= 0 {
+			return 0, false
+		}
+		return c.refLeaf(x)
 	case *sqlast.ColumnRef:
 		if c.qualPad {
 			return c.colLeaf(x)
@@ -255,16 +281,17 @@ func (c *vecRuleCompiler) cvLeaf(x *sqlast.CurrentV) (int, bool) {
 	return c.addLeaf(vecLeaf{kind: kind, dim: ix}), true
 }
 
-// cellLeaf lowers a main-sheet point reference. Reference-sheet lookups
-// and self-reads (a reference back to the assigned measure, whose value
-// changes as the rule fires cell by cell) decline.
+// cellLeaf lowers a point cell reference: a main-sheet probe, or a
+// reference-sheet read (refLeaf). Self-reads (a reference back to the
+// assigned measure, whose value changes as the rule fires cell by cell)
+// decline.
 func (c *vecRuleCompiler) cellLeaf(x *sqlast.CellRef) (int, bool) {
-	if x.Sheet != "" {
-		return 0, false
+	mea := -1
+	if x.Sheet == "" {
+		mea = c.m.MeasureOrdinal(x.Measure)
 	}
-	mea := c.m.MeasureOrdinal(x.Measure)
 	if mea < 0 {
-		return 0, false // resolves to a reference sheet
+		return c.refLeaf(x)
 	}
 	if mea == c.r.Mea {
 		c.fail(ruleVecNoSelfRead)
@@ -275,26 +302,56 @@ func (c *vecRuleCompiler) cellLeaf(x *sqlast.CellRef) (int, bool) {
 			return lf.ord, true
 		}
 	}
-	if len(x.Quals) != c.m.NDby {
+	kerns, ok := c.qualKernels(x.Quals, c.m.NDby)
+	if !ok {
 		return 0, false
-	}
-	kerns := make([]eval.ExprKernel, len(x.Quals))
-	for i := range x.Quals {
-		q := &x.Quals[i]
-		if q.Kind != sqlast.QualPoint || sqlast.HasSubquery(q.Val) {
-			return 0, false
-		}
-		k := eval.CompileExprKernelExt(c.bs, q.Val, c.cvOnly)
-		if !k.Valid() {
-			return 0, false
-		}
-		kerns[i] = k
 	}
 	return c.addLeaf(vecLeaf{kind: leafCell, mea: mea, cell: x, qualKerns: kerns}), true
 }
 
+// refLeaf lowers a reference-sheet point read, unqualified or
+// sheet-qualified. The sheet is read-only while the rules run, so the read
+// is a pure function of its key, whichever order the cells fire in.
+func (c *vecRuleCompiler) refLeaf(x *sqlast.CellRef) (int, bool) {
+	rb, ok := c.m.refBinding(x)
+	if !ok {
+		return 0, false // the per-cell path owns the unknown-measure error
+	}
+	for _, lf := range c.leaves {
+		if lf.kind == leafRef && lf.cell == x {
+			return lf.ord, true
+		}
+	}
+	kerns, ok := c.qualKernels(x.Quals, len(rb.sheet.Dims))
+	if !ok {
+		return 0, false
+	}
+	return c.addLeaf(vecLeaf{kind: leafRef, mea: rb.mea, ref: rb.sheet, cell: x, qualKerns: kerns}), true
+}
+
+// qualKernels compiles a point reference's qualifiers, one kernel per
+// dimension of the sheet it reads, through the cvOnly hook.
+func (c *vecRuleCompiler) qualKernels(quals []sqlast.DimQual, ndims int) ([]eval.ExprKernel, bool) {
+	if len(quals) != ndims {
+		return nil, false
+	}
+	kerns := make([]eval.ExprKernel, len(quals))
+	for i := range quals {
+		q := &quals[i]
+		if q.Kind != sqlast.QualPoint || sqlast.HasSubquery(q.Val) {
+			return nil, false
+		}
+		k := eval.CompileExprKernelExt(c.bs, q.Val, c.cvOnly)
+		if !k.Valid() {
+			return nil, false
+		}
+		kerns[i] = k
+	}
+	return kerns, true
+}
+
 // aggPartOK vets one qualifier expression or argument of an existential
-// rule's aggregate, which the batch evaluates once per rule instead of
+// rule's aggregate, which the batch evaluates once per frame instead of
 // once per target: it must be target-independent (no cv()), side-effect
 // free (no subquery) and stable across the rule's own writes (no cell
 // reads, no reference to the assigned measure).
@@ -326,8 +383,8 @@ func (c *vecRuleCompiler) aggPartOK(e sqlast.Expr) bool {
 // aggLeaf lowers an aggregate reference. Single-cell rules always qualify
 // (their instances are fully computed in scan (I) before any formula
 // fires); existential rules qualify only when the aggregate is provably
-// identical for every target, so computing it once up front matches the
-// per-target row path.
+// identical for every target of a frame, so computing it once per frame up
+// front matches the per-target row path.
 func (c *vecRuleCompiler) aggLeaf(x *sqlast.CellAgg) (int, bool) {
 	for _, lf := range c.leaves {
 		if lf.kind == leafAgg && lf.agg == x {
@@ -401,6 +458,16 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 	prog.leaves = c.leaves
 	prog.note = ruleVecYes
 	prog.cols = c.imageCols(prog)
+	for _, o := range rhs.ColRefs(nil) {
+		if o < c.base && !slices.Contains(prog.typed, o) {
+			prog.typed = append(prog.typed, o)
+		}
+	}
+	for _, lf := range c.leaves {
+		if lf.kind == leafCell && !slices.Contains(prog.typed, lf.mea) {
+			prog.typed = append(prog.typed, lf.mea)
+		}
+	}
 	return prog
 }
 
@@ -487,7 +554,7 @@ func (m *Model) vecProg(r *Rule) *vecRuleProg {
 }
 
 // vecRuleReady gates a batch attempt at runtime: the rule must have a
-// compiled program, the ablation knob must be off, and the frame must be
+// compiled program, the ablation knob must be off, and the PE must be
 // outside the per-cell-only execution modes (reference tracking under
 // Auto-Cyclic, inverse maintenance under single-scan, assignment counting).
 func (fe *frameEval) vecRuleReady(prog *vecRuleProg) bool {
@@ -496,51 +563,98 @@ func (fe *frameEval) vecRuleReady(prog *vecRuleProg) bool {
 		!fe.trackRefs && fe.maintained == nil && fe.assigned == nil
 }
 
-// vecApplyExistential fires an existential rule as one batch.
-// handled=false means no state was touched (beyond state-equivalent
-// aggregate computation) and the per-cell path must run; handled=true
-// means every target cell holds the rule's result (or err aborted the
-// statement).
-func (fe *frameEval) vecApplyExistential(r *Rule) (bool, error) {
+// vecApplyExistential fires an existential rule as one batch over fs, a run
+// of consecutive frames of one bucket: all of them on the level-major path
+// (evalBucket), the current frame alone otherwise. VecMinRows counts the
+// rows of the whole run. handled=false means no state was touched (beyond
+// state-equivalent left-side and aggregate evaluation) and the per-cell path
+// must run, frame by frame; handled=true means every target cell of every
+// frame holds the rule's result (or err aborted the statement).
+func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 	prog := fe.m.vecProg(r)
-	if !fe.vecRuleReady(prog) || fe.f.Len() < fe.opts.vecMinRows() {
+	if !fe.vecRuleReady(prog) {
 		return false, nil
 	}
-	// Left-side constants, evaluated once exactly like matchTargets; any
-	// error falls back so the row path reproduces it.
-	consts, err := fe.qualConsts(r)
-	if err != nil {
+	total := 0
+	for _, f := range fs {
+		total += f.Len()
+	}
+	if total < fe.opts.vecMinRows() {
 		return false, nil
 	}
-	ctx := fe.constCtx()
-	img, err := fe.frameImage(prog.cols)
+	// Per-frame constants, each under its own frame's partition context
+	// exactly as the row path evaluates them: the left side's qualifier
+	// values (matchTargets) and the aggregates, whose target independence
+	// was proven at compile time. Any error falls back, and the row path
+	// reproduces it. Aggregates run first: their partition scans may image
+	// a single frame, which the bucket image below then replaces in the
+	// cache for the rules that follow.
+	nq := len(r.Quals)
+	var consts []qualConst
+	if slices.ContainsFunc(r.Quals, func(q Qual) bool { return q.Kind != sqlast.QualStar && q.Kind != sqlast.QualPred }) {
+		consts = make([]qualConst, len(fs)*nq)
+	}
+	aggVals := make([][]types.Value, len(prog.leaves))
+	for li := range prog.leaves {
+		if prog.leaves[li].kind == leafAgg {
+			aggVals[li] = make([]types.Value, len(fs))
+		}
+	}
+	for i, f := range fs {
+		fe.setFrame(f)
+		if consts != nil {
+			if err := fe.qualConsts(r, consts[i*nq:(i+1)*nq]); err != nil {
+				return false, nil
+			}
+		}
+		for li, vals := range aggVals {
+			if vals == nil {
+				continue
+			}
+			v, err := fe.evalCellAgg(fe.constCtx(), prog.leaves[li].agg)
+			if err != nil {
+				return false, nil
+			}
+			vals[i] = v
+		}
+	}
+	img, offs, err := fe.image(fs, prog.cols)
 	if err != nil {
 		return true, err // context cancellation; the scan ticked like the row path
+	}
+	if slices.ContainsFunc(prog.typed, func(c int) bool { return img.Cols[c].Boxed != nil }) {
+		return false, nil // e.g. INT and FLOAT values in one measure: per cell
 	}
 	n := img.NRows
 
 	// Scan (II) as a selection: declarative qualifiers first (the row
-	// matcher's own tests over image values, which hold the same bits),
-	// then predicate kernels, positions ascending throughout — the row
-	// path's target order.
+	// matcher's own tests over image values, which hold the same bits, with
+	// each frame's constants), then predicate kernels, positions ascending
+	// throughout — frame by frame, the row path's target order.
 	cur := colstore.GetSel(n)
 	defer colstore.PutSel(cur)
 	nxt := colstore.GetSel(n)
 	defer colstore.PutSel(nxt)
 	sel := (*cur)[:0]
-rows:
-	for ri := 0; ri < n; ri++ {
-		for i := range r.Quals {
-			q := &r.Quals[i]
-			if q.Kind == sqlast.QualStar || q.Kind == sqlast.QualPred {
-				continue
-			}
-			v := img.Cols[fe.m.NPby+i].Value(ri) // interp-ok: qualifier test reuses the row matcher's Equal/Compare verbatim
-			if !q.matches(&consts[i], v) {
-				continue rows
-			}
+	for i := range fs {
+		var fc []qualConst
+		if consts != nil {
+			fc = consts[i*nq : (i+1)*nq]
 		}
-		sel = append(sel, int32(ri))
+	rows:
+		for ri := offs[i]; ri < offs[i+1]; ri++ {
+			for qi := range r.Quals {
+				q := &r.Quals[qi]
+				if q.Kind == sqlast.QualStar || q.Kind == sqlast.QualPred {
+					continue
+				}
+				v := img.Cols[fe.m.NPby+qi].Value(ri) // interp-ok: qualifier test reuses the row matcher's Equal/Compare verbatim
+				if !q.matches(&fc[qi], v) {
+					continue rows
+				}
+			}
+			sel = append(sel, int32(ri))
+		}
 	}
 	for i := range prog.preds {
 		if !prog.preds[i].Valid() {
@@ -553,84 +667,200 @@ rows:
 	if len(sel) == 0 {
 		return true, nil
 	}
+	// segs[i]:segs[i+1] is frame i's run of the ascending selection.
+	segs := make([]int, len(fs)+1)
+	for i, k := 0, 0; i < len(fs); i++ {
+		for k < len(sel) && int(sel[k]) < offs[i+1] {
+			k++
+		}
+		segs[i+1] = k
+	}
 
-	// Extension columns. cv() leaves alias the image's dimension columns
-	// (each target's cv is its own row); aggregates compute once — their
-	// target independence was proven at compile time.
-	extTbl := img.WithExtra(make([]*colstore.Column, len(prog.leaves)))
+	// Extension columns, in leaf order (a leaf's qualifiers read only
+	// earlier leaves). cv() leaves alias the image's dimension columns (each
+	// target's cv is its own row); partition constants and aggregates repeat
+	// each frame's value over its rows. Unselected slots of the reference
+	// and cell leaves stay NULL; the right side never reads them.
+	ext := img.WithExtra(make([]*colstore.Column, len(prog.leaves)))
+	perFrame := make([]types.Value, len(fs))
 	for li := range prog.leaves {
 		lf := &prog.leaves[li]
+		var col *colstore.Column
 		switch lf.kind {
 		case leafCV:
-			extTbl.Cols[lf.ord] = img.Cols[fe.m.NPby+lf.dim]
+			col = img.Cols[fe.m.NPby+lf.dim]
 		case leafPbyCV:
-			extTbl.Cols[lf.ord] = colstore.Broadcast(fe.f.pby[lf.dim], n)
+			for i, f := range fs {
+				perFrame[i] = f.pby[lf.dim]
+			}
+			col = fe.spread(offs, perFrame)
 		case leafNull:
-			extTbl.Cols[lf.ord] = colstore.Broadcast(types.Null, n)
+			col = colstore.Broadcast(types.Null, n)
 		case leafAgg:
-			inst, err := fe.buildInstance(ctx, lf.agg)
-			if err != nil {
+			col = fe.spread(offs, aggVals[li])
+		case leafRef:
+			var ok bool
+			if col, ok = fe.refColumn(ext, lf, sel); !ok {
 				return false, nil
 			}
-			if inst.probe {
-				if err := inst.runProbe(fe); err != nil {
-					return false, nil
-				}
-			} else if err := fe.scanFeed([]*aggInstance{inst}); err != nil {
+		case leafCell:
+			// One bulk probe of each row's own frame, then a gather of the
+			// referenced measure (a miss gathers NULL — the row path's miss
+			// value).
+			keys, rows, ok := fe.keyCols(ext, lf, sel)
+			if !ok {
 				return false, nil
 			}
-			extTbl.Cols[lf.ord] = colstore.Broadcast(inst.acc.Result(), n)
+			col = colstore.Gather(img.Cols[lf.mea], fe.probeFrames(fs, offs, segs, keys, rows, sel, n))
 		}
+		ext.Cols[lf.ord] = col
 	}
-	// Cell leaves: qualifier kernels build the key image over the
-	// selection, one bulk probe resolves every target's reference, and a
-	// gather of the referenced measure becomes the leaf column (a miss
-	// gathers NULL — the row path's miss value). Unselected slots stay
-	// NULL; the right side never reads them.
-	for li := range prog.leaves {
-		lf := &prog.leaves[li]
-		if lf.kind != leafCell {
-			continue
-		}
-		keyCols := make([]*colstore.Column, len(lf.qualKerns))
-		for qi := range lf.qualKerns {
-			k := lf.qualKerns[qi]
-			if _, ok := k.OutKind(extTbl, nil); !ok || k.MinCols() > len(extTbl.Cols) {
-				return false, nil
-			}
-			vec, kerr := k.Run(extTbl, nil, nil, sel)
-			if kerr != nil {
-				return false, nil
-			}
-			keyCols[qi] = vec.Column()
-		}
-		probed := make([]int32, len(sel))
-		fe.f.LookupBatch(keyCols, probed)
-		full := make([]int32, n)
-		for i := range full {
-			full[i] = -1
-		}
-		for k, p := range sel {
-			full[p] = probed[k]
-		}
-		extTbl.Cols[lf.ord] = colstore.Gather(img.Cols[lf.mea], full)
-	}
-	if _, ok := prog.rhs.OutKind(extTbl, nil); !ok || prog.rhs.MinCols() > len(extTbl.Cols) {
+	if _, ok := prog.rhs.OutKind(ext, nil); !ok || prog.rhs.MinCols() > len(ext.Cols) {
 		return false, nil
 	}
-	vec, kerr := prog.rhs.Run(extTbl, nil, nil, sel)
+	vec, kerr := prog.rhs.Run(ext, nil, nil, sel)
 	if kerr != nil {
 		return false, nil // division by zero: the row path raises it with the rule label
 	}
-	vals := make([]types.Value, len(sel))
-	for k := range vals {
-		vals[k] = vec.BoxValue(k)
+	// Write-back, frame by frame: an image row less its frame's offset is
+	// the frame position (the selection is rewritten in place — nothing
+	// reads it after the right side), and each frame's run of the ascending
+	// selection is the per-cell firing order.
+	for i, f := range fs {
+		run := sel[segs[i]:segs[i+1]]
+		for k := range run {
+			run[k] -= int32(offs[i])
+		}
+		f.SetMeasureBulk(run, r.Mea, vec, segs[i])
 	}
-	// Image row index == frame position (frameImage appends in Each
-	// order), so the ascending selection is both the position vector and
-	// the per-cell firing order.
-	fe.f.SetMeasureBulk(sel, r.Mea, vals)
 	return true, nil
+}
+
+// boxedScratch returns n NULL values of the PE's column-building scratch;
+// columnOf turns them into an image column and hands them back.
+func (fe *frameEval) boxedScratch(n int) []types.Value {
+	if cap(fe.boxed) < n {
+		fe.boxed = make([]types.Value, n)
+	}
+	return fe.boxed[:n]
+}
+
+// columnOf builds an image column from values taken out of boxedScratch —
+// strings stored plain: the image lives for one batch — and clears them for
+// the next use, unless the column keeps the slice (a mixed-kind column
+// stores its values boxed), in which case the scratch is given up.
+func (fe *frameEval) columnOf(vals []types.Value) *colstore.Column {
+	c := colstore.FromValuesPlain(vals)
+	if c.Boxed != nil {
+		fe.boxed = nil
+	} else {
+		clear(vals)
+	}
+	return c
+}
+
+// spread builds the image column holding, over each frame's rows
+// offs[i]:offs[i+1], that frame's value vals[i].
+func (fe *frameEval) spread(offs []int, vals []types.Value) *colstore.Column {
+	out := fe.boxedScratch(offs[len(vals)])
+	for i, v := range vals {
+		for r := offs[i]; r < offs[i+1]; r++ {
+			out[r] = v
+		}
+	}
+	return fe.columnOf(out)
+}
+
+// keyCols returns a cell or reference leaf's key image over sel: one column
+// per dimension, and rows, where rows[k] is the row of those columns holding
+// the key of sel[k]. When every qualifier is a bare column read (a cv() or
+// reference leaf, a dimension) the key columns are tbl's own, read at sel[k],
+// and nothing is gathered — their key bytes are those of the values the
+// qualifiers evaluate to, as Column.AppendKey is types.AppendKey; otherwise
+// the qualifier kernels run over sel into dense columns read at k. ok=false
+// when a kernel is unsupported over tbl or fails; the row path then
+// reproduces the failure.
+func (fe *frameEval) keyCols(tbl *colstore.Table, lf *vecLeaf, sel []int32) (keys []*colstore.Column, rows []int32, ok bool) {
+	keys = make([]*colstore.Column, len(lf.qualKerns))
+	for qi, k := range lf.qualKerns {
+		ord, bare := k.Column()
+		if !bare {
+			break
+		}
+		keys[qi] = tbl.Cols[ord]
+		if qi == len(keys)-1 {
+			return keys, sel, true
+		}
+	}
+	for qi, k := range lf.qualKerns {
+		if _, ok := k.OutKind(tbl, nil); !ok || k.MinCols() > len(tbl.Cols) {
+			return nil, nil, false
+		}
+		vec, err := k.Run(tbl, nil, nil, sel)
+		if err != nil {
+			return nil, nil, false
+		}
+		keys[qi] = vec.Column()
+	}
+	return keys, fe.identity(len(sel)), true
+}
+
+// identity returns 0, 1, ..., n-1 out of the PE's scratch (read-only).
+func (fe *frameEval) identity(n int) []int32 {
+	for len(fe.iota) < n {
+		fe.iota = append(fe.iota, int32(len(fe.iota)))
+	}
+	return fe.iota[:n]
+}
+
+// refColumn resolves a reference-sheet leaf over tbl: its key image over
+// sel, one probe of the sheet's index per selected row (the key bytes are
+// types.AppendKey's, as RefMeta.Load indexed them), and the read measure as a
+// tbl.NRows-row column, NULL on a miss — the row path's miss value — and
+// outside sel.
+func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) (*colstore.Column, bool) {
+	keys, rows, ok := fe.keyCols(tbl, lf, sel)
+	if !ok {
+		return nil, false
+	}
+	vals := fe.boxedScratch(tbl.NRows)
+	buf := fe.refKey
+	for k, p := range sel {
+		buf = buf[:0]
+		for _, c := range keys {
+			buf = c.AppendKey(buf, int(rows[k]))
+		}
+		if row, hit := lf.ref.Data[string(buf)]; hit {
+			vals[p] = row[lf.mea]
+		}
+	}
+	fe.refKey = buf
+	return fe.columnOf(vals), true
+}
+
+// probeFrames resolves a main-sheet cell leaf over a run of frames imaged
+// frame after frame: each frame's run of the selection, segs[i]:segs[i+1],
+// probes that frame's own index with its keys (see keyCols for rows), and
+// the result maps every image row to the image row of the cell it
+// references, -1 on a miss and outside sel. The result lives in the PE's
+// scratch until the next call.
+func (fe *frameEval) probeFrames(fs []*Frame, offs, segs []int, keys []*colstore.Column, rows, sel []int32, n int) []int32 {
+	full := slices.Grow(fe.full[:0], n)[:n]
+	probed := slices.Grow(fe.probed[:0], len(sel))[:len(sel)]
+	fe.full, fe.probed = full, probed
+	for i := range full {
+		full[i] = -1
+	}
+	for i, f := range fs {
+		a, b := segs[i], segs[i+1]
+		f.LookupBatch(keys, rows[a:b], probed[a:b])
+		for k := a; k < b; k++ {
+			if p := probed[k]; p >= 0 {
+				full[sel[k]] = int32(offs[i]) + p
+			}
+		}
+	}
+	return full
 }
 
 // vecApplyPoints fires a prepared single-cell rule as one batch over its
@@ -704,13 +934,11 @@ targets:
 		}
 	}
 	mini := &colstore.Table{NRows: nb, Cols: cols}
-	extTbl := mini.WithExtra(make([]*colstore.Column, len(prog.leaves)))
-	idSel := make([]int32, nb)
-	for i := range idSel {
-		idSel[i] = int32(i)
-	}
+	ext := mini.WithExtra(make([]*colstore.Column, len(prog.leaves)))
+	idSel := fe.identity(nb)
 	for li := range prog.leaves {
 		lf := &prog.leaves[li]
+		var col *colstore.Column
 		switch lf.kind {
 		case leafCV:
 			// cv() comes from the target's values, not the row's: the key
@@ -720,11 +948,11 @@ targets:
 			for k, ti := range tis {
 				vals[k] = e.targets[ti][lf.dim]
 			}
-			extTbl.Cols[lf.ord] = colstore.FromValues(vals)
+			col = colstore.FromValues(vals)
 		case leafPbyCV:
-			extTbl.Cols[lf.ord] = colstore.Broadcast(fe.f.pby[lf.dim], nb)
+			col = colstore.Broadcast(fe.f.pby[lf.dim], nb)
 		case leafNull:
-			extTbl.Cols[lf.ord] = colstore.Broadcast(types.Null, nb)
+			col = colstore.Broadcast(types.Null, nb)
 		case leafAgg:
 			vals := make([]types.Value, nb)
 			for k, ti := range tis {
@@ -734,49 +962,36 @@ targets:
 				}
 				vals[k] = inst.acc.Result()
 			}
-			extTbl.Cols[lf.ord] = colstore.FromValues(vals)
-		}
-	}
-	for li := range prog.leaves {
-		lf := &prog.leaves[li]
-		if lf.kind != leafCell {
-			continue
-		}
-		keyCols := make([]*colstore.Column, len(lf.qualKerns))
-		for qi := range lf.qualKerns {
-			k := lf.qualKerns[qi]
-			if _, ok := k.OutKind(extTbl, nil); !ok || k.MinCols() > len(extTbl.Cols) {
+			col = colstore.FromValues(vals)
+		case leafRef:
+			var ok bool
+			if col, ok = fe.refColumn(ext, lf, idSel); !ok {
 				return false, nil
 			}
-			vec, kerr := k.Run(extTbl, nil, nil, idSel)
-			if kerr != nil {
+		case leafCell:
+			keys, rows, ok := fe.keyCols(ext, lf, idSel)
+			if !ok {
 				return false, nil
 			}
-			keyCols[qi] = vec.Column()
-		}
-		probed := make([]int32, nb)
-		fe.f.LookupBatch(keyCols, probed)
-		vals := make([]types.Value, nb)
-		for k, pp := range probed {
-			if pp < 0 {
-				vals[k] = types.Null
-			} else {
-				vals[k] = fe.f.Row(int(pp))[lf.mea]
+			probed := make([]int32, nb)
+			fe.f.LookupBatch(keys, rows, probed)
+			vals := make([]types.Value, nb)
+			for k, pp := range probed {
+				if pp >= 0 {
+					vals[k] = fe.f.Row(int(pp))[lf.mea]
+				}
 			}
+			col = colstore.FromValues(vals)
 		}
-		extTbl.Cols[lf.ord] = colstore.FromValues(vals)
+		ext.Cols[lf.ord] = col
 	}
-	if _, ok := prog.rhs.OutKind(extTbl, nil); !ok || prog.rhs.MinCols() > len(extTbl.Cols) {
+	if _, ok := prog.rhs.OutKind(ext, nil); !ok || prog.rhs.MinCols() > len(ext.Cols) {
 		return false, nil
 	}
-	vec, kerr := prog.rhs.Run(extTbl, nil, nil, idSel)
+	vec, kerr := prog.rhs.Run(ext, nil, nil, idSel)
 	if kerr != nil {
 		return false, nil
 	}
-	vals := make([]types.Value, nb)
-	for k := range vals {
-		vals[k] = vec.BoxValue(k)
-	}
-	fe.f.SetMeasureBulk(poss, r.Mea, vals)
+	fe.f.SetMeasureBulk(poss, r.Mea, vec, 0)
 	return true, nil
 }

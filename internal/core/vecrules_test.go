@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sqlsheet/internal/types"
@@ -15,15 +16,31 @@ const vecGridSQL = `SELECT r, p, t, s, u, z FROM f
 
 func vecGridRows() []types.Row {
 	var rows []types.Row
-	for _, r := range []string{"east", "west"} {
+	for ri, r := range []string{"east", "west"} {
 		for pi, p := range []string{"tv", "vcr", "dvd", "amp"} {
 			for t := 1980; t <= 2009; t++ {
-				s := float64(t-1979)*1.5 + float64(pi)*7.25
+				s := float64(t-1979)*1.5 + float64(pi)*7.25 + float64(ri)*1000
 				rows = append(rows, R(r, p, t, s, 0.0, nil))
 			}
 		}
 	}
 	return rows
+}
+
+// vecRefSQL is vecGridSQL with a reference sheet on products: par names
+// another product (or one the grid lacks, or NULL), w is a weight (NULL for
+// one product, absent for another).
+const vecRefSQL = `SELECT r, p, t, s, u, z FROM f
+	SPREADSHEET REFERENCE pr ON (SELECT p, par, w FROM d) DBY (p) MEA (par, w)
+	PBY (r) DBY (p, t) MEA (s, u, z) `
+
+func vecRefData() map[string][]types.Row {
+	return map[string][]types.Row{"pr": {
+		R("tv", "vcr", 2.0),
+		R("vcr", "dvd", nil),
+		R("dvd", nil, 0.5),
+		R("laser", "tv", 4.0),
+	}}
 }
 
 // sameCells requires bit-identical results from the two paths (NaN-safe:
@@ -60,6 +77,13 @@ func TestVectorizedRulesMatchRowPath(t *testing.T) {
 		rules string
 		batch bool
 	}{
+		// Reference-sheet reads (the ref: cases run over vecRefSQL).
+		{"ref:nested",
+			`( UPDATE u[*, *] = s[cv(p), cv(t)] / s[par[cv(p)], cv(t)] )`, true},
+		{"ref:qualified",
+			`( UPDATE u[*, t > 1990] = w[cv(p)] * s[pr.par[cv(p)], cv(t) - 1] )`, true},
+		{"ref:ls-nested",
+			`( UPSERT u[FOR p IN ('tv','vcr','dvd','amp'), FOR t FROM 2005 TO 2012] = s[par[cv(p)], cv(t)] + pr.w[cv(p)] )`, true},
 		{"existential-update",
 			`( UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 + s[cv(p), cv(t) - 1] )`, true},
 		{"existential-range",
@@ -88,9 +112,13 @@ func TestVectorizedRulesMatchRowPath(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			stats := &VecStats{}
-			mb := mustModel(t, vecGridSQL+tc.rules, nil)
+			head, refs := vecGridSQL, map[string][]types.Row(nil)
+			if strings.HasPrefix(tc.name, "ref:") {
+				head, refs = vecRefSQL, vecRefData()
+			}
+			mb := mustModel(t, head+tc.rules, refs)
 			batch := run(t, mb, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 1}, Stats: stats})
-			mr := mustModel(t, vecGridSQL+tc.rules, nil)
+			mr := mustModel(t, head+tc.rules, refs)
 			rowp := run(t, mr, vecGridRows(), RunOptions{Ablate: Ablation{DisableVectorizedRules: true}})
 			sameCells(t, batch, rowp)
 			if tc.batch && stats.RuleBatch.Load() == 0 {
@@ -122,23 +150,25 @@ func TestVectorizedRulesErrorParity(t *testing.T) {
 	}
 }
 
-// TestVecMinRowsCutoff pins the VecMinRows knob: partitions below the cutoff
-// stay on the per-cell path, partitions at or above it take the batch path,
-// and both produce identical frames.
+// TestVecMinRowsCutoff pins the VecMinRows knob for existential rules: it
+// counts the rows of every partition of a bucket, so a bucket below the
+// cutoff stays on the per-cell path and one at or above it fires the rule as
+// one batch — ticking RuleBatch once per partition — and both produce
+// identical frames.
 func TestVecMinRowsCutoff(t *testing.T) {
 	const rules = `( UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + 1 )`
-	// Each partition holds 120 rows.
+	// Two partitions of 120 rows in one bucket.
 	small := &VecStats{}
 	ms := mustModel(t, vecGridSQL+rules, nil)
-	under := run(t, ms, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 121}, Stats: small})
-	if small.RuleBatch.Load() != 0 || small.RuleRow.Load() == 0 {
-		t.Fatalf("cutoff 121 over 120-row partitions: stats=%+v", small)
+	under := run(t, ms, vecGridRows(), RunOptions{Ablate: Ablation{Buckets: 1, VecMinRows: 241}, Stats: small})
+	if small.RuleBatch.Load() != 0 || small.RuleRow.Load() != 2 {
+		t.Fatalf("cutoff 241 over a 240-row bucket: stats=%+v", small)
 	}
 	big := &VecStats{}
 	mbig := mustModel(t, vecGridSQL+rules, nil)
-	over := run(t, mbig, vecGridRows(), RunOptions{Ablate: Ablation{VecMinRows: 120}, Stats: big})
-	if big.RuleRow.Load() != 0 || big.RuleBatch.Load() == 0 {
-		t.Fatalf("cutoff 120 over 120-row partitions: stats=%+v", big)
+	over := run(t, mbig, vecGridRows(), RunOptions{Ablate: Ablation{Buckets: 1, VecMinRows: 240}, Stats: big})
+	if big.RuleRow.Load() != 0 || big.RuleBatch.Load() != 2 {
+		t.Fatalf("cutoff 240 over a 240-row bucket: stats=%+v", big)
 	}
 	sameCells(t, over, under)
 }
@@ -173,6 +203,20 @@ func TestRuleVecNotes(t *testing.T) {
 			vecGridSQL + `( UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5,
 				UPDATE s['tv', 2005] = s['tv', 1980] * 2 )`,
 			[]string{"yes", "no(self-read)"}},
+		// A reference-sheet read, unqualified or sheet-qualified, on the right
+		// side or inside a main-sheet reference's qualifier (the paper's S5
+		// and S1 shapes): two chained gathers.
+		{"nested-ref",
+			vecRefSQL + `( UPDATE u[*, *] = s[cv(p), cv(t)] / s[par[cv(p)], cv(t)],
+				UPDATE z[*, *] = s[pr.par[cv(p)], cv(t)] * pr.w[cv(p)],
+				UPDATE u['tv', 2005] = w['vcr'] + s[par['tv'], 2004] )`,
+			[]string{"yes", "yes", "yes"}},
+		{"nested-ref-self-read",
+			vecRefSQL + `( UPDATE s[*, *] = s[par[cv(p)], cv(t)] )`,
+			[]string{"no(cyclic)"}},
+		{"nested-main-read",
+			vecRefSQL + `( UPDATE u[*, *] = s[par[cv(p)], z[cv(p), cv(t)]] )`,
+			[]string{"no(unsupported-expr)"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,8 +11,9 @@ import (
 // Batch partition scan: scanFeed's per-row loop — match every row against
 // every scan-mode aggregate instance, then evaluate the instance's argument
 // expressions through compiled closures — is replaced, when every instance
-// has a vectorized form, by one pass that snapshots the partition into a
-// columnar image (colstore.Builder) and then, per instance:
+// has a vectorized form, by one pass that reads the partition's rows out of
+// a columnar image (frameImage, the bucket's cached image when it covers
+// them) and then, per instance:
 //
 //  1. builds a selection of matching image rows from the instance's
 //     declarative qualifier descriptors (the same types.Equal / NULL-
@@ -110,7 +111,7 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 		}
 	}
 	fe.imgNeed = need
-	img, err := fe.frameImage(need)
+	img, base, err := fe.frameImage(need)
 	if err != nil {
 		return true, err
 	}
@@ -136,12 +137,12 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 		}
 		states[i] = st
 	}
-	n := img.NRows
+	n := fe.f.Len()
 	selBuf := colstore.GetSel(n)
 	defer colstore.PutSel(selBuf)
 	zeros := make([]int32, n) // group-id vector: every selected row feeds group 0
 	for i, inst := range insts {
-		sel := fe.vecMatchSel(img, inst, (*selBuf)[:0])
+		sel := fe.vecMatchSel(img, inst, base, base+n, (*selBuf)[:0])
 		*selBuf = sel[:0]
 		st := states[i]
 		st.Grow(1)
@@ -164,25 +165,33 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 	return true, nil
 }
 
-// frameImage returns a columnar image of the partition's current rows in
-// which the listed columns are materialised; any other column may be nil.
-// Columns are cached on the frame and dropped when written (imgMark) or when
-// the row set changes (imgDrop), so a sequence of vectorized rules extracts
-// each column it reads once, then again only after a rule assigned it; a
-// column no kernel reads is never extracted. Extraction is one scan ticking
-// per row exactly like the row scan it replaces. The returned table owns its
+// image returns a columnar image of the current rows of fs — a run of
+// consecutive frames of one bucket — laid out frame after frame, in which the
+// listed columns are materialised (any other column may be nil), and the
+// first image row of each frame (offs[i]; the last entry is the row count).
+// Columns are cached on the bucket (see bucket.img) and dropped when written
+// or when the row set changes, so a sequence of vectorized rules over the
+// same frames extracts each column it reads once, then again only after a
+// rule assigned it; a column no kernel reads is never extracted. Asking for
+// another run of frames replaces the cache. Extraction is one scan ticking
+// per row exactly like the row scans it replaces. The returned table owns its
 // Cols slice but shares the cached columns; callers treat images as
 // immutable (WithExtra copies before extending).
-func (fe *frameEval) frameImage(need []int) (*colstore.Table, error) {
-	f := fe.f
-	n := f.Len()
-	if f.img == nil || f.imgRows != n {
-		f.img = make([]*colstore.Column, fe.m.Schema.Len())
-		f.imgRows = n
+func (fe *frameEval) image(fs []*Frame, need []int) (*colstore.Table, []int, error) {
+	b := fs[0].b
+	if b.img == nil || b.imgLo != fs[0].ord || len(b.imgOff) != len(fs)+1 {
+		// A fresh offsets slice, never reused: a caller may still hold the
+		// previous one.
+		offs := make([]int, len(fs)+1)
+		for i, f := range fs {
+			offs[i+1] = offs[i] + f.Len()
+		}
+		b.img, b.imgLo, b.imgOff = make([]*colstore.Column, fe.m.Schema.Len()), fs[0].ord, offs
 	}
+	n := b.imgOff[len(fs)]
 	todo := fe.imgTodo[:0]
 	for _, c := range need {
-		if f.img[c] == nil && !slices.Contains(todo, c) {
+		if b.img[c] == nil && !slices.Contains(todo, c) {
 			todo = append(todo, c)
 		}
 	}
@@ -190,44 +199,67 @@ func (fe *frameEval) frameImage(need []int) (*colstore.Table, error) {
 	if len(todo) == 0 {
 		// Cache hit: keep the cancellation polls of the scan this replaces.
 		if err := fe.tickN(n); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
+		flat := fe.boxedScratch(len(todo) * n)
 		vals := make([][]types.Value, len(todo))
 		for i := range vals {
-			vals[i] = make([]types.Value, n)
+			vals[i] = flat[i*n : (i+1)*n : (i+1)*n]
 		}
 		var ferr error
-		f.Each(func(pos int, row types.Row) bool {
-			if ferr = fe.tick(); ferr != nil {
-				return false
+		for fi, f := range fs {
+			off := b.imgOff[fi]
+			f.Each(func(pos int, row types.Row) bool {
+				if ferr = fe.tick(); ferr != nil {
+					return false
+				}
+				for i, c := range todo {
+					vals[i][off+pos] = row[c]
+				}
+				return true
+			})
+			if ferr != nil {
+				clear(flat)
+				return nil, nil, ferr
 			}
-			for i, c := range todo {
-				vals[i][pos] = row[c]
-			}
-			return true
-		})
-		if ferr != nil {
-			return nil, ferr
 		}
 		for i, c := range todo {
-			f.img[c] = colstore.FromValues(vals[i])
+			b.img[c] = fe.columnOf(vals[i])
 		}
 	}
-	return &colstore.Table{NRows: n, Cols: slices.Clone(f.img)}, nil
+	return &colstore.Table{NRows: n, Cols: slices.Clone(b.img)}, b.imgOff, nil
 }
 
-// vecMatchSel appends the image rows matching inst's dimension qualifiers to
-// sel, positions ascending. The tests are the scan matchers' own — types.
-// Equal for points, the NULL-rejecting types.Compare interval test for
-// ranges — evaluated on values read back from the image, which hold the same
-// bits the row scan saw; matching is therefore exact, including NULL = NULL
-// points, NaN bounds and cross-kind numeric comparisons.
-func (fe *frameEval) vecMatchSel(img *colstore.Table, inst *aggInstance, sel []int32) []int32 {
-	n := img.NRows
+// frameImage returns a columnar image holding the current frame's rows at
+// [base, base+Len()) with the listed columns materialised: the bucket's
+// cached image when it covers the frame and every listed column, otherwise
+// an image of the frame alone (which the following scans of the frame then
+// share).
+func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err error) {
+	f := fe.f
+	b := f.b
+	if i := f.ord - b.imgLo; b.img != nil && i >= 0 && i < len(b.imgOff)-1 &&
+		!slices.ContainsFunc(need, func(c int) bool { return b.img[c] == nil }) {
+		if err := fe.tickN(f.Len()); err != nil {
+			return nil, 0, err
+		}
+		return &colstore.Table{NRows: b.imgOff[len(b.imgOff)-1], Cols: slices.Clone(b.img)}, b.imgOff[i], nil
+	}
+	img, _, err = fe.image(b.frames[f.ord:f.ord+1], need)
+	return img, 0, err
+}
+
+// vecMatchSel appends the image rows in [lo, hi) matching inst's dimension
+// qualifiers to sel, positions ascending. The tests are the scan matchers'
+// own — types.Equal for points, the NULL-rejecting types.Compare interval
+// test for ranges — evaluated on values read back from the image, which hold
+// the same bits the row scan saw; matching is therefore exact, including
+// NULL = NULL points, NaN bounds and cross-kind numeric comparisons.
+func (fe *frameEval) vecMatchSel(img *colstore.Table, inst *aggInstance, lo, hi int, sel []int32) []int32 {
 	npby := fe.m.NPby
 outer:
-	for r := 0; r < n; r++ {
+	for r := lo; r < hi; r++ {
 		for di := range inst.vq {
 			q := &inst.vq[di]
 			if q.kind == vqStar {

@@ -179,6 +179,16 @@ func (k ExprKernel) Valid() bool { return k.root != nil }
 // MinCols returns 1 + the highest schema ordinal the kernel reads.
 func (k ExprKernel) MinCols() int { return k.nOrd }
 
+// Column reports the ordinal a kernel that is a bare column read reads
+// (its output is that column gathered over the selection), ok=false for any
+// other kernel.
+func (k ExprKernel) Column() (ord int, ok bool) {
+	if k.root != nil && k.root.op == opCol {
+		return k.root.ord, true
+	}
+	return 0, false
+}
+
 // ColRefs appends every column ordinal the kernel reads to dst (duplicates
 // possible). Callers use it to materialize only the image columns a kernel
 // will touch.

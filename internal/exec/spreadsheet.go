@@ -43,11 +43,8 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		if err != nil {
 			return nil, err
 		}
-		meta := n.Model.Refs[i]
-		meta.Data = make(map[string]types.Row, len(res.Rows))
-		nd := len(meta.Dims)
-		for _, row := range res.Rows {
-			meta.Data[types.Key(row[:nd]...)] = row
+		if err := n.Model.Refs[i].Load(res.Rows); err != nil {
+			return nil, err
 		}
 	}
 

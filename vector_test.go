@@ -18,6 +18,7 @@ import (
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/core"
 	"sqlsheet/internal/exec"
+	"sqlsheet/internal/types"
 )
 
 // vectorConfigs is the ablation grid: the first entry is the baseline
@@ -514,6 +515,137 @@ func TestVectorizedRules(t *testing.T) {
 		`SELECT t, s FROM it SPREADSHEET DBY (t) MEA (s) ITERATE (4)
 		 ( s[0] = s[0] / 2 + s[1] * 0.001 ) ORDER BY t`,
 	})
+}
+
+// TestBucketBatchMatchesRowPath holds the level-major rule loop to the
+// per-cell oracle over 1,000 partitions of 1–20 rows, where an existential
+// rule runs once over every partition of a first-level bucket: main-sheet
+// reads probe each row's own partition, reference-sheet reads — nested in a
+// main-sheet qualifier, sheet-qualified, keyed by a PBY column, by 1.0 for a
+// stored 1 — become gathers. Every statement must give byte-identical rows,
+// or the identical error, with rule batching on and off, serially and with 4
+// PEs and workers, over 1, 3 and 16 buckets.
+func TestBucketBatchMatchesRowPath(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE bb (r INT, p TEXT, t INT, s FLOAT, d1 FLOAT, d2 FLOAT, u FLOAT, z FLOAT)`)
+	db.MustExec(`CREATE TABLE bpar (p TEXT, par TEXT, w FLOAT)`)
+	db.MustExec(`CREATE TABLE bprev (t FLOAT, prev INT)`)
+	db.MustExec(`CREATE TABLE bpart (r INT, k FLOAT)`)
+	// Partitions a < b share a bucket at every bucket count of the grid: F1
+	// of the division statement fails only in b, F2 only in a.
+	bucketOf := func(r, n int) int { return core.PartitionBucket(types.AppendKey(nil, types.NewInt(int64(r))), n) }
+	a, b := 5, 6
+	for bucketOf(b, 3) != bucketOf(a, 3) || bucketOf(b, 16) != bucketOf(a, 16) {
+		b++
+	}
+	var rows [][]any
+	for r := 0; r < 1000; r++ {
+		n := 1 + (r*7+3)%20
+		for i := 0; i < n; i++ {
+			// Four products per t: p0..p3 in even partitions, p4..p7 in odd.
+			var s any = float64(r%13) + float64(i)*0.5 + 0.25
+			if (r+i)%17 == 0 {
+				s = nil
+			}
+			d1, d2 := float64(1+i), 2.0
+			if r == b {
+				d1 = 0
+			}
+			if r == a {
+				d2 = 0
+			}
+			rows = append(rows, []any{r, fmt.Sprintf("p%d", i%4+4*(r%2)), 1 + i/4, s, d1, d2, 0.0, 0.0})
+		}
+		if r%11 != 0 { // the rest miss the PBY-keyed sheet
+			if err := db.Insert("bpart", []any{r, float64(r%5) * 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Insert("bb", rows...); err != nil {
+		t.Fatal(err)
+	}
+	// Parents within a partition's products: p2's is NULL, its weight NULL;
+	// p7 has no entry at all.
+	db.MustExec(`INSERT INTO bpar VALUES ('p0','p1',1.5), ('p1','p2',2), ('p2',NULL,NULL), ('p3','p0',0.5),
+		('p4','p5',1), ('p5','p6',3), ('p6','p4',0.25)`)
+	// Keyed 1.0, 2.0, ... while t holds 1, 2, ...: the same cells.
+	db.MustExec(`INSERT INTO bprev VALUES (2.0, 1), (3.0, 2), (4.0, 3), (5.0, 4)`)
+
+	const head = `SELECT r, p, t, s, u, z FROM bb SPREADSHEET
+		REFERENCE bp ON (SELECT p, par, w FROM bpar) DBY (p) MEA (par, w)
+		REFERENCE bt ON (SELECT t, prev FROM bprev) DBY (t) MEA (prev)
+		REFERENCE br ON (SELECT r, k FROM bpart) DBY (r) MEA (k)
+		PBY (r) DBY (p, t) MEA (s, d1, d2, u, z) `
+	const tail = ` ORDER BY r, p, t`
+	batched := []string{
+		// Nested reads, with a miss (p7) and a NULL parent (p2).
+		`RULES UPDATE ( u[*, *] = s[cv(p), cv(t)] / s[par[cv(p)], cv(t)] )`,
+		// A NULL reference measure, and a sheet-qualified nested read.
+		`RULES UPDATE ( u[*, *] = w[cv(p)] * s[cv(p), cv(t)] + bp.w[par[cv(p)]] )`,
+		// 1 vs 1.0: an INT cv(t) and a FLOAT cv(t) * 1.0 read the same key.
+		`RULES UPDATE ( u[*, t > 1] = s[cv(p), prev[cv(t)]] + s[cv(p), bt.prev[cv(t) * 1.0]] )`,
+		// A reference keyed by cv() of the PBY column.
+		`RULES UPDATE ( u[*, *] = s[cv(p), cv(t)] * k[cv(r)] )`,
+		// One level, one rule batched and one per cell (CASE has no kernel).
+		`RULES UPDATE ( u[*, *] = s[par[cv(p)], cv(t)] * 2,
+			z[*, *] = CASE WHEN s[cv(p), cv(t)] > 5 THEN 1 ELSE 0 END )`,
+	}
+	// Division by zero in F1 of partition b and in F2 of partition a, which
+	// comes first: level → rule → frame reports F1.
+	const divide = `RULES UPDATE ( F1: u[*, *] = s[cv(p), cv(t)] / d1[cv(p), cv(t)],
+		F2: z[*, *] = s[cv(p), cv(t)] / d2[cv(p), cv(t)] )`
+
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
+	for _, rules := range batched[:4] {
+		plan, err := db.Explain(head + rules + tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "vectorized=yes") || strings.Contains(plan, "vectorized=no") {
+			t.Fatalf("want every rule batched:\n%s", plan)
+		}
+	}
+	for _, rules := range append(batched, divide) {
+		q := head + rules + tail
+		var base []string
+		var baseName string
+		for _, pe := range []int{1, 4} {
+			for _, buckets := range []int{1, 3, 16} {
+				for _, off := range []bool{true, false} {
+					name := fmt.Sprintf("parallel=workers=%d/buckets=%d/rules-off=%v", pe, buckets, off)
+					db.Configure(sqlsheet.Config{Parallel: pe, Workers: pe, Ablate: sqlsheet.Ablation{
+						DisablePlanCache: true,
+						Engine:           core.Ablation{Buckets: buckets, DisableVectorizedRules: off},
+					}})
+					var got []string
+					if res, err := db.Query(q); err != nil {
+						got = []string{"error: " + err.Error()}
+					} else {
+						got = exactRows(res)
+					}
+					if base == nil {
+						base, baseName = got, name
+						continue
+					}
+					if len(got) != len(base) {
+						t.Fatalf("%s: %d rows, %s %d\n%s", name, len(got), baseName, len(base), q)
+					}
+					for i := range got {
+						if got[i] != base[i] {
+							t.Fatalf("%s: row %d differs from %s\n%s: %q\n%s: %q\n%s", name, i, baseName, baseName, base[i], name, got[i], q)
+						}
+					}
+				}
+			}
+		}
+		if rules == divide && base[0] != "error: f1: division by zero" {
+			t.Fatalf("division statement: %q, want F1's error", base[0])
+		}
+		if rules != divide && len(base) < 10000 {
+			t.Fatalf("only %d rows\n%s", len(base), q)
+		}
+	}
 }
 
 // TestVectorizedRulesDictOverflow runs an existential string-measure formula
