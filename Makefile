@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race race-vector serve-test cluster-test recover-test fuzz-smoke bench lint-hotpath lint-onepath
+.PHONY: build test verify vet race race-vector serve-test recover-test fuzz-smoke bench lint-hotpath lint-onepath
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,7 @@ test:
 # worker goroutines; race-vector is targeted so verify stays fast —
 # full-module `make race` remains the pre-merge gate for goroutine-heavy
 # changes).
-verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath lint-onepath race-vector
+verify: build test serve-test recover-test fuzz-smoke lint-hotpath lint-onepath race-vector
 
 # Serving-layer gate: wire codec round-trips, fuzz seed corpus, and the
 # in-process sqlsheetd integration suite (32 concurrent sessions vs serial
@@ -29,17 +29,6 @@ verify: build test serve-test cluster-test recover-test fuzz-smoke lint-hotpath 
 # Also part of `make race` via ./... .
 serve-test:
 	$(GO) test ./internal/wire/ ./internal/server/
-
-# Cluster gate, run under the race detector (the scatter path is
-# goroutine-heavy: per-worker scatter goroutines, the cancel-broadcast
-# watcher, pipelined connections). Boots 2-4 in-process worker servers plus
-# a coordinator and replays the byte-identity grid (shard counts 1/2/4 ×
-# operator workers 1/4, pre- and post-DML), cancel-mid-scatter, worker
-# restart/reconnect, and concurrent distributed sessions. Part of
-# `make verify`.
-cluster-test:
-	$(GO) test -race ./internal/shard/
-	$(GO) test -race -run 'TestCluster' ./internal/server/
 
 # Crash-recovery gate, run under the race detector: SIGKILL a WAL-backed
 # server (fsync-always) mid-INSERT-burst, restart it over the same log
@@ -154,7 +143,7 @@ race-vector:
 # The benchmark: bench/run.sh builds the server from this checkout and drives
 # the four BENCHMARK.json workloads (dash_warm, sheet_cold, scan_cold,
 # ingest_mixed) end to end over loopback; see bench/README.md. The Benchmark*
-# functions in the _test.go files (spill, external sort, shard, WAL, kernels,
+# functions in the _test.go files (spill, external sort, WAL, kernels,
 # the paper's figures) remain runnable with plain `go test -bench`; no
 # baseline of theirs is checked in.
 bench:

@@ -7,18 +7,6 @@
 //	sqlsheetd -addr :7433 -metrics-addr :7434
 //	sqlsheetd -f init.sql -apb -query-timeout 30s
 //
-// Cluster mode (two processes on one host):
-//
-//	sqlsheetd -worker -addr :7441 -metrics-addr :7451
-//	sqlsheetd -worker -addr :7442 -metrics-addr :7452
-//	sqlsheetd -addr :7433 -coordinator 127.0.0.1:7441=127.0.0.1:7451,127.0.0.1:7442=127.0.0.1:7452
-//
-// -worker enables the SUBPLAN verb so the process can execute shipped
-// partition/group shards; -coordinator installs a scatter-gather
-// distributor over the comma-separated worker list (each entry is
-// addr or addr=metricsAddr, the metrics address enabling /healthz
-// probes before redial).
-//
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes, in-flight
 // queries finish (up to -drain-timeout), stragglers are cancelled through
 // the engine's cancellation points.
@@ -30,13 +18,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"sqlsheet"
 	"sqlsheet/internal/server"
-	"sqlsheet/internal/shard"
 )
 
 func main() {
@@ -51,9 +37,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", time.Second, "max admission wait before SERVER_BUSY")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain window on shutdown")
-	worker := flag.Bool("worker", false, "enable worker mode: accept SUBPLAN shards from a coordinator")
-	coordinator := flag.String("coordinator", "", "comma-separated worker list (addr or addr=metricsAddr); installs the scatter-gather coordinator")
-	shardMinRows := flag.Int("shard-min-rows", 0, "min input rows before a node is distributed (0 = coordinator default)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables crash-safe durability and replays any existing log before serving")
 	fsync := flag.String("fsync", "group", "WAL durability: group (coalesced post-apply fsync), always (fsync before apply), none")
 	flag.Parse()
@@ -100,40 +83,14 @@ func main() {
 		}
 	}
 
-	cfg := server.Config{
-		Addr:           *addr,
-		MetricsAddr:    *metricsAddr,
-		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
-		QueueWait:      *queueWait,
-		QueryTimeout:   *queryTimeout,
-		Worker:         *worker,
-		WorkerParallel: *parallel,
-	}
-	var coord *shard.Coordinator
-	if *coordinator != "" {
-		var addrs []shard.WorkerAddr
-		for _, entry := range strings.Split(*coordinator, ",") {
-			entry = strings.TrimSpace(entry)
-			if entry == "" {
-				continue
-			}
-			w := shard.WorkerAddr{Addr: entry}
-			if eq := strings.IndexByte(entry, '='); eq >= 0 {
-				w.Addr, w.MetricsAddr = entry[:eq], entry[eq+1:]
-			}
-			addrs = append(addrs, w)
-		}
-		if len(addrs) == 0 {
-			fatal(fmt.Errorf("-coordinator: no worker addresses in %q", *coordinator))
-		}
-		coord = shard.New(shard.Config{Workers: addrs, MinRows: *shardMinRows})
-		defer coord.Close()
-		db.SetDistributor(coord)
-		cfg.ShardMetrics = func() any { return coord.Snapshot() }
-		fmt.Printf("sqlsheetd coordinating %d workers\n", len(addrs))
-	}
-	srv := server.New(db, cfg)
+	srv := server.New(db, server.Config{
+		Addr:         *addr,
+		MetricsAddr:  *metricsAddr,
+		MaxInFlight:  *maxInFlight,
+		MaxQueue:     *maxQueue,
+		QueueWait:    *queueWait,
+		QueryTimeout: *queryTimeout,
+	})
 	if err := srv.Start(); err != nil {
 		fatal(err)
 	}

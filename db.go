@@ -70,8 +70,8 @@ type Row = types.Row
 //     only then published (catalog.PublishAll), so snapshot readers observe
 //     statement-boundary states only — never a half-applied mutation, and
 //     never one that failed: a statement that returns an error has changed
-//     nothing, is not in the log and was never published. Configure and
-//     SetDistributor take the same lock to swap the session.
+//     nothing, is not in the log and was never published. Configure takes
+//     the same lock to swap the session.
 //   - Writers mutate table row slices copy-on-write (UPDATE and DELETE
 //     replace the slice; INSERT appends past every published image's
 //     clipped length), so a pinned image is immutable for its lifetime.
@@ -87,10 +87,9 @@ type Row = types.Row
 //     goroutines.
 type DB struct {
 	cat *catalog.Catalog
-	// sess holds the session options, their fingerprint and the optional
-	// distributor as one immutable value: lock-free readers load it once
-	// per call and see a consistent configuration even if Configure runs
-	// mid-flight.
+	// sess holds the session options and their fingerprint as one
+	// immutable value: lock-free readers load it once per call and see a
+	// consistent configuration even if Configure runs mid-flight.
 	sess atomic.Pointer[session]
 	// cache is the serving-path statement cache: parsed ASTs, optimized
 	// plans (with their compiled-closure registries), pristine spreadsheet
@@ -114,12 +113,9 @@ type DB struct {
 // session is one immutable configuration state; DB.sess swaps whole values.
 type session struct {
 	opts Config
-	// fp fingerprints opts (and the distributor's presence) so entries
-	// cached under other knob settings are never served.
+	// fp fingerprints opts so entries cached under other knob settings are
+	// never served.
 	fp uint64
-	// dist, when non-nil, is the scatter-gather coordinator consulted for
-	// plan nodes the distribution pass approved (SetDistributor).
-	dist exec.Distributor
 }
 
 // PushStrategy re-exports the reference-pushing transform selection.
@@ -219,11 +215,6 @@ func cacheBudget(cfg Config) int64 {
 	return defaultPlanCacheBudget
 }
 
-// distFingerprintBit folds the presence of a distributor into the config
-// fingerprint: distribution annotates plan nodes (DistNote), so plans and
-// results cached with it on must not be served with it off, and vice versa.
-const distFingerprintBit = 0x9e3779b97f4a7c15
-
 // configFingerprint hashes every Config field, the nested Ablate structs
 // included (%+v prints them field by field), so sessions with different
 // knobs never share cache entries (MorselSize legally changes result bytes:
@@ -258,34 +249,12 @@ func Open() *DB {
 func (db *DB) Configure(cfg Config) {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
-	old := db.sess.Load()
-	fp := configFingerprint(cfg)
-	if old.dist != nil {
-		fp ^= distFingerprintBit
-	}
-	db.sess.Store(&session{opts: cfg, fp: fp, dist: old.dist})
+	db.sess.Store(&session{opts: cfg, fp: configFingerprint(cfg)})
 	db.cache.SetBudget(cacheBudget(cfg))
 }
 
 // Options returns the current session options.
 func (db *DB) Options() Config { return db.sess.Load().opts }
-
-// SetDistributor installs (or, with nil, removes) a scatter-gather
-// coordinator. Plans built afterwards run the distribution pass and carry
-// distributed= annotations; executors consult d for approved nodes.
-// Distributed results are byte-identical to local ones, but the plan shape
-// differs (DistNote), so the config fingerprint changes with the setting to
-// keep cached plans and results coherent.
-func (db *DB) SetDistributor(d exec.Distributor) {
-	db.stmtMu.Lock()
-	defer db.stmtMu.Unlock()
-	old := db.sess.Load()
-	fp := configFingerprint(old.opts)
-	if d != nil {
-		fp ^= distFingerprintBit
-	}
-	db.sess.Store(&session{opts: old.opts, fp: fp, dist: d})
-}
 
 // Result is a materialized query result.
 //
@@ -774,7 +743,6 @@ func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapsho
 		SpillDir:      o.SpillDir,
 		Ablate:        o.Ablate.Exec,
 		Engine:        o.Ablate.Engine,
-		Dist:          s.dist,
 		Snap:          snap,
 		FastLocalPath: o.MemoryBudget == 0,
 	})
@@ -785,7 +753,6 @@ func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapsho
 		Workers:                o.Workers,
 		PromoteIndependentDims: o.PromoteIndependentDims,
 		EnableMVRewrite:        o.EnableMVRewrite,
-		Distributed:            s.dist != nil,
 		Exec:                   ex,
 	}
 	return ex

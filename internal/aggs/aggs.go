@@ -48,10 +48,10 @@ type Agg interface {
 
 // Merger is implemented by aggregates whose partial states combine: all six
 // built-ins, including MIN/MAX whose merge is a fold of one partial's extreme
-// into the other. The parallel group-by and the scatter-gather coordinator
-// compute per-morsel partials and merge them in morsel order; because each
-// partial accumulates its rows in input order and Merge folds states in
-// morsel order, the merged state is bit-identical to one serial scan.
+// into the other. The parallel group-by computes per-morsel partials and
+// merges them in morsel order; because each partial accumulates its rows in
+// input order and Merge folds states in morsel order, the merged state is
+// bit-identical to one serial scan.
 // (Merge-combinable is weaker than Invertible: MIN/MAX still have no inverse,
 // the restriction the paper applies to single-scan aggregate maintenance.)
 type Merger interface {

@@ -2,11 +2,10 @@
 // A Client owns one TCP connection (one server session); Query serializes
 // concurrent callers because the protocol is strict request/response.
 //
-// For the scatter-gather coordinator the request/response halves are also
-// exposed separately (Send / Recv / RecvParts) so several requests can be
-// pipelined onto one connection: write them back to back, then read the
-// responses in order. Send and the Recv family take independent locks —
-// one sender and one receiver may run concurrently — but multiple
+// The request/response halves are also exposed separately (Send / Recv) so
+// several requests can be pipelined onto one connection: write them back to
+// back, then read the responses in order. Send and Recv take independent
+// locks — one sender and one receiver may run concurrently — but multiple
 // concurrent senders (or receivers) must coordinate externally.
 package client
 
@@ -55,20 +54,9 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Subplan ships a distributed sub-plan and streams the worker's partial
-// results: onPart is called once per PART chunk, in arrival order, until the
-// terminal OK/ERR. An onPart error aborts the stream (the connection is left
-// mid-stream and must be discarded). Equivalent to Send + RecvParts.
-func (c *Client) Subplan(id string, env []byte, onPart func(chunk []byte) error) (*wire.Result, error) {
-	if err := c.Send(wire.EncodeSubplan(id, env)); err != nil {
-		return nil, err
-	}
-	return c.RecvParts(onPart)
-}
-
 // Send writes one raw request frame without waiting for the response. Pair
-// each Send with exactly one later Recv/RecvParts; responses arrive in
-// request order (the server handles a session's requests sequentially).
+// each Send with exactly one later Recv; responses arrive in request order
+// (the server handles a session's requests sequentially).
 func (c *Client) Send(req []byte) error {
 	conn, err := c.get()
 	if err != nil {
@@ -79,37 +67,20 @@ func (c *Client) Send(req []byte) error {
 	return wire.WriteFrame(conn, req)
 }
 
-// Recv reads one terminal response for a previously Sent request.
+// Recv reads the response to a previously Sent request, decoded like
+// Query's.
 func (c *Client) Recv() (*wire.Result, error) {
-	return c.RecvParts(nil)
-}
-
-// RecvParts reads one response stream: zero or more PART frames (each
-// passed to onPart; a nil onPart rejects unexpected parts) followed by the
-// terminal response, which is decoded like Query's.
-func (c *Client) RecvParts(onPart func(chunk []byte) error) (*wire.Result, error) {
 	conn, err := c.get()
 	if err != nil {
 		return nil, err
 	}
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	for {
-		payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		chunk, isPart := wire.DecodePart(payload)
-		if !isPart {
-			return wire.DecodeResponse(payload)
-		}
-		if onPart == nil {
-			return nil, fmt.Errorf("client: unexpected PART frame")
-		}
-		if err := onPart(chunk); err != nil {
-			return nil, err
-		}
+	payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		return nil, err
 	}
+	return wire.DecodeResponse(payload)
 }
 
 // SetDeadline bounds all pending and future reads and writes on the
@@ -120,28 +91,6 @@ func (c *Client) SetDeadline(t time.Time) error {
 		return err
 	}
 	return conn.SetDeadline(t)
-}
-
-// Cancel asks the server to cancel an in-flight SUBPLAN by id, using a
-// short-lived control connection: the data connection is mid-stream, and the
-// protocol has no out-of-band channel. Best effort — an unknown id (the
-// subplan already finished) still answers OK.
-func Cancel(addr, id string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(conn, wire.EncodeCancel(id)); err != nil {
-		return err
-	}
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	_, err = wire.DecodeResponse(payload)
-	return err
 }
 
 // Close ends the session politely (QUIT/BYE) and closes the connection.

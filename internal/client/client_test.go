@@ -82,8 +82,8 @@ func TestDialQueryPingClose(t *testing.T) {
 }
 
 // TestPipelinedRoundTrip writes several requests back to back before
-// reading anything, from a sender goroutine running beside the receiver (the
-// coordinator's usage), and requires the responses in request order.
+// reading anything, from a sender goroutine running beside the receiver, and
+// requires the responses in request order.
 func TestPipelinedRoundTrip(t *testing.T) {
 	srv := startServer(t, "", "")
 	c, err := client.Dial(srv.Addr().String())
@@ -126,64 +126,5 @@ func TestPipelinedRoundTrip(t *testing.T) {
 	}
 	if err := <-sendErr; err != nil {
 		t.Fatalf("send: %v", err)
-	}
-}
-
-// TestReconnectAfterServerClose stops the server under a live client,
-// starts another on the same addresses, and requires the Reconnector to fail
-// while it is down and to hand out a working client again afterwards —
-// probing /healthz first.
-func TestReconnectAfterServerClose(t *testing.T) {
-	srv := startServer(t, "", "")
-	addr, metrics := srv.Addr().String(), srv.MetricsAddr()
-	r := client.NewReconnector(client.ReconnectConfig{
-		Addr: addr, MetricsAddr: metrics, MaxAttempts: 3, BaseDelay: 10 * time.Millisecond,
-	})
-	defer r.Close()
-	ctx := context.Background()
-	c1, err := r.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Query(`SELECT 1`); err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := r.Get(ctx); again != c1 {
-		t.Fatal("Get must keep returning the live client")
-	}
-
-	stop(srv)
-	if _, err := c1.Query(`SELECT 1`); err == nil {
-		t.Fatal("query against a stopped server must fail")
-	}
-	r.MarkBroken(c1)
-	r.MarkBroken(c1) // a second report of the same client is a no-op
-	if _, err := r.Get(ctx); err == nil {
-		t.Fatal("Get must fail while the server is down")
-	}
-	if r.Redials() != 0 {
-		t.Fatalf("redials = %d before any reconnection", r.Redials())
-	}
-
-	startServer(t, addr, metrics)
-	c2, err := r.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == c1 {
-		t.Fatal("Get after MarkBroken must dial a new client")
-	}
-	if _, err := c2.Query(`SELECT a FROM tiny`); err != nil {
-		t.Fatal(err)
-	}
-	if r.Redials() != 1 {
-		t.Fatalf("redials = %d, want 1", r.Redials())
-	}
-
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	r.MarkBroken(c2)
-	if _, err := r.Get(cancelled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get under a cancelled context: %v", err)
 	}
 }

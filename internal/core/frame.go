@@ -146,14 +146,6 @@ func bucketOf(key []byte, n int) int {
 	return int(hashBytes(key)) % n
 }
 
-// PartitionBucket exposes the first-level bucket of an encoded PBY key
-// (types.AppendKey bytes) among n buckets. The scatter-gather coordinator
-// uses it to reproduce the local bucket/frame discovery order when merging
-// worker results, so distributed row order matches a single-process run.
-func PartitionBucket(key []byte, n int) int {
-	return bucketOf(key, n)
-}
-
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619

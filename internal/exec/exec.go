@@ -69,11 +69,6 @@ type Options struct {
 	// structures for the plan's spreadsheet nodes and publish freshly
 	// built ones. Set by the DB layer when executing a cached plan.
 	Structs StructureCache
-	// Dist, when non-nil, is the scatter-gather coordinator consulted for
-	// plan nodes the distribution pass marked distributable. Results are
-	// byte-identical to local execution (see Distributor); a nil or
-	// declining distributor means everything runs in this process.
-	Dist Distributor
 	// Snap is the statement's MVCC snapshot: every table scan reads the
 	// image pinned at the statement's first access to that table. A SELECT
 	// passes its own, so planning, execution and dependency stamping share

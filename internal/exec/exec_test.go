@@ -325,8 +325,8 @@ func TestNilSnapReadsOneImage(t *testing.T) {
 		t.Errorf("mv has %d rows, want 7", n)
 	}
 
-	// The shard worker's shape: rows assigned to a catalog table's master
-	// slice are read once published, and not before.
+	// Rows assigned to a catalog table's master slice are read once
+	// published, and not before.
 	w, err := cat.Create("w", types.NewSchemaNames("a"))
 	if err != nil {
 		t.Fatal(err)

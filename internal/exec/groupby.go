@@ -160,18 +160,6 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 	ke := ex.vecKeyEnc(in, n.Keys)
 	vp := ex.vecGroupPlan(n, in, ke)
 	if nm := ex.morselCount(len(in.Rows)); nm > 0 && groupByParallelizable(n) {
-		// Scatter-gather: hash grouping keys across the worker fleet and
-		// merge per-morsel partials in morsel order — the same fold as the
-		// local path below, so a handled result is byte-identical.
-		if d := ex.Opts.Dist; d != nil && outer == nil && n.DistNote == plan.DistYes {
-			rows, handled, err := d.DistributeGroupBy(ex, n, in)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				return &Result{Schema: n.Schema(), Rows: rows}, nil
-			}
-		}
 		partials := make([]*groupAcc, nm)
 		wc := ex.workerCtxs(in.Schema, outer)
 		if _, err := ex.forEachMorsel("group-by", len(in.Rows), func(w int, m morsel) error {

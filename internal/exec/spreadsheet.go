@@ -63,22 +63,6 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	if engine.Buckets <= 0 {
 		engine.Buckets = core.ChooseBuckets(len(inRows), 64, ex.Opts.MemoryBudget, ex.Opts.Parallel)
 	}
-	// Scatter-gather: ship the working rows to the worker fleet when the
-	// planner marked this node distributable. The coordinator merges
-	// partition frames back in this process's bucket/frame order, so a
-	// handled result is byte-identical to running the model below. A
-	// structure-reuse hit (prebuilt) skips distribution — cloning the
-	// cached build is strictly cheaper than a network round trip.
-	if d := ex.Opts.Dist; d != nil && outer == nil && prebuilt == nil && n.DistNote == plan.DistYes {
-		rows, handled, err := d.DistributeSheet(ex, n, inRows, engine.Buckets)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			// DropCols is always 0 here: the pass rejects promoted dims.
-			return &Result{Schema: n.Schema(), Rows: rows}, nil
-		}
-	}
 	// Spreadsheet PEs and partition-build workers draw from the same core
 	// budget as the operator worker pools, so Workers>1 plus Parallel>1
 	// cannot oversubscribe the host. Build and PE evaluation are sequential

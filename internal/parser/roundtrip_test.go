@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"sqlsheet/internal/sqlast"
@@ -42,6 +44,13 @@ var roundtripCorpus = []string{
 	   ( s[FOR m IN (SELECT m FROM d)] ORDER BY m DESC = y[cv(m)] )`,
 	`SELECT t, s FROM f SPREADSHEET RETURN UPDATED ROWS DBY (t) MEA (s)
 	   ( UPSERT s[FOR t FROM 1 TO 9 INCREMENT 2] = s[t = 1] )`,
+	// Predicate qualifiers on both sides, and a parenthesised comparison,
+	// which is a point: canonical text must keep each kind.
+	`SELECT d, s FROM f SPREADSHEET DBY (d) MEA (s) ( s[d <= cv(d)] = sum(s)[d <= cv(d)] )`,
+	`SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s) ( s[1 < t] = avg(s)[1 < t] )`,
+	`SELECT p, t, s FROM f SPREADSHEET DBY (p, t) MEA (s)
+	   ( s[p IN ('a','b'), t BETWEEN 1 AND 3] = sum(s)[p LIKE 'a%', t BETWEEN 1 AND 3] + max(s)[p IS NULL, *] )`,
+	`SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s) ( s[1] = s[(t < 5)] )`,
 }
 
 func TestFormatRoundTrip(t *testing.T) {
@@ -70,8 +79,40 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 }
 
+// qualKinds lists the kind of every dimension qualifier in stmt — those of
+// each CellRef and CellAgg, nested ones and ones inside subqueries included —
+// in the order of the AST's fields.
+func qualKinds(stmt sqlast.Statement) []sqlast.QualKind {
+	var kinds []sqlast.QualKind
+	qualType := reflect.TypeOf(sqlast.DimQual{})
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			if v.Type() == qualType {
+				kinds = append(kinds, sqlast.QualKind(v.FieldByName("Kind").Uint()))
+			}
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(stmt))
+	return kinds
+}
+
 // FuzzRoundTrip extends the property to arbitrary inputs that happen to
-// parse.
+// parse, and checks structure as well as text: the re-parse must give every
+// cell reference the qualifier kinds the first parse gave it (a text can be
+// stable and still wrong: "[(d <= cv(d))]" re-parses to itself, as a point).
 func FuzzRoundTrip(f *testing.F) {
 	for _, s := range roundtripCorpus {
 		f.Add(s)
@@ -90,6 +131,9 @@ func FuzzRoundTrip(f *testing.F) {
 			twice := sqlast.FormatStatement(again[0])
 			if once != twice {
 				t.Fatalf("format unstable:\n 1: %s\n 2: %s", once, twice)
+			}
+			if k1, k2 := qualKinds(stmt), qualKinds(again[0]); !slices.Equal(k1, k2) {
+				t.Fatalf("qualifier kinds changed: %v → %v\n src: %s\n canonical: %s", k1, k2, src, once)
 			}
 		}
 	})

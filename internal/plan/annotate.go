@@ -37,8 +37,6 @@ const (
 //     operands under arithmetic) has no typed vector. With
 //     Engine.DisableVectorizedExec no kernel is compiled and the note says
 //     no(disabled), so ablation runs show that every node is on the row path.
-//   - when a distributor is configured, the distribution verdict of
-//     spreadsheet and group-by nodes (distribute.go).
 type annotator struct {
 	opts    *Options
 	visited map[Node]bool
@@ -90,9 +88,6 @@ func (a *annotator) walk(n Node) {
 		x.AggArgsC = make([][]eval.CompiledExpr, len(x.Aggs))
 		for i, spec := range x.Aggs {
 			x.AggArgsC[i] = eval.CompileMany(env, spec.Call.Args)
-		}
-		if a.opts.Distributed {
-			x.DistNote = groupDistNote(x)
 		}
 		if !vec {
 			x.VecNote = vecNoDisabled
@@ -153,9 +148,6 @@ func (a *annotator) walk(n Node) {
 		// rule line. A disabled run still records why each rule would or
 		// would not vectorize.
 		x.RuleVecNotes = x.Model.RuleVecNotes(!a.opts.Engine.RulesVectorized())
-		if a.opts.Distributed {
-			x.DistNote = sheetDistNote(x)
-		}
 	}
 	for _, ch := range n.Children() {
 		a.walk(ch)

@@ -70,9 +70,9 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		for i, a := range x.Aggs {
 			aggsS[i] = a.Call.String()
 		}
-		fmt.Fprintf(b, "%sGroupBy keys=[%s] aggs=[%s] vectorized=%s%s\n", pad,
+		fmt.Fprintf(b, "%sGroupBy keys=[%s] aggs=[%s] vectorized=%s\n", pad,
 			strings.Join(keys, ", "), strings.Join(aggsS, ", "),
-			vecNote(x.VecNote, false), distNote(x.DistNote))
+			vecNote(x.VecNote, false))
 		explainNode(b, x.Input, depth+1)
 	case *Union:
 		all := ""
@@ -125,7 +125,6 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		if m.Iterate != nil {
 			fmt.Fprintf(b, " ITERATE(%d)", m.Iterate.N)
 		}
-		b.WriteString(distNote(x.DistNote))
 		b.WriteByte('\n')
 		for _, note := range x.Notes {
 			fmt.Fprintf(b, "%s  * %s\n", pad, note)
@@ -172,14 +171,4 @@ func vecNote(note string, valid bool) string {
 		return note
 	}
 	return yesNo(valid)
-}
-
-// distNote renders a node's distributed= annotation ("yes" / "no(reason)").
-// Empty when no distributor is configured, so single-process EXPLAIN output
-// is unchanged.
-func distNote(note string) string {
-	if note == "" {
-		return ""
-	}
-	return " distributed=" + note
 }

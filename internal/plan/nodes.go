@@ -140,11 +140,7 @@ type GroupBy struct {
 	ArgK [][]eval.ExprKernel
 	// VecNote is EXPLAIN's vectorized= annotation ("yes" / "no(reason)").
 	VecNote string
-	// DistNote is the distribution pass's verdict (DistYes / "no(reason)";
-	// empty when no distributor is configured). The executor consults the
-	// scatter-gather coordinator only when it equals DistYes.
-	DistNote string
-	schema   *eval.BoundSchema
+	schema  *eval.BoundSchema
 }
 
 // Union concatenates (ALL) or deduplicates its inputs.
@@ -194,11 +190,7 @@ type Spreadsheet struct {
 	// RuleVecNotes records each rule's batch-kernel decision (aligned with
 	// Model.Rules), printed as vectorized= on EXPLAIN's rule lines.
 	RuleVecNotes []string
-	// DistNote is the distribution pass's verdict (DistYes / "no(reason)";
-	// empty when no distributor is configured). The executor consults the
-	// scatter-gather coordinator only when it equals DistYes.
-	DistNote string
-	schema   *eval.BoundSchema
+	schema       *eval.BoundSchema
 }
 
 func (n *Scan) Schema() *eval.BoundSchema        { return n.schema }

@@ -96,10 +96,4 @@ type Options struct {
 	// problem is undecidable, the exact-match restriction is not). Off by
 	// default: a rewrite may serve data stale since the last REFRESH.
 	EnableMVRewrite bool
-	// Distributed runs the distribution pass: spreadsheet and group-by
-	// nodes get a DistNote verdict ("yes" / "no(reason)", printed as
-	// distributed= by EXPLAIN) deciding whether the executor may hand them
-	// to the scatter-gather coordinator. Set by the DB layer when a
-	// distributor is installed; results are byte-identical either way.
-	Distributed bool
 }

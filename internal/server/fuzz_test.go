@@ -73,6 +73,9 @@ func FuzzWireProtocol(f *testing.F) {
 	// A literal spelling the bytes that once separated tokens in the text
 	// fingerprint, after the statement those bytes spell.
 	f.Add(append(frame("QUERY\nSELECT 'a', 'b' FROM tiny"), frame("QUERY\nSELECT 'a\x00\x04,\x00\x03b' FROM tiny")...))
+	// Retired verbs are unknown requests.
+	f.Add(frame("SUBPLAN\nc1-42\n\x00\x01binary"))
+	f.Add(frame("CANCEL\nx"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addr := fuzzServer(t)

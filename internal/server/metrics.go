@@ -25,12 +25,6 @@ type Metrics struct {
 	ExecErrors        atomic.Int64
 	ProtocolErrors    atomic.Int64
 
-	// Worker-side subplan counters (SUBPLAN verb; zero on non-workers).
-	SubplansTotal    atomic.Int64
-	SubplansInFlight atomic.Int64
-	SubplansCanceled atomic.Int64
-	SubplanPartBytes atomic.Int64
-
 	latCounts [10]atomic.Int64 // one per bucket + +Inf
 	latCount  atomic.Int64
 	latSumUS  atomic.Int64 // microseconds, to keep the sum integral
@@ -67,15 +61,6 @@ type Snapshot struct {
 	ParseErrors       int64 `json:"parse_errors"`
 	ExecErrors        int64 `json:"exec_errors"`
 	ProtocolErrors    int64 `json:"protocol_errors"`
-
-	SubplansTotal    int64 `json:"subplans_total"`
-	SubplansInFlight int64 `json:"subplans_in_flight"`
-	SubplansCanceled int64 `json:"subplans_canceled"`
-	SubplanPartBytes int64 `json:"subplan_part_bytes"`
-
-	// Shard carries the coordinator's scatter-gather counters when this
-	// process runs one (Config.ShardMetrics); omitted otherwise.
-	Shard any `json:"shard,omitempty"`
 
 	// WAL carries the write-ahead log's durability counters when one is
 	// enabled (sqlsheetd -wal-dir); omitted otherwise.
@@ -144,10 +129,6 @@ func (m *Metrics) snapshot() Snapshot {
 	s.ParseErrors = m.ParseErrors.Load()
 	s.ExecErrors = m.ExecErrors.Load()
 	s.ProtocolErrors = m.ProtocolErrors.Load()
-	s.SubplansTotal = m.SubplansTotal.Load()
-	s.SubplansInFlight = m.SubplansInFlight.Load()
-	s.SubplansCanceled = m.SubplansCanceled.Load()
-	s.SubplanPartBytes = m.SubplanPartBytes.Load()
 	cum := int64(0)
 	for i := range m.latCounts {
 		cum += m.latCounts[i].Load()

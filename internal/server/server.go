@@ -25,7 +25,6 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/parser"
-	"sqlsheet/internal/shard"
 	"sqlsheet/internal/wire"
 )
 
@@ -37,17 +36,6 @@ type Config struct {
 	MaxQueue     int           // admission wait-queue length (default 16)
 	QueueWait    time.Duration // max admission wait (default 1s)
 	QueryTimeout time.Duration // per-query deadline (0 = none)
-
-	// Worker enables the SUBPLAN/CANCEL verbs so this process serves as a
-	// shard worker for a scatter-gather coordinator. Subplans share the
-	// admission controller with queries.
-	Worker bool
-	// WorkerParallel is the per-subplan spreadsheet PE / build worker
-	// count (<=1 serial).
-	WorkerParallel int
-	// ShardMetrics, when non-nil, is called by /metrics and its result
-	// embedded under "shard" (a coordinator installs its counters here).
-	ShardMetrics func() any
 }
 
 // Server owns the listener, the sessions, and the admission controller.
@@ -72,14 +60,6 @@ type Server struct {
 	conns struct {
 		sync.Mutex
 		m map[net.Conn]*connState
-	}
-
-	// subplans maps in-flight subplan ids to their cancel functions so a
-	// coordinator's CANCEL (on a separate control connection) can stop a
-	// scan mid-stream.
-	subplans struct {
-		sync.Mutex
-		m map[string]context.CancelFunc
 	}
 }
 
@@ -113,7 +93,6 @@ func New(db *sqlsheet.DB, cfg Config) *Server {
 		baseCancel: cancel,
 	}
 	s.conns.m = make(map[net.Conn]*connState)
-	s.subplans.m = make(map[string]context.CancelFunc)
 	return s
 }
 
@@ -271,17 +250,6 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 			if wire.WriteFrame(conn, resp) != nil {
 				return
 			}
-		case wire.ReqSubplan:
-			if !s.handleSubplan(conn, body) {
-				return
-			}
-		case wire.ReqCancel:
-			// Always OK: an unknown id just means the subplan already
-			// finished — cancellation is inherently racy.
-			s.cancelSubplan(body)
-			if wire.WriteFrame(conn, wire.EncodeResult(nil, nil, nil)) != nil {
-				return
-			}
 		}
 		st.busy.Store(false)
 		// During drain the current request was answered; end the session
@@ -335,86 +303,6 @@ func (s *Server) runQuery(sql string) []byte {
 		return wire.EncodeReply(nil, nil)
 	}
 	return res.Reply()
-}
-
-// handleSubplan admits and executes one worker-side subplan, streaming PART
-// frames followed by a terminal OK/ERR on the same connection. It returns
-// false when the transport failed mid-stream and the session must end (the
-// coordinator discards half streams and redials).
-func (s *Server) handleSubplan(conn net.Conn, body string) bool {
-	respond := func(payload []byte) bool { return wire.WriteFrame(conn, payload) == nil }
-	if !s.cfg.Worker {
-		s.Metrics.ProtocolErrors.Add(1)
-		return respond(wire.EncodeError(&wire.Error{
-			Code: wire.CodeProtocolError, Msg: "SUBPLAN requires worker mode (-worker)"}))
-	}
-	if s.draining.Load() {
-		return respond(wire.EncodeError(&wire.Error{
-			Code: wire.CodeShutdown, Msg: "server is shutting down"}))
-	}
-	id, env, err := wire.SplitSubplan(body)
-	if err != nil {
-		s.Metrics.ProtocolErrors.Add(1)
-		return respond(wire.EncodeError(&wire.Error{
-			Code: wire.CodeProtocolError, Msg: err.Error()}))
-	}
-	if aerr := s.admitQuery(); aerr != nil {
-		s.Metrics.AdmissionRejected.Add(1)
-		return respond(wire.EncodeError(aerr))
-	}
-	defer func() { <-s.admit }()
-
-	s.Metrics.SubplansTotal.Add(1)
-	s.Metrics.SubplansInFlight.Add(1)
-	defer s.Metrics.SubplansInFlight.Add(-1)
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	if s.cfg.QueryTimeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer tcancel()
-	}
-	s.subplans.Lock()
-	s.subplans.m[id] = cancel
-	s.subplans.Unlock()
-	defer func() {
-		s.subplans.Lock()
-		delete(s.subplans.m, id)
-		s.subplans.Unlock()
-	}()
-
-	var writeErr error
-	execErr := shard.ExecuteSubplan(ctx, env,
-		shard.WorkerOptions{Parallel: s.cfg.WorkerParallel, Workers: s.cfg.WorkerParallel},
-		func(chunk []byte) error {
-			s.Metrics.SubplanPartBytes.Add(int64(len(chunk)))
-			if werr := wire.WriteFrame(conn, wire.EncodePart(chunk)); werr != nil {
-				writeErr = werr
-				return werr
-			}
-			return nil
-		})
-	if writeErr != nil {
-		return false
-	}
-	if execErr != nil {
-		if errors.Is(execErr, context.Canceled) || errors.Is(execErr, context.DeadlineExceeded) {
-			s.Metrics.SubplansCanceled.Add(1)
-		}
-		return respond(wire.EncodeError(s.classify(execErr)))
-	}
-	return respond(wire.EncodeResult(nil, nil, nil))
-}
-
-// cancelSubplan cancels an in-flight subplan by id (no-op when unknown).
-func (s *Server) cancelSubplan(id string) {
-	s.subplans.Lock()
-	cancel := s.subplans.m[id]
-	s.subplans.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // admitQuery implements the bounded-queue admission policy.
@@ -478,9 +366,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.Metrics.snapshot()
 	snap.Cache = CacheSnapshot(s.db.CacheCounters())
 	snap.Images = ImagesSnapshot(s.db.ImageCounters())
-	if s.cfg.ShardMetrics != nil {
-		snap.Shard = s.cfg.ShardMetrics()
-	}
 	if wc, ok := s.db.WALCounters(); ok {
 		ws := WALSnapshot(wc)
 		snap.WAL = &ws

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -331,6 +332,50 @@ func TestParseErrorOverWire(t *testing.T) {
 	}
 	if got := srv.Metrics.ParseErrors.Load(); got != 1 {
 		t.Errorf("parse_errors = %d, want 1", got)
+	}
+}
+
+// TestUnknownRequestIsProtocolError sends request kinds the protocol does not
+// have — among them the retired SUBPLAN and CANCEL verbs — on fresh
+// sessions: each is answered with PROTOCOL_ERROR and counted in
+// protocol_errors, its session closes, and a session opened before them
+// keeps serving.
+func TestUnknownRequestIsProtocolError(t *testing.T) {
+	srv := startServer(t, newFactDB(t), server.Config{})
+	other, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	reqs := []string{"BOGUS\nstuff", "SUBPLAN\nc1-42\n\x00\x01binary", "CANCEL\nx"}
+	for i, req := range reqs {
+		conn, err := net.DialTimeout("tcp", srv.Addr().String(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteFrame(conn, []byte(req)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%q: no answer: %v", req, err)
+		}
+		_, err = wire.DecodeResponse(payload)
+		if we, ok := err.(*wire.Error); !ok || we.Code != wire.CodeProtocolError {
+			t.Fatalf("%q: got %v, want PROTOCOL_ERROR", req, err)
+		}
+		if _, err := wire.ReadFrame(conn); err == nil {
+			t.Fatalf("%q: session still open after a protocol error", req)
+		}
+		conn.Close()
+		if got := srv.Metrics.ProtocolErrors.Load(); got != int64(i+1) {
+			t.Fatalf("%q: protocol_errors = %d, want %d", req, got, i+1)
+		}
+		res, err := other.Query(`SELECT COUNT(*) FROM f`)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 66 {
+			t.Fatalf("other session after %q: rows %v, err %v", req, res, err)
+		}
 	}
 }
 

@@ -87,7 +87,8 @@ func TestDimQualStrings(t *testing.T) {
 		{DimQual{Kind: QualStar}, "*"},
 		{DimQual{Kind: QualPoint, Val: lit(2002)}, "2002"},
 		{DimQual{Kind: QualPoint, Dim: "t", Val: lit(2002)}, "t=2002"},
-		{DimQual{Kind: QualPred, Pred: &Binary{Op: "<", L: col("t"), R: lit(5)}}, "(t < 5)"},
+		{DimQual{Kind: QualPred, Pred: &Binary{Op: "<", L: col("t"), R: lit(5)}}, "t < 5"},
+		{DimQual{Kind: QualPoint, Val: &Binary{Op: "<", L: col("t"), R: lit(5)}}, "(t < 5)"},
 		{DimQual{Kind: QualRange, Dim: "t", Lo: lit(1), Hi: lit(5), LoIncl: true}, "1<=t<5"},
 		{DimQual{Kind: QualForIn, Dim: "t", ForVals: []Expr{lit(1), lit(2)}}, "FOR t IN (1, 2)"},
 		{DimQual{Kind: QualForIn, Dim: "t", ForSub: tinyQuery()}, "FOR t IN (SELECT 1)"},

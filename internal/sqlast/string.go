@@ -221,6 +221,11 @@ func (b *textWriter) qual(q DimQual) *textWriter {
 		}
 		return b.expr(q.Val)
 	case QualPred:
+		// A comparison is written bare: parenthesised, "[(d <= cv(d))]"
+		// reads back as a point qualifier whose value is that boolean.
+		if c, ok := q.Pred.(*Binary); ok {
+			return b.expr(c.L).str(" ", c.Op, " ").expr(c.R)
+		}
 		return b.expr(q.Pred)
 	case QualRange:
 		lo, hi := "<", "<"

@@ -88,45 +88,11 @@ const (
 	ReqQuery = "QUERY" // remaining payload is the SQL text
 	ReqPing  = "PING"
 	ReqQuit  = "QUIT"
-	// ReqSubplan ships a distributed sub-plan to a worker: the second line
-	// is an opaque query id (for CANCEL), the rest a binary envelope built
-	// by internal/shard. The worker streams PART frames back and finishes
-	// with a terminal OK (0 cols, 0 rows) or ERR.
-	ReqSubplan = "SUBPLAN"
-	// ReqCancel asks the worker to cancel an in-flight SUBPLAN by id. Sent
-	// on a separate control connection (the data connection is mid-stream);
-	// always answered OK, whether or not the id was still running.
-	ReqCancel = "CANCEL"
 )
 
 // EncodeQuery builds a QUERY request payload.
 func EncodeQuery(sql string) []byte {
 	return []byte(ReqQuery + "\n" + sql)
-}
-
-// EncodeSubplan builds a SUBPLAN request payload. id must be newline-free.
-func EncodeSubplan(id string, env []byte) []byte {
-	buf := make([]byte, 0, len(ReqSubplan)+len(id)+len(env)+2)
-	buf = append(buf, ReqSubplan...)
-	buf = append(buf, '\n')
-	buf = append(buf, id...)
-	buf = append(buf, '\n')
-	return append(buf, env...)
-}
-
-// SplitSubplan splits a SUBPLAN body (as returned by DecodeRequest) into the
-// query id and the binary envelope.
-func SplitSubplan(body string) (id string, env []byte, err error) {
-	i := strings.IndexByte(body, '\n')
-	if i < 0 {
-		return "", nil, fmt.Errorf("wire: SUBPLAN body missing id line")
-	}
-	return body[:i], []byte(body[i+1:]), nil
-}
-
-// EncodeCancel builds a CANCEL request payload.
-func EncodeCancel(id string) []byte {
-	return []byte(ReqCancel + "\n" + id)
 }
 
 // DecodeRequest splits a request payload into its kind and body.
@@ -138,7 +104,7 @@ func DecodeRequest(payload []byte) (kind, body string, err error) {
 		kind = s
 	}
 	switch kind {
-	case ReqQuery, ReqPing, ReqQuit, ReqSubplan, ReqCancel:
+	case ReqQuery, ReqPing, ReqQuit:
 		return kind, body, nil
 	}
 	return "", "", fmt.Errorf("wire: unknown request %q", kind)
@@ -259,25 +225,6 @@ func EncodeReply(cols []string, rows []types.Row) []byte {
 		kinds[i] = k.String()
 	}
 	return EncodeResult(cols, kinds, rows)
-}
-
-// EncodePart renders one streamed SUBPLAN partial-result frame: the PART
-// marker line followed by an opaque binary chunk (columnar pages or encoded
-// aggregate partials — internal/shard owns the chunk format). A PART frame
-// is not a terminal response; the stream ends with OK or ERR.
-func EncodePart(chunk []byte) []byte {
-	buf := make([]byte, 0, len(chunk)+5)
-	buf = append(buf, "PART\n"...)
-	return append(buf, chunk...)
-}
-
-// DecodePart reports whether a response payload is a streamed PART frame
-// and, if so, returns its binary chunk.
-func DecodePart(payload []byte) ([]byte, bool) {
-	if len(payload) >= 5 && string(payload[:5]) == "PART\n" {
-		return payload[5:], true
-	}
-	return nil, false
 }
 
 // EncodePong renders the reply to PING.

@@ -122,52 +122,10 @@ func TestRequestRoundTrip(t *testing.T) {
 	if err != nil || kind != ReqQuery || body != "SELECT 1;\nSELECT 2" {
 		t.Fatalf("query: %q %q %v", kind, body, err)
 	}
-	if _, _, err := DecodeRequest([]byte("NONSENSE")); err == nil {
-		t.Fatal("unknown request must error")
-	}
-}
-
-func TestSubplanRoundTrip(t *testing.T) {
-	// The envelope is opaque binary: embedded newlines, NULs and a fake
-	// PART marker must all survive the trip.
-	env := []byte("\x00\x01PART\nbinary\nstuff\xff")
-	kind, body, err := DecodeRequest(EncodeSubplan("c1-42", env))
-	if err != nil || kind != ReqSubplan {
-		t.Fatalf("subplan: %q %v", kind, err)
-	}
-	id, got, err := SplitSubplan(body)
-	if err != nil || id != "c1-42" || !bytes.Equal(got, env) {
-		t.Fatalf("split: id=%q env=%q err=%v", id, got, err)
-	}
-	if _, _, err := SplitSubplan("no-newline"); err == nil {
-		t.Fatal("missing id line must error")
-	}
-
-	kind, body, err = DecodeRequest(EncodeCancel("c1-42"))
-	if err != nil || kind != ReqCancel || body != "c1-42" {
-		t.Fatalf("cancel: %q %q %v", kind, body, err)
-	}
-}
-
-func TestPartFrames(t *testing.T) {
-	chunk := []byte("\x00pages\nwith\nnewlines")
-	got, ok := DecodePart(EncodePart(chunk))
-	if !ok || !bytes.Equal(got, chunk) {
-		t.Fatalf("part round-trip: ok=%v got=%q", ok, got)
-	}
-	if empty, ok := DecodePart(EncodePart(nil)); !ok || len(empty) != 0 {
-		t.Fatal("empty part must round-trip")
-	}
-	// Terminal responses must not be mistaken for parts.
-	if _, ok := DecodePart(EncodeResult(nil, nil, nil)); ok {
-		t.Fatal("OK response misread as PART")
-	}
-	if _, ok := DecodePart(EncodeError(&Error{Code: CodeExecError, Msg: "x"})); ok {
-		t.Fatal("ERR response misread as PART")
-	}
-	// And a PART frame is not a decodable terminal response.
-	if _, err := DecodeResponse(EncodePart(chunk)); err == nil {
-		t.Fatal("PART frame must not decode as a response")
+	for _, req := range []string{"NONSENSE", "SUBPLAN\nc1-42\n\x00", "CANCEL\nc1-42"} {
+		if _, _, err := DecodeRequest([]byte(req)); err == nil {
+			t.Fatalf("unknown request %q must error", req)
+		}
 	}
 }
 

@@ -533,7 +533,7 @@ func TestBucketBatchMatchesRowPath(t *testing.T) {
 	db.MustExec(`CREATE TABLE bpart (r INT, k FLOAT)`)
 	// Partitions a < b share a bucket at every bucket count of the grid: F1
 	// of the division statement fails only in b, F2 only in a.
-	bucketOf := func(r, n int) int { return core.PartitionBucket(types.AppendKey(nil, types.NewInt(int64(r))), n) }
+	bucketOf := func(r, n int) int { return core.HashValue(types.NewInt(int64(r)), n) }
 	a, b := 5, 6
 	for bucketOf(b, 3) != bucketOf(a, 3) || bucketOf(b, 16) != bucketOf(a, 16) {
 		b++
