@@ -121,24 +121,32 @@ vet:
 # spreadsheet PEs, parallel partition build, chunked external sort, async
 # spill writer/prefetcher). The suite exercises the data-movement paths —
 # serial and parallel build and sort, async and sync spill — with Workers 1
-# and >1 (TestConcurrentDataMovement, TestDataMovementConfigsPreserveResults,
-# TestStatsConcurrentWithIO). Slower than `make test`; run before merging
-# changes that touch goroutines or shared state.
+# and >1 (TestConcurrentDataMovement, the differential harness's move and
+# spill3 configurations, TestStatsConcurrentWithIO). Slower than `make
+# test`; run before merging changes that touch goroutines or shared state.
 race: vet
 	$(GO) test -race ./...
 
 # Targeted race pass over the vectorized cold path: the columnar packages,
 # the image versions that share vectors with their predecessors (mvcc and
 # catalog: the aliasing discipline of derived images lives there), the kernel
-# compiler, the executor/core consumers, and the root ablation property tests
-# (TestVectorized* runs the kernels morsel-parallel against the shared image
-# cache and selection pool; TestDMLGrid runs UPDATE/DELETE by kernel and by
-# closure over derived images; TestBucketBatchMatchesRowPath runs rules as one
-# batch per bucket on 4 PEs, each PE owning its buckets' image caches). Part
-# of `make verify`.
+# compiler, the executor/core consumers, and the root differential harness
+# under its configurations with more than one worker or PE, each beside its
+# serial reference: the kernels run morsel-parallel against the shared image
+# cache and selection pool, UPDATE/DELETE find rows by kernel over derived
+# images, rules run as one batch per bucket on 4 PEs, each PE owning its
+# buckets' image caches, spill writes asynchronously, and the served
+# configuration answers over the wire. The root run fails if its pattern
+# selects no harness configuration. Part of `make verify`.
+RACE_CONFIGS = row-w8|vec-w8|rules-off-w8|b1-w4|b3-w4|b16-w4|b3-spill-w4|b7-par3|b7-spill-async|served
 race-vector:
 	$(GO) test -race ./internal/colstore/ ./internal/mvcc/ ./internal/catalog/ ./internal/blockstore/ ./internal/eval/ ./internal/exec/ ./internal/core/
-	$(GO) test -race -run 'TestVectorized|TestExplainVectorized|TestParallelOperatorsEqualSerial|TestDMLGrid|TestBucketBatchMatchesRowPath' .
+	@out=$$($(GO) test -race -v -run '^(TestDifferential|TestExplainVectorized.*)$$//^($(RACE_CONFIGS))$$' . 2>&1); status=$$?; \
+	echo "$$out" | grep -v -e '^=== ' -e '^ *--- PASS' -e '^PASS$$'; \
+	if echo "$$out" | grep -q 'no tests to run' || ! echo "$$out" | grep -q -- '--- PASS: TestDifferential/.*/'; then \
+		echo "race-vector: the -run pattern selects no harness configuration"; exit 1; \
+	fi; \
+	exit $$status
 
 # The benchmark: bench/run.sh builds the server from this checkout and drives
 # the four BENCHMARK.json workloads (dash_warm, sheet_cold, scan_cold,

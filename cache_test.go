@@ -1,10 +1,10 @@
-// Serving-path cache integration tests: byte-identical results across cache
-// tiers (including immediately after DML invalidation), EXPLAIN annotations,
-// QueryOpStats counters, and concurrent access with eviction churn.
+// Serving-path cache integration tests: EXPLAIN annotations, QueryOpStats
+// counters, and concurrent access with eviction churn. Byte-identical
+// results and plans across cache tiers, before and after DML, are the
+// differential harness's (its cache case and configurations).
 package sqlsheet_test
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,9 +17,12 @@ import (
 // cacheTestDB builds the shared dataset: a cell-addressable fact table, a
 // small dimension, and a view over both.
 func cacheTestDB(t testing.TB, cfg sqlsheet.Config) *sqlsheet.DB {
-	t.Helper()
-	db := sqlsheet.Open()
+	db := fixtureDB(t, cacheFixture)
 	db.Configure(cfg)
+	return db
+}
+
+func cacheFixture(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`CREATE TABLE sales (r TEXT, p TEXT, t INT, s FLOAT)`)
 	var rows [][]any
 	for ri, r := range []string{"west", "east"} {
@@ -38,7 +41,6 @@ func cacheTestDB(t testing.TB, cfg sqlsheet.Config) *sqlsheet.DB {
 		t.Fatal(err)
 	}
 	db.MustExec(`CREATE VIEW totals AS SELECT r, SUM(s) total FROM sales GROUP BY r`)
-	return db
 }
 
 // cacheQueries is the property-test query set: plain scans, join + group by,
@@ -57,70 +59,6 @@ var cacheQueries = []string{
 		                 + avg(s)['vcr', 1998 <= t <= 2002],
 		  s['dvd', 2003] = s['dvd', 2002] * 1.1 )
 		ORDER BY r, p, t`,
-}
-
-func render(t testing.TB, db *sqlsheet.DB, q string) string {
-	t.Helper()
-	res, err := db.Query(q)
-	if err != nil {
-		t.Fatalf("query %q: %v", q, err)
-	}
-	return res.String()
-}
-
-// TestCacheByteIdenticalResults is the correctness property: with the cache
-// fully on, with only plan/structure reuse, and with the cache off, every
-// query renders byte-identically — on first execution, on a repeat (served
-// from progressively warmer tiers), and immediately after each of INSERT,
-// UPDATE and DELETE invalidated the cached artifacts.
-func TestCacheByteIdenticalResults(t *testing.T) {
-	tiers := []struct {
-		name string
-		cfg  sqlsheet.Config
-	}{
-		{"full-cache", sqlsheet.Config{}},
-		{"plan-only", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}}},
-		{"no-cache", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}}},
-	}
-	dbs := make([]*sqlsheet.DB, len(tiers))
-	for i, tier := range tiers {
-		dbs[i] = cacheTestDB(t, tier.cfg)
-	}
-	check := func(stage string) {
-		t.Helper()
-		for _, q := range cacheQueries {
-			want := ""
-			for i, tier := range tiers {
-				for run := 0; run < 2; run++ {
-					got := render(t, dbs[i], q)
-					if want == "" {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Errorf("%s: tier %s run %d diverged on %q:\ngot:\n%s\nwant:\n%s",
-							stage, tier.name, run, q, got, want)
-					}
-				}
-			}
-		}
-	}
-	check("initial")
-
-	dml := []string{
-		`INSERT INTO sales VALUES ('west', 'dvd', 2003, 42.5)`,
-		`UPDATE sales SET s = s + 1 WHERE p = 'vcr' AND t = 2000`,
-		`DELETE FROM sales WHERE r = 'east' AND t = 1998`,
-		`INSERT INTO names VALUES ('amp', 'audio')`,
-	}
-	for _, stmt := range dml {
-		for _, db := range dbs {
-			db.MustExec(stmt)
-		}
-		// Immediately after the DML: the warm tiers must notice the version
-		// bump and not serve the pre-DML plan artifacts or result.
-		check(stmt)
-	}
 }
 
 // TestCacheExplainAnnotations checks the EXPLAIN-visible cache state.
@@ -308,120 +246,6 @@ func TestCacheDisabledKnobs(t *testing.T) {
 	}
 }
 
-// stripCacheNotes drops the "cache: …" lines of an EXPLAIN text.
-func stripCacheNotes(text string) string {
-	var b strings.Builder
-	for _, line := range strings.SplitAfter(text, "\n") {
-		if !strings.HasPrefix(line, "cache:") {
-			b.WriteString(line)
-		}
-	}
-	return b.String()
-}
-
-// TestReadPathsAgree crosses every read entry point with every cache mode —
-// full, plan-only, off, and busy (each statement's entry held as by a
-// concurrent execution, so every call plans and executes privately) — over
-// the property queries, before and after DML: rows render byte-identically,
-// and plans are identical once the cache lines are stripped.
-func TestReadPathsAgree(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  sqlsheet.Config
-		busy bool
-	}{
-		{"full", sqlsheet.Config{}, false},
-		{"plan-only", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}}, false},
-		{"off", sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}}, false},
-		{"busy", sqlsheet.Config{}, true},
-	}
-	reads := []struct {
-		name string
-		run  func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error)
-	}{
-		{"Query", (*sqlsheet.DB).Query},
-		{"QueryContext", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
-			return db.QueryContext(context.Background(), q)
-		}},
-		{"QueryStats", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
-			res, _, err := db.QueryStats(q)
-			return res, err
-		}},
-		{"QueryOpStats", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
-			res, _, err := db.QueryOpStats(q)
-			return res, err
-		}},
-		{"Exec", (*sqlsheet.DB).Exec},
-		{"Exec after no-op DELETE", func(db *sqlsheet.DB, q string) (*sqlsheet.Result, error) {
-			return db.Exec(`DELETE FROM sales WHERE t < 0; ` + q)
-		}},
-	}
-	plans := []struct {
-		name string
-		run  func(db *sqlsheet.DB, q string) (string, error)
-	}{
-		{"Explain", (*sqlsheet.DB).Explain},
-		{"ExplainAnalyze", func(db *sqlsheet.DB, q string) (string, error) {
-			text, err := db.ExplainAnalyze(q)
-			plan, _, _ := strings.Cut(text, "\nexecution:\n")
-			return plan, err
-		}},
-	}
-	dbs := make([]*sqlsheet.DB, len(modes))
-	for i, m := range modes {
-		dbs[i] = cacheTestDB(t, m.cfg)
-		if m.busy {
-			for _, q := range cacheQueries {
-				dbs[i].HoldEntry(t, q)
-			}
-		}
-	}
-	check := func(stage string) {
-		t.Helper()
-		for _, q := range cacheQueries {
-			var wantRows, wantPlan string
-			for i, m := range modes {
-				for _, r := range reads {
-					res, err := r.run(dbs[i], q)
-					if err != nil {
-						t.Fatalf("%s: %s %s %q: %v", stage, m.name, r.name, q, err)
-					}
-					if got := res.String(); wantRows == "" {
-						wantRows = got
-					} else if got != wantRows {
-						t.Errorf("%s: %s %s diverged on %q:\ngot:\n%s\nwant:\n%s", stage, m.name, r.name, q, got, wantRows)
-					}
-				}
-				for _, p := range plans {
-					text, err := p.run(dbs[i], q)
-					if err != nil {
-						t.Fatalf("%s: %s %s %q: %v", stage, m.name, p.name, q, err)
-					}
-					if got := stripCacheNotes(text); wantPlan == "" {
-						wantPlan = got
-					} else if got != wantPlan {
-						t.Errorf("%s: %s %s diverged on %q:\ngot:\n%s\nwant:\n%s", stage, m.name, p.name, q, got, wantPlan)
-					}
-				}
-			}
-		}
-	}
-	check("initial")
-	for _, stmt := range []string{
-		`INSERT INTO sales VALUES ('west', 'dvd', 2003, 42.5)`,
-		`UPDATE sales SET s = s + 1 WHERE p = 'vcr' AND t = 2000`,
-	} {
-		for _, db := range dbs {
-			db.MustExec(stmt)
-		}
-		check(stmt)
-	}
-	// The busy mode really never claimed an entry: no plan was looked up.
-	if c := dbs[3].CacheCounters(); c.PlanHits+c.PlanMisses != 0 {
-		t.Errorf("busy mode reached a cached plan: %+v", c)
-	}
-}
-
 // TestResultRowsSliceBelongsToCaller pins the Result contract: rows are
 // shared with the result cache, but the top-level slice is the caller's, so
 // sorting it, overwriting it through a truncate-and-append, or appending to
@@ -429,7 +253,7 @@ func TestReadPathsAgree(t *testing.T) {
 func TestResultRowsSliceBelongsToCaller(t *testing.T) {
 	db := cacheTestDB(t, sqlsheet.Config{})
 	q := cacheQueries[0]
-	want := render(t, db, q)
+	want := rowBits(db.Query(q))
 	for i, change := range []func(rows []sqlsheet.Row) []sqlsheet.Row{
 		func(rows []sqlsheet.Row) []sqlsheet.Row {
 			sort.SliceStable(rows, func(i, j int) bool { return rows[i][3].Float() > rows[j][3].Float() })
@@ -446,7 +270,7 @@ func TestResultRowsSliceBelongsToCaller(t *testing.T) {
 			t.Fatalf("change %d: want a result hit, got %+v", i, st.Cache)
 		}
 		res.Rows = change(res.Rows)
-		if got := render(t, db, q); got != want {
+		if got := rowBits(db.Query(q)); got != want {
 			t.Errorf("change %d to the caller's slice reached the cache:\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
@@ -471,7 +295,7 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	want := make(map[string]string, len(queries))
 	for _, q := range queries {
-		want[q] = render(t, db, q)
+		want[q] = rowBits(db.Query(q))
 	}
 
 	const readers, iters = 8, 40
@@ -483,12 +307,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				q := queries[(g+i)%len(queries)]
-				res, err := db.Query(q)
-				if err != nil {
-					errc <- fmt.Errorf("reader %d: %v", g, err)
-					return
-				}
-				if got := res.String(); got != want[q] {
+				if got := rowBits(db.Query(q)); got != want[q] {
 					errc <- fmt.Errorf("reader %d: stale/corrupt result for %q", g, q)
 					return
 				}

@@ -55,35 +55,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestSpillPlusParallel combines the memory-budgeted store with parallel
-// PEs — the paper's big-data configuration.
-func TestSpillPlusParallel(t *testing.T) {
-	db := newFactDB(t)
-	q := `SELECT r, p, t, s FROM f
-		SPREADSHEET PBY(r) DBY (p, t) MEA (s)
-		( s[*, 2002] = avg(s)[cv(p), 1995 <= t <= 2001] )`
-	plain, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := db.Options()
-	cfg.Parallel = 4
-	cfg.Ablate.Engine.Buckets = 6
-	cfg.MemoryBudget = 1500
-	cfg.SpillDir = t.TempDir()
-	db.Configure(cfg)
-	res, stats, err := db.QueryStats(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BlockEvictions == 0 {
-		t.Error("expected spill activity")
-	}
-	if !sameResults(plain, res) {
-		t.Fatal("spill+parallel changed results")
-	}
-}
-
 // TestConcurrentDMLVersionRace pins the catalog-version data race fixed by
 // making Table.Version atomic: writers bump table versions (INSERT, UPDATE,
 // DELETE) while reader goroutines drive plan/result-cache probes that read
@@ -324,65 +295,5 @@ func TestReadersNeverBlockOnWriters(t *testing.T) {
 	}
 	if completedInWindow == 0 {
 		t.Fatal("no reader completed while the writer held the statement lock — reads are blocking on writers")
-	}
-}
-
-// TestSnapshotGridByteIdentical replays one DML+query script at Workers 1
-// and 4 and requires byte-identical SELECT results: the SELECTs read pinned
-// images, the DML before them wrote live rows under the exclusive lock, and
-// the worker count may not change an answer either way.
-func TestSnapshotGridByteIdentical(t *testing.T) {
-	script := []string{
-		`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`,
-	}
-	for _, r := range []string{"west", "east"} {
-		for pi, p := range []string{"dvd", "vcr", "tv"} {
-			for ti := 1998; ti <= 2002; ti++ {
-				script = append(script, fmt.Sprintf(`INSERT INTO f VALUES ('%s','%s',%d,%d)`, r, p, ti, (ti-1990)*(pi+1)))
-			}
-		}
-	}
-	script = append(script,
-		`UPDATE f SET s = s * 2 WHERE p = 'tv'`,
-		`DELETE FROM f WHERE t = 1999`,
-	)
-	queries := []string{
-		`SELECT r, p, t, s FROM f ORDER BY r, p, t`,
-		`SELECT r, p, t, s FROM f
-			SPREADSHEET PBY(r) DBY (p, t) MEA (s)
-			( s[*, 2002] = s[cv(p), 2001] * 1.5,
-			  UPSERT s['video', 2002] = s['tv', 2002] + s['vcr', 2002] )`,
-		`SELECT p, SUM(s) FROM f GROUP BY p ORDER BY p`,
-	}
-
-	var want [][]string
-	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		db := sqlsheet.Open()
-		cfg := db.Options()
-		cfg.Workers = workers
-		db.Configure(cfg)
-		for _, stmt := range script {
-			db.MustExec(stmt)
-		}
-		for qi, q := range queries {
-			res, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", name, q, err)
-			}
-			got := rowsKey(res)
-			if want == nil || len(want) <= qi {
-				want = append(want, got)
-				continue
-			}
-			if len(got) != len(want[qi]) {
-				t.Fatalf("%s: query %d returned %d rows, want %d", name, qi, len(got), len(want[qi]))
-			}
-			for i := range got {
-				if got[i] != want[qi][i] {
-					t.Fatalf("%s: query %d row %d = %q, want %q", name, qi, i, got[i], want[qi][i])
-				}
-			}
-		}
 	}
 }

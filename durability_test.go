@@ -76,16 +76,8 @@ var stateQueries = []string{
 func assertSameState(t *testing.T, want, got *sqlsheet.DB) {
 	t.Helper()
 	for _, q := range stateQueries {
-		w, err := want.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		g, err := got.Query(q)
-		if err != nil {
-			t.Fatalf("recovered %s: %v", q, err)
-		}
-		if !sameResults(w, g) {
-			t.Fatalf("recovered state differs for %s:\noriginal:  %v\nrecovered: %v", q, w.Rows, g.Rows)
+		if w, g := rowBits(want.Query(q)), rowBits(got.Query(q)); w != g {
+			t.Fatalf("recovered state differs for %s: %s", q, firstDiff(w, g))
 		}
 	}
 }
@@ -176,10 +168,8 @@ func TestWALCheckpointRestoresEveryDefinition(t *testing.T) {
 			t.Fatalf("%s: recovered catalog %s, live %s", stage, g, w)
 		}
 		for _, q := range queries {
-			wr, werr := want.Query(q)
-			gr, gerr := got.Query(q)
-			if fmt.Sprint(werr) != fmt.Sprint(gerr) || (werr == nil && !sameResults(wr, gr)) {
-				t.Fatalf("%s: %s\nlive:      %v (err %v)\nrecovered: %v (err %v)", stage, q, wr, werr, gr, gerr)
+			if w, g := rowBits(want.Query(q)), rowBits(got.Query(q)); w != g {
+				t.Fatalf("%s: %s: %s", stage, q, firstDiff(w, g))
 			}
 		}
 	}
@@ -391,13 +381,8 @@ func TestWALInterleavedDMLRecovers(t *testing.T) {
 	}
 	db2 := recoverDB(t, dir)
 	for _, got := range []*sqlsheet.DB{db, db2} {
-		w := serial.MustExec(`SELECT * FROM g`)
-		g, err := got.Query(`SELECT * FROM g`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResults(w, g) {
-			t.Fatalf("state differs from the serial run:\nserial: %v\ngot:    %v", w.Rows, g.Rows)
+		if w, g := rowBits(serial.Query(`SELECT * FROM g`)), rowBits(got.Query(`SELECT * FROM g`)); w != g {
+			t.Fatalf("state differs from the serial run: %s", firstDiff(w, g))
 		}
 		if r := got.MustExec(`SELECT COUNT(*) FROM g WHERE k IN ('f', 'g')`); r.Rows[0][0].Int() != 0 {
 			t.Fatalf("the failed INSERT left %v of its rows behind", r.Rows[0][0])

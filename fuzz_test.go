@@ -2,36 +2,47 @@ package sqlsheet_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"sqlsheet"
-	"sqlsheet/internal/core"
 )
 
-var (
-	fuzzDBOnce sync.Once
-	fuzzDB     *sqlsheet.DB
-)
+// differentialPair opens two databases holding fix, one under the named
+// configuration of the differential harness and one under its reference.
+func differentialPair(tb testing.TB, name string, fix fixture) (got, ref *sqlsheet.DB) {
+	k := diffConfigNamed(name)
+	open := func(cfg sqlsheet.Config) *sqlsheet.DB {
+		db := fixtureDB(tb, fix)
+		db.Configure(cfg)
+		return db
+	}
+	return open(k.cfg), open(diffConfigNamed(k.ref).cfg)
+}
 
-func getFuzzDB() *sqlsheet.DB {
-	fuzzDBOnce.Do(func() {
-		db := sqlsheet.Open()
-		db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`)
-		db.MustExec(`CREATE TABLE d (p TEXT, parent TEXT)`)
-		db.MustExec(`INSERT INTO f VALUES
-			('w','dvd',2000,1),('w','dvd',2001,2),('w','vcr',2000,3),
-			('e','dvd',2000,4),('e','tv',2001,5)`)
-		db.MustExec(`INSERT INTO d VALUES ('dvd','video'),('vcr','video')`)
-		fuzzDB = db
-	})
-	return fuzzDB
+// checkDifferential fails t unless got and ref agree on q: on success, on
+// the error text, and on the rows under rowBits.
+func checkDifferential(t *testing.T, got, ref *sqlsheet.DB, q string) {
+	if g, r := rowBits(got.Query(q)), rowBits(ref.Query(q)); g != r {
+		t.Fatalf("divergence from the reference: %s\n%s", firstDiff(r, g), q)
+	}
+}
+
+// fuzzQueryDB is the small fixed catalog FuzzQuery reads.
+func fuzzQueryDB(_ testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT)`)
+	db.MustExec(`CREATE TABLE d (p TEXT, parent TEXT)`)
+	db.MustExec(`INSERT INTO f VALUES
+		('w','dvd',2000,1),('w','dvd',2001,2),('w','vcr',2000,3),
+		('e','dvd',2000,4),('e','tv',2001,5)`)
+	db.MustExec(`INSERT INTO d VALUES ('dvd','video'),('vcr','video')`)
 }
 
 // FuzzQuery drives the full pipeline — parse, plan, optimize, execute —
-// with arbitrary SQL against a small fixed catalog. Errors are expected;
-// panics and hangs are bugs. Mutating statements are rejected up front so
-// the shared catalog stays stable.
+// with arbitrary SQL against a small fixed catalog, differentially: under
+// the harness's par2-mixed (PEs, workers, the batch cutoff at 1, the cache
+// on) and under its reference, which must agree on success, on error text
+// and on rows. Errors are expected; panics and hangs are bugs. Query
+// refuses mutating statements, so the catalog stays stable.
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`SELECT r, p, t, s FROM f SPREADSHEET PBY(r) DBY(p,t) MEA(s) ( s['dvd',2002] = s['dvd',2001]*2 )`,
@@ -45,67 +56,42 @@ func FuzzQuery(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	got, ref := differentialPair(f, "par2-mixed", fuzzQueryDB)
 	f.Fuzz(func(t *testing.T, sql string) {
-		db := getFuzzDB()
-		// Queries only: Exec would mutate the shared catalog.
-		res, err := db.Query(sql)
-		if err != nil {
-			return
-		}
-		_ = res.String()
+		checkDifferential(t, got, ref, sql)
 	})
 }
 
-var (
-	ruleFuzzOnce  sync.Once
-	ruleFuzzBatch *sqlsheet.DB
-	ruleFuzzRow   *sqlsheet.DB
-)
-
-// getRuleFuzzDBs returns two identically-populated databases, one pinned to
-// the batch rule engine (cutoff 1) and one pinned to the per-cell
-// interpreter, so a fuzzed rule set can be differentially executed. The
-// working table has two 120-cell partitions and forty of 1–6 cells (one
-// bucket holds them all, so a batch rule runs over many partitions at once);
-// the reference table maps each product to another (ref, one NULL, one
-// missing) and to a weight (m2).
-func getRuleFuzzDBs() (*sqlsheet.DB, *sqlsheet.DB) {
-	ruleFuzzOnce.Do(func() {
-		mk := func(cfg sqlsheet.Config) *sqlsheet.DB {
-			db := sqlsheet.Open()
-			db.MustExec(`CREATE TABLE rf (r TEXT, p TEXT, t INT, s FLOAT, u FLOAT)`)
-			db.MustExec(`CREATE TABLE rd (p TEXT, ref TEXT, m2 FLOAT)`)
-			db.MustExec(`INSERT INTO rd VALUES ('tv','vcr',2), ('vcr','dvd',0.5), ('dvd',NULL,1.25), ('laser','tv',NULL)`)
-			prods := []string{"tv", "vcr", "dvd", "amp"}
-			rows := make([][]any, 0, 2*4*30+40*6)
-			for _, r := range []string{"east", "west"} {
-				for pi, p := range prods {
-					for yr := 1980; yr < 2010; yr++ {
-						rows = append(rows, []any{r, p, yr, float64(yr-1979)*1.5 + float64(pi)*7.25, 0.0})
-					}
-				}
+// ruleFuzzDB: a working table of two 120-cell partitions and forty of 1–6
+// cells (one bucket holds them all, so a batch rule runs over many
+// partitions at once), and a reference table mapping each product to
+// another (ref, one NULL, one missing) and to a weight (m2).
+func ruleFuzzDB(tb testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE rf (r TEXT, p TEXT, t INT, s FLOAT, u FLOAT)`)
+	db.MustExec(`CREATE TABLE rd (p TEXT, ref TEXT, m2 FLOAT)`)
+	db.MustExec(`INSERT INTO rd VALUES ('tv','vcr',2), ('vcr','dvd',0.5), ('dvd',NULL,1.25), ('laser','tv',NULL)`)
+	prods := []string{"tv", "vcr", "dvd", "amp"}
+	rows := make([][]any, 0, 2*4*30+40*6)
+	for _, r := range []string{"east", "west"} {
+		for pi, p := range prods {
+			for yr := 1980; yr < 2010; yr++ {
+				rows = append(rows, []any{r, p, yr, float64(yr-1979)*1.5 + float64(pi)*7.25, 0.0})
 			}
-			for k := 0; k < 40; k++ {
-				for i := 0; i <= k%6; i++ {
-					rows = append(rows, []any{fmt.Sprintf("k%02d", k), prods[(k+i)%4], 2000 + i/2, float64(k) + float64(i)*0.75, 0.0})
-				}
-			}
-			if err := db.Insert("rf", rows...); err != nil {
-				panic(err)
-			}
-			db.Configure(cfg)
-			return db
 		}
-		ruleFuzzBatch = mk(sqlsheet.Config{Workers: 1, Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{VecMinRows: 1}}})
-		ruleFuzzRow = mk(sqlsheet.Config{Workers: 1, Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{DisableVectorizedRules: true}}})
-	})
-	return ruleFuzzBatch, ruleFuzzRow
+	}
+	for k := 0; k < 40; k++ {
+		for i := 0; i <= k%6; i++ {
+			rows = append(rows, []any{fmt.Sprintf("k%02d", k), prods[(k+i)%4], 2000 + i/2, float64(k) + float64(i)*0.75, 0.0})
+		}
+	}
+	insert(tb, db, "rf", rows...)
 }
 
-// FuzzRuleKernel differentially executes a fuzzed spreadsheet rule set on
-// the batch rule engine and the per-cell interpreter. Both must agree on
-// success (byte-identical rows) and on failure (identical error text) —
-// the batch path may only ever fall back, never change a result.
+// FuzzRuleKernel differentially executes a fuzzed spreadsheet rule set under
+// the harness's vec-min1 (every rule batched when it can be) and under its
+// reference, the per-cell row path. Both must agree on success (rowBits) and
+// on failure (error text): the batch path may only ever fall back, never
+// change a result.
 func FuzzRuleKernel(f *testing.F) {
 	seeds := []string{
 		`UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 + s[cv(p), cv(t) - 1]`,
@@ -121,30 +107,10 @@ func FuzzRuleKernel(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	batch, row := differentialPair(f, "vec-min1", ruleFuzzDB)
 	f.Fuzz(func(t *testing.T, rules string) {
-		q := `SELECT r, p, t, s, u FROM rf SPREADSHEET
+		checkDifferential(t, batch, row, `SELECT r, p, t, s, u FROM rf SPREADSHEET
 			REFERENCE rs ON (SELECT p, ref, m2 FROM rd) DBY (p) MEA (ref, m2)
-			PBY(r) DBY (p, t) MEA (s, u) (` + rules + `) ORDER BY r, p, t`
-		batch, row := getRuleFuzzDBs()
-		resB, errB := batch.Query(q)
-		resR, errR := row.Query(q)
-		if (errB == nil) != (errR == nil) {
-			t.Fatalf("error divergence:\n  batch: %v\n  row:   %v\n%s", errB, errR, q)
-		}
-		if errB != nil {
-			if errB.Error() != errR.Error() {
-				t.Fatalf("error text divergence:\n  batch: %v\n  row:   %v\n%s", errB, errR, q)
-			}
-			return
-		}
-		rb, rr := exactRows(resB), exactRows(resR)
-		if len(rb) != len(rr) {
-			t.Fatalf("row count divergence: batch=%d row=%d\n%s", len(rb), len(rr), q)
-		}
-		for i := range rb {
-			if rb[i] != rr[i] {
-				t.Fatalf("row %d divergence:\n  batch: %v\n  row:   %v\n%s", i, rb[i], rr[i], q)
-			}
-		}
+			PBY(r) DBY (p, t) MEA (s, u) (`+rules+`) ORDER BY r, p, t`)
 	})
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // newFactDB builds the paper's electronics warehouse f(r, p, t, s, c).
-func newFactDB(t *testing.T) *sqlsheet.DB {
-	t.Helper()
-	db := sqlsheet.Open()
+func newFactDB(t *testing.T) *sqlsheet.DB { return fixtureDB(t, warehouseDB) }
+
+func warehouseDB(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`CREATE TABLE f (r TEXT, p TEXT, t INT, s FLOAT, c FLOAT)`)
 	for _, r := range []string{"west", "east"} {
 		for _, p := range []string{"dvd", "vcr", "tv"} {
@@ -30,13 +30,10 @@ func newFactDB(t *testing.T) *sqlsheet.DB {
 				if r == "east" {
 					base += 100
 				}
-				if err := db.Insert("f", []any{r, p, ti, base, base / 2}); err != nil {
-					t.Fatal(err)
-				}
+				insert(t, db, "f", []any{r, p, ti, base, base / 2})
 			}
 		}
 	}
-	return db
 }
 
 // lookup finds a result row matching the leading key values.
@@ -101,35 +98,6 @@ func TestGroupByHaving(t *testing.T) {
 	approx(t, res.Rows[0][1], 231, "tv total")
 	if res.Rows[0][2].Int() != 11 {
 		t.Errorf("count = %v", res.Rows[0][2])
-	}
-}
-
-func TestJoinsMatchAcrossMethods(t *testing.T) {
-	db := newFactDB(t)
-	db.MustExec(`CREATE TABLE dim (p TEXT, cat TEXT)`)
-	db.MustExec(`INSERT INTO dim VALUES ('dvd','video'),('vcr','video'),('tv','display')`)
-	q := `SELECT f.p, dim.cat, SUM(f.s) s FROM f JOIN dim ON f.p = dim.p
-		WHERE f.r = 'west' GROUP BY f.p, dim.cat ORDER BY f.p`
-	r1, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := db.Options()
-	cfg.Ablate.Plan.ForceJoin = sqlsheet.JoinNestedLoop
-	db.Configure(cfg)
-	r2, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Rows) != 3 || len(r2.Rows) != 3 {
-		t.Fatalf("rows: %d vs %d", len(r1.Rows), len(r2.Rows))
-	}
-	for i := range r1.Rows {
-		for j := range r1.Rows[i] {
-			if r1.Rows[i][j].String() != r2.Rows[i][j].String() {
-				t.Fatalf("hash vs NL mismatch at %d,%d", i, j)
-			}
-		}
 	}
 }
 
@@ -464,36 +432,6 @@ func TestSpreadsheetInsideLargerQuery(t *testing.T) {
 		t.Fatalf("join over spreadsheet: %v", res.Rows)
 	}
 	approx(t, res.Rows[0][2], 24, "joined value")
-}
-
-func TestParallelSpreadsheetSQL(t *testing.T) {
-	db := newFactDB(t)
-	q := `SELECT r, p, t, s FROM f
-		SPREADSHEET PBY(r) DBY(p, t) MEA(s)
-		( s[*, 2003] = s[cv(p), 2002] * 1.5,
-		  UPSERT s['video', 2003] = s['tv', 2003] + s['vcr', 2003] )
-		ORDER BY r, p, t`
-	serial, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := db.Options()
-	cfg.Parallel = 4
-	db.Configure(cfg)
-	par, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Rows) != len(par.Rows) {
-		t.Fatalf("parallel row count: %d vs %d", len(serial.Rows), len(par.Rows))
-	}
-	for i := range serial.Rows {
-		for j := range serial.Rows[i] {
-			if serial.Rows[i][j].String() != par.Rows[i][j].String() {
-				t.Fatalf("parallel mismatch row %d", i)
-			}
-		}
-	}
 }
 
 func TestMemoryBudgetSpills(t *testing.T) {

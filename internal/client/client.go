@@ -1,12 +1,6 @@
 // Package client is the Go client for sqlsheetd's framed wire protocol.
 // A Client owns one TCP connection (one server session); Query serializes
 // concurrent callers because the protocol is strict request/response.
-//
-// The request/response halves are also exposed separately (Send / Recv) so
-// several requests can be pipelined onto one connection: write them back to
-// back, then read the responses in order. Send and Recv take independent
-// locks — one sender and one receiver may run concurrently — but multiple
-// concurrent senders (or receivers) must coordinate externally.
 package client
 
 import (
@@ -20,8 +14,7 @@ import (
 
 // Client is one connection to a sqlsheetd server.
 type Client struct {
-	sendMu sync.Mutex
-	recvMu sync.Mutex
+	mu sync.Mutex // one request/response at a time
 
 	connMu sync.Mutex
 	conn   net.Conn
@@ -54,45 +47,6 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Send writes one raw request frame without waiting for the response. Pair
-// each Send with exactly one later Recv; responses arrive in request order
-// (the server handles a session's requests sequentially).
-func (c *Client) Send(req []byte) error {
-	conn, err := c.get()
-	if err != nil {
-		return err
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	return wire.WriteFrame(conn, req)
-}
-
-// Recv reads the response to a previously Sent request, decoded like
-// Query's.
-func (c *Client) Recv() (*wire.Result, error) {
-	conn, err := c.get()
-	if err != nil {
-		return nil, err
-	}
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResponse(payload)
-}
-
-// SetDeadline bounds all pending and future reads and writes on the
-// connection. Zero clears the deadline.
-func (c *Client) SetDeadline(t time.Time) error {
-	conn, err := c.get()
-	if err != nil {
-		return err
-	}
-	return conn.SetDeadline(t)
-}
-
 // Close ends the session politely (QUIT/BYE) and closes the connection.
 func (c *Client) Close() error {
 	c.connMu.Lock()
@@ -122,12 +76,8 @@ func (c *Client) get() (net.Conn, error) {
 }
 
 func (c *Client) roundTrip(req []byte) (*wire.Result, error) {
-	// Hold both halves so concurrent Query callers stay strictly
-	// request/response, as before the pipelining split.
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	conn, err := c.get()
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package client_test
 import (
 	"context"
 	"errors"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,53 +77,5 @@ func TestDialQueryPingClose(t *testing.T) {
 
 	if _, err := client.DialTimeout("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Fatal("dialing a closed port must fail")
-	}
-}
-
-// TestPipelinedRoundTrip writes several requests back to back before
-// reading anything, from a sender goroutine running beside the receiver, and
-// requires the responses in request order.
-func TestPipelinedRoundTrip(t *testing.T) {
-	srv := startServer(t, "", "")
-	c, err := client.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	sendErr := make(chan error, 1)
-	go func() {
-		for i := 1; i <= n; i++ {
-			req := wire.EncodeQuery(`SELECT a FROM tiny WHERE a = ` + strconv.Itoa(i%3+1))
-			if i%5 == 0 {
-				req = []byte(wire.ReqPing)
-			}
-			if err := c.Send(req); err != nil {
-				sendErr <- err
-				return
-			}
-		}
-		sendErr <- nil
-	}()
-	for i := 1; i <= n; i++ {
-		res, err := c.Recv()
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if i%5 == 0 {
-			if res != nil { // PONG carries no result
-				t.Fatalf("response %d: want a PING reply, got rows %v", i, res.Rows)
-			}
-			continue
-		}
-		if res == nil || len(res.Rows) != 1 || res.Rows[0][0].I != int64(i%3+1) {
-			t.Fatalf("response %d: rows %v, want [[%d]]", i, res.Rows, i%3+1)
-		}
-	}
-	if err := <-sendErr; err != nil {
-		t.Fatalf("send: %v", err)
 	}
 }

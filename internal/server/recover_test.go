@@ -13,6 +13,7 @@ import (
 	"sqlsheet"
 	"sqlsheet/internal/client"
 	"sqlsheet/internal/server"
+	"sqlsheet/internal/wire"
 )
 
 // TestRecoverHelperProcess is not a test: it is the child half of
@@ -171,7 +172,7 @@ func TestRecoverKillNineMidBurst(t *testing.T) {
 	}
 
 	// Byte-identity: a fresh database executing the same m statements must
-	// render exactly the recovered rows.
+	// answer exactly the recovered rows, kind-tagged, over the same codec.
 	ref := sqlsheet.Open()
 	ref.MustExec(`CREATE TABLE burst (k INT, v INT)`)
 	for i := 0; i < m; i++ {
@@ -181,11 +182,11 @@ func TestRecoverKillNineMidBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			if got, w := res.Rows[i][j].String(), want.Rows[i][j].String(); got != w {
-				t.Fatalf("row %d col %d: recovered %q, replayed %q", i, j, got, w)
-			}
-		}
+	replayed, err := wire.DecodeResponse(want.Reply())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := canon(res), canon(replayed); got != w {
+		t.Fatalf("recovered:\n%s\nreplayed:\n%s", got, w)
 	}
 }

@@ -379,6 +379,47 @@ func TestUnknownRequestIsProtocolError(t *testing.T) {
 	}
 }
 
+// TestBackToBackFramesAnswerInOrder writes a session's requests back to back
+// before reading anything: the server answers each, in the order sent.
+func TestBackToBackFramesAnswerInOrder(t *testing.T) {
+	srv := startServer(t, newFactDB(t), server.Config{})
+	conn, err := net.DialTimeout("tcp", srv.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	const n = 20
+	for i := 0; i < n; i++ {
+		req := wire.EncodeQuery(fmt.Sprintf(`SELECT COUNT(*) + %d FROM f`, i))
+		if i%5 == 4 {
+			req = []byte(wire.ReqPing)
+		}
+		if err := wire.WriteFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		res, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if i%5 == 4 {
+			if res != nil { // PONG carries no result
+				t.Fatalf("response %d: want the PING's reply, got rows %v", i, res.Rows)
+			}
+			continue
+		}
+		if res == nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(66+i) {
+			t.Fatalf("response %d: %v, want [[%d]]", i, res, 66+i)
+		}
+	}
+}
+
 // TestOperatorChainOverWire is the wire-side half of the root package's
 // TestOperatorChainBound: a 4,000-term a+1+1+… is answered and a
 // 100,000-term one is refused as a parse error by the depth bound, each in

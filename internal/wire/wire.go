@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -341,13 +342,18 @@ func decodeResult(head string, sc *bufio.Scanner) (*Result, error) {
 
 // appendValue renders one scalar with a kind tag: N (null), I<int>,
 // F<shortest-exact float>, S<%q string>, B0/B1. The float form round-trips
-// bit-exactly through strconv; the string form is %q so tabs and newlines
-// cannot break the line structure.
+// bit-exactly through strconv, except that strconv reads every "NaN" as
+// math.NaN(): any other NaN (an arithmetic one, such as Inf-Inf's, carries
+// a sign) is written as FNaN:<hex bits>. The string form is %q so tabs and
+// newlines cannot break the line structure.
 func appendValue(b []byte, v types.Value) []byte {
 	switch v.K {
 	case types.KindInt:
 		return strconv.AppendInt(append(b, 'I'), v.I, 10)
 	case types.KindFloat:
+		if bits := math.Float64bits(v.F); v.F != v.F && bits != nanBits {
+			return strconv.AppendUint(append(b, "FNaN:"...), bits, 16)
+		}
 		return strconv.AppendFloat(append(b, 'F'), v.F, 'g', -1, 64)
 	case types.KindString:
 		return strconv.AppendQuote(append(b, 'S'), v.S)
@@ -359,6 +365,9 @@ func appendValue(b []byte, v types.Value) []byte {
 	}
 	return append(b, 'N')
 }
+
+// nanBits are math.NaN()'s, the NaN strconv parses "NaN" as.
+var nanBits = math.Float64bits(math.NaN())
 
 func decodeValue(s string) (types.Value, error) {
 	if s == "" {
@@ -375,6 +384,13 @@ func decodeValue(s string) (types.Value, error) {
 		}
 		return types.NewInt(i), nil
 	case 'F':
+		if hex, ok := strings.CutPrefix(body, "NaN:"); ok {
+			bits, err := strconv.ParseUint(hex, 16, 64)
+			if f := math.Float64frombits(bits); err == nil && f != f {
+				return types.NewFloat(f), nil
+			}
+			return types.Null, fmt.Errorf("bad float %q", body)
+		}
 		f, err := strconv.ParseFloat(body, 64)
 		if err != nil {
 			return types.Null, fmt.Errorf("bad float %q", body)

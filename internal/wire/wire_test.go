@@ -80,7 +80,8 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestFloatExactRoundTrip(t *testing.T) {
-	vals := []float64{1.0 / 3.0, math.Pi, 0.1 + 0.2, math.SmallestNonzeroFloat64, -0.0}
+	vals := []float64{1.0 / 3.0, math.Pi, 0.1 + 0.2, math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001)}
 	rows := []types.Row{}
 	for _, f := range vals {
 		rows = append(rows, types.Row{types.NewFloat(f)})
@@ -197,6 +198,9 @@ func referenceEncodeValue(v types.Value) string {
 	case types.KindInt:
 		return "I" + strconv.FormatInt(v.I, 10)
 	case types.KindFloat:
+		if bits := math.Float64bits(v.F); math.IsNaN(v.F) && bits != math.Float64bits(math.NaN()) {
+			return "FNaN:" + strconv.FormatUint(bits, 16)
+		}
 		return "F" + strconv.FormatFloat(v.F, 'g', -1, 64)
 	case types.KindString:
 		return "S" + strconv.Quote(v.S)

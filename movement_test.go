@@ -1,7 +1,7 @@
 // End-to-end tests for the parallel data-movement layer: the partitioned
 // access-structure build, the chunked external sort, and asynchronous spill
-// I/O. Every knob combination must return byte-identical rows — parallelism
-// here buys throughput, never a different answer.
+// I/O. That every knob combination returns byte-identical rows is the
+// differential harness's (the move and spill3 configurations).
 package sqlsheet_test
 
 import (
@@ -18,75 +18,17 @@ import (
 // movementQuery touches all three data movers at once: the spreadsheet clause
 // forces a partition build, ORDER BY forces a sort, and a small MemoryBudget
 // pushes both the partitions and the sort through the spill store. The ORDER
-// BY key (r, p, t) is unique per row, so the output order is total and the
-// comparison below can demand byte identity.
+// BY key (r, p, t) is unique per row, so the output order is total.
 const movementQuery = `SELECT r, p, t, s FROM f
 	SPREADSHEET PBY(r) DBY (p, t) MEA (s)
 	( s[*, 2003] = avg(s)[cv(p), 1995 <= t <= 2002] )
 	ORDER BY r, p, t`
 
-// TestDataMovementConfigsPreserveResults is the acceptance property for this
-// layer: Workers=1 (serial build, one whole-input sort) versus Workers=N
-// (parallel build, chunked sort) and async versus sync spill all yield
-// byte-identical rows, in memory and under a budget that forces spilling.
-func TestDataMovementConfigsPreserveResults(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		db := randomFactDB(t, rand.New(rand.NewSource(seed)))
-		// Buckets and MorselSize are pinned: row order follows the bucket
-		// count, and a small morsel puts a few hundred rows on the chunked
-		// paths.
-		cfg := func(par, workers int, syncSpill bool) sqlsheet.Config {
-			c := sqlsheet.Config{Parallel: par, Workers: workers}
-			c.Ablate.Engine.Buckets = 7
-			c.Ablate.Exec.MorselSize = 16
-			c.Ablate.Exec.DisableAsyncSpill = syncSpill
-			return c
-		}
-		base := cfg(1, 1, true)
-		db.Configure(base)
-		ref, err := db.Query(movementQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := exactRows(ref)
-		spill := func(c sqlsheet.Config) sqlsheet.Config {
-			c.MemoryBudget = 1500
-			c.SpillDir = t.TempDir()
-			return c
-		}
-		variants := []struct {
-			name string
-			cfg  sqlsheet.Config
-		}{
-			{"parallel", cfg(3, 8, false)},
-			{"spill-async", spill(cfg(3, 8, false))},
-			{"spill-sync", spill(cfg(3, 8, true))},
-			{"spill-serial", spill(base)},
-		}
-		for _, v := range variants {
-			db.Configure(v.cfg)
-			res, err := db.Query(movementQuery)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, v.name, err)
-			}
-			got := exactRows(res)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d rows, serial baseline has %d", seed, v.name, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %s: row %d differs from serial baseline", seed, v.name, i)
-				}
-			}
-		}
-	}
-}
-
-// TestDataMovementSpillEngages guards the property test above against
-// vacuousness: under the budget the query must actually move blocks through
-// the spill store.
+// TestDataMovementSpillEngages guards the harness's budgeted configurations
+// against vacuousness: under the budget the query must actually move blocks
+// through the spill store.
 func TestDataMovementSpillEngages(t *testing.T) {
-	db := randomFactDB(t, rand.New(rand.NewSource(1)))
+	db := fixtureDB(t, randomFactDB(1))
 	cfg := sqlsheet.Config{Parallel: 3, Workers: 8, MemoryBudget: 1500, SpillDir: t.TempDir()}
 	cfg.Ablate.Engine.Buckets = 7
 	cfg.Ablate.Exec.MorselSize = 16
@@ -117,11 +59,7 @@ func TestConcurrentDataMovement(t *testing.T) {
 	cfg.MemoryBudget = 1500
 	cfg.SpillDir = t.TempDir()
 	db.Configure(cfg)
-	ref, err := db.Query(movementQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exactRows(ref)
+	want := rowBits(db.Query(movementQuery))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -129,21 +67,9 @@ func TestConcurrentDataMovement(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				res, err := db.Query(movementQuery)
-				if err != nil {
-					errs <- fmt.Errorf("goroutine %d: %v", g, err)
+				if got := rowBits(db.Query(movementQuery)); got != want {
+					errs <- fmt.Errorf("goroutine %d: %s", g, firstDiff(want, got))
 					return
-				}
-				got := exactRows(res)
-				if len(got) != len(want) {
-					errs <- fmt.Errorf("goroutine %d: %d rows, want %d", g, len(got), len(want))
-					return
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						errs <- fmt.Errorf("goroutine %d: row %d differs", g, j)
-						return
-					}
 				}
 			}
 		}(g)

@@ -187,7 +187,7 @@ func TestMaterializedViewFullCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameResults(incr, full) {
+	if rowBits(incr, nil) != rowBits(full, nil) {
 		t.Fatal("incremental refresh diverged from full recompute")
 	}
 }
@@ -278,7 +278,7 @@ func TestMVExactMatchRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameResults(base, rewritten) {
+	if rowBits(base, nil) != rowBits(rewritten, nil) {
 		t.Fatal("MV rewrite changed results")
 	}
 
@@ -340,7 +340,7 @@ func TestMVRefreshSeesEverySourceTable(t *testing.T) {
 	const q = `SELECT r, p, t, s, k FROM mv ORDER BY r, p, t`
 	got := db.MustExec(q)
 	db.MustExec(`REFRESH mv FULL`)
-	if want := db.MustExec(q); !sameResults(want, got) {
+	if want := db.MustExec(q); rowBits(want, nil) != rowBits(got, nil) {
 		t.Errorf("REFRESH left %v, REFRESH FULL gives %v", got.Rows, want.Rows)
 	}
 }
