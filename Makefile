@@ -63,8 +63,11 @@ fuzz-smoke:
 # lint-hotpath flags per-row types.Value boxing (Column.Value / types.New*)
 # inside the vectorized kernel files and the image derivation
 # (internal/colstore/derive.go: extend/patch/gather run once per written row
-# of every version) — these loops must stay on the typed vectors. A deliberate exception needs an `interp-ok:` comment on the same
-# line justifying it (boxed-column fallback, once-per-group work, ...).
+# of every version) — these loops must stay on the typed vectors. A deliberate
+# exception needs an `interp-ok:` comment on the same line justifying it (a
+# cross-kind operand pair no typed loop covers, once-per-group work, ...).
+# Columns have no boxed form any more — every column is one typed vector or
+# all NULL — so derive.go carries no exception at all.
 # The same goes for allocation in the access structure's per-cell files: a
 # row `.Clone()` or a `make(map` in frame/acyclic/vecrules/vecscan.go needs an
 # `alloc-ok: <reason>` comment saying why it is not per cell (measure writes

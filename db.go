@@ -611,7 +611,9 @@ func (db *DB) Explain(sql string) (string, error) {
 }
 
 // CreateTable registers a table programmatically. Column kinds come from
-// types: use ColInt/ColFloat/ColString/ColBool helpers.
+// types: use ColInt/ColFloat/ColString/ColBool helpers. A column declared
+// without a kind takes one from the first write that stores a value in it —
+// FLOAT for INT and FLOAT values, else their one kind — and keeps it.
 func (db *DB) CreateTable(name string, cols ...Column) error {
 	sc := make([]types.Column, len(cols))
 	for i, c := range cols {
@@ -654,7 +656,7 @@ func (db *DB) LoadCSV(table string, r io.Reader, skipHeader bool) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("unknown table %q", table)
 	}
-	rows, err := catalog.ReadCSV(r, t.Schema.Len(), skipHeader)
+	rows, err := catalog.ReadCSV(r, t.ReadSchema().Len(), skipHeader)
 	if err != nil {
 		return 0, err
 	}

@@ -408,7 +408,17 @@ func runEmbedded(t *testing.T, c diffCase, k diffConfig, ki int) (tr transcript)
 		t.Errorf("a busy entry was claimed: %+v", cc)
 	}
 	tr.dumps = []outcome{dump(db, db.Query, resultOutcome)}
+	checkStored(t, db)
 	return tr
+}
+
+// checkStored holds db's tables to the storage contract: every published
+// image has a columnar form whose columns have their schema's kinds.
+func checkStored(t *testing.T, db *sqlsheet.DB) {
+	t.Helper()
+	if err := db.StoredKindsError(); err != nil {
+		t.Error(err)
+	}
 }
 
 // runServed executes the script over the wire, the database logging to walDir.
@@ -433,6 +443,7 @@ func runServed(t *testing.T, c diffCase, k diffConfig, walDir string) (tr transc
 		tr.stmts = append(tr.stmts, wireOutcome(cl.Query(s)))
 	}
 	tr.dumps = []outcome{dump(db, cl.Query, wireOutcome)}
+	checkStored(t, db)
 	return tr
 }
 
@@ -445,6 +456,7 @@ func runRecovered(t *testing.T, k diffConfig, walDir string) (tr transcript) {
 		}
 		db.Configure(k.cfg)
 		tr.dumps = append(tr.dumps, dump(db, db.Query, resultOutcome))
+		checkStored(t, db)
 		if checkpoint {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -691,13 +703,17 @@ func allNullDB(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`CREATE TABLE empty (a INT, b TEXT)`)
 }
 
-// mixedDB: an untyped table whose columns mix every kind (boxed images).
+// mixedDB: an untyped table whose first write pins every column to one
+// kind: id and y INT, x FLOAT (its INT and FLOAT values read back as FLOAT),
+// z STRING, b BOOL.
 func mixedDB(t testing.TB, db *sqlsheet.DB) {
-	if err := db.CreateTable("mixed", sqlsheet.Column{Name: "x"}, sqlsheet.Column{Name: "y"}); err != nil {
+	cols := []sqlsheet.Column{{Name: "id"}, {Name: "x"}, {Name: "y"}, {Name: "z"}, {Name: "b"}}
+	if err := db.CreateTable("mixed", cols...); err != nil {
 		t.Fatal(err)
 	}
-	vals := []any{1, 2.5, "a", true, nil, 7, "b", 3.0, false, 40, "a", nil}
-	insert(t, db, "mixed", rowsOf(60, func(i int) []any { return []any{vals[i%len(vals)], i % 7} })...)
+	xs := []any{1, 2.5, nil, 7, 3.0, 40, -0.5, 12}
+	zs := []any{"a", "b", nil, "c"}
+	insert(t, db, "mixed", rowsOf(60, func(i int) []any { return []any{i, xs[i%len(xs)], i % 7, zs[i%len(zs)], i%3 == 0} })...)
 }
 
 // closureDB: for predicates only closures evaluate (subqueries, arithmetic).
@@ -1056,17 +1072,48 @@ func diffCorpus() []diffCase {
 			`DELETE FROM num`,
 			`INSERT INTO num VALUES (1, 1.5)`,
 		}},
-		// The arithmetic ones fail at the first x that is not a number, on
-		// every path, and leave the table untouched.
-		diffCase{name: "mixed-kinds", fixture: mixedDB, configs: "exec served", script: []string{
+		// Values mixing kinds are computed ones only: a CASE as a
+		// spreadsheet dimension and measure, which the batch rule cannot
+		// image and leaves per cell, and as a sort key the budgeted sort
+		// spills kind-tagged. A write of another kind than its column's is
+		// converted (x, z) or fails with the catalog's typed error (y, b),
+		// the same text on every path, leaving the table untouched.
+		diffCase{name: "mixed-kinds", fixture: mixedDB, configs: "exec served spill3", script: []string{
+			`SELECT id, x, CASE WHEN y > 3 THEN 1 ELSE 2.5 END AS m FROM mixed ORDER BY id`,
+			`SELECT d, x, m, w FROM (SELECT CASE WHEN id % 2 = 0 THEN id ELSE id + 0.5 END AS d, x,
+				CASE WHEN y > 3 THEN 1 ELSE 2.5 END AS m FROM mixed) q
+			 SPREADSHEET DBY (d) MEA (x, m, w) ( w[*] = m[cv(d)] * 2 + x[cv(d)] ) ORDER BY d`,
+			`SELECT id, CASE WHEN y > 3 THEN z WHEN b THEN b ELSE x END AS k FROM mixed ORDER BY k, id`,
 			`UPDATE mixed SET y = 'str' WHERE x > 3`,
 			`DELETE FROM mixed WHERE x = 'a'`,
 			`UPDATE mixed SET x = 2.5 WHERE y IS NULL OR x IS NULL`,
 			`DELETE FROM mixed WHERE x < y`,
+			`UPDATE mixed SET y = x / 4 WHERE y = 3`,
 			`UPDATE mixed SET y = x WHERE y = 3`,
+			`UPDATE mixed SET z = x, b = y WHERE y = 1`,
+			`UPDATE mixed SET z = x WHERE y = 1`,
+			`INSERT INTO mixed (id, y) VALUES (100, 2.5)`,
+			`INSERT INTO mixed (id, y) VALUES (101, 1e300)`,
+			`INSERT INTO mixed (id, y) VALUES (102, -1e300)`,
+			`INSERT INTO mixed (id, y) VALUES (103, 9223372036854775808.0)`,
+			`INSERT INTO mixed (id, x, y) VALUES (104, 5, 4.0), (105, NULL, -9223372036854775808.0)`,
+			`SELECT id, x, y FROM mixed WHERE id >= 100 ORDER BY id`,
 			`UPDATE mixed SET y = 0 WHERE x + 1 > 2`,
 			`DELETE FROM mixed WHERE x + 1 > 2`,
 			`DELETE FROM mixed WHERE x IN (1, 'b', TRUE)`,
+		}, check: func(t *testing.T, ref []outcome) {
+			for i, want := range map[int]string{
+				3: `column "y": cannot store STRING value as INT`, 7: "as INT: not an integer in range",
+				9: `column "b": cannot store INT value as BOOL`, 11: "2.5 as INT", 12: "1e+300 as INT",
+				13: "-1e+300 as INT", 14: "9.223372036854776e+18 as INT",
+			} {
+				if !strings.Contains(ref[i].err, want) {
+					t.Errorf("statement %d: %q, want an error containing %q", i, ref[i].err, want)
+				}
+			}
+			if got := ref[16].text(false); !strings.Contains(got, "I104 F4014000000000000 I4") || !strings.Contains(got, "I105 N I-9223372036854775808") {
+				t.Errorf("converted INSERT reads back %s", got)
+			}
 		}},
 		diffCase{name: "closure-only-predicates", fixture: closureDB, configs: "exec served", script: []string{
 			`DELETE FROM t1 WHERE a IN (SELECT k FROM t2)`,

@@ -52,6 +52,11 @@ func FuzzQuery(f *testing.F) {
 		`SELECT p, rank() OVER (PARTITION BY r ORDER BY s DESC) FROM f`,
 		`WITH w AS (SELECT DISTINCT p FROM f) SELECT * FROM w UNION SELECT parent FROM d`,
 		`SELECT t, s FROM f SPREADSHEET DBY(t) MEA(s) ITERATE (3) UNTIL (previous(s[2000]) - s[2000] < 1) ( s[2000] = s[2000]/2 )`,
+		// Stored columns hold one kind; computed values mix them: a CASE
+		// measure a batch rule cannot image, and a CASE sort key.
+		`SELECT r, p, t, m FROM (SELECT r, p, t, CASE WHEN s > 2 THEN 1 ELSE s END AS m FROM f) q
+			SPREADSHEET PBY(r) DBY(p,t) MEA(m) ( m[*, 2001] = m[cv(p), 2000] * 2 )`,
+		`SELECT CASE WHEN t > 2000 THEN p ELSE t END AS k, s FROM f ORDER BY k, s`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -103,6 +108,9 @@ func FuzzRuleKernel(f *testing.F) {
 		`UPDATE s['tv', 2005] = s['tv', 1980] * 2`,
 		`UPDATE u[*, *] = s[ref[cv(p)], cv(t)]`,
 		`UPDATE u[*, *] = m2[cv(p)] * s[cv(p), cv(t)]`,
+		// u becomes INT and FLOAT per cell (CASE has no kernel); the batch
+		// rule reading it finds a measure it cannot image and falls back.
+		`UPDATE u[*, *] = CASE WHEN t > 1995 THEN 1 ELSE 2.5 END, UPDATE s[*, *] = u[cv(p), cv(t)] * 2`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -162,15 +162,6 @@ func (d *Data) genProducts() {
 	}
 }
 
-// Ancestors returns the codes of a product's ancestors, nearest first.
-func (d *Data) Ancestors(idx int) []string {
-	var out []string
-	for anc := d.Products[idx].Parent; anc >= 0; anc = d.Products[anc].Parent {
-		out = append(out, d.Products[anc].Code)
-	}
-	return out
-}
-
 func month(year, m int) string { return fmt.Sprintf("%04d-%02d", year, m) }
 
 func (d *Data) genTime() {
@@ -256,18 +247,22 @@ func (d *Data) genCube() {
 
 // Install registers the dataset's tables in a catalog:
 // apb_fact(c,h,t,p,s), apb_cube(c,h,t,p,s), product_dt(p,parent1,parent2,
-// parent3,lvl), time_dt(m,m_yago,m_qago). It creates all four or none: every
-// name is checked before the first table exists.
+// parent3,lvl), time_dt(m,m_yago,m_qago). Every column is declared — s
+// FLOAT, lvl INT, the rest STRING — so a later write of another kind
+// converts or fails instead of pinning the column by accident. It creates all
+// four or none: every name is checked before the first table exists.
 func (d *Data) Install(cat *catalog.Catalog) error {
+	str := func(n string) types.Column { return types.Column{Name: n, Kind: types.KindString} }
+	s, lvl := types.Column{Name: "s", Kind: types.KindFloat}, types.Column{Name: "lvl", Kind: types.KindInt}
 	tables := []struct {
 		name string
-		cols []string
+		cols []types.Column
 		rows []types.Row
 	}{
-		{"apb_fact", []string{"c", "h", "t", "p", "s"}, d.Fact},
-		{"apb_cube", []string{"c", "h", "t", "p", "s"}, d.Cube},
-		{"product_dt", []string{"p", "parent1", "parent2", "parent3", "lvl"}, d.ProductDT},
-		{"time_dt", []string{"m", "m_yago", "m_qago"}, d.TimeDT},
+		{"apb_fact", []types.Column{str("c"), str("h"), str("t"), str("p"), s}, d.Fact},
+		{"apb_cube", []types.Column{str("c"), str("h"), str("t"), str("p"), s}, d.Cube},
+		{"product_dt", []types.Column{str("p"), str("parent1"), str("parent2"), str("parent3"), lvl}, d.ProductDT},
+		{"time_dt", []types.Column{str("m"), str("m_yago"), str("m_qago")}, d.TimeDT},
 	}
 	for _, tb := range tables {
 		if cat.InUse(tb.name) {
@@ -275,11 +270,13 @@ func (d *Data) Install(cat *catalog.Catalog) error {
 		}
 	}
 	for _, tb := range tables {
-		t, err := cat.Create(tb.name, types.NewSchemaNames(tb.cols...))
+		t, err := cat.Create(tb.name, types.NewSchema(tb.cols...))
 		if err != nil {
 			return err
 		}
-		t.Rows = append(t.Rows, tb.rows...)
+		if err := t.Insert(tb.rows...); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package blockstore
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Background spill I/O. Eviction under a byte budget is the dominant cost of
 // the out-of-core regime (the paper's Fig. 5 experiment): every block that
@@ -119,7 +116,10 @@ func (s *SpillStore) flushBatch(batch []ioReq) {
 			s.stats.coalescedBlocks.Add(int64(hi - lo - 1))
 		}
 		if _, err := s.file.WriteAt(buf, batch[lo].off); err != nil {
-			panic(fmt.Sprintf("blockstore: async spill write: %v", err))
+			// The blocks stay pending: loads keep decoding them from memory.
+			s.fail("async spill write", err)
+			lo = hi
+			continue
 		}
 		s.stats.spillWrites.Add(1)
 		s.mu.Lock()
@@ -148,12 +148,13 @@ func (s *SpillStore) prefetchLoop(q *ioQueue) {
 		for _, r := range batch {
 			data := make([]byte, r.length)
 			if _, err := s.file.ReadAt(data, r.off); err != nil {
-				panic(fmt.Sprintf("blockstore: read-ahead: %v", err))
+				s.fail("read-ahead", err)
+				data = nil // the reservation goes; a foreground load reads for itself
 			}
 			s.mu.Lock()
 			img, reserved := s.prefetched[r.idx]
 			b := s.blocks[r.idx]
-			if reserved && img.data == nil && b.rows == nil && b.off == r.off {
+			if reserved && img.data == nil && data != nil && b.rows == nil && b.off == r.off {
 				s.prefetched[r.idx] = diskImage{off: r.off, data: data}
 			} else if reserved && img.data == nil {
 				delete(s.prefetched, r.idx) // overtaken by a foreground load

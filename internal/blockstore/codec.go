@@ -9,9 +9,10 @@ import (
 
 // encodeBlock serializes a block of rows for the spill file as a colstore page
 // (colstore.AppendPage): column-major, dictionary- and varint-compressed,
-// decoded without per-value kind tags; a mixed-kind column travels boxed
-// inside the page. The format is private to a single store's lifetime, so
-// it carries no cross-version compatibility.
+// decoded without per-value kind tags; a column that mixes kinds (a
+// spreadsheet measure can) travels kind-tagged inside the page. The format is
+// private to a single store's lifetime, so it carries no cross-version
+// compatibility.
 //
 // A page needs a rectangular block. Both users of the spill store — bucket
 // stores of the spreadsheet access structure and external-sort runs — store

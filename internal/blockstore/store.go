@@ -14,6 +14,7 @@ package blockstore
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -48,6 +49,9 @@ type Store interface {
 	Len() int
 	// Stats returns cumulative I/O statistics.
 	Stats() Stats
+	// Err returns the store's first spill I/O failure. The store serves on
+	// after one, but possibly wrong rows: the caller's statement must fail.
+	Err() error
 	// Close releases any spill resources.
 	Close() error
 }
@@ -195,6 +199,9 @@ func (m *MemStore) Len() int { return len(m.rows) }
 // Stats implements Store.
 func (m *MemStore) Stats() Stats { return Stats{} }
 
+// Err implements Store: memory does no I/O.
+func (m *MemStore) Err() error { return nil }
+
 // Close implements Store.
 func (m *MemStore) Close() error { return nil }
 
@@ -229,6 +236,7 @@ type Config struct {
 
 type block struct {
 	rows  []types.Row // nil when evicted
+	n     int         // rows, kept while evicted
 	bytes int64       // estimated resident size
 	dirty bool
 	// spill file location of the latest written version; length 0 if the
@@ -251,10 +259,14 @@ type SpillStore struct {
 	blocks   []*block
 	resident int64 // bytes of resident blocks
 	tick     int64
-	file     *os.File
+	file     File
 	fileEnd  int64
 	stats    counters
 	nrows    int
+	width    int // the row length: what a block that cannot be read back is made of
+	// err is the first spill I/O failure (Err). From then on nothing is
+	// evicted, and a block whose write failed stays resident (or pending).
+	err atomic.Pointer[error]
 
 	// Async-spill state (nil/zero when cfg.Async is off or nothing has
 	// spilled yet). pending holds encoded blocks whose pwrite has not
@@ -282,6 +294,18 @@ type diskImage struct {
 	data []byte
 }
 
+// File is a spill file as a store uses it.
+type File interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Closer
+	Name() string
+}
+
+// CreateFile makes a store's spill file in dir. It is a variable so that a
+// test can make spill I/O fail; it must not change while a store is in use.
+var CreateFile = func(dir string) (File, error) { return os.CreateTemp(dir, "sqlsheet-spill-*.dat") }
+
 // NewSpill creates a budgeted spilling store.
 func NewSpill(cfg Config) *SpillStore {
 	if cfg.RowsPerBlock <= 0 {
@@ -305,6 +329,7 @@ func (s *SpillStore) Append(row types.Row) RowID {
 		b = s.blocks[n-1]
 	}
 	id := RowID{Block: int32(n - 1), Slot: int32(len(b.rows))}
+	s.width = len(row)
 	b.rows = append(b.rows, row)
 	b.dirty = true
 	sz := rowBytes(row)
@@ -419,6 +444,20 @@ func (s *SpillStore) Len() int {
 // polling progress never contend with the I/O path.
 func (s *SpillStore) Stats() Stats { return s.stats.snapshot() }
 
+// Err implements Store. Like Stats it takes no lock.
+func (s *SpillStore) Err() error {
+	if p := s.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records an I/O failure of op, unless an earlier one is recorded.
+func (s *SpillStore) fail(op string, err error) {
+	e := fmt.Errorf("blockstore: %s: %w", op, err)
+	s.err.CompareAndSwap(nil, &e)
+}
+
 // Close drains the background I/O goroutines and removes the spill file.
 func (s *SpillStore) Close() error {
 	s.mu.Lock()
@@ -467,12 +506,13 @@ func (b *block) weight() int64 {
 }
 
 // enforceBudget evicts lowest-weight blocks until the resident set fits.
-// keep is never evicted (it is the block being actively accessed).
+// keep is never evicted (it is the block being actively accessed). After an
+// I/O failure it evicts nothing: the blocks stay where they can be read.
 func (s *SpillStore) enforceBudget(keep int32) {
 	if s.cfg.BudgetBytes <= 0 {
 		return
 	}
-	for s.resident > s.cfg.BudgetBytes {
+	for s.resident > s.cfg.BudgetBytes && s.err.Load() == nil {
 		victim := int32(-1)
 		var vw int64
 		for i, b := range s.blocks {
@@ -492,14 +532,15 @@ func (s *SpillStore) enforceBudget(keep int32) {
 
 // ensureFile lazily creates the spill file and, in async mode, starts the
 // background writer and prefetcher. Called with s.mu held, before the first
-// spill write.
-func (s *SpillStore) ensureFile() {
+// spill write; false when the file cannot be created.
+func (s *SpillStore) ensureFile() bool {
 	if s.file != nil {
-		return
+		return true
 	}
-	f, err := os.CreateTemp(s.cfg.Dir, "sqlsheet-spill-*.dat")
+	f, err := CreateFile(s.cfg.Dir)
 	if err != nil {
-		panic(fmt.Sprintf("blockstore: create spill file: %v", err))
+		s.fail("create spill file", err)
+		return false
 	}
 	s.file = f
 	if s.cfg.Async {
@@ -510,16 +551,28 @@ func (s *SpillStore) ensureFile() {
 		go s.writeLoop(s.wr)
 		go s.prefetchLoop(s.pf)
 	}
+	return true
 }
 
+// evict writes block i out, unless an I/O failure keeps it resident.
 func (s *SpillStore) evict(i int32) {
 	b := s.blocks[i]
 	if b.dirty {
 		data, err := encodeBlock(b.rows)
 		if err != nil {
+			// A ragged block is a caller bug, not an I/O failure.
 			panic(fmt.Errorf("blockstore: spill encode: %w", err))
 		}
-		s.ensureFile()
+		if !s.ensureFile() {
+			return
+		}
+		if s.wr == nil {
+			if _, err := s.file.WriteAt(data, s.fileEnd); err != nil {
+				s.fail("spill write", err)
+				return
+			}
+			s.stats.spillWrites.Add(1)
+		}
 		b.off, b.length = s.fileEnd, int64(len(data))
 		s.fileEnd += int64(len(data))
 		s.stats.bytesSpilled.Add(int64(len(data)))
@@ -532,15 +585,11 @@ func (s *SpillStore) evict(i int32) {
 			// adjacent ones into single pwrites.
 			s.pending[i] = pendingBlock{off: b.off, data: data}
 			s.wr.push(ioReq{idx: i, off: b.off, data: data})
-		} else {
-			if _, err := s.file.WriteAt(data, b.off); err != nil {
-				panic(fmt.Sprintf("blockstore: spill write: %v", err))
-			}
-			s.stats.spillWrites.Add(1)
 		}
 	}
 	s.stats.blockEvictions.Add(1)
 	s.resident -= b.bytes
+	b.n = len(b.rows)
 	b.rows = nil
 	b.bytes = 0
 }
@@ -569,17 +618,24 @@ func (s *SpillStore) load(i int32) {
 	}
 	data := make([]byte, b.length)
 	if _, err := s.file.ReadAt(data, b.off); err != nil {
-		panic(fmt.Sprintf("blockstore: spill read: %v", err))
+		s.fail("spill read", err)
+		data = nil // decodes to an error: the block comes back NULL
 	}
 	s.installBlock(i, b, data)
 }
 
 // installBlock decodes an encoded block image into block b and charges the
-// load to the budget and statistics. Called with s.mu held.
+// load to the budget and statistics. Called with s.mu held. A block that
+// cannot be read back or decoded comes back as NULL rows of the store's
+// width, the failure recorded: the statement reading it fails.
 func (s *SpillStore) installBlock(i int32, b *block, data []byte) {
 	rows, err := decodeBlock(data)
 	if err != nil {
-		panic(fmt.Sprintf("blockstore: decode: %v", err))
+		s.fail("spill decode", err) // a no-op after a failed read
+		rows = make([]types.Row, b.n)
+		for r := range rows {
+			rows[r] = make(types.Row, s.width)
+		}
 	}
 	b.rows = rows
 	for _, r := range rows {

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -549,6 +550,83 @@ func TestConcurrentGets(t *testing.T) {
 			}
 			wg.Wait()
 			s.Stats()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// flakyFile fails every write, or every read, of the spill file it wraps.
+type flakyFile struct {
+	File
+	writes, reads bool
+}
+
+func (f flakyFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.writes {
+		return 0, errors.New("disk full")
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f flakyFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.reads {
+		return 0, errors.New("bad sector")
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestSpillFailureIsSticky: a spill I/O failure neither panics nor stops the
+// store. The first one is kept in Err; a block whose write failed stays in
+// memory and reads back exactly, and a block that cannot be read back comes
+// back as NULL rows of the store's width.
+func TestSpillFailureIsSticky(t *testing.T) {
+	create := CreateFile
+	defer func() { CreateFile = create }()
+	fill := func(s *SpillStore) []RowID {
+		var ids []RowID
+		for i := 0; i < 40; i++ {
+			ids = append(ids, s.Append(row(i, fmt.Sprintf("v%d", i))))
+		}
+		return ids
+	}
+	for _, c := range []struct {
+		name          string
+		async, writes bool
+		err           string
+	}{
+		{"sync write", false, true, "blockstore: spill write: disk full"},
+		{"async write", true, true, "blockstore: async spill write: disk full"},
+		{"sync read", false, false, "blockstore: spill read: bad sector"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			CreateFile = func(dir string) (File, error) {
+				f, err := create(dir)
+				return flakyFile{File: f, writes: c.writes, reads: !c.writes}, err
+			}
+			s := NewSpill(Config{BudgetBytes: 400, RowsPerBlock: 4, Dir: t.TempDir(), Async: c.async})
+			ids := fill(s)
+			if c.async {
+				s.wr.close() // wait for the background writer's attempts
+				s.wr = nil
+			}
+			nulls := 0
+			for i, id := range ids {
+				got, want := s.Get(id), row(i, fmt.Sprintf("v%d", i))
+				if c.writes && fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("row %d reads %v after a failed write, want %v", i, got, want)
+				}
+				if fmt.Sprint(got) == fmt.Sprint(row(nil, nil)) {
+					nulls++
+				}
+			}
+			if c.writes == (nulls > 0) {
+				t.Fatalf("%d rows read back NULL", nulls)
+			}
+			if err := s.Err(); err == nil || err.Error() != c.err {
+				t.Fatalf("Err() = %v, want %q", err, c.err)
+			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,10 +25,12 @@ import (
 // and deletes, and the serving-path cache snapshots it to invalidate
 // derived artifacts. Version is atomic because cache probes read it
 // lock-free while a concurrent writer (holding the DB statement lock, which
-// readers of *other* tables do not contend on) bumps it. Rows is the
-// writer's master copy: only code holding the exclusive statement lock (or
-// owning the table outright) touches it; everything that scans reads the
-// published image (Img), with its columnar transposition cached on it.
+// readers of *other* tables do not contend on) bumps it. Rows and Schema are
+// the writer's master copies: only code holding the exclusive statement lock
+// (or owning the table outright) touches them; everything that scans reads
+// the published image (Img), with its columnar transposition cached on it,
+// and everything that plans reads the published schema (ReadSchema). A pin
+// (see Insert) replaces Schema copy-on-write.
 type Table struct {
 	Name    string
 	Schema  *types.Schema
@@ -37,8 +41,10 @@ type Table struct {
 	// snapshot isolation scan. Writers publish at statement boundaries
 	// (Publish / Catalog.PublishAll) while holding the exclusive statement
 	// lock; readers pin it lock-free through a Snapshot. See internal/mvcc
-	// for the copy-on-write discipline that makes this safe.
-	img atomic.Pointer[mvcc.Image]
+	// for the copy-on-write discipline that makes this safe. schema is the
+	// Schema published with it.
+	img    atomic.Pointer[mvcc.Image]
+	schema atomic.Pointer[types.Schema]
 	// delta is what the UPDATE or DELETE since the last Publish handed over
 	// (Replace); the next image takes it as its lineage. counters is the
 	// owning catalog's, nil for a table outside one.
@@ -56,18 +62,49 @@ func (t *Table) Publish() {
 	im := mvcc.NewImage(t.Version.Load(), t.Schema.Len(), t.Rows)
 	im.Follow(t.img.Load(), t.delta, t.counters)
 	t.delta = nil
+	t.schema.Store(t.Schema)
 	t.img.Store(im)
 }
+
+// ReadSchema returns the schema as of the last Publish (a registered table
+// has one), for code that does not hold the statement lock: names and width
+// never change, kinds only by a pin.
+func (t *Table) ReadSchema() *types.Schema { return t.schema.Load() }
 
 // Replace installs d.Rows as the table's rows after an UPDATE or DELETE,
 // copy-on-write: d.Rows is a new slice, never the published one written in
 // place. d says which positions of the image the statement read it touched;
 // the next Publish hands that to the new image (and ignores it if anything
-// else changed the table in between).
-func (t *Table) Replace(d *mvcc.Delta) {
+// else changed the table in between). The statement's own rows at d.Patched
+// have their columns d.Cols stored as Insert stores values, converted in
+// place, all or nothing.
+func (t *Table) Replace(d *mvcc.Delta) error {
+	if len(d.Patched) > 0 {
+		rows := make([]types.Row, len(d.Patched))
+		for i, p := range d.Patched {
+			rows[i] = d.Rows[p]
+		}
+		if _, err := t.conform(rows, d.Cols, false); err != nil {
+			return err
+		}
+	}
 	t.Rows = d.Rows
 	t.Version.Add(1)
 	t.delta = d
+	return nil
+}
+
+// Reload replaces the table's rows by keep followed by add, stored as Insert
+// stores them, all or nothing: a materialized view's refresh, which keeps
+// the partitions it did not recompute. Version advances once.
+func (t *Table) Reload(keep, add []types.Row) error {
+	cps, err := t.stage(add)
+	if err != nil {
+		return err
+	}
+	t.Rows = append(keep, cps...)
+	t.Version.Add(1)
+	return nil
 }
 
 // Img returns the table's last published image: what every scan reads.
@@ -163,50 +200,117 @@ func (c *Catalog) Names() []string {
 	return ns
 }
 
-// Insert appends rows to a table, coercing each value to the declared
-// column kind where a kind is declared. It is all or nothing: a row that
-// cannot be stored leaves the table as it was. Version advances once per
-// appended row (incremental view refresh and image lineage count on it).
+// Insert appends rows to a table, all or nothing: a row that cannot be
+// stored leaves the table as it was. Version advances once per appended row
+// (incremental view refresh and image lineage count on it).
+//
+// It is the one place a stored value gets its kind. A declared column stores
+// every value through Coerce. An untyped column (Kind NULL) holds only NULLs
+// until a write stores a value in it; that write pins the column to its
+// values' kind — FLOAT for INT and FLOAT, any other mix is an error — and
+// from then on the column is a declared one.
 func (t *Table) Insert(rows ...types.Row) error {
-	cps := make([]types.Row, len(rows))
-	for ri, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("table %q: row has %d values, schema has %d columns", t.Name, len(r), t.Schema.Len())
-		}
-		cp := make(types.Row, len(r))
-		for i, v := range r {
-			cv, err := Coerce(v, t.Schema.Cols[i].Kind)
-			if err != nil {
-				return fmt.Errorf("table %q column %q: %v", t.Name, t.Schema.Cols[i].Name, err)
-			}
-			cp[i] = cv
-		}
-		cps[ri] = cp
+	cps, err := t.stage(rows)
+	if err != nil {
+		return err
 	}
 	t.Rows = append(t.Rows, cps...)
 	t.Version.Add(int64(len(cps)))
 	return nil
 }
 
-// Coerce converts v to the declared kind. KindNull declarations accept any
-// value unchanged; NULL passes through every declaration.
+// stage returns rows as Insert stores them, the pins included. A row is
+// kept as it is unless a value of it must be converted, which a copy takes:
+// the caller's rows are never written, and must not be written afterwards.
+func (t *Table) stage(rows []types.Row) ([]types.Row, error) {
+	for _, r := range rows {
+		if len(r) != t.Schema.Len() {
+			return nil, fmt.Errorf("table %q: row has %d values, schema has %d columns", t.Name, len(r), t.Schema.Len())
+		}
+	}
+	return t.conform(rows, nil, true)
+}
+
+// conform converts columns cols (nil: every column) of rows to the kinds the
+// table stores them in, the pins the write makes included, and installs
+// those pins (a new Schema) when every value fits. A converted row is
+// written in place; when shared, neither it nor rows is: the row is copied
+// into a copy of rows, which is returned.
+func (t *Table) conform(rows []types.Row, cols []int, shared bool) ([]types.Row, error) {
+	if cols == nil {
+		cols = make([]int, t.Schema.Len())
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	schema := t.Schema
+	for _, ci := range cols {
+		if schema.Cols[ci].Kind != types.KindNull {
+			continue
+		}
+		k := types.KindNull
+		for _, r := range rows {
+			switch v := r[ci]; {
+			case v.IsNull() || v.K == k:
+			case k == types.KindNull:
+				k = v.K
+			case v.IsNumeric() && (k == types.KindInt || k == types.KindFloat):
+				k = types.KindFloat
+			default:
+				return nil, fmt.Errorf("table %q column %q: one column cannot hold %s and %s values", t.Name, schema.Cols[ci].Name, k, v.K)
+			}
+		}
+		if k != types.KindNull {
+			if schema == t.Schema {
+				schema = types.NewSchema(slices.Clone(schema.Cols)...)
+			}
+			schema.Cols[ci].Kind = k
+		}
+	}
+	cloned := !shared
+	for ri, r := range rows {
+		own := !shared
+		for _, ci := range cols {
+			if k := schema.Cols[ci].Kind; r[ci].K == k || r[ci].IsNull() {
+				continue // stored as it is
+			}
+			v, err := Coerce(r[ci], schema.Cols[ci].Kind)
+			if err != nil {
+				return nil, fmt.Errorf("table %q column %q: %v", t.Name, schema.Cols[ci].Name, err)
+			}
+			if !own {
+				if !cloned {
+					rows, cloned = slices.Clone(rows), true
+				}
+				r, own = r.Clone(), true
+				rows[ri] = r
+			}
+			r[ci] = v
+		}
+	}
+	t.Schema = schema
+	return rows, nil
+}
+
+// Coerce converts v to the declared kind k: an INT widens to FLOAT, a FLOAT
+// narrows to INT only when it is an integer int64 holds, and anything becomes
+// a STRING as it prints. NULL passes through every declaration, and a Kind
+// NULL one (an unpinned column) holds nothing else.
 func Coerce(v types.Value, k types.Kind) (types.Value, error) {
-	if v.IsNull() || k == types.KindNull || v.K == k {
+	f := v.F
+	switch {
+	case v.IsNull() || v.K == k:
 		return v, nil
-	}
-	switch k {
-	case types.KindInt:
-		if v.K == types.KindFloat {
-			return types.NewInt(int64(v.F)), nil
-		}
-	case types.KindFloat:
-		if v.K == types.KindInt {
-			return types.NewFloat(float64(v.I)), nil
-		}
-	case types.KindString:
+	case k == types.KindFloat && v.K == types.KindInt:
+		return types.NewFloat(float64(v.I)), nil
+	case k == types.KindString:
 		return types.NewString(v.String()), nil
+	case k != types.KindInt || v.K != types.KindFloat:
+		return types.Null, fmt.Errorf("cannot store %s value as %s", v.K, k)
+	case f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63: // ±2^63 are exact floats; int64 holds only the first
+		return types.NewInt(int64(f)), nil
 	}
-	return types.Null, fmt.Errorf("cannot store %s value as %s", v.K, k)
+	return types.Null, fmt.Errorf("cannot store FLOAT value %s as INT: not an integer in range", v.String())
 }
 
 // ReadCSV parses CSV data into rows of the given width, touching no table:

@@ -48,8 +48,8 @@ func randValue(rng *rand.Rand) types.Value {
 	}
 }
 
-// sameKind constrains a column to one kind so typed (non-boxed)
-// representations are exercised; p controls NULL density.
+// randTypedColumnRows draws a column of one kind (a column's only
+// representable shape); pNull controls NULL density.
 func randTypedColumnRows(rng *rand.Rand, n int, kind types.Kind, pNull float64) []types.Value {
 	out := make([]types.Value, n)
 	for i := range out {
@@ -100,11 +100,6 @@ func TestValueRoundTrip(t *testing.T) {
 		randTypedColumnRows(rng, 300, types.KindBool, 0.3),
 		make([]types.Value, 100), // all-null
 	}
-	mixed := make([]types.Value, 300)
-	for i := range mixed {
-		mixed[i] = randValue(rng)
-	}
-	cases = append(cases, mixed)
 	for ci, vals := range cases {
 		c := colFromValues(t, vals)
 		for i, want := range vals {
@@ -140,17 +135,12 @@ func TestAppendKeyMatchesTypes(t *testing.T) {
 			}
 		}
 	}
-	// Mixed (boxed) and all-null columns go through the same fallback.
-	mixed := make([]types.Value, 400)
-	for i := range mixed {
-		mixed[i] = randValue(rng)
-	}
-	for _, vals := range [][]types.Value{mixed, make([]types.Value, 50)} {
-		c := colFromValues(t, vals)
-		for i, v := range vals {
-			if got, want := c.AppendKey(nil, i), types.AppendKey(nil, v); !bytes.Equal(got, want) {
-				t.Fatalf("row %d (%v): key %x want %x", i, v, got, want)
-			}
+	// All-null columns have no vector at all.
+	nulls := make([]types.Value, 50)
+	c := colFromValues(t, nulls)
+	for i, v := range nulls {
+		if got, want := c.AppendKey(nil, i), types.AppendKey(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("row %d (%v): key %x want %x", i, v, got, want)
 		}
 	}
 	// Dictionary overflow: past DictMaxEntries the builder switches to plain
@@ -231,6 +221,40 @@ func TestDictEncoding(t *testing.T) {
 	}
 	if _, ok := c.DictCode("zzz"); ok {
 		t.Fatal("DictCode matched absent string")
+	}
+}
+
+// TestMixedKindsAreNotRepresentable: a column whose values mix kinds —
+// INT beside FLOAT included — has no columnar form, whichever builder is
+// asked; NULLs mix with any one kind.
+func TestMixedKindsAreNotRepresentable(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	random := make([]types.Value, 300)
+	for i := range random {
+		random[i] = randValue(rng)
+	}
+	cases := [][]types.Value{
+		random,
+		{types.NewInt(1), types.NewFloat(2.5)},
+		{types.Null, types.NewString("a"), types.Null, types.NewBool(true)},
+	}
+	for ci, vals := range cases {
+		rows := make([]types.Row, len(vals))
+		for i, v := range vals {
+			rows[i] = types.Row{types.NewInt(int64(i)), v}
+		}
+		if FromRows(2, rows) != nil {
+			t.Errorf("case %d: FromRows built an image of a mixed column", ci)
+		}
+		for _, dict := range []bool{true, false} {
+			if FromValues(vals, dict) != nil {
+				t.Errorf("case %d: FromValues(dict=%v) represented a mixed column", ci, dict)
+			}
+		}
+	}
+	one := []types.Value{types.Null, types.NewFloat(1), types.Null, types.NewFloat(2.5)}
+	if c := FromValues(one, true); c == nil || c.Kind != types.KindFloat || !c.IsNull(0) {
+		t.Errorf("FLOAT with NULLs: %+v", c)
 	}
 }
 

@@ -5,15 +5,18 @@
 // flat and addressed by global row index; processing happens over fixed-size
 // chunks (ChunkSize rows) — the morsel pipeline hands kernels contiguous
 // [lo,hi) ranges, so a "chunk" is a position range into the flat vectors
-// rather than a separately allocated block. Columns that mix kinds across
-// rows (legal in this engine: untyped catalog columns and spreadsheet
-// working rows) demote to a boxed []types.Value vector, keeping the image
-// lossless: Value(i) reconstructs exactly the value the row held, bit for
-// bit, so vectorized and row-at-a-time execution produce identical bytes.
+// rather than a separately allocated block. A column holds values of one
+// kind: Value(i) reconstructs exactly the value the row held, bit for bit,
+// so vectorized and row-at-a-time execution produce identical bytes. Values
+// that mix kinds in one column have no image: the builders say so, and the
+// caller stays on the row path. A stored table never mixes them (the catalog
+// gives every stored value its column's kind); only computed values can —
+// spreadsheet measures and expression results.
 package colstore
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"sqlsheet/internal/types"
@@ -51,8 +54,7 @@ func (b Bitmap) Clear(i int) { b[uint(i)>>6] &^= 1 << (uint(i) & 63) }
 //   - Kind INT/BOOL: Ints (booleans store 0/1, mirroring types.Value.I)
 //   - Kind FLOAT:    Floats
 //   - Kind STRING:   Dict+Codes (dictionary-encoded) or Strs (plain)
-//   - Kind NULL, Boxed nil:     every row is NULL (all-null column)
-//   - Kind NULL, Boxed non-nil: mixed kinds, boxed row values
+//   - Kind NULL:     every row is NULL (all-null column)
 //
 // Nulls, when non-nil, flags NULL rows of a typed column; the vector slot of
 // a NULL row holds the zero element and must not be interpreted.
@@ -66,7 +68,6 @@ type Column struct {
 	Strs   []string
 	Dict   []string
 	Codes  []uint32
-	Boxed  []types.Value
 
 	dictIdx map[string]uint32
 }
@@ -79,9 +80,6 @@ func (c *Column) IsDict() bool { return c.Dict != nil }
 
 // IsNull reports whether row i is NULL.
 func (c *Column) IsNull(i int) bool {
-	if c.Boxed != nil {
-		return c.Boxed[i].IsNull()
-	}
 	if c.Kind == types.KindNull {
 		return true
 	}
@@ -89,12 +87,8 @@ func (c *Column) IsNull(i int) bool {
 }
 
 // Value reconstructs row i as a boxed scalar, exactly the value the source
-// row held. Kernel fast paths avoid this; generic fallbacks and key encoding
-// for boxed columns go through it.
+// row held. Kernel fast paths avoid this; generic fallbacks go through it.
 func (c *Column) Value(i int) types.Value {
-	if c.Boxed != nil {
-		return c.Boxed[i]
-	}
 	if c.IsNull(i) {
 		return types.Null
 	}
@@ -146,9 +140,6 @@ func intKeyable(f float64) bool {
 // byte what types.AppendKey(buf, c.Value(i)) produces — including the
 // integral-float-to-int normalization — without boxing on the typed paths.
 func (c *Column) AppendKey(buf []byte, i int) []byte {
-	if c.Boxed != nil {
-		return types.AppendKey(buf, c.Boxed[i])
-	}
 	if c.IsNull(i) {
 		return append(buf, 0x00)
 	}
@@ -188,51 +179,37 @@ func appendIntKey(buf []byte, v int64) []byte {
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
 
-// buildColumn materializes column ci of rows. Two passes: the first decides
-// the representation (uniform kind? NULLs? dictionary-sized cardinality?),
-// the second fills exact-sized vectors.
-func buildColumn(ci int, rows []types.Row) *Column {
-	n := len(rows)
-	kind := types.KindNull
-	hasNull := false
-	mixed := false
-	for _, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
+// buildColumn materializes a column of vals, nil when they mix kinds. Two
+// passes: the first decides the representation (one kind? NULLs?), the
+// second fills exact-sized vectors. Strings are dictionary-encoded when dict
+// is set — stored plain past DictMaxEntries — and plain otherwise. vals is
+// not retained.
+func buildColumn(vals []types.Value, dict bool) *Column {
+	n := len(vals)
+	kind, hasNull := types.KindNull, false
+	for _, v := range vals {
+		switch {
+		case v.IsNull():
 			hasNull = true
-			continue
-		}
-		if kind == types.KindNull {
+		case kind == types.KindNull:
 			kind = v.K
-		} else if v.K != kind {
-			mixed = true
-			break
+		case v.K != kind:
+			return nil
 		}
-	}
-	if mixed {
-		boxed := make([]types.Value, n)
-		for i, r := range rows {
-			boxed[i] = r[ci]
-		}
-		return &Column{Kind: types.KindNull, N: n, Boxed: boxed}
 	}
 	c := &Column{Kind: kind, N: n}
-	if kind == types.KindNull {
-		// All-null column: no vector at all.
-		c.Nulls = NewBitmap(n)
-		for i := 0; i < n; i++ {
-			c.Nulls.Set(i)
-		}
-		return c
-	}
 	if hasNull {
 		c.Nulls = NewBitmap(n)
 	}
 	switch kind {
+	case types.KindNull: // all-null column: no vector at all
+		for i := 0; i < n; i++ {
+			c.Nulls.Set(i)
+		}
 	case types.KindInt, types.KindBool:
 		c.Ints = make([]int64, n)
-		for i, r := range rows {
-			if v := r[ci]; v.IsNull() {
+		for i, v := range vals {
+			if v.IsNull() {
 				c.Nulls.Set(i)
 			} else {
 				c.Ints[i] = v.I
@@ -240,28 +217,45 @@ func buildColumn(ci int, rows []types.Row) *Column {
 		}
 	case types.KindFloat:
 		c.Floats = make([]float64, n)
-		for i, r := range rows {
-			if v := r[ci]; v.IsNull() {
+		for i, v := range vals {
+			if v.IsNull() {
 				c.Nulls.Set(i)
 			} else {
 				c.Floats[i] = v.F
 			}
 		}
 	case types.KindString:
-		fillString(c, ci, rows)
+		if dict && c.fillDict(vals) {
+			break
+		}
+		c.Strs = make([]string, n)
+		for i, v := range vals {
+			if v.IsNull() {
+				c.Nulls.Set(i)
+			} else {
+				c.Strs[i] = v.S
+			}
+		}
 	}
 	return c
 }
 
-// fillString dictionary-encodes a string column, falling back to plain
-// storage when the dictionary overflows DictMaxEntries.
-func fillString(c *Column, ci int, rows []types.Row) {
-	n := len(rows)
+// columnOf copies column ci of rows into buf, grown to len(rows).
+func columnOf(buf []types.Value, rows []types.Row, ci int) []types.Value {
+	buf = slices.Grow(buf[:0], len(rows))[:len(rows)]
+	for i, r := range rows {
+		buf[i] = r[ci]
+	}
+	return buf
+}
+
+// fillDict dictionary-encodes a string column, or reports that the
+// dictionary would outgrow DictMaxEntries.
+func (c *Column) fillDict(vals []types.Value) bool {
 	dictIdx := make(map[string]uint32)
 	dict := make([]string, 0, 16)
-	codes := make([]uint32, n)
-	for i, r := range rows {
-		v := r[ci]
+	codes := make([]uint32, len(vals))
+	for i, v := range vals {
 		if v.IsNull() {
 			c.Nulls.Set(i)
 			continue
@@ -269,18 +263,7 @@ func fillString(c *Column, ci int, rows []types.Row) {
 		code, ok := dictIdx[v.S]
 		if !ok {
 			if len(dict) >= DictMaxEntries {
-				// Overflow: abandon the dictionary, store plain strings.
-				// Re-walk every row: NULL bits past position i haven't
-				// been set yet (re-setting earlier ones is idempotent).
-				c.Strs = make([]string, n)
-				for j, rr := range rows {
-					if rr[ci].IsNull() {
-						c.Nulls.Set(j)
-					} else {
-						c.Strs[j] = rr[ci].S
-					}
-				}
-				return
+				return false
 			}
 			code = uint32(len(dict))
 			dict = append(dict, v.S)
@@ -289,6 +272,7 @@ func fillString(c *Column, ci int, rows []types.Row) {
 		codes[i] = code
 	}
 	c.Dict, c.Codes, c.dictIdx = dict, codes, dictIdx
+	return true
 }
 
 // selPool recycles selection-vector scratch buffers across morsels and

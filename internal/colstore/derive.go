@@ -29,7 +29,7 @@ type Misfit string
 const (
 	Fits         Misfit = ""
 	FirstNull    Misfit = "first-null"    // NULL into a column without a bitmap
-	KindChange   Misfit = "kind-change"   // a second kind: FromRows would box the column
+	KindChange   Misfit = "kind-change"   // the first values of an all-NULL column
 	DictOverflow Misfit = "dict-overflow" // FromRows would abandon the dictionary
 	Ragged       Misfit = "ragged"        // a row of another width: no image at all
 )
@@ -64,7 +64,6 @@ func (c *Column) clip() {
 	c.Strs = slices.Clip(c.Strs)
 	c.Dict = slices.Clip(c.Dict)
 	c.Codes = slices.Clip(c.Codes)
-	c.Boxed = slices.Clip(c.Boxed)
 }
 
 // publish installs wide as t's columns, clipped, and keeps it as t's tail.
@@ -148,7 +147,6 @@ func (c *Column) cloneVectors() {
 	c.Floats = roomy(c.Floats)
 	c.Strs = roomy(c.Strs)
 	c.Codes = roomy(c.Codes)
-	c.Boxed = roomy(c.Boxed)
 }
 
 func roomy[T any](s []T) []T {
@@ -182,14 +180,11 @@ func (c *Column) code(s string, owned *bool) (uint32, Misfit) {
 }
 
 // extend appends column ci of add to c, which owns the room behind its
-// vectors.
+// vectors. A non-NULL value has c's kind: the rows are a stored table's, and
+// the catalog stores every value of a column in one kind.
 func (c *Column) extend(ci int, add []types.Row) Misfit {
 	n := c.N + len(add)
 	switch {
-	case c.Boxed != nil:
-		for _, r := range add {
-			c.Boxed = append(c.Boxed, r[ci]) // interp-ok: boxed-column arm, values stay boxed
-		}
 	case c.Kind == types.KindNull:
 		for _, r := range add {
 			if !r[ci].IsNull() {
@@ -214,8 +209,6 @@ func (c *Column) extend(ci int, add []types.Row) Misfit {
 				}
 				c.Nulls.Set(c.N + i)
 				v = types.Value{} // a NULL slot holds the zero element
-			} else if v.K != c.Kind {
-				return KindChange
 			}
 			switch {
 			case c.Kind == types.KindFloat:
@@ -240,15 +233,13 @@ func (c *Column) extend(ci int, add []types.Row) Misfit {
 }
 
 // patch rewrites c's slots at pos from column ci of rows; c owns its vectors.
+// As in extend, a non-NULL value has c's kind.
 func (c *Column) patch(ci int, rows []types.Row, pos []int32) Misfit {
 	ownDict := false
 	for _, p := range pos {
 		v := rows[p][ci]
 		null := v.IsNull()
 		switch {
-		case c.Boxed != nil:
-			c.Boxed[p] = v // interp-ok: boxed-column arm, values stay boxed
-			continue
 		case c.Kind == types.KindNull:
 			if !null {
 				return KindChange
@@ -260,8 +251,6 @@ func (c *Column) patch(ci int, rows []types.Row, pos []int32) Misfit {
 			}
 			c.Nulls.Set(int(p))
 			v = types.Value{} // a NULL slot holds the zero element
-		case v.K != c.Kind:
-			return KindChange
 		case c.Nulls != nil:
 			c.Nulls.Clear(int(p))
 		}

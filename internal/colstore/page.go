@@ -11,16 +11,17 @@ import (
 // Page codec: a block of rows serialized column-major with per-column
 // dictionary and varint compression. The spill store writes one page per
 // evicted block; pages decode back to the exact rows encoded (kinds
-// preserved, including mixed-kind columns via the boxed representation).
+// preserved, including columns that mix kinds).
 //
 //	page   := nrows:uvarint ncols:uvarint column*
 //	column := repr:byte nulls? payload
 //	repr   := 0 all-null | 1 int | 2 float | 3 string-plain |
-//	          4 string-dict | 5 bool | 6 boxed
+//	          4 string-dict | 5 bool | 6 mixed
 //	nulls  := hasNulls:byte [bitmap: ceil(nrows/64)*8 bytes]   (repr 1..5)
 //
 // Typed payloads carry only non-NULL slots in row order; the null bitmap
-// says which slots were skipped. Boxed columns carry every slot kind-tagged.
+// says which slots were skipped. A column mixing kinds (a spreadsheet measure
+// can, a stored column cannot) carries every slot kind-tagged.
 const (
 	pageAllNull byte = iota
 	pageInt
@@ -28,32 +29,33 @@ const (
 	pageStrPlain
 	pageStrDict
 	pageBool
-	pageBoxed
+	pageMixed
 )
 
 // AppendPage appends the page encoding of rows to buf. ok=false means the
-// rows are ragged (no columnar image) and nothing was appended.
+// rows are ragged and nothing was appended.
 func AppendPage(buf []byte, ncols int, rows []types.Row) ([]byte, bool) {
-	t := FromRows(ncols, rows)
-	if t == nil {
+	if !Rectangular(ncols, rows) {
 		return buf, false
 	}
-	buf = binary.AppendUvarint(buf, uint64(t.NRows))
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	buf = binary.AppendUvarint(buf, uint64(ncols))
-	for _, c := range t.Cols {
-		buf = appendColumn(buf, c)
+	var vals []types.Value
+	for ci := 0; ci < ncols; ci++ {
+		vals = columnOf(vals, rows, ci)
+		if c := buildColumn(vals, true); c != nil {
+			buf = appendColumn(buf, c)
+			continue
+		}
+		buf = append(buf, pageMixed)
+		for _, v := range vals {
+			buf = appendValue(buf, v)
+		}
 	}
 	return buf, true
 }
 
 func appendColumn(buf []byte, c *Column) []byte {
-	if c.Boxed != nil {
-		buf = append(buf, pageBoxed)
-		for _, v := range c.Boxed {
-			buf = appendValue(buf, v)
-		}
-		return buf
-	}
 	if c.Kind == types.KindNull {
 		return append(buf, pageAllNull)
 	}
@@ -247,7 +249,7 @@ func (d *pageDecoder) column(rows []types.Row, ci, nrows int) error {
 	switch repr {
 	case pageAllNull:
 		return nil // rows start out zeroed = NULL
-	case pageBoxed:
+	case pageMixed:
 		for i := 0; i < nrows; i++ {
 			rows[i][ci] = d.value()
 		}

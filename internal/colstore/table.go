@@ -27,16 +27,21 @@ func Rectangular(ncols int, rows []types.Row) bool {
 	return true
 }
 
-// FromRows builds the columnar image of rows, or nil when rows are ragged.
-// It is the definition of the image: Extend, Patch and Keep derive the same
-// image from a predecessor's and are tested against it.
+// FromRows builds the columnar image of rows, or nil when rows have none:
+// ragged, or a column mixing kinds. It is the definition of the image:
+// Extend, Patch and Keep derive the same image from a predecessor's and are
+// tested against it.
 func FromRows(ncols int, rows []types.Row) *Table {
 	if !Rectangular(ncols, rows) {
 		return nil
 	}
 	t := &Table{NRows: len(rows), Cols: make([]*Column, ncols), Rows: rows}
+	var buf []types.Value
 	for ci := range t.Cols {
-		t.Cols[ci] = buildColumn(ci, rows)
+		buf = columnOf(buf, rows, ci)
+		if t.Cols[ci] = buildColumn(buf, true); t.Cols[ci] == nil {
+			return nil
+		}
 	}
 	return t
 }

@@ -164,14 +164,24 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 			}
 		}
 	}
-	return ps.Rows(m.ReturnUpdated), ps.Stats(), nil
+	out := ps.Rows(m.ReturnUpdated)
+	// Closing drains the stores' background writers: every spill I/O failure
+	// is known, and fails the statement (the rows may be wrong).
+	ps.Close()
+	for _, b := range ps.buckets {
+		if err := b.store.Err(); err != nil {
+			return nil, ps.Stats(), err
+		}
+	}
+	return out, ps.Stats(), nil
 }
 
 // evalBucket evaluates every frame of one first-level bucket: level → rule →
 // frame over the whole bucket where levelMajor allows it, so a batchable
 // existential rule fires once for every partition of the bucket, frame by
 // frame otherwise. Both orders poll for cancellation once per frame visited
-// (and every few thousand rows a batch images).
+// (and every few thousand rows a batch images); the frame-at-a-time order,
+// which a spilling store takes, polls the store's I/O failure beside it.
 func (fe *frameEval) evalBucket(b *bucket) error {
 	if fe.levelMajor(b) {
 		if len(b.frames) == 0 {
@@ -186,6 +196,9 @@ func (fe *frameEval) evalBucket(b *bucket) error {
 	}
 	for _, f := range b.frames {
 		if err := fe.opts.ctxErr(); err != nil {
+			return err
+		}
+		if err := b.store.Err(); err != nil {
 			return err
 		}
 		if err := fe.evalFrame(f); err != nil {

@@ -149,13 +149,10 @@ type vecRuleProg struct {
 	preds []eval.SelKernel
 	// cols lists the working-schema columns the batch reads out of the
 	// frames' rows, each once: what image (existential rules) or the target
-	// mini image (single-cell rules) must materialise.
+	// mini image (single-cell rules) must materialise. One whose values mix
+	// kinds (INT and FLOAT in one measure, say) has no image, and the batch
+	// falls back to per cell before it writes anything.
 	cols []int
-	// typed lists the image columns the right side computes on, directly or
-	// through a cell leaf's gather: a mixed-kind (boxed) one has no kernel,
-	// so an existential batch checks them first and falls back before
-	// building anything else.
-	typed []int
 }
 
 // vecRuleCompiler carries the state of one rule's batch compilation.
@@ -458,16 +455,6 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 	prog.leaves = c.leaves
 	prog.note = ruleVecYes
 	prog.cols = c.imageCols(prog)
-	for _, o := range rhs.ColRefs(nil) {
-		if o < c.base && !slices.Contains(prog.typed, o) {
-			prog.typed = append(prog.typed, o)
-		}
-	}
-	for _, lf := range c.leaves {
-		if lf.kind == leafCell && !slices.Contains(prog.typed, lf.mea) {
-			prog.typed = append(prog.typed, lf.mea)
-		}
-	}
 	return prog
 }
 
@@ -622,7 +609,7 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 	if err != nil {
 		return true, err // context cancellation; the scan ticked like the row path
 	}
-	if slices.ContainsFunc(prog.typed, func(c int) bool { return img.Cols[c].Boxed != nil }) {
+	if img == nil {
 		return false, nil // e.g. INT and FLOAT values in one measure: per cell
 	}
 	n := img.NRows
@@ -680,7 +667,9 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 	// earlier leaves). cv() leaves alias the image's dimension columns (each
 	// target's cv is its own row); partition constants and aggregates repeat
 	// each frame's value over its rows. Unselected slots of the reference
-	// and cell leaves stay NULL; the right side never reads them.
+	// and cell leaves stay NULL; the right side never reads them. A leaf
+	// without a column (its values mix kinds, or a key kernel failed) leaves
+	// the rule per cell.
 	ext := img.WithExtra(make([]*colstore.Column, len(prog.leaves)))
 	perFrame := make([]types.Value, len(fs))
 	for li := range prog.leaves {
@@ -699,10 +688,7 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 		case leafAgg:
 			col = fe.spread(offs, aggVals[li])
 		case leafRef:
-			var ok bool
-			if col, ok = fe.refColumn(ext, lf, sel); !ok {
-				return false, nil
-			}
+			col = fe.refColumn(ext, lf, sel)
 		case leafCell:
 			// One bulk probe of each row's own frame, then a gather of the
 			// referenced measure (a miss gathers NULL — the row path's miss
@@ -712,6 +698,9 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 				return false, nil
 			}
 			col = colstore.Gather(img.Cols[lf.mea], fe.probeFrames(fs, offs, segs, keys, rows, sel, n))
+		}
+		if col == nil {
+			return false, nil
 		}
 		ext.Cols[lf.ord] = col
 	}
@@ -746,21 +735,17 @@ func (fe *frameEval) boxedScratch(n int) []types.Value {
 }
 
 // columnOf builds an image column from values taken out of boxedScratch —
-// strings stored plain: the image lives for one batch — and clears them for
-// the next use, unless the column keeps the slice (a mixed-kind column
-// stores its values boxed), in which case the scratch is given up.
+// strings stored plain: the image lives for one batch, read a few times, and
+// a dictionary (a map probe per value) would cost more than it saves — and
+// clears them for the next use; nil when the values mix kinds.
 func (fe *frameEval) columnOf(vals []types.Value) *colstore.Column {
-	c := colstore.FromValuesPlain(vals)
-	if c.Boxed != nil {
-		fe.boxed = nil
-	} else {
-		clear(vals)
-	}
+	c := colstore.FromValues(vals, false)
+	clear(vals)
 	return c
 }
 
 // spread builds the image column holding, over each frame's rows
-// offs[i]:offs[i+1], that frame's value vals[i].
+// offs[i]:offs[i+1], that frame's value vals[i] (nil when they mix kinds).
 func (fe *frameEval) spread(offs []int, vals []types.Value) *colstore.Column {
 	out := fe.boxedScratch(offs[len(vals)])
 	for i, v := range vals {
@@ -817,11 +802,11 @@ func (fe *frameEval) identity(n int) []int32 {
 // sel, one probe of the sheet's index per selected row (the key bytes are
 // types.AppendKey's, as RefMeta.Load indexed them), and the read measure as a
 // tbl.NRows-row column, NULL on a miss — the row path's miss value — and
-// outside sel.
-func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) (*colstore.Column, bool) {
+// outside sel. nil when a key kernel fails or the values read mix kinds.
+func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) *colstore.Column {
 	keys, rows, ok := fe.keyCols(tbl, lf, sel)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	vals := fe.boxedScratch(tbl.NRows)
 	buf := fe.refKey
@@ -835,7 +820,7 @@ func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) (*
 		}
 	}
 	fe.refKey = buf
-	return fe.columnOf(vals), true
+	return fe.columnOf(vals)
 }
 
 // probeFrames resolves a main-sheet cell leaf over a run of frames imaged
@@ -930,7 +915,9 @@ targets:
 			}
 		}
 		for i, c := range prog.cols {
-			cols[c] = colstore.FromValues(bufs[i])
+			if cols[c] = colstore.FromValues(bufs[i], true); cols[c] == nil {
+				return false, nil
+			}
 		}
 	}
 	mini := &colstore.Table{NRows: nb, Cols: cols}
@@ -948,7 +935,7 @@ targets:
 			for k, ti := range tis {
 				vals[k] = e.targets[ti][lf.dim]
 			}
-			col = colstore.FromValues(vals)
+			col = colstore.FromValues(vals, true)
 		case leafPbyCV:
 			col = colstore.Broadcast(fe.f.pby[lf.dim], nb)
 		case leafNull:
@@ -962,12 +949,9 @@ targets:
 				}
 				vals[k] = inst.acc.Result()
 			}
-			col = colstore.FromValues(vals)
+			col = colstore.FromValues(vals, true)
 		case leafRef:
-			var ok bool
-			if col, ok = fe.refColumn(ext, lf, idSel); !ok {
-				return false, nil
-			}
+			col = fe.refColumn(ext, lf, idSel)
 		case leafCell:
 			keys, rows, ok := fe.keyCols(ext, lf, idSel)
 			if !ok {
@@ -981,7 +965,10 @@ targets:
 					vals[k] = fe.f.Row(int(pp))[lf.mea]
 				}
 			}
-			col = colstore.FromValues(vals)
+			col = colstore.FromValues(vals, true)
+		}
+		if col == nil {
+			return false, nil
 		}
 		ext.Cols[lf.ord] = col
 	}

@@ -115,6 +115,9 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 	if err != nil {
 		return true, err
 	}
+	if img == nil {
+		return false, nil // a column mixes kinds
+	}
 	// Argument vector kinds are a property of the image; resolve them and
 	// every batch accumulator before touching any instance, so a late
 	// fallback leaves all accumulators untouched for the row scan.
@@ -174,7 +177,9 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 // same frames extracts each column it reads once, then again only after a
 // rule assigned it; a column no kernel reads is never extracted. Asking for
 // another run of frames replaces the cache. Extraction is one scan ticking
-// per row exactly like the row scans it replaces. The returned table owns its
+// per row exactly like the row scans it replaces. A listed column whose
+// values mix kinds has no image: the cache remembers that (mixedColumn) until
+// the column is written, and the returned table is nil. Otherwise it owns its
 // Cols slice but shares the cached columns; callers treat images as
 // immutable (WithExtra copies before extending).
 func (fe *frameEval) image(fs []*Frame, need []int) (*colstore.Table, []int, error) {
@@ -225,17 +230,31 @@ func (fe *frameEval) image(fs []*Frame, need []int) (*colstore.Table, []int, err
 			}
 		}
 		for i, c := range todo {
-			b.img[c] = fe.columnOf(vals[i])
+			if b.img[c] = fe.columnOf(vals[i]); b.img[c] == nil {
+				b.img[c] = mixedColumn
+			}
 		}
 	}
-	return &colstore.Table{NRows: n, Cols: slices.Clone(b.img)}, b.imgOff, nil
+	return b.table(need), b.imgOff, nil
+}
+
+// mixedColumn stands, in a bucket's image cache, for a column whose values
+// mix kinds: it was examined, and has no image.
+var mixedColumn = new(colstore.Column)
+
+// table returns the cached image, nil when a listed column mixes kinds.
+func (b *bucket) table(need []int) *colstore.Table {
+	if slices.ContainsFunc(need, func(c int) bool { return b.img[c] == mixedColumn }) {
+		return nil
+	}
+	return &colstore.Table{NRows: b.imgOff[len(b.imgOff)-1], Cols: slices.Clone(b.img)}
 }
 
 // frameImage returns a columnar image holding the current frame's rows at
 // [base, base+Len()) with the listed columns materialised: the bucket's
 // cached image when it covers the frame and every listed column, otherwise
 // an image of the frame alone (which the following scans of the frame then
-// share).
+// share). As with image, img is nil when a listed column mixes kinds.
 func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err error) {
 	f := fe.f
 	b := f.b
@@ -244,7 +263,7 @@ func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err 
 		if err := fe.tickN(f.Len()); err != nil {
 			return nil, 0, err
 		}
-		return &colstore.Table{NRows: b.imgOff[len(b.imgOff)-1], Cols: slices.Clone(b.img)}, b.imgOff[i], nil
+		return b.table(need), b.imgOff[i], nil
 	}
 	img, _, err = fe.image(b.frames[f.ord:f.ord+1], need)
 	return img, 0, err

@@ -288,18 +288,13 @@ func numericOrNull(k types.Kind) bool {
 // evaluates on the vectorized path and what kind its output vector has.
 // Shapes the closure path would reject with a "non-numeric operand" error —
 // strings or booleans under arithmetic — are unsupported so the fallback
-// raises the identical error; boxed (mixed-kind) columns are unsupported
-// because their slots have no single typed vector.
+// raises the identical error.
 func (n *exprNode) kindIn(in *VecInput) (types.Kind, bool) {
 	switch n.op {
 	case opConst:
 		return n.val.K, true
 	case opCol:
-		c := in.col(n.ord)
-		if c.Boxed != nil {
-			return 0, false
-		}
-		return c.Kind, true
+		return in.col(n.ord).Kind, true
 	case opNeg:
 		k, ok := n.l.kindIn(in)
 		if !ok || !numericOrNull(k) {

@@ -301,14 +301,16 @@ func rowAt(ridx []int32, p int32) int {
 	return int(p)
 }
 
-// genericSel is the boxed-column fallback: per-row boxed values through
-// pred, NULL rows skipped (a NULL operand never yields TRUE in any kernel
-// leaf). Still a batch kernel — no Context, no binding — just not typed.
+// genericSel is the untyped fallback for operand kinds a kernel has no
+// loop for (mismatched constant kinds, LIKE over a non-string column):
+// per-row boxed values through pred, NULL rows skipped (a NULL operand never
+// yields TRUE in any kernel leaf). Still a batch kernel — no Context, no
+// binding — just not typed.
 func genericSel(in *VecInput, c *colstore.Column, sel, out []int32, pred func(types.Value) bool) []int32 {
 	ridx := in.RowIdx
 	for _, p := range sel {
 		r := rowAt(ridx, p)
-		v := c.Value(r) // interp-ok: boxed/mixed-kind column fallback
+		v := c.Value(r) // interp-ok: kind-mismatch fallback, no typed loop applies
 		if v.IsNull() {
 			continue
 		}
@@ -433,11 +435,6 @@ func cmpColConst(ord int, op string, cv types.Value, neg bool) selFn {
 
 	return func(in *VecInput, sel, out []int32) []int32 {
 		c := in.col(ord)
-		if c.Boxed != nil {
-			return genericSel(in, c, sel, out, func(v types.Value) bool {
-				return CompareSQL(op, v, cv).Bool() != neg
-			})
-		}
 		if c.Kind == types.KindNull {
 			return out // all-null column: never TRUE
 		}
@@ -663,10 +660,10 @@ func cmpColCol(la, ra int, op string, neg bool) selFn {
 	return func(in *VecInput, sel, out []int32) []int32 {
 		a, b := in.col(la), in.col(ra)
 		ridx := in.RowIdx
-		aNum := a.Boxed == nil && (a.Kind == types.KindInt || a.Kind == types.KindFloat)
-		bNum := b.Boxed == nil && (b.Kind == types.KindInt || b.Kind == types.KindFloat)
+		aNum := a.Kind == types.KindInt || a.Kind == types.KindFloat
+		bNum := b.Kind == types.KindInt || b.Kind == types.KindFloat
 		switch {
-		case a.Boxed == nil && b.Boxed == nil && a.Kind == types.KindInt && b.Kind == types.KindInt:
+		case a.Kind == types.KindInt && b.Kind == types.KindInt:
 			ai, bi := a.Ints, b.Ints
 			for _, p := range sel {
 				r := rowAt(ridx, p)
@@ -717,7 +714,7 @@ func cmpColCol(la, ra int, op string, neg bool) selFn {
 					out = append(out, p)
 				}
 			}
-		case a.Boxed == nil && b.Boxed == nil && a.Kind == types.KindString && b.Kind == types.KindString:
+		case a.Kind == types.KindString && b.Kind == types.KindString:
 			for _, p := range sel {
 				r := rowAt(ridx, p)
 				if a.IsNull(r) || b.IsNull(r) {
@@ -743,8 +740,8 @@ func cmpColCol(la, ra int, op string, neg bool) selFn {
 		default:
 			for _, p := range sel {
 				r := rowAt(ridx, p)
-				av := a.Value(r) // interp-ok: mixed-representation column pair fallback
-				bv := b.Value(r) // interp-ok: mixed-representation column pair fallback
+				av := a.Value(r) // interp-ok: cross-kind column pair (say STRING against INT)
+				bv := b.Value(r) // interp-ok: cross-kind column pair (say STRING against INT)
 				if av.IsNull() || bv.IsNull() {
 					continue
 				}
@@ -797,9 +794,6 @@ func betweenSel(ord int, lo, hi types.Value, notf bool) selFn {
 	lof, hif := lo.Float(), hi.Float()
 	return func(in *VecInput, sel, out []int32) []int32 {
 		c := in.col(ord)
-		if c.Boxed != nil {
-			return genericSel(in, c, sel, out, generic)
-		}
 		if c.Kind == types.KindNull {
 			return out
 		}
@@ -903,19 +897,9 @@ func inListSel(ord int, x *sqlast.InList, neg bool) selFn {
 			boolSet[n.I&1] = true
 		}
 	}
-	generic := func(v types.Value) bool {
-		res := InMembership(v, lits)
-		if notf {
-			res = not3(res)
-		}
-		return res.Bool()
-	}
 	var cache atomic.Pointer[dictTab]
 	return func(in *VecInput, sel, out []int32) []int32 {
 		c := in.col(ord)
-		if c.Boxed != nil {
-			return genericSel(in, c, sel, out, generic)
-		}
 		if c.Kind == types.KindNull {
 			return out
 		}
@@ -1012,7 +996,7 @@ func likeSel(ord int, pat types.Value, notf bool) selFn {
 	}
 	return func(in *VecInput, sel, out []int32) []int32 {
 		c := in.col(ord)
-		if c.Boxed != nil || (c.Kind != types.KindString && c.Kind != types.KindNull) {
+		if c.Kind != types.KindString && c.Kind != types.KindNull {
 			// LIKE stringifies non-string operands; rare, keep it generic.
 			return genericSel(in, c, sel, out, generic)
 		}
@@ -1086,10 +1070,6 @@ func PlainOrdinal(env *BoundSchema, e sqlast.Expr) (int, bool) {
 func boolColSel(ord int, neg bool) selFn {
 	return func(in *VecInput, sel, out []int32) []int32 {
 		c := in.col(ord)
-		if c.Boxed != nil {
-			pred := func(v types.Value) bool { return v.Bool() != neg }
-			return genericSel(in, c, sel, out, pred)
-		}
 		if c.Kind == types.KindNull {
 			return out
 		}

@@ -44,7 +44,10 @@ func (ex *Executor) execCreateView(cv *sqlast.CreateView) (*Result, error) {
 		for i, c := range res.Schema.Cols {
 			cols[i] = types.Column{Name: c.Name}
 		}
-		mv.Table = &catalog.Table{Schema: types.NewSchema(cols...), Rows: res.Rows}
+		mv.Table = &catalog.Table{Schema: types.NewSchema(cols...)}
+		if err := mv.Table.Insert(res.Rows...); err != nil {
+			return nil, fmt.Errorf("materialized view %s: %v", cv.Name, err)
+		}
 		mv.Watermarks, mv.Versions = ex.snapshotWatermarks(cv.Query)
 	}
 	mv.MainSource, mv.PbyCols = ex.analyzeIncremental(cv.Query)
@@ -136,10 +139,9 @@ func (ex *Executor) refreshMatView(mv *catalog.MatView, forceFull bool) (string,
 	if got, want := len(res.Schema.Cols), mv.Table.Schema.Len(); got != want { // an adopted table of another shape
 		return "", 0, fmt.Errorf("materialized view %s: its query yields %d columns, its table has %d", mv.Name, got, want)
 	}
-	mv.Table.Rows = res.Rows
-	// The backing table's contents changed without going through Insert;
-	// bump its version so dependent caches invalidate.
-	mv.Table.Version.Add(1)
+	if err := mv.Table.Reload(nil, res.Rows); err != nil {
+		return "", 0, err
+	}
 	mv.Watermarks, mv.Versions = ex.snapshotWatermarks(mv.Query)
 	return "full", len(res.Rows), nil
 }
@@ -202,10 +204,10 @@ func (ex *Executor) refreshIncremental(mv *catalog.MatView, main *catalog.Table,
 			keep = append(keep, row)
 		}
 	}
-	mv.Table.Rows = append(keep, res.Rows...)
-	// Not an append-only change (affected partitions were replaced): bump
-	// the version so dependent caches invalidate.
-	mv.Table.Version.Add(1)
+	// Not an append-only change: Reload bumps the version once.
+	if err := mv.Table.Reload(keep, res.Rows); err != nil {
+		return 0, err
+	}
 	return len(res.Rows), nil
 }
 

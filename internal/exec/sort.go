@@ -239,7 +239,8 @@ func (ex *Executor) spillSort(nr, ncols int) bool {
 // budget-bounded spill store in sorted order — so the merge's Gets walk each
 // run's blocks sequentially, the access pattern the store's read-ahead
 // recognizes — and streamed back through the merge. The returned rows are
-// clones; the store (and its file) is released before returning.
+// clones; the store (and its file) is released before returning, and a spill
+// I/O failure fails the sort.
 func (ex *Executor) externalSort(rows []types.Row, cmp func(a, b int) int) ([]types.Row, error) {
 	start := time.Now()
 	nr := len(rows)
@@ -289,6 +290,11 @@ func (ex *Executor) externalSort(rows []types.Row, cmp func(a, b int) int) ([]ty
 		out = append(out, store.Get(ids[r][pos[r]]).Clone())
 		pos[r]++
 		lt.replay(r)
+	}
+	// Closing drains the background writer; a spill I/O failure fails the sort.
+	store.Close()
+	if err := store.Err(); err != nil {
+		return nil, err
 	}
 	st := store.Stats()
 	ex.mu.Lock()

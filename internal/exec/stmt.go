@@ -138,7 +138,9 @@ func (ex *Executor) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 			d.Kept = append(d.Kept, int32(i))
 		}
 	}
-	t.Replace(d)
+	if err := t.Replace(d); err != nil {
+		return nil, err
+	}
 	return rowCountResult(len(pos)), nil
 }
 
@@ -178,15 +180,13 @@ func (ex *Executor) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			cv, err := catalog.Coerce(v, t.Schema.Cols[idx[i]].Kind)
-			if err != nil {
-				return nil, err
-			}
-			nr[idx[i]] = cv
+			nr[idx[i]] = v
 		}
 		next[p] = nr
 	}
-	t.Replace(&mvcc.Delta{From: base, Rows: next, Patched: pos, Cols: idx})
+	if err := t.Replace(&mvcc.Delta{From: base, Rows: next, Patched: pos, Cols: idx}); err != nil {
+		return nil, err
+	}
 	return rowCountResult(len(pos)), nil
 }
 

@@ -137,7 +137,7 @@ func newGidTable(ke *keyEnc) *gidTable {
 				// Dict codes are < 2^16, and NULL slots hold code 0 —
 				// masked by the bitmap before the code is read.
 				codes = append(codes, keyCodes{codes: c.Codes, nulls: c.Nulls})
-			case c.Kind == types.KindBool && c.Boxed == nil:
+			case c.Kind == types.KindBool:
 				codes = append(codes, keyCodes{ints: c.Ints, nulls: c.Nulls})
 			default:
 				codes = nil

@@ -12,8 +12,8 @@ import (
 )
 
 // benchCube installs the benchmark's APB cube (bench/workload.go's fullScale,
-// ≈ 177.7k rows), makes its measure column mixed-kind as the ingest workload's
-// integer inserts do, and builds its image.
+// ≈ 177.7k rows), appends integer cells as the ingest workload's inserts do
+// (the declared FLOAT measure stores them as FLOAT), and builds its image.
 func benchCube(b *testing.B) *catalog.Table {
 	b.Helper()
 	cat := catalog.New()
@@ -68,7 +68,9 @@ func BenchmarkImageAfterWrite(b *testing.B) {
 					pos = append(pos, int32(p))
 				}
 			}
-			cube.Replace(&mvcc.Delta{From: cube.Img(), Rows: next, Patched: pos, Cols: []int{4}})
+			if err := cube.Replace(&mvcc.Delta{From: cube.Img(), Rows: next, Patched: pos, Cols: []int{4}}); err != nil {
+				b.Fatal(err)
+			}
 		}},
 		{"delete-round", func(cube *catalog.Table, i int) {
 			// Put a round's cells in (and read them, as the workload does),
@@ -84,7 +86,9 @@ func BenchmarkImageAfterWrite(b *testing.B) {
 				kept[p] = int32(p)
 			}
 			next := append(make([]types.Row, 0, cap(cube.Rows)), cube.Rows[:n]...)
-			cube.Replace(&mvcc.Delta{From: cube.Img(), Rows: next, Kept: kept})
+			if err := cube.Replace(&mvcc.Delta{From: cube.Img(), Rows: next, Kept: kept}); err != nil {
+				b.Fatal(err)
+			}
 		}},
 	}
 	for _, w := range writes {

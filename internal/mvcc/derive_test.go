@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,7 +83,8 @@ func (s *sheet) insert(t *testing.T, rows ...types.Row) {
 }
 
 // update rewrites columns cols of the rows at pos, as execUpdate does.
-func (s *sheet) update(pos []int32, cols []int, val func(p int32, ci int) types.Value) {
+func (s *sheet) update(t *testing.T, pos []int32, cols []int, val func(p int32, ci int) types.Value) {
+	t.Helper()
 	old := s.tbl.Rows
 	next := append(make([]types.Row, 0, cap(old)), old...)
 	for _, p := range pos {
@@ -93,7 +95,9 @@ func (s *sheet) update(pos []int32, cols []int, val func(p int32, ci int) types.
 		s.note(nr)
 		next[p] = nr
 	}
-	s.tbl.Replace(&mvcc.Delta{From: s.tbl.Img(), Rows: next, Patched: pos, Cols: cols})
+	if err := s.tbl.Replace(&mvcc.Delta{From: s.tbl.Img(), Rows: next, Patched: pos, Cols: cols}); err != nil {
+		t.Fatal(err)
+	}
 	s.publish()
 }
 
@@ -104,13 +108,16 @@ func (s *sheet) remove(kept []int32) {
 	for _, p := range kept {
 		next = append(next, old[p])
 	}
-	s.tbl.Replace(&mvcc.Delta{From: s.tbl.Img(), Rows: next, Kept: kept})
+	if err := s.tbl.Replace(&mvcc.Delta{From: s.tbl.Img(), Rows: next, Kept: kept}); err != nil {
+		panic(err) // a DELETE converts nothing
+	}
 	s.publish()
 }
 
 // gen makes one row. phase unlocks what arrives late: NULLs in g and n (1),
-// strings in the so far integer column m (2), integers in the so far all-NULL
-// column z (3).
+// integral FLOATs in the INT column m and INTs in the FLOAT column f, which
+// the catalog stores in the column's kind (2), integers in the so far
+// all-NULL column z (3).
 func gen(r *rand.Rand, phase, step int) types.Row {
 	floats := []float64{0, 1, -1, 0.5, 2.25, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e300}
 	row := types.Row{
@@ -128,7 +135,8 @@ func gen(r *rand.Rand, phase, step int) types.Row {
 		row[2] = types.Null
 	}
 	if phase >= 2 && r.Intn(3) == 0 {
-		row[4] = types.NewString("m")
+		row[4] = types.NewFloat(float64(r.Intn(5)))
+		row[3] = types.NewInt(int64(r.Intn(3)))
 	}
 	if phase >= 3 && r.Intn(2) == 0 {
 		row[5] = types.NewInt(int64(r.Intn(3)))
@@ -266,7 +274,8 @@ func TestDerivedEqualsRebuilt(t *testing.T) {
 				s.insert(t, rows...)
 			case op < 8:
 				// SET one to three columns, sometimes to a string no row has
-				// held yet, sometimes (late) to NULL or to another kind.
+				// held yet, sometimes (late) to NULL or to a value the column
+				// stores converted.
 				cols := []int{[]int{0, 1, 2, 3, 4, 5}[r.Intn(6)]}
 				if r.Intn(2) == 0 {
 					cols = append(cols, (cols[0]+1+r.Intn(5))%6)
@@ -276,7 +285,7 @@ func TestDerivedEqualsRebuilt(t *testing.T) {
 					continue
 				}
 				fresh := types.NewString(fmt.Sprintf("fresh%d", step))
-				s.update(pos, cols, func(p int32, ci int) types.Value {
+				s.update(t, pos, cols, func(p int32, ci int) types.Value {
 					if ci <= 1 && r.Intn(3) == 0 {
 						return fresh
 					}
@@ -336,19 +345,29 @@ func TestDerivationFallbacks(t *testing.T) {
 	step("append", true, func() { s.insert(t, with(0, types.NewString("a2"))) })
 	step("first-null", false, func() { s.insert(t, with(1, types.Null)) })
 	step("null again", true, func() { s.insert(t, with(1, types.Null)) })
-	step("kind-change", false, func() { s.insert(t, with(4, types.NewString("m"))) })
-	step("boxed append", true, func() { s.insert(t, with(4, types.NewFloat(2.5))) })
+	// A value of another kind than its column's is converted or refused by
+	// the catalog; a refused write publishes nothing.
+	for _, v := range []types.Value{types.NewString("m"), types.NewFloat(2.5)} {
+		ver, im := tbl.Version.Load(), tbl.Img()
+		if err := tbl.Insert(with(4, v)); err == nil || !strings.Contains(err.Error(), `column "m"`) {
+			t.Fatalf("inserting %v into INT column m: err %v, want a typed error naming the column", v, err)
+		}
+		if tbl.Version.Load() != ver || tbl.Img() != im || len(tbl.Rows) != len(im.Rows) {
+			t.Fatalf("a refused insert of %v changed the table", v)
+		}
+	}
+	step("converted append", true, func() { s.insert(t, with(4, types.NewFloat(2))) })
 	step("kind-change", false, func() { s.insert(t, with(5, types.NewInt(7))) })
 	step("update", true, func() {
-		s.update([]int32{0, 2}, []int{0, 2}, func(p int32, ci int) types.Value {
+		s.update(t, []int32{0, 2}, []int{0, 2}, func(p int32, ci int) types.Value {
 			return []types.Value{types.NewString("fresh0"), {}, types.NewInt(int64(p) + 40)}[ci]
 		})
 	})
 	step("first-null", false, func() {
-		s.update([]int32{1}, []int{2}, func(int32, int) types.Value { return types.Null })
+		s.update(t, []int32{1}, []int{2}, func(int32, int) types.Value { return types.Null })
 	})
-	step("kind-change", false, func() {
-		s.update([]int32{1}, []int{3}, func(int32, int) types.Value { return types.NewInt(3) })
+	step("converted update", true, func() {
+		s.update(t, []int32{1}, []int{3}, func(int32, int) types.Value { return types.NewInt(3) })
 	})
 	step("delete none", true, func() { s.remove(somePositions(rand.New(rand.NewSource(1)), len(tbl.Rows), 1)) })
 	step("delete some", true, func() { s.remove([]int32{0, 2, 3, 5}) })
@@ -362,6 +381,9 @@ func TestDerivationFallbacks(t *testing.T) {
 		tbl.Rows = append(make([]types.Row, 0, 8), base, with(0, types.NewString("a3")))
 		s.note(tbl.Rows...)
 		s.publish()
+	})
+	step("kind-change", false, func() {
+		s.update(t, []int32{1}, []int{5}, func(int32, int) types.Value { return types.NewInt(7) })
 	})
 	step("delete all", true, func() { s.remove([]int32{}) })
 	for i, p := range s.pins {
@@ -435,7 +457,7 @@ func TestDictionaryOverflowFallsBack(t *testing.T) {
 	// would need an entry more than the cap, a rebuilt one does not.
 	next := append(make([]types.Row, 0, cap(tbl.Rows)), tbl.Rows...)
 	next[0] = types.Row{types.NewString("replacement")}
-	tbl.Replace(&mvcc.Delta{From: tbl.Img(), Rows: next, Patched: []int32{0}, Cols: []int{0}})
+	must(tbl.Replace(&mvcc.Delta{From: tbl.Img(), Rows: next, Patched: []int32{0}, Cols: []int{0}}))
 	check("update past the cap", true)
 	must(tbl.Insert(fill(colstore.DictMaxEntries, colstore.DictMaxEntries+3)...))
 	check("append past the cap", false)

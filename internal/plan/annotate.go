@@ -33,8 +33,8 @@ const (
 //     executor keeps the per-row closure path. Kernel compilation is a pure
 //     function of the expression and schema, so EXPLAIN's annotations stay
 //     machine-independent; the executor may still fall back at run time
-//     when a column's representation (mixed-kind boxed values, string
-//     operands under arithmetic) has no typed vector. With
+//     when a column's kind has no typed loop (string operands under
+//     arithmetic, say). With
 //     Engine.DisableVectorizedExec no kernel is compiled and the note says
 //     no(disabled), so ablation runs show that every node is on the row path.
 type annotator struct {

@@ -365,8 +365,9 @@ func (b *builder) tryMVRewrite(sub *sqlast.SelectStmt, alias string) (Node, bool
 		alias = mv.Name
 	}
 	t := mv.Table
-	cols := make([]eval.BoundCol, t.Schema.Len())
-	for i, c := range t.Schema.Cols {
+	schema := t.ReadSchema()
+	cols := make([]eval.BoundCol, schema.Len())
+	for i, c := range schema.Cols {
 		cols[i] = eval.BoundCol{Table: alias, Name: c.Name}
 	}
 	return &Scan{Table: t, Alias: alias, schema: eval.NewBoundSchema(cols)}, true
@@ -442,8 +443,9 @@ func (b *builder) buildTableRef(tr sqlast.TableRef) (Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown table %q", x.Name)
 		}
-		cols := make([]eval.BoundCol, t.Schema.Len())
-		for i, c := range t.Schema.Cols {
+		schema := t.ReadSchema()
+		cols := make([]eval.BoundCol, schema.Len())
+		for i, c := range schema.Cols {
 			cols[i] = eval.BoundCol{Table: alias, Name: c.Name}
 		}
 		return &Scan{Table: t, Alias: alias, schema: eval.NewBoundSchema(cols)}, nil

@@ -5,6 +5,7 @@
 package sqlsheet_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"sqlsheet"
+	"sqlsheet/internal/blockstore"
 )
 
 // movementQuery touches all three data movers at once: the spreadsheet clause
@@ -170,5 +172,56 @@ func BenchmarkExternalSort(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// failingWrites is a spill file whose writes fail as on a full disk.
+type failingWrites struct{ blockstore.File }
+
+func (failingWrites) WriteAt([]byte, int64) (int, error) {
+	return 0, errors.New("no space left on device")
+}
+
+// TestSpillWriteFailureFailsTheStatement: a spill write that fails ends the
+// statement that spilled — a budgeted spreadsheet on two PEs, a budgeted
+// sort, with the writes done in the background and in the foreground — with
+// an error naming the spill operation, and the database goes on serving.
+func TestSpillWriteFailureFailsTheStatement(t *testing.T) {
+	create := blockstore.CreateFile
+	defer func() { blockstore.CreateFile = create }()
+	failing := func(dir string) (blockstore.File, error) {
+		f, err := create(dir)
+		if err != nil {
+			return nil, err
+		}
+		return failingWrites{f}, nil
+	}
+	const sheetQ = `SELECT r, p, t, s FROM f SPREADSHEET PBY(r) DBY (p, t) MEA (s)
+		( s[*, 2003] = avg(s)[cv(p), 1995 <= t <= 2002] )`
+	const sortQ = `SELECT r, p, t, s FROM f ORDER BY s, r, p, t`
+	for _, async := range []bool{true, false} {
+		db := fixtureDB(t, randomFactDB(1))
+		cfg := sqlsheet.Config{Parallel: 2, MemoryBudget: 600, SpillDir: t.TempDir()}
+		cfg.Ablate.Engine.Buckets = 3
+		cfg.Ablate.Exec.DisableAsyncSpill = !async
+		db.Configure(cfg)
+		want := map[string]string{}
+		for _, q := range []string{sheetQ, sortQ} {
+			want[q] = rowBits(db.Query(q))
+		}
+		blockstore.CreateFile = failing
+		for _, q := range []string{sheetQ, sortQ} {
+			if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "spill write") {
+				t.Errorf("async=%v: %s: err %v, want a spill write error", async, q, err)
+			}
+		}
+		db.MustExec(`INSERT INTO f VALUES ('south', 'tv', 2000, 1.5)`)
+		db.MustExec(`DELETE FROM f WHERE r = 'south'`)
+		blockstore.CreateFile = create
+		for _, q := range []string{sheetQ, sortQ} {
+			if got := rowBits(db.Query(q)); got != want[q] {
+				t.Errorf("async=%v: %s after the failure: %s", async, q, firstDiff(want[q], got))
+			}
+		}
 	}
 }

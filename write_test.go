@@ -13,6 +13,8 @@ import (
 	"sqlsheet/internal/mvcc"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/sqlast"
+	"sqlsheet/internal/types"
+	"sqlsheet/internal/wal"
 )
 
 // dbState is everything a statement can leave behind: the catalog's name
@@ -28,6 +30,7 @@ type tableState struct {
 	rows    string
 	version int64
 	img     *mvcc.Image
+	schema  string // names and kinds: a pin shows here
 }
 
 func stateOf(db *DB) dbState {
@@ -37,7 +40,7 @@ func stateOf(db *DB) dbState {
 	}
 	for _, name := range db.Tables() {
 		t, _ := db.cat.Get(name)
-		st.tables[name] = tableState{rows: fmt.Sprint(t.Rows), version: t.Version.Load(), img: t.Img()}
+		st.tables[name] = tableState{rows: fmt.Sprint(t.Rows), version: t.Version.Load(), img: t.Img(), schema: fmt.Sprint(t.Schema.Cols)}
 	}
 	if c, ok := db.WALCounters(); ok {
 		st.appends = c.Appends
@@ -58,6 +61,25 @@ func (a dbState) diff(b dbState) string {
 		return fmt.Sprintf("log holds %d records, held %d", b.appends, a.appends)
 	}
 	return ""
+}
+
+// StoredKindsError checks the storage contract on every table's published
+// image: the image has a columnar form, and every column of it that is not
+// all NULL has its schema's kind. It is exported for the external tests.
+func (db *DB) StoredKindsError() error {
+	for _, name := range db.Tables() {
+		t, _ := db.cat.Get(name)
+		img, schema := t.Img().Columnar(), t.ReadSchema()
+		if img == nil {
+			return fmt.Errorf("table %s: its image has no columnar form", name)
+		}
+		for ci, c := range img.Cols {
+			if want := schema.Cols[ci].Kind; c.Kind != types.KindNull && c.Kind != want {
+				return fmt.Errorf("table %s column %s: %s values in a %s column", name, schema.Cols[ci].Name, c.Kind, want)
+			}
+		}
+	}
+	return nil
 }
 
 // countdownCtx cancels itself at the n-th poll of Done: the executor polls
@@ -194,8 +216,8 @@ func TestWALFailedStatementLeavesNoTrace(t *testing.T) {
 		t.Fatalf("recovered names %s, live %s", rec.names, live.names)
 	}
 	for name, lt := range live.tables {
-		if rt := rec.tables[name]; lt.rows != rt.rows || lt.version != rt.version {
-			t.Errorf("recovered %s = %s (version %d), live %s (version %d)", name, rt.rows, rt.version, lt.rows, lt.version)
+		if rt := rec.tables[name]; lt.rows != rt.rows || lt.version != rt.version || lt.schema != rt.schema {
+			t.Errorf("recovered %s = %s %s (version %d), live %s %s (version %d)", name, rt.schema, rt.rows, rt.version, lt.schema, lt.rows, lt.version)
 		}
 	}
 }
@@ -280,4 +302,132 @@ func mustParse(t *testing.T, sql string) sqlast.Statement {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
 	return stmts[0]
+}
+
+// TestPinLifecycle: an untyped column is pinned by the first write that
+// stores a value in it, and by nothing else; the pin is part of the schema,
+// so a checkpoint keeps it, and a log whose rows mix kinds in one column does
+// not recover.
+func TestPinLifecycle(t *testing.T) {
+	kinds := func(db *DB, table string) string {
+		tb, _ := db.cat.Get(table)
+		return fmt.Sprint(tb.Schema.Cols)
+	}
+	db := Open()
+	if err := db.CreateTable("u", Column{Name: "a"}, Column{Name: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	unpinned := kinds(db, "u")
+
+	t.Run("a failed statement pins nothing", func(t *testing.T) {
+		for _, fail := range []func() error{
+			func() error { _, err := db.Exec(`INSERT INTO u VALUES (1, 'x'), (2, 3)`); return err },
+			func() error { return db.Insert("u", []any{1, nil}, []any{2}) },
+			func() error {
+				_, err := db.LoadCSV("u", strings.NewReader("1,x\n2,3\n"), false)
+				return err
+			},
+		} {
+			if err := fail(); err == nil {
+				t.Fatal("no error")
+			}
+			if got := kinds(db, "u"); got != unpinned {
+				t.Fatalf("schema %s after a failed write, was %s", got, unpinned)
+			}
+		}
+		// a is free to take another kind than the failed writes gave it.
+		db.MustExec(`INSERT INTO u VALUES ('s', NULL)`)
+		if got, want := kinds(db, "u"), "[{a STRING} {b NULL}]"; got != want {
+			t.Fatalf("schema %s, want %s", got, want)
+		}
+	})
+
+	t.Run("INT and FLOAT pin FLOAT", func(t *testing.T) {
+		if err := db.CreateTable("f", Column{Name: "v"}); err != nil {
+			t.Fatal(err)
+		}
+		db.MustExec(`INSERT INTO f VALUES (1), (2.5)`)
+		res, err := db.Query(`SELECT v FROM f ORDER BY v`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := res.Rows[0][0]; v.K != types.KindFloat || v.F != 1 {
+			t.Fatalf("1 reads back as %#v, want FLOAT 1", v)
+		}
+	})
+
+	t.Run("a pin survives a checkpoint of no rows", func(t *testing.T) {
+		dir := t.TempDir()
+		live := Open()
+		if err := live.EnableWAL(dir, SyncGroup); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.CreateTable("p", Column{Name: "n"}); err != nil {
+			t.Fatal(err)
+		}
+		live.MustExec(`INSERT INTO p VALUES (1)`)
+		live.MustExec(`DELETE FROM p`)
+		if err := live.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		const write = `INSERT INTO p VALUES (2.5)`
+		_, liveErr := live.Exec(write)
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec := Open()
+		if err := rec.EnableWAL(dir, SyncGroup); err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		_, recErr := rec.Exec(write)
+		if liveErr == nil || recErr == nil || liveErr.Error() != recErr.Error() {
+			t.Fatalf("%s: live %v, recovered %v; want one typed error", write, liveErr, recErr)
+		}
+		if got := kinds(rec, "p"); got != "[{n INT}]" {
+			t.Fatalf("recovered schema %s, want n pinned INT", got)
+		}
+	})
+
+	t.Run("readers plan while a write pins", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			name := fmt.Sprintf("r%d", i)
+			if err := db.CreateTable(name, Column{Name: "v"}); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error)
+			go func() {
+				_, err := db.Query(`SELECT v FROM ` + name)
+				done <- err
+			}()
+			db.MustExec(`INSERT INTO ` + name + ` VALUES (1)`)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	t.Run("an older log mixing kinds does not recover", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, wal.SyncNone, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []types.Row{{types.NewInt(1)}, {types.NewString("x")}}
+		for _, rec := range []struct {
+			kind byte
+			data []byte
+		}{{wal.KindCreate, wal.EncodeCreate("old", []types.Column{{Name: "v"}})}, {wal.KindRows, wal.EncodeRows("old", rows)}} {
+			if _, err := l.Append(rec.kind, rec.data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err = Open().EnableWAL(dir, SyncGroup)
+		if err == nil || !strings.Contains(err.Error(), `record 2 (kind 'R')`) || !strings.Contains(err.Error(), "INT and STRING") {
+			t.Fatalf("EnableWAL = %v, want an error naming record 2 (kind 'R') and its kinds", err)
+		}
+	})
 }
