@@ -44,10 +44,11 @@ recover-test:
 	$(GO) test -race -run 'TestRecover' ./internal/server/
 	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
-# Fuzz gate: each of the eight fuzz targets (SQL text, statement round-trip,
+# Fuzz gate: each of the nine fuzz targets (SQL text, statement round-trip,
 # the streaming text fingerprint against its definition over lex() tokens,
-# whole queries, rule kernels, expression kernels, wire bytes against a live
-# server, WAL bytes) runs for 3 s beyond its seed corpus. `go test
+# whole queries, rule kernels, expression kernels, typed sort keys against
+# the boxed sort order, wire bytes against a live server, WAL bytes) runs
+# for 3 s beyond its seed corpus. `go test
 # -fuzz` takes one target in one package per invocation, hence the list.
 # A finding is written under the package's testdata/fuzz/ and fails the gate.
 fuzz-smoke:
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 3s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 3s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzExprKernel$$' -fuzztime 3s ./internal/eval/
+	$(GO) test -run '^$$' -fuzz '^FuzzSortKeys$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireProtocol$$' -fuzztime 3s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 3s .
@@ -63,7 +65,9 @@ fuzz-smoke:
 # lint-hotpath flags per-row types.Value boxing (Column.Value / types.New*)
 # inside the vectorized kernel files and the image derivation
 # (internal/colstore/derive.go: extend/patch/gather run once per written row
-# of every version) — these loops must stay on the typed vectors. A deliberate
+# of every version) and the typed sort keys of ORDER BY and windows
+# (internal/exec/sortkeys.go, window.go) — these loops must stay on the
+# typed vectors. A deliberate
 # exception needs an `interp-ok:` comment on the same line justifying it (a
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
 # Columns have no boxed form any more — every column is one typed vector or
@@ -76,7 +80,7 @@ lint-hotpath:
 	@bad=$$(grep -n '\.Value(\|types\.New[A-Z]' internal/eval/vector.go internal/eval/exprvec.go \
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
 		internal/exec/vecproject.go internal/core/vecscan.go internal/core/vecrules.go \
-		internal/colstore/derive.go \
+		internal/colstore/derive.go internal/exec/sortkeys.go internal/exec/window.go \
 		| grep -v 'interp-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \

@@ -696,6 +696,94 @@ func numDB(t testing.TB, db *sqlsheet.DB) {
 		[]any{int64(42), nil}, []any{int64(8), 1e300}, []any{int64(9), math.Copysign(0, -1)})
 }
 
+// windowDB: partition and order keys with NULL, NaN of two payloads, ±Inf,
+// -0.0 and heavy ties (t), a measure with a NaN, and a unique id.
+func windowDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE wt (id INT, g TEXT, h INT, f FLOAT, t INT, s FLOAT)`)
+	nan2 := math.Float64frombits(0x7ff8000000000002)
+	fs := []any{1.5, math.NaN(), nil, math.Inf(1), math.Copysign(0, -1), 0.0, math.Inf(-1), nan2, -2.25, 1.5, 2.0}
+	gs := []any{"a", "b", nil, "c", "b", "a"}
+	insert(t, db, "wt", rowsOf(130, func(i int) []any {
+		s := any(float64(i%11) * 1.25)
+		if i%37 == 5 {
+			s = math.NaN()
+		}
+		return []any{i, gs[i%len(gs)], maybe(i%3, func() any { return i % 4 }), fs[i%len(fs)], (i * 7) % 13, s}
+	})...)
+}
+
+// The window-order script. windowPairs are windows whose ORDER BY (and
+// LIMIT) the plan absorbs — mixed directions, P in another order, NaN
+// partition keys of two payloads, lag/lead and frames over a DESC order, a
+// limit cutting a partition, k = 0 and k past the input — each run as is
+// and kept from fusing by a derived table. windowScript holds the
+// non-fusable neighbours (a strict prefix, an extra trailing key, a
+// direction unlike O's, two partitionings), windows without ORDER BY over
+// special values, computed and mixed-kind keys, ORDER BY … LIMIT as a
+// top-k (ties at the k-th row, k = 0, k past the input), a NaN sort, and
+// LIMITs that are no row count.
+var windowPairs = []struct{ body, order string }{
+	{windowSum, ` ORDER BY h DESC, g, t DESC, id`},
+	{windowNaN, ` ORDER BY f DESC, t, id`},
+	{windowFrames, ` ORDER BY g, t DESC, id`},
+	{windowSum, ` ORDER BY h DESC, g, t DESC, id LIMIT 30`},
+	{windowNaN, ` ORDER BY f DESC, t, id LIMIT 0`},
+	{windowNaN, ` ORDER BY f, t, id LIMIT 1000`},
+	{windowFrames, ` ORDER BY g, t DESC, id LIMIT 50`},
+}
+
+var windowScript = []string{
+	`SELECT id, g, t, row_number() OVER (PARTITION BY g ORDER BY t, id) AS rn FROM wt ORDER BY g`,
+	`SELECT id, g, t, s, row_number() OVER (PARTITION BY g ORDER BY t, id) AS rn FROM wt ORDER BY g, t, id, s`,
+	`SELECT id, g, t, row_number() OVER (PARTITION BY g ORDER BY t, id) AS rn FROM wt ORDER BY g, t DESC, id`,
+	`SELECT id, g, h, t, SUM(s) OVER (PARTITION BY g ORDER BY t, id) AS a,
+		SUM(s) OVER (PARTITION BY h ORDER BY t, id) AS b FROM wt ORDER BY g, t, id`,
+	`SELECT id, f, g, COUNT(*) OVER (PARTITION BY f) AS n,
+		row_number() OVER (PARTITION BY f ORDER BY g DESC, id) AS rn FROM wt`,
+	`SELECT id, f, rank() OVER (ORDER BY f) AS r, dense_rank() OVER (ORDER BY f DESC) AS d,
+		rank() OVER (PARTITION BY g ORDER BY t) AS rt FROM wt`,
+	`SELECT id, SUM(s) OVER (PARTITION BY h % 2 ORDER BY s * -1, id) AS k FROM wt`,
+	`SELECT id, row_number() OVER (PARTITION BY CASE WHEN h > 1 THEN g ELSE h END ORDER BY id) AS rn FROM wt`,
+	`SELECT id, t FROM wt ORDER BY t LIMIT 5`,
+	`SELECT id, f FROM wt ORDER BY f DESC, id LIMIT 7`,
+	limit0,
+	limitPast,
+	`SELECT id, CASE WHEN h IS NULL THEN g ELSE h END AS k FROM wt ORDER BY k DESC LIMIT 9`,
+	nanSort,
+	`SELECT id FROM wt ORDER BY id LIMIT -1`,
+	`SELECT id FROM wt ORDER BY id LIMIT 1e300`,
+	`SELECT id FROM wt ORDER BY id LIMIT 2.7`,
+	`SELECT id FROM wt LIMIT 'x'`,
+	limitTwo,
+}
+
+// windowOrderScript is the case's script: windowPairs fused, windowScript,
+// windowPairs kept apart.
+func windowOrderScript() []string {
+	var fused, apart []string
+	for _, p := range windowPairs {
+		fused = append(fused, p.body+p.order)
+		apart = append(apart, `SELECT * FROM (`+p.body+`) q`+p.order)
+	}
+	return append(append(fused, windowScript...), apart...)
+}
+
+const (
+	limit0    = `SELECT id FROM wt ORDER BY t LIMIT 0`
+	limitPast = `SELECT id, g FROM wt ORDER BY g DESC LIMIT 1000`
+	limitTwo  = `SELECT id FROM wt ORDER BY id LIMIT 2.0`
+	nanSort   = `SELECT f FROM wt WHERE id < 11 ORDER BY f DESC`
+	windowSum = `SELECT id, g, h, t, SUM(s) OVER (PARTITION BY g, h ORDER BY t DESC, id) AS cs,
+		rank() OVER (PARTITION BY h, g ORDER BY t DESC, id) AS rk FROM wt`
+	windowNaN    = `SELECT id, f, t, SUM(s) OVER (PARTITION BY f ORDER BY t, id) AS cs FROM wt`
+	windowFrames = `SELECT id, g, t, lag(s) OVER (PARTITION BY g ORDER BY t DESC, id) AS lg,
+		lead(s, 2, -1) OVER (PARTITION BY g ORDER BY t DESC, id) AS ld,
+		AVG(s) OVER (PARTITION BY g ORDER BY t DESC, id ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS ma,
+		MIN(s) OVER (PARTITION BY g ORDER BY t DESC, id ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS mn,
+		first_value(s) OVER (PARTITION BY g ORDER BY t DESC, id ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS fv
+		FROM wt`
+)
+
 // allNullDB: a column entirely NULL, and an empty table.
 func allNullDB(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`CREATE TABLE nt (a INT, z FLOAT, c TEXT)`)
@@ -1072,6 +1160,40 @@ func diffCorpus() []diffCase {
 			`DELETE FROM num`,
 			`INSERT INTO num VALUES (1, 1.5)`,
 		}},
+		// Windows, ORDER BY and LIMIT (see fusedWindows).
+		diffCase{name: "window-order", fixture: windowDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz",
+			script: windowOrderScript(),
+			check: func(t *testing.T, ref []outcome) {
+				// An absorbed ORDER BY (and LIMIT) returns what the window
+				// then a stable sort (kept apart by a derived table) returns.
+				np := len(windowPairs)
+				for i := range windowPairs {
+					if fused, apart := ref[i], ref[np+len(windowScript)+i]; !slices.Equal(fused.rows, apart.rows) || fused.err != "" {
+						t.Errorf("fused window %d differs from window then sort:\n%s", i, firstDiff(apart.text(false), fused.text(false)))
+					}
+				}
+				at := func(stmt string) outcome { return ref[np+slices.Index(windowScript, stmt)] }
+				// NULLs first under DESC, then NaN (after every number),
+				// then the numbers descending, -0.0 tying 0.0.
+				if got, want := at(nanSort).rows, []string{" N", " F7ff8000000000001", " F7ff8000000000002", " F7ff0000000000000",
+					" F4000000000000000", " F3ff8000000000000", " F3ff8000000000000", " F8000000000000000", " F0",
+					" Fc002000000000000", " Ffff0000000000000"}; !slices.Equal(got, want) {
+					t.Errorf("ORDER BY f DESC: %q, want %q", got, want)
+				}
+				for _, stmt := range windowScript {
+					if strings.Contains(stmt, "LIMIT -1") || strings.Contains(stmt, "LIMIT 1e") || strings.Contains(stmt, "LIMIT 2.7") ||
+						strings.Contains(stmt, "LIMIT 'x'") {
+						if !strings.Contains(at(stmt).err, "LIMIT must be a non-negative integer constant") {
+							t.Errorf("%s: %q, want the LIMIT error", stmt, at(stmt).err)
+						}
+					}
+				}
+				if len(at(limit0).rows) != 0 || len(at(limitPast).rows) != 130 || len(at(limitTwo).rows) != 2 ||
+					len(ref[3].rows) != 30 || len(ref[4].rows) != 0 || len(ref[5].rows) != 130 {
+					t.Errorf("LIMIT 0/1000/2.0 returned %d/%d/%d rows, the fused windows %d/%d/%d", len(at(limit0).rows),
+						len(at(limitPast).rows), len(at(limitTwo).rows), len(ref[3].rows), len(ref[4].rows), len(ref[5].rows))
+				}
+			}},
 		// Values mixing kinds are computed ones only: a CASE as a
 		// spreadsheet dimension and measure, which the batch rule cannot
 		// image and leaves per cell, and as a sort key the budgeted sort

@@ -57,6 +57,13 @@ func FuzzQuery(f *testing.F) {
 		`SELECT r, p, t, m FROM (SELECT r, p, t, CASE WHEN s > 2 THEN 1 ELSE s END AS m FROM f) q
 			SPREADSHEET PBY(r) DBY(p,t) MEA(m) ( m[*, 2001] = m[cv(p), 2000] * 2 )`,
 		`SELECT CASE WHEN t > 2000 THEN p ELSE t END AS k, s FROM f ORDER BY k, s`,
+		// A window absorbing its ORDER BY, a top-k, and LIMITs that are no
+		// row count (a typed error, not a panic).
+		`SELECT r, p, t, SUM(s) OVER (PARTITION BY r, p ORDER BY t) FROM f ORDER BY p DESC, r, t LIMIT 4`,
+		`SELECT p, s FROM f ORDER BY s DESC, p LIMIT 3`,
+		`SELECT p FROM f ORDER BY p LIMIT -1`,
+		`SELECT p FROM f LIMIT 1e300`,
+		`SELECT p FROM f ORDER BY p LIMIT 2.7`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -7,7 +7,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -307,7 +306,7 @@ func Coerce(v types.Value, k types.Kind) (types.Value, error) {
 		return types.NewString(v.String()), nil
 	case k != types.KindInt || v.K != types.KindFloat:
 		return types.Null, fmt.Errorf("cannot store %s value as %s", v.K, k)
-	case f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63: // ±2^63 are exact floats; int64 holds only the first
+	case types.IntKeyable(f):
 		return types.NewInt(int64(f)), nil
 	}
 	return types.Null, fmt.Errorf("cannot store FLOAT value %s as INT: not an integer in range", v.String())

@@ -402,3 +402,36 @@ func TestGetSel(t *testing.T) {
 	}
 	PutSel(q)
 }
+
+// TestDictRank: a dictionary's rank orders its codes as their strings sort,
+// is shared by the columns sharing the dictionary, and is ranked anew when
+// a derived image adds to the dictionary.
+func TestDictRank(t *testing.T) {
+	rows := []types.Row{{types.NewString("m")}, {types.NewString("b")}, {types.Null}, {types.NewString("x")}, {types.NewString("b")}}
+	img := FromRows(1, rows)
+	c := img.Cols[0]
+	check := func(c *Column) {
+		t.Helper()
+		rank := c.DictRank()
+		for a := range c.Dict {
+			for b := range c.Dict {
+				if (rank[a] < rank[b]) != (c.Dict[a] < c.Dict[b]) {
+					t.Fatalf("rank %v does not order %q", rank, c.Dict)
+				}
+			}
+		}
+	}
+	check(c)
+	if g := Gather(c, []int32{3, 1}); &g.DictRank()[0] != &c.DictRank()[0] {
+		t.Error("a gathered column ranks its shared dictionary again")
+	}
+	more := append(append([]types.Row{}, rows...), types.Row{types.NewString("a")}, types.Row{types.NewString("c")})
+	ext, m := img.Extend(more)
+	if m != Fits {
+		t.Fatal(m)
+	}
+	check(ext.Cols[0])
+	if len(ext.Cols[0].DictRank()) != 5 || len(c.DictRank()) != 3 {
+		t.Errorf("ranks of %d and %d codes, want 5 and 3", len(ext.Cols[0].DictRank()), len(c.DictRank()))
+	}
+}

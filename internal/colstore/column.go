@@ -17,6 +17,7 @@ package colstore
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"sqlsheet/internal/types"
@@ -70,6 +71,15 @@ type Column struct {
 	Codes  []uint32
 
 	dictIdx map[string]uint32
+	// rank caches Dict's sort rank (see DictRank). It is shared with every
+	// column that shares Dict and replaced when a derived column adds to it.
+	rank *dictRank
+}
+
+// dictRank is one dictionary's lazily computed sort rank.
+type dictRank struct {
+	once sync.Once
+	rank []uint32
 }
 
 // Len returns the number of rows.
@@ -129,11 +139,30 @@ func (c *Column) DictCode(s string) (uint32, bool) {
 	return code, ok
 }
 
-// intKeyable reports whether f normalizes to an int64 under the engine's
-// canonical numeric normalization (types.Equal / AppendKey treat an integral
-// FLOAT as the equivalent INT).
-func intKeyable(f float64) bool {
-	return f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64
+// DictRank returns the sort rank of a dictionary column's codes: rank[code]
+// is the position of Dict[code] among the dictionary's strings in ascending
+// byte order, so comparing ranks compares the strings (types.Order), and
+// the ranks are distinct because the strings are. It is computed once per
+// dictionary and shared by the columns sharing it.
+func (c *Column) DictRank() []uint32 {
+	if c.rank == nil {
+		return rankDict(c.Dict)
+	}
+	c.rank.once.Do(func() { c.rank.rank = rankDict(c.Dict) })
+	return c.rank.rank
+}
+
+func rankDict(dict []string) []uint32 {
+	order := make([]uint32, len(dict))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
+	rank := make([]uint32, len(dict))
+	for r, code := range order {
+		rank[code] = uint32(r)
+	}
+	return rank
 }
 
 // AppendKey appends the canonical key encoding of row i to buf, byte for
@@ -148,7 +177,7 @@ func (c *Column) AppendKey(buf []byte, i int) []byte {
 		return appendIntKey(buf, c.Ints[i])
 	case types.KindFloat:
 		f := c.Floats[i]
-		if intKeyable(f) {
+		if types.IntKeyable(f) {
 			return appendIntKey(buf, int64(f))
 		}
 		u := math.Float64bits(f)
@@ -271,7 +300,7 @@ func (c *Column) fillDict(vals []types.Value) bool {
 		}
 		codes[i] = code
 	}
-	c.Dict, c.Codes, c.dictIdx = dict, codes, dictIdx
+	c.Dict, c.Codes, c.dictIdx, c.rank = dict, codes, dictIdx, new(dictRank)
 	return true
 }
 

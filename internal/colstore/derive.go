@@ -172,6 +172,7 @@ func (c *Column) code(s string, owned *bool) (uint32, Misfit) {
 			idx[k] = v
 		}
 		c.dictIdx, *owned = idx, true
+		c.rank = new(dictRank) // a longer dictionary, ranked anew
 	}
 	code := uint32(len(c.Dict))
 	c.Dict = append(c.Dict, s)

@@ -45,7 +45,7 @@ func Gather(c *Column, idx []int32) *Column {
 		}
 	case types.KindString:
 		if c.Dict != nil {
-			out.Dict, out.dictIdx = c.Dict, c.dictIdx
+			out.Dict, out.dictIdx, out.rank = c.Dict, c.dictIdx, c.rank
 			out.Codes = make([]uint32, n)
 			for k, i := range idx {
 				if i < 0 || (c.Nulls != nil && c.Nulls.Get(int(i))) {

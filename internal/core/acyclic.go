@@ -552,7 +552,7 @@ func (fe *frameEval) sortTargets(r *Rule, targets []int) error {
 	sort.SliceStable(ks, func(i, j int) bool {
 		a, b := ks[i], ks[j]
 		for k := range a.keys {
-			c := types.Compare(a.keys[k], b.keys[k])
+			c := types.Order(a.keys[k], b.keys[k])
 			if r.OrderBy[k].Desc {
 				c = -c
 			}

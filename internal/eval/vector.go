@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math"
 	"sync/atomic"
 
 	"sqlsheet/internal/colstore"
@@ -333,23 +332,6 @@ func appendNonNull(in *VecInput, c *colstore.Column, sel, out []int32) []int32 {
 	return out
 }
 
-// normConst mirrors the value layer's canonical numeric normalization
-// (types.Equal / AppendKey): an integral FLOAT is the equivalent INT.
-func normConst(v types.Value) types.Value {
-	if v.K == types.KindFloat {
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			return types.Value{K: types.KindInt, I: int64(f)}
-		}
-	}
-	return v
-}
-
-// intRange reports whether float f normalizes to int64 (integral, finite,
-// in range) under normConst.
-func intRange(f float64) bool {
-	return f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64
-}
-
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -398,7 +380,7 @@ func cmpColConst(ord int, op string, cv types.Value, neg bool) selFn {
 		}
 	}
 	passMismatch := neg // ordered numeric/non-numeric mismatch is FALSE
-	cvN := normConst(cv)
+	cvN := types.NormNum(cv)
 	cvIsInt := cvN.K == types.KindInt
 	cI := cvN.I
 	cIf := float64(cI)
@@ -501,7 +483,7 @@ func cmpColConst(ord int, op string, cv types.Value, neg bool) selFn {
 					}
 					v := fs[r]
 					var veq bool
-					if intRange(v) {
+					if types.IntKeyable(v) {
 						veq = int64(v) == cI
 					} else {
 						veq = v == cIf
@@ -762,14 +744,14 @@ func numEq(a, b *colstore.Column, r int) bool {
 	}
 	if a.Kind == types.KindInt {
 		f := b.Floats[r]
-		if intRange(f) {
+		if types.IntKeyable(f) {
 			return int64(f) == a.Ints[r]
 		}
 		return f == float64(a.Ints[r])
 	}
 	if b.Kind == types.KindInt {
 		f := a.Floats[r]
-		if intRange(f) {
+		if types.IntKeyable(f) {
 			return int64(f) == b.Ints[r]
 		}
 		return f == float64(b.Ints[r])
@@ -884,7 +866,7 @@ func inListSel(ord int, x *sqlast.InList, neg bool) selFn {
 	strSet := map[string]struct{}{}
 	var boolSet [2]bool
 	for _, v := range lits {
-		switch n := normConst(v); n.K {
+		switch n := types.NormNum(v); n.K {
 		case types.KindInt:
 			intSet[n.I] = struct{}{}
 			fltView[float64(n.I)] = struct{}{}
@@ -930,7 +912,7 @@ func inListSel(ord int, x *sqlast.InList, neg bool) selFn {
 				}
 				v := fs[r]
 				var found bool
-				if intRange(v) {
+				if types.IntKeyable(v) {
 					_, found = intSet[int64(v)]
 				} else {
 					_, found = fltView[v]

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/catalog"
@@ -224,6 +225,7 @@ func (ex *Executor) Execute(n plan.Node, outer *eval.Binding) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		ex.opLine("limit", len(in.Rows), 0, 1, time.Now(), fmt.Sprintf("k=%d", x.N))
 		if len(in.Rows) > x.N {
 			in = &Result{Schema: in.Schema, Rows: in.Rows[:x.N]}
 		}

@@ -126,13 +126,15 @@ func (b *budget) release(n int) {
 	}
 }
 
-// OpStat records one parallel operator execution.
+// OpStat records one operator execution: every parallel operator's, and
+// the sorting, window and limit operators' whether parallel or not.
 type OpStat struct {
-	Op      string        // operator: filter, project, join-build, join-probe, group-by, spreadsheet
+	Op      string        // operator: filter, project, join-build, join-probe, group-by, sort, top-k, window, limit, spreadsheet
 	Rows    int           // input rows processed
 	Morsels int           // morsel count (0 for non-morsel operators)
 	Workers int           // goroutines actually used after budget arbitration
 	Elapsed time.Duration // wall-clock time of the operator
+	Note    string        // how it ran, where that varies (sort keys, window partitions, limit)
 }
 
 // Stats aggregates per-operator measurements for one statement; the DB layer
@@ -151,7 +153,11 @@ func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %8s %8s %12s\n", "operator", "rows", "morsels", "workers", "elapsed")
 	for _, op := range s.Ops {
-		fmt.Fprintf(&b, "%-12s %10d %8d %8d %12s\n", op.Op, op.Rows, op.Morsels, op.Workers, op.Elapsed)
+		fmt.Fprintf(&b, "%-12s %10d %8d %8d %12s", op.Op, op.Rows, op.Morsels, op.Workers, op.Elapsed)
+		if op.Note != "" {
+			b.WriteString("  " + op.Note)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -1,13 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
-	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
 
@@ -26,23 +26,23 @@ import (
 // size.
 
 // sortedPerm returns the permutation of [0,n) that stable-sorts indices by
-// cmp (ties keep input order). Large inputs sort as parallel runs merged by a
-// loser tree; a serial executor (Workers == 1) or a small input takes one
-// stable sort. Either path yields identical bytes.
-func (ex *Executor) sortedPerm(op string, n int, cmp func(a, b int) int) []int {
-	perm := make([]int, n)
+// cmp (ties keep input order), with the run count and workers it used.
+// Large inputs sort as parallel runs merged by a loser tree; a serial
+// executor (Workers == 1) or a small input takes one stable sort. Either
+// path yields identical bytes.
+func (ex *Executor) sortedPerm(n int, cmp func(a, b int) int) (perm []int, morsels, workers int) {
+	perm = make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	if n < 2 {
-		return perm
+		return perm, 0, 1
 	}
 	size := ex.morselSize()
 	if ex.workers() == 1 || n < 2*size {
 		stableSort(perm, cmp)
-		return perm
+		return perm, 0, 1
 	}
-	start := time.Now()
 	runs := makeMorsels(n, size)
 	var next atomic.Int64
 	w := ex.runPool(len(runs), func(int) {
@@ -54,9 +54,7 @@ func (ex *Executor) sortedPerm(op string, n int, cmp func(a, b int) int) []int {
 			stableSort(perm[runs[i].Lo:runs[i].Hi], cmp)
 		}
 	})
-	out := mergeRuns(perm, runs, cmp)
-	ex.recordOp(OpStat{Op: op, Rows: n, Morsels: len(runs), Workers: w, Elapsed: time.Since(start)})
-	return out
+	return mergeRuns(perm, runs, cmp), len(runs), w
 }
 
 // mergeRuns interleaves sorted runs of perm with a loser tree.
@@ -146,79 +144,44 @@ func (lt *loserTree) beats(a, b int) bool {
 	return c < 0 || (c == 0 && a < b)
 }
 
+// execSort runs ORDER BY: the full stable sort of its input by the items,
+// or, when the plan fused a LIMIT k below the input size into it, the
+// first k rows of that sort selected without sorting the rest (and without
+// spilling: it holds k rows).
 func (ex *Executor) execSort(n *plan.Sort, outer *eval.Binding) (*Result, error) {
 	in, err := ex.Execute(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
-	nr, nk := len(in.Rows), len(n.Items)
-	// One flat backing array for every row's keys: the former per-row
-	// []types.Value slices were the dominant ORDER BY allocation.
-	keys := make([]types.Value, nr*nk)
-	extract := func(ctx *eval.Context, m morsel) error {
-		for i := m.Lo; i < m.Hi; i++ {
-			ctx.Binding.Row = in.Rows[i]
-			for j, c := range n.ItemsC {
-				v, err := c.Eval(ctx)
-				if err != nil {
-					return err
-				}
-				keys[i*nk+j] = v
-			}
-		}
-		return nil
+	start := time.Now()
+	items := make([]keyItem, len(n.Items))
+	for j, it := range n.Items {
+		items[j] = keyItem{expr: it.Expr, c: n.ItemsC[j], desc: it.Desc}
 	}
-	if nk > 0 && nr > 0 {
-		exprs := make([]sqlast.Expr, nk)
-		for j, it := range n.Items {
-			exprs[j] = it.Expr
-		}
-		if anyHasSubquery(exprs) {
-			// Subqueries keep the serial path (shared runner state).
-			if err := extract(ex.ctx(in.Schema, nil, outer), morsel{Lo: 0, Hi: nr}); err != nil {
-				return nil, err
-			}
-		} else {
-			wcs := ex.workerCtxs(in.Schema, outer)
-			used, err := ex.forEachMorsel("sort-keys", nr, func(w int, m morsel) error {
-				return extract(wcs.get(w), m)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !used {
-				if err := extract(wcs.get(0), morsel{Lo: 0, Hi: nr}); err != nil {
-					return nil, err
-				}
-			}
-		}
+	keys, err := ex.keysOf("sort-keys", in, items, outer)
+	if err != nil {
+		return nil, err
 	}
-	cmp := func(a, b int) int {
-		ka, kb := keys[a*nk:a*nk+nk], keys[b*nk:b*nk+nk]
-		for j := 0; j < nk; j++ {
-			c := types.Compare(ka[j], kb[j])
-			if n.Items[j].Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
+	nr := len(in.Rows)
+	if n.Limit >= 0 && n.Limit < nr {
+		perm := keys.topK(n.Limit)
+		ex.opLine("top-k", nr, 0, 1, start, fmt.Sprintf("k=%d %s", n.Limit, keys.note()))
+		return permuted(in, n.Schema(), perm), nil
 	}
 	if ex.spillSort(nr, len(in.Schema.Cols)) {
-		rows, err := ex.externalSort(in.Rows, cmp)
+		rows, err := ex.externalSort(in.Rows, keys.cmp)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Schema: n.Schema(), Rows: rows}, nil
 	}
-	perm := ex.sortedPerm("sort", nr, cmp)
-	rows := make([]types.Row, nr)
-	for i, p := range perm {
-		rows[i] = in.Rows[p]
+	perm, morsels, workers := ex.sortPerm(keys)
+	note := keys.note()
+	if n.Limit >= 0 {
+		note = fmt.Sprintf("k=%d %s", n.Limit, note) // k ≥ the input: every row
 	}
-	return &Result{Schema: n.Schema(), Rows: rows}, nil
+	ex.opLine("sort", nr, morsels, workers, start, note)
+	return permuted(in, n.Schema(), perm), nil
 }
 
 // spillSort decides whether ORDER BY runs as an external sort: a memory

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sqlsheet/internal/catalog"
@@ -23,11 +24,11 @@ func TestSortedPermStableAndSorted(t *testing.T) {
 			keys[i] = rng.Intn(7) // heavy duplication exercises stability
 		}
 		cmp := func(a, b int) int { return keys[a] - keys[b] }
-		ref := New(nil, Options{Ablate: Ablation{MorselSize: 8}, Workers: 1}).
-			sortedPerm("sort", n, cmp)
+		ref, _, _ := New(nil, Options{Ablate: Ablation{MorselSize: 8}, Workers: 1}).
+			sortedPerm(n, cmp)
 		for _, w := range []int{2, 8} {
 			ex := New(nil, Options{Ablate: Ablation{MorselSize: 8}, Workers: w})
-			perm := ex.sortedPerm("sort", n, cmp)
+			perm, _, _ := ex.sortedPerm(n, cmp)
 			if len(perm) != n {
 				t.Fatalf("n=%d w=%d: len %d", n, w, len(perm))
 			}
@@ -241,5 +242,62 @@ func TestSortKeyExtractionAllocs(t *testing.T) {
 	// per-row regression (the former per-row key slices cost n = 4000).
 	if delta > 200 {
 		t.Errorf("Sort node over %d rows adds %.0f allocations per execution; want O(runs), not O(rows)", n, delta)
+	}
+}
+
+// TestSortWindowLimitStats pins the operator lines EXPLAIN ANALYZE prints
+// for sorting: the window's (rows, partitions, how its keys ran and why),
+// the top-k's and the limit's.
+func TestSortWindowLimitStats(t *testing.T) {
+	run, cat := sortEnv(t)
+	fillSortTable(t, run, 300)
+	for _, c := range []struct {
+		sql   string
+		boxed bool
+		want  []string // "op note", in order
+	}{
+		{`SELECT a, c, SUM(b) OVER (PARTITION BY c ORDER BY a) AS s FROM t ORDER BY c, a`, false,
+			[]string{"window partitions=9 keys=typed,packed"}},
+		{`SELECT a, c, SUM(b) OVER (PARTITION BY c ORDER BY a) AS s FROM t ORDER BY c, a LIMIT 40`, true,
+			[]string{"window partitions=1 k=40 keys=boxed(disabled)"}},
+		{`SELECT a, a + 1 AS a1, c, SUM(b) OVER (PARTITION BY c ORDER BY a) AS s FROM t ORDER BY c, a LIMIT 10`, false,
+			[]string{"window partitions=9 keys=typed,packed", "limit k=10"}},
+		// Specs whose PARTITION BY lists one set in two orders share the
+		// fused window's one sort: its partitions are counted once.
+		{`SELECT a, c, b, SUM(b) OVER (PARTITION BY c, a ORDER BY b) AS s, COUNT(*) OVER (PARTITION BY a, t.c ORDER BY b) AS n FROM t ORDER BY a, c DESC, b`, false,
+			[]string{"window partitions=205 keys=typed"}},
+		{`SELECT a, b, rank() OVER (ORDER BY b DESC) AS r FROM t`, false,
+			[]string{"window partitions=1 keys=typed"}},
+		{`SELECT a, rank() OVER (PARTITION BY CASE WHEN a > 20 THEN c ELSE a END ORDER BY a) AS r FROM t`, false,
+			[]string{"window partitions=30 keys=boxed(mixed-kinds)"}},
+		{`SELECT a, b, c FROM t ORDER BY b DESC, a LIMIT 7`, false, []string{"top-k k=7 keys=typed"}},
+		{`SELECT a, c FROM t ORDER BY c, a LIMIT 400`, false, []string{"sort k=400 keys=typed,packed"}},
+	} {
+		ex := New(cat, Options{Workers: 1})
+		ex.Opts.Engine.DisableVectorizedExec = c.boxed
+		ex.Opts.PlanOpts = &plan.Options{Exec: ex}
+		ex.Opts.PlanOpts.Engine.DisableVectorizedExec = c.boxed
+		stmt, err := parser.ParseQuery(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.ExecStatement(stmt); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, op := range ex.ExecStats.Ops {
+			if op.Note != "" {
+				got = append(got, op.Op+" "+op.Note)
+				if op.Rows != 300 {
+					t.Errorf("%s: %s over %d rows, want 300", c.sql, op.Op, op.Rows)
+				}
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s (boxed %v):\n got %q\nwant %q", c.sql, c.boxed, got, c.want)
+		}
+		if s, note := ex.ExecStats.String(), strings.SplitN(c.want[0], " ", 2)[1]; !strings.Contains(s, note) {
+			t.Errorf("stats table lacks %q:\n%s", note, s)
+		}
 	}
 }

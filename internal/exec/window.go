@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"time"
 
 	"sqlsheet/internal/aggs"
 	"sqlsheet/internal/eval"
@@ -10,154 +12,242 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// execWindow computes window functions: rows are hash-partitioned on the
-// PARTITION BY keys, ordered within each partition, and each spec's values
-// are appended as a new column. Sliding aggregate frames reuse the
-// aggregates' algebraic inverses where they exist.
+// execWindow computes window functions. The specs that share a (PARTITION
+// BY, ORDER BY) pair share one stable sort of the input by the partition
+// keys then the order keys (sortkeys.go); one sweep over the sorted rows
+// finds the partitions — runs of rows whose partition keys tie — and fills
+// each spec's values partition by partition. Rows leave in input order, or,
+// when the plan absorbed an ORDER BY into the window (Window.Order), in the
+// order of that sort: the one the absorbed ORDER BY would have produced.
+// The output keeps the input's columnar provenance; the window columns lie
+// outside it.
 func (ex *Executor) execWindow(n *plan.Window, outer *eval.Binding) (*Result, error) {
 	in, err := ex.Execute(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
-	width := len(in.Schema.Cols)
-	out := make([]types.Row, len(in.Rows))
-	for i, r := range in.Rows {
-		row := make(types.Row, width, width+len(n.Specs))
-		copy(row, r)
-		out[i] = row
+	start := time.Now()
+	nr, width := len(in.Rows), len(in.Schema.Cols)
+	vals := make([][]types.Value, len(n.Specs))
+	for si := range vals {
+		vals[si] = make([]types.Value, nr)
 	}
-	for _, spec := range n.Specs {
-		vals, err := ex.windowColumn(spec, n.Compiled, in, outer)
+	var order []int // the fused output order
+	parts, notes := 0, ""
+	done := make([]bool, len(n.Specs))
+	for si, spec := range n.Specs {
+		if done[si] {
+			continue
+		}
+		// This spec and every later one with the same keys. A fused
+		// window's specs all share them: the plan checked that on input
+		// column ordinals (plan.fuseWindowOrder).
+		group := []int{si}
+		for sj := si + 1; sj < len(n.Specs); sj++ {
+			if !done[sj] && (n.Order != nil || sameWindowKeys(spec.Fn, n.Specs[sj].Fn)) {
+				group = append(group, sj)
+			}
+		}
+		for _, sj := range group {
+			done[sj] = true
+		}
+		items := make([]keyItem, 0, len(spec.Fn.PartitionBy)+len(spec.Fn.OrderBy))
+		np := len(spec.Fn.PartitionBy)
+		if n.Order != nil {
+			np = len(n.Order) - len(spec.Fn.OrderBy)
+			for _, it := range n.Order {
+				items = append(items, keyItem{expr: it.Expr, c: n.Compiled[it.Expr], desc: it.Desc})
+			}
+		} else {
+			for _, p := range spec.Fn.PartitionBy {
+				items = append(items, keyItem{expr: p, c: n.Compiled[p]})
+			}
+			for _, o := range spec.Fn.OrderBy {
+				items = append(items, keyItem{expr: o.Expr, c: n.Compiled[o.Expr], desc: o.Desc})
+			}
+		}
+		keys, err := ex.keysOf("window-keys", in, items, outer)
 		if err != nil {
 			return nil, err
 		}
-		for i := range out {
-			out[i] = append(out[i], vals[i])
+		perm, _, _ := ex.sortPerm(keys)
+		if n.Order != nil {
+			order = perm
 		}
+		w := &windowRun{in: in, compiled: n.Compiled, ctx: ex.ctx(in.Schema, nil, outer), keys: keys, np: np}
+		lo := 0
+		for i := 1; i <= nr; i++ {
+			if i < nr && keys.tie(perm[i-1], perm[i], 0, np) {
+				continue
+			}
+			if order != nil && n.Limit >= 0 && lo >= n.Limit {
+				break // no row of this partition or a later one is emitted
+			}
+			for _, part := range keys.splitNaN(perm[lo:i], np) {
+				parts++
+				for _, sj := range group {
+					if err := w.fill(n.Specs[sj], part, vals[sj]); err != nil {
+						return nil, err
+					}
+				}
+			}
+			lo = i
+		}
+		notes = keys.note()
 	}
-	return &Result{Schema: n.Schema(), Rows: out}, nil
+	if order != nil && n.Limit >= 0 && n.Limit < nr {
+		order = order[:n.Limit]
+	}
+	// Output rows: the input row then the window values, in one backing.
+	nout, rw := nr, width+len(n.Specs)
+	if order != nil {
+		nout = len(order)
+	}
+	flat := make([]types.Value, nout*rw)
+	rows := make([]types.Row, nout)
+	for i := range rows {
+		src := i
+		if order != nil {
+			src = order[i]
+		}
+		row := flat[i*rw : (i+1)*rw : (i+1)*rw]
+		copy(row, in.Rows[src])
+		for si := range vals {
+			row[width+si] = vals[si][src]
+		}
+		rows[i] = row
+	}
+	out := &Result{Schema: n.Schema(), Rows: rows}
+	if vecOK(in) {
+		ridx := in.RowIdx
+		if order != nil {
+			ridx = make([]int32, nout)
+			for i, src := range order {
+				ridx[i] = resImgRow(in, src)
+			}
+		}
+		cmap := in.ColMap // explicit, so the window columns lie outside it
+		if cmap == nil {
+			cmap = make([]int, width)
+			for j := range cmap {
+				cmap[j] = j
+			}
+		}
+		out.Img, out.RowIdx, out.ColMap = in.Img, ridx, cmap
+	}
+	if n.Limit >= 0 {
+		notes = fmt.Sprintf("k=%d %s", n.Limit, notes)
+	}
+	ex.opLine("window", nr, 0, 1, start, fmt.Sprintf("partitions=%d %s", parts, notes))
+	return out, nil
 }
 
-// windowColumn computes one spec's value for every input row, in input
-// order.
-func (ex *Executor) windowColumn(spec plan.WindowSpec, compiled map[sqlast.Expr]eval.CompiledExpr, in *Result, outer *eval.Binding) ([]types.Value, error) {
-	ctx := ex.ctx(in.Schema, nil, outer)
-	evalAt := func(e sqlast.Expr, row types.Row) (types.Value, error) {
-		ctx.Binding.Row = row
-		c, ok := compiled[e]
-		if !ok {
-			return types.Null, fmt.Errorf("internal error: window expression %s was not compiled", e)
-		}
-		return c.Eval(ctx)
+// sameWindowKeys reports whether two specs partition and order alike.
+func sameWindowKeys(a, b *sqlast.WindowFunc) bool {
+	if len(a.PartitionBy) != len(b.PartitionBy) || len(a.OrderBy) != len(b.OrderBy) {
+		return false
 	}
-
-	// Partition.
-	type part struct{ idx []int }
-	parts := map[string]*part{}
-	var order []string
-	var buf []byte
-	for i, row := range in.Rows {
-		buf = buf[:0]
-		for _, pe := range spec.Fn.PartitionBy {
-			v, err := evalAt(pe, row)
-			if err != nil {
-				return nil, err
-			}
-			buf = types.AppendKey(buf, v)
-		}
-		p := parts[string(buf)]
-		if p == nil {
-			p = &part{}
-			parts[string(buf)] = p
-			order = append(order, string(buf))
-		}
-		p.idx = append(p.idx, i)
-	}
-
-	result := make([]types.Value, len(in.Rows))
-	for _, k := range order {
-		p := parts[k]
-		// Order within the partition (stable: input order breaks ties).
-		keys := make([][]types.Value, len(p.idx))
-		for j, ri := range p.idx {
-			ks := make([]types.Value, len(spec.Fn.OrderBy))
-			for oi, o := range spec.Fn.OrderBy {
-				v, err := evalAt(o.Expr, in.Rows[ri])
-				if err != nil {
-					return nil, err
-				}
-				ks[oi] = v
-			}
-			keys[j] = ks
-		}
-		// Chunked parallel sort; stability keeps input order on ties, same
-		// as the former explicit a-b tie break.
-		pos := ex.sortedPerm("window-sort", len(p.idx), func(a, b int) int {
-			for oi := range spec.Fn.OrderBy {
-				c := types.Compare(keys[a][oi], keys[b][oi])
-				if spec.Fn.OrderBy[oi].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-		ordered := make([]int, len(pos)) // ordered[k] = row index of k-th row
-		okeys := make([][]types.Value, len(pos))
-		for k2, j := range pos {
-			ordered[k2] = p.idx[j]
-			okeys[k2] = keys[j]
-		}
-		if err := ex.fillWindowValues(spec, in, ordered, okeys, evalAt, result); err != nil {
-			return nil, err
+	for i := range a.PartitionBy {
+		if a.PartitionBy[i].String() != b.PartitionBy[i].String() {
+			return false
 		}
 	}
-	return result, nil
-}
-
-// sameKeys reports whether two ordering keys tie.
-func sameKeys(a, b []types.Value) bool {
-	for i := range a {
-		if types.Compare(a[i], b[i]) != 0 {
+	for i := range a.OrderBy {
+		if a.OrderBy[i].Desc != b.OrderBy[i].Desc || a.OrderBy[i].Expr.String() != b.OrderBy[i].Expr.String() {
 			return false
 		}
 	}
 	return true
 }
 
-// fillWindowValues computes the function over one ordered partition.
-func (ex *Executor) fillWindowValues(spec plan.WindowSpec, in *Result, ordered []int,
-	okeys [][]types.Value, evalAt func(sqlast.Expr, types.Row) (types.Value, error),
-	result []types.Value) error {
+// splitNaN returns the partitions of a run of rows whose first np keys tie.
+// Tied keys are one partition unless one of them is NaN: NaNs of different
+// bits are different partition keys (types.AppendKey), so such a run splits
+// by their bits, each part keeping the run's order.
+func (sk *sortKeys) splitNaN(run []int, np int) [][]int {
+	var nan []int
+	for j := 0; j < np; j++ {
+		if _, ok := sk.keys[j].nanBits(run[0]); ok {
+			nan = append(nan, j)
+		}
+	}
+	if nan == nil {
+		return [][]int{run}
+	}
+	var parts [][]int
+	at := map[string]int{}
+	var buf []byte
+	for _, r := range run {
+		buf = buf[:0]
+		for _, j := range nan {
+			b, _ := sk.keys[j].nanBits(r)
+			buf = binary.BigEndian.AppendUint64(buf, b)
+		}
+		p, ok := at[string(buf)]
+		if !ok {
+			p = len(parts)
+			at[string(buf)] = p
+			parts = append(parts, nil)
+		}
+		parts[p] = append(parts[p], r)
+	}
+	return parts
+}
+
+// windowRun is the state one sort's partitions share.
+type windowRun struct {
+	in       *Result
+	compiled map[sqlast.Expr]eval.CompiledExpr
+	ctx      *eval.Context
+	keys     *sortKeys
+	np       int // keys[:np] partition, keys[np:] order
+}
+
+// evalAt evaluates a spec expression at input row ri.
+func (w *windowRun) evalAt(e sqlast.Expr, ri int) (types.Value, error) {
+	w.ctx.Binding.Row = w.in.Rows[ri]
+	c, ok := w.compiled[e]
+	if !ok {
+		return types.Null, fmt.Errorf("internal error: window expression %s was not compiled", e)
+	}
+	return c.Eval(w.ctx)
+}
+
+// peers reports whether input rows a and b tie on the order keys.
+func (w *windowRun) peers(a, b int) bool {
+	return w.keys.tie(a, b, w.np, len(w.keys.keys))
+}
+
+// fill computes spec's function over one partition, its input rows in
+// window order, into result (indexed by input row).
+func (w *windowRun) fill(spec plan.WindowSpec, ordered []int, result []types.Value) error {
 
 	fn := spec.Fn.Func
 	n := len(ordered)
 	switch fn.Name {
 	case "row_number":
 		for k, ri := range ordered {
-			result[ri] = types.NewInt(int64(k + 1))
+			result[ri] = types.NewInt(int64(k + 1)) // interp-ok: the window column is a boxed value per row
 		}
 		return nil
 	case "rank", "dense_rank":
 		rank, dense := 1, 1
 		for k, ri := range ordered {
-			if k > 0 && !sameKeys(okeys[k], okeys[k-1]) {
+			if k > 0 && !w.peers(ordered[k-1], ri) {
 				rank = k + 1
 				dense++
 			}
 			if fn.Name == "rank" {
-				result[ri] = types.NewInt(int64(rank))
+				result[ri] = types.NewInt(int64(rank)) // interp-ok: the window column is a boxed value per row
 			} else {
-				result[ri] = types.NewInt(int64(dense))
+				result[ri] = types.NewInt(int64(dense)) // interp-ok: the window column is a boxed value per row
 			}
 		}
 		return nil
 	case "lag", "lead":
 		offset := 1
 		if len(fn.Args) >= 2 {
-			v, err := evalAt(fn.Args[1], in.Rows[ordered[0]])
+			v, err := w.evalAt(fn.Args[1], ordered[0])
 			if err != nil {
 				return err
 			}
@@ -170,7 +260,7 @@ func (ex *Executor) fillWindowValues(spec plan.WindowSpec, in *Result, ordered [
 			}
 			if src < 0 || src >= n {
 				if len(fn.Args) >= 3 {
-					v, err := evalAt(fn.Args[2], in.Rows[ri])
+					v, err := w.evalAt(fn.Args[2], ri)
 					if err != nil {
 						return err
 					}
@@ -180,7 +270,7 @@ func (ex *Executor) fillWindowValues(spec plan.WindowSpec, in *Result, ordered [
 				}
 				continue
 			}
-			v, err := evalAt(fn.Args[0], in.Rows[ordered[src]])
+			v, err := w.evalAt(fn.Args[0], ordered[src])
 			if err != nil {
 				return err
 			}
@@ -198,7 +288,7 @@ func (ex *Executor) fillWindowValues(spec plan.WindowSpec, in *Result, ordered [
 			if fn.Name == "last_value" {
 				src = hi
 			}
-			v, err := evalAt(fn.Args[0], in.Rows[ordered[src]])
+			v, err := w.evalAt(fn.Args[0], ordered[src])
 			if err != nil {
 				return err
 			}
@@ -214,7 +304,7 @@ func (ex *Executor) fillWindowValues(spec plan.WindowSpec, in *Result, ordered [
 		}
 		vals := make([]types.Value, len(fn.Args))
 		for i, a := range fn.Args {
-			v, err := evalAt(a, in.Rows[ordered[k]])
+			v, err := w.evalAt(a, ordered[k])
 			if err != nil {
 				return nil, err
 			}

@@ -131,6 +131,10 @@ func (a *annotator) walk(n Node) {
 				x.Compiled[e] = eval.Compile(env, e)
 			}
 		}
+		x.VecNote = vecYes
+		if !vec {
+			x.VecNote = vecNoDisabled
+		}
 		for _, spec := range x.Specs {
 			for _, arg := range spec.Fn.Func.Args {
 				add(arg)

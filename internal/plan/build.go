@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -63,7 +65,7 @@ func (b *builder) buildStmt(stmt *sqlast.SelectStmt) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &Sort{Input: n, Items: items}
+		s := &Sort{Input: n, Items: items, Limit: -1}
 		// Annotate only for an explicitly configured worker count: Workers=0
 		// means "all cores", which would make EXPLAIN machine-dependent.
 		if b.opts.Workers > 1 {
@@ -72,13 +74,32 @@ func (b *builder) buildStmt(stmt *sqlast.SelectStmt) (Node, error) {
 		n = s
 	}
 	if stmt.Limit != nil {
-		v, err := eval.Compile(nil, stmt.Limit).Eval(&eval.Context{})
-		if err != nil || !v.IsNumeric() {
-			return nil, fmt.Errorf("LIMIT must be a numeric constant")
+		k, err := limitCount(stmt.Limit)
+		if err != nil {
+			return nil, err
 		}
-		n = &Limit{Input: n, N: int(v.Int())}
+		n = &Limit{Input: n, N: k}
 	}
 	return n, nil
+}
+
+// ErrLimit is the error of a LIMIT that is not a row count.
+var ErrLimit = errors.New("LIMIT must be a non-negative integer constant")
+
+// limitCount evaluates a LIMIT: a constant that is a non-negative integer
+// within int range (an integral FLOAT counts; 2.7, -1 and 1e300 do not).
+func limitCount(e sqlast.Expr) (int, error) {
+	v, err := eval.Compile(nil, e).Eval(&eval.Context{})
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrLimit, err)
+	}
+	switch {
+	case v.K == types.KindInt && v.I >= 0 && v.I <= math.MaxInt:
+		return int(v.I), nil
+	case v.K == types.KindFloat && v.F >= 0 && v.F == math.Trunc(v.F) && v.F < math.MaxInt:
+		return int(v.F), nil
+	}
+	return 0, fmt.Errorf("%w, got %s", ErrLimit, v.SQLLiteral())
 }
 
 // resolveOrderBy maps positional ORDER BY items onto output columns and

@@ -86,14 +86,7 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		fmt.Fprintf(b, "%sDistinct\n", pad)
 		explainNode(b, x.Input, depth+1)
 	case *Sort:
-		items := make([]string, len(x.Items))
-		for i, it := range x.Items {
-			items[i] = it.Expr.String()
-			if it.Desc {
-				items[i] += " DESC"
-			}
-		}
-		fmt.Fprintf(b, "%sSort %s\n", pad, strings.Join(items, ", "))
+		fmt.Fprintf(b, "%sSort %s%s\n", pad, orderString(x.Items), limitString(x))
 		if x.Note != "" {
 			fmt.Fprintf(b, "%s  * %s\n", pad, x.Note)
 		}
@@ -106,7 +99,14 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		for i, s := range x.Specs {
 			specs[i] = s.Fn.String()
 		}
-		fmt.Fprintf(b, "%sWindow %s\n", pad, strings.Join(specs, ", "))
+		fmt.Fprintf(b, "%sWindow %s", pad, strings.Join(specs, ", "))
+		if x.Order != nil {
+			fmt.Fprintf(b, " order=%s", orderString(x.Order))
+		}
+		if x.Limit >= 0 {
+			fmt.Fprintf(b, " limit=%d", x.Limit)
+		}
+		fmt.Fprintf(b, " vectorized=%s\n", vecNote(x.VecNote, false))
 		explainNode(b, x.Input, depth+1)
 	case *Alias:
 		explainNode(b, x.Input, depth)

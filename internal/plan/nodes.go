@@ -154,12 +154,17 @@ type Distinct struct {
 	Input Node
 }
 
-// Sort orders rows by the items, evaluated against the input schema.
+// Sort orders rows by the items, evaluated against the input schema: a
+// stable sort under types.Order (ties keep input order).
 type Sort struct {
 	Input Node
 	Items []sqlast.OrderItem
 	// ItemsC aligns with Items (compiled sort-key extractors).
 	ItemsC []eval.CompiledExpr
+	// Limit ≥ 0 keeps only the first Limit rows of the sorted order: a
+	// LIMIT fused into the sort, which the executor runs as a top-k
+	// selection. -1 keeps every row.
+	Limit int
 	// Note records the execution strategy for EXPLAIN (set only when the
 	// session configures an explicit worker count, so plans stay
 	// machine-independent).

@@ -6,7 +6,9 @@ import (
 )
 
 // optimize runs the optimization pipeline: spreadsheet-specific rewrites
-// first (they insert filters to push), then generic filter pushdown.
+// first (they insert filters to push), then generic filter pushdown, then
+// the order rewrites (a window absorbs a matching ORDER BY, a LIMIT over a
+// sort becomes a top-k).
 func optimize(n Node, opts *Options) (Node, error) {
 	var err error
 	n, err = optimizeSheets(n, opts)
@@ -16,7 +18,7 @@ func optimize(n Node, opts *Options) (Node, error) {
 	if !opts.Ablate.DisableFilterPushdown {
 		n = pushFilters(n)
 	}
-	return n, nil
+	return fuseOrder(n), nil
 }
 
 // pushFilters sinks Filter nodes toward scans, splits conjuncts across
@@ -41,6 +43,8 @@ func pushFilters(n Node) Node {
 	case *Sort:
 		x.Input = pushFilters(x.Input)
 	case *Limit:
+		x.Input = pushFilters(x.Input)
+	case *Window:
 		x.Input = pushFilters(x.Input)
 	case *Spreadsheet:
 		x.Input = pushFilters(x.Input)

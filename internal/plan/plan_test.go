@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -275,5 +276,74 @@ func TestExplainJoinDetails(t *testing.T) {
 	}
 	if !strings.Contains(out, "residual=") && !strings.Contains(out, "Scan f filter=") {
 		t.Errorf("non-equi conjunct lost:\n%s", out)
+	}
+}
+
+// TestFuseWindowOrder pins when a window absorbs the ORDER BY above it:
+// the keys are the window's partition columns in any order and directions,
+// then exactly its order keys, and every spec partitions and orders alike.
+func TestFuseWindowOrder(t *testing.T) {
+	const ma = `AVG(s) OVER (PARTITION BY c, r, p ORDER BY t ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)`
+	for _, c := range []struct {
+		sql, order string // order="" = not fused
+	}{
+		// The benchmark's window_ma shape.
+		{`SELECT c, r, p, t, s, ` + ma + ` AS ma FROM f WHERE c = 'x' ORDER BY c, r, p, t LIMIT 500`, "c, r, p, t limit=500"},
+		{`SELECT c, r, p, t, ` + ma + ` FROM f ORDER BY p DESC, c, r DESC, t`, "p DESC, c, r DESC, t"},
+		{`SELECT f.p, f.t, s, rank() OVER (PARTITION BY f.p ORDER BY t DESC, s) AS rk, SUM(s) OVER (PARTITION BY p ORDER BY f.t DESC, s) FROM f ORDER BY p, t DESC, s`, "f.p, t DESC, s"},
+		{`SELECT t, row_number() OVER (ORDER BY t) FROM f ORDER BY t`, "t"},
+		{`SELECT c, r, p, t, ` + ma + ` FROM f ORDER BY c, r, p`, ""},          // a strict prefix
+		{`SELECT c, r, p, t, s, ` + ma + ` FROM f ORDER BY c, r, p, t, s`, ""}, // an extra trailing key
+		{`SELECT c, r, p, t, ` + ma + ` FROM f ORDER BY c, r, p, t DESC`, ""},  // O's direction differs
+		{`SELECT c, r, p, t, ` + ma + ` FROM f ORDER BY c, t, r, p`, ""},       // P after O
+		{`SELECT p, t, SUM(s) OVER (PARTITION BY p ORDER BY t), SUM(s) OVER (PARTITION BY r ORDER BY t) FROM f ORDER BY p, t`, ""},
+		{`SELECT p, t, SUM(s) OVER (PARTITION BY p ORDER BY t) AS x FROM f ORDER BY x`, ""},
+		{`SELECT p || 'x' AS q, t, SUM(s) OVER (PARTITION BY p ORDER BY t) FROM f ORDER BY q, t`, ""},
+		{`SELECT * FROM (SELECT p, t, SUM(s) OVER (PARTITION BY p ORDER BY t) AS x FROM f) v ORDER BY p, t`, ""},
+	} {
+		out := Explain(mustPlan(t, c.sql, nil))
+		fused := !strings.Contains(out, "Sort ")
+		if fused != (c.order != "") || (fused && !strings.Contains(out, "order="+c.order+" vectorized=yes")) {
+			t.Errorf("%s\nwant order %q, got:\n%s", c.sql, c.order, out)
+		}
+	}
+	// A LIMIT over the absorbing window moves into it when no skipped row
+	// could fail; a computed projection or argument keeps it above.
+	for _, c := range []struct{ sql, prefix string }{
+		{`SELECT c, r, p, t, s, ` + ma + ` AS ma FROM f ORDER BY c, r, p, t LIMIT 500`, "Project"},
+		{`SELECT c, r, p, t, s + 1, ` + ma + ` AS ma FROM f ORDER BY c, r, p, t LIMIT 500`, "Limit 500\n  Project"},
+		{`SELECT c, r, p, t, SUM(s * 2) OVER (PARTITION BY c, r, p ORDER BY t) FROM f ORDER BY c, r, p, t LIMIT 5`, "Limit 5\n  Project"},
+	} {
+		out := Explain(mustPlan(t, c.sql, nil))
+		moved := strings.Contains(out, " limit=")
+		if !strings.HasPrefix(out, c.prefix) || moved != (c.prefix == "Project") {
+			t.Errorf("%s\nwant prefix %q, got:\n%s", c.sql, c.prefix, out)
+		}
+	}
+}
+
+// TestTopK pins the Sort+Limit fusion and the LIMIT checks.
+func TestTopK(t *testing.T) {
+	n := mustPlan(t, `SELECT p, s FROM f ORDER BY s DESC, p LIMIT 200`, nil)
+	if s, ok := n.(*Sort); !ok || s.Limit != 200 {
+		t.Fatalf("plan root %T %+v, want a Sort with Limit 200", n, n)
+	}
+	if out := Explain(n); !strings.HasPrefix(out, "Sort s DESC, p limit=200 (top-k)\n") {
+		t.Errorf("explain:\n%s", out)
+	}
+	if s := mustPlan(t, `SELECT p FROM f ORDER BY p`, nil).(*Sort); s.Limit != -1 {
+		t.Errorf("ORDER BY alone: Limit %d, want -1", s.Limit)
+	}
+	if _, ok := mustPlan(t, `SELECT p FROM f LIMIT 3`, nil).(*Limit); !ok {
+		t.Error("LIMIT without ORDER BY is no top-k")
+	}
+	if n := mustPlan(t, `SELECT p FROM f ORDER BY p LIMIT 2.0`, nil); n.(*Sort).Limit != 2 {
+		t.Errorf("LIMIT 2.0: %+v", n)
+	}
+	for _, lim := range []string{"-1", "1e300", "2.7", "'x'", "NULL", "9223372036854775808.0"} {
+		err := planErr(t, `SELECT p FROM f ORDER BY p LIMIT `+lim)
+		if !errors.Is(err, ErrLimit) {
+			t.Errorf("LIMIT %s: %v, want ErrLimit", lim, err)
+		}
 	}
 }

@@ -17,10 +17,23 @@ import (
 type Window struct {
 	Input Node
 	Specs []WindowSpec
+	// Order, when set, is an ORDER BY the optimizer absorbed into the
+	// window (see fuseWindowOrder): the window's rows leave sorted by it
+	// instead of in input order. Its items are the specs' own PARTITION BY
+	// expressions, in some order and with any directions, then their
+	// ORDER BY items.
+	Order []sqlast.OrderItem
+	// Limit ≥ 0, set only with Order, keeps the first Limit rows of that
+	// order: a LIMIT the optimizer moved into the window, which then fills
+	// only the partitions those rows are in. -1 keeps every row.
+	Limit int
 	// Compiled maps each spec's argument / PARTITION BY / ORDER BY
 	// expression to its compiled form.
 	Compiled map[sqlast.Expr]eval.CompiledExpr
-	schema   *eval.BoundSchema
+	// VecNote is EXPLAIN's vectorized= annotation: whether the window's
+	// sort keys take the typed path ("yes") or the boxed one.
+	VecNote string
+	schema  *eval.BoundSchema
 }
 
 // WindowSpec is one computed window column.
@@ -132,7 +145,7 @@ func newWindow(input Node, specs []WindowSpec) (*Window, error) {
 	for _, spec := range specs {
 		cols = append(cols, eval.BoundCol{Name: spec.Name})
 	}
-	return &Window{Input: input, Specs: specs, schema: eval.NewBoundSchema(cols)}, nil
+	return &Window{Input: input, Specs: specs, Limit: -1, schema: eval.NewBoundSchema(cols)}, nil
 }
 
 // rejectWindow errors when e contains a window function (WHERE, GROUP BY,

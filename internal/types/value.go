@@ -5,6 +5,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -138,13 +139,20 @@ func (v Value) SQLLiteral() string {
 	return v.String()
 }
 
-// normNum maps an integral FLOAT onto the equivalent INT so that 2002 and
+// IntKeyable reports whether the FLOAT f is an integer int64 holds, so that
+// it is the same key as that INT. It is the one rule every layer applies:
+// NormNum, the columnar key encoding, the vectorized predicates and the
+// catalog's FLOAT-to-INT coercion. ±Inf and NaN fail the range test; -2^63
+// is in range and 2^63 is not.
+func IntKeyable(f float64) bool {
+	return f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63
+}
+
+// NormNum maps an integral FLOAT onto the equivalent INT so that 2002 and
 // 2002.0 address the same spreadsheet cell and hash to the same key.
-func normNum(v Value) Value {
-	if v.K == KindFloat {
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			return Value{K: KindInt, I: int64(f)}
-		}
+func NormNum(v Value) Value {
+	if v.K == KindFloat && IntKeyable(v.F) {
+		return Value{K: KindInt, I: int64(v.F)}
 	}
 	return v
 }
@@ -153,11 +161,10 @@ func normNum(v Value) Value {
 // semantics: numeric values compare across INT/FLOAT, NULL equals NULL.
 // (SQL's three-valued = is implemented by Compare in the evaluator.)
 func Equal(a, b Value) bool {
-	a, b = normNum(a), normNum(b)
+	a, b = NormNum(a), NormNum(b)
 	if a.K != b.K {
-		if a.IsNumeric() && b.IsNumeric() {
-			return a.Float() == b.Float()
-		}
+		// A FLOAT that NormNum leaves a FLOAT is not an integer int64
+		// holds, so it equals no INT.
 		return false
 	}
 	switch a.K {
@@ -223,11 +230,79 @@ func Compare(a, b Value) int {
 	return 0
 }
 
+// Order is the engine's sort order, the one ORDER BY, window ordering and
+// rule ORDER BY sort by. It keeps Compare's placement of NULLs (last,
+// equal to each other) and of mixed non-numeric kinds (by Kind), but it is
+// a total preorder, which a sort needs and Compare is not: numerics compare
+// exactly (INT against INT as integers, INT against FLOAT without rounding
+// the INT), and NaN sorts after every number and ties only with NaN. -0.0
+// ties 0.0 and 0. Two values tie under Order exactly when they are Equal,
+// NaNs aside. Predicates, MIN/MAX and bounds keep Compare.
+func Order(a, b Value) int {
+	an, bn := a.IsNull(), b.IsNull()
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	if !a.IsNumeric() || !b.IsNumeric() {
+		return Compare(a, b)
+	}
+	switch {
+	case a.K == KindInt && b.K == KindInt:
+		return cmp.Compare(a.I, b.I)
+	case a.K == KindFloat && b.K == KindFloat:
+		return OrderFloat(a.F, b.F)
+	case a.K == KindFloat:
+		return orderFloatInt(a.F, b.I)
+	}
+	return -orderFloatInt(b.F, a.I)
+}
+
+// OrderFloat is Order over two FLOATs: NaN after every number, tied only
+// with NaN; -0.0 ties 0.0.
+func OrderFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	}
+	xn, yn := x != x, y != y
+	switch {
+	case xn && yn:
+		return 0
+	case xn:
+		return 1
+	}
+	return -1
+}
+
+// orderFloatInt compares f with i exactly.
+func orderFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= 0x1p63:
+		return 1
+	case f < -0x1p63:
+		return -1
+	}
+	t := math.Trunc(f) // in [-2^63, 2^63): exact as an int64
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return OrderFloat(f, t)
+}
+
 // AppendKey appends a canonical byte encoding of v to buf. Two values encode
 // identically iff Equal(a, b); the encoding is self-delimiting so tuples of
 // values can be concatenated into composite keys.
 func AppendKey(buf []byte, v Value) []byte {
-	v = normNum(v)
+	v = NormNum(v)
 	switch v.K {
 	case KindNull:
 		return append(buf, 0x00)

@@ -226,3 +226,60 @@ func TestSchemaDuplicateNamesKeepFirst(t *testing.T) {
 		t.Error("duplicate column lookup must resolve to first occurrence")
 	}
 }
+
+// TestOrder pins the sort order: Compare's NULL and kind placement, NaN
+// after every number and tied only with NaN, exact numerics across kinds.
+func TestOrder(t *testing.T) {
+	nan, nan2 := NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000002))
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{nan, NewFloat(1), 1}, {NewFloat(math.Inf(1)), nan, -1}, {nan, nan2, 0},
+		{nan, NewInt(math.MaxInt64), 1}, {Null, nan, 1},
+		{NewFloat(math.Copysign(0, -1)), NewInt(0), 0}, {NewFloat(math.Copysign(0, -1)), NewFloat(0), 0},
+		{NewInt(1<<53 + 1), NewInt(1 << 53), 1}, {NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewFloat(0x1p63), NewInt(math.MaxInt64), 1}, {NewFloat(-0x1p63), NewInt(math.MinInt64), 0},
+		{NewFloat(2.5), NewInt(2), 1}, {NewFloat(-2.5), NewInt(-2), -1}, {NewFloat(-1e300), NewInt(math.MinInt64), -1},
+		{NewInt(3), NewString("a"), -1}, {NewString("a"), NewBool(false), -1}, {Null, Null, 0},
+	} {
+		if got := Order(c.a, c.b); got != c.want {
+			t.Errorf("Order(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Order(c.b, c.a); got != -c.want {
+			t.Errorf("Order(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
+	// A total preorder whose ties are exactly Equal's and AppendKey's, NaNs
+	// aside.
+	vals := []Value{Null, nan, nan2, NewInt(-3), NewInt(0), NewInt(5), NewInt(1<<53 + 1), NewFloat(1 << 53),
+		NewFloat(-2.5), NewFloat(5), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(-1)), NewFloat(math.Inf(1)),
+		NewFloat(0x1p63), NewInt(math.MaxInt64), NewFloat(-0x1p63), NewInt(math.MinInt64),
+		NewString(""), NewString("a"), NewBool(false), NewBool(true)}
+	for _, a := range vals {
+		for _, b := range vals {
+			ab := Order(a, b)
+			eq, key := Equal(a, b), Key(a) == Key(b)
+			// NaNs aside: Order ties them all, Equal none, keys equal bits.
+			if a.F == a.F && b.F == b.F && ((ab == 0) != eq || key != eq) {
+				t.Errorf("%v, %v: Order tie %v, Equal %v, same key %v", a, b, ab == 0, eq, key)
+			}
+			for _, c := range vals {
+				if ab <= 0 && Order(b, c) <= 0 && Order(a, c) > 0 {
+					t.Errorf("not transitive: %v ≤ %v ≤ %v but %v > %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+}
+
+// TestKeyTwoToThe63: 2^63 is no int64, so it keys as a FLOAT; it used to
+// convert to MinInt64 and collide with -2^63.
+func TestKeyTwoToThe63(t *testing.T) {
+	if Key(NewFloat(0x1p63)) == Key(NewFloat(-0x1p63)) || Key(NewFloat(0x1p63)) == Key(NewInt(math.MinInt64)) {
+		t.Error("2^63 keys like -2^63")
+	}
+	if Key(NewFloat(-0x1p63)) != Key(NewInt(math.MinInt64)) {
+		t.Error("-2^63 must key as the INT it equals")
+	}
+}

@@ -183,3 +183,36 @@ func TestWindowWithStar(t *testing.T) {
 		t.Errorf("star + window: %v", res.Rows)
 	}
 }
+
+// TestExplainWindowOrder: the benchmark's window_ma shape plans no Sort and
+// no Limit above its window — the window sorts once, emits in the ORDER
+// BY's order and stops after the LIMIT's rows — and EXPLAIN ANALYZE prints
+// the window's line.
+func TestExplainWindowOrder(t *testing.T) {
+	db := sqlsheet.Open()
+	if _, err := db.InstallAPB(sqlsheet.APBScale{Seed: 3, ProductFanout: []int{2, 2, 2, 2, 3, 3},
+		Channels: 2, Customers: 2, Years: 1, Density: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT c, h, p, t, s, AVG(s) OVER (PARTITION BY c, h, p ORDER BY t ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS ma
+		FROM apb_cube WHERE s > 5 ORDER BY c, h, p, t LIMIT 500`
+	plan, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plan, "Sort") || strings.Contains(plan, "Limit") || !strings.Contains(plan, "order=c, h, p, t limit=500 vectorized=yes") {
+		t.Errorf("window_ma plan:\n%s", plan)
+	}
+	analyzed, err := db.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := false
+	for _, line := range strings.Split(analyzed, "\n") {
+		f := strings.Fields(line)
+		window = window || len(f) > 0 && f[0] == "window" && strings.Contains(line, "partitions=") && strings.HasSuffix(line, "k=500 keys=typed,packed")
+	}
+	if !window {
+		t.Errorf("EXPLAIN ANALYZE lacks the window line:\n%s", analyzed)
+	}
+}
