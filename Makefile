@@ -44,10 +44,11 @@ recover-test:
 	$(GO) test -race -run 'TestRecover' ./internal/server/
 	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
-# Fuzz gate: each of the nine fuzz targets (SQL text, statement round-trip,
+# Fuzz gate: each of the ten fuzz targets (SQL text, statement round-trip,
 # the streaming text fingerprint against its definition over lex() tokens,
 # whole queries, rule kernels, expression kernels, typed sort keys against
-# the boxed sort order, wire bytes against a live server, WAL bytes) runs
+# the boxed sort order, window frames against a fresh accumulator per row,
+# wire bytes against a live server, WAL bytes) runs
 # for 3 s beyond its seed corpus. `go test
 # -fuzz` takes one target in one package per invocation, hence the list.
 # A finding is written under the package's testdata/fuzz/ and fails the gate.
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 3s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzExprKernel$$' -fuzztime 3s ./internal/eval/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortKeys$$' -fuzztime 3s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowFrames$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireProtocol$$' -fuzztime 3s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 3s .

@@ -162,12 +162,12 @@ func BenchmarkFig5Memory(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation quantifies the execution-level design choices DESIGN.md
-// calls out: the single-scan aggregate maintenance and the integer-range
-// probe unfolding (the paper's F1 transformation).
+// BenchmarkAblation quantifies an execution-level design choice DESIGN.md
+// calls out: the integer-range probe unfolding (the paper's F1
+// transformation).
 func BenchmarkAblation(b *testing.B) {
 	// A level of aggregate-heavy point formulas over the electronics fact
-	// table exercises both optimizations.
+	// table exercises the optimization.
 	mk := func(cfg sqlsheet.Config) *sqlsheet.DB {
 		db := sqlsheet.Open()
 		cfg.Ablate.DisablePlanCache = true
@@ -200,8 +200,7 @@ func BenchmarkAblation(b *testing.B) {
 		engine core.Ablation
 	}{
 		{"full", core.Ablation{}},
-		{"no-single-scan", core.Ablation{DisableSingleScan: true}},
-		{"no-range-probe", core.Ablation{DisableRangeProbe: true, DisableSingleScan: true}},
+		{"no-range-probe", core.Ablation{DisableRangeProbe: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -52,7 +52,6 @@ func TestConfigSurface(t *testing.T) {
 		"Ablate.Plan.DisableFilterPushdown",
 		// … spreadsheet engine (core.Ablation).
 		"Ablate.Engine.Buckets",
-		"Ablate.Engine.DisableSingleScan",
 		"Ablate.Engine.DisableRangeProbe",
 		"Ablate.Engine.DisableVectorizedExec",
 		"Ablate.Engine.DisableVectorizedRules",

@@ -196,8 +196,8 @@ type Ablation struct {
 	// Plan: Fig. 2's push strategy and join method, formula pruning,
 	// predicate pushing, filter pushdown.
 	Plan plan.Ablation
-	// Engine: first-level bucket count, single-scan and range-probe
-	// optimizations, the vectorized layers and their batch-size cutoff.
+	// Engine: first-level bucket count, range-probe optimization, the
+	// vectorized layers and their batch-size cutoff.
 	Engine core.Ablation
 }
 

@@ -211,12 +211,12 @@ func diffConfigs() []diffConfig {
 		{name: "rules-off-w8", group: "exec", ref: "row", cfg: grid(8, 0, 0, rulesOff)},
 		{name: "vec-min1", group: "exec", ref: "row", cfg: grid(1, 0, 0, lowCutoff)},
 
-		// plan: optimizer transforms off or swapped, single scan and range probes off.
+		// plan: optimizer transforms off or swapped, range probes off.
 		{name: "plan-off", group: "plan", ref: "row", unordered: true, cfg: grid(1, 0, 0, func(c *sqlsheet.Config) {
 			c.Ablate.Plan = plan.Ablation{DisableSheetPrune: true, DisableSheetPush: true, DisableFilterPushdown: true}
 		})},
 		{name: "probe-off", group: "plan", ref: "row", cfg: grid(1, 0, 0, func(c *sqlsheet.Config) {
-			c.Ablate.Engine.DisableSingleScan, c.Ablate.Engine.DisableRangeProbe = true, true
+			c.Ablate.Engine.DisableRangeProbe = true
 		})},
 		{name: "push-subquery", group: "plan", ref: "row", unordered: true, cfg: grid(1, 0, 0, func(c *sqlsheet.Config) {
 			c.Ablate.Plan.Push, c.Ablate.Plan.ForceJoin = plan.PushRefSubquery, plan.JoinNestedLoop
@@ -712,6 +712,60 @@ func windowDB(t testing.TB, db *sqlsheet.DB) {
 	})...)
 }
 
+// addOnlyDB: a sheet whose level-1 rules overwrite ±1e308 cells (k = 'a')
+// and cells beside 1e16 (k = 'b'), and window partitions holding a frame of
+// 1s between two 1e308s (g = 'a'), NULL, NaN, -0.0, ±Inf and overflow
+// (g = 'b'), and one NULL row (g = 'c').
+func addOnlyDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE ag (k TEXT, d INT, s FLOAT)`)
+	insert(t, db, "ag", []any{"a", 1, 1e308}, []any{"a", 2, 1e308}, []any{"a", 3, -1e308}, []any{"a", 4, -1e308},
+		[]any{"b", 1, 0.1}, []any{"b", 2, 0.2}, []any{"b", 3, 1e16}, []any{"b", 4, 0.3})
+	db.MustExec(`CREATE TABLE aw (g TEXT, i INT, x FLOAT, n INT)`)
+	xs := map[string][]any{
+		"a": {1.0, 1e308, 1e308, 1.0, 1.0},
+		"b": {nil, math.NaN(), math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 2.5, 1e308, 1e308, -1e308, 0.5},
+		"c": {nil},
+	}
+	for _, g := range []string{"a", "b", "c"} {
+		insert(t, db, "aw", rowsOf(len(xs[g]), func(i int) []any { return []any{g, i + 1, xs[g][i], i + 1} })...)
+	}
+}
+
+// addOnlyFrames are the add-only-aggregates case's window frames: the
+// prefix, the suffix (a backward pass), bounded frames, frames empty at the
+// start, at the end or everywhere, and frames of following rows.
+var addOnlyFrames = []string{
+	"",
+	" ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING",
+	" ROWS BETWEEN 1 PRECEDING AND CURRENT ROW",
+	" ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING",
+	" ROWS BETWEEN 3 PRECEDING AND 2 PRECEDING",
+	" ROWS BETWEEN UNBOUNDED PRECEDING AND 2 PRECEDING",
+	" ROWS BETWEEN 1 FOLLOWING AND 3 FOLLOWING",
+	" ROWS BETWEEN 2 FOLLOWING AND UNBOUNDED FOLLOWING",
+	" ROWS BETWEEN 1 FOLLOWING AND 1 PRECEDING",
+}
+
+// addOnlyScript: the two rule models, then one statement per frame taking
+// every aggregate over it, a CASE mixing INT and FLOAT among them.
+func addOnlyScript() []string {
+	script := []string{
+		`SELECT k, d, s FROM ag WHERE k = 'a' SPREADSHEET PBY(k) DBY(d) MEA(s)
+		 ( s[1] = 100, s[2] = 300, s[3] = 5, s[4] = 9, s[5] = sum(s)[d < 3] + sum(s)[3 <= d <= 4] ) ORDER BY k, d`,
+		`SELECT k, d, s FROM ag WHERE k = 'b' SPREADSHEET PBY(k) DBY(d) MEA(s)
+		 ( s[1] = 1, s[5] = sum(s)[d < 5] - 1e16 ) ORDER BY k, d`,
+	}
+	for _, fr := range addOnlyFrames {
+		var cols []string
+		for _, f := range []string{"SUM(x)", "COUNT(x)", "AVG(x)", "MIN(x)", "MAX(x)", "SLOPE(x, n)", "COUNT(*)",
+			"SUM(CASE WHEN i = 1 THEN 0.5 ELSE n END)", "MAX(CASE WHEN i % 2 = 0 THEN 1 ELSE 1.0 END)"} {
+			cols = append(cols, f+" OVER (PARTITION BY g ORDER BY i"+fr+")")
+		}
+		script = append(script, "SELECT g, i, "+strings.Join(cols, ", ")+" FROM aw ORDER BY g, i")
+	}
+	return script
+}
+
 // The window-order script. windowPairs are windows whose ORDER BY (and
 // LIMIT) the plan absorbs — mixed directions, P in another order, NaN
 // partition keys of two payloads, lag/lead and frames over a DESC order, a
@@ -1192,6 +1246,41 @@ func diffCorpus() []diffCase {
 					len(ref[3].rows) != 30 || len(ref[4].rows) != 0 || len(ref[5].rows) != 130 {
 					t.Errorf("LIMIT 0/1000/2.0 returned %d/%d/%d rows, the fused windows %d/%d/%d", len(at(limit0).rows),
 						len(at(limitPast).rows), len(at(limitTwo).rows), len(ref[3].rows), len(ref[4].rows), len(ref[5].rows))
+				}
+			}},
+		// Every aggregate is a fresh accumulator fed exactly the values it
+		// covers: a rule's aggregate over cells earlier rules overwrote, a
+		// window frame sliding past overflow, cancellation and NaN.
+		diffCase{name: "add-only-aggregates", fixture: addOnlyDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz",
+			script: addOnlyScript(), check: func(t *testing.T, ref []outcome) {
+				// at is the value in column col of the row of statement i
+				// whose leading values are key.
+				at := func(i int, key string, col int) string {
+					for _, r := range ref[i].rows {
+						if strings.HasPrefix(r, key+" ") {
+							return strings.Fields(r)[col]
+						}
+					}
+					return "missing"
+				}
+				frame := func(fr string) int { return 2 + slices.Index(addOnlyFrames, fr) }
+				bounded, suffix := frame(" ROWS BETWEEN 1 PRECEDING AND CURRENT ROW"), frame(" ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING")
+				for _, c := range []struct {
+					what, got, want string
+				}{
+					{"s[5] = 400 + 14", at(0, ` S"a" I5`, 2), "I414"},
+					{"s[5] = 1 + 0.2 + 1e16 + 0.3 - 1e16", at(1, ` S"b" I5`, 2), "F" + strconv.FormatUint(math.Float64bits(2), 16)},
+					{"SUM over the frame {1, 1}", at(bounded, ` S"a" I5`, 2), "F" + strconv.FormatUint(math.Float64bits(2), 16)},
+					{"SUM over the INT frame {2, 3}", at(bounded, ` S"a" I3`, 9), "I5"},
+					// A MIN/MAX tie keeps the first value added: forward
+					// passes add in partition order, the suffix's backward
+					// pass from the partition's end.
+					{"MAX over {INT 1 (i = 4), FLOAT 1.0 (i = 5)}", at(bounded, ` S"a" I5`, 10), "I1"},
+					{"MAX over the suffix {INT 1 (i = 4), FLOAT 1.0 (i = 5)}", at(suffix, ` S"a" I4`, 10), "F3ff0000000000000"},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s: %s, want %s", c.what, c.got, c.want)
+					}
 				}
 			}},
 		// Values mixing kinds are computed ones only: a CASE as a

@@ -1,12 +1,15 @@
-// Package aggs implements the aggregate functions usable both in GROUP BY
-// queries and over spreadsheet cell ranges: SUM, COUNT, AVG, MIN, MAX and
-// SLOPE (ANSI linear-regression slope, REGR_SLOPE).
+// Package aggs implements the aggregate functions usable in GROUP BY
+// queries, over spreadsheet cell ranges and over window frames: SUM, COUNT,
+// AVG, MIN, MAX and SLOPE (ANSI linear-regression slope, REGR_SLOPE).
 //
-// Aggregates expose incremental Add and, where an algebraic inverse exists,
-// Remove. The paper's Auto-Acyclic algorithm exploits inverses to maintain
-// already-computed aggregates when a formula updates a contributing cell,
-// avoiding rescans ("aggregates ... are updated by applying the current
-// value and inverse of the old value of the measure").
+// An aggregate only adds. Every caller starts from a fresh accumulator and
+// feeds it exactly the values the aggregate covers; nothing is ever taken
+// back out. The paper's §5 keeps later levels' aggregates current "by
+// applying the current value and inverse of the old value of the measure",
+// but floats have no such inverse: 1e308 + 1e308 − 1e308 is +Inf, not
+// 1e308, and 0.1 + 1e16 − 1e16 is 0, not 0.1. Merge is the only combining
+// operation: it folds one partial state into another, in an order the
+// caller fixes (the parallel group-by's morsel order).
 package aggs
 
 import (
@@ -36,10 +39,6 @@ func NumArgs(name string) int {
 type Agg interface {
 	// Add feeds one row's argument values (two for slope: y then x).
 	Add(vals ...types.Value)
-	// Remove undoes a prior Add. It must only be called when Invertible.
-	Remove(vals ...types.Value)
-	// Invertible reports whether Remove is supported.
-	Invertible() bool
 	// Result returns the current aggregate value.
 	Result() types.Value
 	// Reset returns the aggregate to its initial state.
@@ -52,8 +51,6 @@ type Agg interface {
 // merges them in morsel order; because each partial accumulates its rows in
 // input order and Merge folds states in morsel order, the merged state is
 // bit-identical to one serial scan.
-// (Merge-combinable is weaker than Invertible: MIN/MAX still have no inverse,
-// the restriction the paper applies to single-scan aggregate maintenance.)
 type Merger interface {
 	// Merge folds other — an accumulator of the same concrete type — into
 	// the receiver.
@@ -112,18 +109,6 @@ func (a *sumAgg) Add(vals ...types.Value) {
 	a.fsum += v.Float()
 }
 
-func (a *sumAgg) Remove(vals ...types.Value) {
-	v := vals[0]
-	if v.IsNull() || !v.IsNumeric() {
-		return
-	}
-	a.n--
-	a.isum -= v.Int()
-	a.fsum -= v.Float()
-}
-
-func (a *sumAgg) Invertible() bool { return true }
-
 func (a *sumAgg) Merge(other Agg) {
 	b := other.(*sumAgg)
 	a.n += b.n
@@ -156,13 +141,6 @@ func (a *countAgg) Add(vals ...types.Value) {
 	}
 }
 
-func (a *countAgg) Remove(vals ...types.Value) {
-	if a.star || (len(vals) > 0 && !vals[0].IsNull()) {
-		a.n--
-	}
-}
-
-func (a *countAgg) Invertible() bool    { return true }
 func (a *countAgg) Merge(other Agg)     { a.n += other.(*countAgg).n }
 func (a *countAgg) Result() types.Value { return types.NewInt(a.n) }
 func (a *countAgg) Reset()              { a.n = 0 }
@@ -182,17 +160,6 @@ func (a *avgAgg) Add(vals ...types.Value) {
 	a.sum += v.Float()
 }
 
-func (a *avgAgg) Remove(vals ...types.Value) {
-	v := vals[0]
-	if v.IsNull() || !v.IsNumeric() {
-		return
-	}
-	a.n--
-	a.sum -= v.Float()
-}
-
-func (a *avgAgg) Invertible() bool { return true }
-
 func (a *avgAgg) Merge(other Agg) {
 	b := other.(*avgAgg)
 	a.n += b.n
@@ -208,10 +175,8 @@ func (a *avgAgg) Result() types.Value {
 
 func (a *avgAgg) Reset() { *a = avgAgg{} }
 
-// minmaxAgg keeps the extreme value. It has no inverse (removing the current
-// extreme would require the full multiset), which is exactly why the paper
-// restricts the single-scan aggregate-maintenance optimization to aggregates
-// "for which an inverse is defined (for example, SUM, COUNT etc.)".
+// minmaxAgg keeps the extreme value. On ties (INT 1 and FLOAT 1.0, which
+// Compare orders equal) the first value added stays.
 type minmaxAgg struct {
 	min   bool
 	seen  bool
@@ -233,12 +198,6 @@ func (a *minmaxAgg) Add(vals ...types.Value) {
 		a.value = v
 	}
 }
-
-func (a *minmaxAgg) Remove(vals ...types.Value) {
-	panic("min/max aggregate is not invertible")
-}
-
-func (a *minmaxAgg) Invertible() bool { return false }
 
 // Merge folds another partial's extreme in. The strict comparison mirrors
 // Add: on ties (e.g. int 1 vs float 1.0, which Compare orders equal) the
@@ -271,9 +230,6 @@ func (a *minmaxAgg) Reset() { *a = minmaxAgg{min: a.min} }
 // slopeAgg computes the ANSI REGR_SLOPE of (y, x) pairs:
 //
 //	slope = (n·Σxy − Σx·Σy) / (n·Σx² − (Σx)²)
-//
-// It is algebraically invertible, so it participates in the single-scan
-// optimization alongside SUM and COUNT.
 type slopeAgg struct {
 	n                int64
 	sx, sy, sxy, sxx float64
@@ -291,21 +247,6 @@ func (a *slopeAgg) Add(vals ...types.Value) {
 	a.sxy += xf * yf
 	a.sxx += xf * xf
 }
-
-func (a *slopeAgg) Remove(vals ...types.Value) {
-	y, x := vals[0], vals[1]
-	if y.IsNull() || x.IsNull() || !y.IsNumeric() || !x.IsNumeric() {
-		return
-	}
-	xf, yf := x.Float(), y.Float()
-	a.n--
-	a.sx -= xf
-	a.sy -= yf
-	a.sxy -= xf * yf
-	a.sxx -= xf * xf
-}
-
-func (a *slopeAgg) Invertible() bool { return true }
 
 func (a *slopeAgg) Merge(other Agg) {
 	b := other.(*slopeAgg)

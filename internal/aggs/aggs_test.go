@@ -3,7 +3,6 @@ package aggs
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"sqlsheet/internal/types"
 )
@@ -35,10 +34,6 @@ func TestSum(t *testing.T) {
 	if r := a.Result(); r.K != types.KindFloat || r.F != 5.5 {
 		t.Errorf("mixed sum = %v", r)
 	}
-	a.Remove(types.NewInt(2))
-	if r := a.Result(); r.F != 3.5 {
-		t.Errorf("after remove = %v", r)
-	}
 	a.Reset()
 	if !a.Result().IsNull() {
 		t.Error("reset broken")
@@ -58,10 +53,6 @@ func TestCount(t *testing.T) {
 	star.Add(types.NewInt(1))
 	if r := star.Result(); r.I != 2 {
 		t.Errorf("count(*) = %v", r)
-	}
-	star.Remove(types.Null)
-	if r := star.Result(); r.I != 1 {
-		t.Errorf("count(*) after remove = %v", r)
 	}
 }
 
@@ -83,20 +74,18 @@ func TestMinMax(t *testing.T) {
 		t.Errorf("max = %v", r)
 	}
 	a, _ := New("min", false)
-	if a.Invertible() {
-		t.Error("min must not be invertible")
-	}
 	a.Add(types.NewString("b"))
 	a.Add(types.NewString("a"))
 	if r := a.Result(); r.S != "a" {
 		t.Errorf("string min = %v", r)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("min.Remove must panic")
-		}
-	}()
-	a.Remove(types.NewString("a"))
+	// A tie keeps the first value added.
+	m, _ := New("max", false)
+	m.Add(types.NewInt(1))
+	m.Add(types.NewFloat(1))
+	if r := m.Result(); r.K != types.KindInt {
+		t.Errorf("max tie = %v, want the first value added (INT 1)", r)
+	}
 }
 
 func TestSlope(t *testing.T) {
@@ -118,12 +107,6 @@ func TestSlope(t *testing.T) {
 	if !b.Result().IsNull() {
 		t.Error("zero-variance slope must be NULL")
 	}
-	// Remove restores the earlier state.
-	a.Add(types.NewFloat(100), types.NewFloat(11))
-	a.Remove(types.NewFloat(100), types.NewFloat(11))
-	if r := a.Result(); math.Abs(r.F-3) > 1e-9 {
-		t.Errorf("slope after add/remove = %v", r)
-	}
 }
 
 func TestIsAggregateAndArity(t *testing.T) {
@@ -140,32 +123,5 @@ func TestIsAggregateAndArity(t *testing.T) {
 	}
 	if _, err := New("median", false); err == nil {
 		t.Error("unknown aggregate must error")
-	}
-}
-
-func TestAddRemoveInverseProperty(t *testing.T) {
-	// Property: for invertible aggregates, Add(x); Remove(x) is an identity
-	// on Result(), for any prior state.
-	f := func(base []int16, x int16) bool {
-		for _, name := range []string{"sum", "count", "avg"} {
-			a, _ := New(name, false)
-			for _, b := range base {
-				a.Add(types.NewInt(int64(b)))
-			}
-			before := a.Result()
-			a.Add(types.NewInt(int64(x)))
-			a.Remove(types.NewInt(int64(x)))
-			after := a.Result()
-			if before.IsNull() != after.IsNull() {
-				return false
-			}
-			if !before.IsNull() && math.Abs(before.Float()-after.Float()) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -15,8 +15,7 @@ import (
 // with the same boxed values in the same order (same float additions in the
 // same order, same int64 wraparound, same truncating int64(float) machine
 // conversion). Unbox materializes that state as the ordinary Agg so result
-// finalization, partial-state merging (Merger) and single-scan inverse
-// maintenance run unchanged.
+// finalization and partial-state merging (Merger) run unchanged.
 //
 // Kind dispatch is the caller's job: the argument vector's kind picks the
 // Add* method, and kinds an aggregate ignores (strings under SUM/AVG, any

@@ -17,9 +17,6 @@ import (
 // fixpoint algorithm. Only buckets evalBucket runs frame at a time come here
 // (see levelMajor); the rest run level by level over the whole bucket.
 func (fe *frameEval) runAutomatic() error {
-	if fe.m.singleScan(fe.opts.Ablate) {
-		return fe.runSingleScan()
-	}
 	for _, lv := range fe.m.levels {
 		switch lv.kind {
 		case stepLevel:
@@ -281,8 +278,7 @@ func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, ctx *eval.Context) 
 	return fe.assignMeasure(pos, r.Mea, v)
 }
 
-// insertRow creates an UPSERTed cell and notifies maintenance and
-// convergence tracking.
+// insertRow creates an UPSERTed cell and notifies convergence tracking.
 func (fe *frameEval) insertRow(dims []types.Value) int {
 	pos := fe.f.Insert(fe.m, dims)
 	fe.f.MarkUpdated(pos)
@@ -292,39 +288,19 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 	if fe.assigned != nil {
 		fe.assigned[fe.f.flagKey(pos, fe.m.Schema.Len())] = true
 	}
-	if fe.maintained != nil {
-		row := fe.f.Row(pos)
-		for _, inst := range fe.maintained {
-			if err := inst.onInsert(fe, pos, row); err != nil {
-				// Maintenance errors surface on the next assignment; in
-				// practice instances never error on insert because their
-				// matchers were validated during the build scan.
-				_ = err
-			}
-		}
-	}
 	return pos
 }
 
-// assignMeasure writes a measure, driving convergence detection and
-// aggregate maintenance.
+// assignMeasure writes a measure, driving convergence detection.
 func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	fe.f.MarkUpdated(pos)
-	oldV, changed := fe.f.write(pos, mea, v)
+	changed := fe.f.write(pos, mea, v)
 	if fe.assigned != nil {
 		fe.assigned[fe.f.flagKey(pos, mea)] = true
 	}
 	if changed && fe.trackRefs {
 		if fe.f.Referenced(fe.gen, pos, mea) || fe.f.Referenced(1-fe.gen, pos, mea) {
 			fe.changed = true
-		}
-	}
-	if changed && fe.maintained != nil {
-		row := fe.f.Row(pos)
-		for _, inst := range fe.maintained {
-			if err := inst.onWrite(fe, row, mea, oldV, v); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -36,13 +36,12 @@ type aggInstance struct {
 	lists [][]types.Value
 	probe bool
 
-	// meas is the set of measure ordinals the arguments read, used by the
-	// single-scan inverse-maintenance optimization.
+	// meas is the set of measure ordinals the arguments read, marked
+	// referenced per fed row under convergence tracking (Auto-Cyclic).
 	meas map[int]bool
 
 	// argBuf/argCtx/argBind are per-instance scratch so the per-row argument
-	// extraction in feed/onInsert does not allocate. onWrite, which needs two
-	// argument vectors live at once, uses its own buffers instead.
+	// extraction in feed does not allocate.
 	argBuf  []types.Value
 	argCtx  eval.Context
 	argBind eval.Binding
@@ -228,7 +227,7 @@ func (inst *aggInstance) match(row types.Row) (bool, error) {
 
 // argValsInto extracts the aggregate's argument values from a row, appending
 // into buf (callers pass scratch they own; accumulators do not retain the
-// slice past Add/Remove).
+// slice past Add).
 func (inst *aggInstance) argValsInto(buf []types.Value, fe *frameEval, row types.Row) ([]types.Value, error) {
 	if inst.star {
 		return nil, nil
@@ -288,49 +287,4 @@ func (inst *aggInstance) runProbe(fe *frameEval) error {
 		return nil
 	}
 	return walk(0)
-}
-
-// invertible reports whether the instance supports inverse maintenance.
-func (inst *aggInstance) invertible() bool { return inst.acc.Invertible() }
-
-// onWrite maintains the accumulator when a matching row's measure changes
-// (single-scan mode).
-func (inst *aggInstance) onWrite(fe *frameEval, row types.Row, mea int, oldV, newV types.Value) error {
-	if inst.star || !inst.meas[mea] {
-		return nil
-	}
-	ok, err := inst.match(row)
-	if err != nil || !ok {
-		return err
-	}
-	oldRow := row.Clone()
-	oldRow[mea] = oldV
-	newRow := row.Clone()
-	newRow[mea] = newV
-	oldArgs, err := inst.argValsInto(nil, fe, oldRow)
-	if err != nil {
-		return err
-	}
-	newArgs, err := inst.argValsInto(nil, fe, newRow)
-	if err != nil {
-		return err
-	}
-	inst.acc.Remove(oldArgs...)
-	inst.acc.Add(newArgs...)
-	return nil
-}
-
-// onInsert maintains the accumulator when a new row appears.
-func (inst *aggInstance) onInsert(fe *frameEval, pos int, row types.Row) error {
-	ok, err := inst.match(row)
-	if err != nil || !ok {
-		return err
-	}
-	vals, err := inst.argValsInto(inst.argBuf[:0], fe, row)
-	if err != nil {
-		return err
-	}
-	inst.argBuf = vals[:0]
-	inst.acc.Add(vals...)
-	return nil
 }

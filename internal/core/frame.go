@@ -299,27 +299,25 @@ func (f *Frame) WasPresent(dims []types.Value) bool {
 	return ok && pos < f.builtLen
 }
 
-// write assigns one measure of the row at pos and returns the previous
-// value and whether the stored value changed. Every engine write goes
-// through here and on to Store.SetCol, which copies a still-shared row once
-// and writes in place from then on, so nothing is allocated per write; a row
-// obtained from Row or Each before the call may be stale after it.
-func (f *Frame) write(pos, col int, v types.Value) (old types.Value, changed bool) {
+// write assigns one measure of the row at pos and reports whether the
+// stored value changed. Every engine write goes through here and on to
+// Store.SetCol, which copies a still-shared row once and writes in place
+// from then on, so nothing is allocated per write; a row obtained from Row
+// or Each before the call may be stale after it.
+func (f *Frame) write(pos, col int, v types.Value) bool {
 	id := f.ids[pos]
-	old = f.b.store.Get(id)[col]
-	if old.K == v.K && types.Equal(old, v) {
-		return old, false
+	if old := f.b.store.Get(id)[col]; old.K == v.K && types.Equal(old, v) {
+		return false
 	}
 	f.b.store.SetCol(id, col, v)
 	f.b.imgMark(col)
-	return old, true
+	return true
 }
 
 // SetMeasure assigns one measure of the row at pos and reports whether the
 // stored value changed.
 func (f *Frame) SetMeasure(pos, col int, v types.Value) bool {
-	_, changed := f.write(pos, col, v)
-	return changed
+	return f.write(pos, col, v)
 }
 
 // SetMeasureBulk writes one measure column for a batch of frame positions,

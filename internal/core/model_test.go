@@ -833,63 +833,11 @@ func TestPromotedDimTriggerCondition(t *testing.T) {
 	}
 }
 
-// --- single-scan optimization ---
-
-func TestSingleScanMatchesPerLevel(t *testing.T) {
-	sql := `SELECT r, p, t, s FROM f
-		SPREADSHEET PBY(r) DBY (p, t) MEA (s)
-		(
-		F1: s['dvd', 2002] = sum(s)['dvd', t<2002],
-		F2: s['vcr', 2002] = avg(s)['vcr', 1998<=t<=2001],
-		F3: s['tv', 2003]  = sum(s)['tv', t<2003] + s['dvd', 2002]
-		)`
-	m1 := mustModel(t, sql, nil)
-	if !m1.canSingleScan() {
-		t.Fatal("model must qualify for single-scan")
-	}
-	r1, _, err := m1.Run(fRows(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := mustModel(t, sql, nil)
-	r2, _, err := m2.Run(fRows(), RunOptions{Ablate: Ablation{DisableSingleScan: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i1, i2 := indexRows(m1, r1), indexRows(m2, r2)
-	if len(i1) != len(i2) {
-		t.Fatalf("row counts differ")
-	}
-	for k, a := range i1 {
-		b := i2[k]
-		for c := range a {
-			if !types.Equal(a[c], b[c]) {
-				t.Fatalf("single-scan mismatch: %v vs %v", a, b)
-			}
-		}
-	}
-}
-
-func TestSingleScanDisqualifiers(t *testing.T) {
-	// min/max (no inverse) must disqualify.
-	m := mustModel(t, `SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s)
-		( s[2002] = max(s)[t<2002] )`, nil)
-	if err := m.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if m.canSingleScan() {
-		t.Error("max must disable single-scan")
-	}
-	// Existential rules must disqualify.
-	m = mustModel(t, `SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s) UPDATE
+// TestExistentialUpdateRuns: an existential UPDATE writes the cells its
+// range covers and leaves the others alone.
+func TestExistentialUpdateRuns(t *testing.T) {
+	m := mustModel(t, `SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s) UPDATE
 		( s[t<2002] = 1 )`, nil)
-	if err := m.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if m.canSingleScan() {
-		t.Error("existential must disable single-scan")
-	}
-	// But it still runs correctly.
 	idx := run(t, m, []types.Row{R(2000, 9.0), R(2005, 9.0)}, RunOptions{})
 	if cell(t, idx, 2000)[1].Float() != 1 || cell(t, idx, 2005)[1].Float() != 9 {
 		t.Error("existential update wrong")
@@ -912,7 +860,7 @@ func TestRangeProbeMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := mustModel(t, sql, nil)
-	r2, _, err := m2.Run(rows, RunOptions{Ablate: Ablation{DisableRangeProbe: true, DisableSingleScan: true}})
+	r2, _, err := m2.Run(rows, RunOptions{Ablate: Ablation{DisableRangeProbe: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ type Ablation struct {
 	// Buckets overrides the number of first-level hash partitions
 	// (0 = chosen from the input size, memory budget and PE count).
 	Buckets int
-	// DisableSingleScan turns off the cross-level single-scan aggregate
-	// maintenance optimization (per-level scans instead).
-	DisableSingleScan bool
 	// DisableRangeProbe turns off unfolding of small integer ranges into
 	// point probes (the paper's F1 transformation), forcing scans.
 	DisableRangeProbe bool
@@ -209,7 +206,7 @@ func (fe *frameEval) evalBucket(b *bucket) error {
 }
 
 // levelMajor reports whether b runs level → rule → frame: the model's levels
-// are plain (AUTOMATIC ORDER without ITERATE, cycles or single scan, so no
+// are plain (AUTOMATIC ORDER without ITERATE or cycles, so no
 // per-frame state outlives a level) and the bucket's rows stay in memory. A
 // spilling store keeps the frame-at-a-time order, which is what keeps one
 // partition's blocks resident while its rules run (Fig. 5's regime). The
@@ -218,12 +215,7 @@ func (fe *frameEval) evalBucket(b *bucket) error {
 func (fe *frameEval) levelMajor(b *bucket) bool {
 	m := fe.m
 	_, mem := b.store.(*blockstore.MemStore)
-	return mem && !m.SeqOrder && m.Iterate == nil && !m.cyclic && !m.singleScan(fe.opts.Ablate)
-}
-
-// singleScan reports whether the cross-level single-scan optimization runs.
-func (m *Model) singleScan(a Ablation) bool {
-	return !a.DisableSingleScan && m.canSingleScan()
+	return mem && !m.SeqOrder && m.Iterate == nil && !m.cyclic
 }
 
 // ctxErr polls the run's context (nil-safe); non-nil once cancelled.
@@ -426,10 +418,6 @@ type frameEval struct {
 	// precomputed instances.
 	curAggs map[*sqlast.CellAgg]*aggInstance
 
-	// maintained lists instances under inverse maintenance (single-scan
-	// mode); nil otherwise.
-	maintained []*aggInstance
-
 	// trackRefs enables convergence-flag tracking (Auto-Cyclic).
 	trackRefs bool
 	gen       int
@@ -538,7 +526,7 @@ func (fe *frameEval) own() []*Frame {
 // clean per-frame state.
 func (fe *frameEval) evalFrame(f *Frame) error {
 	fe.setFrame(f)
-	fe.curAggs, fe.maintained, fe.assigned, fe.previousVals = nil, nil, nil, nil
+	fe.curAggs, fe.assigned, fe.previousVals = nil, nil, nil
 	fe.trackRefs, fe.changed, fe.gen = false, false, 0
 	if fe.m.Iterate != nil || fe.m.SeqOrder {
 		return fe.runSequential()

@@ -543,11 +543,11 @@ func (m *Model) vecProg(r *Rule) *vecRuleProg {
 // vecRuleReady gates a batch attempt at runtime: the rule must have a
 // compiled program, the ablation knob must be off, and the PE must be
 // outside the per-cell-only execution modes (reference tracking under
-// Auto-Cyclic, inverse maintenance under single-scan, assignment counting).
+// Auto-Cyclic, assignment counting).
 func (fe *frameEval) vecRuleReady(prog *vecRuleProg) bool {
 	return prog != nil && prog.note == ruleVecYes &&
 		fe.opts.Ablate.RulesVectorized() &&
-		!fe.trackRefs && fe.maintained == nil && fe.assigned == nil
+		!fe.trackRefs && fe.assigned == nil
 }
 
 // vecApplyExistential fires an existential rule as one batch over fs, a run

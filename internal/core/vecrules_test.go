@@ -101,7 +101,7 @@ func TestVectorizedRulesMatchRowPath(t *testing.T) {
 		{"ls-agg-rhs",
 			`( UPDATE u['tv', 2005] = min(s)['tv', 1992 <= t <= 2001] + s['tv', 2004] )`, true},
 		{"ls-agg-maintained",
-			`( UPDATE u['tv', 2005] = avg(s)['tv', 1992 <= t <= 2001] + s['tv', 2004] )`, false},
+			`( UPDATE u['tv', 2005] = avg(s)['tv', 1992 <= t <= 2001] + s['tv', 2004] )`, true},
 		{"cv-agg-fallback",
 			`( UPDATE u[*, *] = avg(s)[cv(p), 1990 <= t <= 1999] )`, false},
 		{"cyclic-fallback",

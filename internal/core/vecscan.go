@@ -24,7 +24,7 @@ import (
 //     and group-by use);
 //  3. bulk-feeds the argument vectors into a single-group batch accumulator
 //     (eval.AggBatch) and unboxes it into the instance's ordinary Agg, so
-//     result finalization and single-scan inverse maintenance run unchanged.
+//     result finalization runs unchanged.
 //
 // Rows feed in insertion order, so accumulator state — float addition order
 // included — is bit-identical to the row scan's. The decision is

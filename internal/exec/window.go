@@ -200,7 +200,8 @@ type windowRun struct {
 	compiled map[sqlast.Expr]eval.CompiledExpr
 	ctx      *eval.Context
 	keys     *sortKeys
-	np       int // keys[:np] partition, keys[np:] order
+	np       int           // keys[:np] partition, keys[np:] order
+	args     []types.Value // argVals' scratch
 }
 
 // evalAt evaluates a spec expression at input row ri.
@@ -297,59 +298,74 @@ func (w *windowRun) fill(spec plan.WindowSpec, ordered []int, result []types.Val
 		return nil
 	}
 
-	// Aggregates over frames.
-	argVals := func(k int) ([]types.Value, error) {
-		if fn.Star {
-			return nil, nil
-		}
-		vals := make([]types.Value, len(fn.Args))
-		for i, a := range fn.Args {
-			v, err := w.evalAt(a, ordered[k])
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vals, nil
-	}
+	// Aggregates over frames: each row's value is what a fresh accumulator
+	// fed exactly its frame's rows returns. Nothing is ever taken back out
+	// of an accumulator, so a frame that slides never subtracts a row that
+	// left it (a float sum has no inverse).
 	acc, err := aggs.New(fn.Name, fn.Star)
 	if err != nil {
 		return err
 	}
-	// Sliding evaluation with Add/Remove when the accumulator is
-	// invertible; recompute per row otherwise (min/max).
-	prevLo, prevHi := 0, -1
-	for k, ri := range ordered {
-		lo, hi := frameBounds(spec.Fn, k, n)
-		if !acc.Invertible() || lo < prevLo {
+	args, err := w.argVals(fn, ordered)
+	if err != nil {
+		return err
+	}
+	na := len(fn.Args) // none for COUNT(*)
+	add := func(j int) { acc.Add(args[j*na : (j+1)*na]...) }
+	switch fr := spec.Fn.Frame; {
+	case fr == nil || fr.Start.Kind == sqlast.FrameUnboundedPreceding:
+		// The start is fixed and the end never moves back: one forward pass
+		// adds each row once, in partition order.
+		last := -1
+		for k, ri := range ordered {
+			_, hi := frameBounds(spec.Fn, k, n)
+			for ; last < hi; last++ {
+				add(last + 1)
+			}
+			result[ri] = acc.Result()
+		}
+	case fr.End.Kind == sqlast.FrameUnboundedFollowing:
+		// The end is fixed and the start only moves forward: one backward
+		// pass adds each row once, from the partition's last row.
+		first := n
+		for k := n - 1; k >= 0; k-- {
+			lo, _ := frameBounds(spec.Fn, k, n)
+			for ; first > lo; first-- {
+				add(first - 1)
+			}
+			result[ordered[k]] = acc.Result()
+		}
+	default:
+		// Both ends move (or one is pinned to the wrong side, leaving at
+		// most one row): each row re-adds its frame, in partition order.
+		for k, ri := range ordered {
+			lo, hi := frameBounds(spec.Fn, k, n)
 			acc.Reset()
-			prevLo, prevHi = lo, lo-1
-		}
-		for ; prevLo < lo; prevLo++ {
-			vals, err := argVals(prevLo)
-			if err != nil {
-				return err
+			for j := lo; j <= hi; j++ {
+				add(j)
 			}
-			acc.Remove(vals...)
+			result[ri] = acc.Result()
 		}
-		for prevHi < hi {
-			prevHi++
-			vals, err := argVals(prevHi)
-			if err != nil {
-				return err
-			}
-			acc.Add(vals...)
-		}
-		for ; prevHi > hi; prevHi-- {
-			vals, err := argVals(prevHi)
-			if err != nil {
-				return err
-			}
-			acc.Remove(vals...)
-		}
-		result[ri] = acc.Result()
 	}
 	return nil
+}
+
+// argVals evaluates fn's arguments once per row of one partition, in window
+// order: row k's values are vals[k*len(fn.Args):(k+1)*len(fn.Args)]. The
+// slice is scratch reused by the next partition.
+func (w *windowRun) argVals(fn *sqlast.FuncCall, ordered []int) ([]types.Value, error) {
+	vals := w.args[:0]
+	for _, ri := range ordered {
+		for _, a := range fn.Args {
+			v, err := w.evalAt(a, ri)
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, v)
+		}
+	}
+	w.args = vals
+	return vals, nil
 }
 
 // frameBounds returns the [lo, hi] ordered-position range of the frame for

@@ -28,8 +28,9 @@ type token struct {
 }
 
 // scanner holds the lexer's one set of rules: it finds the next token's kind
-// and extent without building its text. lex turns each span into a token;
-// fingerprint hashes each span's canonical bytes where they lie.
+// and extent without building its text. The parser turns each span into a
+// token as it needs one; fingerprint hashes each span's canonical bytes
+// where they lie.
 type scanner struct {
 	src string
 	pos int
@@ -43,22 +44,6 @@ type span struct {
 	quoted     bool   // a double-quoted identifier
 	esc        int    // doubled quotes inside a string literal or quoted identifier
 	op         string // canonical operator text (tkOp)
-}
-
-// lex tokenizes src fully up front; the parser then walks the slice.
-func lex(src string) ([]token, error) {
-	s := scanner{src: src}
-	var toks []token
-	for {
-		sp, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, token{kind: sp.kind, text: sp.text(src), pos: sp.start, quoted: sp.quoted})
-		if sp.kind == tkEOF {
-			return toks, nil
-		}
-	}
 }
 
 // text is the token's canonical text: identifiers lowercased, literals

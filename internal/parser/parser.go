@@ -9,11 +9,21 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// Parser consumes a token stream produced by lex.
+// Parser pulls tokens from the scanner as the grammar asks for them: the
+// grammar peeks at most two tokens past the current one and never backs up,
+// so refusing an input costs only what was read up to the refusal.
 type Parser struct {
-	src  string
-	toks []token
-	i    int
+	src string
+	sc  scanner
+	// tok is the current token; ahead[:nAhead] are the tokens after it
+	// that peekAt has scanned.
+	tok    token
+	ahead  [2]token
+	nAhead int
+	// lexErr is the scanner's first error. Every token from there on reads
+	// as EOF, and the error is what the parse returns, whatever else it
+	// ended with (see done).
+	lexErr error
 	// inModel enables spreadsheet-only syntax: cell references (ident[...]),
 	// cv(), previous(), IS PRESENT.
 	inModel bool
@@ -23,25 +33,22 @@ type Parser struct {
 
 // Parse parses one or more ';'-separated statements.
 func Parse(sql string) ([]sqlast.Statement, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(sql)
 	var stmts []sqlast.Statement
 	for {
 		for p.peekOp(";") {
 			p.next()
 		}
 		if p.peek().kind == tkEOF {
-			return stmts, nil
+			return stmts, p.done(nil)
 		}
 		s, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.done(err)
 		}
 		stmts = append(stmts, s)
 		if !p.peekOp(";") && p.peek().kind != tkEOF {
-			return nil, p.errf("unexpected %q after statement", p.peek().text)
+			return nil, p.done(p.errf("unexpected %q after statement", p.peek().text))
 		}
 	}
 }
@@ -64,59 +71,83 @@ func ParseQuery(sql string) (*sqlast.SelectStmt, error) {
 
 // ParseExpr parses a standalone expression (tests and internal tooling).
 func ParseExpr(s string) (sqlast.Expr, error) {
-	p, err := newParser(s)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tkEOF {
-		return nil, p.errf("unexpected %q after expression", p.peek().text)
-	}
-	return e, nil
+	return newParser(s).standaloneExpr()
 }
 
 // ParseModelExpr parses a standalone expression with spreadsheet syntax
 // enabled (cell references, cv(), previous()).
 func ParseModelExpr(s string) (sqlast.Expr, error) {
-	p, err := newParser(s)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(s)
 	p.inModel = true
+	return p.standaloneExpr()
+}
+
+func (p *Parser) standaloneExpr() (sqlast.Expr, error) {
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.peek().kind != tkEOF {
+		err = p.errf("unexpected %q after expression", p.peek().text)
 	}
-	if p.peek().kind != tkEOF {
-		return nil, p.errf("unexpected %q after expression", p.peek().text)
+	if err = p.done(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func newParser(sql string) (*Parser, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
+func newParser(sql string) *Parser {
+	p := &Parser{src: sql, sc: scanner{src: sql}}
+	p.tok = p.scan()
+	return p
+}
+
+// done is the error a parse ending with err returns: a lexical error the
+// lookahead ran into wins over a syntax error found at or after it (the
+// EOF that stands in for the bad token is no syntax error) and over a
+// success that ended there.
+func (p *Parser) done(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
 	}
-	return &Parser{src: sql, toks: toks}, nil
+	return err
 }
 
 // --- token plumbing ---
 
-func (p *Parser) peek() token { return p.toks[p.i] }
+func (p *Parser) peek() token { return p.tok }
+
+// peekAt returns the token n places past the current one, n <= 2.
 func (p *Parser) peekAt(n int) token {
-	if p.i+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	if n == 0 {
+		return p.tok
 	}
-	return p.toks[p.i+n]
+	for p.nAhead < n {
+		p.ahead[p.nAhead] = p.scan()
+		p.nAhead++
+	}
+	return p.ahead[n-1]
 }
+
+// scan pulls the next token from the scanner; at the end of input, and from
+// a lexical error on, it returns EOF.
+func (p *Parser) scan() token {
+	if p.lexErr == nil {
+		sp, err := p.sc.next()
+		if err == nil {
+			return token{kind: sp.kind, text: sp.text(p.src), pos: sp.start, quoted: sp.quoted}
+		}
+		p.lexErr = err
+	}
+	return token{kind: tkEOF, pos: len(p.src)}
+}
+
 func (p *Parser) next() token {
-	t := p.toks[p.i]
-	if t.kind != tkEOF {
-		p.i++
+	t := p.tok
+	switch {
+	case t.kind == tkEOF:
+	case p.nAhead > 0:
+		p.tok, p.ahead[0] = p.ahead[0], p.ahead[1]
+		p.nAhead--
+	default:
+		p.tok = p.scan()
 	}
 	return t
 }

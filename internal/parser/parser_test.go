@@ -26,6 +26,23 @@ func body(t *testing.T, q *sqlast.SelectStmt) *sqlast.SelectBody {
 	return b
 }
 
+// lex tokenizes src fully up front: the token sequence the parser pulls one
+// at a time, kept as the tests' reference.
+func lex(src string) ([]token, error) {
+	s := scanner{src: src}
+	var toks []token
+	for {
+		sp, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, token{kind: sp.kind, text: sp.text(src), pos: sp.start, quoted: sp.quoted})
+		if sp.kind == tkEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexerBasics(t *testing.T) {
 	toks, err := lex("SELECT r, 't''v' FROM f -- comment\n WHERE x <= 1.5e2 /* c */ AND y != 2")
 	if err != nil {
