@@ -44,11 +44,12 @@ recover-test:
 	$(GO) test -race -run 'TestRecover' ./internal/server/
 	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
-# Fuzz gate: each of the ten fuzz targets (SQL text, statement round-trip,
+# Fuzz gate: each of the eleven fuzz targets (SQL text, statement round-trip,
 # the streaming text fingerprint against its definition over lex() tokens,
 # whole queries, rule kernels, expression kernels, typed sort keys against
 # the boxed sort order, window frames against a fresh accumulator per row,
-# wire bytes against a live server, WAL bytes) runs
+# the packed cell index against a map keyed by key bytes, wire bytes
+# against a live server, WAL bytes) runs
 # for 3 s beyond its seed corpus. `go test
 # -fuzz` takes one target in one package per invocation, hence the list.
 # A finding is written under the package's testdata/fuzz/ and fails the gate.
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExprKernel$$' -fuzztime 3s ./internal/eval/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortKeys$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowFrames$$' -fuzztime 3s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 3s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireProtocol$$' -fuzztime 3s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 3s .
@@ -74,10 +76,12 @@ fuzz-smoke:
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
 # Columns have no boxed form any more — every column is one typed vector or
 # all NULL — so derive.go carries no exception at all.
-# The same goes for allocation in the access structure's per-cell files: a
-# row `.Clone()` or a `make(map` in frame/acyclic/vecrules/vecscan.go needs an
-# `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
-# copy a shared row once and then write in place — see DESIGN.md §16).
+# The same goes for allocation in the access structure's per-cell files and
+# its build: a row `.Clone()` or a `make(map` in frame/acyclic/vecrules/
+# vecscan.go, or in parbuild/reuse.go (the build allocates per bucket, not
+# per frame), needs an `alloc-ok: <reason>` comment saying why it is not per
+# cell (measure writes copy a shared row once and then write in place — see
+# DESIGN.md §16).
 lint-hotpath:
 	@bad=$$(grep -n '\.Value(\|types\.New[A-Z]' internal/eval/vector.go internal/eval/exprvec.go \
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
@@ -91,7 +95,7 @@ lint-hotpath:
 		exit 1; \
 	fi; \
 	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
-		internal/core/vecrules.go internal/core/vecscan.go \
+		internal/core/vecrules.go internal/core/vecscan.go internal/core/parbuild.go internal/core/reuse.go \
 		| grep -v 'alloc-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated row clone or map allocation on the access structure's per-cell paths:"; \

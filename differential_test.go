@@ -932,6 +932,39 @@ func rulesDB(t testing.TB, db *sqlsheet.DB) {
 	insert(t, db, "it", rowsOf(80, func(i int) []any { return []any{i, float64(1000 + i)} })...)
 }
 
+// cellKeysDB: dimension values the packed cell keys must treat as
+// types.AppendKey does — 2.0 beside INT qualifiers and an INT-keyed
+// reference sheet, -0.0, NaN, +Inf and NULL — a FLOAT-keyed sheet, a
+// dictionary-coded string dimension, and three INT dimensions wide enough
+// that their fields overflow a word.
+func cellKeysDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE ck (r TEXT, d FLOAT, t INT, s FLOAT)`)
+	db.MustExec(`CREATE TABLE ckw (k INT, w FLOAT)`)
+	db.MustExec(`CREATE TABLE ckf (kf FLOAT, v FLOAT)`)
+	db.MustExec(`CREATE TABLE cs (r TEXT, p TEXT, s FLOAT)`)
+	db.MustExec(`CREATE TABLE c3 (r TEXT, x INT, y INT, z INT, s FLOAT)`)
+	ds := []any{1.0, 2.0, 2.5, math.Copysign(0, -1), math.NaN(), nil, math.Inf(1)}
+	var rows, strs, wide [][]any
+	for ri, r := range []string{"a", "b"} {
+		for di, d := range ds {
+			for t := 1; t <= 4; t++ {
+				rows = append(rows, []any{r, d, t, float64(10*di + t + 100*ri)})
+			}
+		}
+		for pi := 1; pi <= 5; pi++ {
+			strs = append(strs, []any{r, fmt.Sprintf("p%d", pi), float64(10*ri + pi)})
+		}
+		for i := 0; i < 8; i++ {
+			wide = append(wide, []any{r, i >> 2 * 15000000, i >> 1 & 1 * 15000000, i & 1 * 15000000, float64(i + 1)})
+		}
+	}
+	insert(t, db, "ck", rows...)
+	insert(t, db, "cs", strs...)
+	insert(t, db, "c3", wide...)
+	insert(t, db, "ckw", []any{1, 100.0}, []any{2, 10.0}, []any{3, 1.0})
+	insert(t, db, "ckf", []any{1.0, 0.5}, []any{2.0, 1.5}, []any{2.5, 99.0}, []any{4.0, 3.5})
+}
+
 // bucketDB: 1,000 partitions of 1–20 rows and three reference sheets.
 // Partitions a < b share a bucket at 3 and at 16 buckets; d1 is zero only in
 // b, d2 only in a.
@@ -1415,6 +1448,57 @@ func diffCorpus() []diffCase {
 			}
 			if got := ref[5].text(false); got != "error: f1: division by zero" {
 				t.Errorf("division statement: %q, want F1's error", got)
+			}
+		}},
+		// Cell keys as integers (see cellKeysDB), each UPSERT three runs
+		// through the structure cache, so a cached structure is reused after
+		// a clone of it grew: 2.0 read by INT qualifiers and through an
+		// INT-keyed sheet; a FLOAT-keyed sheet read by INTs, NULL and -0.0
+		// (as 0) cells; a string the dictionary lacks, arriving by UPSERT;
+		// an UPSERT growing both domains past their built fields; and three
+		// dimensions whose fields overflow a word, on byte keys.
+		diffCase{name: "cell-keys", fixture: cellKeysDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz", runs: 3, script: []string{
+			`SELECT r, d, t, s, u FROM ck SPREADSHEET REFERENCE kw ON (SELECT k, w FROM ckw) DBY (k) MEA (w)
+			 PBY (r) DBY (d, t) MEA (s, 0 u) RULES UPDATE ( u[*, *] = s[cv(d), cv(t)] * w[cv(d)] + s[2, 1] ) ORDER BY r, d, t`,
+			`SELECT r, d, t, u FROM ck SPREADSHEET REFERENCE fk ON (SELECT kf, v FROM ckf) DBY (kf) MEA (v)
+			 PBY (r) DBY (d, t) MEA (s, 0 u) RULES UPDATE ( u[*, *] = v[cv(t)] + s[NULL, cv(t)] + s[0, cv(t)] ) ORDER BY r, d, t`,
+			`SELECT r, p, s, u FROM cs SPREADSHEET PBY (r) DBY (p) MEA (s, 0 u)
+			 RULES UPSERT ( s['zzz'] = s['p1'] * 2, u[*] = s[cv(p)] + s['zzz'] ) ORDER BY r, p`,
+			`SELECT r, d, t, s FROM ck SPREADSHEET RETURN UPDATED ROWS PBY (r) DBY (d, t) MEA (s)
+			 RULES UPSERT ( s[FOR d IN (2, 7.5), FOR t FROM 1 TO 60 INCREMENT 1] = s[1, 1] + cv(t) ) ORDER BY r, d, t`,
+			`SELECT r, x, y, z, s, u FROM c3 SPREADSHEET PBY (r) DBY (x, y, z) MEA (s, 0 u)
+			 RULES UPSERT ( s[1, 2, 3] = s[0, 0, 0] + 1, s[16000000, 2, 3] = 5,
+			                u[*, *, *] = s[cv(x), cv(y), cv(z)] * 2 + s[15000000, 0, 15000000] ) ORDER BY r, x, y, z`,
+		}, check: func(t *testing.T, ref []outcome) {
+			at := func(i int, key string, col int) string {
+				for _, r := range ref[i].rows {
+					if strings.HasPrefix(r, key+" ") {
+						return strings.Fields(r)[col]
+					}
+				}
+				return "missing"
+			}
+			f := func(x float64) string { return "F" + strconv.FormatUint(math.Float64bits(x), 16) }
+			for _, c := range []struct {
+				what, got, want string
+			}{
+				{"u[2.0, 2] = 12 * w[2] + s[2, 1]", at(0, ` S"a" `+f(2)+` I2`, 4), f(131)},
+				{"u[1.0, 1] = v[1] + s[NULL, 1] + s[0, 1]", at(1, ` S"a" `+f(1)+` I1`, 3), f(0.5 + 51 + 31)},
+				{"u[NaN, 3] reads its own NaN cell", at(1, ` S"b" `+f(math.NaN())+` I3`, 3), "N"},
+				{"s['zzz'] = s['p1'] * 2", at(2, ` S"a" S"zzz"`, 2), f(2)},
+				{"u['zzz'] = s['zzz'] + s['zzz']", at(2, ` S"a" S"zzz"`, 3), f(4)},
+				{"s[7.5, 60] = s[1, 1] + 60", at(3, ` S"a" `+f(7.5)+` I60`, 3), f(61)},
+				{"s[2, 60] = s[1, 1] + 60, as INT 2", at(3, ` S"b" I2 I60`, 3), f(161)},
+				{"s[1, 2, 3] = s[0, 0, 0] + 1", at(4, ` S"a" I1 I2 I3`, 4), f(2)},
+				{"u[1, 2, 3] = 2 * 2 + s[15000000, 0, 15000000]", at(4, ` S"a" I1 I2 I3`, 5), f(10)},
+				{"u[16000000, 2, 3] = 5 * 2 + 6", at(4, ` S"b" I16000000 I2 I3`, 5), f(16)},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s: %s, want %s", c.what, c.got, c.want)
+				}
+			}
+			if n := len(ref[3].rows); n != 2*2*60 {
+				t.Errorf("the growing UPSERT returned %d updated rows, want 240", n)
 			}
 		}},
 		// Statements overwriting their own input measure, three runs each

@@ -1,19 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"sqlsheet/internal/blockstore"
+	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
 
 // TestFrameProbeDoesNotAllocate pins the allocation-free cell-probe
-// contract: once a frame's key scratch buffer has warmed up, Lookup and
-// WasPresent encode the DBY key into the reused buffer and probe the hash
-// index via the no-alloc string(key) map-access idiom — zero allocations
-// per probe in steady state. Formula evaluation probes cells for every
-// qualifier of every rule on every row, so an allocation here multiplies
-// into GC pressure proportional to cells × rules.
+// contract: Lookup and WasPresent turn DBY values into ordinals and probe
+// the frame's word table, and LookupBatch — over dictionary-coded and plain
+// key columns alike — does the same a column at a time in the bucket's
+// reused scratch (a dictionary's translation cached after its first batch):
+// zero allocations per probe in steady state. Formula evaluation probes
+// cells for every qualifier of every rule on every row, so an allocation
+// here multiplies into GC pressure proportional to cells × rules.
 func TestFrameProbeDoesNotAllocate(t *testing.T) {
 	m := mustModel(t, `SELECT r, p, t, s FROM f
 		SPREADSHEET PBY(r) DBY(p, t) MEA(s)
@@ -39,17 +42,39 @@ func TestFrameProbeDoesNotAllocate(t *testing.T) {
 	}
 	hit := []types.Value{V("dvd"), V(2000)}
 	miss := []types.Value{V("laser"), V(1985)}
+	pv, ts := []types.Value{V("dvd"), V("laser"), V("tv")}, []types.Value{V(2000), V(1985), V(1999)}
+	dictKeys := []*colstore.Column{colstore.FromValues(pv, true), colstore.FromValues(ts, true)}
+	plainKeys := []*colstore.Column{colstore.FromValues(pv, false), colstore.FromValues([]types.Value{V(2000.0), V(1985.0), V(1999.0)}, false)}
+	sel := []int32{0, 1, 2}
+	out := make([]int32, len(sel))
 	probe := func() {
 		for _, f := range frames {
 			f.Lookup(hit)
 			f.Lookup(miss)
 			f.WasPresent(hit)
 			f.WasPresent(miss)
+			f.LookupBatch(dictKeys, sel, out)
+			f.LookupBatch(plainKeys, sel, out)
 		}
 	}
-	probe() // warm the per-frame key scratch buffers
+	probe() // warm the buckets' scratch and dictionary translations
 	if avg := testing.AllocsPerRun(200, probe); avg != 0 {
 		t.Errorf("frame probes allocate %.2f times per run; want 0", avg)
+	}
+	for _, f := range frames {
+		want := []int32{-1, -1, -1}
+		if pos, ok := f.Lookup(hit); ok {
+			want[0] = int32(pos)
+		}
+		if pos, ok := f.Lookup([]types.Value{V("tv"), V(1999)}); ok {
+			want[2] = int32(pos)
+		}
+		for _, keys := range [][]*colstore.Column{dictKeys, plainKeys} {
+			f.LookupBatch(keys, sel, out)
+			if fmt.Sprint(out) != fmt.Sprint(want) {
+				t.Errorf("frame %v: LookupBatch = %v, want %v", f.PBY(), out, want)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // PartitionSet is the paper's two-level hash access structure (§5): rows are
 // hash partitioned on the PBY columns into first-level buckets; within each
-// bucket a hash table on the DBY columns addresses individual cells. Each
+// bucket a table per frame, keyed by the DBY values as one integer word
+// (cellkeys.go), addresses individual cells. Each
 // bucket owns one row store, so bounding the store's memory models the
 // paper's "fit the second-level hash tables of each first-level partition in
 // memory" regime, with spilling beyond it.
@@ -26,6 +27,9 @@ type PartitionSet struct {
 type bucket struct {
 	store  blockstore.Store
 	frames []*Frame // spreadsheet partitions, in first-seen order
+	// keys turns DBY values into the words the frames' cell tables are
+	// keyed by.
+	keys *cellKeys
 	// bytes is the bucket's share of EstimateBytes, summed while the build
 	// appends each row.
 	bytes int64
@@ -76,14 +80,13 @@ type Frame struct {
 	pby []types.Value
 	// ids holds the partition's rows in insertion order.
 	ids []blockstore.RowID
-	// index maps the DBY key to the row's position in ids. Records within a
-	// bucket stay clustered per frame, making partition scans and probes
-	// cheap (the paper clusters hash buckets on PBY+DBY for the same
-	// reason). The build carves every key of a frame out of one string.
-	index map[string]int
-	// indexShared marks index as shared with another structure
+	// cells is the frame's cell table: an open-addressed table from a DBY
+	// word (bucket.keys) to the row's position in ids. The build carves every
+	// frame's table out of one slab per bucket.
+	cells []cellSlot
+	// cellsShared marks cells as shared with another structure
 	// (CloneForReuse): read freely, copy before the first Insert.
-	indexShared bool
+	cellsShared bool
 	// builtLen is the number of rows the build loaded. Rows are never
 	// removed and Insert appends, so a cell existed before formula execution
 	// (the IS PRESENT predicate) exactly when its position is below it.
@@ -96,12 +99,6 @@ type Frame struct {
 	// per-cell "referenced" marks, alternated between iterations so that
 	// clearing is free (§5).
 	refFlags [2]map[int64]bool
-
-	// keyScratch is the frame's reusable DBY-key encoding buffer. Frames are
-	// evaluated by exactly one PE at a time, and no key encoding happens
-	// re-entrantly, so a single buffer makes steady-state cell probes
-	// allocation-free.
-	keyScratch []byte
 }
 
 // StoreFactory builds the row store for one first-level bucket.
@@ -142,18 +139,14 @@ func joinNames(ns []string) string {
 	return out
 }
 
-func bucketOf(key []byte, n int) int {
-	return int(hashBytes(key)) % n
-}
-
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
 
-// hashExtend folds more bytes into a running FNV-1a hash. The build path
-// extends the hash over each key segment as it is encoded, so bucket
-// selection never re-traverses the key bytes.
+// hashExtend folds more bytes into a running FNV-1a hash (computed inline so
+// hashing does not allocate a hasher). A frame's first-level bucket is the
+// hash of its PBY values' key bytes, folded one value after another.
 func hashExtend(h uint32, b []byte) uint32 {
 	for i := 0; i < len(b); i++ {
 		h ^= uint32(b[i])
@@ -162,17 +155,11 @@ func hashExtend(h uint32, b []byte) uint32 {
 	return h
 }
 
-// hashBytes gives the second-level hash ordering of an encoded DBY key
-// (FNV-1a, computed inline so per-row hashing does not allocate a hasher).
-func hashBytes(key []byte) uint32 {
-	return hashExtend(fnvOffset32, key)
-}
-
 // HashValue exposes the bucket hash for a single dimension value; the
 // parallel executor uses it for the per-PE formula trigger condition
 // (WHERE HASH(p) = hash_value_of_P_for_this_PE).
 func HashValue(v types.Value, n int) int {
-	return bucketOf(types.AppendKey(nil, v), n)
+	return int(hashExtend(fnvOffset32, types.AppendKey(nil, v))) % n
 }
 
 // Buckets returns the first-level partitions (for parallel execution).
@@ -235,60 +222,32 @@ func (f *Frame) PBY() []types.Value { return f.pby }
 // (first write of a shared row) or change it in place (every later one).
 func (f *Frame) Row(pos int) types.Row { return f.b.store.Get(f.ids[pos]) }
 
-// lookupKey probes the second-level index with an encoded DBY key.
-func (f *Frame) lookupKey(key []byte) (int, bool) {
-	pos, ok := f.index[string(key)] // no-alloc map probe
-	return pos, ok
-}
-
-// putKey registers a key at a row position.
-func (f *Frame) putKey(key string, pos int) {
-	if f.indexShared {
-		own := make(map[string]int, len(f.index)+8) // alloc-ok: once per frame, first Insert into a reused structure
-		for k, v := range f.index {
-			own[k] = v
-		}
-		f.index, f.indexShared = own, false
-	}
-	f.index[key] = pos
-}
-
-// dimsKey encodes dimension values into the frame's scratch buffer. The
-// result is only valid until the next dimsKey call; probe paths convert it
-// inside map index expressions, which the compiler keeps allocation-free.
-func (f *Frame) dimsKey(dims []types.Value) []byte {
-	buf := f.keyScratch[:0]
-	for _, v := range dims {
-		buf = types.AppendKey(buf, v)
-	}
-	f.keyScratch = buf
-	return buf
-}
-
-// Lookup probes the second-level index with dimension values.
+// Lookup probes the cell table with dimension values; a value in no domain
+// is a miss without touching the table.
 func (f *Frame) Lookup(dims []types.Value) (pos int, ok bool) {
-	return f.lookupKey(f.dimsKey(dims))
+	w, ok := f.b.keys.word(dims)
+	if !ok {
+		return 0, false
+	}
+	return findSlot(f.cells, w)
 }
 
-// LookupBatch probes the second-level index for a batch of keys held in a
-// columnar key image: keyCols holds one column per DBY dimension, rows[i] is
-// the row of those columns holding key i, and out[i] receives the frame
-// position of key i's cell or -1 on a miss. The key bytes come from
-// Column.AppendKey — byte-identical to the types.AppendKey encoding Lookup
-// uses, including integral-float normalization — through one reused scratch
-// buffer, so the whole batch is a run of no-alloc map probes: the paper's F1
-// unfolding done once per rule instead of once per cell.
+// LookupBatch probes the cell table for a batch of keys held in a columnar
+// key image: keyCols holds one column per DBY dimension, rows[i] is the row
+// of those columns holding key i, and out[i] receives the frame position of
+// key i's cell or -1 on a miss. Each column turns into ordinals at once — a
+// dictionary column by code, an INT column by arithmetic, anything else
+// through the domain's value map — and no key bytes are encoded: the
+// paper's F1 unfolding done once per rule instead of once per cell.
 func (f *Frame) LookupBatch(keyCols []*colstore.Column, rows []int32, out []int32) {
-	for i, r := range rows {
-		buf := f.keyScratch[:0]
-		for _, c := range keyCols {
-			buf = c.AppendKey(buf, int(r))
-		}
-		f.keyScratch = buf
-		if pos, ok := f.lookupKey(buf); ok {
-			out[i] = int32(pos)
-		} else {
-			out[i] = -1
+	k := f.b.keys
+	ords := k.colOrds(keyCols, rows)
+	for i := range rows {
+		out[i] = -1
+		if w, ok := k.wordAt(ords, i); ok {
+			if pos, hit := findSlot(f.cells, w); hit {
+				out[i] = int32(pos)
+			}
 		}
 	}
 }
@@ -336,13 +295,18 @@ func (f *Frame) SetMeasureBulk(pos []int32, col int, vec *eval.ExprVec, k0 int) 
 // the partition's values, DBY columns the target values, measures NULL.
 // The store owns the row from birth. It returns the new row's position.
 func (f *Frame) Insert(m *Model, dims []types.Value) int {
+	w := f.b.wordGrow(dims)
 	row := make(types.Row, m.Schema.Len())
 	copy(row, f.pby)
 	copy(row[m.NPby:], dims)
 	id := f.b.store.Append(row)
 	pos := len(f.ids)
 	f.ids = append(f.ids, id)
-	f.putKey(string(f.dimsKey(dims)), pos)
+	if f.cellsShared || 2*len(f.ids) > len(f.cells) {
+		f.cells = rehash(f.cells, len(f.ids)) // alloc-ok: a shared table's first Insert, or a doubling
+		f.cellsShared = false
+	}
+	putSlot(f.cells, w, pos)
 	f.b.img = nil
 	return pos
 }

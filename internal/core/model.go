@@ -9,8 +9,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sqlsheet/internal/aggs"
+	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
@@ -79,33 +81,91 @@ type RefMeta struct {
 	Meas   []string // measure column names
 	Schema *types.Schema
 
-	// Data is filled before Run by materializing the reference query (see
-	// Load): an index from the DBY key to the row (dims ++ meas layout).
-	Data map[string]types.Row
+	// rows is filled before Run by materializing the reference query (see
+	// Load), in the dims ++ meas layout; index addresses them by their DBY
+	// tuple. Both are read-only while the rules run.
+	rows  []types.Row
+	index refIndex
+}
+
+// refIndex addresses a reference sheet's rows by their DBY tuple: each
+// dimension gets a domain over the sheet's own values, a tuple packs its
+// ordinals into a word (byte keys when the fields pass 64 bits), and an
+// open-addressed table maps the word to the row.
+type refIndex struct {
+	doms  []*domain
+	lay   *keyLayout
+	cells []cellSlot
+	// meas holds each measure as a column, dictionary-coded strings
+	// included, so a batch read gathers it; nil where the values mix kinds.
+	meas []*colstore.Column
 }
 
 // Load indexes the reference query's rows (dims ++ meas layout) by their
-// DBY key into Data. As on the main sheet, the DBY columns must identify a
-// row: a second row with the key of an earlier one is an error naming the
-// sheet, and Data keeps its previous contents. A NULL key is a key like any
+// DBY tuple. As on the main sheet, the DBY columns must identify a row: a
+// second row with the key of an earlier one is an error naming the sheet,
+// and the sheet keeps its previous contents. A NULL key is a key like any
 // other (one row may have it).
 func (r *RefMeta) Load(rows []types.Row) error {
-	data := make(map[string]types.Row, len(rows))
 	nd := len(r.Dims)
-	var key []byte
-	for _, row := range rows {
-		key = key[:0]
-		for _, v := range row[:nd] {
-			key = types.AppendKey(key, v)
+	ix := refIndex{doms: make([]*domain, nd), cells: make([]cellSlot, tableSize(len(rows)))}
+	width := make([]uint8, nd)
+	ords := make([][]uint32, nd)
+	for d := range ix.doms {
+		rd := newDimReader(nil, rows, d)
+		ix.doms[d] = rd.dom
+		ords[d] = make([]uint32, len(rows))
+		rd.fill(rows, 0, ords[d])
+		if rd.dom.size > 0 {
+			width[d] = uint8(bits.Len32(rd.dom.size - 1))
 		}
-		if _, dup := data[string(key)]; dup {
+	}
+	ix.lay = newLayout(width)
+	tuple := make([]uint32, nd)
+	var buf []byte
+	for ri, row := range rows {
+		for d := range tuple {
+			tuple[d] = ords[d][ri]
+		}
+		if putSlot(ix.cells, ix.lay.add(tuple, &buf), ri) {
 			return fmt.Errorf("spreadsheet: DBY columns (%s) of reference sheet %s do not uniquely identify row %v",
 				joinNames(r.Dims), r.Name, row[:nd])
 		}
-		data[string(key)] = row
 	}
-	r.Data = data
+	ix.meas = make([]*colstore.Column, len(r.Meas))
+	vals := make([]types.Value, len(rows))
+	for i := range ix.meas {
+		for ri, row := range rows {
+			vals[ri] = row[nd+i]
+		}
+		ix.meas[i] = colstore.FromValues(vals, true)
+	}
+	r.rows, r.index = rows, ix
 	return nil
+}
+
+// lookup returns the row with DBY values dims.
+func (r *RefMeta) lookup(dims []types.Value) (types.Row, bool) {
+	ix := &r.index
+	var tarr [8]uint32
+	var buf []byte // byte keys only
+	tuple := tarr[:0]
+	for d, v := range dims {
+		o, ok := ix.doms[d].ord(v)
+		if !ok {
+			return nil, false
+		}
+		tuple = append(tuple, o)
+	}
+	w, ok := ix.lay.word(tuple, &buf)
+	if !ok {
+		return nil, false
+	}
+	ri, ok := findSlot(ix.cells, w)
+	if !ok {
+		return nil, false
+	}
+	return r.rows[ri], true
 }
 
 // Rule is a compiled formula.

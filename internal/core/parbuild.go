@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"strings"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -12,26 +11,30 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// Parallel partition build. The access structure is built in two phases that
-// mirror the serial two-pass loop but decompose along axes with no shared
-// state:
+// Parallel partition build. The access structure is built in three phases
+// that decompose along axes with no shared state:
 //
-//  1. Scan: workers take morsel-sized row ranges in input order and encode
-//     every row's PBY and DBY keys into chunk-local arenas, folding the
-//     first-level bucket hash into the same FNV-1a pass that encodes the key
-//     bytes. Chunks only write their own arrays, so this phase needs no
-//     locking at all.
+//  0. Domains: every PBY and DBY dimension gets its domain (cellkeys.go) —
+//     a dictionary-coded column's codes, an INT column's range, or one
+//     serial pass numbering its values — and the structure its two word
+//     layouts.
+//  1. Scan: workers take morsel-sized row ranges in input order and compute
+//     every row's PBY and DBY words, a dimension at a time, into chunk-local
+//     arrays. A chunk finds its rows' frames in a chunk-local word table and
+//     hashes the PBY values of each frame it discovers once, to choose its
+//     first-level bucket. Chunks only write their own arrays, so this phase
+//     needs no locking at all.
 //  2. Assemble: workers take whole first-level buckets. Each bucket walks the
-//     chunks in input order, creating frames in first-seen order and
-//     collecting its rows' positions, then sorts each frame's rows by
-//     second-level hash and appends them to the bucket's private store.
-//     Buckets share nothing (each owns its store, frame list and key map),
-//     so this phase is also lock-free.
+//     chunks in input order, finding frames through a word table in
+//     first-seen order and collecting its rows' positions, then appends each
+//     frame's rows to the bucket's private store in input order and fills the
+//     frame's cell table. Buckets share nothing but the read-only domains, so
+//     this phase is also lock-free.
 //
 // Because chunk boundaries are a pure function of the input size and phase 2
 // visits rows in global input order regardless of which worker scanned them,
-// the resulting PartitionSet is byte-identical to the serial build for any
-// worker count.
+// the resulting PartitionSet is identical to the serial build for any worker
+// count.
 
 // buildMorsel is the number of rows one scan task encodes at a time.
 const buildMorsel = 4096
@@ -42,9 +45,8 @@ type BuildOptions struct {
 	// output is identical for every value.
 	Workers int
 	// Cols, when non-nil, supplies columnar vectors for the working
-	// relation so the scan phase encodes PBY/DBY keys straight from typed
-	// columns. The key bytes are identical to the row path's
-	// (colstore.Column.AppendKey is pinned to types.AppendKey).
+	// relation, so a dictionary-coded dimension keys by its codes and an INT
+	// one by arithmetic instead of numbering boxed row values.
 	Cols *ColSource
 	// ShareRows stores input rows by reference instead of cloning them into
 	// the bucket stores, and hands stored rows out of PartitionSet.Rows by
@@ -64,41 +66,228 @@ type ColSource struct {
 	RowIdx []int32
 }
 
+// column returns ordinal ord's vector, nil when there is none.
+func (cs *ColSource) column(ord int) *colstore.Column {
+	if cs != nil && ord < len(cs.Cols) {
+		return cs.Cols[ord]
+	}
+	return nil
+}
+
 // appendKey appends the key bytes for working-relation position ri,
 // ordinal ord, preferring the typed vector when one is available.
 func (cs *ColSource) appendKey(buf []byte, rows []types.Row, ri, ord int) []byte {
-	if cs != nil && ord < len(cs.Cols) && cs.Cols[ord] != nil {
+	if c := cs.column(ord); c != nil {
 		r := ri
 		if cs.RowIdx != nil {
 			r = int(cs.RowIdx[ri])
 		}
-		return cs.Cols[ord].AppendKey(buf, r)
+		return c.AppendKey(buf, r)
 	}
 	return types.AppendKey(buf, rows[ri][ord]) // interp-ok: row fallback
 }
 
-// buildChunk holds one scan task's encoded keys. Key bytes live in flat
-// arenas addressed by prefix offsets; the arenas stay alive until assembly
-// finishes, so frame entries can alias them instead of copying.
+// dimReader computes one build dimension's ordinals for runs of input rows.
+type dimReader struct {
+	dom *domain
+	// col is the dictionary or INT vector read by code or by arithmetic;
+	// nil with dom.isInt reads the boxed INT values of rows.
+	col  *colstore.Column
+	ridx []int32
+	ord  int // working-schema ordinal
+	// ords holds every input row's ordinal on the value-map path.
+	ords []uint32
+	null uint32 // NULL's ordinal
+}
+
+// newDimReader builds working-schema column ord's domain over the input.
+func newDimReader(cs *ColSource, rows []types.Row, ord int) dimReader {
+	d := &domain{}
+	rd := dimReader{dom: d, ord: ord, null: noOrd}
+	c := cs.column(ord)
+	var lo, hi int64
+	any, hasNull := false, false
+	span := func(v int64) {
+		if !any || v < lo {
+			lo = v
+		}
+		if !any || v > hi {
+			hi = v
+		}
+		any = true
+	}
+	switch {
+	case c != nil && c.Kind == types.KindString && c.Dict != nil:
+		d.dict, d.base = c, uint32(len(c.Dict))
+		rd.col, rd.ridx, hasNull = c, cs.RowIdx, c.Nulls != nil
+	case c != nil && c.Kind == types.KindInt:
+		for ri := range rows {
+			r := ri
+			if cs.RowIdx != nil {
+				r = int(cs.RowIdx[ri])
+			}
+			if c.Nulls != nil && c.Nulls.Get(r) {
+				hasNull = true
+			} else {
+				span(c.Ints[r])
+			}
+		}
+		d.isInt = true
+		rd.col, rd.ridx = c, cs.RowIdx
+	case c == nil:
+		d.isInt = true
+		for _, row := range rows {
+			if v := row[ord]; v.K == types.KindInt {
+				span(v.I)
+			} else if v.K == types.KindNull {
+				hasNull = true
+			} else {
+				d.isInt = false
+				break
+			}
+		}
+	}
+	if d.isInt && any && uint64(hi)-uint64(lo) >= maxIntRange {
+		d.isInt, rd.col, rd.ridx = false, nil, nil
+	}
+	if d.isInt {
+		d.lo = lo
+		if any {
+			d.base = uint32(hi-lo) + 1
+		}
+	}
+	if d.dict != nil || d.isInt {
+		d.size = d.base
+		if hasNull {
+			rd.null = d.grow(types.Null)
+		}
+		return rd
+	}
+	// The value map: one serial pass numbers the values in input order.
+	rd.ords = make([]uint32, len(rows))
+	for ri, row := range rows {
+		rd.ords[ri] = d.grow(row[ord])
+	}
+	return rd
+}
+
+// fill writes the ordinals of input rows [lo, lo+len(out)) to out.
+func (rd *dimReader) fill(rows []types.Row, lo int, out []uint32) {
+	switch c := rd.col; {
+	case rd.ords != nil:
+		copy(out, rd.ords[lo:])
+	case c != nil:
+		for i := range out {
+			r := lo + i
+			if rd.ridx != nil {
+				r = int(rd.ridx[r])
+			}
+			switch {
+			case c.Nulls != nil && c.Nulls.Get(r):
+				out[i] = rd.null
+			case c.Dict != nil:
+				out[i] = c.Codes[r]
+			default:
+				out[i] = uint32(uint64(c.Ints[r]) - uint64(rd.dom.lo))
+			}
+		}
+	default: // boxed INT values
+		for i := range out {
+			v := rows[lo+i][rd.ord]
+			if v.K == types.KindNull {
+				out[i] = rd.null
+			} else {
+				out[i] = uint32(uint64(v.I) - uint64(rd.dom.lo))
+			}
+		}
+	}
+}
+
+// buildKeys holds a build's domains and word layouts.
+type buildKeys struct {
+	pby, dby       []dimReader
+	pbyLay, dbyLay *keyLayout
+	// pbyWords and dbyWords hold every input row's word when the layout is
+	// byte-keyed (interned serially up front); nil when packed.
+	pbyWords, dbyWords []uint64
+}
+
+func newBuildKeys(m *Model, rows []types.Row, cs *ColSource) *buildKeys {
+	bk := &buildKeys{}
+	pw := make([]uint8, m.NPby)
+	for p := range pw {
+		rd := newDimReader(cs, rows, p)
+		bk.pby = append(bk.pby, rd)
+		if rd.dom.size > 0 {
+			pw[p] = uint8(bits.Len32(rd.dom.size - 1))
+		}
+	}
+	dw := make([]uint8, m.NDby)
+	for d := range dw {
+		rd := newDimReader(cs, rows, m.NPby+d)
+		bk.dby = append(bk.dby, rd)
+		dw[d] = fieldWidth(rd.dom.size)
+	}
+	bk.pbyLay, bk.dbyLay = newLayout(pw), newLayout(dw)
+	if bk.pbyLay.tuples != nil {
+		bk.pbyWords = internRows(rows, bk.pby, bk.pbyLay)
+	}
+	if bk.dbyLay.tuples != nil {
+		bk.dbyWords = internRows(rows, bk.dby, bk.dbyLay)
+	}
+	return bk
+}
+
+// internRows gives every input row the interned word of its ordinals under
+// a byte-keyed layout.
+func internRows(rows []types.Row, rds []dimReader, lay *keyLayout) []uint64 {
+	ords := make([][]uint32, len(rds))
+	for d := range rds {
+		ords[d] = make([]uint32, len(rows))
+		rds[d].fill(rows, 0, ords[d])
+	}
+	words := make([]uint64, len(rows))
+	tuple := make([]uint32, len(rds))
+	var buf []byte
+	for ri := range words {
+		for d := range tuple {
+			tuple[d] = ords[d][ri]
+		}
+		words[ri] = lay.add(tuple, &buf)
+	}
+	return words
+}
+
+// rowWords writes the words of input rows [lo, lo+len(out)) to out, a
+// dimension at a time; scratch holds len(out) ordinals.
+func rowWords(rows []types.Row, rds []dimReader, lay *keyLayout, pre []uint64, lo int, scratch []uint32, out []uint64) {
+	if pre != nil {
+		copy(out, pre[lo:])
+		return
+	}
+	clear(out)
+	for d := range rds {
+		rds[d].fill(rows, lo, scratch)
+		sh := lay.shift[d]
+		for i, o := range scratch {
+			out[i] |= uint64(o) << sh
+		}
+	}
+}
+
+// buildChunk holds one scan task's words and the frames it discovered.
 type buildChunk struct {
-	lo      int     // global index of the chunk's first row
-	bucket  []int32 // first-level bucket per row
-	pbyOff  []int32 // prefix offsets into pbyFlat (len rows+1)
-	pbyFlat []byte
-	dbyOff  []int32 // prefix offsets into dbyFlat (len rows+1)
-	dbyFlat []byte
-	dbyHash []uint32 // second-level hash per row
+	lo    int      // global index of the chunk's first row
+	frame []int32  // chunk-local frame of each row
+	dby   []uint64 // cell word of each row
+	// Per chunk-local frame, in discovery order: its PBY word, its
+	// first-level bucket and its first row (chunk-relative).
+	fword   []uint64
+	fbucket []int32
+	ffirst  []int32
 	// bytes sums blockstore.RowBytes per first-level bucket: the scan walks
 	// the input in order, the cheapest place to look at every row once.
 	bytes []int64
-}
-
-// frameEntry is one row routed to a frame: its global input position, its
-// second-level hash, and its encoded DBY key (aliasing the chunk arena).
-type frameEntry struct {
-	ri   int
-	hash uint32
-	key  []byte
 }
 
 // BuildPartitionsOpts loads rows (working-schema layout) into the two-level
@@ -108,7 +297,8 @@ type frameEntry struct {
 // Rows are appended to each bucket's store clustered by frame ("the hash
 // access structure maintains records within a hash bucket clustered on PBY
 // and DBY column values"), so evaluating one spreadsheet partition touches
-// a contiguous run of blocks — the locality Fig. 5 depends on.
+// a contiguous run of blocks — the locality Fig. 5 depends on. Within a
+// frame rows keep input order.
 func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory, o BuildOptions) (*PartitionSet, error) {
 	if nBuckets < 1 {
 		nBuckets = 1
@@ -122,16 +312,19 @@ func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore Stor
 		}
 	}
 	ps.shareRows = o.ShareRows
+	bk := newBuildKeys(m, rows, o.Cols)
 	nChunks := (len(rows) + buildMorsel - 1) / buildMorsel
 	chunks := make([]*buildChunk, nChunks)
 	runBuildTasks(o.Workers, nChunks, func(ci int) {
 		lo := ci * buildMorsel
 		hi := min(lo+buildMorsel, len(rows))
-		chunks[ci] = scanChunk(m, rows, lo, hi, nBuckets, o.Cols)
+		chunks[ci] = scanChunk(m, rows, lo, hi, nBuckets, o.Cols, bk)
 	})
 	errs := make([]error, nBuckets)
 	runBuildTasks(o.Workers, nBuckets, func(bi int) {
-		errs[bi] = assembleBucket(m, ps.buckets[bi], rows, chunks, int32(bi), o)
+		b := ps.buckets[bi]
+		b.keys = newCellKeys(m, bk)
+		errs[bi] = assembleBucket(m, b, rows, chunks, int32(bi), o)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -183,114 +376,117 @@ func runBuildTasks(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// scanChunk encodes rows [lo,hi) into a chunk arena. Both hashes are folded
-// into the same pass that appends the key bytes, so each key byte is touched
-// exactly once.
-func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource) *buildChunk {
+// scanChunk computes rows [lo,hi)'s words and frames. The first-level
+// bucket of a frame is the FNV-1a hash of its PBY values' key bytes —
+// HashValue's function, a property of the values and not of this build's
+// domains — computed once per frame the chunk discovers.
+func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource, bk *buildKeys) *buildChunk {
 	n := hi - lo
 	c := &buildChunk{
-		lo:      lo,
-		bucket:  make([]int32, n),
-		pbyOff:  make([]int32, n+1),
-		dbyOff:  make([]int32, n+1),
-		dbyHash: make([]uint32, n),
-		bytes:   make([]int64, nBuckets),
-		// Sized for a typical key (types.Key's own guess); append regrows
-		// past it.
-		pbyFlat: make([]byte, 0, n*16*m.NPby),
-		dbyFlat: make([]byte, 0, n*16*m.NDby),
+		lo:    lo,
+		frame: make([]int32, n),
+		dby:   make([]uint64, n),
+		bytes: make([]int64, nBuckets),
 	}
-	for i := 0; i < n; i++ {
-		ri := lo + i
-		h := uint32(fnvOffset32)
-		for p := 0; p < m.NPby; p++ {
-			pre := len(c.pbyFlat)
-			c.pbyFlat = cols.appendKey(c.pbyFlat, rows, ri, p)
-			h = hashExtend(h, c.pbyFlat[pre:])
+	scratch := make([]uint32, n)
+	pw := make([]uint64, n)
+	rowWords(rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
+	rowWords(rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
+	tbl := make([]cellSlot, tableSize(n))
+	var key []byte
+	for i, w := range pw {
+		fi, ok := findSlot(tbl, w)
+		if !ok {
+			fi = len(c.fword)
+			putSlot(tbl, w, fi)
+			h := uint32(fnvOffset32)
+			for p := 0; p < m.NPby; p++ {
+				key = cols.appendKey(key[:0], rows, lo+i, p)
+				h = hashExtend(h, key)
+			}
+			c.fword = append(c.fword, w)
+			c.fbucket = append(c.fbucket, int32(int(h)%nBuckets))
+			c.ffirst = append(c.ffirst, int32(i))
 		}
-		c.pbyOff[i+1] = int32(len(c.pbyFlat))
-		c.bucket[i] = int32(int(h) % nBuckets)
-		c.bytes[c.bucket[i]] += blockstore.RowBytes(rows[ri])
-		h = fnvOffset32
-		for d := 0; d < m.NDby; d++ {
-			pre := len(c.dbyFlat)
-			c.dbyFlat = cols.appendKey(c.dbyFlat, rows, ri, m.NPby+d)
-			h = hashExtend(h, c.dbyFlat[pre:])
-		}
-		c.dbyOff[i+1] = int32(len(c.dbyFlat))
-		c.dbyHash[i] = h
+		c.frame[i] = int32(fi)
+		c.bytes[c.fbucket[fi]] += blockstore.RowBytes(rows[lo+i])
 	}
 	return c
 }
 
 // assembleBucket routes the bucket's rows to frames (first-seen order, input
-// order within each frame), then appends each frame's rows to the bucket
-// store in second-level hash order so partitions stay block-clustered — the
-// same layout the serial build produces ("the hash access structure maintains
-// records within a hash bucket clustered on PBY and DBY column values").
+// order within each frame), appends each frame's rows to the bucket store
+// in that order so partitions stay block-clustered, and fills each frame's
+// cell table.
 //
-// Allocation is per bucket, not per frame or per row: the routed entries,
-// the Frame structs, the row ids and the index keys each live in one flat
-// block that the frames slice up (a statement can have thousands of
-// five-row partitions), so a frame costs its hash table and nothing else.
+// Allocation is per bucket, not per frame or per row: the routed rows, the
+// Frame structs, the row ids and the cell tables each live in one flat block
+// that the frames slice up (a statement can have thousands of five-row
+// partitions).
 func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk, bi int32, o BuildOptions) error {
-	// Pass 1: discover frames and count their rows.
-	byKey := make(map[string]int32) // PBY key -> frame number
+	// Pass 1: discover frames through a word table and count their rows.
+	local := make([][]int32, len(chunks)) // chunk-local frame -> frame number, -1 elsewhere
+	finder := make([]cellSlot, tableSize(16))
 	var (
-		frameOf []int32 // frame number of each bucket row, in input order
-		fill    []int32 // rows per frame; pass 2 reuses it as a write cursor
-		first   []int   // input position of each frame's first row
+		fill  []int32 // rows per frame; pass 2 reuses it as a write cursor
+		first []int   // input position of each frame's first row
 	)
-	for _, c := range chunks {
-		for i, cb := range c.bucket {
-			if cb != bi {
+	for ci, c := range chunks {
+		lm := make([]int32, len(c.fword))
+		for lf, w := range c.fword {
+			if c.fbucket[lf] != bi {
+				lm[lf] = -1
 				continue
 			}
-			pk := c.pbyFlat[c.pbyOff[i]:c.pbyOff[i+1]]
-			fi, seen := byKey[string(pk)]
+			fi, seen := findSlot(finder, w)
 			if !seen {
-				fi = int32(len(fill))
-				byKey[string(pk)] = fi
+				fi = len(fill)
+				if 2*(fi+1) > len(finder) {
+					finder = rehash(finder, 2*(fi+1))
+				}
+				putSlot(finder, w, fi)
 				fill = append(fill, 0)
-				first = append(first, c.lo+i)
+				first = append(first, c.lo+int(c.ffirst[lf]))
 			}
-			frameOf = append(frameOf, fi)
-			fill[fi]++
+			lm[lf] = int32(fi)
+		}
+		local[ci] = lm
+		for _, lf := range c.frame {
+			if fi := lm[lf]; fi >= 0 {
+				fill[fi]++
+			}
 		}
 	}
-	// Pass 2: lay the entries out frame by frame.
+	// Pass 2: lay the rows out frame by frame, input order within each.
 	off := make([]int32, len(fill)+1)
+	slots := 0
 	for fi, n := range fill {
 		off[fi+1] = off[fi] + n
 		fill[fi] = off[fi]
+		slots += tableSize(int(n))
 	}
-	ents := make([]frameEntry, len(frameOf))
-	nkey, k := 0, 0
-	for _, c := range chunks {
-		for i, cb := range c.bucket {
-			if cb != bi {
-				continue
+	nrows := int(off[len(fill)])
+	ris := make([]int32, nrows)
+	words := make([]uint64, nrows)
+	for ci, c := range chunks {
+		lm := local[ci]
+		for i, lf := range c.frame {
+			if fi := lm[lf]; fi >= 0 {
+				ris[fill[fi]], words[fill[fi]] = int32(c.lo+i), c.dby[i]
+				fill[fi]++
 			}
-			fi := frameOf[k]
-			k++
-			key := c.dbyFlat[c.dbyOff[i]:c.dbyOff[i+1]]
-			ents[fill[fi]] = frameEntry{ri: c.lo + i, hash: c.dbyHash[i], key: key}
-			fill[fi]++
-			nkey += len(key)
 		}
 	}
 
 	frames := make([]Frame, len(first))
 	b.frames = make([]*Frame, len(first))
-	ids := make([]blockstore.RowID, 0, len(ents))
-	var keys strings.Builder // never regrows: every index key is a slice of one string
-	keys.Grow(nkey)
-	var order []uint64 // sort scratch, reused across frames
+	ids := make([]blockstore.RowID, 0, nrows)
+	slab := make([]cellSlot, slots)
 	ms, _ := b.store.(*blockstore.MemStore)
 	if ms != nil {
-		ms.Reserve(len(ents))
+		ms.Reserve(nrows)
 	}
-	b.bytes = 256 + int64(len(frames))*128 + int64(len(ents))*(16+48) + int64(nkey)
+	b.bytes = 256 + int64(len(frames))*128 + int64(nrows)*(16+12) + int64(slots)*16
 	for _, c := range chunks {
 		b.bytes += c.bytes[bi]
 	}
@@ -301,32 +497,18 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 		// Input rows are never written (cloned below, or copied on first
 		// write), so the frame can alias its first row's PBY prefix.
 		f.pby = rows[first[fi]][:m.NPby:m.NPby]
-		es := ents[off[fi]:off[fi+1]]
-		// Second-level hash order, ties in input order — exactly the serial
-		// build's stable order-index sort, as a plain sort of (hash, input
-		// rank) words.
-		order = order[:0]
-		for i, e := range es {
-			order = append(order, uint64(e.hash)<<32|uint64(i))
-		}
-		slices.Sort(order)
-		f.index = make(map[string]int, len(es))
+		lo, hi := off[fi], off[fi+1]
+		ts := tableSize(int(hi - lo))
+		f.cells, slab = slab[:ts:ts], slab[ts:]
 		base := len(ids)
-		for _, w := range order {
-			e := es[uint32(w)]
-			pos := len(ids) - base
-			at := keys.Len()
-			keys.Write(e.key)
-			dk := keys.String()[at:]
-			// One probe: a duplicate key overwrites instead of growing.
-			f.index[dk] = pos
-			if len(f.index) != pos+1 {
+		for k := lo; k < hi; k++ {
+			r := rows[ris[k]]
+			if putSlot(f.cells, words[k], len(ids)-base) {
 				return fmt.Errorf("spreadsheet: DBY columns (%s) do not uniquely identify row %v within its partition",
-					joinNames(m.DimNames()), rows[e.ri][m.NPby:m.NPby+m.NDby])
+					joinNames(m.DimNames()), r[m.NPby:m.NPby+m.NDby])
 			}
-			r := rows[e.ri]
 			if !o.ShareRows {
-				r = r.Clone()
+				r = r.Clone() // alloc-ok: a store that does not share rows owns a copy of each (budgeted builds)
 			}
 			ids = append(ids, b.store.Append(r))
 		}

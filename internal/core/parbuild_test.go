@@ -82,12 +82,12 @@ func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 				if types.Key(ra...) != types.Key(rb...) {
 					t.Fatalf("bucket %d frame %d pos %d: %v vs %v", bi, fi, pos, ra, rb)
 				}
-				k := types.Key(ra[m.NPby : m.NPby+m.NDby]...)
-				pa, oka := fa.lookupKey([]byte(k))
-				pb, okb := fb.lookupKey([]byte(k))
+				dims := ra[m.NPby : m.NPby+m.NDby]
+				pa, oka := fa.Lookup(dims)
+				pb, okb := fb.Lookup(dims)
 				if !oka || !okb || pa != pos || pb != pos {
-					t.Fatalf("bucket %d frame %d: index disagrees on %q: (%d,%v) vs (%d,%v), want %d",
-						bi, fi, k, pa, oka, pb, okb, pos)
+					t.Fatalf("bucket %d frame %d: index disagrees on %v: (%d,%v) vs (%d,%v), want %d",
+						bi, fi, dims, pa, oka, pb, okb, pos)
 				}
 			}
 		}

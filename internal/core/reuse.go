@@ -10,14 +10,16 @@ import (
 // keeps one pristine copy per spreadsheet node and clones it again for each
 // execution, so formula evaluation always starts from build state.
 //
-// Nothing a frame holds is copied: rows, PBY values, row ids and the DBY
-// hash index are all shared between ps and the clone, and each side copies
-// a piece only when it is about to change it — a row on its first write
-// (MemStore.CloneShallow), the index on the first Insert (Frame.putKey),
-// ids by appending past a clipped capacity. ps itself may therefore still
-// be evaluated afterwards (a cache miss evaluates the structure it has just
-// published a clone of). ps is only written when it has not been cloned
-// before, so concurrent clones of the cached pristine copy are safe.
+// Nothing a frame holds is copied: rows, PBY values, row ids, the cell
+// tables and the bucket's DBY domains and word layout are all shared between
+// ps and the clone, and each side copies a piece only when it is about to
+// change it — a row on its first write (MemStore.CloneShallow), a cell table
+// on the frame's first Insert, a domain or the layout when an Insert adds a
+// value (bucket.wordGrow), ids by appending past a clipped capacity. ps
+// itself may therefore still be evaluated afterwards (a cache miss
+// evaluates the structure it has just published a clone of). ps is only
+// written when it has not been cloned before, so concurrent clones of the
+// cached pristine copy are safe.
 func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 	cp := &PartitionSet{model: ps.model, buckets: make([]*bucket, len(ps.buckets)), shareRows: ps.shareRows}
 	for bi, b := range ps.buckets {
@@ -25,14 +27,14 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 		if !ok {
 			return nil
 		}
-		nb := &bucket{store: ms.CloneShallow(), frames: make([]*Frame, len(b.frames)), bytes: b.bytes}
+		nb := &bucket{store: ms.CloneShallow(), frames: make([]*Frame, len(b.frames)), keys: b.keys.share(), bytes: b.bytes}
 		fs := make([]Frame, len(b.frames))
 		for fi, f := range b.frames {
-			if !f.indexShared {
-				f.indexShared = true
+			if !f.cellsShared {
+				f.cellsShared = true
 			}
 			n := len(f.ids)
-			fs[fi] = Frame{b: nb, ord: fi, pby: f.pby, ids: f.ids[:n:n], index: f.index, indexShared: true, builtLen: f.builtLen}
+			fs[fi] = Frame{b: nb, ord: fi, pby: f.pby, ids: f.ids[:n:n], cells: f.cells, cellsShared: true, builtLen: f.builtLen}
 			nb.frames[fi] = &fs[fi]
 		}
 		cp.buckets[bi] = nb
@@ -40,8 +42,20 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 	return cp
 }
 
+// KeyNote says how the structure keys its cells, for EXPLAIN ANALYZE:
+// "packed" when every bucket packs its DBY ordinals into one word,
+// "bytes(overflow)" when some bucket's fields outgrew 64 bits.
+func (ps *PartitionSet) KeyNote() string {
+	for _, b := range ps.buckets {
+		if b.keys.lay.tuples != nil {
+			return "bytes(overflow)"
+		}
+	}
+	return "packed"
+}
+
 // EstimateBytes approximates the structure's resident size at build time
-// for cache budgeting: stored rows plus per-key index overhead.
+// for cache budgeting: stored rows plus the cell tables.
 func (ps *PartitionSet) EstimateBytes() int64 {
 	var n int64
 	for _, b := range ps.buckets {

@@ -180,6 +180,7 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 // (and every few thousand rows a batch images); the frame-at-a-time order,
 // which a spilling store takes, polls the store's I/O failure beside it.
 func (fe *frameEval) evalBucket(b *bucket) error {
+	defer fe.flushCounts()
 	if fe.levelMajor(b) {
 		if len(b.frames) == 0 {
 			return nil
@@ -402,14 +403,19 @@ type frameEval struct {
 	// imgNeed and imgTodo are image's column lists: what a batch scan
 	// reads, and which of those the bucket's cache lacks.
 	imgNeed, imgTodo []int
-	// refKey is refColumn's key-encoding buffer.
-	refKey []byte
+	// refKeys is refColumn's ordinal scratch and dictionary translations.
+	refKeys cellKeys
+	// probes counts main-sheet cell probes, aliased the batch cell reads
+	// that took the target's own column instead (flushed to Stats per
+	// bucket).
+	probes, aliased int64
 	// boxed is the scratch batch kernels build image columns in (see
 	// boxedScratch), all NULL between uses.
 	boxed []types.Value
-	// iota, full and probed are the batch rules' index scratch: identity,
-	// and probeFrames' result and probe buffers.
-	iota, full, probed []int32
+	// iota, full, probed and refIdx are the batch rules' index scratch:
+	// identity, probeFrames' result and probe buffers, and refColumn's
+	// gather index.
+	iota, full, probed, refIdx []int32
 
 	// cv values for the formula target currently being evaluated.
 	cv []types.Value // indexed by DBY ordinal; nil entry = not bound
@@ -587,7 +593,8 @@ func (fe *frameEval) newCtx() *eval.Context {
 		if c.Sheet != "" || fe.m.MeasureOrdinal(c.Measure) < 0 {
 			return false, fmt.Errorf("IS PRESENT requires a main-sheet cell")
 		}
-		dims, err := fe.pointDims(ctx, c.Quals)
+		var arr [4]types.Value
+		dims, err := fe.evalCellDims(ctx, c.Quals, arr[:0])
 		if err != nil {
 			return false, err
 		}
@@ -596,27 +603,11 @@ func (fe *frameEval) newCtx() *eval.Context {
 	return ctx
 }
 
-// pointDims evaluates single-valued qualifiers into dimension values.
-func (fe *frameEval) pointDims(ctx *eval.Context, quals []sqlast.DimQual) ([]types.Value, error) {
-	dims := make([]types.Value, len(quals))
-	for i, q := range quals {
-		if q.Kind != sqlast.QualPoint {
-			return nil, fmt.Errorf("cell reference qualifier %d is not single-valued", i+1)
-		}
-		v, err := fe.eval(ctx, q.Val)
-		if err != nil {
-			return nil, err
-		}
-		dims[i] = v
-	}
-	return dims, nil
-}
-
-// evalCellKey evaluates point qualifiers directly into the caller's key
-// buffer, avoiding per-probe allocations. Each caller owns its buffer, so
-// nested cell references (qualifier expressions containing lookups) cannot
-// clobber it.
-func (fe *frameEval) evalCellKey(ctx *eval.Context, quals []sqlast.DimQual, buf []byte) ([]byte, error) {
+// evalCellDims evaluates point qualifiers into the caller's value buffer,
+// avoiding per-probe allocations. Each caller owns its buffer, so nested
+// cell references (qualifier expressions containing lookups) cannot clobber
+// it.
+func (fe *frameEval) evalCellDims(ctx *eval.Context, quals []sqlast.DimQual, buf []types.Value) ([]types.Value, error) {
 	for i := range quals {
 		if quals[i].Kind != sqlast.QualPoint {
 			return nil, fmt.Errorf("cell reference qualifier %d is not single-valued", i+1)
@@ -625,7 +616,7 @@ func (fe *frameEval) evalCellKey(ctx *eval.Context, quals []sqlast.DimQual, buf 
 		if err != nil {
 			return nil, err
 		}
-		buf = types.AppendKey(buf, v)
+		buf = append(buf, v)
 	}
 	return buf, nil
 }
@@ -635,12 +626,13 @@ func (fe *frameEval) evalCellKey(ctx *eval.Context, quals []sqlast.DimQual, buf 
 func (fe *frameEval) evalCellRef(ctx *eval.Context, c *sqlast.CellRef) (types.Value, error) {
 	if c.Sheet == "" {
 		if mea := fe.m.MeasureOrdinal(c.Measure); mea >= 0 {
-			var arr [48]byte
-			key, err := fe.evalCellKey(ctx, c.Quals, arr[:0])
+			var arr [4]types.Value
+			dims, err := fe.evalCellDims(ctx, c.Quals, arr[:0])
 			if err != nil {
 				return types.Null, err
 			}
-			pos, ok := fe.f.lookupKey(key)
+			fe.probes++
+			pos, ok := fe.f.Lookup(dims)
 			if !ok {
 				return types.Null, nil
 			}
@@ -655,12 +647,12 @@ func (fe *frameEval) evalCellRef(ctx *eval.Context, c *sqlast.CellRef) (types.Va
 	if !ok {
 		return types.Null, fmt.Errorf("unknown measure %q", c.Measure)
 	}
-	var arr [48]byte
-	key, err := fe.evalCellKey(ctx, c.Quals, arr[:0])
+	var arr [4]types.Value
+	dims, err := fe.evalCellDims(ctx, c.Quals, arr[:0])
 	if err != nil {
 		return types.Null, err
 	}
-	row, found := rb.sheet.Data[string(key)]
+	row, found := rb.sheet.lookup(dims)
 	if !found {
 		return types.Null, nil
 	}

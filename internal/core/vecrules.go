@@ -31,12 +31,15 @@ import (
 //     schema cannot: cv() becomes a dimension-column read (or the partition
 //     constant of each frame), an aggregate becomes each frame's precomputed
 //     accumulator result, a reference-sheet point read becomes qualifier
-//     kernels producing key columns, one probe of the sheet's index per row
-//     and a gather of the read measure, and a main-sheet point reference
+//     kernels producing key columns, one probe of the sheet's word table per
+//     row and a gather of the read measure, and a main-sheet point reference
 //     becomes qualifier kernels producing key columns, one bulk probe of
 //     each row's own frame (Frame.LookupBatch) and a columnar gather of the
 //     referenced measure — the paper's F1 probe unfolding done once per rule
-//     instead of once per cell. A reference read may stand inside a
+//     instead of once per cell. A reference to the target cell itself
+//     (s[cv(p)]) reads the image's measure column, and one whose key is
+//     constant within a frame (s['TOP']) probes once per frame. A reference
+//     read may stand inside a
 //     main-sheet reference's qualifier, so s[parent1[cv(p)]] — the paper's
 //     join with the reference sheet followed by a self-join — is two chained
 //     gathers;
@@ -78,6 +81,10 @@ type VecStats struct {
 	RuleRow   atomic.Int64
 	ScanBatch atomic.Int64
 	ScanRow   atomic.Int64
+	// Probes counts main-sheet cell-reference probes, Aliased the batch
+	// cell reads that took the target cell's own image column instead.
+	Probes  atomic.Int64
+	Aliased atomic.Int64
 }
 
 // countRule records the application of one rule to n frames (nil-safe).
@@ -90,6 +97,15 @@ func (s *VecStats) countRule(batch bool, n int) {
 	} else {
 		s.RuleRow.Add(int64(n))
 	}
+}
+
+// flushCounts moves the PE's probe counts into s (nil-safe).
+func (fe *frameEval) flushCounts() {
+	if s := fe.opts.Stats; s != nil {
+		s.Probes.Add(fe.probes)
+		s.Aliased.Add(fe.aliased)
+	}
+	fe.probes, fe.aliased = 0, 0
 }
 
 // countScan records one aggregate partition scan (nil-safe).
@@ -110,6 +126,8 @@ const (
 	leafCV    = iota // cv(dim) over a DBY dimension
 	leafPbyCV        // cv(dim) over a PBY column (partition constant)
 	leafCell         // point cell reference on the main sheet
+	leafSelf         // main-sheet reference to the target cell itself
+	leafConst        // main-sheet reference whose key is constant per frame
 	leafRef          // point read of a reference-sheet measure
 	leafAgg          // aggregate reference (accumulator precomputed)
 	leafNull         // bare dim/measure column reference (NULL per target)
@@ -126,7 +144,8 @@ type vecLeaf struct {
 	// dim is the DBY ordinal (leafCV) or PBY ordinal (leafPbyCV).
 	dim int
 	// mea is the referenced measure's ordinal: in the working schema
-	// (leafCell) or in the reference sheet's row layout (leafRef).
+	// (leafCell, leafSelf, leafConst) or in the reference sheet's row layout
+	// (leafRef).
 	mea  int
 	ref  *RefMeta // leafRef
 	cell *sqlast.CellRef
@@ -281,7 +300,10 @@ func (c *vecRuleCompiler) cvLeaf(x *sqlast.CurrentV) (int, bool) {
 // cellLeaf lowers a point cell reference: a main-sheet probe, or a
 // reference-sheet read (refLeaf). Self-reads (a reference back to the
 // assigned measure, whose value changes as the rule fires cell by cell)
-// decline.
+// decline. A reference whose qualifiers are cv() of their own dimensions, in
+// DBY order, addresses the target cell itself and reads the image's measure
+// column without a probe; one whose qualifiers read nothing that varies
+// within a frame probes once per frame.
 func (c *vecRuleCompiler) cellLeaf(x *sqlast.CellRef) (int, bool) {
 	mea := -1
 	if x.Sheet == "" {
@@ -295,15 +317,52 @@ func (c *vecRuleCompiler) cellLeaf(x *sqlast.CellRef) (int, bool) {
 		return 0, false
 	}
 	for _, lf := range c.leaves {
-		if lf.kind == leafCell && lf.cell == x {
+		if (lf.kind == leafCell || lf.kind == leafSelf || lf.kind == leafConst) && lf.cell == x {
 			return lf.ord, true
 		}
+	}
+	if c.selfCell(x) {
+		return c.addLeaf(vecLeaf{kind: leafSelf, mea: mea, cell: x}), true
 	}
 	kerns, ok := c.qualKernels(x.Quals, c.m.NDby)
 	if !ok {
 		return 0, false
 	}
+	if c.perFrame(kerns) {
+		return c.addLeaf(vecLeaf{kind: leafConst, mea: mea, cell: x}), true
+	}
 	return c.addLeaf(vecLeaf{kind: leafCell, mea: mea, cell: x, qualKerns: kerns}), true
+}
+
+// selfCell reports whether main-sheet reference x is s[cv(d1), ..., cv(dn)]
+// over the DBY dimensions in order: the target cell itself.
+func (c *vecRuleCompiler) selfCell(x *sqlast.CellRef) bool {
+	if len(x.Quals) != c.m.NDby {
+		return false
+	}
+	for i, q := range x.Quals {
+		cv, ok := q.Val.(*sqlast.CurrentV)
+		if q.Kind != sqlast.QualPoint || !ok || c.m.DimOrdinal(cv.Dim) != i {
+			return false
+		}
+	}
+	return true
+}
+
+// perFrame reports whether qualifier kernels read only values constant
+// within a frame: no image column, only partition constants and NULLs.
+func (c *vecRuleCompiler) perFrame(kerns []eval.ExprKernel) bool {
+	for _, k := range kerns {
+		for _, o := range k.ColRefs(nil) {
+			if o < c.base {
+				return false
+			}
+			if lf := c.leaves[o-c.base]; lf.kind != leafPbyCV && lf.kind != leafNull {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // refLeaf lowers a reference-sheet point read, unqualified or
@@ -458,17 +517,21 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 	return prog
 }
 
-// imageCols collects the schema columns prog's kernels read. An existential
-// rule also reads, straight from the image, the dimension column of every
-// declarative qualifier and cv() leaf and the measure column every cell leaf
-// gathers from; a single-cell rule takes those from its targets and the
-// frame instead.
+// imageCols collects the schema columns prog's kernels read, and the
+// measure column of every self leaf. An existential rule also reads,
+// straight from the image, the dimension column of every declarative
+// qualifier and cv() leaf and the measure column every cell leaf gathers
+// from; a single-cell rule takes those from its targets and the frame
+// instead.
 func (c *vecRuleCompiler) imageCols(prog *vecRuleProg) []int {
 	refs := prog.rhs.ColRefs(nil)
 	for li := range prog.leaves {
 		lf := &prog.leaves[li]
 		for _, k := range lf.qualKerns {
 			refs = k.ColRefs(refs)
+		}
+		if lf.kind == leafSelf {
+			refs = append(refs, lf.mea)
 		}
 		if c.r.Existential {
 			switch lf.kind {
@@ -689,6 +752,26 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 			col = fe.spread(offs, aggVals[li])
 		case leafRef:
 			col = fe.refColumn(ext, lf, sel)
+		case leafSelf:
+			// The target cell's own measure: the image column itself.
+			col = img.Cols[lf.mea]
+			fe.aliased += int64(len(sel))
+		case leafConst:
+			// One probe per frame that has targets, its value spread over
+			// the frame's rows.
+			vals := make([]types.Value, len(fs))
+			for i, f := range fs {
+				if segs[i] == segs[i+1] {
+					continue
+				}
+				fe.setFrame(f)
+				v, ok := fe.constCell(lf)
+				if !ok {
+					return false, nil
+				}
+				vals[i] = v
+			}
+			col = fe.spread(offs, vals)
 		case leafCell:
 			// One bulk probe of each row's own frame, then a gather of the
 			// referenced measure (a miss gathers NULL — the row path's miss
@@ -798,28 +881,63 @@ func (fe *frameEval) identity(n int) []int32 {
 	return fe.iota[:n]
 }
 
+// constCell reads a leafConst reference in the current frame: its
+// qualifiers evaluated once under the frame's partition context — the
+// binding the per-cell path evaluates them in, as they read nothing else —
+// and one probe. ok=false when a qualifier fails; the row path reproduces
+// the failure.
+func (fe *frameEval) constCell(lf *vecLeaf) (types.Value, bool) {
+	var arr [4]types.Value
+	dims, err := fe.evalCellDims(fe.constCtx(), lf.cell.Quals, arr[:0])
+	if err != nil {
+		return types.Null, false
+	}
+	fe.probes++
+	if pos, ok := fe.f.Lookup(dims); ok {
+		return fe.f.Row(pos)[lf.mea], true
+	}
+	return types.Null, true
+}
+
 // refColumn resolves a reference-sheet leaf over tbl: its key image over
-// sel, one probe of the sheet's index per selected row (the key bytes are
-// types.AppendKey's, as RefMeta.Load indexed them), and the read measure as a
-// tbl.NRows-row column, NULL on a miss — the row path's miss value — and
-// outside sel. nil when a key kernel fails or the values read mix kinds.
+// sel turned into ordinals of the sheet's domains, one probe of the sheet's
+// word table per selected row, and the read measure as a tbl.NRows-row
+// column gathered from the sheet's measure column (dictionary included),
+// NULL on a miss — the row path's miss value — and outside sel. nil when a
+// key kernel fails or the values read mix kinds.
 func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) *colstore.Column {
 	keys, rows, ok := fe.keyCols(tbl, lf, sel)
 	if !ok {
 		return nil
 	}
-	vals := fe.boxedScratch(tbl.NRows)
-	buf := fe.refKey
-	for k, p := range sel {
-		buf = buf[:0]
-		for _, c := range keys {
-			buf = c.AppendKey(buf, int(rows[k]))
-		}
-		if row, hit := lf.ref.Data[string(buf)]; hit {
-			vals[p] = row[lf.mea]
+	ix := &lf.ref.index
+	k := &fe.refKeys
+	k.doms, k.lay = ix.doms, ix.lay
+	if len(k.tuple) != len(ix.doms) {
+		k.tuple, k.ords = make([]uint32, len(ix.doms)), make([][]uint32, len(ix.doms))
+	}
+	ords := k.colOrds(keys, rows)
+	idx := slices.Grow(fe.refIdx[:0], tbl.NRows)[:tbl.NRows]
+	fe.refIdx = idx
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, p := range sel {
+		if w, ok := k.wordAt(ords, i); ok {
+			if ri, hit := findSlot(ix.cells, w); hit {
+				idx[p] = int32(ri)
+			}
 		}
 	}
-	fe.refKey = buf
+	if c := ix.meas[lf.mea-len(ix.doms)]; c != nil {
+		return colstore.Gather(c, idx)
+	}
+	vals := fe.boxedScratch(tbl.NRows)
+	for p, ri := range idx {
+		if ri >= 0 {
+			vals[p] = lf.ref.rows[ri][lf.mea]
+		}
+	}
 	return fe.columnOf(vals)
 }
 
@@ -836,8 +954,12 @@ func (fe *frameEval) probeFrames(fs []*Frame, offs, segs []int, keys []*colstore
 	for i := range full {
 		full[i] = -1
 	}
+	fe.probes += int64(len(sel))
 	for i, f := range fs {
 		a, b := segs[i], segs[i+1]
+		if a == b {
+			continue
+		}
 		f.LookupBatch(keys, rows[a:b], probed[a:b])
 		for k := a; k < b; k++ {
 			if p := probed[k]; p >= 0 {
@@ -952,11 +1074,21 @@ targets:
 			col = colstore.FromValues(vals, true)
 		case leafRef:
 			col = fe.refColumn(ext, lf, idSel)
+		case leafSelf:
+			col = cols[lf.mea]
+			fe.aliased += int64(nb)
+		case leafConst:
+			v, ok := fe.constCell(lf)
+			if !ok {
+				return false, nil
+			}
+			col = colstore.Broadcast(v, nb)
 		case leafCell:
 			keys, rows, ok := fe.keyCols(ext, lf, idSel)
 			if !ok {
 				return false, nil
 			}
+			fe.probes += int64(nb)
 			probed := make([]int32, nb)
 			fe.f.LookupBatch(keys, rows, probed)
 			vals := make([]types.Value, nb)

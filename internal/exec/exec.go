@@ -362,6 +362,14 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 	// columnar provenance composes through the ordinal map.
 	if !ex.Opts.Engine.DisableVectorizedExec {
 		if ords, ok := plainOrdinals(in.Schema, n.Exprs); ok {
+			if identityOrdinals(ords, in) {
+				// Every input column in order: the input itself under the
+				// node's names. No consumer writes or appends into a row it
+				// did not allocate (rows are never written after a table
+				// stores them; operators build fresh output rows), so
+				// sharing them is safe, as Alias does.
+				return &Result{Schema: n.Schema(), Rows: in.Rows, Img: in.Img, RowIdx: in.RowIdx, ColMap: in.ColMap}, nil
+			}
 			rows := make([]types.Row, len(in.Rows))
 			gather := func(m morsel) {
 				w := len(ords)

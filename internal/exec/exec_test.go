@@ -346,3 +346,39 @@ func TestNilSnapReadsOneImage(t *testing.T) {
 		t.Errorf("never-published table pins %d rows, want 2", len(got))
 	}
 }
+
+// TestIdentityProjectionSharesRows pins the free identity projection: a
+// projection of every input column in order (renamed or not) hands on the
+// input's rows and columnar provenance under its own names, copying
+// nothing, while a reordering projection builds rows of its own.
+func TestIdentityProjectionSharesRows(t *testing.T) {
+	run, cat := sortEnv(t)
+	fillSortTable(t, run, 300)
+	tbl, _ := cat.Get("t")
+	for _, c := range []struct {
+		sql    string
+		shared bool
+	}{
+		{`SELECT a, b, c FROM t`, true},
+		{`SELECT a AS x, b AS y, c FROM t`, true},
+		{`SELECT b, a, c FROM t`, false},
+		{`SELECT a, b FROM t`, false},
+	} {
+		res, err := run(Options{}, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(tbl.Rows) {
+			t.Fatalf("%s: %d rows, want %d", c.sql, len(res.Rows), len(tbl.Rows))
+		}
+		if shared := &res.Rows[7][0] == &tbl.Rows[7][0]; shared != c.shared {
+			t.Errorf("%s: rows shared with the table = %v, want %v", c.sql, shared, c.shared)
+		}
+		if c.shared && (res.Img == nil || res.Img != tbl.Img().Columnar()) {
+			t.Errorf("%s: the projection dropped the table's image", c.sql)
+		}
+		if want := map[bool]string{false: "a", true: "x"}[strings.Contains(c.sql, " AS x")]; c.shared && res.Schema.Cols[0].Name != want {
+			t.Errorf("%s: first column named %q, want %q", c.sql, res.Schema.Cols[0].Name, want)
+		}
+	}
+}

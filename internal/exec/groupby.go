@@ -113,15 +113,20 @@ func (acc *groupAcc) rows(n *plan.GroupBy) ([]types.Row, error) {
 		acc.groups[""] = g
 		acc.order = append(acc.order, "")
 	}
-	rows := make([]types.Row, 0, len(acc.order))
-	for _, gk := range acc.order {
+	// One flat backing for every row (each a full-length sub-slice): a
+	// consumer that keeps the rows — the result cache, a projection handing
+	// them on — keeps one object, not one per group.
+	w := len(n.Keys) + len(n.Aggs)
+	flat := make([]types.Value, len(acc.order)*w)
+	rows := make([]types.Row, len(acc.order))
+	for i, gk := range acc.order {
 		g := acc.groups[gk]
-		row := make(types.Row, 0, len(n.Keys)+len(n.Aggs))
-		row = append(row, g.keys...)
-		for _, a := range g.accs {
-			row = append(row, a.Result())
+		row := flat[i*w : (i+1)*w : (i+1)*w]
+		copy(row, g.keys)
+		for j, a := range g.accs {
+			row[len(g.keys)+j] = a.Result()
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }

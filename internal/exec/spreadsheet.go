@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"time"
 
 	"sqlsheet/internal/blockstore"
@@ -86,15 +87,20 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	// On a cache miss, publish a pristine copy of the structure right after
 	// the build (before any formula runs); on reuse the executor is already
-	// evaluating a private clone.
-	var onBuilt func(*core.PartitionSet)
-	if structs := ex.Opts.Structs; structs != nil && outer == nil && prebuilt == nil {
-		onBuilt = func(ps *core.PartitionSet) {
+	// evaluating a private clone. Either way the structure is kept for the
+	// operator line's key note.
+	built := prebuilt
+	structs := ex.Opts.Structs
+	publish := structs != nil && outer == nil && prebuilt == nil
+	onBuilt := func(ps *core.PartitionSet) {
+		built = ps
+		if publish {
 			if cp := ps.CloneForReuse(); cp != nil {
 				structs.Store(n, cp)
 			}
 		}
 	}
+	var counts core.VecStats
 	start := time.Now()
 	rows, stats, err := n.Model.Run(inRows, core.RunOptions{
 		Ctx:          ex.Opts.Ctx,
@@ -107,6 +113,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		Cols:         inCols,
 		Prebuilt:     prebuilt,
 		OnBuilt:      onBuilt,
+		Stats:        &counts,
 		// FastLocalPath is only set for unbudgeted sessions (see
 		// db.newExecutor), so the stores above are memory-resident and rows
 		// may cross the store boundary by reference; the MemoryBudget guard
@@ -119,12 +126,12 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		ex.ExecStats.Cache.StructuresReused++
 		ex.mu.Unlock()
 	}
-	if ex.Opts.Parallel > 1 {
-		ex.recordOp(OpStat{Op: "spreadsheet", Rows: len(inRows), Workers: par, Elapsed: time.Since(start)})
-	}
 	if err != nil {
 		return nil, err
 	}
+	// How the cells were keyed and read: EXPLAIN ANALYZE's spreadsheet line.
+	ex.recordOp(OpStat{Op: "spreadsheet", Rows: len(inRows), Workers: max(par, 1), Elapsed: time.Since(start),
+		Note: fmt.Sprintf("keys=%s probes=%d aliased=%d", built.KeyNote(), counts.Probes.Load(), counts.Aliased.Load())})
 	ex.mu.Lock()
 	ex.SheetStats.Add(stats)
 	ex.mu.Unlock()

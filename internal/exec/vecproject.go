@@ -15,6 +15,11 @@ import (
 // publishes a fresh columnar image built from the computed vectors, so a
 // downstream filter, group-by or join stays on the vectorized path.
 //
+// An output that is a plain column reference is not computed: its rows take
+// the input's values and its image column is the input's own, gathered
+// through the row index when there is one — a dictionary-coded column stays
+// coded, so a spreadsheet built above the projection keys by its codes.
+//
 // The decision is all-or-nothing over the expression list: one unsupported
 // expression keeps the whole operator on the row path, so any evaluation
 // error surfaces from the same engine either way (on the kernel domain the
@@ -36,6 +41,14 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 	}
 	nr := len(in.Rows)
 	w := len(n.Exprs)
+	// bare[j] is the input ordinal output j reads plainly, -1 when computed.
+	bare := make([]int, w)
+	for j, k := range n.ExprsK {
+		bare[j] = -1
+		if o, ok := k.Column(); ok {
+			bare[j] = o
+		}
+	}
 	rows := make([]types.Row, nr)
 	runRange := func(lo, hi int) ([]*eval.ExprVec, error) {
 		selBuf := colstore.GetSel(hi - lo)
@@ -47,6 +60,9 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 		*selBuf = sel[:0]
 		vecs := make([]*eval.ExprVec, w)
 		for j := range n.ExprsK {
+			if bare[j] >= 0 {
+				continue
+			}
 			v, err := n.ExprsK[j].Run(in.Img, in.ColMap, in.RowIdx, sel)
 			if err != nil {
 				return nil, err
@@ -59,7 +75,11 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 		for i := lo; i < hi; i++ {
 			out := flat[(i-lo)*w : (i-lo+1)*w : (i-lo+1)*w]
 			for j, v := range vecs {
-				out[j] = v.BoxValue(i - lo)
+				if v == nil {
+					out[j] = in.Rows[i][bare[j]]
+				} else {
+					out[j] = v.BoxValue(i - lo)
+				}
 			}
 			rows[i] = out
 		}
@@ -87,6 +107,13 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 	}
 	img := &colstore.Table{NRows: nr, Cols: make([]*colstore.Column, w), Rows: rows}
 	for j := 0; j < w; j++ {
+		if bare[j] >= 0 {
+			img.Cols[j] = vecCol(in, bare[j])
+			if in.RowIdx != nil {
+				img.Cols[j] = colstore.Gather(img.Cols[j], in.RowIdx)
+			}
+			continue
+		}
 		morselVecs := make([]*eval.ExprVec, len(parts))
 		for mi := range parts {
 			morselVecs[mi] = parts[mi][j]

@@ -184,6 +184,20 @@ func plainOrdinals(env *eval.BoundSchema, es []sqlast.Expr) ([]int, bool) {
 	return ords, true
 }
 
+// identityOrdinals reports whether ords reads every column of in's rows in
+// order, so the projection is the input itself.
+func identityOrdinals(ords []int, in *Result) bool {
+	if len(in.Rows) > 0 && len(in.Rows[0]) != len(ords) || len(ords) != len(in.Schema.Cols) {
+		return false
+	}
+	for i, o := range ords {
+		if o != i {
+			return false
+		}
+	}
+	return true
+}
+
 // keyEnc encodes composite join/group keys straight from columnar vectors.
 // A nil *keyEnc means the caller keeps the closure-based encoding path.
 type keyEnc struct {

@@ -417,16 +417,25 @@ func (h *Hit) Reply(encode func(rows []types.Row) []byte) []byte {
 	return reply
 }
 
-// SetResult stores a result set against the entry's current plan. The rows
-// themselves are shared with the caller; the engine never mutates result
-// rows in place, and any DML that could change what the query returns bumps
-// a dependency version first.
+// SetResult stores a result set against the entry's current plan. Any DML
+// that could change what the query returns bumps a dependency version
+// first.
 func (c *Cache) SetResult(e *Entry, schema *eval.BoundSchema, rows []types.Row) {
-	kept := make([]types.Row, len(rows))
-	copy(kept, rows)
+	// The entry keeps compact copies of the rows in one backing. A result
+	// row may alias a block its producer allocated for many (a spreadsheet
+	// store's arena chunk, a projection's morsel, a table's rows), and the
+	// budget counts the row alone, so the entry must not pin the rest.
 	var sz int64
-	for _, r := range kept {
+	width := 0
+	for _, r := range rows {
 		sz += blockstore.RowBytes(r)
+		width += len(r)
+	}
+	flat := make([]types.Value, width)
+	kept := make([]types.Row, len(rows))
+	for i, r := range rows {
+		n := copy(flat, r)
+		kept[i], flat = flat[:n:n], flat[n:]
 	}
 	sh := c.shardOf(e.key)
 	sh.mu.Lock()

@@ -107,3 +107,41 @@ func TestExplainBucketRulesBatched(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainSpreadsheetKeys pins the spreadsheet line of EXPLAIN ANALYZE:
+// how the structure keyed its cells — packed words, or byte keys when three
+// INT dimensions spanning 15 million values each overflow a word — and how
+// many cell reads probed and how many read the target cell's own column.
+// At VecMinRows 1 the rule batches: the two self-reads (s[cv(p), cv(t)],
+// ten cells each) are aliased, the per-frame constant s['tv', 2000] probes
+// once per frame, and the data-dependent s[cv(p), cv(t) - 1] ten times.
+func TestExplainSpreadsheetKeys(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE sk (r TEXT, p TEXT, t INT, x INT, y INT, z INT, s FLOAT)`)
+	db.MustExec(`INSERT INTO sk VALUES ('w','tv',2000,0,0,0,1), ('w','tv',2001,15000000,0,0,2), ('w','dvd',2000,0,15000000,0,3),
+		('w','dvd',2001,0,0,15000000,4), ('w','vcr',2002,15000000,15000000,15000000,5),
+		('e','tv',2000,0,0,0,6), ('e','tv',2001,1,1,1,7), ('e','dvd',2000,2,2,2,8), ('e','dvd',2001,3,3,3,9), ('e','vcr',2002,4,4,4,10)`)
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true, Engine: core.Ablation{VecMinRows: 1}}})
+	for _, c := range []struct{ q, want string }{
+		{`SELECT r, p, t, s, u FROM sk SPREADSHEET PBY(r) DBY (p, t) MEA (s, 0 u)
+			( UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + s[cv(p), cv(t)] + s['tv', 2000] + s[cv(p), cv(t) - 1] )`,
+			"keys=packed probes=12 aliased=20"},
+		{`SELECT r, x, y, z, s, u FROM sk SPREADSHEET PBY(r) DBY (x, y, z) MEA (s, 0 u)
+			( UPDATE u[*, *, *] = s[cv(x), cv(y), cv(z)] + s[0, 0, 0] )`,
+			"keys=bytes(overflow) probes=2 aliased=10"},
+	} {
+		out, err := db.ExplainAnalyze(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := ""
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "spreadsheet ") {
+				line = l
+			}
+		}
+		if !strings.HasSuffix(line, c.want) {
+			t.Errorf("spreadsheet line %q, want it to end in %q:\n%s", line, c.want, out)
+		}
+	}
+}
