@@ -76,12 +76,13 @@ fuzz-smoke:
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
 # Columns have no boxed form any more — every column is one typed vector or
 # all NULL — so derive.go carries no exception at all.
-# The same goes for allocation in the access structure's per-cell files and
-# its build: a row `.Clone()` or a `make(map` in frame/acyclic/vecrules/
-# vecscan.go, or in parbuild/reuse.go (the build allocates per bucket, not
-# per frame), needs an `alloc-ok: <reason>` comment saying why it is not per
-# cell (measure writes copy a shared row once and then write in place — see
-# DESIGN.md §16).
+# The same goes for allocation in the access structure's per-cell files, the
+# rule driver and its build: a row `.Clone()` or a `make(map` in frame/
+# acyclic/vecrules/vecscan.go, in the driver's run/sequential/cyclic.go (the
+# ITERATE passes and fixpoint iterations reuse the PE's scratch), or in
+# parbuild/reuse.go (the build allocates per bucket, not per frame), needs an
+# `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
+# copy a shared row once and then write in place — see DESIGN.md §16).
 lint-hotpath:
 	@bad=$$(grep -n '\.Value(\|types\.New[A-Z]' internal/eval/vector.go internal/eval/exprvec.go \
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
@@ -96,6 +97,7 @@ lint-hotpath:
 	fi; \
 	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
 		internal/core/vecrules.go internal/core/vecscan.go internal/core/parbuild.go internal/core/reuse.go \
+		internal/core/run.go internal/core/sequential.go internal/core/cyclic.go \
 		| grep -v 'alloc-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated row clone or map allocation on the access structure's per-cell paths:"; \

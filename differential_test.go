@@ -1014,6 +1014,31 @@ func inPlaceDB(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`INSERT INTO g SELECT r, p, t, s, s, 0.0, 0.0 FROM f ORDER BY r, p, t`)
 }
 
+// iterFramesDB: 24 PBY(p) partitions of six cells each. s[1] and s[2] start
+// at 0 in every partition and s[2] at 1 in the odd ones; the other cells hold
+// p + t.
+func iterFramesDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE itf (p INT, t INT, s FLOAT, v FLOAT)`)
+	insert(t, db, "itf", rowsOf(24*6, func(i int) []any {
+		p, t := i/6, i%6+1
+		s := float64(p + t)
+		switch {
+		case t == 1, t == 2 && p%2 == 0:
+			s = 0
+		case t == 2:
+			s = 1
+		}
+		return []any{p, t, s, nil}
+	})...)
+}
+
+// qualBindDB: f(p, t, s, c) as two PBY(g) partitions of three cells, c NULL.
+func qualBindDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE qb (g INT, t INT, s FLOAT, c FLOAT)`)
+	insert(t, db, "qb", []any{1, 1, 10.0, nil}, []any{1, 2, 20.0, nil}, []any{1, 3, 30.0, nil},
+		[]any{2, 1, 40.0, nil}, []any{2, 2, 50.0, nil}, []any{2, 3, 60.0, nil})
+}
+
 // typedQueries sweep the filter shapes the kernel compiler supports and a
 // few it must decline, joins and group-bys on plain-column keys, compute
 // projections and batch aggregates over typedDB.
@@ -1171,6 +1196,8 @@ func diffCorpus() []diffCase {
 		PBY (r) DBY (p, t) MEA (s, d1, d2, u, z) RULES UPDATE `
 	const sheetF, byRPT = `SELECT r, p, t, s FROM f SPREADSHEET PBY(r) DBY (p, t) MEA (s) `, ` ORDER BY r, p, t`
 	const baseF, baseG = `SELECT r, p, t, s FROM f ORDER BY r, p, t`, `SELECT r, p, t, s, v, x, y FROM g ORDER BY r, p, t`
+	const iterF, byPT = `SELECT p, t, s, v FROM itf SPREADSHEET PBY (p) DBY (t) MEA (s, v) `, ` ORDER BY p, t`
+	const qualB, byGT = `SELECT g, t, s, c FROM qb SPREADSHEET PBY (g) DBY (t) MEA (s, c) `, ` ORDER BY g, t`
 	return append(cases,
 		// The paper's warehouse: a join by hash and by nested loop, an upsert
 		// on PEs, a budgeted range aggregate.
@@ -1499,6 +1526,74 @@ func diffCorpus() []diffCase {
 			}
 			if n := len(ref[3].rows); n != 2*2*60 {
 				t.Errorf("the growing UPSERT returned %d updated rows, want 240", n)
+			}
+		}},
+		// Models whose state outlives a level, over 24 partitions: ITERATE …
+		// UNTIL with previous(), each partition converging on its own pass
+		// (p % 9 + 2), beside a rule that may batch; SEQUENTIAL ORDER; a
+		// cyclic AUTOMATIC model, a two-rule cycle converging on pass 1 or
+		// 2 and an existential self-loop; an UPSERT inside ITERATE whose
+		// target depends on the partition; and a rule failing in partition
+		// 17 only. The spill groups run these frame by frame, the others
+		// over whole buckets.
+		diffCase{name: "iterate-frames", fixture: iterFramesDB, configs: "exec plan b1 b3 b16 spill3 move served fuzz", script: []string{
+			iterF + `ITERATE (30) UNTIL (previous(s[1]) >= p % 9 + 1)
+			 ( s[1] = s[1] + 1, v[*] = s[1] * 10 + cv(t) )` + byPT,
+			iterF + `SEQUENTIAL ORDER ( v[*] = s[cv(t)] * 2, s[t > 1] = v[cv(t) - 1] + s[cv(t)], v[2] = sum(s)[*] )` + byPT,
+			iterF + `( s[1] = s[2], s[2] = s[1], v[1] = s[1], v[t > 1] = v[cv(t) - 1] + s[cv(t)] )` + byPT,
+			iterF + `RULES UPSERT ITERATE (3) ( s[p % 3 + 7] = coalesce(s[cv(t)], 0) + s[3], v[*] = s[cv(t)] * 2 )` + byPT,
+			iterF + `ITERATE (2) ( v[*] = s[cv(t)] + 1, s[*] = v[cv(t)] / (p - 17) )` + byPT,
+		}, check: func(t *testing.T, ref []outcome) {
+			f := func(x float64) string { return "F" + strconv.FormatUint(math.Float64bits(x), 16) }
+			for p := 0; p < 24; p++ {
+				want := fmt.Sprintf(" I%d I1 %s %s", p, f(float64(p%9+2)), f(float64(10*(p%9+2)+1)))
+				if got := ref[0].rows[6*p]; got != want {
+					t.Errorf("ITERATE partition %d: %s, want %s", p, got, want)
+				}
+			}
+			if got := ref[4].text(false); got != "error: rule#2: division by zero" {
+				t.Errorf("partition 17's rule: %q, want its division by zero", got)
+			}
+		}},
+		// A bare column on a rule's right side reads the target row, at the
+		// top level and inside a cell reference's qualifier alike: each
+		// statement equals its cv() form (even statements), with or without
+		// an aggregate beside it, on a single-cell and an existential left
+		// side. A PBY column in a qualifier reads the partition value.
+		diffCase{name: "qualifier-binding", fixture: qualBindDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz", script: []string{
+			qualB + `( c[*] = s[t - 1] )` + byGT,
+			qualB + `( c[*] = s[cv(t) - 1] )` + byGT,
+			qualB + `( c[*] = s[t - 1] + 0 * sum(s)[*] )` + byGT,
+			qualB + `( c[*] = s[cv(t) - 1] + 0 * sum(s)[*] )` + byGT,
+			qualB + `( c[t > 1] = s[t - 1] )` + byGT,
+			qualB + `( c[t > 1] = s[cv(t) - 1] )` + byGT,
+			qualB + `( c[2] = s[t - 1] + 100 * t )` + byGT,
+			qualB + `( c[2] = s[cv(t) - 1] + 100 * cv(t) )` + byGT,
+			qualB + `( c[*] = s[g] )` + byGT,
+			qualB + `( c[3] = s[g + 1] + 1 )` + byGT,
+		}, check: func(t *testing.T, ref []outcome) {
+			for i := 0; i < 8; i += 2 {
+				if ref[i].text(false) != ref[i+1].text(false) {
+					t.Errorf("statement %d differs from its cv() form:\n%s", i, firstDiff(ref[i+1].text(false), ref[i].text(false)))
+				}
+			}
+			f := func(x float64) string { return "F" + strconv.FormatUint(math.Float64bits(x), 16) }
+			c := func(i, row int) string { return strings.Fields(ref[i].rows[row])[3] }
+			for _, x := range []struct {
+				what, got, want string
+			}{
+				{"c[*] = s[t - 1] at t = 1", c(0, 0), "N"},
+				{"c[*] = s[t - 1] at t = 2", c(0, 1), f(10)},
+				{"c[*] = s[t - 1] at t = 3", c(0, 2), f(20)},
+				{"c[*] = s[t - 1] + 0 * sum(s)[*] at t = 3", c(2, 2), f(20)},
+				{"c[t > 1] = s[t - 1] at t = 2", c(4, 1), f(10)},
+				{"c[2] = s[t - 1] + 100 * t", c(6, 1), f(210)},
+				{"c[*] = s[g] in partition 2", c(8, 4), f(50)},
+				{"c[3] = s[g + 1] + 1 in partition 1", c(9, 2), f(21)},
+			} {
+				if x.got != x.want {
+					t.Errorf("%s: %s, want %s", x.what, x.got, x.want)
+				}
 			}
 		}},
 		// Statements overwriting their own input measure, three runs each

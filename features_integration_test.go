@@ -1,6 +1,7 @@
 package sqlsheet_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -100,6 +101,22 @@ const refKeyQuery = `SELECT p, s, u FROM f
 var refKeyConfigs = []sqlsheet.Config{
 	{Ablate: sqlsheet.Ablation{Engine: core.Ablation{DisableVectorizedRules: true}}},
 	{Ablate: sqlsheet.Ablation{Engine: core.Ablation{VecMinRows: 1}}},
+}
+
+// TestUntilRejectsCV: UNTIL and the previous() inside it are evaluated in
+// each partition after a pass, where no target cell is bound, so a cv()
+// there is a typed compile error.
+func TestUntilRejectsCV(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE u (t INT, c FLOAT)`)
+	db.MustExec(`INSERT INTO u VALUES (1, 1.0), (2, 2.0)`)
+	for _, until := range []string{`previous(c[cv(t)]) > 0`, `c[cv(t)] > 0`, `cv(t) = 2`} {
+		sql := `SELECT t, c FROM u SPREADSHEET DBY (t) MEA (c) ITERATE (5) UNTIL (` + until + `) ( c[*] = c[cv(t)] + 1 )`
+		res, err := db.Query(sql)
+		if !errors.Is(err, core.ErrUntilCV) {
+			t.Errorf("UNTIL (%s): err = %v, rows = %v; want core.ErrUntilCV", until, err, res)
+		}
+	}
 }
 
 // TestReferenceSheetDuplicateKey: a reference sheet's DBY columns must

@@ -118,6 +118,10 @@ func FuzzRuleKernel(f *testing.F) {
 		// u becomes INT and FLOAT per cell (CASE has no kernel); the batch
 		// rule reading it finds a measure it cannot image and falls back.
 		`UPDATE u[*, *] = CASE WHEN t > 1995 THEN 1 ELSE 2.5 END, UPDATE s[*, *] = u[cv(p), cv(t)] * 2`,
+		// A bare column inside a qualifier reads the target row, as at the
+		// top level: existential, with and without an aggregate beside it.
+		`UPDATE u[*, t > 1980] = s[p, t - 1]`,
+		`UPDATE u[*, t > 1980] = s[p, t - 1] + 0 * sum(s)[*, *]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -10,37 +10,15 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// runAutomatic executes the analysis plan for an AUTOMATIC ORDER
-// spreadsheet over the current frame: plain levels run with the
-// Auto-Acyclic algorithm (all aggregates of a level computed before its
-// formulas, sharing one partition scan), SCC steps run with the Auto-Cyclic
-// fixpoint algorithm. Only buckets evalBucket runs frame at a time come here
-// (see levelMajor); the rest run level by level over the whole bucket.
-func (fe *frameEval) runAutomatic() error {
-	for _, lv := range fe.m.levels {
-		switch lv.kind {
-		case stepLevel:
-			if err := fe.runLevel(lv.rules, fe.own()); err != nil {
-				return err
-			}
-		case stepSCC:
-			if err := fe.runSCC(lv.rules); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // lsEntry is one single-cell-left-side rule prepared for evaluation: its
 // enumerated targets and, per target, the aggregate instances of its right
 // side.
 type lsEntry struct {
 	rule    *Rule
 	targets [][]types.Value
-	// aggMaps[i] maps the rule's CellAgg nodes to instances for target i.
+	// aggMaps[i] maps the rule's CellAgg nodes to instances for target i
+	// (nil when the rule has none).
 	aggMaps []map[*sqlast.CellAgg]*aggInstance
-	ctxs    []*eval.Context
 }
 
 // runLevel evaluates one level over fs, a run of one bucket's frames, per
@@ -123,13 +101,11 @@ func (fe *frameEval) runPoints(idxs []int) error {
 			continue
 		}
 		for ti, dims := range e.targets {
-			fe.curAggs = e.aggMaps[ti]
-			if err := fe.applyPoint(e.rule, dims, e.ctxs[ti]); err != nil {
+			if err := fe.applyPoint(e.rule, dims, e.aggMaps[ti]); err != nil {
 				return err
 			}
 		}
 	}
-	fe.curAggs = nil
 	return nil
 }
 
@@ -174,45 +150,60 @@ func (fe *frameEval) prepareLS(r *Rule) (*lsEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry := &lsEntry{rule: r, targets: targets}
-	cellAggs := r.cellAggs
-	for _, dims := range targets {
-		ctx := fe.targetCtx(r, dims)
-		var am map[*sqlast.CellAgg]*aggInstance
-		if len(cellAggs) > 0 {
-			am = make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs)) // alloc-ok: one per target of an aggregate-bearing rule
+	entry := &lsEntry{rule: r, targets: targets, aggMaps: make([]map[*sqlast.CellAgg]*aggInstance, len(targets))}
+	for ti, dims := range targets {
+		if entry.aggMaps[ti], err = fe.buildAggs(r, dims); err != nil {
+			return nil, err
 		}
-		for _, ca := range cellAggs {
-			inst, err := fe.buildInstance(ctx, ca)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", r.Label, err)
-			}
-			am[ca] = inst
-		}
-		entry.aggMaps = append(entry.aggMaps, am)
-		entry.ctxs = append(entry.ctxs, ctx)
 	}
 	return entry, nil
 }
 
-// targetCtx builds the evaluation context for one formula target, with cv()
-// bound to the target's dimension values.
-func (fe *frameEval) targetCtx(r *Rule, dims []types.Value) *eval.Context {
-	copy(fe.cv, dims)
-	// The context must capture the cv values, not share fe.cv (multiple
-	// targets are prepared before any is evaluated).
-	bound := append([]types.Value(nil), dims...)
-	ctx := fe.newCtx()
-	ctx.CurrentV = func(dim string) (types.Value, error) {
-		if d := fe.m.DimOrdinal(dim); d >= 0 {
-			return bound[d], nil
-		}
-		if p := fe.m.PbyOrdinal(dim); p >= 0 {
-			return fe.f.pby[p], nil
-		}
-		return types.Null, fmt.Errorf("cv(%s): unknown dimension", dim)
+// buildAggs builds the instances of r's aggregates for the target dims
+// (nil when r has none), each under the partition binding with cv() bound
+// to dims: an aggregate's qualifiers read partition constants, never the
+// target row. The context captures dims, so instances of several targets
+// can share one scan after later targets are bound.
+func (fe *frameEval) buildAggs(r *Rule, dims []types.Value) (map[*sqlast.CellAgg]*aggInstance, error) {
+	if len(r.cellAggs) == 0 {
+		return nil, nil
 	}
-	return ctx
+	copy(fe.cv, dims)
+	ctx := fe.newCtx(fe.pad, slices.Clone(dims), nil)
+	am := make(map[*sqlast.CellAgg]*aggInstance, len(r.cellAggs)) // alloc-ok: one per target of an aggregate-bearing rule
+	for _, ca := range r.cellAggs {
+		inst, err := fe.buildInstance(ctx, ca)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", r.Label, err)
+		}
+		am[ca] = inst
+	}
+	return am, nil
+}
+
+// targetAggs builds and computes r's aggregates for the target dims: probe
+// instances through the access structure, the others in one shared
+// partition scan. nil when r has none.
+func (fe *frameEval) targetAggs(r *Rule, dims []types.Value) (map[*sqlast.CellAgg]*aggInstance, error) {
+	am, err := fe.buildAggs(r, dims)
+	if am == nil {
+		return nil, err
+	}
+	var scans []*aggInstance
+	for _, ca := range r.cellAggs {
+		inst := am[ca]
+		if !inst.probe {
+			scans = append(scans, inst)
+		} else if err := inst.runProbe(fe); err != nil {
+			return nil, err
+		}
+	}
+	if len(scans) > 0 {
+		if err := fe.scanFeed(scans); err != nil {
+			return nil, err
+		}
+	}
+	return am, nil
 }
 
 // ruleTargets enumerates the target cells of a non-existential rule: the
@@ -252,8 +243,9 @@ func (fe *frameEval) ruleTargets(r *Rule) ([][]types.Value, error) {
 	return out, nil
 }
 
-// applyPoint fires a single-cell rule for one target.
-func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, ctx *eval.Context) error {
+// applyPoint fires a single-cell rule for one target, its aggregates
+// computed in am.
+func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, am map[*sqlast.CellAgg]*aggInstance) error {
 	// Trigger condition for dimensions promoted into the distribution key:
 	// the target must belong to this partition's data (§5, UPSERT case).
 	for _, p := range fe.opts.Promoted {
@@ -268,14 +260,28 @@ func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, ctx *eval.Context) 
 		}
 		pos = fe.insertRow(dims)
 	}
-	row := fe.f.Row(pos).Clone() // alloc-ok: per-cell path; the right side may scan the partition while the row is bound
-	rctx := *ctx
-	rctx.Binding = &eval.Binding{BS: fe.bs, Row: row}
-	v, err := fe.eval(&rctx, r.RHS)
+	copy(fe.cv, dims)
+	return fe.fire(r, pos, am)
+}
+
+// fire evaluates r's right side for the target cell at pos — bound to its
+// row (bindTarget), cv() reading fe.cv, each aggregate its instance in am —
+// and assigns the result.
+func (fe *frameEval) fire(r *Rule, pos int, am map[*sqlast.CellAgg]*aggInstance) error {
+	ctx := fe.bindTarget(pos)
+	fe.curAggs = am
+	v, err := fe.eval(ctx, r.RHS)
+	fe.curAggs = nil
 	if err != nil {
 		return fmt.Errorf("%s: %v", r.Label, err)
 	}
 	return fe.assignMeasure(pos, r.Mea, v)
+}
+
+// rowCV binds cv() to the dimension values of the row at pos: an
+// existential target's.
+func (fe *frameEval) rowCV(pos int) {
+	copy(fe.cv, fe.f.Row(pos)[fe.m.NPby:fe.m.NPby+fe.m.NDby])
 }
 
 // insertRow creates an UPSERTed cell and notifies convergence tracking.
@@ -284,8 +290,6 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 	fe.f.MarkUpdated(pos)
 	if fe.trackRefs {
 		fe.changed = true // a new cell signals additional iterations
-	}
-	if fe.assigned != nil {
 		fe.assigned[fe.f.flagKey(pos, fe.m.Schema.Len())] = true
 	}
 	return pos
@@ -295,11 +299,9 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	fe.f.MarkUpdated(pos)
 	changed := fe.f.write(pos, mea, v)
-	if fe.assigned != nil {
+	if fe.trackRefs {
 		fe.assigned[fe.f.flagKey(pos, mea)] = true
-	}
-	if changed && fe.trackRefs {
-		if fe.f.Referenced(fe.gen, pos, mea) || fe.f.Referenced(1-fe.gen, pos, mea) {
+		if changed && (fe.f.Referenced(fe.gen, pos, mea) || fe.f.Referenced(1-fe.gen, pos, mea)) {
 			fe.changed = true
 		}
 	}
@@ -327,8 +329,8 @@ func (fe *frameEval) applyExistential(r *Rule, fs []*Frame) error {
 }
 
 // applyExistentialCells fires an existential rule over the current frame,
-// per cell: scan (II) finds the target rows, then each target evaluates its
-// right side — with scan (III) for any non-probe aggregates.
+// per cell: scan (II) finds the target rows, then each target computes its
+// aggregates — scan (III) for the non-probe ones — and fires.
 func (fe *frameEval) applyExistentialCells(r *Rule) error {
 	targets, err := fe.matchTargets(r)
 	if err != nil {
@@ -339,65 +341,16 @@ func (fe *frameEval) applyExistentialCells(r *Rule) error {
 			return err
 		}
 	}
-	cellAggs := r.cellAggs
-	if len(cellAggs) == 0 {
-		// Fast path: no aggregates, so one shared context serves every
-		// target — cv() reads fe.cv, rebound per row.
-		ctx, binding := fe.boundCtx()
-		for _, pos := range targets {
-			if err := fe.tick(); err != nil {
-				return err
-			}
-			row := fe.f.Row(pos)
-			copy(fe.cv, row[fe.m.NPby:fe.m.NPby+fe.m.NDby])
-			binding.Row = row
-			v, err := fe.eval(ctx, r.RHS)
-			if err != nil {
-				return fmt.Errorf("%s: %v", r.Label, err)
-			}
-			if err := fe.assignMeasure(pos, r.Mea, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, pos := range targets {
-		row := fe.f.Row(pos).Clone() // alloc-ok: aggregate-bearing rule on the per-cell path; held across partition scans
-		dims := make([]types.Value, fe.m.NDby)
-		copy(dims, row[fe.m.NPby:fe.m.NPby+fe.m.NDby])
-		ctx := fe.targetCtx(r, dims)
-		if len(cellAggs) > 0 {
-			am := make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs)) // alloc-ok: as the row above
-			var scans []*aggInstance
-			for _, ca := range cellAggs {
-				inst, err := fe.buildInstance(ctx, ca)
-				if err != nil {
-					return fmt.Errorf("%s: %v", r.Label, err)
-				}
-				if inst.probe {
-					if err := inst.runProbe(fe); err != nil {
-						return err
-					}
-				} else {
-					scans = append(scans, inst)
-				}
-				am[ca] = inst
-			}
-			if len(scans) > 0 {
-				if err := fe.scanFeed(scans); err != nil {
-					return err
-				}
-			}
-			fe.curAggs = am
+		if err := fe.tick(); err != nil {
+			return err
 		}
-		rctx := *ctx
-		rctx.Binding = &eval.Binding{BS: fe.bs, Row: row}
-		v, err := fe.eval(&rctx, r.RHS)
-		fe.curAggs = nil
+		fe.rowCV(pos)
+		am, err := fe.targetAggs(r, fe.cv)
 		if err != nil {
-			return fmt.Errorf("%s: %v", r.Label, err)
+			return err
 		}
-		if err := fe.assignMeasure(pos, r.Mea, v); err != nil {
+		if err := fe.fire(r, pos, am); err != nil {
 			return err
 		}
 	}
@@ -510,14 +463,12 @@ func (fe *frameEval) sortTargets(r *Rule, targets []int) error {
 		keys []types.Value
 	}
 	ks := make([]keyed, len(targets))
-	ctx := fe.constCtx()
 	for i, pos := range targets {
-		row := fe.f.Row(pos).Clone() // alloc-ok: ORDER BY rules only, once per target
-		rctx := *ctx
-		rctx.Binding = &eval.Binding{BS: fe.bs, Row: row}
+		fe.rowCV(pos)
+		ctx := fe.bindTarget(pos)
 		keys := make([]types.Value, len(r.OrderBy))
 		for j, o := range r.OrderBy {
-			v, err := fe.eval(&rctx, o.Expr)
+			v, err := fe.eval(ctx, o.Expr)
 			if err != nil {
 				return fmt.Errorf("%s: ORDER BY: %v", r.Label, err)
 			}

@@ -30,25 +30,26 @@ func (fe *frameEval) evalCellAgg(ctx *eval.Context, a *sqlast.CellAgg) (types.Va
 	return inst.acc.Result(), nil
 }
 
-// runSCC is the Auto-Cyclic algorithm (§5): formulas in a strongly
-// connected component are evaluated in order, repeatedly, until a fixed
-// point. The iteration bound is N = the number of cells updated or upserted
-// in the first iteration — enough for any spreadsheet that was actually
-// acyclic but could not be proven so; genuinely divergent models exceed N
-// and error out.
+// runSCC is the Auto-Cyclic algorithm (§5) over the current frame (one is
+// that frame as a run of its bucket): formulas in a strongly connected
+// component are evaluated in order, repeatedly, until a fixed point. The
+// iteration bound is N = the number of cells updated or upserted in the
+// first iteration — enough for any spreadsheet that was actually acyclic
+// but could not be proven so; genuinely divergent models exceed N and error
+// out.
 //
 // Convergence is detected with two alternating generations of per-cell
 // "referenced" flags: a write that changes a cell read in this or the
 // previous iteration — or any insert — forces another iteration.
-func (fe *frameEval) runSCC(rules []int) error {
+func (fe *frameEval) runSCC(rules []int, one []*Frame) error {
 	fe.trackRefs = true
 	fe.gen = 0
 	fe.f.ClearFlags(0)
 	fe.f.ClearFlags(1)
-	defer func() {
-		fe.trackRefs = false
-		fe.assigned = nil
-	}()
+	defer func() { fe.trackRefs = false }()
+	if fe.assigned == nil {
+		fe.assigned = make(map[int64]bool) // alloc-ok: once per PE, cleared per iteration
+	}
 
 	bound := 0
 	for iter := 0; ; iter++ {
@@ -57,12 +58,12 @@ func (fe *frameEval) runSCC(rules []int) error {
 			return err
 		}
 		fe.changed = false
-		fe.assigned = make(map[int64]bool)
+		clear(fe.assigned)
 		for _, ri := range rules {
 			r := fe.m.Rules[ri]
 			var err error
 			if r.Existential {
-				err = fe.applyExistential(r, fe.own())
+				err = fe.applyExistential(r, one)
 			} else {
 				err = fe.applyPointRuleStandalone(r)
 			}
@@ -71,10 +72,7 @@ func (fe *frameEval) runSCC(rules []int) error {
 			}
 		}
 		if iter == 0 {
-			bound = len(fe.assigned)
-			if bound < 1 {
-				bound = 1
-			}
+			bound = max(len(fe.assigned), 1)
 		}
 		if !fe.changed {
 			return nil
@@ -99,36 +97,12 @@ func (fe *frameEval) applyPointRuleStandalone(r *Rule) error {
 	if err != nil {
 		return err
 	}
-	cellAggs := r.cellAggs
 	for _, dims := range targets {
-		ctx := fe.targetCtx(r, dims)
-		if len(cellAggs) > 0 {
-			am := make(map[*sqlast.CellAgg]*aggInstance, len(cellAggs))
-			var scans []*aggInstance
-			for _, ca := range cellAggs {
-				inst, err := fe.buildInstance(ctx, ca)
-				if err != nil {
-					return fmt.Errorf("%s: %v", r.Label, err)
-				}
-				if inst.probe {
-					if err := inst.runProbe(fe); err != nil {
-						return err
-					}
-				} else {
-					scans = append(scans, inst)
-				}
-				am[ca] = inst
-			}
-			if len(scans) > 0 {
-				if err := fe.scanFeed(scans); err != nil {
-					return err
-				}
-			}
-			fe.curAggs = am
-		}
-		err := fe.applyPoint(r, dims, ctx)
-		fe.curAggs = nil
+		am, err := fe.targetAggs(r, dims)
 		if err != nil {
+			return err
+		}
+		if err := fe.applyPoint(r, dims, am); err != nil {
 			return err
 		}
 	}

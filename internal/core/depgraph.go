@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // buildDepGraph forms the paper's "->" relation: edges[j] lists the rules i
@@ -93,7 +94,6 @@ type level struct {
 func (m *Model) Analyze() error {
 	m.buildDepGraph()
 	m.levels = nil
-	m.cyclic = false
 	if m.SeqOrder {
 		m.analyzeSequential()
 		return nil
@@ -111,8 +111,11 @@ func (m *Model) Levels() (steps [][]int, cyclicStep []bool) {
 	return steps, cyclicStep
 }
 
-// Cyclic reports whether the analysis found (potentially) cyclic rules.
-func (m *Model) Cyclic() bool { return m.cyclic }
+// Cyclic reports whether the analysis found (potentially) cyclic rules: a
+// step it iterates to a fixpoint.
+func (m *Model) Cyclic() bool {
+	return slices.ContainsFunc(m.levels, func(l level) bool { return l.kind == stepSCC })
+}
 
 // isScanRule classifies rules the way GenLevels needs: a rule requires a
 // scan when it computes a range aggregate or has an existential left side;
@@ -163,7 +166,6 @@ func (m *Model) genLevels() error {
 	for i := range m.Rules {
 		if sccSize[sccOf[i]] > 1 || selfLoop[i] {
 			m.Rules[i].sccID = sccOf[i]
-			m.cyclic = true
 		} else {
 			m.Rules[i].sccID = -1
 		}

@@ -35,9 +35,10 @@ type bucket struct {
 	bytes int64
 
 	// img caches the columns kernels have asked for of one columnar image
-	// over a run of the bucket's frames, frames[imgLo:imgLo+len(imgOff)-1],
-	// laid out frame after frame: imgOff[i] is the first image row of the
-	// run's i-th frame and the last entry is the row count. A batch rule
+	// over a run of the bucket's frames in bucket order, imgRun (all of
+	// them, those still iterating, or one), laid out frame after frame:
+	// imgOff[i] is the first image row of imgRun[i] and the last entry is
+	// the row count. A batch rule
 	// images every frame of the bucket at once, a partition scan one frame
 	// (or reads its rows out of a cached run that covers it). A measure write
 	// drops the written column, an Insert drops the cache (the row set and
@@ -45,7 +46,7 @@ type bucket struct {
 	// columns it needs. A bucket is evaluated by exactly one PE, which makes
 	// the cache race-free.
 	img    []*colstore.Column
-	imgLo  int
+	imgRun []*Frame
 	imgOff []int
 }
 

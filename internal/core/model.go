@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -44,10 +45,14 @@ type Model struct {
 	// measure's ordinal within that sheet's row layout.
 	refMeas map[string]refMeaBinding
 
+	// prevCells lists the cell of every previous() in the UNTIL condition,
+	// in tree order (see buildCompiled): a frame's previous() snapshot holds
+	// one value per entry.
+	prevCells []*sqlast.CellRef
+
 	// analysis products, filled by Analyze.
 	levels   []level
 	depEdges [][]int // depEdges[i] = rules that rule i depends on
-	cyclic   bool
 
 	// compiled maps every per-cell formula expression (rule right sides,
 	// qualifier values/predicates/bounds, ORDER BY keys, aggregate
@@ -238,6 +243,11 @@ type access struct {
 	scan bool
 }
 
+// ErrUntilCV is the error of a cv() in an ITERATE clause's UNTIL condition,
+// previous() included: UNTIL is evaluated in each partition after a pass,
+// where no target cell is bound.
+var ErrUntilCV = errors.New("cv() is not allowed in UNTIL: no target cell is bound there")
+
 // Compile binds a spreadsheet clause against the working schema produced by
 // the query block underneath it. refs carries the already-planned reference
 // sheets (schema only; data is attached before Run).
@@ -288,6 +298,11 @@ func Compile(clause *sqlast.SpreadsheetClause, working *types.Schema, refs []*Re
 			return nil, err
 		}
 		m.Rules = append(m.Rules, r)
+	}
+	if it := clause.Iterate; it != nil && it.Until != nil {
+		if sqlast.ContainsCurrentV(it.Until) {
+			return nil, fmt.Errorf("spreadsheet: %w", ErrUntilCV)
+		}
 	}
 	return m, nil
 }
@@ -611,6 +626,13 @@ func (m *Model) buildCompiled() {
 	}
 	if m.Iterate != nil {
 		regTree(m.Iterate.Until)
+		m.prevCells = nil
+		sqlast.WalkExpr(m.Iterate.Until, func(e sqlast.Expr) bool {
+			if p, ok := e.(*sqlast.Previous); ok {
+				m.prevCells = append(m.prevCells, p.Cell)
+			}
+			return true
+		})
 	}
 }
 

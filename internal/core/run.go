@@ -173,50 +173,29 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 	return out, ps.Stats(), nil
 }
 
-// evalBucket evaluates every frame of one first-level bucket: level → rule →
-// frame over the whole bucket where levelMajor allows it, so a batchable
-// existential rule fires once for every partition of the bucket, frame by
-// frame otherwise. Both orders poll for cancellation once per frame visited
-// (and every few thousand rows a batch images); the frame-at-a-time order,
-// which a spilling store takes, polls the store's I/O failure beside it.
+// evalBucket runs the model over one first-level bucket: its frames as one
+// run while its rows stay in memory, so a batchable rule fires once for every
+// partition of the bucket; frame by frame when its store spills, which keeps
+// one partition's blocks resident while its rules run (Fig. 5's regime) and
+// polls the store's I/O failure between frames. The choice depends on the
+// store alone, so the per-cell oracle runs the loop order the batch engine
+// runs.
 func (fe *frameEval) evalBucket(b *bucket) error {
 	defer fe.flushCounts()
-	if fe.levelMajor(b) {
-		if len(b.frames) == 0 {
-			return nil
-		}
-		for _, lv := range fe.m.levels {
-			if err := fe.runLevel(lv.rules, b.frames); err != nil {
-				return err
-			}
-		}
-		return nil
+	_, mem := b.store.(*blockstore.MemStore)
+	fe.spill = !mem
+	if mem {
+		return fe.runModel(b.frames)
 	}
-	for _, f := range b.frames {
-		if err := fe.opts.ctxErr(); err != nil {
-			return err
-		}
+	for i := range b.frames {
 		if err := b.store.Err(); err != nil {
 			return err
 		}
-		if err := fe.evalFrame(f); err != nil {
+		if err := fe.runModel(b.frames[i : i+1]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// levelMajor reports whether b runs level → rule → frame: the model's levels
-// are plain (AUTOMATIC ORDER without ITERATE or cycles, so no
-// per-frame state outlives a level) and the bucket's rows stay in memory. A
-// spilling store keeps the frame-at-a-time order, which is what keeps one
-// partition's blocks resident while its rules run (Fig. 5's regime). The
-// choice ignores the rule-batching ablation, so the per-cell oracle runs the
-// same loop order as the batch engine.
-func (fe *frameEval) levelMajor(b *bucket) bool {
-	m := fe.m
-	_, mem := b.store.(*blockstore.MemStore)
-	return mem && !m.SeqOrder && m.Iterate == nil && !m.cyclic
 }
 
 // ctxErr polls the run's context (nil-safe); non-nil once cancelled.
@@ -388,10 +367,13 @@ type frameEval struct {
 	// pad is the row bound where no frame row is: the current frame's PBY
 	// values, NULLs elsewhere. Read-only between frames.
 	pad types.Row
-	// padCtx and rowCtx are the two long-lived contexts (see their
-	// accessors); their hooks read fe.f and fe.cv at call time, so they
-	// follow the PE from frame to frame.
+	// padCtx and rowCtx are the two long-lived contexts (see constCtx and
+	// bindTarget); their hooks read fe.f and fe.cv at call time, so they
+	// follow the PE from frame to frame and from target to target.
 	padCtx, rowCtx *eval.Context
+	// spill records that the current bucket's store spills: a row it hands
+	// out may be recycled while the right side reads other cells.
+	spill bool
 
 	// Scratch of matchTargets and qualConsts, which never nest: the
 	// qualifier constants, the predicate context and the target list of the
@@ -424,15 +406,22 @@ type frameEval struct {
 	// precomputed instances.
 	curAggs map[*sqlast.CellAgg]*aggInstance
 
-	// trackRefs enables convergence-flag tracking (Auto-Cyclic).
+	// trackRefs enables convergence-flag tracking (Auto-Cyclic) for the
+	// frame a cyclic step is iterating; gen, changed and assigned are that
+	// frame's fixpoint state.
 	trackRefs bool
 	gen       int
 	changed   bool
-	// assigned counts unique cells written in the current iteration.
+	// assigned holds the cells written in the current fixpoint iteration,
+	// cleared per iteration.
 	assigned map[int64]bool
 
-	// previousVals resolves previous(cell) inside UNTIL conditions.
-	previousVals map[*sqlast.Previous]types.Value
+	// active is the ITERATE driver's scratch: the frames still iterating.
+	active []*Frame
+	// prev holds the previous() snapshot of the frame whose UNTIL is being
+	// evaluated, one value per Model.prevCells entry; prevs holds every
+	// active frame's, frame after frame.
+	prev, prevs []types.Value
 
 	// ticks counts rows seen by the heavy partition scans; every tickMask+1
 	// rows the context is polled (see tick).
@@ -522,65 +511,59 @@ func (fe *frameEval) enter(f *Frame) error {
 	return nil
 }
 
-// own is the current frame as a one-frame run of its bucket, for the level
-// and rule runners on the frame-at-a-time path.
-func (fe *frameEval) own() []*Frame {
-	return fe.f.b.frames[fe.f.ord : fe.f.ord+1]
-}
-
-// evalFrame runs the analysis plan over one spreadsheet partition, from
-// clean per-frame state.
-func (fe *frameEval) evalFrame(f *Frame) error {
-	fe.setFrame(f)
-	fe.curAggs, fe.assigned, fe.previousVals = nil, nil, nil
-	fe.trackRefs, fe.changed, fe.gen = false, false, 0
-	if fe.m.Iterate != nil || fe.m.SeqOrder {
-		return fe.runSequential()
-	}
-	return fe.runAutomatic()
-}
-
 // --- evaluation contexts ---
 
-// constCtx returns the PE's shared context for evaluating partition
-// constants (left-side qualifier values, range bounds, aggregate
-// instances): bound to the pad row, cv() reading fe.cv. Callers must not
+// constCtx returns the PE's context for partition constants (left-side
+// qualifier values, range bounds, aggregate qualifiers, UNTIL and
+// previous()): bound to the pad row, cv() reading fe.cv. Callers must not
 // modify it; those that need to take newCtx.
 func (fe *frameEval) constCtx() *eval.Context {
 	if fe.padCtx == nil {
-		fe.padCtx = fe.newCtx()
+		fe.padCtx = fe.newCtx(fe.pad, fe.cv, nil)
 	}
 	return fe.padCtx
 }
 
-// boundCtx returns the PE's shared context for the aggregate-free
-// existential loop, which rebinds the context itself to each target row —
-// so cell-reference qualifiers evaluated through ctx.Cell see that row. One
-// user at a time: the loop does not nest.
-func (fe *frameEval) boundCtx() (*eval.Context, *eval.Binding) {
+// bindTarget returns the PE's context for a rule's right side, bound to the
+// row of the target cell at pos: a bare column reads that row wherever it
+// stands, at the top level or inside a cell reference's qualifier, so
+// s[t - 1] is s[cv(t) - 1]. cv() reads fe.cv, which the caller sets to the
+// target's dimension values. Aggregates without a prepared instance keep
+// the partition binding (constCtx). A spilling store's row is copied: the
+// store may recycle it while the right side reads other cells.
+func (fe *frameEval) bindTarget(pos int) *eval.Context {
 	if fe.rowCtx == nil {
-		fe.rowCtx = fe.newCtx()
+		fe.rowCtx = fe.newCtx(nil, fe.cv, fe.constCtx())
 	}
-	return fe.rowCtx, fe.rowCtx.Binding
+	row := fe.f.Row(pos)
+	if fe.spill {
+		row = row.Clone() // alloc-ok: spilling stores only, once per target
+	}
+	fe.rowCtx.Binding.Row = row
+	return fe.rowCtx
 }
 
-// newCtx builds an evaluation context for right-side expressions, bound to
-// the pad row (partition constants only). Its hooks capture the context
-// itself: a copy rebound to a frame row (rctx := *ctx) still resolves the
-// qualifiers of nested cell references under the original binding.
-func (fe *frameEval) newCtx() *eval.Context {
+// newCtx builds an evaluation context bound to row, cv() reading cv. Cell
+// references and IS PRESENT evaluate their qualifiers in the context
+// itself, aggregates without a prepared instance theirs in aggs (nil: the
+// context itself).
+func (fe *frameEval) newCtx(row types.Row, cv []types.Value, aggs *eval.Context) *eval.Context {
 	nav := types.KeepNav
 	if fe.m.IgnoreNav {
 		nav = types.IgnoreNav
 	}
 	ctx := &eval.Context{
-		Binding:  &eval.Binding{BS: fe.bs, Row: fe.pad},
+		Binding:  &eval.Binding{BS: fe.bs, Row: row},
 		Nav:      nav,
 		Subquery: fe.opts.Subquery,
+		Previous: fe.previous,
+	}
+	if aggs == nil {
+		aggs = ctx
 	}
 	ctx.CurrentV = func(dim string) (types.Value, error) {
 		if d := fe.m.DimOrdinal(dim); d >= 0 {
-			return fe.cv[d], nil
+			return cv[d], nil
 		}
 		if p := fe.m.PbyOrdinal(dim); p >= 0 {
 			return fe.f.pby[p], nil
@@ -588,7 +571,7 @@ func (fe *frameEval) newCtx() *eval.Context {
 		return types.Null, fmt.Errorf("cv(%s): unknown dimension", dim)
 	}
 	ctx.Cell = func(c *sqlast.CellRef) (types.Value, error) { return fe.evalCellRef(ctx, c) }
-	ctx.CellAgg = func(a *sqlast.CellAgg) (types.Value, error) { return fe.evalCellAgg(ctx, a) }
+	ctx.CellAgg = func(a *sqlast.CellAgg) (types.Value, error) { return fe.evalCellAgg(aggs, a) }
 	ctx.Present = func(c *sqlast.CellRef) (bool, error) {
 		if c.Sheet != "" || fe.m.MeasureOrdinal(c.Measure) < 0 {
 			return false, fmt.Errorf("IS PRESENT requires a main-sheet cell")

@@ -17,8 +17,8 @@ import (
 //
 //  1. an existential rule images every frame of its bucket at once (image:
 //     one columnar table, each frame a row range of it, shared with the batch
-//     aggregate scan through the bucket's image cache) — the level-major loop
-//     of evalBucket hands it the whole bucket; a single-cell rule gathers its
+//     aggregate scan through the bucket's image cache) — the driver hands it
+//     the whole bucket (see evalBucket); a single-cell rule gathers its
 //     frame's target rows into a mini image after every UPSERT miss has been
 //     appended in target order;
 //  2. the left side becomes a selection: declarative qualifiers run the row
@@ -47,8 +47,7 @@ import (
 //     Frame.SetMeasureBulk, in the per-cell path's exact cell order with its
 //     exact compare-then-clone assignment semantics.
 //
-// The decision is per rule and conservative: ITERATE/sequential models,
-// cyclic (SCC) rules, ORDER BY, IGNORE NAV, self-reading cell references,
+// The decision is per rule and conservative: cyclic (SCC) rules, ORDER BY, IGNORE NAV, self-reading cell references,
 // cv() inside aggregate qualifiers and anything else off the kernel domain
 // keeps the rule on the per-cell path, annotated with a reason EXPLAIN
 // surfaces. At runtime any batch-stage error or unsupported column
@@ -62,7 +61,6 @@ import (
 // ruleVecYes carries compiled kernels.
 const (
 	ruleVecYes           = "yes"
-	ruleVecNoIterate     = "no(iterate)"
 	ruleVecNoIgnoreNav   = "no(ignore-nav)"
 	ruleVecNoCyclic      = "no(cyclic)"
 	ruleVecNoOrderBy     = "no(order-by)"
@@ -130,7 +128,6 @@ const (
 	leafConst        // main-sheet reference whose key is constant per frame
 	leafRef          // point read of a reference-sheet measure
 	leafAgg          // aggregate reference (accumulator precomputed)
-	leafNull         // bare dim/measure column reference (NULL per target)
 )
 
 // vecLeaf is one extension leaf of a rule's right-side kernel.
@@ -184,14 +181,6 @@ type vecRuleCompiler struct {
 	// extension hook (the hook itself can only answer yes/no).
 	failNote string
 	leaves   []vecLeaf
-	// qualPad selects the binding bare column references see inside
-	// cell-reference qualifiers. The per-cell engine evaluates them through
-	// the ctx.Cell closure, whose captured binding depends on the code path:
-	// applyPoint and the aggregate-bearing existential path capture the
-	// padded target context (PBY values, NULLs elsewhere), while the
-	// aggregate-free existential fast path rebinds the shared context to the
-	// current frame row in place — so its qualifiers read row values.
-	qualPad bool
 }
 
 func (c *vecRuleCompiler) fail(note string) {
@@ -220,7 +209,7 @@ func (c *vecRuleCompiler) leafOrd(e sqlast.Expr) (int, bool) {
 	}
 	// Bare column references fall through to the kernel's own schema
 	// resolution: the per-cell path binds the right side to the target's
-	// frame row (applyPoint/applyExistentialCells), so reading the image
+	// frame row (bindTarget), so reading the image
 	// column at the same ordinal is exactly the interpreter's value — dims
 	// and measures alike (a measure read is the cell's own pre-write value;
 	// duplicate targets force the per-cell path, so no batch target is
@@ -228,10 +217,11 @@ func (c *vecRuleCompiler) leafOrd(e sqlast.Expr) (int, bool) {
 	return 0, false
 }
 
-// cvOnly is the restricted hook for cell-reference qualifier kernels: cv(),
-// bare column references and reference-sheet reads resolve, so a nested
-// main-sheet cell reference or an aggregate inside a qualifier keeps the
-// whole rule per-cell.
+// cvOnly is the restricted hook for cell-reference qualifier kernels: cv()
+// and reference-sheet reads resolve, and bare column references fall
+// through to the image like the right side's (a qualifier reads the target
+// row too), so a nested main-sheet cell reference or an aggregate inside a
+// qualifier keeps the whole rule per-cell.
 func (c *vecRuleCompiler) cvOnly(e sqlast.Expr) (int, bool) {
 	switch x := e.(type) {
 	case *sqlast.CurrentV:
@@ -241,44 +231,8 @@ func (c *vecRuleCompiler) cvOnly(e sqlast.Expr) (int, bool) {
 			return 0, false
 		}
 		return c.refLeaf(x)
-	case *sqlast.ColumnRef:
-		if c.qualPad {
-			return c.colLeaf(x)
-		}
-		// Row-bound qualifier context: fall through to plain image
-		// resolution, the same ordinal the rebound per-cell binding reads.
-		return 0, false
 	}
 	return 0, false
-}
-
-// colLeaf lowers a bare column reference inside a cell-reference qualifier.
-// Unlike the right side proper (bound to the target's frame row), qualifier
-// expressions evaluate under the padded binding captured by ctx.Cell
-// (the pad row): PBY columns carry the partition value, everything past the
-// PBY prefix reads as NULL. Resolving against the image instead would
-// (wrongly) read each row's own values, so the leaf broadcasts the same
-// constants the interpreter sees. Unresolvable names decline — the per-cell
-// path owns the unknown-column error.
-func (c *vecRuleCompiler) colLeaf(x *sqlast.ColumnRef) (int, bool) {
-	idx, ok, err := c.bs.Resolve(x.Table, x.Name)
-	if err != nil || !ok {
-		return 0, false
-	}
-	if idx < c.m.NPby {
-		for _, lf := range c.leaves {
-			if lf.kind == leafPbyCV && lf.dim == idx {
-				return lf.ord, true
-			}
-		}
-		return c.addLeaf(vecLeaf{kind: leafPbyCV, dim: idx}), true
-	}
-	for _, lf := range c.leaves {
-		if lf.kind == leafNull {
-			return lf.ord, true
-		}
-	}
-	return c.addLeaf(vecLeaf{kind: leafNull}), true
 }
 
 func (c *vecRuleCompiler) cvLeaf(x *sqlast.CurrentV) (int, bool) {
@@ -350,14 +304,14 @@ func (c *vecRuleCompiler) selfCell(x *sqlast.CellRef) bool {
 }
 
 // perFrame reports whether qualifier kernels read only values constant
-// within a frame: no image column, only partition constants and NULLs.
+// within a frame: no image column, only partition constants.
 func (c *vecRuleCompiler) perFrame(kerns []eval.ExprKernel) bool {
 	for _, k := range kerns {
 		for _, o := range k.ColRefs(nil) {
 			if o < c.base {
 				return false
 			}
-			if lf := c.leaves[o-c.base]; lf.kind != leafPbyCV && lf.kind != leafNull {
+			if c.leaves[o-c.base].kind != leafPbyCV {
 				return false
 			}
 		}
@@ -464,14 +418,12 @@ func (c *vecRuleCompiler) aggLeaf(x *sqlast.CellAgg) (int, bool) {
 }
 
 // compileVecRule decides one rule's batch form. The static gates mirror
-// the per-cell machinery the batch cannot reproduce: fixpoint iteration
-// observes intermediate states per cell, ORDER BY imposes a data-dependent
-// firing order, IGNORE NAV rebinds NULL semantics the kernels don't model,
-// and cyclic rules run under reference tracking.
+// the per-cell machinery the batch cannot reproduce: ORDER BY imposes a
+// data-dependent firing order, IGNORE NAV rebinds NULL semantics the
+// kernels don't model, and cyclic rules observe intermediate states per
+// cell under reference tracking. ITERATE and SEQUENTIAL ORDER pass: a pass
+// is a run of levels over the active frames, like any other.
 func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
-	if m.Iterate != nil || m.SeqOrder {
-		return &vecRuleProg{note: ruleVecNoIterate}
-	}
 	if m.IgnoreNav {
 		return &vecRuleProg{note: ruleVecNoIgnoreNav}
 	}
@@ -482,7 +434,6 @@ func (m *Model) compileVecRule(r *Rule) *vecRuleProg {
 		return &vecRuleProg{note: ruleVecNoOrderBy}
 	}
 	c := &vecRuleCompiler{m: m, r: r, bs: m.bs, base: m.Schema.Len()}
-	c.qualPad = !r.Existential || len(r.cellAggs) > 0
 	prog := &vecRuleProg{}
 	if r.Existential {
 		prog.preds = make([]eval.SelKernel, len(r.Quals))
@@ -605,17 +556,16 @@ func (m *Model) vecProg(r *Rule) *vecRuleProg {
 
 // vecRuleReady gates a batch attempt at runtime: the rule must have a
 // compiled program, the ablation knob must be off, and the PE must be
-// outside the per-cell-only execution modes (reference tracking under
-// Auto-Cyclic, assignment counting).
+// outside the per-cell-only fixpoint of a cyclic step (reference tracking
+// and assignment counting).
 func (fe *frameEval) vecRuleReady(prog *vecRuleProg) bool {
 	return prog != nil && prog.note == ruleVecYes &&
-		fe.opts.Ablate.RulesVectorized() &&
-		!fe.trackRefs && fe.assigned == nil
+		fe.opts.Ablate.RulesVectorized() && !fe.trackRefs
 }
 
 // vecApplyExistential fires an existential rule as one batch over fs, a run
-// of consecutive frames of one bucket: all of them on the level-major path
-// (evalBucket), the current frame alone otherwise. VecMinRows counts the
+// of one bucket's frames in bucket order: the whole bucket, its frames still
+// iterating, or one frame (see evalBucket). VecMinRows counts the
 // rows of the whole run. handled=false means no state was touched (beyond
 // state-equivalent left-side and aggregate evaluation) and the per-cell path
 // must run, frame by frame; handled=true means every target cell of every
@@ -746,8 +696,6 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 				perFrame[i] = f.pby[lf.dim]
 			}
 			col = fe.spread(offs, perFrame)
-		case leafNull:
-			col = colstore.Broadcast(types.Null, n)
 		case leafAgg:
 			col = fe.spread(offs, aggVals[li])
 		case leafRef:
@@ -1060,8 +1008,6 @@ targets:
 			col = colstore.FromValues(vals, true)
 		case leafPbyCV:
 			col = colstore.Broadcast(fe.f.pby[lf.dim], nb)
-		case leafNull:
-			col = colstore.Broadcast(types.Null, nb)
 		case leafAgg:
 			vals := make([]types.Value, nb)
 			for k, ti := range tis {

@@ -29,8 +29,8 @@ func benchRuleRows(nmea int) []types.Row {
 	return rows
 }
 
-// benchRuleLegs times rule application — evalFrame over prebuilt
-// partitions — under the batch rule engine and under the per-cell
+// benchRuleLegs times rule application — the driver, evalBucket, over
+// prebuilt partitions — under the batch rule engine and under the per-cell
 // interpreter. Partition building, which both paths share unchanged, stays
 // outside the loop; one warm-up pass performs any UPSERT inserts so every
 // timed iteration applies the rules over an identical, settled frame set

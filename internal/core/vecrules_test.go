@@ -183,10 +183,19 @@ func TestRuleVecNotes(t *testing.T) {
 		{"yes",
 			vecGridSQL + `( UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 )`,
 			[]string{"yes"}},
+		// ITERATE is no gate: a self-reading rule is a cycle (run as a plain
+		// level on every pass), any other rule batches as it would once.
 		{"iterate",
 			`SELECT t, s FROM f SPREADSHEET DBY (t) MEA (s) ITERATE (3)
 				( s[1980] = s[1980] / 2 )`,
-			[]string{"no(iterate)"}},
+			[]string{"no(cyclic)"}},
+		{"iterate-batch",
+			vecGridSQL + `ITERATE (3) UNTIL (previous(u['tv', 1990]) = u['tv', 1990])
+				( UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 )`,
+			[]string{"yes"}},
+		{"sequential-batch",
+			vecGridSQL + `SEQUENTIAL ORDER ( UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 )`,
+			[]string{"yes"}},
 		{"cv-qualifier",
 			vecGridSQL + `( UPDATE u[*, *] = avg(s)[cv(p), 1990 <= t <= 1999] )`,
 			[]string{"no(cv-qualifier)"}},

@@ -168,8 +168,8 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 	return true, nil
 }
 
-// image returns a columnar image of the current rows of fs — a run of
-// consecutive frames of one bucket — laid out frame after frame, in which the
+// image returns a columnar image of the current rows of fs — a run of one
+// bucket's frames in bucket order — laid out frame after frame, in which the
 // listed columns are materialised (any other column may be nil), and the
 // first image row of each frame (offs[i]; the last entry is the row count).
 // Columns are cached on the bucket (see bucket.img) and dropped when written
@@ -184,14 +184,14 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 // immutable (WithExtra copies before extending).
 func (fe *frameEval) image(fs []*Frame, need []int) (*colstore.Table, []int, error) {
 	b := fs[0].b
-	if b.img == nil || b.imgLo != fs[0].ord || len(b.imgOff) != len(fs)+1 {
-		// A fresh offsets slice, never reused: a caller may still hold the
-		// previous one.
+	if b.img == nil || !slices.Equal(b.imgRun, fs) {
+		// Fresh offsets and run slices, never reused: a caller may still
+		// hold the previous offsets, and fs may be the driver's scratch.
 		offs := make([]int, len(fs)+1)
 		for i, f := range fs {
 			offs[i+1] = offs[i] + f.Len()
 		}
-		b.img, b.imgLo, b.imgOff = make([]*colstore.Column, fe.m.Schema.Len()), fs[0].ord, offs
+		b.img, b.imgRun, b.imgOff = make([]*colstore.Column, fe.m.Schema.Len()), slices.Clone(fs), offs
 	}
 	n := b.imgOff[len(fs)]
 	todo := fe.imgTodo[:0]
@@ -258,8 +258,8 @@ func (b *bucket) table(need []int) *colstore.Table {
 func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err error) {
 	f := fe.f
 	b := f.b
-	if i := f.ord - b.imgLo; b.img != nil && i >= 0 && i < len(b.imgOff)-1 &&
-		!slices.ContainsFunc(need, func(c int) bool { return b.img[c] == nil }) {
+	i, hit := slices.BinarySearchFunc(b.imgRun, f.ord, func(g *Frame, ord int) int { return g.ord - ord })
+	if hit && b.img != nil && !slices.ContainsFunc(need, func(c int) bool { return b.img[c] == nil }) {
 		if err := fe.tickN(f.Len()); err != nil {
 			return nil, 0, err
 		}
