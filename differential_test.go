@@ -1039,6 +1039,28 @@ func qualBindDB(t testing.TB, db *sqlsheet.DB) {
 		[]any{2, 1, 40.0, nil}, []any{2, 2, 50.0, nil}, []any{2, 3, 60.0, nil})
 }
 
+// groupWordsDB: 400 rows over every key kind the packed group words
+// distinguish, NULL in every key column: a dictionary string r, a BOOL b,
+// a narrow INT n, an INT wi spanning more than 2^24 values, a FLOAT f whose
+// -0.0 comes before its 0.0, with NaN and ±Inf, and three INT columns x1…x3
+// whose 24-bit fields overflow a word together. v's sums depend on where
+// the morsels merge, z holds ties (-0.0 and 0.0) across morsels, y and w
+// feed SLOPE and COUNT over NULLs. gd maps r to a group for the join.
+func groupWordsDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE gw (id INT, r TEXT, b BOOL, n INT, wi INT, f FLOAT, x1 INT, x2 INT, x3 INT, v FLOAT, z FLOAT, y FLOAT, w INT)`)
+	db.MustExec(`CREATE TABLE gd (r TEXT, grp TEXT)`)
+	fs := []any{math.Copysign(0, -1), 1.5, math.NaN(), 0.0, math.Inf(1), nil, math.Inf(-1), 2.0}
+	vs := []float64{0.1, 1e16, 0.2, -1e16, 0.3, 1e-3}
+	insert(t, db, "gw", rowsOf(400, func(i int) []any {
+		nth := func(k int, v any) any { return maybe(i%k, func() any { return v }) }
+		return []any{i, nth(13, fmt.Sprintf("r%d", i%7)), nth(11, i%3 == 0), nth(17, i%5-2), nth(19, (i%4)*20000000),
+			fs[i%len(fs)], nth(23, (i%2)*16000000), nth(29, (i/2%2)*16000000), nth(31, (i/4%2)*16000000),
+			vs[i%len(vs)] * float64(1+i%3), []float64{math.Copysign(0, -1), 0}[i/16%2], nth(7, float64(i%9)*0.5), nth(5, i%6)}
+	})...)
+	insert(t, db, "gd", []any{"r0", "even"}, []any{"r1", "odd"}, []any{"r2", "even"}, []any{"r3", "odd"},
+		[]any{"r4", "even"}, []any{"r5", "odd"}, []any{"r6", nil})
+}
+
 // typedQueries sweep the filter shapes the kernel compiler supports and a
 // few it must decline, joins and group-bys on plain-column keys, compute
 // projections and batch aggregates over typedDB.
@@ -1400,10 +1422,12 @@ func diffCorpus() []diffCase {
 			fixture: dictDB("(id INT, u TEXT)", colstore.DictMaxEntries-200), script: []string{
 				`UPDATE big SET u = 'dup' WHERE id < 300`,
 				`UPDATE big SET u = u || '!' WHERE id >= 300 AND id < 1500`,
+				`SELECT u, COUNT(*), MIN(id) FROM big WHERE id % 7 = 0 GROUP BY u`,
 				`DELETE FROM big WHERE u LIKE 'u00001%'`,
 				`UPDATE big SET u = 'u000000' WHERE u > 'u065000'`,
 				`DELETE FROM big WHERE u IS NULL`,
 				`DELETE FROM big WHERE u = 'dup' OR u IN ('u000400!', 'u065001')`,
+				`SELECT u, COUNT(*), MIN(id), MAX(id) FROM big GROUP BY u`,
 			}},
 		// A column past the cap from the start, scanned as plain strings and
 		// read by a rule whose frame image overflows too.
@@ -1594,6 +1618,42 @@ func diffCorpus() []diffCase {
 				if x.got != x.want {
 					t.Errorf("%s: %s, want %s", x.what, x.got, x.want)
 				}
+			}
+		}},
+		// GROUP BY keys as packed words: one case per key kind and their
+		// mix, an overflowing key, merge-sensitive sums, MIN/MAX ties across
+		// 16-row morsels, empty input with and without keys, and a GROUP BY
+		// above a join. The check pins the first-seen spelling of -0.0.
+		diffCase{name: "group-words", fixture: groupWordsDB, configs: "exec plan b1 b3 b16 move served fuzz", script: []string{
+			`SELECT r, SUM(v), COUNT(y), COUNT(*), AVG(v), MIN(z), MAX(z), SLOPE(y, w) FROM gw GROUP BY r`,
+			`SELECT b, SUM(v), MIN(w), MAX(w) FROM gw GROUP BY b`,
+			`SELECT n, SUM(v), MIN(r), MAX(r) FROM gw GROUP BY n`,
+			`SELECT wi, SUM(v), COUNT(w) FROM gw GROUP BY wi`,
+			`SELECT f, SUM(v), COUNT(*), MIN(z), MAX(z) FROM gw GROUP BY f`,
+			`SELECT r, b, n, SUM(v), AVG(y) FROM gw GROUP BY r, b, n`,
+			`SELECT r, b, n, f, SUM(v), MIN(z), SLOPE(y, w) FROM gw GROUP BY r, b, n, f`,
+			`SELECT x1, x2, x3, SUM(v), COUNT(*) FROM gw GROUP BY x1, x2, x3`,
+			`SELECT x1, x2, x3, r, wi, SUM(v), MAX(z) FROM gw WHERE id % 3 <> 1 GROUP BY x1, x2, x3, r, wi`,
+			`SELECT n, f, SUM(v), MIN(z), MAX(z) FROM gw WHERE w IS NULL OR w > 1 GROUP BY n, f`,
+			`SELECT SUM(v), COUNT(*), MIN(z), AVG(y), SLOPE(y, w) FROM gw`,
+			`SELECT SUM(v), COUNT(*), MIN(z) FROM gw WHERE w > 1000`,
+			`SELECT r, SUM(v), COUNT(*) FROM gw WHERE w > 1000 GROUP BY r`,
+			`SELECT d.grp, g.b, SUM(g.v), COUNT(*), MAX(g.z) FROM gw g JOIN gd d ON g.r = d.r GROUP BY d.grp, g.b`,
+		}, check: func(t *testing.T, ref []outcome) {
+			negZero := "F" + strconv.FormatUint(math.Float64bits(math.Copysign(0, -1)), 16)
+			for _, r := range ref[4].rows {
+				if strings.HasPrefix(r, " F0 ") {
+					t.Errorf("f = 0 grouped under 0.0 (%q), want -0.0, its first-seen spelling", r)
+				}
+			}
+			if !strings.HasPrefix(ref[4].rows[0], " "+negZero+" ") {
+				t.Errorf("first group %q, want f = -0.0", ref[4].rows[0])
+			}
+			if n := len(ref[12].rows); n != 0 {
+				t.Errorf("GROUP BY over empty input returned %d rows", n)
+			}
+			if n := len(ref[11].rows); n != 1 {
+				t.Errorf("a global aggregate over empty input returned %d rows, want 1", n)
 			}
 		}},
 		// Statements overwriting their own input measure, three runs each
