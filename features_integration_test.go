@@ -2,6 +2,7 @@ package sqlsheet_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,6 +116,37 @@ func TestUntilRejectsCV(t *testing.T) {
 		res, err := db.Query(sql)
 		if !errors.Is(err, core.ErrUntilCV) {
 			t.Errorf("UNTIL (%s): err = %v, rows = %v; want core.ErrUntilCV", until, err, res)
+		}
+	}
+}
+
+// TestSequentialOrderIsLexical: SEQUENTIAL ORDER fires rules in the order
+// written, on every rule path. A later rule that writes a measure an
+// earlier one writes or reads overwrites its cells after it, unseen by it —
+// even when neither reads the other's cells, and even when the later one
+// is a single-cell rule that a shared level would fire first.
+func TestSequentialOrderIsLexical(t *testing.T) {
+	for _, cfg := range refKeyConfigs {
+		db := sqlsheet.Open()
+		db.Configure(cfg)
+		db.MustExec(`CREATE TABLE q (t INT, s FLOAT, c FLOAT)`)
+		db.MustExec(`INSERT INTO q VALUES (1, 0, 0), (2, 0, 0)`)
+		for _, c := range []struct{ rules, want string }{
+			{`s[*] = 7, s[1] = 5`, "1 5 0|2 7 0"},
+			{`c[*] = s[1], s[1] = 5`, "1 5 0|2 0 0"},
+			{`s[1] = 5, s[*] = s[cv(t)] + 1`, "1 6 0|2 1 0"},
+		} {
+			res, err := db.Query(`SELECT t, s, c FROM q SPREADSHEET DBY (t) MEA (s, c) SEQUENTIAL ORDER ( ` + c.rules + ` ) ORDER BY t`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				got = append(got, fmt.Sprintf("%v %v %v", r[0], r[1], r[2]))
+			}
+			if g := strings.Join(got, "|"); g != c.want {
+				t.Errorf("SEQUENTIAL ORDER ( %s ): %s, want %s (lexical order)", c.rules, g, c.want)
+			}
 		}
 	}
 }

@@ -258,7 +258,11 @@ func (m *Model) appendLevel(kind stepKind, rules []int) {
 // analyzeSequential groups lexically consecutive independent rules into
 // shared-scan levels. Dependency edges always point from earlier to later
 // formulas, so the graph is acyclic by construction; iteration (ITERATE) is
-// handled by the executor, not the level structure.
+// handled by the executor, not the level structure. A level fires its rules
+// in no lexical order (single-cell rules before existential ones), so a
+// rule also starts a new level when it writes a measure the current level
+// writes or reads: a later write must land after, and be unseen by, the
+// earlier rules.
 func (m *Model) analyzeSequential() {
 	var cur []int
 	flush := func() {
@@ -277,8 +281,17 @@ func (m *Model) analyzeSequential() {
 		}
 		return false
 	}
-	for i := range m.Rules {
-		if dependsOnCur(i) {
+	touchedByCur := func(mea int) bool {
+		for _, k := range cur {
+			r := m.Rules[k]
+			if r.Mea == mea || slices.ContainsFunc(r.reads, func(a access) bool { return a.refIdx < 0 && a.mea == mea }) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, r := range m.Rules {
+		if dependsOnCur(i) || touchedByCur(r.Mea) {
 			flush()
 		}
 		cur = append(cur, i)
