@@ -5,6 +5,8 @@ import (
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/types"
+
+	"sqlsheet/internal/wordkey"
 )
 
 // PartitionSet is the paper's two-level hash access structure (§5): rows are
@@ -84,7 +86,7 @@ type Frame struct {
 	// cells is the frame's cell table: an open-addressed table from a DBY
 	// word (bucket.keys) to the row's position in ids. The build carves every
 	// frame's table out of one slab per bucket.
-	cells []cellSlot
+	cells []wordkey.Slot
 	// cellsShared marks cells as shared with another structure
 	// (CloneForReuse): read freely, copy before the first Insert.
 	cellsShared bool
@@ -230,7 +232,7 @@ func (f *Frame) Lookup(dims []types.Value) (pos int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	return findSlot(f.cells, w)
+	return wordkey.Find(f.cells, w)
 }
 
 // LookupBatch probes the cell table for a batch of keys held in a columnar
@@ -246,7 +248,7 @@ func (f *Frame) LookupBatch(keyCols []*colstore.Column, rows []int32, out []int3
 	for i := range rows {
 		out[i] = -1
 		if w, ok := k.wordAt(ords, i); ok {
-			if pos, hit := findSlot(f.cells, w); hit {
+			if pos, hit := wordkey.Find(f.cells, w); hit {
 				out[i] = int32(pos)
 			}
 		}
@@ -304,10 +306,10 @@ func (f *Frame) Insert(m *Model, dims []types.Value) int {
 	pos := len(f.ids)
 	f.ids = append(f.ids, id)
 	if f.cellsShared || 2*len(f.ids) > len(f.cells) {
-		f.cells = rehash(f.cells, len(f.ids)) // alloc-ok: a shared table's first Insert, or a doubling
+		f.cells = wordkey.Rehash(f.cells, len(f.ids)) // alloc-ok: a shared table's first Insert, or a doubling
 		f.cellsShared = false
 	}
-	putSlot(f.cells, w, pos)
+	wordkey.Put(f.cells, w, pos)
 	f.b.img = nil
 	return pos
 }

@@ -10,13 +10,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"sqlsheet/internal/aggs"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
+
+	"sqlsheet/internal/wordkey"
 )
 
 // Model is a compiled spreadsheet clause bound to its working schema
@@ -98,9 +99,9 @@ type RefMeta struct {
 // ordinals into a word (byte keys when the fields pass 64 bits), and an
 // open-addressed table maps the word to the row.
 type refIndex struct {
-	doms  []*domain
-	lay   *keyLayout
-	cells []cellSlot
+	doms  []*wordkey.Domain
+	lay   *wordkey.Layout
+	cells []wordkey.Slot
 	// meas holds each measure as a column, dictionary-coded strings
 	// included, so a batch read gathers it; nil where the values mix kinds.
 	meas []*colstore.Column
@@ -113,26 +114,24 @@ type refIndex struct {
 // other (one row may have it).
 func (r *RefMeta) Load(rows []types.Row) error {
 	nd := len(r.Dims)
-	ix := refIndex{doms: make([]*domain, nd), cells: make([]cellSlot, tableSize(len(rows)))}
+	ix := refIndex{doms: make([]*wordkey.Domain, nd), cells: make([]wordkey.Slot, wordkey.TableSize(len(rows)))}
 	width := make([]uint8, nd)
 	ords := make([][]uint32, nd)
 	for d := range ix.doms {
-		rd := newDimReader(nil, rows, d)
-		ix.doms[d] = rd.dom
+		rd := wordkey.NewReader(nil, nil, rows, d)
+		ix.doms[d] = rd.Dom
 		ords[d] = make([]uint32, len(rows))
-		rd.fill(rows, 0, ords[d])
-		if rd.dom.size > 0 {
-			width[d] = uint8(bits.Len32(rd.dom.size - 1))
-		}
+		rd.Fill(rows, 0, ords[d])
+		width[d] = wordkey.ExactWidth(rd.Dom.Size())
 	}
-	ix.lay = newLayout(width)
+	ix.lay = wordkey.NewLayout(width)
 	tuple := make([]uint32, nd)
 	var buf []byte
 	for ri, row := range rows {
 		for d := range tuple {
 			tuple[d] = ords[d][ri]
 		}
-		if putSlot(ix.cells, ix.lay.add(tuple, &buf), ri) {
+		if wordkey.Put(ix.cells, ix.lay.Add(tuple, &buf), ri) {
 			return fmt.Errorf("spreadsheet: DBY columns (%s) of reference sheet %s do not uniquely identify row %v",
 				joinNames(r.Dims), r.Name, row[:nd])
 		}
@@ -156,17 +155,17 @@ func (r *RefMeta) lookup(dims []types.Value) (types.Row, bool) {
 	var buf []byte // byte keys only
 	tuple := tarr[:0]
 	for d, v := range dims {
-		o, ok := ix.doms[d].ord(v)
+		o, ok := ix.doms[d].Ord(v)
 		if !ok {
 			return nil, false
 		}
 		tuple = append(tuple, o)
 	}
-	w, ok := ix.lay.word(tuple, &buf)
+	w, ok := ix.lay.Word(tuple, &buf)
 	if !ok {
 		return nil, false
 	}
-	ri, ok := findSlot(ix.cells, w)
+	ri, ok := wordkey.Find(ix.cells, w)
 	if !ok {
 		return nil, false
 	}

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
+	"sqlsheet/internal/wordkey"
 )
 
 // Parallel partition build. The access structure is built in three phases
@@ -87,126 +87,20 @@ func (cs *ColSource) appendKey(buf []byte, rows []types.Row, ri, ord int) []byte
 	return types.AppendKey(buf, rows[ri][ord]) // interp-ok: row fallback
 }
 
-// dimReader computes one build dimension's ordinals for runs of input rows.
-type dimReader struct {
-	dom *domain
-	// col is the dictionary or INT vector read by code or by arithmetic;
-	// nil with dom.isInt reads the boxed INT values of rows.
-	col  *colstore.Column
-	ridx []int32
-	ord  int // working-schema ordinal
-	// ords holds every input row's ordinal on the value-map path.
-	ords []uint32
-	null uint32 // NULL's ordinal
-}
-
-// newDimReader builds working-schema column ord's domain over the input.
-func newDimReader(cs *ColSource, rows []types.Row, ord int) dimReader {
-	d := &domain{}
-	rd := dimReader{dom: d, ord: ord, null: noOrd}
-	c := cs.column(ord)
-	var lo, hi int64
-	any, hasNull := false, false
-	span := func(v int64) {
-		if !any || v < lo {
-			lo = v
-		}
-		if !any || v > hi {
-			hi = v
-		}
-		any = true
+// reader builds working-schema column ord's domain over the input, reading
+// the typed vector when there is one.
+func (cs *ColSource) reader(rows []types.Row, ord int) wordkey.Reader {
+	var ridx []int32
+	if cs != nil {
+		ridx = cs.RowIdx
 	}
-	switch {
-	case c != nil && c.Kind == types.KindString && c.Dict != nil:
-		d.dict, d.base = c, uint32(len(c.Dict))
-		rd.col, rd.ridx, hasNull = c, cs.RowIdx, c.Nulls != nil
-	case c != nil && c.Kind == types.KindInt:
-		for ri := range rows {
-			r := ri
-			if cs.RowIdx != nil {
-				r = int(cs.RowIdx[ri])
-			}
-			if c.Nulls != nil && c.Nulls.Get(r) {
-				hasNull = true
-			} else {
-				span(c.Ints[r])
-			}
-		}
-		d.isInt = true
-		rd.col, rd.ridx = c, cs.RowIdx
-	case c == nil:
-		d.isInt = true
-		for _, row := range rows {
-			if v := row[ord]; v.K == types.KindInt {
-				span(v.I)
-			} else if v.K == types.KindNull {
-				hasNull = true
-			} else {
-				d.isInt = false
-				break
-			}
-		}
-	}
-	if d.isInt && any && uint64(hi)-uint64(lo) >= maxIntRange {
-		d.isInt, rd.col, rd.ridx = false, nil, nil
-	}
-	if d.isInt {
-		d.lo = lo
-		if any {
-			d.base = uint32(hi-lo) + 1
-		}
-	}
-	if d.dict != nil || d.isInt {
-		d.size = d.base
-		if hasNull {
-			rd.null = d.grow(types.Null)
-		}
-		return rd
-	}
-	// The value map: one serial pass numbers the values in input order.
-	rd.ords = make([]uint32, len(rows))
-	for ri, row := range rows {
-		rd.ords[ri] = d.grow(row[ord])
-	}
-	return rd
-}
-
-// fill writes the ordinals of input rows [lo, lo+len(out)) to out.
-func (rd *dimReader) fill(rows []types.Row, lo int, out []uint32) {
-	switch c := rd.col; {
-	case rd.ords != nil:
-		copy(out, rd.ords[lo:])
-	case c != nil:
-		for i := range out {
-			r := lo + i
-			if rd.ridx != nil {
-				r = int(rd.ridx[r])
-			}
-			switch {
-			case c.Nulls != nil && c.Nulls.Get(r):
-				out[i] = rd.null
-			case c.Dict != nil:
-				out[i] = c.Codes[r]
-			default:
-				out[i] = uint32(uint64(c.Ints[r]) - uint64(rd.dom.lo))
-			}
-		}
-	default: // boxed INT values
-		for i := range out {
-			v := rows[lo+i][rd.ord]
-			if v.K == types.KindNull {
-				out[i] = rd.null
-			} else {
-				out[i] = uint32(uint64(v.I) - uint64(rd.dom.lo))
-			}
-		}
-	}
+	return wordkey.NewReader(cs.column(ord), ridx, rows, ord)
 }
 
 // buildKeys holds a build's domains and word layouts.
 type buildKeys struct {
-	pby, dby       []dimReader
-	pbyLay, dbyLay *keyLayout
+	pby, dby       []wordkey.Reader
+	pbyLay, dbyLay *wordkey.Layout
 	// pbyWords and dbyWords hold every input row's word when the layout is
 	// byte-keyed (interned serially up front); nil when packed.
 	pbyWords, dbyWords []uint64
@@ -216,63 +110,24 @@ func newBuildKeys(m *Model, rows []types.Row, cs *ColSource) *buildKeys {
 	bk := &buildKeys{}
 	pw := make([]uint8, m.NPby)
 	for p := range pw {
-		rd := newDimReader(cs, rows, p)
+		rd := cs.reader(rows, p)
 		bk.pby = append(bk.pby, rd)
-		if rd.dom.size > 0 {
-			pw[p] = uint8(bits.Len32(rd.dom.size - 1))
-		}
+		pw[p] = wordkey.ExactWidth(rd.Dom.Size())
 	}
 	dw := make([]uint8, m.NDby)
 	for d := range dw {
-		rd := newDimReader(cs, rows, m.NPby+d)
+		rd := cs.reader(rows, m.NPby+d)
 		bk.dby = append(bk.dby, rd)
-		dw[d] = fieldWidth(rd.dom.size)
+		dw[d] = wordkey.FieldWidth(rd.Dom.Size())
 	}
-	bk.pbyLay, bk.dbyLay = newLayout(pw), newLayout(dw)
-	if bk.pbyLay.tuples != nil {
-		bk.pbyWords = internRows(rows, bk.pby, bk.pbyLay)
+	bk.pbyLay, bk.dbyLay = wordkey.NewLayout(pw), wordkey.NewLayout(dw)
+	if !bk.pbyLay.Packed() {
+		bk.pbyWords = wordkey.InternRows(rows, bk.pby, bk.pbyLay)
 	}
-	if bk.dbyLay.tuples != nil {
-		bk.dbyWords = internRows(rows, bk.dby, bk.dbyLay)
+	if !bk.dbyLay.Packed() {
+		bk.dbyWords = wordkey.InternRows(rows, bk.dby, bk.dbyLay)
 	}
 	return bk
-}
-
-// internRows gives every input row the interned word of its ordinals under
-// a byte-keyed layout.
-func internRows(rows []types.Row, rds []dimReader, lay *keyLayout) []uint64 {
-	ords := make([][]uint32, len(rds))
-	for d := range rds {
-		ords[d] = make([]uint32, len(rows))
-		rds[d].fill(rows, 0, ords[d])
-	}
-	words := make([]uint64, len(rows))
-	tuple := make([]uint32, len(rds))
-	var buf []byte
-	for ri := range words {
-		for d := range tuple {
-			tuple[d] = ords[d][ri]
-		}
-		words[ri] = lay.add(tuple, &buf)
-	}
-	return words
-}
-
-// rowWords writes the words of input rows [lo, lo+len(out)) to out, a
-// dimension at a time; scratch holds len(out) ordinals.
-func rowWords(rows []types.Row, rds []dimReader, lay *keyLayout, pre []uint64, lo int, scratch []uint32, out []uint64) {
-	if pre != nil {
-		copy(out, pre[lo:])
-		return
-	}
-	clear(out)
-	for d := range rds {
-		rds[d].fill(rows, lo, scratch)
-		sh := lay.shift[d]
-		for i, o := range scratch {
-			out[i] |= uint64(o) << sh
-		}
-	}
 }
 
 // buildChunk holds one scan task's words and the frames it discovered.
@@ -390,15 +245,15 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 	}
 	scratch := make([]uint32, n)
 	pw := make([]uint64, n)
-	rowWords(rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
-	rowWords(rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
-	tbl := make([]cellSlot, tableSize(n))
+	wordkey.RowWords(rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
+	wordkey.RowWords(rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
+	tbl := make([]wordkey.Slot, wordkey.TableSize(n))
 	var key []byte
 	for i, w := range pw {
-		fi, ok := findSlot(tbl, w)
+		fi, ok := wordkey.Find(tbl, w)
 		if !ok {
 			fi = len(c.fword)
-			putSlot(tbl, w, fi)
+			wordkey.Put(tbl, w, fi)
 			h := uint32(fnvOffset32)
 			for p := 0; p < m.NPby; p++ {
 				key = cols.appendKey(key[:0], rows, lo+i, p)
@@ -426,7 +281,7 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk, bi int32, o BuildOptions) error {
 	// Pass 1: discover frames through a word table and count their rows.
 	local := make([][]int32, len(chunks)) // chunk-local frame -> frame number, -1 elsewhere
-	finder := make([]cellSlot, tableSize(16))
+	finder := make([]wordkey.Slot, wordkey.TableSize(16))
 	var (
 		fill  []int32 // rows per frame; pass 2 reuses it as a write cursor
 		first []int   // input position of each frame's first row
@@ -438,13 +293,13 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 				lm[lf] = -1
 				continue
 			}
-			fi, seen := findSlot(finder, w)
+			fi, seen := wordkey.Find(finder, w)
 			if !seen {
 				fi = len(fill)
 				if 2*(fi+1) > len(finder) {
-					finder = rehash(finder, 2*(fi+1))
+					finder = wordkey.Rehash(finder, 2*(fi+1))
 				}
-				putSlot(finder, w, fi)
+				wordkey.Put(finder, w, fi)
 				fill = append(fill, 0)
 				first = append(first, c.lo+int(c.ffirst[lf]))
 			}
@@ -463,7 +318,7 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 	for fi, n := range fill {
 		off[fi+1] = off[fi] + n
 		fill[fi] = off[fi]
-		slots += tableSize(int(n))
+		slots += wordkey.TableSize(int(n))
 	}
 	nrows := int(off[len(fill)])
 	ris := make([]int32, nrows)
@@ -481,7 +336,7 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 	frames := make([]Frame, len(first))
 	b.frames = make([]*Frame, len(first))
 	ids := make([]blockstore.RowID, 0, nrows)
-	slab := make([]cellSlot, slots)
+	slab := make([]wordkey.Slot, slots)
 	ms, _ := b.store.(*blockstore.MemStore)
 	if ms != nil {
 		ms.Reserve(nrows)
@@ -498,12 +353,12 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 		// write), so the frame can alias its first row's PBY prefix.
 		f.pby = rows[first[fi]][:m.NPby:m.NPby]
 		lo, hi := off[fi], off[fi+1]
-		ts := tableSize(int(hi - lo))
+		ts := wordkey.TableSize(int(hi - lo))
 		f.cells, slab = slab[:ts:ts], slab[ts:]
 		base := len(ids)
 		for k := lo; k < hi; k++ {
 			r := rows[ris[k]]
-			if putSlot(f.cells, words[k], len(ids)-base) {
+			if wordkey.Put(f.cells, words[k], len(ids)-base) {
 				return fmt.Errorf("spreadsheet: DBY columns (%s) do not uniquely identify row %v within its partition",
 					joinNames(m.DimNames()), r[m.NPby:m.NPby+m.NDby])
 			}

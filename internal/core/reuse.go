@@ -47,7 +47,7 @@ func (ps *PartitionSet) CloneForReuse() *PartitionSet {
 // "bytes(overflow)" when some bucket's fields outgrew 64 bits.
 func (ps *PartitionSet) KeyNote() string {
 	for _, b := range ps.buckets {
-		if b.keys.lay.tuples != nil {
+		if !b.keys.lay.Packed() {
 			return "bytes(overflow)"
 		}
 	}

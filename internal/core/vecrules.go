@@ -8,6 +8,8 @@ import (
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
+
+	"sqlsheet/internal/wordkey"
 )
 
 // Batch rule application: the per-cell formula loops — applyPoint over the
@@ -872,7 +874,7 @@ func (fe *frameEval) refColumn(tbl *colstore.Table, lf *vecLeaf, sel []int32) *c
 	}
 	for i, p := range sel {
 		if w, ok := k.wordAt(ords, i); ok {
-			if ri, hit := findSlot(ix.cells, w); hit {
+			if ri, hit := wordkey.Find(ix.cells, w); hit {
 				idx[p] = int32(ri)
 			}
 		}
