@@ -117,14 +117,16 @@ func (a *sumAgg) Merge(other Agg) {
 	a.sawFloat = a.sawFloat || b.sawFloat
 }
 
-func (a *sumAgg) Result() types.Value {
-	if a.n == 0 {
+func (a *sumAgg) Result() types.Value { return sumResult(a.n, a.isum, a.fsum, a.sawFloat) }
+
+func sumResult(n, isum int64, fsum float64, sawFloat bool) types.Value {
+	if n == 0 {
 		return types.Null
 	}
-	if a.sawFloat {
-		return types.NewFloat(a.fsum)
+	if sawFloat {
+		return types.NewFloat(fsum)
 	}
-	return types.NewInt(a.isum)
+	return types.NewInt(isum)
 }
 
 func (a *sumAgg) Reset() { *a = sumAgg{} }
@@ -166,11 +168,13 @@ func (a *avgAgg) Merge(other Agg) {
 	a.sum += b.sum
 }
 
-func (a *avgAgg) Result() types.Value {
-	if a.n == 0 {
+func (a *avgAgg) Result() types.Value { return avgResult(a.n, a.sum) }
+
+func avgResult(n int64, sum float64) types.Value {
+	if n == 0 {
 		return types.Null
 	}
-	return types.NewFloat(a.sum / float64(a.n))
+	return types.NewFloat(sum / float64(n))
 }
 
 func (a *avgAgg) Reset() { *a = avgAgg{} }
@@ -257,12 +261,14 @@ func (a *slopeAgg) Merge(other Agg) {
 	a.sxx += b.sxx
 }
 
-func (a *slopeAgg) Result() types.Value {
-	den := float64(a.n)*a.sxx - a.sx*a.sx
-	if a.n < 2 || den == 0 {
+func (a *slopeAgg) Result() types.Value { return slopeResult(a.n, a.sx, a.sy, a.sxy, a.sxx) }
+
+func slopeResult(n int64, sx, sy, sxy, sxx float64) types.Value {
+	den := float64(n)*sxx - sx*sx
+	if n < 2 || den == 0 {
 		return types.Null
 	}
-	return types.NewFloat((float64(a.n)*a.sxy - a.sx*a.sy) / den)
+	return types.NewFloat((float64(n)*sxy - sx*sy) / den)
 }
 
 func (a *slopeAgg) Reset() { *a = slopeAgg{} }

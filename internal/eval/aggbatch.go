@@ -6,8 +6,9 @@ import (
 )
 
 // AggBatch wraps one aggregate's batch accumulator (aggs.SumBatch & co.)
-// behind a uniform grow/feed/unbox surface, shared by the executor's
-// vectorized group-by and the spreadsheet engine's batch partition scan.
+// behind a uniform grow/feed/merge/result surface, shared by the executor's
+// vectorized group-by and the spreadsheet engine's batch partition scan
+// (which unboxes its one group).
 // Exactly one field is set, per the aggregate's name.
 type AggBatch struct {
 	sum   *aggs.SumBatch
@@ -106,6 +107,49 @@ func (st AggBatch) Feed(gids []int32, vecs []*ExprVec) {
 		xs, xnulls := widenFloats(x)
 		st.slope.AddPairs(gids, ys, xs, ynulls, xnulls)
 	}
+}
+
+// Merge folds every group of src — a partial of the same aggregate over the
+// same argument kinds — into this state: src's group sg into group
+// into[sg].
+func (st AggBatch) Merge(src AggBatch, into []int32) {
+	switch {
+	case st.sum != nil:
+		for sg, g := range into {
+			st.sum.Merge(int(g), src.sum, sg)
+		}
+	case st.cnt != nil:
+		for sg, g := range into {
+			st.cnt.Merge(int(g), src.cnt, sg)
+		}
+	case st.avg != nil:
+		for sg, g := range into {
+			st.avg.Merge(int(g), src.avg, sg)
+		}
+	case st.mm != nil:
+		for sg, g := range into {
+			st.mm.Merge(int(g), src.mm, sg)
+		}
+	case st.slope != nil:
+		for sg, g := range into {
+			st.slope.Merge(int(g), src.slope, sg)
+		}
+	}
+}
+
+// Result is group g's aggregate value.
+func (st AggBatch) Result(g int) types.Value {
+	switch {
+	case st.sum != nil:
+		return st.sum.Result(g)
+	case st.cnt != nil:
+		return st.cnt.Result(g)
+	case st.avg != nil:
+		return st.avg.Result(g)
+	case st.mm != nil:
+		return st.mm.Result(g)
+	}
+	return st.slope.Result(g)
 }
 
 // Unbox materializes group g's state as the ordinary row accumulator.

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"time"
+
 	"sqlsheet/internal/aggs"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
@@ -149,7 +152,9 @@ func groupByParallelizable(n *plan.GroupBy) bool {
 
 // execGroupBy hash-aggregates the input. Output rows carry the key values
 // followed by the aggregate results, in the node's schema order, groups in
-// first-seen input order.
+// first-seen input order. EXPLAIN ANALYZE's group-by line says how the keys
+// were held (packed words, interned words when they overflow, or the row
+// path's key bytes), how many groups came out and how many partials merged.
 //
 // Large inputs take the morsel path: each morsel builds a partial
 // aggregation table, and partials are merged in morsel order. Because
@@ -161,71 +166,81 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-
+	start := time.Now()
 	ke := ex.vecKeyEnc(in, n.Keys)
 	vp := ex.vecGroupPlan(n, in, ke)
-	if nm := ex.morselCount(len(in.Rows)); nm > 0 && groupByParallelizable(n) {
-		partials := make([]*groupAcc, nm)
-		wc := ex.workerCtxs(in.Schema, outer)
-		if _, err := ex.forEachMorsel("group-by", len(in.Rows), func(w int, m morsel) error {
-			if vp != nil {
-				acc, err := vp.accumulate(in, ke, m.Lo, m.Hi)
-				if err != nil {
-					return err
-				}
-				partials[m.Idx] = acc
-				return nil
-			}
-			acc := newGroupAcc()
-			if err := acc.addRows(n, wc.get(w), in, ke, m.Lo, m.Hi); err != nil {
+	nm := 0
+	if groupByParallelizable(n) {
+		nm = ex.morselCount(len(in.Rows))
+	}
+	morsels, workers := 0, 1
+	var rows []types.Row
+	var note string
+	if vp != nil {
+		parts := make([]*groupState, max(nm, 1))
+		if nm > 0 {
+			morsels, workers, err = ex.runMorsels(len(in.Rows), func(_ int, m morsel) error {
+				var err error
+				parts[m.Idx], err = vp.accumulate(in, m.Lo, m.Hi)
 				return err
-			}
-			partials[m.Idx] = acc
-			return nil
-		}); err != nil {
-			return nil, err
+			})
+		} else {
+			parts[0], err = vp.accumulate(in, 0, len(in.Rows))
 		}
-		// Merge partials in morsel order. Iterating each partial's own
-		// first-seen order recovers the global first-seen order: a group's
-		// first occurrence lies in the earliest morsel containing it.
-		global := newGroupAcc()
-		for _, p := range partials {
-			for _, gk := range p.order {
-				pg := p.groups[gk]
-				g := global.groups[gk]
-				if g == nil {
-					global.groups[gk] = pg
-					global.order = append(global.order, gk)
-					continue
-				}
-				for i := range g.accs {
-					g.accs[i].(aggs.Merger).Merge(pg.accs[i])
-				}
-			}
-		}
-		rows, err := global.rows(n)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schema: n.Schema(), Rows: rows}, nil
-	}
-
-	var acc *groupAcc
-	if vp != nil {
-		var err error
-		if acc, err = vp.accumulate(in, ke, 0, len(in.Rows)); err != nil {
-			return nil, err
-		}
+		rows = vp.rows(vp.merge(parts))
+		note = fmt.Sprintf("keys=%s groups=%d partials=%d", vp.keyNote(), len(rows), len(parts))
 	} else {
-		acc = newGroupAcc()
-		ctx := ex.ctx(in.Schema, nil, outer)
-		if err := acc.addRows(n, ctx, in, ke, 0, len(in.Rows)); err != nil {
+		if rows, morsels, workers, err = ex.rowGroupBy(n, in, ke, outer, nm); err != nil {
 			return nil, err
 		}
+		note = fmt.Sprintf("keys=row groups=%d partials=%d", len(rows), max(morsels, 1))
 	}
-	rows, err := acc.rows(n)
-	if err != nil {
-		return nil, err
-	}
+	ex.opLine("group-by", len(in.Rows), morsels, workers, start, note)
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
+}
+
+// rowGroupBy is the row path: per-row key bytes and boxed accumulators,
+// over nm morsels (0: serially).
+func (ex *Executor) rowGroupBy(n *plan.GroupBy, in *Result, ke *keyEnc, outer *eval.Binding, nm int) (rows []types.Row, morsels, workers int, err error) {
+	if nm == 0 {
+		acc := newGroupAcc()
+		if err := acc.addRows(n, ex.ctx(in.Schema, nil, outer), in, ke, 0, len(in.Rows)); err != nil {
+			return nil, 0, 1, err
+		}
+		rows, err := acc.rows(n)
+		return rows, 0, 1, err
+	}
+	partials := make([]*groupAcc, nm)
+	wc := ex.workerCtxs(in.Schema, outer)
+	morsels, workers, err = ex.runMorsels(len(in.Rows), func(w int, m morsel) error {
+		acc := newGroupAcc()
+		partials[m.Idx] = acc
+		return acc.addRows(n, wc.get(w), in, ke, m.Lo, m.Hi)
+	})
+	if err != nil {
+		return nil, morsels, workers, err
+	}
+	// Merge partials in morsel order. Iterating each partial's own
+	// first-seen order recovers the global first-seen order: a group's
+	// first occurrence lies in the earliest morsel containing it.
+	global := newGroupAcc()
+	for _, p := range partials {
+		for _, gk := range p.order {
+			pg := p.groups[gk]
+			g := global.groups[gk]
+			if g == nil {
+				global.groups[gk] = pg
+				global.order = append(global.order, gk)
+				continue
+			}
+			for i := range g.accs {
+				g.accs[i].(aggs.Merger).Merge(pg.accs[i])
+			}
+		}
+	}
+	rows, err = global.rows(n)
+	return rows, morsels, workers, err
 }

@@ -170,19 +170,28 @@ func (ex *Executor) recordOp(st OpStat) {
 }
 
 // forEachMorsel splits n input rows into morsels and runs fn over them on
-// the worker pool; fn receives the worker index (for per-worker state) and
-// the morsel. It returns used=false — doing nothing — when the input is
-// below the morsel threshold; the caller then keeps its serial path.
-//
-// All morsels are processed even after a failure, and the error returned is
-// the one from the lowest-indexed failing morsel: since each morsel scans
-// its rows in order, that is exactly the error the serial engine would have
-// reported first.
+// the worker pool, recording the operator's line; fn receives the worker
+// index (for per-worker state) and the morsel. It returns used=false —
+// doing nothing — when the input is below the morsel threshold; the caller
+// then keeps its serial path.
 func (ex *Executor) forEachMorsel(op string, n int, fn func(worker int, m morsel) error) (bool, error) {
 	if ex.morselCount(n) == 0 {
 		return false, nil
 	}
 	start := time.Now()
+	morsels, w, err := ex.runMorsels(n, fn)
+	ex.recordOp(OpStat{Op: op, Rows: n, Morsels: morsels, Workers: w, Elapsed: time.Since(start)})
+	return true, err
+}
+
+// runMorsels runs fn over n rows' morsels on the worker pool and returns
+// the morsel count and the workers used; the caller records the line.
+//
+// All morsels are processed even after a failure, and the error returned is
+// the one from the lowest-indexed failing morsel: since each morsel scans
+// its rows in order, that is exactly the error the serial engine would have
+// reported first.
+func (ex *Executor) runMorsels(n int, fn func(worker int, m morsel) error) (morsels, workers int, err error) {
 	ms := makeMorsels(n, ex.morselSize())
 	errs := make([]error, len(ms))
 	var next atomic.Int64
@@ -202,13 +211,12 @@ func (ex *Executor) forEachMorsel(op string, n int, fn func(worker int, m morsel
 		}
 	}
 	w := ex.runPool(len(ms), work)
-	ex.recordOp(OpStat{Op: op, Rows: n, Morsels: len(ms), Workers: w, Elapsed: time.Since(start)})
 	for _, err := range errs {
 		if err != nil {
-			return true, err
+			return len(ms), w, err
 		}
 	}
-	return true, nil
+	return len(ms), w, nil
 }
 
 // parallelN runs fn(0..n-1) on the worker pool. Used for partition-wise

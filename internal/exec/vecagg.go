@@ -1,31 +1,42 @@
 package exec
 
 import (
-	"sqlsheet/internal/aggs"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
 	"sqlsheet/internal/types"
+	"sqlsheet/internal/wordkey"
 )
 
 // Batch aggregation: when the group-by input carries columnar provenance,
 // its grouping keys are plain columns, and every aggregate argument has a
-// supported compute kernel, each morsel is aggregated in three vectorized
-// steps instead of a per-row loop:
+// supported compute kernel, the group-by runs on packed key words and typed
+// aggregate state instead of a per-row loop over boxed rows:
 //
-//  1. a group-id vector: every row of the morsel is assigned a dense int32
-//     id in first-seen order (dict-coded and integer keys probe a packed
-//     integer map; anything else probes by the same encoded key bytes the
-//     row path uses);
-//  2. one kernel run per aggregate argument, producing typed vectors;
-//  3. one bulk accumulate per aggregate (eval.AggBatch over aggs.SumBatch &
-//     co.), addressed by group id, feeding values in ascending row order.
+//  1. Key words. Every key column gets a domain over the whole input
+//     (package wordkey): a dictionary column's codes, which are global to
+//     the image, an INT column's range, or one serial pass numbering any
+//     other values. A row's key is its ordinals packed into one word, so
+//     every morsel agrees on every word. Fields that pass 64 bits intern
+//     each row's tuple to a dense word up front, serially: the one
+//     fallback, keys=bytes(overflow).
+//  2. Partials. Each morsel finds its rows' groups in a local word table
+//     (dense ids in first-seen order), runs each aggregate argument's
+//     kernel once, and feeds the typed batch accumulators (aggs.SumBatch &
+//     co.) by group id, rows in ascending order.
+//  3. Merge. The partials merge in morsel order, by word, into one table;
+//     each aggregate's partial states fold into the global state with the
+//     typed Merge, which replicates aggs.Merger bit for bit. A group's first
+//     occurrence lies in the earliest morsel containing it, so global ids
+//     come out in global first-seen order.
+//  4. Rows. Key values are boxed once per output group, from its first-seen
+//     image row (so -0.0 before 0.0 keeps the spelling the row path keeps),
+//     and aggregate results are read from the typed state into one flat
+//     row backing.
 //
-// The result is unboxed into the same groupAcc the row path builds — group
-// keys keyed by their types.AppendKey encoding in first-seen order — so
-// result rendering and the morsel-ordered partial merge are shared, and the
-// output is bit-identical (float accumulation order included) to the row
-// path at every worker count.
+// The output is bit-identical (float accumulation and merge order included)
+// to the row path's at every worker count: both accumulate a morsel's rows
+// in order and merge morsel partials in morsel order.
 
 // vecAggSpec is one aggregate's vectorized plan over a concrete image: its
 // argument kernels and the kind of each argument vector (decided per image;
@@ -38,9 +49,17 @@ type vecAggSpec struct {
 }
 
 // vecGroupPlan is the batch aggregation plan for one group-by over one
-// input image. nil means the row path runs.
+// input: the aggregate specs and the key words. nil means the row path
+// runs.
 type vecGroupPlan struct {
 	specs []vecAggSpec
+	keys  []*colstore.Column
+	ridx  []int32
+	rds   []wordkey.Reader
+	lay   *wordkey.Layout
+	// pre holds every input row's interned word when the layout is
+	// byte-keyed; nil when packed.
+	pre []uint64
 }
 
 // vecGroupPlan builds the batch plan, or nil when any part of the group-by
@@ -83,117 +102,53 @@ func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result, ke *keyEnc) *vecGr
 		}
 		vp.specs[i] = s
 	}
+	width := make([]uint8, len(n.Keys))
+	if ke != nil {
+		vp.keys, vp.ridx = ke.cols, ke.ridx
+		for j, c := range ke.cols {
+			vp.rds = append(vp.rds, wordkey.NewReader(c, ke.ridx, in.Rows, ke.ords[j]))
+			width[j] = wordkey.ExactWidth(vp.rds[j].Dom.Size())
+		}
+	}
+	vp.lay = wordkey.NewLayout(width)
+	if !vp.lay.Packed() {
+		vp.pre = wordkey.InternRows(in.Rows, vp.rds, vp.lay)
+	}
 	return vp
 }
 
-// gidTable assigns dense group ids in first-seen order over one morsel and
-// records, per new group, its encoded key bytes (the row path's map key)
-// and boxed key values.
-type gidTable struct {
-	ke      *keyEnc
-	keys    []types.Row
-	keyStrs []string
-	keyBuf  []byte
-
-	byStr  map[string]int32
-	byCode map[uint64]int32
-	codes  []keyCodes
-}
-
-// keyCodes is one key column readable as a packed small-domain code:
-// dictionary string codes or boolean 0/1 content.
-type keyCodes struct {
-	codes []uint32
-	ints  []int64
-	nulls colstore.Bitmap
-}
-
-// codeAt reads row r's 32-bit code, with 2^32-1 for NULL. Dictionary codes
-// stay under DictMaxEntries (2^16) and bools under 3, so the NULL sentinel
-// never collides and two columns pack into one uint64: distinct code tuples
-// correspond exactly to distinct encoded key bytes, NULLs included.
-func (kc *keyCodes) codeAt(r int) uint64 {
-	if kc.nulls != nil && kc.nulls.Get(r) {
-		return 1<<32 - 1
+// keyNote says how the group-by keyed its groups, for EXPLAIN ANALYZE.
+func (vp *vecGroupPlan) keyNote() string {
+	if vp.lay.Packed() {
+		return "packed"
 	}
-	if kc.codes != nil {
-		return uint64(kc.codes[r])
-	}
-	return uint64(kc.ints[r]) + 1
+	return "bytes(overflow)"
 }
 
-// newGidTable picks the probe strategy for ke's key columns: up to two
-// columns whose values pack into 32-bit codes (dictionary strings, bools)
-// probe a packed-integer map — distinct code tuples correspond exactly to
-// distinct encoded keys, NULLs included — and anything else probes by the
-// encoded key bytes.
-func newGidTable(ke *keyEnc) *gidTable {
-	t := &gidTable{ke: ke}
-	if ke != nil && len(ke.cols) >= 1 && len(ke.cols) <= 2 {
-		codes := make([]keyCodes, 0, len(ke.cols))
-		for _, c := range ke.cols {
-			switch {
-			case c.Kind == types.KindString && c.IsDict():
-				// Dict codes are < 2^16, and NULL slots hold code 0 —
-				// masked by the bitmap before the code is read.
-				codes = append(codes, keyCodes{codes: c.Codes, nulls: c.Nulls})
-			case c.Kind == types.KindBool:
-				codes = append(codes, keyCodes{ints: c.Ints, nulls: c.Nulls})
-			default:
-				codes = nil
-			}
-			if codes == nil {
-				break
-			}
-		}
-		if codes != nil {
-			t.codes = codes
-			t.byCode = make(map[uint64]int32)
-			return t
-		}
-	}
-	t.byStr = make(map[string]int32)
-	return t
+// groupState is the groups of a run of input rows: each group's first
+// result position, in first-seen order, and the aggregates' typed state
+// addressed by group id. A morsel's partial also keeps each group's word.
+type groupState struct {
+	words  []uint64
+	first  []int32
+	states []eval.AggBatch
 }
 
-// gid returns result position ri's dense group id, inserting a new group in
-// first-seen order. The encoded key bytes recorded for a new group are
-// byte-identical to the row path's map key.
-func (t *gidTable) gid(ri int) int32 {
-	if t.byCode != nil {
-		r := t.ke.imgRow(ri)
-		packed := t.codes[0].codeAt(r)
-		if len(t.codes) == 2 {
-			packed = packed<<32 | t.codes[1].codeAt(r)
-		}
-		g, ok := t.byCode[packed]
-		if !ok {
-			g = t.insert(ri)
-			t.byCode[packed] = g
-		}
-		return g
+// newStates makes the aggregates' batch states for ng groups.
+func (vp *vecGroupPlan) newStates(ng int) []eval.AggBatch {
+	states := make([]eval.AggBatch, len(vp.specs))
+	for i := range vp.specs {
+		s := &vp.specs[i]
+		states[i], _ = eval.NewAggBatch(s.name, s.star, s.kinds)
+		states[i].Grow(ng)
 	}
-	t.keyBuf = t.ke.groupKeyInto(t.keyBuf, ri)
-	g, ok := t.byStr[string(t.keyBuf)]
-	if !ok {
-		g = t.insert(ri)
-		t.byStr[t.keyStrs[g]] = g
-	}
-	return g
+	return states
 }
 
-func (t *gidTable) insert(ri int) int32 {
-	g := int32(len(t.keys))
-	t.keyBuf = t.ke.groupKeyInto(t.keyBuf, ri)
-	t.keyStrs = append(t.keyStrs, string(t.keyBuf))
-	t.keys = append(t.keys, t.ke.keyVals(ri))
-	return g
-}
-
-// accumulate aggregates rows [lo, hi) of in into a fresh groupAcc using the
-// batch kernels. Rows feed in ascending order, so per-group accumulator
-// state — float addition order included — matches the row path's exactly.
-func (vp *vecGroupPlan) accumulate(in *Result, ke *keyEnc, lo, hi int) (*groupAcc, error) {
+// accumulate aggregates rows [lo, hi) of in into a partial. Rows feed in
+// ascending order, so per-group accumulator state — float addition order
+// included — matches the row path's exactly.
+func (vp *vecGroupPlan) accumulate(in *Result, lo, hi int) (*groupState, error) {
 	m := hi - lo
 	selBuf := colstore.GetSel(m)
 	defer colstore.PutSel(selBuf)
@@ -203,30 +158,26 @@ func (vp *vecGroupPlan) accumulate(in *Result, ke *keyEnc, lo, hi int) (*groupAc
 	}
 	*selBuf = sel[:0]
 
+	words := make([]uint64, m)
+	scratch := make([]uint32, m)
+	wordkey.RowWords(in.Rows, vp.rds, vp.lay, vp.pre, lo, scratch, words)
+	tbl := make([]wordkey.Slot, wordkey.TableSize(m))
 	gids := make([]int32, m)
-	var keys []types.Row
-	var keyStrs []string
-	if ke != nil {
-		t := newGidTable(ke)
-		for r := 0; r < m; r++ {
-			gids[r] = t.gid(lo + r)
+	p := &groupState{words: make([]uint64, 0, m), first: make([]int32, 0, m)}
+	for k, w := range words {
+		g, found := wordkey.Intern(tbl, w, len(p.words))
+		if !found {
+			p.words = append(p.words, w)
+			p.first = append(p.first, int32(lo+k))
 		}
-		keys, keyStrs = t.keys, t.keyStrs
-	} else if m > 0 {
-		// No grouping keys: one global group, the row path's "" entry.
-		keys = append(keys, nil)
-		keyStrs = append(keyStrs, "")
+		gids[k] = int32(g)
 	}
-	ng := len(keys)
 
-	states := make([]eval.AggBatch, len(vp.specs))
+	p.states = vp.newStates(len(p.words))
 	for i := range vp.specs {
 		s := &vp.specs[i]
-		st, _ := eval.NewAggBatch(s.name, s.star, s.kinds)
-		states[i] = st
-		st.Grow(ng)
 		if s.star {
-			st.Feed(gids, nil)
+			p.states[i].Feed(gids, nil)
 			continue
 		}
 		vecs := make([]*eval.ExprVec, len(s.kerns))
@@ -237,17 +188,74 @@ func (vp *vecGroupPlan) accumulate(in *Result, ke *keyEnc, lo, hi int) (*groupAc
 			}
 			vecs[j] = v
 		}
-		st.Feed(gids, vecs)
+		p.states[i].Feed(gids, vecs)
 	}
+	return p, nil
+}
 
-	acc := newGroupAcc()
-	for g := 0; g < ng; g++ {
-		grp := &group{keys: keys[g], accs: make([]aggs.Agg, len(states))}
-		for i := range states {
-			grp.accs[i] = states[i].Unbox(g)
-		}
-		acc.groups[keyStrs[g]] = grp
-		acc.order = append(acc.order, keyStrs[g])
+// merge folds the partials, in morsel order, into one group state: a
+// group's global id is the order of its first occurrence, and its state is
+// its first partial's with every later partial's folded in.
+func (vp *vecGroupPlan) merge(parts []*groupState) *groupState {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	return acc, nil
+	total := 0
+	for _, p := range parts {
+		total += len(p.words)
+	}
+	tbl := make([]wordkey.Slot, wordkey.TableSize(total))
+	out := &groupState{first: make([]int32, 0, total)}
+	into := make([][]int32, len(parts))
+	for pi, p := range parts {
+		into[pi] = make([]int32, len(p.words))
+		for sg, w := range p.words {
+			g, found := wordkey.Intern(tbl, w, len(out.first))
+			if !found {
+				out.first = append(out.first, p.first[sg])
+			}
+			into[pi][sg] = int32(g)
+		}
+	}
+	out.states = vp.newStates(len(out.first))
+	for i, st := range out.states {
+		for pi, p := range parts {
+			st.Merge(p.states[i], into[pi])
+		}
+	}
+	return out
+}
+
+// rows renders the groups in first-seen order: key values boxed from each
+// group's first image row, then the aggregate results. With no keys there is
+// one row even over empty input (SQL's global aggregation).
+func (vp *vecGroupPlan) rows(gs *groupState) []types.Row {
+	ng := len(gs.first)
+	if len(vp.keys) == 0 && ng == 0 {
+		ng = 1
+		gs.states = vp.newStates(1)
+	}
+	// One flat backing for every row (each a full-length sub-slice): a
+	// consumer that keeps the rows keeps one object, not one per group.
+	nk := len(vp.keys)
+	w := nk + len(gs.states)
+	flat := make([]types.Value, ng*w)
+	rows := make([]types.Row, ng)
+	for g := range rows {
+		row := flat[g*w : (g+1)*w : (g+1)*w]
+		if nk > 0 {
+			r := int(gs.first[g])
+			if vp.ridx != nil {
+				r = int(vp.ridx[r])
+			}
+			for j, c := range vp.keys {
+				row[j] = c.Value(r) // interp-ok: boxed once per output group, not per row
+			}
+		}
+		for i, st := range gs.states {
+			row[nk+i] = st.Result(g)
+		}
+		rows[g] = row
+	}
+	return rows
 }

@@ -120,6 +120,16 @@ func runGroupBy(t testing.TB, cat *catalog.Catalog, q string, opts Options) (str
 	return b.String(), ex
 }
 
+// groupByNote is the note of the statement's group-by line.
+func groupByNote(ex *Executor) string {
+	for _, op := range ex.ExecStats.Ops {
+		if op.Op == "group-by" {
+			return op.Note
+		}
+	}
+	return ""
+}
+
 // FuzzGroupBy: over random key and value columns, the batch group-by
 // returns, bit for bit, what the row path returns — groups in first-seen
 // order, float sums merged at the same morsel boundaries, MIN/MAX keeping

@@ -202,6 +202,7 @@ func identityOrdinals(ords []int, in *Result) bool {
 // A nil *keyEnc means the caller keeps the closure-based encoding path.
 type keyEnc struct {
 	cols []*colstore.Column
+	ords []int // each key's schema ordinal in the result's rows
 	ridx []int32
 }
 
@@ -224,7 +225,7 @@ func (ex *Executor) vecKeyEnc(res *Result, keys []sqlast.Expr) *keyEnc {
 		}
 		cols[i] = c
 	}
-	return &keyEnc{cols: cols, ridx: res.RowIdx}
+	return &keyEnc{cols: cols, ords: ords, ridx: res.RowIdx}
 }
 
 // imgRow maps result position i to its image row.
