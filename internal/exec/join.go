@@ -161,6 +161,29 @@ func (ex *Executor) buildJoinTable(buildRes *Result, buildKeys []sqlast.Expr, bu
 	return &joinTable{parts: []map[string][]int{table}}, nil
 }
 
+// rowSlab carves a probe morsel's combined rows out of chunks that grow
+// from 8 to 256 rows, so an output row is not an allocation of its own.
+// Every row has cap == len (a full-slice expression), so no consumer can
+// append into its neighbour; a row the residual rejects gives its space to
+// the next one.
+type rowSlab struct {
+	w     int
+	free  []types.Value
+	chunk int
+}
+
+// next is the space of the next row, free until keep takes it.
+func (rs *rowSlab) next() types.Row {
+	if len(rs.free) < rs.w {
+		rs.chunk = min(max(2*rs.chunk, 8), 256)
+		rs.free = make([]types.Value, rs.w*rs.chunk)
+	}
+	return rs.free[:rs.w:rs.w]
+}
+
+// keep takes the row next returned.
+func (rs *rowSlab) keep() { rs.free = rs.free[rs.w:] }
+
 func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*Result, error) {
 	// Build on the right side except for RIGHT OUTER, which builds left and
 	// probes right so the preserved side drives the output.
@@ -182,16 +205,22 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 
 	lw, rw := len(l.Schema.Cols), len(r.Schema.Cols)
 	combined := n.Schema()
-	combine := func(probe, build types.Row) types.Row {
-		row := make(types.Row, 0, lw+rw)
-		if probeIsLeft {
-			row = append(append(row, probe...), build...)
+	// combine lays probe and build (nil: NULLs) side by side in the next
+	// row space of rs, which the row takes only when the caller keeps it.
+	combine := func(rs *rowSlab, probe, build types.Row) types.Row {
+		row := rs.next()
+		left, right := row[:lw], row[lw:]
+		if !probeIsLeft {
+			left, right = right, left
+		}
+		copy(left, probe)
+		if build == nil {
+			clear(right)
 		} else {
-			row = append(append(row, build...), probe...)
+			copy(right, build)
 		}
 		return row
 	}
-	nullSide := func(w int) types.Row { return make(types.Row, w) }
 	preserve := n.Type == sqlast.JoinLeft || n.Type == sqlast.JoinRight
 
 	// carry: when both sides arrive with columnar provenance covering every
@@ -218,7 +247,9 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	probeMorsel := func(pctx, cctx *eval.Context, m morsel) (probeOut, error) {
 		var out probeOut
 		var kbuf []byte
+		rs := &rowSlab{w: lw + rw}
 		emit := func(row types.Row, pi int, bi int32) {
+			rs.keep()
 			out.rows = append(out.rows, row)
 			if carry {
 				out.probeIdx = append(out.probeIdx, resImgRow(probeRes, pi))
@@ -240,7 +271,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 			matched := false
 			if ok {
 				for _, bi := range table.lookup(kbuf) {
-					row := combine(probe, buildRes.Rows[bi])
+					row := combine(rs, probe, buildRes.Rows[bi])
 					if n.Residual != nil {
 						cctx.Binding.Row = row
 						pass, err := n.ResidualC.EvalBool(cctx)
@@ -256,11 +287,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 				}
 			}
 			if !matched && preserve {
-				if probeIsLeft {
-					emit(combine(probe, nullSide(rw)), i, -1)
-				} else {
-					emit(combine(probe, nullSide(lw)), i, -1)
-				}
+				emit(combine(rs, probe, nil), i, -1)
 			}
 		}
 		return out, nil
