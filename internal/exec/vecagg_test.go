@@ -156,3 +156,44 @@ func FuzzGroupBy(f *testing.F) {
 		}
 	})
 }
+
+// TestGroupByAllocsFollowMorsels: a batch GROUP BY over the same 40,000
+// rows allocates about as often for 100 groups as for 20,000 — per morsel,
+// not per group: no map, key string, boxed key row or accumulator object
+// per group, and each group's key boxed into one flat row backing.
+func TestGroupByAllocsFollowMorsels(t *testing.T) {
+	const rows = 40000
+	allocs := map[int]float64{}
+	for _, groups := range []int{100, 20000} {
+		cat := catalog.New()
+		tbl, err := cat.Create("t", types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "v", Kind: types.KindFloat}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]types.Row, rows)
+		for i := range in {
+			in[i] = types.Row{types.NewInt(int64(i % groups)), types.NewFloat(float64(i) * 0.5)}
+		}
+		if err := tbl.Insert(in...); err != nil {
+			t.Fatal(err)
+		}
+		cat.PublishAll()
+		q := `SELECT k, SUM(v), COUNT(*), MAX(v) FROM t GROUP BY k`
+		out, ex := runGroupBy(t, cat, q, Options{Workers: 1})
+		if note := groupByNote(ex); note != "keys=packed groups="+strconv.Itoa(groups)+" partials=40" {
+			t.Fatalf("%d groups: group-by line %q\n%s", groups, note, out[:min(len(out), 200)])
+		}
+		stmts, _ := parser.Parse(q)
+		allocs[groups] = testing.AllocsPerRun(5, func() {
+			ex := New(cat, Options{Workers: 1})
+			ex.Opts.PlanOpts = &plan.Options{Exec: ex}
+			if _, err := ex.ExecStatement(stmts[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := allocs[20000] - allocs[100]; d >= 64 || d <= -64 {
+		t.Errorf("allocations: %v for 100 groups, %v for 20,000; want them within 64", allocs[100], allocs[20000])
+	}
+	t.Logf("allocations: %v for 100 groups, %v for 20,000", allocs[100], allocs[20000])
+}

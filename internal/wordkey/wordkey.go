@@ -99,12 +99,12 @@ func (m *valueMap) add(v types.Value, ord uint32) {
 			return
 		}
 		if m.floats == nil {
-			m.floats = make(map[uint64]uint32)
+			m.floats = make(map[uint64]uint32) // alloc-ok: once per domain, on its first such value
 		}
 		m.floats[math.Float64bits(v.F)] = ord
 	case types.KindString:
 		if m.strs == nil {
-			m.strs = make(map[string]uint32)
+			m.strs = make(map[string]uint32) // alloc-ok: once per domain, on its first such value
 		}
 		m.strs[v.S] = ord
 	case types.KindBool:
@@ -118,7 +118,7 @@ func (m *valueMap) add(v types.Value, ord uint32) {
 
 func (m *valueMap) addInt(i int64, ord uint32) {
 	if m.ints == nil {
-		m.ints = make(map[int64]uint32)
+		m.ints = make(map[int64]uint32) // alloc-ok: once per domain, on its first such value
 	}
 	m.ints[i] = ord
 }
@@ -236,7 +236,7 @@ func NewLayout(width []uint8) *Layout {
 		total += int(w)
 	}
 	if total > 64 {
-		l.tuples = make(map[string]uint64)
+		l.tuples = make(map[string]uint64) // alloc-ok: once per layout, when its fields overflow a word
 	}
 	return l
 }

@@ -110,6 +110,41 @@ func TestExplainBucketRulesBatched(t *testing.T) {
 	}
 }
 
+// TestExplainGroupByKeys pins the group-by line of EXPLAIN ANALYZE: how the
+// keys were held — packed words, interned words when three INT columns
+// spanning 15 million values each overflow a word, or the row path's key
+// bytes for a key that is not a plain column — how many groups came out,
+// and how many partials merged (10 rows in 4-row morsels: 3).
+func TestExplainGroupByKeys(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE gk (r TEXT, x INT, y INT, z INT, s FLOAT)`)
+	db.MustExec(`INSERT INTO gk VALUES ('w',0,0,0,1), ('w',15000000,0,0,2), ('e',0,15000000,0,3), ('e',0,0,15000000,4),
+		('w',15000000,15000000,15000000,5), ('e',0,0,0,6), ('n',1,1,1,7), ('n',2,2,2,8), ('w',3,3,3,9), (NULL,4,4,4,10)`)
+	cfg := sqlsheet.Config{Workers: 2}
+	cfg.Ablate.DisablePlanCache, cfg.Ablate.Exec.MorselSize = true, 4
+	db.Configure(cfg)
+	for _, c := range []struct{ q, want string }{
+		{`SELECT r, SUM(s), COUNT(*) FROM gk GROUP BY r`, "keys=packed groups=4 partials=3"},
+		{`SELECT x, y, z, SUM(s) FROM gk GROUP BY x, y, z`, "keys=bytes(overflow) groups=9 partials=3"},
+		{`SELECT r || '!', MAX(s) FROM gk GROUP BY r || '!'`, "keys=row groups=4 partials=3"},
+		{`SELECT SUM(s) FROM gk WHERE s > 100`, "keys=packed groups=1 partials=1"},
+	} {
+		out, err := db.ExplainAnalyze(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := ""
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "group-by ") {
+				line = l
+			}
+		}
+		if !strings.HasSuffix(line, c.want) {
+			t.Errorf("%s: group-by line %q, want it to end in %q:\n%s", c.q, line, c.want, out)
+		}
+	}
+}
+
 // TestExplainSpreadsheetKeys pins the spreadsheet line of EXPLAIN ANALYZE:
 // how the structure keyed its cells — packed words, or byte keys when three
 // INT dimensions spanning 15 million values each overflow a word — and how
