@@ -250,10 +250,8 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 	tbl := make([]wordkey.Slot, wordkey.TableSize(n))
 	var key []byte
 	for i, w := range pw {
-		fi, ok := wordkey.Find(tbl, w)
-		if !ok {
-			fi = len(c.fword)
-			wordkey.Put(tbl, w, fi)
+		fi, seen := wordkey.Intern(tbl, w, len(c.fword))
+		if !seen {
 			h := uint32(fnvOffset32)
 			for p := 0; p < m.NPby; p++ {
 				key = cols.appendKey(key[:0], rows, lo+i, p)

@@ -173,61 +173,66 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 	if groupByParallelizable(n) {
 		nm = ex.morselCount(len(in.Rows))
 	}
-	morsels, workers := 0, 1
-	var rows []types.Row
-	var note string
+	var (
+		rows                       []types.Row
+		keys                       string
+		partials, morsels, workers int
+	)
 	if vp != nil {
-		parts := make([]*groupState, max(nm, 1))
-		if nm > 0 {
-			morsels, workers, err = ex.runMorsels(len(in.Rows), func(_ int, m morsel) error {
-				var err error
-				parts[m.Idx], err = vp.accumulate(in, m.Lo, m.Hi)
-				return err
-			})
-		} else {
-			parts[0], err = vp.accumulate(in, 0, len(in.Rows))
-		}
+		var parts []*groupState
+		parts, morsels, workers, err = eachPart(ex, len(in.Rows), nm, func(_, lo, hi int) (*groupState, error) {
+			return vp.accumulate(in, lo, hi)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rows = vp.rows(vp.merge(parts))
-		note = fmt.Sprintf("keys=%s groups=%d partials=%d", vp.keyNote(), len(rows), len(parts))
+		rows, keys, partials = vp.rows(vp.merge(parts)), vp.keyNote(), len(parts)
 	} else {
-		if rows, morsels, workers, err = ex.rowGroupBy(n, in, ke, outer, nm); err != nil {
+		wc := ex.workerCtxs(in.Schema, outer)
+		var parts []*groupAcc
+		parts, morsels, workers, err = eachPart(ex, len(in.Rows), nm, func(w, lo, hi int) (*groupAcc, error) {
+			acc := newGroupAcc()
+			return acc, acc.addRows(n, wc.get(w), in, ke, lo, hi)
+		})
+		if err != nil {
 			return nil, err
 		}
-		note = fmt.Sprintf("keys=row groups=%d partials=%d", len(rows), max(morsels, 1))
+		if rows, err = mergeGroupAccs(parts).rows(n); err != nil {
+			return nil, err
+		}
+		keys, partials = "row", len(parts)
 	}
-	ex.opLine("group-by", len(in.Rows), morsels, workers, start, note)
+	ex.opLine("group-by", len(in.Rows), morsels, workers, start, fmt.Sprintf("keys=%s groups=%d partials=%d", keys, len(rows), partials))
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 
-// rowGroupBy is the row path: per-row key bytes and boxed accumulators,
-// over nm morsels (0: serially).
-func (ex *Executor) rowGroupBy(n *plan.GroupBy, in *Result, ke *keyEnc, outer *eval.Binding, nm int) (rows []types.Row, morsels, workers int, err error) {
+// eachPart runs part over the input's nm morsels on the worker pool — or
+// once over all n rows, as worker 0, when nm is 0 — and returns the
+// partials in morsel order with the morsel count and the workers used.
+func eachPart[P any](ex *Executor, n, nm int, part func(w, lo, hi int) (P, error)) (parts []P, morsels, workers int, err error) {
 	if nm == 0 {
-		acc := newGroupAcc()
-		if err := acc.addRows(n, ex.ctx(in.Schema, nil, outer), in, ke, 0, len(in.Rows)); err != nil {
-			return nil, 0, 1, err
-		}
-		rows, err := acc.rows(n)
-		return rows, 0, 1, err
+		p, err := part(0, 0, n)
+		return []P{p}, 0, 1, err
 	}
-	partials := make([]*groupAcc, nm)
-	wc := ex.workerCtxs(in.Schema, outer)
-	morsels, workers, err = ex.runMorsels(len(in.Rows), func(w int, m morsel) error {
-		acc := newGroupAcc()
-		partials[m.Idx] = acc
-		return acc.addRows(n, wc.get(w), in, ke, m.Lo, m.Hi)
+	parts = make([]P, nm)
+	morsels, workers, err = ex.runMorsels(n, func(w int, m morsel) error {
+		var err error
+		parts[m.Idx], err = part(w, m.Lo, m.Hi)
+		return err
 	})
-	if err != nil {
-		return nil, morsels, workers, err
+	return parts, morsels, workers, err
+}
+
+// mergeGroupAccs merges the row path's partials in morsel order. Iterating
+// each partial's own first-seen order recovers the global first-seen
+// order: a group's first occurrence lies in the earliest morsel containing
+// it.
+func mergeGroupAccs(parts []*groupAcc) *groupAcc {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	// Merge partials in morsel order. Iterating each partial's own
-	// first-seen order recovers the global first-seen order: a group's
-	// first occurrence lies in the earliest morsel containing it.
 	global := newGroupAcc()
-	for _, p := range partials {
+	for _, p := range parts {
 		for _, gk := range p.order {
 			pg := p.groups[gk]
 			g := global.groups[gk]
@@ -241,6 +246,5 @@ func (ex *Executor) rowGroupBy(n *plan.GroupBy, in *Result, ke *keyEnc, outer *e
 			}
 		}
 	}
-	rows, err = global.rows(n)
-	return rows, morsels, workers, err
+	return global
 }
