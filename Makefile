@@ -44,13 +44,13 @@ recover-test:
 	$(GO) test -race -run 'TestRecover' ./internal/server/
 	$(GO) test -race -run 'TestWAL|TestLoadCSV' .
 
-# Fuzz gate: each of the twelve fuzz targets (SQL text, statement round-trip,
+# Fuzz gate: each of the thirteen fuzz targets (SQL text, statement round-trip,
 # the streaming text fingerprint against its definition over lex() tokens,
 # whole queries, rule kernels, expression kernels, typed sort keys against
 # the boxed sort order, window frames against a fresh accumulator per row,
-# the batch group-by on key words against the row path, the packed cell
-# index against a map keyed by key bytes, wire bytes against a live server,
-# WAL bytes) runs
+# the batch group-by on key words against the row path, the hash join on key
+# words against the nested loop, the packed cell index against a map keyed
+# by key bytes, wire bytes against a live server, WAL bytes) runs
 # for 3 s beyond its seed corpus. `go test
 # -fuzz` takes one target in one package per invocation, hence the list.
 # A finding is written under the package's testdata/fuzz/ and fails the gate.
@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortKeys$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowFrames$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupBy$$' -fuzztime 3s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzHashJoin$$' -fuzztime 3s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 3s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireProtocol$$' -fuzztime 3s ./internal/server/
@@ -72,9 +73,9 @@ fuzz-smoke:
 # inside the vectorized kernel files and the image derivation
 # (internal/colstore/derive.go: extend/patch/gather run once per written row
 # of every version) and the typed sort keys of ORDER BY and windows
-# (internal/exec/sortkeys.go, window.go) and the key words of the cell index
-# and the group-by (internal/wordkey) — these loops must stay on the
-# typed vectors. A deliberate
+# (internal/exec/sortkeys.go, window.go) and the key words of the cell index,
+# the group-by and the hash join (internal/wordkey, internal/exec/join.go) —
+# these loops must stay on the typed vectors. A deliberate
 # exception needs an `interp-ok:` comment on the same line justifying it (a
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
 # Columns have no boxed form any more — every column is one typed vector or
@@ -84,8 +85,9 @@ fuzz-smoke:
 # acyclic/vecrules/vecscan.go, in the driver's run/sequential/cyclic.go (the
 # ITERATE passes and fixpoint iterations reuse the PE's scratch), in
 # parbuild/reuse.go (the build allocates per bucket, not per frame), in the
-# batch group-by (internal/exec/vecagg.go: per morsel, not per group) or in
-# the key words (internal/wordkey: per domain or layout, not per key), needs an
+# batch group-by (internal/exec/vecagg.go: per morsel, not per group), in
+# the hash join (internal/exec/join.go: per morsel, not per key) or in the
+# key words (internal/wordkey: per domain or layout, not per key), needs an
 # `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
 # copy a shared row once and then write in place — see DESIGN.md §16).
 lint-hotpath:
@@ -93,7 +95,7 @@ lint-hotpath:
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
 		internal/exec/vecproject.go internal/core/vecscan.go internal/core/vecrules.go \
 		internal/colstore/derive.go internal/exec/sortkeys.go internal/exec/window.go \
-		internal/wordkey/wordkey.go internal/wordkey/reader.go \
+		internal/wordkey/wordkey.go internal/wordkey/reader.go internal/exec/join.go \
 		| grep -v 'interp-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \
@@ -104,7 +106,7 @@ lint-hotpath:
 	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
 		internal/core/vecrules.go internal/core/vecscan.go internal/core/parbuild.go internal/core/reuse.go \
 		internal/core/run.go internal/core/sequential.go internal/core/cyclic.go \
-		internal/exec/vecagg.go internal/wordkey/wordkey.go internal/wordkey/reader.go \
+		internal/exec/vecagg.go internal/exec/join.go internal/wordkey/wordkey.go internal/wordkey/reader.go \
 		| grep -v 'alloc-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated row clone or map allocation on the access structure's per-cell paths:"; \

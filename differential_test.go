@@ -1032,11 +1032,26 @@ func iterFramesDB(t testing.TB, db *sqlsheet.DB) {
 	})...)
 }
 
-// qualBindDB: f(p, t, s, c) as two PBY(g) partitions of three cells, c NULL.
+// qualBindDB: qb(g, t, s, c) as two PBY(g) partitions of three cells, c
+// NULL, and qn(t, s, c) as one partition whose t < s holds at t = 1 and 3.
 func qualBindDB(t testing.TB, db *sqlsheet.DB) {
 	db.MustExec(`CREATE TABLE qb (g INT, t INT, s FLOAT, c FLOAT)`)
 	insert(t, db, "qb", []any{1, 1, 10.0, nil}, []any{1, 2, 20.0, nil}, []any{1, 3, 30.0, nil},
 		[]any{2, 1, 40.0, nil}, []any{2, 2, 50.0, nil}, []any{2, 3, 60.0, nil})
+	db.MustExec(`CREATE TABLE qn (t INT, s INT, c INT)`)
+	insert(t, db, "qn", []any{1, 5, 0}, []any{2, 1, 0}, []any{3, 9, 0})
+}
+
+// nanKeysDB: FLOAT join keys na(k, x) and nb(k, y) with NaN, -0.0 against
+// 0.0, +Inf, an integral 2.0 against an INT 2 and NULL on both sides, and
+// a second key j.
+func nanKeysDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE na (k FLOAT, j INT, x INT)`)
+	db.MustExec(`CREATE TABLE nb (k FLOAT, j INT, y INT)`)
+	insert(t, db, "na", []any{math.NaN(), 1, 1}, []any{2.5, 1, 2}, []any{math.Copysign(0, -1), 1, 3},
+		[]any{math.Inf(1), 1, 4}, []any{nil, 1, 5}, []any{2.0, 1, 6}, []any{2.5, nil, 7})
+	insert(t, db, "nb", []any{math.NaN(), 1, 10}, []any{2.5, 1, 20}, []any{0.0, 1, 30},
+		[]any{math.Inf(1), 1, 40}, []any{nil, 1, 50}, []any{2.0, 1, 60}, []any{math.NaN(), nil, 70})
 }
 
 // groupWordsDB: 400 rows over every key kind the packed group words
@@ -1583,7 +1598,9 @@ func diffCorpus() []diffCase {
 		// top level and inside a cell reference's qualifier alike: each
 		// statement equals its cv() form (even statements), with or without
 		// an aggregate beside it, on a single-cell and an existential left
-		// side. A PBY column in a qualifier reads the partition value.
+		// side. A PBY column in a qualifier reads the partition value. A left
+		// side predicate reads its candidate row the same way, inside a
+		// nested cell reference too.
 		diffCase{name: "qualifier-binding", fixture: qualBindDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz", script: []string{
 			qualB + `( c[*] = s[t - 1] )` + byGT,
 			qualB + `( c[*] = s[cv(t) - 1] )` + byGT,
@@ -1595,6 +1612,7 @@ func diffCorpus() []diffCase {
 			qualB + `( c[2] = s[cv(t) - 1] + 100 * cv(t) )` + byGT,
 			qualB + `( c[*] = s[g] )` + byGT,
 			qualB + `( c[3] = s[g + 1] + 1 )` + byGT,
+			`SELECT t, s, c FROM qn SPREADSHEET DBY (t) MEA (s, c) RULES UPDATE ( c[t < s[t]] = 1 ) ORDER BY t`,
 		}, check: func(t *testing.T, ref []outcome) {
 			for i := 0; i < 8; i += 2 {
 				if ref[i].text(false) != ref[i+1].text(false) {
@@ -1614,6 +1632,7 @@ func diffCorpus() []diffCase {
 				{"c[2] = s[t - 1] + 100 * t", c(6, 1), f(210)},
 				{"c[*] = s[g] in partition 2", c(8, 4), f(50)},
 				{"c[3] = s[g + 1] + 1 in partition 1", c(9, 2), f(21)},
+				{"c[t < s[t]] = 1: s[t] reads the candidate row", strings.Join(ref[10].rows, ","), " I1 I5 I1, I2 I1 I0, I3 I9 I1"},
 			} {
 				if x.got != x.want {
 					t.Errorf("%s: %s, want %s", x.what, x.got, x.want)
@@ -1654,6 +1673,40 @@ func diffCorpus() []diffCase {
 			}
 			if n := len(ref[11].rows); n != 1 {
 				t.Errorf("a global aggregate over empty input returned %d rows, want 1", n)
+			}
+		}},
+		// A NaN key matches nothing on the hashed equality paths, as = says:
+		// the hash join (plain, two-key and computed keys, every join type)
+		// and IN over a subquery agree with the nested loop and the linear
+		// IN scan of push-subquery. -0.0 still meets 0.0, 2.0 meets 2.
+		diffCase{name: "nan-keys", fixture: nanKeysDB, configs: "exec plan served", script: []string{
+			`SELECT na.x, nb.y FROM na JOIN nb ON na.k = nb.k ORDER BY na.x, nb.y`,
+			`SELECT na.x, nb.y FROM na LEFT JOIN nb ON na.k = nb.k ORDER BY na.x, nb.y`,
+			`SELECT na.x, nb.y FROM na RIGHT JOIN nb ON na.k = nb.k ORDER BY nb.y, na.x`,
+			`SELECT na.x, nb.y FROM na JOIN nb ON na.k * 1 = nb.k AND na.j = nb.j ORDER BY na.x, nb.y`,
+			`SELECT na.x, nb.y FROM na JOIN nb ON na.j = nb.j AND na.k = nb.k AND na.x < nb.y ORDER BY na.x, nb.y`,
+			`SELECT x FROM na WHERE k IN (SELECT k FROM nb) ORDER BY x`,
+			`SELECT x, k IN (SELECT k FROM nb WHERE k IS NOT NULL), k NOT IN (SELECT k FROM nb) FROM na ORDER BY x`,
+		}, check: func(t *testing.T, ref []outcome) {
+			xs := func(i int) string {
+				var out []string
+				for _, r := range ref[i].rows {
+					out = append(out, strings.Fields(r)[0])
+				}
+				return strings.Join(out, " ")
+			}
+			for _, x := range []struct {
+				what, got, want string
+			}{
+				{"inner join", xs(0), "I2 I3 I4 I6 I7"},
+				{"left join", xs(1), "I1 I2 I3 I4 I5 I6 I7"},
+				{"computed key", xs(3), "I2 I3 I4 I6"},
+				{"IN", xs(5), "I2 I3 I4 I6 I7"},
+				{"NaN IN a list without NULL", ref[6].rows[0], " I1 B0 N"},
+			} {
+				if x.got != x.want {
+					t.Errorf("%s: %s, want %s", x.what, x.got, x.want)
+				}
 			}
 		}},
 		// Statements overwriting their own input measure, three runs each

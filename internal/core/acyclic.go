@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"sqlsheet/internal/eval"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
@@ -423,10 +422,10 @@ func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
 	if err := fe.qualConsts(r, consts); err != nil {
 		return nil, err
 	}
-	// Hoisted per rule: only the row binding varies per row.
-	pctx, pbind := &fe.predCtx, &fe.predBind
-	*pctx, *pbind = *fe.constCtx(), eval.Binding{BS: fe.bs}
-	pctx.Binding = pbind
+	// A predicate reads the candidate row as the right side reads its
+	// target: a bare column, also inside a nested cell reference's
+	// qualifier (c[t < s[t]]), reads the row.
+	pctx := fe.targetCtx()
 	out := fe.targets[:0]
 	var ferr error
 	fe.f.Each(func(pos int, row types.Row) bool {
@@ -437,7 +436,10 @@ func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
 			q := &r.Quals[i]
 			var ok bool
 			if q.Kind == sqlast.QualPred {
-				pbind.Row = row
+				if fe.spill {
+					row = row.Clone() // alloc-ok: spilling stores only, once per candidate row
+				}
+				pctx.Binding.Row = row
 				ok, ferr = fe.evalBool(pctx, q.Pred)
 			} else {
 				ok = q.matches(&consts[i], row[fe.m.NPby+i])

@@ -376,12 +376,10 @@ type frameEval struct {
 	spill bool
 
 	// Scratch of matchTargets and qualConsts, which never nest: the
-	// qualifier constants, the predicate context and the target list of the
-	// existential rule being applied.
-	consts   []qualConst
-	predCtx  eval.Context
-	predBind eval.Binding
-	targets  []int
+	// qualifier constants and the target list of the existential rule
+	// being applied.
+	consts  []qualConst
+	targets []int
 	// imgNeed and imgTodo are image's column lists: what a batch scan
 	// reads, and which of those the bucket's cache lacks.
 	imgNeed, imgTodo []int
@@ -532,14 +530,21 @@ func (fe *frameEval) constCtx() *eval.Context {
 // the partition binding (constCtx). A spilling store's row is copied: the
 // store may recycle it while the right side reads other cells.
 func (fe *frameEval) bindTarget(pos int) *eval.Context {
-	if fe.rowCtx == nil {
-		fe.rowCtx = fe.newCtx(nil, fe.cv, fe.constCtx())
-	}
+	ctx := fe.targetCtx()
 	row := fe.f.Row(pos)
 	if fe.spill {
 		row = row.Clone() // alloc-ok: spilling stores only, once per target
 	}
-	fe.rowCtx.Binding.Row = row
+	ctx.Binding.Row = row
+	return ctx
+}
+
+// targetCtx is the context bindTarget binds, which matchTargets binds to
+// each candidate row of a left-side predicate.
+func (fe *frameEval) targetCtx() *eval.Context {
+	if fe.rowCtx == nil {
+		fe.rowCtx = fe.newCtx(nil, fe.cv, fe.constCtx())
+	}
 	return fe.rowCtx
 }
 

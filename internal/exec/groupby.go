@@ -45,38 +45,25 @@ func newGroupAcc() *groupAcc {
 	return &groupAcc{groups: map[string]*group{}}
 }
 
-// addRows aggregates rows [lo, hi) of in into acc. When ke is non-nil the
-// grouping key bytes come straight from columnar vectors and key values are
-// only materialized for first-seen groups; the bytes and values are
-// identical to the closure path's.
-func (acc *groupAcc) addRows(n *plan.GroupBy, ctx *eval.Context, in *Result, ke *keyEnc, lo, hi int) error {
+// addRows aggregates rows [lo, hi) of in into acc, evaluating the keys and
+// aggregate arguments row by row.
+func (acc *groupAcc) addRows(n *plan.GroupBy, ctx *eval.Context, in *Result, lo, hi int) error {
 	for ri := lo; ri < hi; ri++ {
-		row := in.Rows[ri]
-		ctx.Binding.Row = row
-		if ke != nil {
-			acc.keyBuf = ke.groupKeyInto(acc.keyBuf, ri)
-		} else {
-			acc.keyBuf = acc.keyBuf[:0]
-			acc.keyVals = acc.keyVals[:0]
-			for _, k := range n.KeysC {
-				v, err := k.Eval(ctx)
-				if err != nil {
-					return err
-				}
-				acc.keyVals = append(acc.keyVals, v)
-				acc.keyBuf = types.AppendKey(acc.keyBuf, v)
+		ctx.Binding.Row = in.Rows[ri]
+		acc.keyBuf = acc.keyBuf[:0]
+		acc.keyVals = acc.keyVals[:0]
+		for _, k := range n.KeysC {
+			v, err := k.Eval(ctx)
+			if err != nil {
+				return err
 			}
+			acc.keyVals = append(acc.keyVals, v)
+			acc.keyBuf = types.AppendKey(acc.keyBuf, v)
 		}
 		g := acc.groups[string(acc.keyBuf)]
 		if g == nil {
 			var err error
-			var keys types.Row
-			if ke != nil {
-				keys = ke.keyVals(ri)
-			} else {
-				keys = append(types.Row(nil), acc.keyVals...)
-			}
-			g, err = newGroup(n, keys)
+			g, err = newGroup(n, append(types.Row(nil), acc.keyVals...))
 			if err != nil {
 				return err
 			}
@@ -167,8 +154,7 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 		return nil, err
 	}
 	start := time.Now()
-	ke := ex.vecKeyEnc(in, n.Keys)
-	vp := ex.vecGroupPlan(n, in, ke)
+	vp := ex.vecGroupPlan(n, in)
 	nm := 0
 	if groupByParallelizable(n) {
 		nm = ex.morselCount(len(in.Rows))
@@ -186,13 +172,13 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 		if err != nil {
 			return nil, err
 		}
-		rows, keys, partials = vp.rows(vp.merge(parts)), vp.keyNote(), len(parts)
+		rows, keys, partials = vp.rows(vp.merge(parts)), keyNote(vp.lay), len(parts)
 	} else {
 		wc := ex.workerCtxs(in.Schema, outer)
 		var parts []*groupAcc
 		parts, morsels, workers, err = eachPart(ex, len(in.Rows), nm, func(w, lo, hi int) (*groupAcc, error) {
 			acc := newGroupAcc()
-			return acc, acc.addRows(n, wc.get(w), in, ke, lo, hi)
+			return acc, acc.addRows(n, wc.get(w), in, lo, hi)
 		})
 		if err != nil {
 			return nil, err

@@ -2,12 +2,15 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
+	"sqlsheet/internal/wordkey"
 )
 
 // execJoin dispatches on join type and method. Hash joins build one hash
@@ -43,122 +46,167 @@ func (ex *Executor) execJoin(n *plan.Join, outer *eval.Binding) (*Result, error)
 	return nil, fmt.Errorf("exec: unknown join method")
 }
 
-// evalKeysInto computes a composite join key into buf (reused across rows
-// by each caller, so steady-state probing does not allocate); ok is false
-// when any key value is NULL (SQL equality never matches NULLs).
-func evalKeysInto(buf []byte, ctx *eval.Context, row types.Row, keys []eval.CompiledExpr) ([]byte, bool, error) {
+// evalKeys evaluates a row's join keys into out, in key order up to the
+// first NULL, and reports whether every key was non-NULL. A NULL equals
+// nothing, so the keys after it are not evaluated (and raise no error).
+func evalKeys(ctx *eval.Context, row types.Row, keysC []eval.CompiledExpr, out types.Row) (bool, error) {
 	ctx.Binding.Row = row
-	buf = buf[:0]
-	for _, k := range keys {
+	for j, k := range keysC {
 		v, err := k.Eval(ctx)
+		if err != nil || v.IsNull() {
+			return false, err
+		}
+		out[j] = v
+	}
+	return true, nil
+}
+
+// matchable reports whether no key value of row (at ords) is NULL or NaN:
+// SQL's = holds for neither, so such a build row joins nothing.
+func matchable(row types.Row, ords []int) bool {
+	for _, o := range ords {
+		if v := row[o]; v.IsNull() || isNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// isNaN reports whether v is a FLOAT NaN, which = never holds for although
+// its key (types.AppendKey, a domain ordinal) matches itself.
+func isNaN(v types.Value) bool { return v.K == types.KindFloat && v.F != v.F }
+
+// joinBuild is the hash join's build side on key words (package wordkey),
+// the scheme of the batch group-by and the spreadsheet access structure:
+// each key has a domain over the build rows, a row's ordinals pack into one
+// word (interned words when the fields pass 64 bits), and a word table
+// gives each distinct word a dense id k whose build rows, ascending, are
+// rows[offs[k]:offs[k+1]]. A row whose key holds a NULL or a NaN is in no
+// list.
+type joinBuild struct {
+	rds   []wordkey.Reader
+	lay   *wordkey.Layout
+	slots []wordkey.Slot
+	offs  []int32
+	rows  []int32
+}
+
+// buildJoin keys the build side. A plain key column reads the image column
+// where the side carries provenance and the boxed rows where it does not;
+// computed keys are evaluated once per row into key rows. Key rows and
+// words are computed per morsel on the pool; the domains and the one Intern
+// pass that numbers the words run in row order, so ids and row lists are
+// the same at every worker count.
+func (ex *Executor) buildJoin(res *Result, keys []sqlast.Expr, keysC []eval.CompiledExpr, outer *eval.Binding) (*joinBuild, error) {
+	start := time.Now()
+	n, nk := len(res.Rows), len(keys)
+	nm := 0
+	if !anyHasSubquery(keys) {
+		nm = ex.morselCount(n)
+	}
+	ords, cols := ex.keyCols(res, keys)
+	rows := res.Rows
+	if ords == nil {
+		ords = seq(nk)
+		wc := ex.workerCtxs(res.Schema, outer)
+		parts, _, _, err := eachPart(ex, n, nm, func(w, lo, hi int) ([]types.Row, error) {
+			flat := make([]types.Value, (hi-lo)*nk)
+			krs := make([]types.Row, hi-lo)
+			for i := range krs {
+				krs[i] = flat[i*nk : (i+1)*nk : (i+1)*nk]
+				if _, err := evalKeys(wc.get(w), res.Rows[lo+i], keysC, krs[i]); err != nil {
+					return nil, err
+				}
+			}
+			return krs, nil
+		})
 		if err != nil {
-			return buf, false, err
-		}
-		if v.IsNull() {
-			return buf, false, nil
-		}
-		buf = types.AppendKey(buf, v)
-	}
-	return buf, true, nil
-}
-
-// joinTable is the hash-join build side: one map when built serially, or N
-// hash-partitioned maps (partition = fnv32a(key)%N) when built in parallel,
-// so build workers never share a write target and probes stay lock-free.
-// Row-index lists are always in ascending row order — identical to the
-// serial build — so probe output order matches the serial engine exactly.
-type joinTable struct {
-	parts []map[string][]int
-}
-
-// lookup probes with a byte key; the string conversions in the map index
-// expressions are recognized by the compiler and do not allocate.
-func (t *joinTable) lookup(k []byte) []int {
-	if len(t.parts) == 1 {
-		return t.parts[0][string(k)]
-	}
-	return t.parts[fnv32aBytes(k)%uint32(len(t.parts))][string(k)]
-}
-
-// joinEntry is one build row's key, staged during the partition phase.
-type joinEntry struct {
-	key string
-	row int
-}
-
-// buildJoinTable hashes the build side. Large inputs run the morsel-parallel
-// two-phase build: workers first partition each morsel's keys by
-// fnv32a(key)%N into per-morsel buckets, then N partition tasks assemble
-// their hash table by draining the buckets in morsel order (keeping row
-// indices ascending). No global lock is ever taken.
-func (ex *Executor) buildJoinTable(buildRes *Result, buildKeys []sqlast.Expr, buildKeysC []eval.CompiledExpr, outer *eval.Binding) (*joinTable, error) {
-	ke := ex.vecKeyEnc(buildRes, buildKeys)
-	nm := ex.morselCount(len(buildRes.Rows))
-	if nm > 0 && !anyHasSubquery(buildKeys) {
-		np := ex.workers()
-		staged := make([][][]joinEntry, nm) // [morsel][partition][]entry
-		wc := ex.workerCtxs(buildRes.Schema, outer)
-		if _, err := ex.forEachMorsel("join-build", len(buildRes.Rows), func(w int, m morsel) error {
-			ctx := wc.get(w)
-			local := make([][]joinEntry, np)
-			var buf []byte
-			for i := m.Lo; i < m.Hi; i++ {
-				var ok bool
-				var err error
-				if ke != nil {
-					buf, ok = ke.keyInto(buf, i)
-				} else {
-					buf, ok, err = evalKeysInto(buf, ctx, buildRes.Rows[i], buildKeysC)
-					if err != nil {
-						return err
-					}
-				}
-				if ok {
-					k := string(buf) // stored in the table; must own its bytes
-					p := fnv32a(k) % uint32(np)
-					local[p] = append(local[p], joinEntry{key: k, row: i})
-				}
-			}
-			staged[m.Idx] = local
-			return nil
-		}); err != nil {
 			return nil, err
 		}
-		parts := make([]map[string][]int, np)
-		if err := ex.parallelN(np, func(p int) error {
-			mp := make(map[string][]int, len(buildRes.Rows)/np+1)
-			for _, local := range staged {
-				for _, e := range local[p] {
-					mp[e.key] = append(mp[e.key], e.row)
-				}
-			}
-			parts[p] = mp
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return &joinTable{parts: parts}, nil
+		rows = stitch(parts)
 	}
 
-	bctx := ex.ctx(buildRes.Schema, nil, outer)
-	table := make(map[string][]int, len(buildRes.Rows))
-	var buf []byte
-	for i, row := range buildRes.Rows {
-		var ok bool
-		var err error
-		if ke != nil {
-			buf, ok = ke.keyInto(buf, i)
-		} else {
-			buf, ok, err = evalKeysInto(buf, bctx, row, buildKeysC)
-			if err != nil {
-				return nil, err
-			}
+	jb := &joinBuild{rds: make([]wordkey.Reader, nk)}
+	width := make([]uint8, nk)
+	for j := range jb.rds {
+		var c *colstore.Column
+		if cols != nil {
+			c = cols[j]
 		}
-		if ok {
-			table[string(buf)] = append(table[string(buf)], i)
+		jb.rds[j] = wordkey.NewReader(c, res.RowIdx, rows, ords[j])
+		width[j] = wordkey.ExactWidth(jb.rds[j].Dom.Size())
+	}
+	jb.lay = wordkey.NewLayout(width)
+	var pre []uint64
+	if !jb.lay.Packed() {
+		pre = wordkey.InternRows(rows, jb.rds, jb.lay)
+	}
+	parts, morsels, workers, err := eachPart(ex, n, nm, func(_, lo, hi int) ([]uint64, error) {
+		words := make([]uint64, hi-lo)
+		wordkey.RowWords(rows, jb.rds, jb.lay, pre, lo, make([]uint32, hi-lo), words)
+		return words, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Number the distinct words in first-seen order, counting each one's
+	// rows into offs[id+1]; then lay the rows out by id, ascending.
+	jb.slots = make([]wordkey.Slot, wordkey.TableSize(n))
+	ids := make([]int32, n)
+	offs := make([]int32, n+1)
+	distinct, i := 0, 0
+	for _, words := range parts {
+		for _, w := range words {
+			ids[i] = -1
+			if matchable(rows[i], ords) {
+				id, found := wordkey.Intern(jb.slots, w, distinct)
+				if !found {
+					distinct++
+				}
+				offs[id+1]++
+				ids[i] = int32(id)
+			}
+			i++
 		}
 	}
-	return &joinTable{parts: []map[string][]int{table}}, nil
+	jb.offs = offs[:distinct+1]
+	for id := 1; id <= distinct; id++ {
+		jb.offs[id] += jb.offs[id-1]
+	}
+	jb.rows = make([]int32, jb.offs[distinct])
+	next := slices.Clone(jb.offs[:distinct])
+	for i, id := range ids {
+		if id >= 0 {
+			jb.rows[next[id]] = int32(i)
+			next[id]++
+		}
+	}
+	ex.opLine("join-build", n, morsels, workers, start, fmt.Sprintf("keys=%s distinct=%d", keyNote(jb.lay), distinct))
+	return jb, nil
+}
+
+// match returns the build rows whose key has the ordinals of tuple, in
+// ascending order; buf is the byte-key scratch.
+func (jb *joinBuild) match(tuple []uint32, buf *[]byte) []int32 {
+	w, ok := jb.lay.Word(tuple, buf)
+	if !ok {
+		return nil
+	}
+	id, ok := wordkey.Find(jb.slots, w)
+	if !ok {
+		return nil
+	}
+	return jb.rows[jb.offs[id]:jb.offs[id+1]]
+}
+
+// seq is 0, 1, ..., n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 // rowSlab carves a probe morsel's combined rows out of chunks that grow
@@ -198,10 +246,11 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		probeIsLeft = false
 	}
 
-	table, err := ex.buildJoinTable(buildRes, buildKeys, buildKeysC, outer)
+	jb, err := ex.buildJoin(buildRes, buildKeys, buildKeysC, outer)
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 
 	lw, rw := len(l.Schema.Cols), len(r.Schema.Cols)
 	combined := n.Schema()
@@ -234,19 +283,38 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	carry := !ex.Opts.Engine.DisableVectorizedExec &&
 		vecOK(probeRes) && vecOK(buildRes) && vecCovers(probeRes) && vecCovers(buildRes)
 
-	// probeMorsel probes one row range against the (now read-only) table.
+	// A probe key reaches the build's ordinals from its image column a
+	// morsel at a time (Domain.ColOrds, through the worker's dictionary
+	// translations), or else from its boxed value (Domain.Ord): a plain
+	// column of the probe rows, or the compiled key evaluated per row. A
+	// value in no domain, a NULL and a NaN match nothing.
+	nk := len(probeKeys)
+	pOrds, pCols := ex.keyCols(probeRes, probeKeys)
+	keyed := pOrds != nil
+	if !keyed {
+		pOrds = seq(nk)
+	}
+	xcs := make([]wordkey.XlatCache, ex.workers())
+	pwc := ex.workerCtxs(probeRes.Schema, outer)
+	cwc := ex.workerCtxs(combined, outer)
+	nm := 0
+	if !anyHasSubquery(probeKeys) && !sqlast.HasSubquery(n.Residual) {
+		nm = ex.morselCount(len(probeRes.Rows))
+	}
+
+	// Each morsel probes its row range against the (now read-only) build.
 	// Each probe row's matches arrive in ascending build-row order, and
 	// outer-join preservation is decided per probe row, so per-morsel
 	// outputs stitched in morsel order equal the serial output exactly.
-	pke := ex.vecKeyEnc(probeRes, probeKeys)
 	type probeOut struct {
 		rows     []types.Row
 		probeIdx []int32 // probe-side image row per output row (carry only)
 		buildIdx []int32 // build-side image row, -1 = null-extended (carry only)
+		matches  int
 	}
-	probeMorsel := func(pctx, cctx *eval.Context, m morsel) (probeOut, error) {
+	parts, morsels, workers, err := eachPart(ex, len(probeRes.Rows), nm, func(w, lo, hi int) (probeOut, error) {
 		var out probeOut
-		var kbuf []byte
+		pctx, cctx := pwc.get(w), cwc.get(w)
 		rs := &rowSlab{w: lw + rw}
 		emit := func(row types.Row, pi int, bi int32) {
 			rs.keep()
@@ -256,61 +324,91 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 				out.buildIdx = append(out.buildIdx, bi)
 			}
 		}
-		for i := m.Lo; i < m.Hi; i++ {
-			probe := probeRes.Rows[i]
-			var ok bool
-			var err error
-			if pke != nil {
-				kbuf, ok = pke.keyInto(kbuf, i)
+		tuple := make([]uint32, nk)
+		var kbuf []byte
+		var colOrds [][]uint32
+		if pCols != nil {
+			img := probeRes.RowIdx
+			if img == nil {
+				img = seq32(lo, hi)
 			} else {
-				kbuf, ok, err = evalKeysInto(kbuf, pctx, probe, probeKeysC)
-				if err != nil {
-					return out, err
+				img = img[lo:hi]
+			}
+			colOrds = make([][]uint32, nk)
+			for j, c := range pCols {
+				colOrds[j] = make([]uint32, hi-lo)
+				jb.rds[j].Dom.ColOrds(c, img, colOrds[j], &xcs[w])
+			}
+		}
+		keyRow := make(types.Row, nk)
+		for i := lo; i < hi; i++ {
+			probe := probeRes.Rows[i]
+			ok := true
+			if colOrds != nil {
+				for j := range tuple {
+					tuple[j] = colOrds[j][i-lo]
+					ok = ok && tuple[j] != wordkey.NoOrd
+				}
+			} else {
+				kr := probe
+				if !keyed {
+					var err error
+					if ok, err = evalKeys(pctx, probe, probeKeysC, keyRow); err != nil {
+						return out, err
+					}
+					kr = keyRow
+				}
+				for j := 0; ok && j < nk; j++ {
+					tuple[j], ok = jb.rds[j].Dom.Ord(kr[pOrds[j]])
 				}
 			}
-			matched := false
+			var bis []int32
 			if ok {
-				for _, bi := range table.lookup(kbuf) {
-					row := combine(rs, probe, buildRes.Rows[bi])
-					if n.Residual != nil {
-						cctx.Binding.Row = row
-						pass, err := n.ResidualC.EvalBool(cctx)
-						if err != nil {
-							return out, err
-						}
-						if !pass {
-							continue
-						}
+				bis = jb.match(tuple, &kbuf)
+			}
+			matched := false
+			for _, bi := range bis {
+				row := combine(rs, probe, buildRes.Rows[bi])
+				if n.Residual != nil {
+					cctx.Binding.Row = row
+					pass, err := n.ResidualC.EvalBool(cctx)
+					if err != nil {
+						return out, err
 					}
-					matched = true
-					emit(row, i, resImgRow(buildRes, bi))
+					if !pass {
+						continue
+					}
 				}
+				matched = true
+				out.matches++
+				emit(row, i, resImgRow(buildRes, int(bi)))
 			}
 			if !matched && preserve {
 				emit(combine(rs, probe, nil), i, -1)
 			}
 		}
 		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// joinResult assembles the output from morsel-ordered parts, gathering
-	// the provenance image when carry is on.
-	joinResult := func(parts []probeOut) *Result {
-		total := 0
+	// Assemble the output from morsel-ordered parts, gathering the
+	// provenance image when carry is on.
+	total, matches := 0, 0
+	for _, p := range parts {
+		total += len(p.rows)
+		matches += p.matches
+	}
+	var rows []types.Row
+	if total > 0 {
+		rows = make([]types.Row, 0, total)
 		for _, p := range parts {
-			total += len(p.rows)
+			rows = append(rows, p.rows...)
 		}
-		var rows []types.Row
-		if total > 0 {
-			rows = make([]types.Row, 0, total)
-			for _, p := range parts {
-				rows = append(rows, p.rows...)
-			}
-		}
-		res := &Result{Schema: combined, Rows: rows}
-		if !carry {
-			return res
-		}
+	}
+	res := &Result{Schema: combined, Rows: rows}
+	if carry {
 		probeIdx := make([]int32, 0, total)
 		buildIdx := make([]int32, 0, total)
 		for _, p := range parts {
@@ -330,34 +428,18 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 			img.Cols[boff+j] = colstore.Gather(vecCol(buildRes, j), buildIdx)
 		}
 		res.Img = img
-		return res
 	}
+	ex.opLine("join-probe", len(probeRes.Rows), morsels, workers, start, fmt.Sprintf("matches=%d", matches))
+	return res, nil
+}
 
-	nm := ex.morselCount(len(probeRes.Rows))
-	if nm > 0 && !anyHasSubquery(probeKeys) && !sqlast.HasSubquery(n.Residual) {
-		parts := make([]probeOut, nm)
-		pwc := ex.workerCtxs(probeRes.Schema, outer)
-		cwc := ex.workerCtxs(combined, outer)
-		if _, err := ex.forEachMorsel("join-probe", len(probeRes.Rows), func(w int, m morsel) error {
-			out, err := probeMorsel(pwc.get(w), cwc.get(w), m)
-			if err != nil {
-				return err
-			}
-			parts[m.Idx] = out
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return joinResult(parts), nil
+// seq32 is lo, lo+1, ..., hi-1.
+func seq32(lo, hi int) []int32 {
+	s := make([]int32, hi-lo)
+	for i := range s {
+		s[i] = int32(lo + i)
 	}
-
-	pctx := ex.ctx(probeRes.Schema, nil, outer)
-	cctx := ex.ctx(combined, nil, outer)
-	out, err := probeMorsel(pctx, cctx, morsel{Lo: 0, Hi: len(probeRes.Rows)})
-	if err != nil {
-		return nil, err
-	}
-	return joinResult([]probeOut{out}), nil
+	return s
 }
 
 func (ex *Executor) nestedLoopJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*Result, error) {

@@ -1,9 +1,16 @@
 package exec
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"sqlsheet/internal/catalog"
+	"sqlsheet/internal/parser"
+	"sqlsheet/internal/plan"
 	"sqlsheet/internal/types"
 )
 
@@ -53,3 +60,168 @@ func TestJoinRowsFromChunks(t *testing.T) {
 }
 
 func itoa(i int) string { return types.NewInt(int64(i)).String() }
+
+// joinCase fills a(k0…, x) and b(k0…, y) with na and nb rows over nkeys key
+// columns of drawn kinds — dictionary strings over different dictionaries
+// on the two sides, INT over a narrow range, INT spanning more than 2^24
+// values, FLOAT with -0.0, 0.0, NaN and ±Inf, integral FLOATs on one side
+// against INTs on the other, BOOL, and INTs spanning 15 million values, of
+// which three overflow a word — each with NULLs, and returns a join over
+// them. The flags pick the join type, a residual, a computed key on either
+// side, and a filter that makes the left side a selection of its image.
+func joinCase(t testing.TB, seed int64, nkeys, na, nb int, flags uint8) (*catalog.Catalog, string) {
+	rng := rand.New(rand.NewSource(seed))
+	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 1.5, 2}
+	kinds := make([]int, nkeys)
+	for j := range kinds {
+		kinds[j] = rng.Intn(7)
+	}
+	draw := func(kind int, side int) types.Value {
+		if rng.Intn(9) == 0 {
+			return types.Null
+		}
+		switch kind {
+		case 0:
+			return types.NewString("s" + strconv.Itoa(rng.Intn(6)+3*side))
+		case 1:
+			return types.NewInt(int64(rng.Intn(5)) - 2)
+		case 2:
+			return types.NewInt(int64(rng.Intn(4)) << 30)
+		case 3:
+			return types.NewFloat(floats[rng.Intn(len(floats))])
+		case 4:
+			if side == 0 {
+				return types.NewFloat([]float64{math.Copysign(0, -1), 1, 2, 2.5, 3}[rng.Intn(5)])
+			}
+			return types.NewInt(int64(rng.Intn(4)))
+		case 5:
+			return types.NewBool(rng.Intn(2) == 0)
+		}
+		return types.NewInt([]int64{0, 5, 15000000}[rng.Intn(3)])
+	}
+	cat := catalog.New()
+	for side, name := range []string{"a", "b"} {
+		var cols []types.Column
+		for j := range kinds {
+			cols = append(cols, types.Column{Name: "k" + strconv.Itoa(j)})
+		}
+		cols = append(cols, types.Column{Name: []string{"x", "y"}[side], Kind: types.KindInt})
+		tbl, err := cat.Create(name, types.NewSchema(cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Row, []int{na, nb}[side])
+		for i := range rows {
+			for _, kind := range kinds {
+				rows[i] = append(rows[i], draw(kind, side))
+			}
+			rows[i] = append(rows[i], types.NewInt(int64(rng.Intn(6))))
+		}
+		if err := tbl.Insert(rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.PublishAll()
+	var on []string
+	for j := range kinds {
+		l, r := "a.k"+strconv.Itoa(j), "b.k"+strconv.Itoa(j)
+		if j == 0 && flags&8 != 0 {
+			l = "CASE WHEN a.x >= 0 THEN " + l + " END"
+		}
+		if j == 0 && flags&16 != 0 {
+			r = "CASE WHEN b.y >= 0 THEN " + r + " END"
+		}
+		on = append(on, l+" = "+r)
+	}
+	if flags&4 != 0 {
+		on = append(on, "a.x <= b.y")
+	}
+	q := "SELECT * FROM a " + []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "JOIN"}[flags&3] + " b ON " + strings.Join(on, " AND ")
+	if flags&32 != 0 {
+		q += " WHERE a.x <> 1"
+	}
+	return cat, q
+}
+
+// FuzzHashJoin: over random key columns, the hash join on key words returns
+// what the nested loop returns — the same rows in the same order (probe
+// order, then ascending build row), every value in kind and bits — for
+// INNER, LEFT and RIGHT joins, with and without a residual, with and
+// without columnar provenance, at one worker and at four, for any morsel
+// size. A NULL or a NaN key matches nothing, as = says.
+func FuzzHashJoin(f *testing.F) {
+	for _, s := range []struct {
+		seed               int64
+		nkeys, na, nb, mor uint8
+		flags              uint8
+	}{{1, 1, 60, 40, 4, 0}, {2, 2, 100, 80, 16, 1}, {3, 3, 70, 90, 7, 2}, {4, 3, 120, 50, 9, 4 | 32},
+		{5, 1, 40, 0, 3, 1 | 8}, {6, 2, 0, 30, 1, 2 | 16}, {7, 3, 90, 90, 31, 64 | 5}, {8, 2, 50, 60, 5, 64 | 8 | 16 | 2}} {
+		f.Add(s.seed, s.nkeys, s.na, s.nb, s.mor, s.flags)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nkeys, na, nb, mor, flags uint8) {
+		cat, q := joinCase(t, seed, 1+int(nkeys%3), int(na), int(nb), flags)
+		for _, workers := range []int{1, 4} {
+			opts := Options{Workers: workers, Ablate: Ablation{MorselSize: 1 + int(mor%32)}}
+			opts.Engine.DisableVectorizedExec = flags&64 != 0
+			loop := opts
+			loop.PlanOpts = &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinNestedLoop}}
+			want, _ := runBits(t, cat, q, loop)
+			got, ex := runBits(t, cat, q, opts)
+			if got != want {
+				t.Fatalf("%s (workers %d, morsel %d, provenance %v):\nhash\n%s\nnested loop\n%s", q, workers,
+					opts.Ablate.MorselSize, flags&64 == 0, got, want)
+			}
+			if opNote(ex, "join-build") == "" {
+				t.Fatalf("%s: no hash join ran", q)
+			}
+		}
+	})
+}
+
+// TestHashJoinAllocsFollowMorsels: a LEFT JOIN of 40,000 probe rows to
+// 20,000 build rows allocates about as often when the build holds 100
+// distinct keys as when it holds 20,000 — per morsel, not per key: the
+// build's words sit in one slot table and one row list, with no map entry,
+// key string or row slice per key. No probe key matches, so both joins emit
+// the same 40,000 null-extended rows.
+func TestHashJoinAllocsFollowMorsels(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, keys := range []int{100, 20000} {
+		cat := catalog.New()
+		for _, tb := range []struct {
+			name string
+			n    int
+			key  func(i int) int64
+		}{{"p", 40000, func(i int) int64 { return -1 - int64(i%1000) }}, {"d", 20000, func(i int) int64 { return int64(i % keys) }}} {
+			tbl, err := cat.Create(tb.name, types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "v", Kind: types.KindFloat}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]types.Row, tb.n)
+			for i := range in {
+				in[i] = types.Row{types.NewInt(tb.key(i)), types.NewFloat(float64(i) * 0.5)}
+			}
+			if err := tbl.Insert(in...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat.PublishAll()
+		q := `SELECT COUNT(*) FROM p LEFT JOIN d ON p.k = d.k`
+		out, ex := runBits(t, cat, q, Options{Workers: 1})
+		if note := opNote(ex, "join-build"); note != "keys=packed distinct="+strconv.Itoa(keys) {
+			t.Fatalf("%d keys: join-build line %q\n%s", keys, note, out)
+		}
+		stmts, _ := parser.Parse(q)
+		allocs[keys] = testing.AllocsPerRun(5, func() {
+			ex := New(cat, Options{Workers: 1})
+			ex.Opts.PlanOpts = &plan.Options{Exec: ex}
+			if _, err := ex.ExecStatement(stmts[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := allocs[20000] - allocs[100]; d >= 64 || d <= -64 {
+		t.Errorf("allocations: %v for 100 keys, %v for 20,000; want them within 64", allocs[100], allocs[20000])
+	}
+	t.Logf("allocations: %v for 100 keys, %v for 20,000", allocs[100], allocs[20000])
+}

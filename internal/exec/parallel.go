@@ -219,29 +219,6 @@ func (ex *Executor) runMorsels(n int, fn func(worker int, m morsel) error) (mors
 	return len(ms), w, nil
 }
 
-// parallelN runs fn(0..n-1) on the worker pool. Used for partition-wise
-// phases (hash-join partition merges) whose task count is already small; no
-// morsel threshold and no stats entry of its own.
-func (ex *Executor) parallelN(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	ex.runPool(n, func(int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			errs[i] = fn(i)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runPool executes work on up to min(workers, tasks) goroutines, drawing
 // extra slots from the shared budget; the calling goroutine is always worker
 // 0. Returns the number of workers used.
@@ -297,34 +274,6 @@ func (wc *workerCtxs) get(w int) *eval.Context {
 		wc.ctxs[w] = wc.proto.Clone()
 	}
 	return wc.ctxs[w]
-}
-
-// fnv32a hashes a composite key for hash-partition selection (FNV-1a).
-func fnv32a(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-// fnv32aBytes is fnv32a over a byte slice, for allocation-free probe keys.
-func fnv32aBytes(b []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= prime32
-	}
-	return h
 }
 
 // stitch concatenates per-morsel outputs in morsel order, preserving the

@@ -102,7 +102,8 @@ func (r *runner) Exists(sub *sqlast.SelectStmt, outer *eval.Binding) (bool, erro
 	return len(res.Rows) > 0, nil
 }
 
-// valSet is a hashed membership index over a subquery's first column.
+// valSet is a hashed membership index over a subquery's first column. A
+// NaN is in no set, as eval.InMembership's types.Equal says.
 type valSet struct {
 	set     map[string]bool
 	sawNull bool
@@ -124,7 +125,7 @@ func (vs *valSet) contains(v types.Value) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	if vs.set[types.Key(v)] {
+	if !isNaN(v) && vs.set[types.Key(v)] {
 		return types.NewBool(true)
 	}
 	if vs.sawNull {

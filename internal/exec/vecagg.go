@@ -68,11 +68,12 @@ type vecGroupPlan struct {
 // path rejects — e.g. strings under SUM's argument arithmetic — fall back
 // whole-operator and raise the identical error), or an aggregate without a
 // batch accumulator.
-func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result, ke *keyEnc) *vecGroupPlan {
+func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result) *vecGroupPlan {
 	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(in) {
 		return nil
 	}
-	if len(n.Keys) > 0 && ke == nil {
+	ords, cols := ex.keyCols(in, n.Keys)
+	if len(n.Keys) > 0 && cols == nil {
 		return nil
 	}
 	vp := &vecGroupPlan{specs: make([]vecAggSpec, len(n.Aggs))}
@@ -102,13 +103,11 @@ func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result, ke *keyEnc) *vecGr
 		}
 		vp.specs[i] = s
 	}
-	width := make([]uint8, len(n.Keys))
-	if ke != nil {
-		vp.keys, vp.ridx = ke.cols, ke.ridx
-		for j, c := range ke.cols {
-			vp.rds = append(vp.rds, wordkey.NewReader(c, ke.ridx, in.Rows, ke.ords[j]))
-			width[j] = wordkey.ExactWidth(vp.rds[j].Dom.Size())
-		}
+	vp.keys, vp.ridx = cols, in.RowIdx
+	width := make([]uint8, len(cols))
+	for j, c := range cols {
+		vp.rds = append(vp.rds, wordkey.NewReader(c, in.RowIdx, in.Rows, ords[j]))
+		width[j] = wordkey.ExactWidth(vp.rds[j].Dom.Size())
 	}
 	vp.lay = wordkey.NewLayout(width)
 	if !vp.lay.Packed() {
@@ -117,9 +116,9 @@ func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result, ke *keyEnc) *vecGr
 	return vp
 }
 
-// keyNote says how the group-by keyed its groups, for EXPLAIN ANALYZE.
-func (vp *vecGroupPlan) keyNote() string {
-	if vp.lay.Packed() {
+// keyNote says how a layout keys its tuples, for EXPLAIN ANALYZE.
+func keyNote(lay *wordkey.Layout) string {
+	if lay.Packed() {
 		return "packed"
 	}
 	return "bytes(overflow)"

@@ -91,14 +91,19 @@ func groupByCase(t testing.TB, seed int64, nkeys, n int) (*catalog.Catalog, stri
 	return cat, q
 }
 
-// runGroupBy runs q with opts and renders every value as its kind and bits.
-func runGroupBy(t testing.TB, cat *catalog.Catalog, q string, opts Options) (string, *Executor) {
+// runBits runs q with opts (of opts.PlanOpts, only the optimizer's
+// toggles count) and renders every value as its kind and bits.
+func runBits(t testing.TB, cat *catalog.Catalog, q string, opts Options) (string, *Executor) {
 	stmts, err := parser.Parse(q)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, q)
 	}
 	ex := New(cat, opts)
-	ex.Opts.PlanOpts = &plan.Options{Exec: ex, Engine: opts.Engine}
+	po := &plan.Options{Exec: ex, Engine: opts.Engine}
+	if opts.PlanOpts != nil {
+		po.Ablate = opts.PlanOpts.Ablate
+	}
+	ex.Opts.PlanOpts = po
 	res, err := ex.ExecStatement(stmts[0])
 	if err != nil {
 		return "error: " + err.Error(), ex
@@ -120,11 +125,11 @@ func runGroupBy(t testing.TB, cat *catalog.Catalog, q string, opts Options) (str
 	return b.String(), ex
 }
 
-// groupByNote is the note of the statement's group-by line.
-func groupByNote(ex *Executor) string {
-	for _, op := range ex.ExecStats.Ops {
-		if op.Op == "group-by" {
-			return op.Note
+// opNote is the note of the statement's line for op.
+func opNote(ex *Executor, op string) string {
+	for _, o := range ex.ExecStats.Ops {
+		if o.Op == op {
+			return o.Note
 		}
 	}
 	return ""
@@ -148,8 +153,8 @@ func FuzzGroupBy(f *testing.F) {
 			opts := Options{Workers: workers, Ablate: Ablation{MorselSize: 1 + int(mor%32)}}
 			row := opts
 			row.Engine.DisableVectorizedExec = true
-			want, _ := runGroupBy(t, cat, q, row)
-			got, _ := runGroupBy(t, cat, q, opts)
+			want, _ := runBits(t, cat, q, row)
+			got, _ := runBits(t, cat, q, opts)
 			if got != want {
 				t.Fatalf("%s (workers %d, morsel %d):\nbatch\n%s\nrow\n%s", q, workers, opts.Ablate.MorselSize, got, want)
 			}
@@ -179,8 +184,8 @@ func TestGroupByAllocsFollowMorsels(t *testing.T) {
 		}
 		cat.PublishAll()
 		q := `SELECT k, SUM(v), COUNT(*), MAX(v) FROM t GROUP BY k`
-		out, ex := runGroupBy(t, cat, q, Options{Workers: 1})
-		if note := groupByNote(ex); note != "keys=packed groups="+strconv.Itoa(groups)+" partials=40" {
+		out, ex := runBits(t, cat, q, Options{Workers: 1})
+		if note := opNote(ex, "group-by"); note != "keys=packed groups="+strconv.Itoa(groups)+" partials=40" {
 			t.Fatalf("%d groups: group-by line %q\n%s", groups, note, out[:min(len(out), 200)])
 		}
 		stmts, _ := parser.Parse(q)

@@ -15,15 +15,14 @@ import (
 // kernels over whole morsels of row positions instead of evaluating the
 // predicate row by row. Results that remain a pure selection/permutation of
 // an image carry provenance (Result.Img/RowIdx/ColMap) so downstream
-// filters run kernels too, and join/group-by/partition builds encode their
+// filters run kernels too, and join/group-by/partition builds read their
 // keys straight from the vectors.
 //
 // Everything here is byte-identical to the row-at-a-time engine: kernels
 // replicate the compiled-closure semantics exactly (see eval.CompileSelKernel),
-// filter outputs are the same row pointers in the same order, and key
-// encoding uses colstore.Column.AppendKey, which is pinned to
-// types.AppendKey's byte format. core.Ablation.DisableVectorizedExec ablates the
-// whole layer.
+// filter outputs are the same row pointers in the same order, and a key
+// column's ordinals (package wordkey) keep types.AppendKey's equivalence.
+// core.Ablation.DisableVectorizedExec ablates the whole layer.
 
 // vecOK reports whether r carries well-formed columnar provenance: Rows[i]
 // is image row RowIdx[i] (identity when RowIdx is nil, in which case the
@@ -198,67 +197,23 @@ func identityOrdinals(ords []int, in *Result) bool {
 	return true
 }
 
-// keyEnc encodes composite join/group keys straight from columnar vectors.
-// A nil *keyEnc means the caller keeps the closure-based encoding path.
-type keyEnc struct {
-	cols []*colstore.Column
-	ords []int // each key's schema ordinal in the result's rows
-	ridx []int32
-}
-
-// vecKeyEnc builds a columnar key encoder for keys over res, or nil when
-// vectorized execution is off, res carries no usable provenance, or any key
-// is not a plain column reference.
-func (ex *Executor) vecKeyEnc(res *Result, keys []sqlast.Expr) *keyEnc {
-	if ex.Opts.Engine.DisableVectorizedExec || !vecOK(res) {
-		return nil
-	}
+// keyCols resolves keys that are plain column references of res to their
+// schema ordinals (nil when some key is not one) and, when res carries
+// provenance serving every one of them and vectorized execution is on, to
+// their image columns (nil otherwise): the key columns of the batch
+// group-by and of the hash join.
+func (ex *Executor) keyCols(res *Result, keys []sqlast.Expr) ([]int, []*colstore.Column) {
 	ords, ok := plainOrdinals(res.Schema, keys)
-	if !ok {
-		return nil
+	if !ok || ex.Opts.Engine.DisableVectorizedExec || !vecOK(res) {
+		return ords, nil
 	}
 	cols := make([]*colstore.Column, len(ords))
 	for i, ord := range ords {
-		c := vecCol(res, ord)
-		if c == nil {
-			return nil
+		if cols[i] = vecCol(res, ord); cols[i] == nil {
+			return ords, nil
 		}
-		cols[i] = c
 	}
-	return &keyEnc{cols: cols, ords: ords, ridx: res.RowIdx}
-}
-
-// imgRow maps result position i to its image row.
-func (k *keyEnc) imgRow(i int) int {
-	if k.ridx != nil {
-		return int(k.ridx[i])
-	}
-	return i
-}
-
-// keyInto mirrors evalKeysInto: it appends the composite key for result
-// position i to buf[:0]; ok is false when any key value is NULL.
-func (k *keyEnc) keyInto(buf []byte, i int) ([]byte, bool) {
-	r := k.imgRow(i)
-	buf = buf[:0]
-	for _, c := range k.cols {
-		if c.IsNull(r) {
-			return buf, false
-		}
-		buf = c.AppendKey(buf, r)
-	}
-	return buf, true
-}
-
-// groupKeyInto appends the composite grouping key for result position i to
-// buf[:0]. Unlike join keys, grouping keys include NULLs.
-func (k *keyEnc) groupKeyInto(buf []byte, i int) []byte {
-	r := k.imgRow(i)
-	buf = buf[:0]
-	for _, c := range k.cols {
-		buf = c.AppendKey(buf, r)
-	}
-	return buf
+	return ords, cols
 }
 
 // vecColSource exposes res's leading nOrds columns as a core.ColSource for
@@ -286,16 +241,4 @@ func (ex *Executor) vecColSource(res *Result, nOrds int) *core.ColSource {
 		return nil
 	}
 	return &core.ColSource{Cols: cols, RowIdx: res.RowIdx}
-}
-
-// keyVals materializes the grouping key values for result position i (only
-// called when a new group is inserted, so the steady-state loop stays free
-// of per-row value construction).
-func (k *keyEnc) keyVals(i int) types.Row {
-	r := k.imgRow(i)
-	out := make(types.Row, len(k.cols))
-	for j, c := range k.cols {
-		out[j] = c.Value(r) // interp-ok: boxed once per new group, not per row
-	}
-	return out
 }

@@ -299,8 +299,12 @@ func orderFloatInt(f float64, i int64) int {
 }
 
 // AppendKey appends a canonical byte encoding of v to buf. Two values encode
-// identically iff Equal(a, b); the encoding is self-delimiting so tuples of
-// values can be concatenated into composite keys.
+// identically iff Equal(a, b), with one exception: a NaN encodes by its
+// bits, so it matches a NaN of the same bits although Equal holds for no
+// NaN. Grouping (GROUP BY, DISTINCT, cell keys) keeps that; the hashed
+// equality paths (the hash join, IN) treat a NaN as matching nothing. The
+// encoding is self-delimiting so tuples of values can be concatenated into
+// composite keys.
 func AppendKey(buf []byte, v Value) []byte {
 	v = NormNum(v)
 	switch v.K {

@@ -145,6 +145,54 @@ func TestExplainGroupByKeys(t *testing.T) {
 	}
 }
 
+// TestExplainJoinKeys pins the hash join's two lines of EXPLAIN ANALYZE:
+// the build's key words — packed, or interned when three INT columns
+// spanning 15 million values each overflow a word — with its distinct keys,
+// and the probe's matches, for a plain key, the overflowing key, a computed
+// key (a NULL r keys nothing) and a join whose sides are both below the
+// morsel threshold, which still prints both lines, with no morsels.
+func TestExplainJoinKeys(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE ja (r TEXT, x INT, y INT, z INT, s FLOAT)`)
+	db.MustExec(`CREATE TABLE jb (r TEXT, x INT, y INT, z INT, s FLOAT)`)
+	db.MustExec(`INSERT INTO ja VALUES ('w',0,0,0,1), ('w',15000000,0,0,2), ('e',0,15000000,0,3), ('e',0,0,15000000,4),
+		('w',15000000,15000000,15000000,5), ('e',0,0,0,6), ('n',1,1,1,7), ('n',2,2,2,8), ('w',3,3,3,9), (NULL,4,4,4,10)`)
+	db.MustExec(`INSERT INTO jb VALUES ('w',0,0,0,1), ('w',15000000,0,0,2), ('e',0,15000000,0,3), ('n',15000000,15000000,15000000,4),
+		(NULL,1,1,1,5), ('e',2,2,2,6), ('x',0,0,0,7), ('w',3,3,3,8)`)
+	cfg := sqlsheet.Config{Workers: 2}
+	cfg.Ablate.DisablePlanCache, cfg.Ablate.Exec.MorselSize = true, 4
+	db.Configure(cfg)
+	for _, c := range []struct {
+		q, build, probe string
+		serial          bool
+	}{
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r`, "keys=packed distinct=4", "matches=20", false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.x = jb.x AND ja.y = jb.y AND ja.z = jb.z`, "keys=bytes(overflow) distinct=7", "matches=10", false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r || '!' = jb.r || '!'`, "keys=packed distinct=4", "matches=20", false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r WHERE ja.s < 4 AND jb.s < 4`, "keys=packed distinct=2", "matches=5", true},
+	} {
+		out, err := db.ExplainAnalyze(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := map[string]string{}
+		for _, l := range strings.Split(out, "\n") {
+			if op, _, ok := strings.Cut(l, " "); ok && (op == "join-build" || op == "join-probe") {
+				lines[op] = l
+			}
+		}
+		for op, want := range map[string]string{"join-build": c.build, "join-probe": c.probe} {
+			l := lines[op]
+			if !strings.HasSuffix(l, "  "+want) {
+				t.Errorf("%s: %s line %q, want it to end in %q:\n%s", c.q, op, l, want, out)
+			}
+			if f := strings.Fields(l); c.serial && (len(f) < 3 || f[2] != "0") {
+				t.Errorf("%s: %s line %q, want no morsels", c.q, op, l)
+			}
+		}
+	}
+}
+
 // TestExplainSpreadsheetKeys pins the spreadsheet line of EXPLAIN ANALYZE:
 // how the structure keyed its cells — packed words, or byte keys when three
 // INT dimensions spanning 15 million values each overflow a word — and how
