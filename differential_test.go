@@ -1076,6 +1076,35 @@ func groupWordsDB(t testing.TB, db *sqlsheet.DB) {
 		[]any{"r4", "even"}, []any{"r5", "odd"}, []any{"r6", nil})
 }
 
+// joinConsumersDB: a fact jf(id, k, n, f, v) of 300 rows and a dimension
+// jd(k, grp, w, x) whose k repeats (a fact row matches up to three), misses
+// the fact's key 'k7', adds 'k9' no fact row has and a NULL key. f holds
+// -0.0 before 0.0, NaN, infinities and NULL; grp is NULL for one key.
+func joinConsumersDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE jf (id INT, k TEXT, n INT, f FLOAT, v FLOAT)`)
+	db.MustExec(`CREATE TABLE jd (k TEXT, grp TEXT, w INT, x FLOAT)`)
+	fs := []any{math.Copysign(0, -1), 1.5, math.NaN(), 0.0, math.Inf(1), nil, 2.0, math.Inf(-1)}
+	insert(t, db, "jf", rowsOf(300, func(i int) []any {
+		return []any{i, maybe(i%23, func() any { return fmt.Sprintf("k%d", i%8) }), maybe(i%17, func() any { return i%5 - 2 }),
+			fs[i%len(fs)], []float64{0.1, 1e16, 0.2, -1e16, 0.3}[i%5] * float64(1+i%3)}
+	})...)
+	var dim [][]any
+	for k := 0; k < 10; k++ {
+		if k == 7 {
+			continue
+		}
+		for j := 0; j <= k%3; j++ {
+			grp := any([]string{"even", "odd"}[k%2])
+			if k == 5 {
+				grp = nil
+			}
+			dim = append(dim, []any{fmt.Sprintf("k%d", k), grp, 10*k + j, float64(k) / 4})
+		}
+	}
+	dim = append(dim, []any{nil, "none", 99, 0.5})
+	insert(t, db, "jd", dim...)
+}
+
 // typedQueries sweep the filter shapes the kernel compiler supports and a
 // few it must decline, joins and group-bys on plain-column keys, compute
 // projections and batch aggregates over typedDB.
@@ -1673,6 +1702,43 @@ func diffCorpus() []diffCase {
 			}
 			if n := len(ref[11].rows); n != 1 {
 				t.Errorf("a global aggregate over empty input returned %d rows, want 1", n)
+			}
+		}},
+		// A hash join under each consumer: the batch group-by on a
+		// dictionary, INT, FLOAT and computed (non-dictionary) string key,
+		// the row-path group-by, filters, a computed projection, sorts, a
+		// window, DISTINCT, UNION ALL, LIMIT, a spreadsheet, a join over a
+		// join, and LEFT and RIGHT joins whose NULL extension meets a
+		// residual or not. Positions or rows, the bytes are the row path's.
+		diffCase{name: "join-consumers", fixture: joinConsumersDB, configs: "exec plan served fuzz", script: []string{
+			`SELECT d.grp, SUM(f.v), COUNT(*), MIN(f.f), MAX(d.x) FROM jf f JOIN jd d ON f.k = d.k GROUP BY d.grp`,
+			`SELECT f.n, d.w, SUM(f.v), COUNT(f.f) FROM jf f JOIN jd d ON f.k = d.k GROUP BY f.n, d.w`,
+			`SELECT f.f, SUM(f.v), COUNT(*), AVG(d.x) FROM jf f JOIN jd d ON f.k = d.k GROUP BY f.f`,
+			`SELECT q.kk, SUM(q.v), COUNT(*) FROM (SELECT f.k || '/' || d.grp AS kk, f.v * d.w AS v FROM jf f JOIN jd d ON f.k = d.k) q GROUP BY q.kk`,
+			`SELECT f.n % 3, SUM(f.v), COUNT(*) FROM jf f JOIN jd d ON f.k = d.k GROUP BY f.n % 3`,
+			`SELECT f.id, d.w FROM jf f JOIN jd d ON f.k = d.k WHERE d.w > 40 AND f.v > 0.15`,
+			`SELECT f.id, d.w FROM jf f JOIN jd d ON f.k = d.k WHERE f.v * d.w > 5 OR d.grp IS NULL`,
+			`SELECT f.id, f.v * 2 + d.w, d.grp || '!', f.f FROM jf f JOIN jd d ON f.k = d.k`,
+			`SELECT f.id, d.grp, f.v, d.w FROM jf f JOIN jd d ON f.k = d.k ORDER BY d.grp, f.v DESC, f.id, d.w`,
+			`SELECT f.id, d.w, f.v FROM jf f JOIN jd d ON f.k = d.k ORDER BY f.v * d.w, f.id, d.w`,
+			`SELECT f.id, d.w, SUM(f.v) OVER (PARTITION BY d.grp ORDER BY f.id, d.w) FROM jf f JOIN jd d ON f.k = d.k ORDER BY f.id, d.w`,
+			`SELECT DISTINCT d.grp, f.n FROM jf f JOIN jd d ON f.k = d.k`,
+			`SELECT f.id, d.w FROM jf f JOIN jd d ON f.k = d.k UNION ALL SELECT f.id, d.w FROM jf f LEFT JOIN jd d ON f.k = d.k AND d.w > 50`,
+			`SELECT f.id, d.k, d.w FROM jf f JOIN jd d ON f.k = d.k ORDER BY f.id DESC, d.w LIMIT 7`,
+			`SELECT COUNT(*) FROM (SELECT f.id FROM jf f JOIN jd d ON f.k = d.k LIMIT 5) q`,
+			`SELECT id, w, v, u FROM (SELECT f.id AS id, d.w AS w, f.v AS v FROM jf f JOIN jd d ON f.k = d.k) q
+			 SPREADSHEET DBY (id, w) MEA (v, 0 u) ( UPDATE u[*, *] = v[cv(id), cv(w)] * 2 + v[cv(id) - 8, cv(w)] ) ORDER BY id, w`,
+			`SELECT f.id, d.w, e.w FROM jf f JOIN jd d ON f.k = d.k JOIN jd e ON d.grp = e.grp AND d.w < e.w`,
+			`SELECT f.id, d.w FROM jf f LEFT JOIN jd d ON f.k = d.k`,
+			`SELECT f.id, d.w FROM jf f LEFT JOIN jd d ON f.k = d.k AND f.v < d.w`,
+			`SELECT f.id, d.k, d.w FROM jf f RIGHT JOIN jd d ON f.k = d.k`,
+			`SELECT f.id, d.k, d.w FROM jf f RIGHT JOIN jd d ON f.k = d.k AND f.n > 0`,
+			`SELECT d.grp, COUNT(f.id), SUM(f.v) FROM jf f RIGHT JOIN jd d ON f.k = d.k AND f.n > 0 GROUP BY d.grp`,
+		}, check: func(t *testing.T, ref []outcome) {
+			for i, o := range ref {
+				if o.err != "" || len(o.rows) == 0 {
+					t.Errorf("statement %d: error %q, %d rows; want rows", i, o.err, len(o.rows))
+				}
 			}
 		}},
 		// A NaN key matches nothing on the hashed equality paths, as = says:

@@ -3,9 +3,12 @@ package colstore
 import "sqlsheet/internal/types"
 
 // Table is the column-major image of a row relation. Rows is the source
-// row slice the image was built from: vectorized filters emit these very
-// row values (never re-materialized ones), so results are pointer-identical
-// to what the row-at-a-time path produces.
+// row slice the image was built from, when there is one: vectorized filters
+// over a stored table emit these very row values (never re-materialized
+// ones), so results are pointer-identical to what the row-at-a-time path
+// produces. An image the executor assembles from positions — a join's
+// gathered output, a batch projection computed over it — has no Rows: its
+// rows exist only once a consumer boxes them from the columns.
 type Table struct {
 	NRows int
 	Cols  []*Column

@@ -118,7 +118,7 @@ func (r *RefMeta) Load(rows []types.Row) error {
 	width := make([]uint8, nd)
 	ords := make([][]uint32, nd)
 	for d := range ix.doms {
-		rd := wordkey.NewReader(nil, nil, rows, d)
+		rd := wordkey.NewReader(nil, nil, rows, len(rows), d)
 		ix.doms[d] = rd.Dom
 		ords[d] = make([]uint32, len(rows))
 		rd.Fill(rows, 0, ords[d])

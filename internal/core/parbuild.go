@@ -94,7 +94,7 @@ func (cs *ColSource) reader(rows []types.Row, ord int) wordkey.Reader {
 	if cs != nil {
 		ridx = cs.RowIdx
 	}
-	return wordkey.NewReader(cs.column(ord), ridx, rows, ord)
+	return wordkey.NewReader(cs.column(ord), ridx, rows, len(rows), ord)
 }
 
 // buildKeys holds a build's domains and word layouts.
@@ -122,10 +122,10 @@ func newBuildKeys(m *Model, rows []types.Row, cs *ColSource) *buildKeys {
 	}
 	bk.pbyLay, bk.dbyLay = wordkey.NewLayout(pw), wordkey.NewLayout(dw)
 	if !bk.pbyLay.Packed() {
-		bk.pbyWords = wordkey.InternRows(rows, bk.pby, bk.pbyLay)
+		bk.pbyWords = wordkey.InternRows(rows, len(rows), bk.pby, bk.pbyLay)
 	}
 	if !bk.dbyLay.Packed() {
-		bk.dbyWords = wordkey.InternRows(rows, bk.dby, bk.dbyLay)
+		bk.dbyWords = wordkey.InternRows(rows, len(rows), bk.dby, bk.dbyLay)
 	}
 	return bk
 }

@@ -95,6 +95,11 @@ type Options struct {
 // Downstream operators use the provenance for batch kernels and columnar
 // key encoding; operators that cannot maintain it drop it, which is always
 // correct (the row path is the source of truth).
+//
+// Rows may be nil when Img is set: the result is then its positions only
+// (Len rows, image row RowIdx[i] or i), the image serves every schema
+// column, and rows exist only once boxed (box.go). Only the executor's own
+// operators see that form; Execute always returns rows.
 type Result struct {
 	Schema *eval.BoundSchema
 	Rows   []types.Row
@@ -165,9 +170,10 @@ func (ex *Executor) checkCtx() error {
 	}
 }
 
-// Execute runs a plan node. outer supplies correlation bindings for
-// subquery plans; nil at the top level.
-func (ex *Executor) Execute(n plan.Node, outer *eval.Binding) (*Result, error) {
+// run runs a plan node; its result may leave the rows unboxed (see
+// box.go). Operators that read images call it for their input, every other
+// one calls Execute.
+func (ex *Executor) run(n plan.Node, outer *eval.Binding) (*Result, error) {
 	if err := ex.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -231,7 +237,7 @@ func (ex *Executor) Execute(n plan.Node, outer *eval.Binding) (*Result, error) {
 		}
 		return in, nil
 	case *plan.Alias:
-		in, err := ex.Execute(x.Input, outer)
+		in, err := ex.run(x.Input, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -341,18 +347,21 @@ func (ex *Executor) scanRows(src []types.Row, schema *eval.BoundSchema, filter s
 }
 
 func (ex *Executor) execFilter(n *plan.Filter, outer *eval.Binding) (*Result, error) {
-	in, err := ex.Execute(n.Input, outer)
+	in, err := ex.run(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
 	if !ex.Opts.Engine.DisableVectorizedExec && vecRunnable(in, n.CondK) {
 		return ex.vecFilter(in, n.CondK, in.Schema)
 	}
+	if in, err = ex.boxed(in); err != nil {
+		return nil, err
+	}
 	return ex.scanRows(in.Rows, in.Schema, n.Cond, n.CondC, outer)
 }
 
 func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, error) {
-	in, err := ex.Execute(n.Input, outer)
+	in, err := ex.run(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -369,6 +378,10 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 				// stores them; operators build fresh output rows), so
 				// sharing them is safe, as Alias does.
 				return &Result{Schema: n.Schema(), Rows: in.Rows, Img: in.Img, RowIdx: in.RowIdx, ColMap: in.ColMap}, nil
+			}
+			if in.unboxed() {
+				// Positions in, positions out: only the column map changes.
+				return &Result{Schema: n.Schema(), Img: in.Img, RowIdx: in.RowIdx, ColMap: composeCols(in, ords)}, nil
 			}
 			rows := make([]types.Row, len(in.Rows))
 			gather := func(m morsel) {
@@ -402,15 +415,7 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 				}
 				return true
 			}() {
-				cmap := make([]int, len(ords))
-				for j, o := range ords {
-					if in.ColMap != nil {
-						cmap[j] = in.ColMap[o]
-					} else {
-						cmap[j] = o
-					}
-				}
-				res.Img, res.RowIdx, res.ColMap = in.Img, in.RowIdx, cmap
+				res.Img, res.RowIdx, res.ColMap = in.Img, in.RowIdx, composeCols(in, ords)
 			}
 			return res, nil
 		}
@@ -420,6 +425,9 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 	// fresh columnar image (see vecproject.go).
 	if res, err, ok := ex.execProjectVec(n, in); ok {
 		return res, err
+	}
+	if in, err = ex.boxed(in); err != nil {
+		return nil, err
 	}
 	projectMorsel := func(ctx *eval.Context, rows []types.Row, m morsel) error {
 		for i := m.Lo; i < m.Hi; i++ {
@@ -454,6 +462,20 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 		return nil, err
 	}
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
+}
+
+// composeCols is the column map of a projection reading in's schema
+// ordinals ords: each one's image column.
+func composeCols(in *Result, ords []int) []int {
+	cmap := make([]int, len(ords))
+	for j, o := range ords {
+		if in.ColMap != nil {
+			cmap[j] = in.ColMap[o]
+		} else {
+			cmap[j] = o
+		}
+	}
+	return cmap
 }
 
 // anyHasSubquery reports whether any expression contains a subquery; such

@@ -149,15 +149,21 @@ func groupByParallelizable(n *plan.GroupBy) bool {
 // never on the worker count — the result (floating-point accumulation
 // included) is bit-identical for every Workers setting.
 func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, error) {
-	in, err := ex.Execute(n.Input, outer)
+	in, err := ex.run(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	vp := ex.vecGroupPlan(n, in)
+	if vp == nil {
+		if in, err = ex.boxed(in); err != nil {
+			return nil, err
+		}
+	}
+	nr := in.Len()
 	nm := 0
 	if groupByParallelizable(n) {
-		nm = ex.morselCount(len(in.Rows))
+		nm = ex.morselCount(nr)
 	}
 	var (
 		rows                       []types.Row
@@ -166,7 +172,7 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 	)
 	if vp != nil {
 		var parts []*groupState
-		parts, morsels, workers, err = eachPart(ex, len(in.Rows), nm, func(_, lo, hi int) (*groupState, error) {
+		parts, morsels, workers, err = eachPart(ex, nr, nm, func(_, lo, hi int) (*groupState, error) {
 			return vp.accumulate(in, lo, hi)
 		})
 		if err != nil {
@@ -176,7 +182,7 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 	} else {
 		wc := ex.workerCtxs(in.Schema, outer)
 		var parts []*groupAcc
-		parts, morsels, workers, err = eachPart(ex, len(in.Rows), nm, func(w, lo, hi int) (*groupAcc, error) {
+		parts, morsels, workers, err = eachPart(ex, nr, nm, func(w, lo, hi int) (*groupAcc, error) {
 			acc := newGroupAcc()
 			return acc, acc.addRows(n, wc.get(w), in, lo, hi)
 		})
@@ -188,7 +194,7 @@ func (ex *Executor) execGroupBy(n *plan.GroupBy, outer *eval.Binding) (*Result, 
 		}
 		keys, partials = "row", len(parts)
 	}
-	ex.opLine("group-by", len(in.Rows), morsels, workers, start, fmt.Sprintf("keys=%s groups=%d partials=%d", keys, len(rows), partials))
+	ex.opLine("group-by", nr, morsels, workers, start, fmt.Sprintf("keys=%s groups=%d partials=%d", keys, len(rows), partials))
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 

@@ -18,11 +18,11 @@ import (
 // the full ON condition per pair. The ANSI-join cost model the paper
 // compares against (one hash table per join) lives here.
 func (ex *Executor) execJoin(n *plan.Join, outer *eval.Binding) (*Result, error) {
-	l, err := ex.Execute(n.L, outer)
+	l, err := ex.run(n.L, outer)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ex.Execute(n.R, outer)
+	r, err := ex.run(n.R, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +72,16 @@ func matchable(row types.Row, ords []int) bool {
 	return true
 }
 
+// matchableAt is matchable for image row r of key columns cols.
+func matchableAt(cols []*colstore.Column, r int) bool {
+	for _, c := range cols {
+		if c.IsNull(r) || c.Kind == types.KindFloat && c.Floats[r] != c.Floats[r] {
+			return false
+		}
+	}
+	return true
+}
+
 // isNaN reports whether v is a FLOAT NaN, which = never holds for although
 // its key (types.AppendKey, a domain ordinal) matches itself.
 func isNaN(v types.Value) bool { return v.K == types.KindFloat && v.F != v.F }
@@ -92,19 +102,26 @@ type joinBuild struct {
 }
 
 // buildJoin keys the build side. A plain key column reads the image column
-// where the side carries provenance and the boxed rows where it does not;
-// computed keys are evaluated once per row into key rows. Key rows and
-// words are computed per morsel on the pool; the domains and the one Intern
-// pass that numbers the words run in row order, so ids and row lists are
-// the same at every worker count.
+// where the side carries provenance (no row is read: res may be unboxed)
+// and the boxed rows where it does not; computed keys are evaluated once per
+// row into key rows, over res boxed. Key rows and words are computed per
+// morsel on the pool; the domains and the one Intern pass that numbers the
+// words run in row order, so ids and row lists are the same at every worker
+// count.
 func (ex *Executor) buildJoin(res *Result, keys []sqlast.Expr, keysC []eval.CompiledExpr, outer *eval.Binding) (*joinBuild, error) {
 	start := time.Now()
-	n, nk := len(res.Rows), len(keys)
+	n, nk := res.Len(), len(keys)
 	nm := 0
 	if !anyHasSubquery(keys) {
 		nm = ex.morselCount(n)
 	}
 	ords, cols := ex.keyCols(res, keys)
+	if cols == nil {
+		var err error
+		if res, err = ex.boxed(res); err != nil {
+			return nil, err
+		}
+	}
 	rows := res.Rows
 	if ords == nil {
 		ords = seq(nk)
@@ -133,13 +150,13 @@ func (ex *Executor) buildJoin(res *Result, keys []sqlast.Expr, keysC []eval.Comp
 		if cols != nil {
 			c = cols[j]
 		}
-		jb.rds[j] = wordkey.NewReader(c, res.RowIdx, rows, ords[j])
+		jb.rds[j] = wordkey.NewReader(c, res.RowIdx, rows, n, ords[j])
 		width[j] = wordkey.ExactWidth(jb.rds[j].Dom.Size())
 	}
 	jb.lay = wordkey.NewLayout(width)
 	var pre []uint64
 	if !jb.lay.Packed() {
-		pre = wordkey.InternRows(rows, jb.rds, jb.lay)
+		pre = wordkey.InternRows(rows, n, jb.rds, jb.lay)
 	}
 	parts, morsels, workers, err := eachPart(ex, n, nm, func(_, lo, hi int) ([]uint64, error) {
 		words := make([]uint64, hi-lo)
@@ -159,7 +176,7 @@ func (ex *Executor) buildJoin(res *Result, keys []sqlast.Expr, keysC []eval.Comp
 	for _, words := range parts {
 		for _, w := range words {
 			ids[i] = -1
-			if matchable(rows[i], ords) {
+			if cols != nil && matchableAt(cols, int(resImgRow(res, i))) || cols == nil && matchable(rows[i], ords) {
 				id, found := wordkey.Intern(jb.slots, w, distinct)
 				if !found {
 					distinct++
@@ -232,7 +249,26 @@ func (rs *rowSlab) next() types.Row {
 // keep takes the row next returned.
 func (rs *rowSlab) keep() { rs.free = rs.free[rs.w:] }
 
+// hashJoin builds a word table on one side and probes it with the other.
+// Positions first: when both sides carry columnar provenance serving every
+// schema column (carry), a morsel records only (probe image row, build
+// image row | -1) pairs, the output image gathers both sides' columns by
+// them (colstore.Gather is bit-exact, -1 yielding NULL), and the result's
+// rows stay unboxed until a consumer needs them (box.go). A residual then
+// reads one scratch row per worker, which is not kept. Otherwise both sides
+// are boxed and each output row is carved from the morsel's rowSlab.
 func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*Result, error) {
+	carry := !ex.Opts.Engine.DisableVectorizedExec &&
+		vecOK(l) && vecOK(r) && vecCovers(l) && vecCovers(r)
+	var err error
+	if !carry {
+		if l, err = ex.boxed(l); err != nil {
+			return nil, err
+		}
+		if r, err = ex.boxed(r); err != nil {
+			return nil, err
+		}
+	}
 	// Build on the right side except for RIGHT OUTER, which builds left and
 	// probes right so the preserved side drives the output.
 	buildRes, probeRes := r, l
@@ -254,34 +290,14 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 
 	lw, rw := len(l.Schema.Cols), len(r.Schema.Cols)
 	combined := n.Schema()
-	// combine lays probe and build (nil: NULLs) side by side in the next
-	// row space of rs, which the row takes only when the caller keeps it.
-	combine := func(rs *rowSlab, probe, build types.Row) types.Row {
-		row := rs.next()
-		left, right := row[:lw], row[lw:]
-		if !probeIsLeft {
-			left, right = right, left
+	// halves splits a combined row into its probe and build parts.
+	halves := func(row types.Row) (probe, build types.Row) {
+		if probeIsLeft {
+			return row[:lw], row[lw:]
 		}
-		copy(left, probe)
-		if build == nil {
-			clear(right)
-		} else {
-			copy(right, build)
-		}
-		return row
+		return row[lw:], row[:lw]
 	}
 	preserve := n.Type == sqlast.JoinLeft || n.Type == sqlast.JoinRight
-
-	// carry: when both sides arrive with columnar provenance covering every
-	// schema column, each emitted row also records its (probe image row,
-	// build image row | -1) pair, and the output gathers both sides' columns
-	// into a fresh image — so post-join filters, projections and group-bys
-	// stay on the vectorized path instead of re-boxing. The boxed rows are
-	// built exactly as before; the image is provenance over the same values
-	// (colstore.Gather is bit-exact, with -1 yielding the NULL slots the
-	// null-extended side's zero values already hold).
-	carry := !ex.Opts.Engine.DisableVectorizedExec &&
-		vecOK(probeRes) && vecOK(buildRes) && vecCovers(probeRes) && vecCovers(buildRes)
 
 	// A probe key reaches the build's ordinals from its image column a
 	// morsel at a time (Domain.ColOrds, through the worker's dictionary
@@ -290,16 +306,30 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	// value in no domain, a NULL and a NaN match nothing.
 	nk := len(probeKeys)
 	pOrds, pCols := ex.keyCols(probeRes, probeKeys)
+	if pCols == nil {
+		if probeRes, err = ex.boxed(probeRes); err != nil {
+			return nil, err
+		}
+	}
 	keyed := pOrds != nil
 	if !keyed {
 		pOrds = seq(nk)
 	}
+	np := probeRes.Len()
 	xcs := make([]wordkey.XlatCache, ex.workers())
 	pwc := ex.workerCtxs(probeRes.Schema, outer)
 	cwc := ex.workerCtxs(combined, outer)
 	nm := 0
 	if !anyHasSubquery(probeKeys) && !sqlast.HasSubquery(n.Residual) {
-		nm = ex.morselCount(len(probeRes.Rows))
+		nm = ex.morselCount(np)
+	}
+	// The residual's scratch rows (carry only), one per worker, and the
+	// boxers that fill them.
+	var scratch []types.Row
+	var pbox, bbox boxer
+	if carry && n.Residual != nil {
+		scratch = make([]types.Row, ex.workers())
+		pbox, bbox = newBoxer(probeRes), newBoxer(buildRes)
 	}
 
 	// Each morsel probes its row range against the (now read-only) build.
@@ -312,17 +342,22 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		buildIdx []int32 // build-side image row, -1 = null-extended (carry only)
 		matches  int
 	}
-	parts, morsels, workers, err := eachPart(ex, len(probeRes.Rows), nm, func(w, lo, hi int) (probeOut, error) {
+	parts, morsels, workers, err := eachPart(ex, np, nm, func(w, lo, hi int) (probeOut, error) {
 		var out probeOut
 		pctx, cctx := pwc.get(w), cwc.get(w)
 		rs := &rowSlab{w: lw + rw}
-		emit := func(row types.Row, pi int, bi int32) {
-			rs.keep()
-			out.rows = append(out.rows, row)
-			if carry {
-				out.probeIdx = append(out.probeIdx, resImgRow(probeRes, pi))
-				out.buildIdx = append(out.buildIdx, bi)
+		// combine lays probe and build (nil: NULLs) side by side in the next
+		// row space of rs, which the row takes only when the caller keeps it.
+		combine := func(probe, build types.Row) types.Row {
+			row := rs.next()
+			pp, bp := halves(row)
+			copy(pp, probe)
+			if build == nil {
+				clear(bp)
+			} else {
+				copy(bp, build)
 			}
+			return row
 		}
 		tuple := make([]uint32, nk)
 		var kbuf []byte
@@ -342,7 +377,6 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		}
 		keyRow := make(types.Row, nk)
 		for i := lo; i < hi; i++ {
-			probe := probeRes.Rows[i]
 			ok := true
 			if colOrds != nil {
 				for j := range tuple {
@@ -350,10 +384,10 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 					ok = ok && tuple[j] != wordkey.NoOrd
 				}
 			} else {
-				kr := probe
+				kr := probeRes.Rows[i]
 				if !keyed {
 					var err error
-					if ok, err = evalKeys(pctx, probe, probeKeysC, keyRow); err != nil {
+					if ok, err = evalKeys(pctx, kr, probeKeysC, keyRow); err != nil {
 						return out, err
 					}
 					kr = keyRow
@@ -367,8 +401,44 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 				bis = jb.match(tuple, &kbuf)
 			}
 			matched := false
+			if carry {
+				pi := resImgRow(probeRes, i)
+				probeBoxed := false
+				for _, bi := range bis {
+					if n.Residual != nil {
+						if scratch[w] == nil {
+							scratch[w] = make(types.Row, lw+rw)
+						}
+						row := scratch[w]
+						pp, bp := halves(row)
+						if !probeBoxed {
+							pbox.row(i, pp)
+							probeBoxed = true
+						}
+						bbox.row(int(bi), bp)
+						cctx.Binding.Row = row
+						pass, err := n.ResidualC.EvalBool(cctx)
+						if err != nil {
+							return out, err
+						}
+						if !pass {
+							continue
+						}
+					}
+					matched = true
+					out.matches++
+					out.probeIdx = append(out.probeIdx, pi)
+					out.buildIdx = append(out.buildIdx, resImgRow(buildRes, int(bi)))
+				}
+				if !matched && preserve {
+					out.probeIdx = append(out.probeIdx, pi)
+					out.buildIdx = append(out.buildIdx, -1)
+				}
+				continue
+			}
+			probe := probeRes.Rows[i]
 			for _, bi := range bis {
-				row := combine(rs, probe, buildRes.Rows[bi])
+				row := combine(probe, buildRes.Rows[bi])
 				if n.Residual != nil {
 					cctx.Binding.Row = row
 					pass, err := n.ResidualC.EvalBool(cctx)
@@ -381,10 +451,12 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 				}
 				matched = true
 				out.matches++
-				emit(row, i, resImgRow(buildRes, int(bi)))
+				rs.keep()
+				out.rows = append(out.rows, row)
 			}
 			if !matched && preserve {
-				emit(combine(rs, probe, nil), i, -1)
+				out.rows = append(out.rows, combine(probe, nil))
+				rs.keep()
 			}
 		}
 		return out, nil
@@ -393,22 +465,17 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		return nil, err
 	}
 
-	// Assemble the output from morsel-ordered parts, gathering the
-	// provenance image when carry is on.
+	// Assemble the output from morsel-ordered parts: the gathered image of
+	// the position pairs, or the rows.
 	total, matches := 0, 0
 	for _, p := range parts {
-		total += len(p.rows)
+		total += len(p.rows) + len(p.probeIdx)
 		matches += p.matches
 	}
-	var rows []types.Row
-	if total > 0 {
-		rows = make([]types.Row, 0, total)
-		for _, p := range parts {
-			rows = append(rows, p.rows...)
-		}
-	}
-	res := &Result{Schema: combined, Rows: rows}
+	res := &Result{Schema: combined}
+	emitted := "rows"
 	if carry {
+		emitted = "positions"
 		probeIdx := make([]int32, 0, total)
 		buildIdx := make([]int32, 0, total)
 		for _, p := range parts {
@@ -420,7 +487,7 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		if !probeIsLeft {
 			poff, boff = bw, 0
 		}
-		img := &colstore.Table{NRows: total, Cols: make([]*colstore.Column, pw+bw), Rows: rows}
+		img := &colstore.Table{NRows: total, Cols: make([]*colstore.Column, pw+bw)}
 		for j := 0; j < pw; j++ {
 			img.Cols[poff+j] = colstore.Gather(vecCol(probeRes, j), probeIdx)
 		}
@@ -428,8 +495,13 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 			img.Cols[boff+j] = colstore.Gather(vecCol(buildRes, j), buildIdx)
 		}
 		res.Img = img
+	} else if total > 0 {
+		res.Rows = make([]types.Row, 0, total)
+		for _, p := range parts {
+			res.Rows = append(res.Rows, p.rows...)
+		}
 	}
-	ex.opLine("join-probe", len(probeRes.Rows), morsels, workers, start, fmt.Sprintf("matches=%d", matches))
+	ex.opLine("join-probe", np, morsels, workers, start, fmt.Sprintf("matches=%d out=%s", matches, emitted))
 	return res, nil
 }
 
@@ -443,6 +515,13 @@ func seq32(lo, hi int) []int32 {
 }
 
 func (ex *Executor) nestedLoopJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*Result, error) {
+	var err error
+	if l, err = ex.boxed(l); err != nil {
+		return nil, err
+	}
+	if r, err = ex.boxed(r); err != nil {
+		return nil, err
+	}
 	lw, rw := len(l.Schema.Cols), len(r.Schema.Cols)
 	combined := n.Schema()
 	cctx := ex.ctx(combined, nil, outer)

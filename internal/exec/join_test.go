@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,14 +15,16 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// TestJoinRowsFromChunks: the hash join's combined rows are carved from
-// shared chunks, each with cap == len so an append to one never writes its
-// neighbour, and a row the residual rejects leaves no gap: consecutive kept
-// rows sit side by side except where a new chunk starts. A LEFT JOIN's
-// null-extended rows read NULL on the build side even where a rejected
-// row's values were written first.
+// TestJoinRowsFromChunks: on the row path the hash join's combined rows
+// are carved from shared chunks, and a join that emits positions has its
+// rows boxed once, from one flat backing per morsel. Either way each row has
+// cap == len so an append to one never writes its neighbour, and a row the
+// residual rejects leaves no gap: consecutive kept rows sit side by side
+// except where a new chunk starts. A LEFT JOIN's null-extended rows read
+// NULL on the build side even where a rejected row's values were written
+// first.
 func TestJoinRowsFromChunks(t *testing.T) {
-	_, run := newEnv(t)
+	cat, run := newEnv(t)
 	mustRun(t, run, `CREATE TABLE a (k INT, x INT)`)
 	mustRun(t, run, `CREATE TABLE b (k INT, y INT)`)
 	for i := 0; i < 100; i++ {
@@ -32,30 +35,116 @@ func TestJoinRowsFromChunks(t *testing.T) {
 			mustRun(t, run, "INSERT INTO b VALUES ("+itoa(i)+", 0)")
 		}
 	}
-	res := mustRun(t, run, `SELECT a.k, a.x, b.k, b.y FROM a LEFT JOIN b ON a.k = b.k AND a.x < b.y`)
-	if len(res.Rows) != 100 {
-		t.Fatalf("%d rows, want one per row of a", len(res.Rows))
+	stmts, err := parser.Parse(`SELECT a.k, a.x, b.k, b.y FROM a LEFT JOIN b ON a.k = b.k AND a.x < b.y`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	size := unsafe.Sizeof(types.Value{})
-	breaks := 0
-	for i, r := range res.Rows {
-		if cap(r) != len(r) || len(r) != 4 {
-			t.Fatalf("row %d: len %d cap %d, want 4 and 4", i, len(r), cap(r))
+	for _, out := range []string{"rows", "positions"} {
+		ex := New(cat, Options{Workers: 1})
+		ex.Opts.Engine.DisableVectorizedExec = out == "rows"
+		ex.Opts.PlanOpts = &plan.Options{Exec: ex, Engine: ex.Opts.Engine}
+		res, err := ex.ExecStatement(stmts[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		k := r[0].I
-		switch {
-		case k%10 == 0 && r[2].K != types.KindNull:
-			t.Errorf("row %d: %v, want b's side NULL (the residual rejects its only match)", i, r)
-		case k%10 != 0 && (r[2].I != k || r[3].I != 5):
-			t.Errorf("row %d: %v, want b.k = %d, b.y = 5", i, r, k)
+		if note := opNote(ex, "join-probe"); !strings.HasSuffix(note, "out="+out) {
+			t.Fatalf("join-probe note %q, want out=%s", note, out)
 		}
-		if i > 0 && uintptr(unsafe.Pointer(&r[0]))-uintptr(unsafe.Pointer(&res.Rows[i-1][0])) != 4*size {
-			breaks++
+		if len(res.Rows) != 100 {
+			t.Fatalf("%s: %d rows, want one per row of a", out, len(res.Rows))
+		}
+		size := unsafe.Sizeof(types.Value{})
+		breaks := 0
+		for i, r := range res.Rows {
+			if cap(r) != len(r) || len(r) != 4 {
+				t.Fatalf("%s: row %d: len %d cap %d, want 4 and 4", out, i, len(r), cap(r))
+			}
+			k := r[0].I
+			switch {
+			case k%10 == 0 && r[2].K != types.KindNull:
+				t.Errorf("%s: row %d: %v, want b's side NULL (the residual rejects its only match)", out, i, r)
+			case k%10 != 0 && (r[2].I != k || r[3].I != 5):
+				t.Errorf("%s: row %d: %v, want b.k = %d, b.y = 5", out, i, r, k)
+			}
+			if i > 0 && uintptr(unsafe.Pointer(&r[0]))-uintptr(unsafe.Pointer(&res.Rows[i-1][0])) != 4*size {
+				breaks++
+			}
+		}
+		// Chunks of 8, 16, 32 and 64 rows hold 100 rows: three chunk
+		// starts. Rows boxed from positions share one backing.
+		if want := map[string]int{"rows": 3, "positions": 0}[out]; breaks > want {
+			t.Errorf("%s: %d breaks between consecutive rows, want at most %d", out, breaks, want)
 		}
 	}
-	// Chunks of 8, 16, 32 and 64 rows hold 100 rows: three chunk starts.
-	if breaks > 3 {
-		t.Errorf("%d breaks between consecutive rows, want at most 3 (one per new chunk)", breaks)
+}
+
+// TestJoinEmitsPositions: a join under a batch group-by boxes no row. Its
+// bytes grow with matches × width by a typed slot per cell (the gathered
+// image), not by a boxed value of 40 bytes per cell and a row header per
+// match: 40,000 matches of 1 + 1 + 2 INT key columns and 2 + 2·extra
+// others, at extra = 1 and 8, under one worker. Before the join emitted
+// positions the same runs allocated 21.8 and 49.6 MB per statement (50
+// bytes per extra cell and match); with it, 6.5 and 11.1 MB (8).
+func TestJoinEmitsPositions(t *testing.T) {
+	const probe, perKey, keys = 10000, 4, 500
+	bytes := map[int]float64{}
+	for _, extra := range []int{1, 8} {
+		cat := catalog.New()
+		for _, tb := range []struct {
+			name string
+			n    int
+			key  func(i int) int64
+		}{{"p", probe, func(i int) int64 { return int64(i % keys) }}, {"d", keys * perKey, func(i int) int64 { return int64(i / perKey) }}} {
+			cols := []types.Column{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindFloat}}
+			for j := 0; j < extra; j++ {
+				cols = append(cols, types.Column{Name: "e" + strconv.Itoa(j), Kind: types.KindInt})
+			}
+			tbl, err := cat.Create(tb.name, types.NewSchema(cols...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]types.Row, tb.n)
+			for i := range in {
+				in[i] = types.Row{types.NewInt(tb.key(i)), types.NewFloat(float64(i) * 0.5)}
+				for j := 0; j < extra; j++ {
+					in[i] = append(in[i], types.NewInt(int64(i*j)))
+				}
+			}
+			if err := tbl.Insert(in...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat.PublishAll()
+		q := `SELECT d.e0, SUM(p.v), COUNT(*) FROM p JOIN d ON p.k = d.k GROUP BY d.e0`
+		out, ex := runBits(t, cat, q, Options{Workers: 1})
+		if note := opNote(ex, "join-probe"); note != "matches="+strconv.Itoa(probe*perKey)+" out=positions" {
+			t.Fatalf("join-probe line %q\n%s", note, out)
+		}
+		if note := opNote(ex, "group-by"); !strings.HasPrefix(note, "keys=packed") {
+			t.Fatalf("group-by line %q, want the batch group-by", note)
+		}
+		stmts, _ := parser.Parse(q)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			ex := New(cat, Options{Workers: 1})
+			ex.Opts.PlanOpts = &plan.Options{Exec: ex}
+			if _, err := ex.ExecStatement(stmts[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes[extra] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	perCell := (bytes[8] - bytes[1]) / (probe * perKey * 2 * 7)
+	t.Logf("bytes per statement: %.1f MB at 1 extra column, %.1f MB at 8; %.0f per extra cell and match",
+		bytes[1]/1e6, bytes[8]/1e6, perCell)
+	if perCell > 20 {
+		t.Errorf("%.0f bytes per extra cell and match, want a typed slot (8), not a boxed value (40)", perCell)
+	}
+	if bytes[8] > 20e6 {
+		t.Errorf("%.1f MB per statement at 8 extra columns, want under 20 (49.6 while the join boxed rows)", bytes[8]/1e6)
 	}
 }
 
@@ -148,7 +237,10 @@ func joinCase(t testing.TB, seed int64, nkeys, na, nb int, flags uint8) (*catalo
 // order, then ascending build row), every value in kind and bits — for
 // INNER, LEFT and RIGHT joins, with and without a residual, with and
 // without columnar provenance, at one worker and at four, for any morsel
-// size. A NULL or a NaN key matches nothing, as = says.
+// size. A NULL or a NaN key matches nothing, as = says. The consumer stage
+// feeds the join to a group-by on a key column of either side (the batch
+// group-by over the join's positions, the row path over the nested loop's
+// rows) and to a computed projection, and holds them to the same bits.
 func FuzzHashJoin(f *testing.F) {
 	for _, s := range []struct {
 		seed               int64
@@ -160,19 +252,26 @@ func FuzzHashJoin(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nkeys, na, nb, mor, flags uint8) {
 		cat, q := joinCase(t, seed, 1+int(nkeys%3), int(na), int(nb), flags)
-		for _, workers := range []int{1, 4} {
-			opts := Options{Workers: workers, Ablate: Ablation{MorselSize: 1 + int(mor%32)}}
-			opts.Engine.DisableVectorizedExec = flags&64 != 0
-			loop := opts
-			loop.PlanOpts = &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinNestedLoop}}
-			want, _ := runBits(t, cat, q, loop)
-			got, ex := runBits(t, cat, q, opts)
-			if got != want {
-				t.Fatalf("%s (workers %d, morsel %d, provenance %v):\nhash\n%s\nnested loop\n%s", q, workers,
-					opts.Ablate.MorselSize, flags&64 == 0, got, want)
-			}
-			if opNote(ex, "join-build") == "" {
-				t.Fatalf("%s: no hash join ran", q)
+		from, _ := strings.CutPrefix(q, "SELECT * ")
+		group := []string{"a.k0", "b.k0"}[seed&1]
+		for _, q := range []string{q,
+			"SELECT " + group + ", SUM(a.x), COUNT(*), SUM(b.y * 0.5), MIN(b.y) " + from + " GROUP BY " + group,
+			"SELECT a.x * 2 + b.y, b.k0, a.k0, b.y * 0.25 " + from,
+		} {
+			for _, workers := range []int{1, 4} {
+				opts := Options{Workers: workers, Ablate: Ablation{MorselSize: 1 + int(mor%32)}}
+				opts.Engine.DisableVectorizedExec = flags&64 != 0
+				loop := opts
+				loop.PlanOpts = &plan.Options{Ablate: plan.Ablation{ForceJoin: plan.JoinNestedLoop}}
+				want, _ := runBits(t, cat, q, loop)
+				got, ex := runBits(t, cat, q, opts)
+				if got != want {
+					t.Fatalf("%s (workers %d, morsel %d, provenance %v):\nhash\n%s\nnested loop\n%s", q, workers,
+						opts.Ablate.MorselSize, flags&64 == 0, got, want)
+				}
+				if opNote(ex, "join-build") == "" {
+					t.Fatalf("%s: no hash join ran", q)
+				}
 			}
 		}
 	})

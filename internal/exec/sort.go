@@ -149,7 +149,7 @@ func (lt *loserTree) beats(a, b int) bool {
 // first k rows of that sort selected without sorting the rest (and without
 // spilling: it holds k rows).
 func (ex *Executor) execSort(n *plan.Sort, outer *eval.Binding) (*Result, error) {
-	in, err := ex.Execute(n.Input, outer)
+	in, err := ex.run(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -158,17 +158,20 @@ func (ex *Executor) execSort(n *plan.Sort, outer *eval.Binding) (*Result, error)
 	for j, it := range n.Items {
 		items[j] = keyItem{expr: it.Expr, c: n.ItemsC[j], desc: it.Desc}
 	}
-	keys, err := ex.keysOf("sort-keys", in, items, outer)
+	keys, in, err := ex.keysOf("sort-keys", in, items, outer)
 	if err != nil {
 		return nil, err
 	}
-	nr := len(in.Rows)
+	nr := in.Len()
 	if n.Limit >= 0 && n.Limit < nr {
 		perm := keys.topK(n.Limit)
 		ex.opLine("top-k", nr, 0, 1, start, fmt.Sprintf("k=%d %s", n.Limit, keys.note()))
 		return permuted(in, n.Schema(), perm), nil
 	}
 	if ex.spillSort(nr, len(in.Schema.Cols)) {
+		if in, err = ex.boxed(in); err != nil {
+			return nil, err
+		}
 		rows, err := ex.externalSort(in.Rows, keys.cmp)
 		if err != nil {
 			return nil, err

@@ -183,9 +183,11 @@ type keyItem struct {
 	desc bool
 }
 
-// keysOf builds the key columns of items over in's rows.
-func (ex *Executor) keysOf(op string, in *Result, items []keyItem, outer *eval.Binding) (*sortKeys, error) {
-	n := len(in.Rows)
+// keysOf builds the key columns of items over in's rows, and returns the
+// input it read: in itself, or in boxed when an item had to be evaluated
+// per row over an unboxed input.
+func (ex *Executor) keysOf(op string, in *Result, items []keyItem, outer *eval.Binding) (*sortKeys, *Result, error) {
+	n := in.Len()
 	typed := !ex.Opts.Engine.DisableVectorizedExec
 	sk := &sortKeys{keys: make([]sortKey, len(items)), n: n}
 	if !typed {
@@ -210,9 +212,13 @@ func (ex *Executor) keysOf(op string, in *Result, items []keyItem, outer *eval.B
 		for t, j := range evalAt {
 			cs[t], exprs[t] = items[j].c, items[j].expr
 		}
+		var err error
+		if in, err = ex.boxed(in); err != nil {
+			return nil, nil, err
+		}
 		vals, err := ex.evalKeys(op, in, cs, exprs, outer)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for t, j := range evalAt {
 			k := &sk.keys[j]
@@ -227,7 +233,7 @@ func (ex *Executor) keysOf(op string, in *Result, items []keyItem, outer *eval.B
 		}
 	}
 	sk.pack()
-	return sk, nil
+	return sk, in, nil
 }
 
 // evalKeys evaluates cs over every row of in into one value column per
@@ -449,13 +455,16 @@ func (sk *sortKeys) topK(k int) []int {
 }
 
 // permuted is in's rows in perm's order. Provenance follows the rows: the
-// image rows are permuted alongside.
+// image rows are permuted alongside, and an unboxed input gives an unboxed
+// output.
 func permuted(in *Result, schema *eval.BoundSchema, perm []int) *Result {
-	rows := make([]types.Row, len(perm))
-	for i, p := range perm {
-		rows[i] = in.Rows[p]
+	out := &Result{Schema: schema}
+	if !in.unboxed() {
+		out.Rows = make([]types.Row, len(perm))
+		for i, p := range perm {
+			out.Rows[i] = in.Rows[p]
+		}
 	}
-	out := &Result{Schema: schema, Rows: rows}
 	if vecOK(in) {
 		ridx := make([]int32, len(perm))
 		for i, p := range perm {

@@ -141,7 +141,7 @@ func FuzzSortKeys(f *testing.F) {
 			ex := New(nil, opts)
 			for _, boxed := range []bool{false, true} {
 				ex.Opts.Engine.DisableVectorizedExec = boxed
-				sk, err := ex.keysOf("sort-keys", in, items, nil)
+				sk, _, err := ex.keysOf("sort-keys", in, items, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

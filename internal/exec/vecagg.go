@@ -106,12 +106,12 @@ func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result) *vecGroupPlan {
 	vp.keys, vp.ridx = cols, in.RowIdx
 	width := make([]uint8, len(cols))
 	for j, c := range cols {
-		vp.rds = append(vp.rds, wordkey.NewReader(c, in.RowIdx, in.Rows, ords[j]))
+		vp.rds = append(vp.rds, wordkey.NewReader(c, in.RowIdx, nil, in.Len(), ords[j]))
 		width[j] = wordkey.ExactWidth(vp.rds[j].Dom.Size())
 	}
 	vp.lay = wordkey.NewLayout(width)
 	if !vp.lay.Packed() {
-		vp.pre = wordkey.InternRows(in.Rows, vp.rds, vp.lay)
+		vp.pre = wordkey.InternRows(nil, in.Len(), vp.rds, vp.lay)
 	}
 	return vp
 }
@@ -159,7 +159,7 @@ func (vp *vecGroupPlan) accumulate(in *Result, lo, hi int) (*groupState, error) 
 
 	words := make([]uint64, m)
 	scratch := make([]uint32, m)
-	wordkey.RowWords(in.Rows, vp.rds, vp.lay, vp.pre, lo, scratch, words)
+	wordkey.RowWords(nil, vp.rds, vp.lay, vp.pre, lo, scratch, words)
 	tbl := make([]wordkey.Slot, wordkey.TableSize(m))
 	gids := make([]int32, m)
 	p := &groupState{words: make([]uint64, 0, m), first: make([]int32, 0, m)}

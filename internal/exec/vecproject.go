@@ -10,10 +10,12 @@ import (
 // Batch projection: when the input carries columnar provenance and every
 // output expression has a supported compute kernel, each morsel evaluates
 // whole output vectors (one kernel run per expression) instead of walking
-// closures row by row. Output rows are boxed once from the vectors — the
-// same values, bit for bit, the closure path would produce — and the output
-// publishes a fresh columnar image built from the computed vectors, so a
-// downstream filter, group-by or join stays on the vectorized path.
+// closures row by row. The output publishes a fresh columnar image built
+// from the computed vectors, so a downstream filter, group-by or join stays
+// on the vectorized path. Over boxed input the output rows are boxed once
+// from the vectors — the same values, bit for bit, the closure path would
+// produce; over positions (box.go) the output is positions too, and a
+// consumer that needs rows boxes them from the image.
 //
 // An output that is a plain column reference is not computed: its rows take
 // the input's values and its image column is the input's own, gathered
@@ -39,7 +41,7 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 			return nil, nil, false
 		}
 	}
-	nr := len(in.Rows)
+	nr := in.Len()
 	w := len(n.Exprs)
 	// bare[j] is the input ordinal output j reads plainly, -1 when computed.
 	bare := make([]int, w)
@@ -49,7 +51,10 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 			bare[j] = o
 		}
 	}
-	rows := make([]types.Row, nr)
+	var rows []types.Row
+	if !in.unboxed() {
+		rows = make([]types.Row, nr)
+	}
 	runRange := func(lo, hi int) ([]*eval.ExprVec, error) {
 		selBuf := colstore.GetSel(hi - lo)
 		defer colstore.PutSel(selBuf)
@@ -68,6 +73,9 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 				return nil, err
 			}
 			vecs[j] = v
+		}
+		if rows == nil {
+			return vecs, nil
 		}
 		// One flat backing per morsel: rows are full-length sub-slices, so
 		// per-slot writes cannot clobber neighbours.

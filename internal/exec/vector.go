@@ -31,6 +31,9 @@ func vecOK(r *Result) bool {
 	if r == nil || r.Img == nil {
 		return false
 	}
+	if r.unboxed() {
+		return true
+	}
 	if r.RowIdx != nil {
 		return len(r.RowIdx) == len(r.Rows)
 	}
@@ -113,9 +116,10 @@ func (ex *Executor) execScanVec(n *plan.Scan) (*Result, error, bool) {
 // vecFilter selects from in's rows with kernel k. The output rows are the
 // same row pointers the closure filter would emit, in the same order
 // (positions are scanned ascending per morsel and morsels stitched in
-// order), and carry composed provenance.
+// order), and carry composed provenance; an unboxed input gives an unboxed
+// output, its positions only.
 func (ex *Executor) vecFilter(in *Result, k eval.SelKernel, schema *eval.BoundSchema) (*Result, error) {
-	n := len(in.Rows)
+	n := in.Len()
 	runRange := func(lo, hi int) []int32 {
 		selBuf := colstore.GetSel(hi - lo)
 		defer colstore.PutSel(selBuf)
@@ -146,22 +150,17 @@ func (ex *Executor) vecFilter(in *Result, k eval.SelKernel, schema *eval.BoundSc
 	// total==0 leaves Rows nil, matching the serial engine's append-built
 	// empty result.
 	var rows []types.Row
-	var ridx []int32
-	if total > 0 {
+	ridx := make([]int32, 0, total)
+	if total > 0 && !in.unboxed() {
 		rows = make([]types.Row, 0, total)
-		ridx = make([]int32, 0, total)
-		for _, part := range parts {
-			for _, p := range part {
+	}
+	for _, part := range parts {
+		for _, p := range part {
+			if rows != nil {
 				rows = append(rows, in.Rows[p])
-				if in.RowIdx != nil {
-					ridx = append(ridx, in.RowIdx[p])
-				} else {
-					ridx = append(ridx, p)
-				}
 			}
+			ridx = append(ridx, resImgRow(in, int(p)))
 		}
-	} else {
-		ridx = []int32{}
 	}
 	return &Result{Schema: schema, Rows: rows, Img: in.Img, RowIdx: ridx, ColMap: in.ColMap}, nil
 }

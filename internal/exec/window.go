@@ -66,7 +66,7 @@ func (ex *Executor) execWindow(n *plan.Window, outer *eval.Binding) (*Result, er
 				items = append(items, keyItem{expr: o.Expr, c: n.Compiled[o.Expr], desc: o.Desc})
 			}
 		}
-		keys, err := ex.keysOf("window-keys", in, items, outer)
+		keys, _, err := ex.keysOf("window-keys", in, items, outer)
 		if err != nil {
 			return nil, err
 		}

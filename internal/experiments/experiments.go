@@ -376,7 +376,9 @@ func Table1(scale sqlsheet.APBScale) ([][3]string, error) {
 
 // FormatSeries renders series as an aligned relative-units table, the way
 // the paper reports ("only relative units of time are reported"): every Y
-// is normalized to the smallest Y across all series.
+// is normalized to the smallest Y across all series. A line under the table
+// gives that unit in milliseconds, so tables from two runs (of two trees,
+// say) compare in absolute time too.
 func FormatSeries(title, xLabel string, series []Series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%s\n", title, strings.Repeat("=", len(title)))
@@ -388,8 +390,10 @@ func FormatSeries(title, xLabel string, series []Series) string {
 			}
 		}
 	}
+	unit := fmt.Sprintf("unit: 1.00 = %.3f ms (the fastest point)\n", minY*1000)
 	if minY == 0 {
 		minY = 1
+		unit = "unit: none (no point took measurable time)\n"
 	}
 	// Collect the x values (union, sorted).
 	xsSet := map[float64]bool{}
@@ -422,5 +426,6 @@ func FormatSeries(title, xLabel string, series []Series) string {
 		}
 		b.WriteByte('\n')
 	}
+	b.WriteString(unit)
 	return b.String()
 }

@@ -175,6 +175,11 @@ func TestFormatSeries(t *testing.T) {
 	if !strings.Contains(out, "1.00") || !strings.Contains(out, "2.00") {
 		t.Errorf("normalization broken:\n%s", out)
 	}
+	// The last line is the unit: the fastest point, 0.5 s, in ms.
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if got, want := lines[len(lines)-1], "unit: 1.00 = 500.000 ms (the fastest point)"; got != want {
+		t.Errorf("unit line %q, want %q:\n%s", got, want, out)
+	}
 }
 
 func TestSelectProducts(t *testing.T) {

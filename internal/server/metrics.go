@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -78,6 +79,13 @@ type Snapshot struct {
 	// in full (each for one of the reasons under fallbacks) or derived from
 	// the previous version's form at the cost of the rows that changed.
 	Images ImagesSnapshot `json:"images"`
+
+	// GCCPUSeconds is the CPU time the process has spent in the garbage
+	// collector, and HeapAllocsBytes the bytes it has allocated on the heap,
+	// both cumulative since it started (package runtime/metrics; the GC
+	// time is updated at the end of each cycle).
+	GCCPUSeconds    float64 `json:"gc_cpu_seconds"`
+	HeapAllocsBytes uint64  `json:"heap_allocs_bytes"`
 }
 
 // CacheSnapshot is the /metrics shape of sqlsheet.CacheCounters.
@@ -140,5 +148,13 @@ func (m *Metrics) snapshot() Snapshot {
 	}
 	s.Latency.Count = m.latCount.Load()
 	s.Latency.SumMS = float64(m.latSumUS.Load()) / 1000
+	rt := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(rt)
+	if rt[0].Value.Kind() == metrics.KindFloat64 {
+		s.GCCPUSeconds = rt[0].Value.Float64()
+	}
+	if rt[1].Value.Kind() == metrics.KindUint64 {
+		s.HeapAllocsBytes = rt[1].Value.Uint64()
+	}
 	return s
 }

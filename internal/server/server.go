@@ -19,6 +19,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,7 @@ import (
 // Config tunes a Server. Zero values take the documented defaults.
 type Config struct {
 	Addr         string        // TCP listen address (default "127.0.0.1:0")
-	MetricsAddr  string        // HTTP /metrics + /healthz address ("" disables)
+	MetricsAddr  string        // HTTP /metrics, /healthz and /debug/pprof/ address ("" disables)
 	MaxInFlight  int           // concurrent executing queries (default 8)
 	MaxQueue     int           // admission wait-queue length (default 16)
 	QueueWait    time.Duration // max admission wait (default 1s)
@@ -114,6 +115,11 @@ func (s *Server) Start() error {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", s.handleMetrics)
 		mux.HandleFunc("/healthz", s.handleHealthz)
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		s.httpSrv = &http.Server{Handler: mux}
 		go s.httpSrv.Serve(hln)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -533,6 +535,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d, want 200", health.StatusCode)
+	}
+}
+
+// TestMetricsGC: the metrics listener serves the pprof index, and /metrics
+// carries the process's GC CPU time and cumulative heap allocation. A
+// collection runs first, so the GC time has been recorded at least once.
+func TestMetricsGC(t *testing.T) {
+	srv := startServer(t, newFactDB(t), server.Config{MetricsAddr: "127.0.0.1:0"})
+	runtime.GC()
+	resp, err := http.Get("http://" + srv.MetricsAddr() + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap") {
+		t.Errorf("/debug/pprof/ = %d, want 200 and an index naming the heap profile:\n%s", resp.StatusCode, body)
+	}
+	resp, err = http.Get("http://" + srv.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap server.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.GCCPUSeconds <= 0 || snap.HeapAllocsBytes == 0 {
+		t.Errorf("gc_cpu_seconds = %v, heap_allocs_bytes = %d, want both above 0", snap.GCCPUSeconds, snap.HeapAllocsBytes)
 	}
 }
 

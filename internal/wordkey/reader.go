@@ -19,12 +19,14 @@ type Reader struct {
 	null uint32 // NULL's ordinal
 }
 
-// NewReader builds the domain of the key at ordinal ord of rows. c, when
-// non-nil, is the same key as a column (rows[i][ord] is c's row ridx[i], or
-// row i when ridx is nil): a dictionary column keys by its codes and an INT
-// one by arithmetic, with no pass over the values but the INT range's.
-// Anything else is numbered in one pass over the values, in input order.
-func NewReader(c *colstore.Column, ridx []int32, rows []types.Row, ord int) Reader {
+// NewReader builds the domain of the key at ordinal ord of the n input
+// rows. c, when non-nil, is the same key as a column (input row i is c's row
+// ridx[i], or row i when ridx is nil) and the only thing read: rows may then
+// be nil. A dictionary column keys by its codes and an INT one by
+// arithmetic, with no pass over the values but the INT range's. Anything
+// else is numbered in one pass over the values, in input order; with no
+// column, rows[i][ord] is input row i's value.
+func NewReader(c *colstore.Column, ridx []int32, rows []types.Row, n, ord int) Reader {
 	d := &Domain{}
 	rd := Reader{Dom: d, ord: ord, null: NoOrd}
 	var lo, hi int64
@@ -43,7 +45,7 @@ func NewReader(c *colstore.Column, ridx []int32, rows []types.Row, ord int) Read
 		d.dict, d.base = c, uint32(len(c.Dict))
 		rd.col, rd.ridx, hasNull = c, ridx, c.Nulls != nil
 	case c != nil && c.Kind == types.KindInt:
-		for ri := range rows {
+		for ri := 0; ri < n; ri++ {
 			r := ri
 			if ridx != nil {
 				r = int(ridx[ri])
@@ -86,9 +88,16 @@ func NewReader(c *colstore.Column, ridx []int32, rows []types.Row, ord int) Read
 		return rd
 	}
 	// The value map: one serial pass numbers the values in input order.
-	rd.ords = make([]uint32, len(rows))
-	for ri, row := range rows {
-		rd.ords[ri] = d.Grow(row[ord])
+	rd.ords = make([]uint32, n)
+	for ri := range rd.ords {
+		switch {
+		case c == nil:
+			rd.ords[ri] = d.Grow(rows[ri][ord])
+		case ridx != nil:
+			rd.ords[ri] = d.Grow(c.Value(int(ridx[ri]))) // interp-ok: the value map numbers values, once per input row as a boxed row would
+		default:
+			rd.ords[ri] = d.Grow(c.Value(ri)) // interp-ok: as above
+		}
 	}
 	return rd
 }
@@ -134,15 +143,16 @@ func (rd *Reader) Fill(rows []types.Row, lo int, out []uint32) {
 	}
 }
 
-// InternRows gives every input row the interned word of its ordinals under
-// a byte-keyed layout, serially and in input order.
-func InternRows(rows []types.Row, rds []Reader, lay *Layout) []uint64 {
+// InternRows gives every one of the n input rows the interned word of its
+// ordinals under a byte-keyed layout, serially and in input order. rows is
+// read only by a reader without a column.
+func InternRows(rows []types.Row, n int, rds []Reader, lay *Layout) []uint64 {
 	ords := make([][]uint32, len(rds))
 	for d := range rds {
-		ords[d] = make([]uint32, len(rows))
+		ords[d] = make([]uint32, n)
 		rds[d].Fill(rows, 0, ords[d])
 	}
-	words := make([]uint64, len(rows))
+	words := make([]uint64, n)
 	tuple := make([]uint32, len(rds))
 	var buf []byte
 	for ri := range words {

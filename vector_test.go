@@ -148,9 +148,12 @@ func TestExplainGroupByKeys(t *testing.T) {
 // TestExplainJoinKeys pins the hash join's two lines of EXPLAIN ANALYZE:
 // the build's key words — packed, or interned when three INT columns
 // spanning 15 million values each overflow a word — with its distinct keys,
-// and the probe's matches, for a plain key, the overflowing key, a computed
-// key (a NULL r keys nothing) and a join whose sides are both below the
-// morsel threshold, which still prints both lines, with no morsels.
+// and the probe's matches and output, for a plain key, the overflowing key,
+// a computed key (a NULL r keys nothing) and a join whose sides are both
+// below the morsel threshold, which still prints both lines, with no
+// morsels. A join whose sides carry columnar images emits positions; the
+// same join under a batch group-by too, and under DisableVectorizedExec it
+// builds rows.
 func TestExplainJoinKeys(t *testing.T) {
 	db := sqlsheet.Open()
 	db.MustExec(`CREATE TABLE ja (r TEXT, x INT, y INT, z INT, s FLOAT)`)
@@ -159,18 +162,22 @@ func TestExplainJoinKeys(t *testing.T) {
 		('w',15000000,15000000,15000000,5), ('e',0,0,0,6), ('n',1,1,1,7), ('n',2,2,2,8), ('w',3,3,3,9), (NULL,4,4,4,10)`)
 	db.MustExec(`INSERT INTO jb VALUES ('w',0,0,0,1), ('w',15000000,0,0,2), ('e',0,15000000,0,3), ('n',15000000,15000000,15000000,4),
 		(NULL,1,1,1,5), ('e',2,2,2,6), ('x',0,0,0,7), ('w',3,3,3,8)`)
-	cfg := sqlsheet.Config{Workers: 2}
-	cfg.Ablate.DisablePlanCache, cfg.Ablate.Exec.MorselSize = true, 4
-	db.Configure(cfg)
+	const rollup = `SELECT jb.r, SUM(ja.s), COUNT(*) FROM ja JOIN jb ON ja.x = jb.x GROUP BY jb.r`
 	for _, c := range []struct {
 		q, build, probe string
-		serial          bool
+		serial, novec   bool
 	}{
-		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r`, "keys=packed distinct=4", "matches=20", false},
-		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.x = jb.x AND ja.y = jb.y AND ja.z = jb.z`, "keys=bytes(overflow) distinct=7", "matches=10", false},
-		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r || '!' = jb.r || '!'`, "keys=packed distinct=4", "matches=20", false},
-		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r WHERE ja.s < 4 AND jb.s < 4`, "keys=packed distinct=2", "matches=5", true},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r`, "keys=packed distinct=4", "matches=20 out=positions", false, false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.x = jb.x AND ja.y = jb.y AND ja.z = jb.z`, "keys=bytes(overflow) distinct=7", "matches=10 out=positions", false, false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r || '!' = jb.r || '!'`, "keys=packed distinct=4", "matches=20 out=positions", false, false},
+		{`SELECT ja.s, jb.s FROM ja JOIN jb ON ja.r = jb.r WHERE ja.s < 4 AND jb.s < 4`, "keys=packed distinct=2", "matches=5 out=positions", true, false},
+		{rollup, "keys=packed distinct=5", "matches=19 out=positions", false, false},
+		{rollup, "keys=packed distinct=5", "matches=19 out=rows", false, true},
 	} {
+		cfg := sqlsheet.Config{Workers: 2}
+		cfg.Ablate.DisablePlanCache, cfg.Ablate.Exec.MorselSize = true, 4
+		cfg.Ablate.Engine.DisableVectorizedExec = c.novec
+		db.Configure(cfg)
 		out, err := db.ExplainAnalyze(c.q)
 		if err != nil {
 			t.Fatal(err)
