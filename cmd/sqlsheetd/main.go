@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sqlsheetd -addr :7433 -metrics-addr :7434
+//	sqlsheetd -addr :7433 -metrics-addr 127.0.0.1:7434
 //	sqlsheetd -f init.sql -apb -query-timeout 30s
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes, in-flight
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "query protocol listen address")
-	metricsAddr := flag.String("metrics-addr", "127.0.0.1:7434", "HTTP /metrics + /healthz address (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "127.0.0.1:7434", "HTTP /metrics, /healthz and /debug/pprof/ address, unauthenticated: loopback or a trusted network only (empty disables)")
 	file := flag.String("f", "", "run the given SQL script before serving (schema/data setup)")
 	apb := flag.Bool("apb", false, "preload the APB benchmark dataset")
 	parallel := flag.Int("parallel", 0, "spreadsheet degree of parallelism")

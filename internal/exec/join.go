@@ -226,37 +226,14 @@ func seq(n int) []int {
 	return s
 }
 
-// rowSlab carves a probe morsel's combined rows out of chunks that grow
-// from 8 to 256 rows, so an output row is not an allocation of its own.
-// Every row has cap == len (a full-slice expression), so no consumer can
-// append into its neighbour; a row the residual rejects gives its space to
-// the next one.
-type rowSlab struct {
-	w     int
-	free  []types.Value
-	chunk int
-}
-
-// next is the space of the next row, free until keep takes it.
-func (rs *rowSlab) next() types.Row {
-	if len(rs.free) < rs.w {
-		rs.chunk = min(max(2*rs.chunk, 8), 256)
-		rs.free = make([]types.Value, rs.w*rs.chunk)
-	}
-	return rs.free[:rs.w:rs.w]
-}
-
-// keep takes the row next returned.
-func (rs *rowSlab) keep() { rs.free = rs.free[rs.w:] }
-
 // hashJoin builds a word table on one side and probes it with the other.
-// Positions first: when both sides carry columnar provenance serving every
-// schema column (carry), a morsel records only (probe image row, build
-// image row | -1) pairs, the output image gathers both sides' columns by
-// them (colstore.Gather is bit-exact, -1 yielding NULL), and the result's
-// rows stay unboxed until a consumer needs them (box.go). A residual then
-// reads one scratch row per worker, which is not kept. Otherwise both sides
-// are boxed and each output row is carved from the morsel's rowSlab.
+// A morsel records only (probe row, build row | -1) pairs; a residual reads
+// one scratch row per worker, which is not kept. Positions first: when both
+// sides carry columnar provenance serving every schema column (carry), the
+// output image gathers both sides' columns by the pairs (colstore.Gather is
+// bit-exact, -1 yielding NULL), and the result's rows stay unboxed until a
+// consumer needs them (box.go). Otherwise both sides are boxed and each
+// morsel copies its pairs' rows into one flat backing.
 func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*Result, error) {
 	carry := !ex.Opts.Engine.DisableVectorizedExec &&
 		vecOK(l) && vecOK(r) && vecCovers(l) && vecCovers(r)
@@ -323,11 +300,11 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	if !anyHasSubquery(probeKeys) && !sqlast.HasSubquery(n.Residual) {
 		nm = ex.morselCount(np)
 	}
-	// The residual's scratch rows (carry only), one per worker, and the
-	// boxers that fill them.
+	// The residual's scratch rows, one per worker, and the boxers that fill
+	// them.
 	var scratch []types.Row
 	var pbox, bbox boxer
-	if carry && n.Residual != nil {
+	if n.Residual != nil {
 		scratch = make([]types.Row, ex.workers())
 		pbox, bbox = newBoxer(probeRes), newBoxer(buildRes)
 	}
@@ -337,28 +314,14 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	// outer-join preservation is decided per probe row, so per-morsel
 	// outputs stitched in morsel order equal the serial output exactly.
 	type probeOut struct {
+		probeIdx []int32 // probe row per output row
+		buildIdx []int32 // build row, -1 = null-extended
 		rows     []types.Row
-		probeIdx []int32 // probe-side image row per output row (carry only)
-		buildIdx []int32 // build-side image row, -1 = null-extended (carry only)
 		matches  int
 	}
 	parts, morsels, workers, err := eachPart(ex, np, nm, func(w, lo, hi int) (probeOut, error) {
 		var out probeOut
 		pctx, cctx := pwc.get(w), cwc.get(w)
-		rs := &rowSlab{w: lw + rw}
-		// combine lays probe and build (nil: NULLs) side by side in the next
-		// row space of rs, which the row takes only when the caller keeps it.
-		combine := func(probe, build types.Row) types.Row {
-			row := rs.next()
-			pp, bp := halves(row)
-			copy(pp, probe)
-			if build == nil {
-				clear(bp)
-			} else {
-				copy(bp, build)
-			}
-			return row
-		}
 		tuple := make([]uint32, nk)
 		var kbuf []byte
 		var colOrds [][]uint32
@@ -400,46 +363,19 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 			if ok {
 				bis = jb.match(tuple, &kbuf)
 			}
-			matched := false
-			if carry {
-				pi := resImgRow(probeRes, i)
-				probeBoxed := false
-				for _, bi := range bis {
-					if n.Residual != nil {
-						if scratch[w] == nil {
-							scratch[w] = make(types.Row, lw+rw)
-						}
-						row := scratch[w]
-						pp, bp := halves(row)
-						if !probeBoxed {
-							pbox.row(i, pp)
-							probeBoxed = true
-						}
-						bbox.row(int(bi), bp)
-						cctx.Binding.Row = row
-						pass, err := n.ResidualC.EvalBool(cctx)
-						if err != nil {
-							return out, err
-						}
-						if !pass {
-							continue
-						}
-					}
-					matched = true
-					out.matches++
-					out.probeIdx = append(out.probeIdx, pi)
-					out.buildIdx = append(out.buildIdx, resImgRow(buildRes, int(bi)))
-				}
-				if !matched && preserve {
-					out.probeIdx = append(out.probeIdx, pi)
-					out.buildIdx = append(out.buildIdx, -1)
-				}
-				continue
-			}
-			probe := probeRes.Rows[i]
+			matched, probeBoxed := false, false
 			for _, bi := range bis {
-				row := combine(probe, buildRes.Rows[bi])
 				if n.Residual != nil {
+					if scratch[w] == nil {
+						scratch[w] = make(types.Row, lw+rw)
+					}
+					row := scratch[w]
+					pp, bp := halves(row)
+					if !probeBoxed {
+						pbox.row(i, pp)
+						probeBoxed = true
+					}
+					bbox.row(int(bi), bp)
 					cctx.Binding.Row = row
 					pass, err := n.ResidualC.EvalBool(cctx)
 					if err != nil {
@@ -451,12 +387,28 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 				}
 				matched = true
 				out.matches++
-				rs.keep()
-				out.rows = append(out.rows, row)
+				out.probeIdx = append(out.probeIdx, int32(i))
+				out.buildIdx = append(out.buildIdx, bi)
 			}
 			if !matched && preserve {
-				out.rows = append(out.rows, combine(probe, nil))
-				rs.keep()
+				out.probeIdx = append(out.probeIdx, int32(i))
+				out.buildIdx = append(out.buildIdx, -1)
+			}
+		}
+		if !carry {
+			// The morsel's rows share one flat backing; each is a full-slice
+			// expression, so no consumer can append into its neighbour.
+			width := lw + rw
+			flat := make([]types.Value, len(out.probeIdx)*width)
+			out.rows = make([]types.Row, len(out.probeIdx))
+			for k, pi := range out.probeIdx {
+				row := flat[k*width : (k+1)*width : (k+1)*width]
+				pp, bp := halves(row)
+				copy(pp, probeRes.Rows[pi])
+				if bi := out.buildIdx[k]; bi >= 0 {
+					copy(bp, buildRes.Rows[bi])
+				}
+				out.rows[k] = row
 			}
 		}
 		return out, nil
@@ -466,10 +418,10 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	}
 
 	// Assemble the output from morsel-ordered parts: the gathered image of
-	// the position pairs, or the rows.
+	// the pairs, or the rows.
 	total, matches := 0, 0
 	for _, p := range parts {
-		total += len(p.rows) + len(p.probeIdx)
+		total += len(p.probeIdx)
 		matches += p.matches
 	}
 	res := &Result{Schema: combined}
@@ -487,6 +439,8 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 		if !probeIsLeft {
 			poff, boff = bw, 0
 		}
+		imgRows(probeRes, probeIdx)
+		imgRows(buildRes, buildIdx)
 		img := &colstore.Table{NRows: total, Cols: make([]*colstore.Column, pw+bw)}
 		for j := 0; j < pw; j++ {
 			img.Cols[poff+j] = colstore.Gather(vecCol(probeRes, j), probeIdx)
@@ -503,6 +457,19 @@ func (ex *Executor) hashJoin(n *plan.Join, l, r *Result, outer *eval.Binding) (*
 	}
 	ex.opLine("join-probe", np, morsels, workers, start, fmt.Sprintf("matches=%d out=%s", matches, emitted))
 	return res, nil
+}
+
+// imgRows maps r's result positions pos to its image rows in place; -1
+// stays -1.
+func imgRows(r *Result, pos []int32) {
+	if r.RowIdx == nil {
+		return
+	}
+	for k, p := range pos {
+		if p >= 0 {
+			pos[k] = r.RowIdx[p]
+		}
+	}
 }
 
 // seq32 is lo, lo+1, ..., hi-1.

@@ -12,15 +12,15 @@ import (
 // whole output vectors (one kernel run per expression) instead of walking
 // closures row by row. The output publishes a fresh columnar image built
 // from the computed vectors, so a downstream filter, group-by or join stays
-// on the vectorized path. Over boxed input the output rows are boxed once
-// from the vectors — the same values, bit for bit, the closure path would
-// produce; over positions (box.go) the output is positions too, and a
-// consumer that needs rows boxes them from the image.
+// on the vectorized path. The output is positions over that image (box.go),
+// whether the input was boxed or not: a consumer that needs rows boxes them
+// from the image — the same values, bit for bit, the closure path would
+// produce.
 //
-// An output that is a plain column reference is not computed: its rows take
-// the input's values and its image column is the input's own, gathered
-// through the row index when there is one — a dictionary-coded column stays
-// coded, so a spreadsheet built above the projection keys by its codes.
+// An output that is a plain column reference is not computed: its image
+// column is the input's own, gathered through the row index when there is
+// one — a dictionary-coded column stays coded, so a spreadsheet built above
+// the projection keys by its codes.
 //
 // The decision is all-or-nothing over the expression list: one unsupported
 // expression keeps the whole operator on the row path, so any evaluation
@@ -51,10 +51,6 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 			bare[j] = o
 		}
 	}
-	var rows []types.Row
-	if !in.unboxed() {
-		rows = make([]types.Row, nr)
-	}
 	runRange := func(lo, hi int) ([]*eval.ExprVec, error) {
 		selBuf := colstore.GetSel(hi - lo)
 		defer colstore.PutSel(selBuf)
@@ -73,23 +69,6 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 				return nil, err
 			}
 			vecs[j] = v
-		}
-		if rows == nil {
-			return vecs, nil
-		}
-		// One flat backing per morsel: rows are full-length sub-slices, so
-		// per-slot writes cannot clobber neighbours.
-		flat := make([]types.Value, (hi-lo)*w)
-		for i := lo; i < hi; i++ {
-			out := flat[(i-lo)*w : (i-lo+1)*w : (i-lo+1)*w]
-			for j, v := range vecs {
-				if v == nil {
-					out[j] = in.Rows[i][bare[j]]
-				} else {
-					out[j] = v.BoxValue(i - lo)
-				}
-			}
-			rows[i] = out
 		}
 		return vecs, nil
 	}
@@ -113,7 +92,7 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 		}
 		parts = [][]*eval.ExprVec{vecs}
 	}
-	img := &colstore.Table{NRows: nr, Cols: make([]*colstore.Column, w), Rows: rows}
+	img := &colstore.Table{NRows: nr, Cols: make([]*colstore.Column, w)}
 	for j := 0; j < w; j++ {
 		if bare[j] >= 0 {
 			img.Cols[j] = vecCol(in, bare[j])
@@ -128,7 +107,7 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 		}
 		img.Cols[j] = concatVecs(morselVecs, nr)
 	}
-	return &Result{Schema: n.Schema(), Rows: rows, Img: img}, nil, true
+	return &Result{Schema: n.Schema(), Img: img}, nil, true
 }
 
 // concatVecs stitches per-morsel output vectors (all of one kernel, so one

@@ -32,7 +32,7 @@ import (
 // Config tunes a Server. Zero values take the documented defaults.
 type Config struct {
 	Addr         string        // TCP listen address (default "127.0.0.1:0")
-	MetricsAddr  string        // HTTP /metrics, /healthz and /debug/pprof/ address ("" disables)
+	MetricsAddr  string        // HTTP /metrics, /healthz and /debug/pprof/ address ("" disables); no access control, so loopback or a trusted network only
 	MaxInFlight  int           // concurrent executing queries (default 8)
 	MaxQueue     int           // admission wait-queue length (default 16)
 	QueueWait    time.Duration // max admission wait (default 1s)
