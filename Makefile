@@ -73,8 +73,10 @@ fuzz-smoke:
 # inside the vectorized kernel files and the image derivation
 # (internal/colstore/derive.go: extend/patch/gather run once per written row
 # of every version) and the typed sort keys of ORDER BY and windows
-# (internal/exec/sortkeys.go, window.go) and the key words of the cell index,
-# the group-by and the hash join (internal/wordkey, internal/exec/join.go) —
+# (internal/exec/sortkeys.go, window.go), the key words of the cell index,
+# the group-by and the hash join (internal/wordkey, internal/exec/join.go)
+# and the spreadsheet's output image (internal/core/output.go: positions and
+# measures packed straight into typed vectors, once per output row) —
 # these loops must stay on the typed vectors. A deliberate
 # exception needs an `interp-ok:` comment on the same line justifying it (a
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
@@ -85,7 +87,8 @@ fuzz-smoke:
 # acyclic/vecrules/vecscan.go, in the driver's run/sequential/cyclic.go (the
 # ITERATE passes and fixpoint iterations reuse the PE's scratch), in
 # parbuild/reuse.go (the build allocates per bucket, not per frame), in the
-# batch group-by (internal/exec/vecagg.go: per morsel, not per group), in
+# output image (internal/core/output.go: per column and packing task, never
+# a row clone), in the batch group-by (internal/exec/vecagg.go: per morsel, not per group), in
 # the hash join (internal/exec/join.go: per morsel, not per key) or in the
 # key words (internal/wordkey: per domain or layout, not per key), needs an
 # `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
@@ -96,6 +99,7 @@ lint-hotpath:
 		internal/exec/vecproject.go internal/core/vecscan.go internal/core/vecrules.go \
 		internal/colstore/derive.go internal/exec/sortkeys.go internal/exec/window.go \
 		internal/wordkey/wordkey.go internal/wordkey/reader.go internal/exec/join.go \
+		internal/core/output.go \
 		| grep -v 'interp-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \
@@ -105,7 +109,7 @@ lint-hotpath:
 	fi; \
 	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
 		internal/core/vecrules.go internal/core/vecscan.go internal/core/parbuild.go internal/core/reuse.go \
-		internal/core/run.go internal/core/sequential.go internal/core/cyclic.go \
+		internal/core/run.go internal/core/sequential.go internal/core/cyclic.go internal/core/output.go \
 		internal/exec/vecagg.go internal/exec/join.go internal/wordkey/wordkey.go internal/wordkey/reader.go \
 		| grep -v 'alloc-ok:'); \
 	if [ -n "$$bad" ]; then \

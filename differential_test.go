@@ -185,6 +185,7 @@ func lowCutoff(c *sqlsheet.Config) { c.Ablate.Engine.VecMinRows = 1 }
 func cacheOn(c *sqlsheet.Config)   { c.Ablate.DisablePlanCache = false }
 func reuse(c *sqlsheet.Config)     { c.Ablate.DisablePlanCache, c.Ablate.DisableResultCache = false, true }
 func syncSpill(c *sqlsheet.Config) { c.Ablate.Exec.DisableAsyncSpill = true }
+func promote(c *sqlsheet.Config)   { c.PromoteIndependentDims = true }
 func budget(n int64) func(*sqlsheet.Config) {
 	return func(c *sqlsheet.Config) { c.MemoryBudget = n }
 }
@@ -260,6 +261,11 @@ func diffConfigs() []diffConfig {
 		{name: "b7-spill-async", group: "move", ref: "row-b7", cfg: grid(8, 3, 7, budget(1500))},
 		{name: "b7-spill-sync", group: "move", ref: "row-b7", cfg: grid(8, 3, 7, budget(1500), syncSpill)},
 		{name: "b7-spill-serial", group: "move", ref: "row-b7", cfg: grid(1, 1, 7, budget(1500), syncSpill)},
+
+		// promote: S4's duplication of an independent dimension into the
+		// distribution key (two PEs); the sheet drops the leading copy.
+		{name: "row-promote", cfg: grid(1, 2, 0, rowPath, promote)},
+		{name: "vec-promote", group: "promote", ref: "row-promote", cfg: grid(4, 2, 0, promote)},
 
 		// served: the path the benchmark checks; recovered reopens its log.
 		{name: "served", group: "served", ref: "row-p2", mode: served, cfg: sqlsheet.Config{Parallel: 2}},
@@ -1105,6 +1111,78 @@ func joinConsumersDB(t testing.TB, db *sqlsheet.DB) {
 	insert(t, db, "jd", dim...)
 }
 
+// sheetConsumersDB is a sparse cube sf(c, p, t) with a FLOAT measure
+// holding -0, NaN and infinities, a nullable INT and a nullable string, and
+// a reference table sr keyed by product.
+func sheetConsumersDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE sf (c TEXT, p TEXT, t INT, s FLOAT, n INT, name TEXT)`)
+	db.MustExec(`CREATE TABLE sr (p TEXT, w INT)`)
+	fs := []float64{1.5, math.Copysign(0, -1), 2.25, math.NaN(), 0, 7, math.Inf(1), -3.5, 12}
+	var rows [][]any
+	for ci, c := range []string{"a", "b", "c"} {
+		for pi, p := range []string{"tv", "dvd", "vcr", "pc", "cam", "radio"} {
+			for y := 2000; y < 2012; y++ {
+				i := len(rows)
+				if (ci+pi+y)%7 == 3 {
+					continue
+				}
+				rows = append(rows, []any{c, p, y, fs[i%len(fs)] * float64(1+i%4),
+					maybe(i%11, func() any { return i%9 - 4 }), maybe(i%13, func() any { return fmt.Sprintf("nm%d", i%5) })})
+			}
+		}
+	}
+	insert(t, db, "sf", rows...)
+	insert(t, db, "sr", []any{"tv", 1}, []any{"dvd", 2}, []any{"vcr", 3}, []any{"pc", 4}, []any{"zz", 5}, []any{nil, 6})
+}
+
+// sheetConsumerScript is the sheet-consumers case's statements.
+func sheetConsumerScript() []string {
+	img := `(SELECT c, p, t, s, n, u FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s, n, 0 u)
+		(UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + s[cv(p), cv(t) - 1])) v`
+	mix := `(SELECT c, p, t, s, n, name, m, z FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s, n, name, 0 m, NULL z)
+		(UPDATE m[*, t > 2005] = s[cv(p), cv(t)] * 0.5, UPDATE name[*, *] = p || '!' || name)) v`
+	upd := `(SELECT c, p, t, s, u FROM sf SPREADSHEET RETURN UPDATED ROWS PBY (c) DBY (p, t) MEA (s, 0 u)
+		(UPDATE u[p IN ('tv', 'pc'), t > 2003] = s[cv(p), cv(t)] * 3)) v`
+	ups := `(SELECT c, p, t, s FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s)
+		(UPSERT s['brandnew', 2010] = s['tv', 2001] * 2, UPSERT s['tv', 2030] = 1)) v`
+	ref := `(SELECT c, p, t, s, u FROM sf SPREADSHEET REFERENCE rr ON (SELECT p, w FROM sr WHERE p IS NOT NULL) DBY (p) MEA (w)
+		PBY (c) DBY (p, t) MEA (s, 0 u) (UPDATE u[*, *] = s[cv(p), cv(t)] * w[cv(p)])) v`
+	prom := `(SELECT p, t, s, u FROM (SELECT p, t, s FROM sf WHERE c = 'b') x SPREADSHEET DBY (p, t) MEA (s, 0 u)
+		(UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + s[cv(p), cv(t) - 1])) v`
+	return []string{
+		`SELECT * FROM ` + img + ` WHERE u > 3 AND p <> 'cam'`,
+		`SELECT c, p, t, m, name FROM ` + mix + ` WHERE t > 2004 AND n IS NOT NULL`,
+		`SELECT c, p, t, m FROM ` + mix + ` WHERE m > 0.5`,
+		`SELECT c, COUNT(*), SUM(u), MAX(s), MIN(n), COUNT(n) FROM ` + img + ` GROUP BY c`,
+		`SELECT p, t, SUM(s), AVG(u), MAX(n) FROM ` + img + ` GROUP BY p, t`,
+		`SELECT p, SUM(s), COUNT(z), MAX(name), SUM(m), COUNT(*) FROM ` + mix + ` GROUP BY p`,
+		`SELECT t, SUM(m), MIN(m), MAX(z) FROM ` + mix + ` GROUP BY t`,
+		`SELECT c, p, t, u FROM ` + img + ` ORDER BY u DESC, c, p, t`,
+		`SELECT c, p, t, name, m FROM ` + mix + ` ORDER BY name, m, c, p, t`,
+		`SELECT c, p, t, SUM(u) OVER (PARTITION BY c ORDER BY p, t) FROM ` + img + ` ORDER BY c, p, t`,
+		`SELECT c, p, t, MAX(m) OVER (PARTITION BY p ORDER BY c, t) FROM ` + mix + ` ORDER BY c, p, t`,
+		`SELECT DISTINCT c, t FROM ` + img,
+		`SELECT DISTINCT m, z FROM ` + mix,
+		`SELECT c, p, u FROM ` + img + ` UNION ALL SELECT c, p, s FROM sf`,
+		`SELECT c, p, t, u FROM ` + img + ` ORDER BY c, p, t LIMIT 9`,
+		`SELECT COUNT(*) FROM (SELECT c FROM ` + img + ` LIMIT 7) q`,
+		`SELECT v.c, v.p, v.t, v.u, r.w FROM ` + img + ` JOIN sr r ON v.p = r.p`,
+		`SELECT r.w, SUM(v.m), COUNT(v.name) FROM ` + mix + ` JOIN sr r ON v.p = r.p GROUP BY r.w`,
+		`SELECT c || '-' || p, u * 2 + s, n + 1, t * 10 FROM ` + img,
+		`SELECT name || '?', m + 1, z FROM ` + mix,
+		`SELECT c, p, t FROM sf WHERE p IN (SELECT p FROM ` + img + ` WHERE u > 12)`,
+		`SELECT c, p, t, u FROM ` + img + ` WHERE p IN (SELECT p FROM sr WHERE w > 2)`,
+		`SELECT p, COUNT(*), SUM(u) FROM ` + upd + ` GROUP BY p`,
+		`SELECT c, p, t, u FROM ` + upd + ` WHERE u > 1 ORDER BY c, p, t`,
+		`SELECT p, t, COUNT(*), SUM(s) FROM ` + ups + ` GROUP BY p, t`,
+		`SELECT c, p, t, s FROM ` + ups + ` WHERE p = 'brandnew' OR t = 2030 ORDER BY c, p, t`,
+		`SELECT c, SUM(u), COUNT(*) FROM ` + ref + ` GROUP BY c`,
+		`SELECT c, p, t, u FROM ` + ref + ` WHERE u > 5 ORDER BY u, c, p, t`,
+		`SELECT p, COUNT(*), SUM(u), MAX(s) FROM ` + prom + ` GROUP BY p`,
+		`SELECT p, t, u FROM ` + prom + ` WHERE u > 2 ORDER BY p, t`,
+	}
+}
+
 // typedQueries sweep the filter shapes the kernel compiler supports and a
 // few it must decline, joins and group-bys on plain-column keys, compute
 // projections and batch aggregates over typedDB.
@@ -1741,6 +1819,26 @@ func diffCorpus() []diffCase {
 				}
 			}
 		}},
+		// Every consumer above a spreadsheet, over its image, its rows kept
+		// beside a partial image, or its rows alone: a filter, GROUP BY on PBY
+		// and on DBY keys with aggregates over measures, a sort, a window,
+		// DISTINCT, UNION ALL, LIMIT, a hash join, a computed projection and
+		// IN (SELECT ...), over measures that keep one kind (img), and over a
+		// measure mixing INT and FLOAT, an all-NULL one and a string one
+		// (mix); then RETURN UPDATED ROWS, UPSERT of a DBY value absent from
+		// the input's dictionary, a reference sheet, and a sheet without PBY
+		// whose independent dimension the promote configuration duplicates
+		// into the distribution key (the sheet drops that leading column).
+		// Spilling, reused and served sessions run it too; the bytes are the
+		// row path's.
+		diffCase{name: "sheet-consumers", fixture: sheetConsumersDB, configs: "exec plan served fuzz b3 spill3 cache promote", script: sheetConsumerScript(),
+			check: func(t *testing.T, ref []outcome) {
+				for i, o := range ref {
+					if o.err != "" || len(o.rows) == 0 {
+						t.Errorf("statement %d: error %q, %d rows; want rows", i, o.err, len(o.rows))
+					}
+				}
+			}},
 		// A NaN key matches nothing on the hashed equality paths, as = says:
 		// the hash join (plain, two-key and computed keys, every join type)
 		// and IN over a subquery agree with the nested loop and the linear

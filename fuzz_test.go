@@ -101,9 +101,10 @@ func ruleFuzzDB(tb testing.TB, db *sqlsheet.DB) {
 
 // FuzzRuleKernel differentially executes a fuzzed spreadsheet rule set under
 // the harness's vec-min1 (every rule batched when it can be) and under its
-// reference, the per-cell row path. Both must agree on success (rowBits) and
-// on failure (error text): the batch path may only ever fall back, never
-// change a result.
+// reference, the per-cell row path, twice: the sheet alone, and under a
+// filter, a GROUP BY and a sort that read the sheet's output image. Both
+// must agree on success (rowBits) and on failure (error text): the batch
+// path may only ever fall back, never change a result.
 func FuzzRuleKernel(f *testing.F) {
 	seeds := []string{
 		`UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 + s[cv(p), cv(t) - 1]`,
@@ -122,14 +123,25 @@ func FuzzRuleKernel(f *testing.F) {
 		// top level: existential, with and without an aggregate beside it.
 		`UPDATE u[*, t > 1980] = s[p, t - 1]`,
 		`UPDATE u[*, t > 1980] = s[p, t - 1] + 0 * sum(s)[*, *]`,
+		// u INT on the later cells, FLOAT on the others: the sheet's output
+		// has no column for it, and the consumer's SUM(u) takes its rows.
+		`UPDATE u[*, t > 1995] = 1`,
+		// A DBY value absent from the input's dictionary: inserted cells
+		// have no input position, and the output keeps its rows.
+		`UPSERT u['laser', 1999] = s['tv', 1999] * 2`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	batch, row := differentialPair(f, "vec-min1", ruleFuzzDB)
 	f.Fuzz(func(t *testing.T, rules string) {
-		checkDifferential(t, batch, row, `SELECT r, p, t, s, u FROM rf SPREADSHEET
+		sheet := `SELECT r, p, t, s, u FROM rf SPREADSHEET
 			REFERENCE rs ON (SELECT p, ref, m2 FROM rd) DBY (p) MEA (ref, m2)
-			PBY(r) DBY (p, t) MEA (s, u) (`+rules+`) ORDER BY r, p, t`)
+			PBY(r) DBY (p, t) MEA (s, u) (` + rules + `)`
+		checkDifferential(t, batch, row, sheet+` ORDER BY r, p, t`)
+		// The consumers above the sheet: a filter, a GROUP BY on a DBY key
+		// with aggregates over measures, a sort.
+		checkDifferential(t, batch, row, `SELECT p, COUNT(*), SUM(u), MAX(s) FROM (`+sheet+`) v
+			WHERE t > 1990 GROUP BY p ORDER BY p`)
 	})
 }

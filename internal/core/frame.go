@@ -15,7 +15,10 @@ import (
 // (cellkeys.go), addresses individual cells. Each
 // bucket owns one row store, so bounding the store's memory models the
 // paper's "fit the second-level hash tables of each first-level partition in
-// memory" regime, with spilling beyond it.
+// memory" regime, with spilling beyond it. The build keeps every stored
+// row's position in the input relation (Frame.in), so a run can hand its
+// result out as those positions plus typed measure columns (output.go)
+// rather than as rows.
 type PartitionSet struct {
 	model   *Model
 	buckets []*bucket
@@ -90,6 +93,10 @@ type Frame struct {
 	// cellsShared marks cells as shared with another structure
 	// (CloneForReuse): read freely, copy before the first Insert.
 	cellsShared bool
+	// in holds the input position of each row the build loaded (a slice
+	// of the bucket's one array, 4 bytes a row); the rows a rule inserts
+	// have none. Nil in a reused structure, which has no input.
+	in []int32
 	// builtLen is the number of rows the build loaded. Rows are never
 	// removed and Insert appends, so a cell existed before formula execution
 	// (the IS PRESENT predicate) exactly when its position is below it.
@@ -169,8 +176,9 @@ func HashValue(v types.Value, n int) int {
 func (ps *PartitionSet) Buckets() []*bucket { return ps.buckets }
 
 // Rows gathers every row back out in deterministic order: bucket index,
-// frame discovery order, row insertion order. updatedOnly restricts the
-// output to rows assigned or created by rules (RETURN UPDATED ROWS).
+// frame discovery order, row insertion order — the order output hands out
+// input positions and measure values in. updatedOnly restricts the output
+// to rows assigned or created by rules (RETURN UPDATED ROWS).
 func (ps *PartitionSet) Rows(updatedOnly bool) []types.Row {
 	var out []types.Row
 	for _, b := range ps.buckets {

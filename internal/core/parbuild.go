@@ -368,6 +368,7 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 		// Capacity clipped: an Insert appends into the frame's own copy.
 		f.ids = ids[base:len(ids):len(ids)]
 		f.builtLen = len(f.ids)
+		f.in = ris[lo:hi:hi]
 	}
 	if o.ShareRows { // only ever set for MemStore buckets
 		ms.ShareAll()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sqlsheet/internal/blockstore"
@@ -96,6 +97,11 @@ type RunOptions struct {
 	// build and before any formula evaluation — the window in which
 	// CloneForReuse may capture a pristine copy for the serving-path cache.
 	OnBuilt func(*PartitionSet)
+	// Image asks Exec for the result as input positions and typed measure
+	// columns (Output.Pos, Output.Meas), with rows only where those cannot
+	// serve every column. Ignored with Prebuilt, whose structure has no
+	// input.
+	Image bool
 	// FastLocal shares rows across the store boundary instead of cloning
 	// them on the way in (partition build) and out (result assembly) — see
 	// BuildOptions.ShareRows. Only valid with memory-resident stores;
@@ -105,8 +111,22 @@ type RunOptions struct {
 }
 
 // Run executes the compiled spreadsheet over rows in working-schema layout
-// and returns the result rows plus access-structure I/O statistics.
+// and returns the result rows plus access-structure I/O statistics: Exec's
+// rows, asked for no image.
 func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.Stats, error) {
+	opts.Image = false
+	out, stats, err := m.Exec(rows, opts)
+	if err != nil {
+		return nil, stats, err
+	}
+	return out.Rows, stats, nil
+}
+
+// Exec executes the compiled spreadsheet over rows in working-schema layout
+// and returns its result — rows, or with opts.Image each output row's input
+// position and the measures' columns (see Output) — plus access-structure
+// I/O statistics.
+func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Stats, error) {
 	if m.levels == nil {
 		if err := m.Analyze(); err != nil {
 			return nil, blockstore.Stats{}, err
@@ -161,7 +181,15 @@ func (m *Model) Run(rows []types.Row, opts RunOptions) ([]types.Row, blockstore.
 			}
 		}
 	}
-	out := ps.Rows(m.ReturnUpdated)
+	// A reused structure has no input, so no input positions. Rows go out
+	// wherever positions and measure columns leave a column unserved.
+	out := &Output{}
+	if opts.Image && opts.Prebuilt == nil {
+		out = ps.output(m.ReturnUpdated, opts.BuildWorkers)
+	}
+	if out.Pos == nil || out.Inserted || slices.Contains(out.Meas, nil) {
+		out.Rows = ps.Rows(m.ReturnUpdated)
+	}
 	// Closing drains the stores' background writers: every spill I/O failure
 	// is known, and fails the statement (the rows may be wrong).
 	ps.Close()

@@ -294,7 +294,11 @@ func (n *exprNode) kindIn(in *VecInput) (types.Kind, bool) {
 	case opConst:
 		return n.val.K, true
 	case opCol:
-		return in.col(n.ord).Kind, true
+		c := in.col(n.ord)
+		if c == nil { // a column the image does not serve
+			return 0, false
+		}
+		return c.Kind, true
 	case opNeg:
 		k, ok := n.l.kindIn(in)
 		if !ok || !numericOrNull(k) {

@@ -331,6 +331,7 @@ func (ex *Executor) scanRows(src []types.Row, schema *eval.BoundSchema, filter s
 		}
 		return &Result{Schema: schema, Rows: stitch(parts)}, nil
 	}
+	start := time.Now()
 	ctx := ex.ctx(schema, nil, outer)
 	var rows []types.Row
 	for _, r := range src {
@@ -343,6 +344,7 @@ func (ex *Executor) scanRows(src []types.Row, schema *eval.BoundSchema, filter s
 			rows = append(rows, r)
 		}
 	}
+	ex.opLine("filter", len(src), 0, 1, start, "")
 	return &Result{Schema: schema, Rows: rows}, nil
 }
 
@@ -383,6 +385,7 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 				// Positions in, positions out: only the column map changes.
 				return &Result{Schema: n.Schema(), Img: in.Img, RowIdx: in.RowIdx, ColMap: composeCols(in, ords)}, nil
 			}
+			start := time.Now()
 			rows := make([]types.Row, len(in.Rows))
 			gather := func(m morsel) {
 				w := len(ords)
@@ -405,6 +408,7 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 				}
 			} else {
 				gather(morsel{Lo: 0, Hi: len(in.Rows)})
+				ex.opLine("project", len(in.Rows), 0, 1, start, "")
 			}
 			res := &Result{Schema: n.Schema(), Rows: rows}
 			if vecOK(in) && func() bool {
@@ -429,10 +433,14 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 	if in, err = ex.boxed(in); err != nil {
 		return nil, err
 	}
+	// Each morsel's rows share one flat backing (every row a full-length
+	// sub-slice), as the gather path's and boxed's do.
 	projectMorsel := func(ctx *eval.Context, rows []types.Row, m morsel) error {
+		w := len(n.ExprsC)
+		flat := make([]types.Value, (m.Hi-m.Lo)*w)
 		for i := m.Lo; i < m.Hi; i++ {
 			ctx.Binding.Row = in.Rows[i]
-			out := make(types.Row, len(n.ExprsC))
+			out := flat[(i-m.Lo)*w : (i-m.Lo+1)*w : (i-m.Lo+1)*w]
 			for j, c := range n.ExprsC {
 				v, err := c.Eval(ctx)
 				if err != nil {
@@ -456,11 +464,13 @@ func (ex *Executor) execProject(n *plan.Project, outer *eval.Binding) (*Result, 
 		}
 		return &Result{Schema: n.Schema(), Rows: rows}, nil
 	}
+	start := time.Now()
 	ctx := ex.ctx(in.Schema, nil, outer)
 	rows := make([]types.Row, len(in.Rows))
 	if err := projectMorsel(ctx, rows, morsel{Lo: 0, Hi: len(in.Rows)}); err != nil {
 		return nil, err
 	}
+	ex.opLine("project", len(in.Rows), 0, 1, start, "")
 	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 

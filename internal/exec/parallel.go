@@ -127,7 +127,9 @@ func (b *budget) release(n int) {
 }
 
 // OpStat records one operator execution: every parallel operator's, and
-// the sorting, window and limit operators' whether parallel or not.
+// the filter, projection, sorting, window, limit and spreadsheet operators'
+// whether parallel or not (a projection that only renames or reorders
+// columns over positions does no work and records none).
 type OpStat struct {
 	Op      string        // operator: filter, project, join-build, join-probe, group-by, sort, top-k, window, limit, spreadsheet
 	Rows    int           // input rows processed

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sqlsheet/internal/blockstore"
+	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/core"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
@@ -30,6 +32,10 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	var inRows []types.Row
 	var inCols *core.ColSource
+	// image: the output's key columns can be gathered from the input image
+	// (every one the output keeps is there), so the engine is asked for
+	// positions and measure columns rather than rows.
+	image, outNote := false, "rows(reused)"
 	if prebuilt == nil {
 		in, err := ex.Execute(n.Input, outer)
 		if err != nil {
@@ -37,7 +43,12 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		}
 		inRows = in.Rows
 		// Only the leading PBY+DBY ordinals are key-encoded by the build.
-		inCols = ex.vecColSource(in, n.Model.NPby+n.Model.NDby)
+		nk := n.Model.NPby + n.Model.NDby
+		inCols = ex.vecColSource(in, nk)
+		image = inCols != nil && len(inCols.Cols) == nk && !slices.Contains(inCols.Cols[n.DropCols:], nil)
+		if !image {
+			outNote = "rows(no-input-image)"
+		}
 	}
 	for i, rp := range n.RefPlans {
 		res, err := ex.Execute(rp, outer)
@@ -102,7 +113,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	var counts core.VecStats
 	start := time.Now()
-	rows, stats, err := n.Model.Run(inRows, core.RunOptions{
+	out, stats, err := n.Model.Exec(inRows, core.RunOptions{
 		Ctx:          ex.Opts.Ctx,
 		Parallel:     par,
 		BuildWorkers: bw,
@@ -114,6 +125,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		Prebuilt:     prebuilt,
 		OnBuilt:      onBuilt,
 		Stats:        &counts,
+		Image:        image,
 		// FastLocalPath is only set for unbudgeted sessions (see
 		// db.newExecutor), so the stores above are memory-resident and rows
 		// may cross the store boundary by reference; the MemoryBudget guard
@@ -129,17 +141,62 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	if err != nil {
 		return nil, err
 	}
-	// How the cells were keyed and read: EXPLAIN ANALYZE's spreadsheet line.
+	res := &Result{Schema: n.Schema(), Rows: out.Rows}
+	if n.DropCols > 0 {
+		for i, r := range res.Rows {
+			res.Rows[i] = r[n.DropCols:]
+		}
+	}
+	if out.Pos != nil {
+		outNote = sheetImage(n, inCols, out, res)
+	}
+	// How the cells were keyed and read, and the form of the output:
+	// EXPLAIN ANALYZE's spreadsheet line.
 	ex.recordOp(OpStat{Op: "spreadsheet", Rows: len(inRows), Workers: max(par, 1), Elapsed: time.Since(start),
-		Note: fmt.Sprintf("keys=%s probes=%d aliased=%d", built.KeyNote(), counts.Probes.Load(), counts.Aliased.Load())})
+		Note: fmt.Sprintf("keys=%s probes=%d aliased=%d out=%s", built.KeyNote(), counts.Probes.Load(), counts.Aliased.Load(), outNote)})
 	ex.mu.Lock()
 	ex.SheetStats.Add(stats)
 	ex.mu.Unlock()
+	return res, nil
+}
 
-	if n.DropCols > 0 {
-		for i, r := range rows {
-			rows[i] = r[n.DropCols:]
+// sheetImage gives res, the spreadsheet's result, its image: the key
+// columns gathered from the input image's (keys) by each output row's input
+// position, sharing their dictionaries, and the measures the engine packed.
+// A column the image cannot serve is nil, and res keeps the rows the engine
+// handed out beside it. It returns the output note: out=image when res is
+// positions only, else the reason it keeps rows — the first absent
+// column's.
+func sheetImage(n *plan.Spreadsheet, keys *core.ColSource, out *core.Output, res *Result) string {
+	m := n.Model
+	nk := m.NPby + m.NDby
+	img := &colstore.Table{NRows: len(out.Pos), Cols: make([]*colstore.Column, nk+m.NMea)}
+	if !out.Inserted {
+		idx := out.Pos
+		if keys.RowIdx != nil {
+			idx = make([]int32, len(out.Pos))
+			for i, p := range out.Pos {
+				idx[i] = keys.RowIdx[p]
+			}
+		}
+		for ord := n.DropCols; ord < nk; ord++ {
+			img.Cols[ord] = colstore.Gather(keys.Cols[ord], idx)
 		}
 	}
-	return &Result{Schema: n.Schema(), Rows: rows}, nil
+	copy(img.Cols[nk:], out.Meas)
+	res.Img = img
+	if n.DropCols > 0 {
+		res.ColMap = make([]int, len(img.Cols)-n.DropCols)
+		for j := range res.ColMap {
+			res.ColMap[j] = n.DropCols + j
+		}
+	}
+	switch {
+	case res.Rows == nil:
+		return "image"
+	case out.Inserted:
+		return "rows(inserted)"
+	}
+	// Rows beside the image and nothing inserted: a measure mixes kinds.
+	return "rows(mixed:" + m.Schema.Cols[nk+slices.Index(out.Meas, nil)].Name + ")"
 }

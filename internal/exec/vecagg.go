@@ -60,6 +60,10 @@ type vecGroupPlan struct {
 	// pre holds every input row's interned word when the layout is
 	// byte-keyed; nil when packed.
 	pre []uint64
+	// maxGroups bounds the groups of any run of rows: the product of the
+	// key domains' sizes, so a morsel's word table is sized for the groups
+	// it can hold, not for one per row.
+	maxGroups int
 }
 
 // vecGroupPlan builds the batch plan, or nil when any part of the group-by
@@ -105,9 +109,12 @@ func (ex *Executor) vecGroupPlan(n *plan.GroupBy, in *Result) *vecGroupPlan {
 	}
 	vp.keys, vp.ridx = cols, in.RowIdx
 	width := make([]uint8, len(cols))
+	vp.maxGroups = 1
 	for j, c := range cols {
 		vp.rds = append(vp.rds, wordkey.NewReader(c, in.RowIdx, nil, in.Len(), ords[j]))
-		width[j] = wordkey.ExactWidth(vp.rds[j].Dom.Size())
+		size := vp.rds[j].Dom.Size()
+		width[j] = wordkey.ExactWidth(size)
+		vp.maxGroups = int(min(uint64(vp.maxGroups)*uint64(size), 1<<31))
 	}
 	vp.lay = wordkey.NewLayout(width)
 	if !vp.lay.Packed() {
@@ -160,9 +167,10 @@ func (vp *vecGroupPlan) accumulate(in *Result, lo, hi int) (*groupState, error) 
 	words := make([]uint64, m)
 	scratch := make([]uint32, m)
 	wordkey.RowWords(nil, vp.rds, vp.lay, vp.pre, lo, scratch, words)
-	tbl := make([]wordkey.Slot, wordkey.TableSize(m))
+	ng := min(m, vp.maxGroups)
+	tbl := make([]wordkey.Slot, wordkey.TableSize(ng))
 	gids := make([]int32, m)
-	p := &groupState{words: make([]uint64, 0, m), first: make([]int32, 0, m)}
+	p := &groupState{words: make([]uint64, 0, ng), first: make([]int32, 0, ng)}
 	for k, w := range words {
 		g, found := wordkey.Intern(tbl, w, len(p.words))
 		if !found {

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"time"
+
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
 	"sqlsheet/internal/plan"
@@ -86,11 +88,13 @@ func (ex *Executor) execProjectVec(n *plan.Project, in *Result) (*Result, error,
 			return nil, err, true
 		}
 	} else {
+		start := time.Now()
 		vecs, err := runRange(0, nr)
 		if err != nil {
 			return nil, err, true
 		}
 		parts = [][]*eval.ExprVec{vecs}
+		ex.opLine("project", nr, 0, 1, start, "")
 	}
 	img := &colstore.Table{NRows: nr, Cols: make([]*colstore.Column, w)}
 	for j := 0; j < w; j++ {

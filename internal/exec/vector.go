@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"time"
+
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/core"
 	"sqlsheet/internal/eval"
@@ -59,9 +61,18 @@ func vecCol(r *Result, ord int) *colstore.Column {
 	return r.Img.Cols[ord]
 }
 
-// vecRunnable reports whether kernel k can run over r's provenance.
+// vecRunnable reports whether kernel k can run over r's provenance: every
+// column it reads is in the image (a spreadsheet's image may lack some).
 func vecRunnable(r *Result, k eval.SelKernel) bool {
-	return k.Valid() && vecOK(r) && k.MinCols() <= vecWidth(r)
+	if !k.Valid() || !vecOK(r) || k.MinCols() > vecWidth(r) {
+		return false
+	}
+	for _, o := range k.ColRefs(nil) {
+		if vecCol(r, o) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // vecCovers reports whether r's provenance serves every schema column (the
@@ -141,7 +152,9 @@ func (ex *Executor) vecFilter(in *Result, k eval.SelKernel, schema *eval.BoundSc
 			return nil, err
 		}
 	} else {
+		start := time.Now()
 		parts = [][]int32{runRange(0, n)}
+		ex.opLine("filter", n, 0, 1, start, "")
 	}
 	total := 0
 	for _, p := range parts {

@@ -203,8 +203,9 @@ func TestExplainJoinKeys(t *testing.T) {
 // TestExplainSpreadsheetKeys pins the spreadsheet line of EXPLAIN ANALYZE:
 // how the structure keyed its cells — packed words, or byte keys when three
 // INT dimensions spanning 15 million values each overflow a word — and how
-// many cell reads probed and how many read the target cell's own column.
-// At VecMinRows 1 the rule batches: the two self-reads (s[cv(p), cv(t)],
+// many cell reads probed and how many read the target cell's own column,
+// then the form of the output (an image: no rule inserted, no measure mixes
+// kinds). At VecMinRows 1 the rule batches: the two self-reads (s[cv(p), cv(t)],
 // ten cells each) are aliased, the per-frame constant s['tv', 2000] probes
 // once per frame, and the data-dependent s[cv(p), cv(t) - 1] ten times.
 func TestExplainSpreadsheetKeys(t *testing.T) {
@@ -217,10 +218,10 @@ func TestExplainSpreadsheetKeys(t *testing.T) {
 	for _, c := range []struct{ q, want string }{
 		{`SELECT r, p, t, s, u FROM sk SPREADSHEET PBY(r) DBY (p, t) MEA (s, 0 u)
 			( UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + s[cv(p), cv(t)] + s['tv', 2000] + s[cv(p), cv(t) - 1] )`,
-			"keys=packed probes=12 aliased=20"},
+			"keys=packed probes=12 aliased=20 out=image"},
 		{`SELECT r, x, y, z, s, u FROM sk SPREADSHEET PBY(r) DBY (x, y, z) MEA (s, 0 u)
 			( UPDATE u[*, *, *] = s[cv(x), cv(y), cv(z)] + s[0, 0, 0] )`,
-			"keys=bytes(overflow) probes=2 aliased=10"},
+			"keys=bytes(overflow) probes=2 aliased=10 out=image"},
 	} {
 		out, err := db.ExplainAnalyze(c.q)
 		if err != nil {
@@ -235,5 +236,78 @@ func TestExplainSpreadsheetKeys(t *testing.T) {
 		if !strings.HasSuffix(line, c.want) {
 			t.Errorf("spreadsheet line %q, want it to end in %q:\n%s", line, c.want, out)
 		}
+	}
+}
+
+// TestExplainSheetOutput pins the form of the spreadsheet's output on its
+// EXPLAIN ANALYZE line, and the operators above it that read the image. A
+// sheet whose measures keep one kind and whose rules insert nothing emits
+// an image (out=image), and the GROUP BY above it packs its keys from the
+// gathered key columns; a measure assigned FLOAT on some cells and left INT
+// on others has no column, so the sheet keeps its rows beside the image
+// (out=rows(mixed:sh)) and the filter above it (the rule reads a cell the
+// filter drops, so it cannot be pushed) still runs over the key column;
+// an UPSERT inserts cells with no input position (out=rows(inserted)).
+// Under DisableVectorizedExec the input carries no image
+// (out=rows(no-input-image)) and the GROUP BY keys rows; a structure reused
+// from the cache has no input at all (out=rows(reused)).
+func TestExplainSheetOutput(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE so (c TEXT, t INT, p TEXT, s FLOAT)`)
+	db.MustExec(`INSERT INTO so VALUES ('a',1,'tv',1), ('a',1,'dvd',2), ('a',1,'vcr',3), ('a',2,'tv',4), ('a',2,'dvd',5),
+		('b',1,'tv',6), ('b',1,'vcr',7), ('b',2,'tv',8), ('b',2,'dvd',9), ('b',2,'vcr',10)`)
+	const (
+		cube = `SELECT c, t, COUNT(*) AS n, MAX(sh) AS m, SUM(s) AS total FROM (SELECT c, t, p, s, sh FROM so
+			SPREADSHEET PBY (c, t) DBY (p) MEA (s, 0 sh) RULES UPDATE (sh[*] = s[cv(p)] / s['tv'])) v
+			GROUP BY c, t ORDER BY c, t`
+		share = `SELECT c, t, p, s, sh FROM (SELECT c, t, p, s, sh FROM so
+			SPREADSHEET PBY (c, t) DBY (p) MEA (s, 0 sh) RULES UPDATE (sh['tv'] = s['tv'] / s['dvd'])) v
+			WHERE p IN ('tv', 'vcr') ORDER BY c, t, p`
+		upsert = `SELECT c, t, p, s FROM so SPREADSHEET PBY (c, t) DBY (p) MEA (s)
+			RULES UPSERT (s['new'] = s['tv'] * 2) ORDER BY c, t, p`
+	)
+	lines := func(db *sqlsheet.DB, q string) (map[string]string, string) {
+		t.Helper()
+		out, err := db.ExplainAnalyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := map[string]string{}
+		for _, l := range strings.Split(out, "\n") {
+			if f := strings.Fields(l); len(f) > 0 {
+				ls[f[0]] = l
+			}
+		}
+		return ls, out
+	}
+	for _, c := range []struct {
+		q        string
+		disabled bool
+		want     map[string]string // operator or plan node: its line's suffix ("" = only present)
+	}{
+		{cube, false, map[string]string{"spreadsheet": "out=image", "group-by": "keys=packed groups=4 partials=1"}},
+		{share, false, map[string]string{"spreadsheet": "out=rows(mixed:sh)", "filter": "", "Filter": ""}},
+		{upsert, false, map[string]string{"spreadsheet": "out=rows(inserted)"}},
+		{cube, true, map[string]string{"spreadsheet": "out=rows(no-input-image)", "group-by": "keys=row groups=4 partials=1"}},
+		{share, true, map[string]string{"spreadsheet": "out=rows(no-input-image)", "filter": "", "Filter": ""}},
+		{upsert, true, map[string]string{"spreadsheet": "out=rows(no-input-image)"}},
+	} {
+		db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true,
+			Engine: core.Ablation{DisableVectorizedExec: c.disabled}}})
+		ls, out := lines(db, c.q)
+		for op, want := range c.want {
+			if l, ok := ls[op]; !ok || !strings.HasSuffix(l, want) {
+				t.Errorf("disabled=%v: %s line %q, want it to end in %q:\n%s", c.disabled, op, l, want, out)
+			}
+		}
+	}
+	// A reused structure: the first execution publishes it, the second
+	// (its result not cached) evaluates a clone.
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisableResultCache: true}})
+	if _, err := db.Query(cube); err != nil {
+		t.Fatal(err)
+	}
+	if ls, out := lines(db, cube); !strings.HasSuffix(ls["spreadsheet"], "out=rows(reused)") {
+		t.Errorf("reused: spreadsheet line %q, want it to end in out=rows(reused):\n%s", ls["spreadsheet"], out)
 	}
 }
