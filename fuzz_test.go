@@ -64,6 +64,13 @@ func FuzzQuery(f *testing.F) {
 		`SELECT p FROM f ORDER BY p LIMIT -1`,
 		`SELECT p FROM f LIMIT 1e300`,
 		`SELECT p FROM f ORDER BY p LIMIT 2.7`,
+		// The optimizer rewrites CTE bodies and the inputs of windows: a CTE
+		// comma join, a sheet under a window, a CTE over a filtered sheet.
+		`WITH v AS (SELECT f.p, f.s, d.parent FROM f, d WHERE f.p = d.p) SELECT COUNT(*), MAX(s) FROM v`,
+		`SELECT r, p, t, s, SUM(s) OVER (PARTITION BY r ORDER BY p, t) FROM (SELECT r, p, t, s FROM f
+			SPREADSHEET PBY(r) DBY(p, t) MEA(s) ( s['dvd', 2002] = s['dvd', 2001] * 2 )) v WHERE r = 'w'`,
+		`WITH v AS (SELECT r, p, t, s FROM f SPREADSHEET PBY(r) DBY(p, t) MEA(s) ( s[*, 2001] = s[cv(p), 2000] + 1 ))
+			SELECT * FROM v WHERE r = 'e' AND t > 2000`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -805,6 +805,36 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelErrorIsSerials: a rule that never converges fails in every
+// bucket, each after its own number of iterations (the bound is the cell
+// count of the bucket's first partition), so buckets fail at different
+// times with different texts. The parallel run must report the serial run's
+// error — the lowest bucket's — whichever PE fails first.
+func TestParallelErrorIsSerials(t *testing.T) {
+	var rows []types.Row
+	for r := 0; r < 16; r++ {
+		for ti := 0; ti <= r*37%150; ti++ {
+			rows = append(rows, R(fmt.Sprintf("r%d", r), "dvd", ti, 1.0))
+		}
+	}
+	runErr := func(pes int) string {
+		m := mustModel(t, `SELECT r, p, t, s FROM f
+			SPREADSHEET PBY(r) DBY (p, t) MEA (s)
+			( s[*, *] = s[cv(p), cv(t)] + 1 )`, nil)
+		_, _, err := m.Run(rows, RunOptions{Parallel: pes, Ablate: Ablation{Buckets: 8}})
+		if err == nil {
+			t.Fatal("a non-converging rule must fail")
+		}
+		return err.Error()
+	}
+	want := runErr(1)
+	for i := 0; i < 50; i++ {
+		if got := runErr(4); got != want {
+			t.Fatalf("run %d at 4 PEs: %q, serial: %q", i, got, want)
+		}
+	}
+}
+
 func TestPromotedDimTriggerCondition(t *testing.T) {
 	// Simulate the optimizer promoting p into the distribution key (S4):
 	// working schema PBY(r, p) DBY(p, t) with p duplicated. The trigger

@@ -240,14 +240,21 @@ func (opts *RunOptions) ctxErr() error {
 }
 
 // runParallel distributes first-level buckets to PE goroutines coordinated
-// by this (query-coordinator) goroutine.
+// by this (query-coordinator) goroutine. It returns the error of the lowest
+// failing bucket: buckets are handed out in order and a PE stops only at its
+// own error, so every bucket below that one has run, and the error is the
+// one the serial loop returns.
 func (m *Model) runParallel(ps *PartitionSet, opts *RunOptions) error {
 	dop := opts.Parallel
 	if dop > len(ps.buckets) {
 		dop = len(ps.buckets)
 	}
-	work := make(chan *bucket)
-	errs := make(chan error, dop)
+	type bucketErr struct {
+		b   int
+		err error
+	}
+	work := make(chan int)
+	errs := make(chan bucketErr, dop)
 	// stop unblocks the coordinator's send once every PE could have exited
 	// early (first error or cancellation); without it, an error on all PEs —
 	// guaranteed under cancellation — would deadlock the distribution loop.
@@ -260,15 +267,15 @@ func (m *Model) runParallel(ps *PartitionSet, opts *RunOptions) error {
 			defer wg.Done()
 			fe := m.newFrameEval(opts)
 			for b := range work {
-				if err := fe.evalBucket(b); err != nil {
-					errs <- err
+				if err := fe.evalBucket(ps.buckets[b]); err != nil {
+					errs <- bucketErr{b, err}
 					stopOnce.Do(func() { close(stop) })
 					return
 				}
 			}
 		}()
 	}
-	for _, b := range ps.buckets {
+	for b := range ps.buckets {
 		select {
 		case work <- b:
 		case <-stop:
@@ -276,12 +283,14 @@ func (m *Model) runParallel(ps *PartitionSet, opts *RunOptions) error {
 	}
 	close(work)
 	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
+	close(errs)
+	first := bucketErr{b: len(ps.buckets)}
+	for e := range errs {
+		if e.b < first.b {
+			first = e
+		}
 	}
+	return first.err
 }
 
 // prepareForIn materializes FOR ... IN value lists (literals and

@@ -13,10 +13,10 @@ import (
 	"sqlsheet/internal/wordkey"
 )
 
-// execJoin dispatches on join type and method. Hash joins build one hash
-// table on the non-preserved (or right) side; nested-loop joins evaluate
-// the full ON condition per pair. The ANSI-join cost model the paper
-// compares against (one hash table per join) lives here.
+// execJoin runs the join by the method the planner decided. Hash joins
+// build one hash table on the non-preserved (or right) side; nested-loop
+// joins evaluate the full ON condition per pair. The ANSI-join cost model
+// the paper compares against (one hash table per join) lives here.
 func (ex *Executor) execJoin(n *plan.Join, outer *eval.Binding) (*Result, error) {
 	l, err := ex.run(n.L, outer)
 	if err != nil {
@@ -26,24 +26,13 @@ func (ex *Executor) execJoin(n *plan.Join, outer *eval.Binding) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	method := n.Method
-	if method == plan.JoinAuto {
-		if len(n.LeftKeys) > 0 {
-			method = plan.JoinHash
-		} else {
-			method = plan.JoinNestedLoop
-		}
-	}
-	if method == plan.JoinHash && len(n.LeftKeys) == 0 {
-		method = plan.JoinNestedLoop
-	}
-	switch method {
+	switch n.Method {
 	case plan.JoinHash:
 		return ex.hashJoin(n, l, r, outer)
 	case plan.JoinNestedLoop:
 		return ex.nestedLoopJoin(n, l, r, outer)
 	}
-	return nil, fmt.Errorf("exec: unknown join method")
+	return nil, fmt.Errorf("exec: join method %s not decided by the planner", n.Method)
 }
 
 // evalKeys evaluates a row's join keys into out, in key order up to the

@@ -37,6 +37,9 @@ const (
 //     arithmetic, say). With
 //     Engine.DisableVectorizedExec no kernel is compiled and the note says
 //     no(disabled), so ablation runs show that every node is on the row path.
+//   - each join's method, decided once the optimizer has extracted its
+//     keys: a join without equi-keys runs as a nested loop, and JoinAuto
+//     becomes a hash join. The executor runs the method it finds.
 type annotator struct {
 	opts    *Options
 	visited map[Node]bool
@@ -56,7 +59,6 @@ func (a *annotator) walk(n Node) {
 		}
 	case *CTERef:
 		x.FilterC = eval.Compile(x.Schema(), x.Filter)
-		a.walk(x.Def.Plan)
 	case *Filter:
 		x.CondC = eval.Compile(x.Input.Schema(), x.Cond)
 		x.CondK, x.VecNote = a.selKernel(x.Input.Schema(), x.Cond)
@@ -75,9 +77,15 @@ func (a *annotator) walk(n Node) {
 		x.RightKeysC = eval.CompileMany(x.R.Schema(), x.RightKeys)
 		x.ResidualC = eval.Compile(x.Schema(), x.Residual)
 		switch {
+		case len(x.LeftKeys) == 0:
+			x.Method = JoinNestedLoop
+		case x.Method == JoinAuto:
+			x.Method = JoinHash
+		}
+		switch {
 		case !vec:
 			x.VecNote = vecNoDisabled
-		case x.Method == JoinHash || (x.Method == JoinAuto && len(x.LeftKeys) > 0):
+		case x.Method == JoinHash:
 			x.VecNote = vecYes
 		default:
 			x.VecNote = vecNoNestedLoop
@@ -153,8 +161,8 @@ func (a *annotator) walk(n Node) {
 		// would not vectorize.
 		x.RuleVecNotes = x.Model.RuleVecNotes(!a.opts.Engine.RulesVectorized())
 	}
-	for _, ch := range n.Children() {
-		a.walk(ch)
+	for _, in := range n.Inputs() {
+		a.walk(*in)
 	}
 }
 

@@ -438,7 +438,6 @@ type OneRow struct{ schema *eval.BoundSchema }
 
 func NewOneRow() Node                       { return &OneRow{schema: eval.NewBoundSchema(nil)} }
 func (n *OneRow) Schema() *eval.BoundSchema { return n.schema }
-func (n *OneRow) Children() []Node          { return nil }
 
 func (b *builder) buildTableRef(tr sqlast.TableRef) (Node, error) {
 	switch x := tr.(type) {
@@ -507,7 +506,6 @@ type Alias struct {
 }
 
 func (n *Alias) Schema() *eval.BoundSchema { return n.schema }
-func (n *Alias) Children() []Node          { return []Node{n.Input} }
 
 // newJoin builds a join node, splitting equi-join keys out of the ON
 // condition.

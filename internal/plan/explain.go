@@ -16,6 +16,7 @@ func Explain(n Node) string {
 
 func explainNode(b *strings.Builder, n Node, depth int) {
 	pad := strings.Repeat("  ", depth)
+	ins, inDepth := n.Inputs(), depth+1 // the inputs printed below n, and where
 	switch x := n.(type) {
 	case *Scan:
 		fmt.Fprintf(b, "%sScan %s", pad, x.Table.Name)
@@ -32,10 +33,8 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(b, " filter=%s", x.Filter)
 		}
 		b.WriteByte('\n')
-		explainNode(b, x.Def.Plan, depth+1)
 	case *Filter:
 		fmt.Fprintf(b, "%sFilter %s vectorized=%s\n", pad, x.Cond, vecNote(x.VecNote, x.CondK.Valid()))
-		explainNode(b, x.Input, depth+1)
 	case *Project:
 		names := make([]string, len(x.Exprs))
 		for i, e := range x.Exprs {
@@ -43,7 +42,6 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		}
 		fmt.Fprintf(b, "%sProject %s vectorized=%s\n", pad,
 			strings.Join(names, ", "), vecNote(x.VecNote, false))
-		explainNode(b, x.Input, depth+1)
 	case *Join:
 		fmt.Fprintf(b, "%s%s Join (%s)", pad, x.Type, x.Method)
 		for i := range x.LeftKeys {
@@ -59,8 +57,6 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		}
 		fmt.Fprintf(b, " vectorized=%s", vecNote(x.VecNote, false))
 		b.WriteByte('\n')
-		explainNode(b, x.L, depth+1)
-		explainNode(b, x.R, depth+1)
 	case *GroupBy:
 		keys := make([]string, len(x.Keys))
 		for i, k := range x.Keys {
@@ -73,27 +69,21 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		fmt.Fprintf(b, "%sGroupBy keys=[%s] aggs=[%s] vectorized=%s\n", pad,
 			strings.Join(keys, ", "), strings.Join(aggsS, ", "),
 			vecNote(x.VecNote, false))
-		explainNode(b, x.Input, depth+1)
 	case *Union:
 		all := ""
 		if x.All {
 			all = " ALL"
 		}
 		fmt.Fprintf(b, "%sUnion%s\n", pad, all)
-		explainNode(b, x.L, depth+1)
-		explainNode(b, x.R, depth+1)
 	case *Distinct:
 		fmt.Fprintf(b, "%sDistinct\n", pad)
-		explainNode(b, x.Input, depth+1)
 	case *Sort:
 		fmt.Fprintf(b, "%sSort %s%s\n", pad, orderString(x.Items), limitString(x))
 		if x.Note != "" {
 			fmt.Fprintf(b, "%s  * %s\n", pad, x.Note)
 		}
-		explainNode(b, x.Input, depth+1)
 	case *Limit:
 		fmt.Fprintf(b, "%sLimit %d\n", pad, x.N)
-		explainNode(b, x.Input, depth+1)
 	case *Window:
 		specs := make([]string, len(x.Specs))
 		for i, s := range x.Specs {
@@ -107,9 +97,8 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(b, " limit=%d", x.Limit)
 		}
 		fmt.Fprintf(b, " vectorized=%s\n", vecNote(x.VecNote, false))
-		explainNode(b, x.Input, depth+1)
 	case *Alias:
-		explainNode(b, x.Input, depth)
+		inDepth = depth
 	case *OneRow:
 		fmt.Fprintf(b, "%sOneRow\n", pad)
 	case *Spreadsheet:
@@ -146,13 +135,18 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 				}
 			}
 		}
+		// The reference sheets' plans print before the input, each under
+		// its name.
 		for i, rp := range x.RefPlans {
 			fmt.Fprintf(b, "%s  reference %s:\n", pad, m.Refs[i].Name)
 			explainNode(b, rp, depth+2)
 		}
-		explainNode(b, x.Input, depth+1)
+		ins = []*Node{&x.Input}
 	default:
 		fmt.Fprintf(b, "%s%T\n", pad, n)
+	}
+	for _, in := range ins {
+		explainNode(b, *in, inDepth)
 	}
 }
 

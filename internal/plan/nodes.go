@@ -14,8 +14,18 @@ import (
 
 // Node is a logical plan operator. Schemas are static: every node knows its
 // output columns at plan time.
+//
+// Inputs is a node's input list: a pointer to each field that holds one of
+// its inputs, so a pass can read an input and put another in its place. It
+// is the one place each node type names its inputs; every walk over a plan
+// (the optimizer's passes, the annotator, EXPLAIN, the plan cache's
+// dependency walk) goes through it. A CTERef's input is its CTE body, the
+// same field for every reference to that CTE: a walk that rewrites keeps a
+// visited set, so a shared body is rewritten once. Children is Inputs'
+// nodes.
 type Node interface {
 	Schema() *eval.BoundSchema
+	Inputs() []*Node
 	Children() []Node
 }
 
@@ -82,7 +92,9 @@ type Project struct {
 type JoinMethod uint8
 
 const (
-	// JoinAuto picks hash when equi-keys exist, else nested loops.
+	// JoinAuto leaves the choice to the planner: hash when the join has
+	// equi-keys, else nested loops. Build decides it (see annotator), so
+	// no built plan carries it.
 	JoinAuto JoinMethod = iota
 	JoinHash
 	JoinNestedLoop
@@ -210,18 +222,47 @@ func (n *Sort) Schema() *eval.BoundSchema        { return n.Input.Schema() }
 func (n *Limit) Schema() *eval.BoundSchema       { return n.Input.Schema() }
 func (n *Spreadsheet) Schema() *eval.BoundSchema { return n.schema }
 
-func (n *Scan) Children() []Node     { return nil }
-func (n *CTERef) Children() []Node   { return nil }
-func (n *Filter) Children() []Node   { return []Node{n.Input} }
-func (n *Project) Children() []Node  { return []Node{n.Input} }
-func (n *Join) Children() []Node     { return []Node{n.L, n.R} }
-func (n *GroupBy) Children() []Node  { return []Node{n.Input} }
-func (n *Union) Children() []Node    { return []Node{n.L, n.R} }
-func (n *Distinct) Children() []Node { return []Node{n.Input} }
-func (n *Sort) Children() []Node     { return []Node{n.Input} }
-func (n *Limit) Children() []Node    { return []Node{n.Input} }
-func (n *Spreadsheet) Children() []Node {
-	out := []Node{n.Input}
-	out = append(out, n.RefPlans...)
+func (n *Scan) Inputs() []*Node     { return nil }
+func (n *CTERef) Inputs() []*Node   { return []*Node{&n.Def.Plan} }
+func (n *Filter) Inputs() []*Node   { return []*Node{&n.Input} }
+func (n *Project) Inputs() []*Node  { return []*Node{&n.Input} }
+func (n *Join) Inputs() []*Node     { return []*Node{&n.L, &n.R} }
+func (n *GroupBy) Inputs() []*Node  { return []*Node{&n.Input} }
+func (n *Union) Inputs() []*Node    { return []*Node{&n.L, &n.R} }
+func (n *Distinct) Inputs() []*Node { return []*Node{&n.Input} }
+func (n *Sort) Inputs() []*Node     { return []*Node{&n.Input} }
+func (n *Limit) Inputs() []*Node    { return []*Node{&n.Input} }
+func (n *Window) Inputs() []*Node   { return []*Node{&n.Input} }
+func (n *Alias) Inputs() []*Node    { return []*Node{&n.Input} }
+func (n *OneRow) Inputs() []*Node   { return nil }
+func (n *Spreadsheet) Inputs() []*Node {
+	in := []*Node{&n.Input}
+	for i := range n.RefPlans {
+		in = append(in, &n.RefPlans[i])
+	}
+	return in
+}
+
+func (n *Scan) Children() []Node        { return children(n) }
+func (n *CTERef) Children() []Node      { return children(n) }
+func (n *Filter) Children() []Node      { return children(n) }
+func (n *Project) Children() []Node     { return children(n) }
+func (n *Join) Children() []Node        { return children(n) }
+func (n *GroupBy) Children() []Node     { return children(n) }
+func (n *Union) Children() []Node       { return children(n) }
+func (n *Distinct) Children() []Node    { return children(n) }
+func (n *Sort) Children() []Node        { return children(n) }
+func (n *Limit) Children() []Node       { return children(n) }
+func (n *Window) Children() []Node      { return children(n) }
+func (n *Alias) Children() []Node       { return children(n) }
+func (n *OneRow) Children() []Node      { return children(n) }
+func (n *Spreadsheet) Children() []Node { return children(n) }
+
+func children(n Node) []Node {
+	ins := n.Inputs()
+	out := make([]Node, len(ins))
+	for i, in := range ins {
+		out[i] = *in
+	}
 	return out
 }

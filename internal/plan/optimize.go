@@ -21,39 +21,38 @@ func optimize(n Node, opts *Options) (Node, error) {
 	return fuseOrder(n), nil
 }
 
+// rewrite applies f to every node of the plan rooted at n, each node's
+// inputs before the node, and returns the node f puts in n's place. Inputs
+// are reached through Node.Inputs only; seen holds the input fields already
+// walked, so a CTE body shared by several references is rewritten once.
+func rewrite(n Node, f func(Node) (Node, error)) (Node, error) {
+	seen := map[*Node]bool{}
+	var walk func(Node) (Node, error)
+	walk = func(n Node) (Node, error) {
+		for _, in := range n.Inputs() {
+			if seen[in] {
+				continue
+			}
+			seen[in] = true
+			var err error
+			if *in, err = walk(*in); err != nil {
+				return nil, err
+			}
+		}
+		return f(n)
+	}
+	return walk(n)
+}
+
 // pushFilters sinks Filter nodes toward scans, splits conjuncts across
 // joins, and upgrades cross joins with equi-conjuncts into keyed joins.
 func pushFilters(n Node) Node {
-	switch x := n.(type) {
-	case *Filter:
-		child := pushFilters(x.Input)
-		return sinkFilter(x.Cond, child)
-	case *Project:
-		x.Input = pushFilters(x.Input)
-	case *Join:
-		x.L = pushFilters(x.L)
-		x.R = pushFilters(x.R)
-	case *GroupBy:
-		x.Input = pushFilters(x.Input)
-	case *Union:
-		x.L = pushFilters(x.L)
-		x.R = pushFilters(x.R)
-	case *Distinct:
-		x.Input = pushFilters(x.Input)
-	case *Sort:
-		x.Input = pushFilters(x.Input)
-	case *Limit:
-		x.Input = pushFilters(x.Input)
-	case *Window:
-		x.Input = pushFilters(x.Input)
-	case *Spreadsheet:
-		x.Input = pushFilters(x.Input)
-		for i := range x.RefPlans {
-			x.RefPlans[i] = pushFilters(x.RefPlans[i])
+	n, _ = rewrite(n, func(n Node) (Node, error) {
+		if f, ok := n.(*Filter); ok {
+			return sinkFilter(f.Cond, f.Input), nil
 		}
-	case *Alias:
-		x.Input = pushFilters(x.Input)
-	}
+		return n, nil
+	})
 	return n
 }
 
@@ -86,10 +85,12 @@ func trySink(conj sqlast.Expr, node Node) (Node, sqlast.Expr) {
 			x.Filter = andExpr(x.Filter, conj)
 			return x, nil
 		}
-	case *Filter:
-		inner, rest := trySink(conj, x.Input)
-		x.Input = inner
-		return x, rest
+	case *Filter, *Sort, *Distinct:
+		// Filters commute with these: sink into the one input.
+		in := node.Inputs()[0]
+		var rest sqlast.Expr
+		*in, rest = trySink(conj, *in)
+		return node, rest
 	case *Project:
 		if sub, ok := substituteThroughProject(conj, x); ok {
 			x.Input = sinkFilter(sub, x.Input)
@@ -108,14 +109,6 @@ func trySink(conj sqlast.Expr, node Node) (Node, sqlast.Expr) {
 			x.Input = sinkFilter(sub, x.Input)
 			return x, nil
 		}
-	case *Sort:
-		inner, rest := trySink(conj, x.Input)
-		x.Input = inner
-		return x, rest
-	case *Distinct:
-		inner, rest := trySink(conj, x.Input)
-		x.Input = inner
-		return x, rest
 	case *Join:
 		return sinkIntoJoin(conj, x)
 	}

@@ -22,44 +22,24 @@ import (
 // Both rewrites return exactly the rows, in exactly the order, of the plan
 // they replace.
 func fuseOrder(n Node) Node {
-	switch x := n.(type) {
-	case *Filter:
-		x.Input = fuseOrder(x.Input)
-	case *Project:
-		x.Input = fuseOrder(x.Input)
-	case *Join:
-		x.L, x.R = fuseOrder(x.L), fuseOrder(x.R)
-	case *GroupBy:
-		x.Input = fuseOrder(x.Input)
-	case *Union:
-		x.L, x.R = fuseOrder(x.L), fuseOrder(x.R)
-	case *Distinct:
-		x.Input = fuseOrder(x.Input)
-	case *Window:
-		x.Input = fuseOrder(x.Input)
-	case *Alias:
-		x.Input = fuseOrder(x.Input)
-	case *Spreadsheet:
-		x.Input = fuseOrder(x.Input)
-		for i := range x.RefPlans {
-			x.RefPlans[i] = fuseOrder(x.RefPlans[i])
+	n, _ = rewrite(n, func(n Node) (Node, error) {
+		switch x := n.(type) {
+		case *Sort:
+			if fuseWindowOrder(x) {
+				return x.Input, nil
+			}
+		case *Limit:
+			if s, ok := x.Input.(*Sort); ok && s.Limit < 0 {
+				s.Limit, s.Note = x.N, "" // a top-k is no chunked sort
+				return s, nil
+			}
+			if w := limitableWindow(x.Input); w != nil {
+				w.Limit = x.N
+				return x.Input, nil
+			}
 		}
-	case *Sort:
-		x.Input = fuseOrder(x.Input)
-		if fuseWindowOrder(x) {
-			return x.Input
-		}
-	case *Limit:
-		x.Input = fuseOrder(x.Input)
-		if s, ok := x.Input.(*Sort); ok && s.Limit < 0 {
-			s.Limit, s.Note = x.N, "" // a top-k is no chunked sort
-			return s
-		}
-		if w := limitableWindow(x.Input); w != nil {
-			w.Limit = x.N
-			return x.Input
-		}
-	}
+		return n, nil
+	})
 	return n
 }
 

@@ -14,41 +14,13 @@ import (
 // dimensions, bounding rectangles, and the reference-spreadsheet
 // transforms).
 func optimizeSheets(n Node, opts *Options) (Node, error) {
-	// Recurse first so nested spreadsheets optimize bottom-up.
-	var err error
-	switch x := n.(type) {
-	case *Filter:
-		x.Input, err = optimizeSheets(x.Input, opts)
-		if err != nil {
-			return nil, err
+	// Bottom-up, so nested spreadsheets optimize first.
+	return rewrite(n, func(n Node) (Node, error) {
+		if f, ok := n.(*Filter); ok {
+			return rewriteSheetFilter(f, opts)
 		}
-		return rewriteSheetFilter(x, opts)
-	case *Project:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Join:
-		if x.L, err = optimizeSheets(x.L, opts); err != nil {
-			return nil, err
-		}
-		x.R, err = optimizeSheets(x.R, opts)
-	case *GroupBy:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Union:
-		if x.L, err = optimizeSheets(x.L, opts); err != nil {
-			return nil, err
-		}
-		x.R, err = optimizeSheets(x.R, opts)
-	case *Distinct:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Sort:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Limit:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Alias:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	case *Spreadsheet:
-		x.Input, err = optimizeSheets(x.Input, opts)
-	}
-	return n, err
+		return n, nil
+	})
 }
 
 // sheetChain matches Filter → [Projects/aliases] → Spreadsheet and exposes

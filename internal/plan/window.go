@@ -43,7 +43,6 @@ type WindowSpec struct {
 }
 
 func (n *Window) Schema() *eval.BoundSchema { return n.schema }
-func (n *Window) Children() []Node          { return []Node{n.Input} }
 
 // rankingFuncs are the non-aggregate window functions supported.
 var rankingFuncs = map[string]int{ // name -> max arity

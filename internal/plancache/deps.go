@@ -87,8 +87,8 @@ func DepsMatchSnapshot(deps []Dep, snap *catalog.Snapshot) bool {
 	return true
 }
 
-// walkPlan collects Scan tables and plan-owned spreadsheet nodes, following
-// CTE definition plans explicitly (CTERef.Children returns nil).
+// walkPlan collects Scan tables and plan-owned spreadsheet nodes, CTE bodies
+// included (a CTERef's input is its body).
 func walkPlan(n plan.Node, names map[string]bool, sheets map[*plan.Spreadsheet]bool, visited map[plan.Node]bool) {
 	if n == nil || visited[n] {
 		return
@@ -97,8 +97,6 @@ func walkPlan(n plan.Node, names map[string]bool, sheets map[*plan.Spreadsheet]b
 	switch x := n.(type) {
 	case *plan.Scan:
 		names[x.Table.Name] = true
-	case *plan.CTERef:
-		walkPlan(x.Def.Plan, names, sheets, visited)
 	case *plan.Spreadsheet:
 		sheets[x] = true
 	}
