@@ -74,10 +74,11 @@ fuzz-smoke:
 # (internal/colstore/derive.go: extend/patch/gather run once per written row
 # of every version) and the typed sort keys of ORDER BY and windows
 # (internal/exec/sortkeys.go, window.go), the key words of the cell index,
-# the group-by and the hash join (internal/wordkey, internal/exec/join.go)
-# and the spreadsheet's output image (internal/core/output.go: positions and
-# measures packed straight into typed vectors, once per output row) —
-# these loops must stay on the typed vectors. A deliberate
+# the group-by and the hash join (internal/wordkey, internal/exec/join.go),
+# the spreadsheet's output image (internal/core/output.go: measure columns
+# laid end to end on their typed vectors) and its measure vectors
+# (internal/core/measvec.go: gathered from the input and written on their
+# typed payloads) — these loops must stay on the typed vectors. A deliberate
 # exception needs an `interp-ok:` comment on the same line justifying it (a
 # cross-kind operand pair no typed loop covers, once-per-group work, ...).
 # Columns have no boxed form any more — every column is one typed vector or
@@ -87,19 +88,23 @@ fuzz-smoke:
 # acyclic/vecrules/vecscan.go, in the driver's run/sequential/cyclic.go (the
 # ITERATE passes and fixpoint iterations reuse the PE's scratch), in
 # parbuild/reuse.go (the build allocates per bucket, not per frame), in the
-# output image (internal/core/output.go: per column and packing task, never
-# a row clone), in the batch group-by (internal/exec/vecagg.go: per morsel, not per group), in
+# output image (internal/core/output.go: per column, never a row clone), in
+# the measure vectors (internal/core/measvec.go: per column), in the batch
+# group-by (internal/exec/vecagg.go: per morsel, not per group), in
 # the hash join (internal/exec/join.go: per morsel, not per key) or in the
-# key words (internal/wordkey: per domain or layout, not per key), needs an
-# `alloc-ok: <reason>` comment saying why it is not per cell (measure writes
-# copy a shared row once and then write in place — see DESIGN.md §16).
+# key words (internal/wordkey: per domain or layout, not per key), and a
+# `make(types.Row` in frame/parbuild/measvec.go (an unbudgeted frame stores
+# no rows: the per-cell paths box into PE scratch), needs an
+# `alloc-ok: <reason>` comment saying why it is not per cell (a measure's
+# first write copies its column once, then writes in place — see DESIGN.md
+# §16).
 lint-hotpath:
 	@bad=$$(grep -n '\.Value(\|types\.New[A-Z]' internal/eval/vector.go internal/eval/exprvec.go \
 		internal/eval/aggbatch.go internal/exec/vector.go internal/exec/vecagg.go \
 		internal/exec/vecproject.go internal/core/vecscan.go internal/core/vecrules.go \
 		internal/colstore/derive.go internal/exec/sortkeys.go internal/exec/window.go \
 		internal/wordkey/wordkey.go internal/wordkey/reader.go internal/exec/join.go \
-		internal/core/output.go \
+		internal/core/output.go internal/core/measvec.go \
 		| grep -v 'interp-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated per-row boxing in vectorized kernels:"; \
@@ -107,15 +112,17 @@ lint-hotpath:
 		echo "stay on the typed vectors or add an 'interp-ok: <reason>' comment"; \
 		exit 1; \
 	fi; \
-	bad=$$(grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
+	bad=$$( (grep -n '\.Clone()\|make(map' internal/core/frame.go internal/core/acyclic.go \
 		internal/core/vecrules.go internal/core/vecscan.go internal/core/parbuild.go internal/core/reuse.go \
 		internal/core/run.go internal/core/sequential.go internal/core/cyclic.go internal/core/output.go \
-		internal/exec/vecagg.go internal/exec/join.go internal/wordkey/wordkey.go internal/wordkey/reader.go \
+		internal/core/measvec.go \
+		internal/exec/vecagg.go internal/exec/join.go internal/wordkey/wordkey.go internal/wordkey/reader.go; \
+		grep -n 'make(types\.Row' internal/core/frame.go internal/core/parbuild.go internal/core/measvec.go) \
 		| grep -v 'alloc-ok:'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-hotpath: unannotated row clone or map allocation on the access structure's per-cell paths:"; \
 		echo "$$bad"; \
-		echo "write through Frame.write / reuse PE scratch, or add an 'alloc-ok: <reason>' comment"; \
+		echo "write through Frame.SetMeasure / reuse PE scratch, or add an 'alloc-ok: <reason>' comment"; \
 		exit 1; \
 	fi; \
 	echo "lint-hotpath: ok"

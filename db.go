@@ -738,15 +738,14 @@ func ToValue(v any) Value {
 func (db *DB) newExecutor(ctx context.Context, s *session, snap *catalog.Snapshot) *exec.Executor {
 	o := s.opts
 	ex := exec.New(db.cat, exec.Options{
-		Ctx:           ctx,
-		Parallel:      o.Parallel,
-		Workers:       o.Workers,
-		MemoryBudget:  o.MemoryBudget,
-		SpillDir:      o.SpillDir,
-		Ablate:        o.Ablate.Exec,
-		Engine:        o.Ablate.Engine,
-		Snap:          snap,
-		FastLocalPath: o.MemoryBudget == 0,
+		Ctx:          ctx,
+		Parallel:     o.Parallel,
+		Workers:      o.Workers,
+		MemoryBudget: o.MemoryBudget,
+		SpillDir:     o.SpillDir,
+		Ablate:       o.Ablate.Exec,
+		Engine:       o.Ablate.Engine,
+		Snap:         snap,
 	})
 	ex.Opts.PlanOpts = &plan.Options{
 		Ablate:                 o.Ablate.Plan,

@@ -1144,6 +1144,42 @@ func returnsRows(t *testing.T, ref []outcome) {
 	}
 }
 
+// sheetFramesScript is the sheet-frames case's statements.
+func sheetFramesScript() []string {
+	frames := `SELECT c, p, t, s, u, k FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s, 0 u, 0 k) `
+	return []string{
+		`SELECT c, SUM(u), MAX(k), COUNT(*) FROM (` + frames + `(UPDATE u[*, *] = s[cv(p), cv(t)] * 1.5,
+			UPDATE k[*, *] = u[cv(p), cv(t)] + 1)) v GROUP BY c`,
+		frames + `(UPDATE u[*, *] = s[cv(p), cv(t)] * 1.5, UPDATE k[p IN ('tv', 'pc'), *] = u[cv(p), cv(t)] / 2)
+			ORDER BY c, p, t`,
+		`SELECT p, SUM(k), COUNT(k) FROM (` + frames + `(UPDATE k[p IN ('tv', 'pc'), *] = s[cv(p), cv(t)] / 2)) v GROUP BY p`,
+		`SELECT c, p, t, s, u FROM sf SPREADSHEET RETURN UPDATED ROWS PBY (c) DBY (p, t) MEA (s, 0 u)
+			(UPSERT s['new', 2003] = s['tv', 2002] + 1, UPSERT s['sum', 2000] = s['new', 2003] * 3,
+			 UPDATE u[*, *] = s[cv(p), cv(t)] * 2) ORDER BY c, p, t`,
+		`SELECT p, t, COUNT(*), SUM(s) FROM (SELECT c, p, t, s FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s)
+			(UPSERT s[FOR p IN ('tv', 'zz'), FOR t FROM 2010 TO 2013] = s['tv', cv(t) - 10] + 1,
+			 UPDATE s[*, t > 2011] = s[cv(p), cv(t) - 1] * 2)) v GROUP BY p, t`,
+		frames + `ITERATE (4) (UPDATE s[*, 2001] = s[cv(p), 2001] + coalesce(s[cv(p), 2000], 1),
+			UPDATE u[*, *] = s[cv(p), 2001] + cv(t)) ORDER BY c, p, t`,
+		frames + `(UPDATE u[*, t > 2000] = coalesce(u[cv(p), cv(t) - 1], 0) + s[cv(p), cv(t)]) ORDER BY c, p, t`,
+		`SELECT c, p, t, n, u FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (n, 0 u)
+			(UPDATE u[*, 2001] = coalesce(u[cv(p), 2002], 0) * 0 + n[cv(p), 2001],
+			 UPDATE u[*, 2002] = u[cv(p), 2001] + 1) ORDER BY c, p, t`,
+		`SELECT c, p, t, s, w, u FROM (SELECT c, p, t, s, CASE p WHEN 'tv' THEN 1 ELSE 2.5 END AS w FROM sf) x
+			SPREADSHEET PBY (c) DBY (p, t) MEA (s, w, 0 u) (UPDATE u[*, *] = w[cv(p), cv(t)] * 2 + s[cv(p), cv(t)]) ORDER BY c, p, t`,
+		`SELECT c, p, t2, s, u FROM (SELECT c, p, CASE t WHEN 2000 THEN 2000.5 ELSE t END AS t2, s FROM sf) x
+			SPREADSHEET PBY (c) DBY (p, t2) MEA (s, 0 u) (UPDATE u[*, *] = s[cv(p), cv(t2)] * 2) ORDER BY c, p, t2`,
+		`SELECT p, t, s, u FROM (SELECT p, t, s FROM sf WHERE c = 'a') x SPREADSHEET DBY (p, t) MEA (s, 0 u)
+			(UPDATE u[*, *] = s[cv(p), cv(t)] * 2 + s[cv(p), cv(t) - 1]) ORDER BY p, t`,
+		// A window's image covers its input columns only, not the window's.
+		`SELECT * FROM (SELECT c, p, t, s, n, name, SUM(s) OVER (PARTITION BY c) AS w FROM sf) x
+			SPREADSHEET PBY (c) DBY (p, t) MEA (s, n, name, w) (UPDATE s[*, *] = w[cv(p), cv(t)] + 1) ORDER BY c, p, t`,
+		`SELECT c, SUM(w), MAX(u), COUNT(name) FROM (SELECT * FROM (SELECT c, p, t, s, n, name, SUM(s) OVER (PARTITION BY c) AS w FROM sf) x
+			SPREADSHEET PBY (c) DBY (p, t) MEA (s, n, name, w, 0 u) (UPDATE w[*, t > 2001] = w[cv(p), cv(t) - 1] * 2,
+			 UPDATE u[*, *] = w[cv(p), cv(t)])) v GROUP BY c`,
+	}
+}
+
 // sheetConsumerScript is the sheet-consumers case's statements.
 func sheetConsumerScript() []string {
 	img := `(SELECT c, p, t, s, n, u FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s, n, 0 u)
@@ -1865,6 +1901,16 @@ func diffCorpus() []diffCase {
 			}, check: returnsRows},
 		diffCase{name: "sheet-consumers", fixture: sheetConsumersDB, configs: "exec plan served fuzz b3 spill3 cache promote", script: sheetConsumerScript(),
 			check: returnsRows},
+		// Columnar frames: measures in typed vectors per bucket, keys read
+		// from the input. The spill groups keep the row store, so they check
+		// the vectors from outside. An INT default every cell of which a rule
+		// turns FLOAT, and one left mixed; UPSERTed cells a later rule reads,
+		// under RETURN UPDATED ROWS; ITERATE, a self-reading rule and a
+		// two-rule cycle (per cell); input columns with no image (CASEs
+		// mixing INT and FLOAT, as a measure and as a DBY key); an empty PBY
+		// the plan group promotes; and the cache group's reused structures.
+		diffCase{name: "sheet-frames", fixture: sheetConsumersDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz",
+			script: sheetFramesScript(), check: returnsRows},
 		// A NaN key matches nothing on the hashed equality paths, as = says:
 		// the hash join (plain, two-key and computed keys, every join type)
 		// and IN over a subquery agree with the nested loop and the linear

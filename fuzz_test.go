@@ -136,6 +136,15 @@ func FuzzRuleKernel(f *testing.F) {
 		// A DBY value absent from the input's dictionary: inserted cells
 		// have no input position, and the output keeps its rows.
 		`UPSERT u['laser', 1999] = s['tv', 1999] * 2`,
+		// Measure vectors change kind: u FLOAT → INT on every cell, read by a
+		// later batch rule; INT on some cells only, left mixed and read per
+		// cell; inserted cells read by a later rule; a self-reading rule and
+		// a two-rule cycle, per cell.
+		`UPDATE u[*, *] = 1, UPDATE s[*, *] = u[cv(p), cv(t)] * s[cv(p), cv(t)]`,
+		`UPDATE u[*, t < 1995] = 2, UPDATE s[*, *] = u[cv(p), cv(t)] + 0.5`,
+		`UPSERT s['laser', 2001] = 3, UPDATE u[*, *] = s['laser', 2001] + s[cv(p), cv(t)]`,
+		`UPDATE u[*, t > 1980] = u[cv(p), cv(t) - 1] + s[cv(p), cv(t)]`,
+		`UPDATE u['tv', 1999] = s['tv', 1998] + 1, UPDATE s['tv', 1998] = u['tv', 1999] * 0 + 2`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

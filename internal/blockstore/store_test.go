@@ -32,25 +32,6 @@ func row(vals ...any) types.Row {
 	return r
 }
 
-func TestMemStoreBasics(t *testing.T) {
-	s := NewMem()
-	id0 := s.Append(row(1, "a"))
-	id1 := s.Append(row(2, "b"))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if got := s.Get(id1); got[1].S != "b" {
-		t.Errorf("Get = %v", got)
-	}
-	s.Set(id0, row(9, "z"))
-	if got := s.Get(id0); got[0].I != 9 {
-		t.Errorf("Set broken: %v", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpillStoreNoBudgetActsAsMem(t *testing.T) {
 	s := NewSpill(Config{RowsPerBlock: 4})
 	defer s.Close()
@@ -171,49 +152,6 @@ func TestSetColSurvivesEvictionBetweenWrites(t *testing.T) {
 				t.Fatalf("store accounts %d resident bytes, holds %d", s.resident, resident)
 			}
 		})
-	}
-}
-
-// TestMemStoreCopyOnFirstWrite pins the ownership rule: a shared row is
-// copied by the first SetCol and written in place by later ones, rows
-// appended after ShareAll are the store's own, and a clone and its original
-// never see each other's writes.
-func TestMemStoreCopyOnFirstWrite(t *testing.T) {
-	input := []types.Row{row(1, "a"), row(2, "b")}
-	s := NewMem()
-	ids := []RowID{s.Append(input[0]), s.Append(input[1])}
-	s.ShareAll()
-	own := s.Append(row(3, "c"))
-
-	s.SetCol(ids[0], 0, types.NewInt(10))
-	first := s.Get(ids[0])
-	s.SetCol(ids[0], 1, types.NewString("z"))
-	if &first[0] != &s.Get(ids[0])[0] {
-		t.Error("second write to an owned row moved it again")
-	}
-	if input[0][0].Int() != 1 || input[0][1].S != "a" {
-		t.Errorf("write reached the shared input row: %v", input[0])
-	}
-	if &s.Get(ids[1])[0] != &input[1][0] {
-		t.Error("an unwritten row was copied")
-	}
-	ownRow := s.Get(own)
-	s.SetCol(own, 0, types.NewInt(30))
-	if &ownRow[0] != &s.Get(own)[0] || ownRow[0].Int() != 30 {
-		t.Error("a row appended after ShareAll was not written in place")
-	}
-
-	cp := s.CloneShallow()
-	cp.SetCol(ids[0], 0, types.NewInt(11))
-	s.SetCol(own, 1, types.NewString("orig"))
-	if got := s.Get(ids[0]); got[0].Int() != 10 {
-		t.Errorf("clone's write reached the original: %v", got)
-	}
-	if got := cp.Get(own); got[1].S != "c" {
-		t.Errorf("original's write reached the clone: %v", got)
-	}
-	if got := cp.Get(ids[0]); got[0].Int() != 11 || got[1].S != "z" {
-		t.Errorf("clone row = %v", got)
 	}
 }
 
@@ -508,14 +446,15 @@ func TestHotBlockSurvives(t *testing.T) {
 	}
 }
 
-// TestConcurrentGets exercises concurrent readers under the race detector.
-// MemStore reads are naturally safe (nothing mutates); SpillStore reads
-// mutate LRU state and trigger evictions/reloads, so they rely on the
-// store's internal mutex. Run with -race to make this meaningful.
+// TestConcurrentGets exercises concurrent readers under the race detector:
+// a memory-resident store (no budget, nothing ever evicted) and one whose
+// reads trigger evictions and reloads. Reads mutate LRU state either way,
+// so they rely on the store's internal mutex. Run with -race to make this
+// meaningful.
 func TestConcurrentGets(t *testing.T) {
 	const nRows = 400
 	stores := map[string]Store{
-		"mem": NewMem(),
+		"mem": NewSpill(Config{RowsPerBlock: 8}),
 		"spill": NewSpill(Config{
 			BudgetBytes:  2048, // force constant eviction/reload churn
 			RowsPerBlock: 8,

@@ -119,7 +119,8 @@ func (fe *frameEval) scanFeed(insts []*aggInstance) error {
 	}
 	fe.opts.Stats.countScan(false)
 	var ferr error
-	fe.f.Each(func(pos int, row types.Row) bool {
+	defer fe.doneRow()
+	fe.f.Each(fe.scanRow(), func(pos int, row types.Row) bool {
 		if ferr = fe.tick(); ferr != nil {
 			return false
 		}
@@ -264,10 +265,15 @@ func (fe *frameEval) applyPoint(r *Rule, dims []types.Value, am map[*sqlast.Cell
 }
 
 // fire evaluates r's right side for the target cell at pos — bound to its
-// row (bindTarget), cv() reading fe.cv, each aggregate its instance in am —
-// and assigns the result.
+// row (bindTarget) when it reads one, cv() reading fe.cv, each aggregate its
+// instance in am — and assigns the result.
 func (fe *frameEval) fire(r *Rule, pos int, am map[*sqlast.CellAgg]*aggInstance) error {
-	ctx := fe.bindTarget(pos)
+	ctx := fe.targetCtx()
+	if r.readsRow {
+		ctx = fe.bindTarget(pos)
+	} else {
+		ctx.Binding.Row = nil // nothing reads it: no row is boxed
+	}
 	fe.curAggs = am
 	v, err := fe.eval(ctx, r.RHS)
 	fe.curAggs = nil
@@ -280,7 +286,9 @@ func (fe *frameEval) fire(r *Rule, pos int, am map[*sqlast.CellAgg]*aggInstance)
 // rowCV binds cv() to the dimension values of the row at pos: an
 // existential target's.
 func (fe *frameEval) rowCV(pos int) {
-	copy(fe.cv, fe.f.Row(pos)[fe.m.NPby:fe.m.NPby+fe.m.NDby])
+	for d := range fe.cv {
+		fe.cv[d] = fe.f.value(pos, fe.m.NPby+d)
+	}
 }
 
 // insertRow creates an UPSERTed cell and notifies convergence tracking.
@@ -297,7 +305,7 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 // assignMeasure writes a measure, driving convergence detection.
 func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	fe.f.MarkUpdated(pos)
-	changed := fe.f.write(pos, mea, v)
+	changed := fe.f.SetMeasure(pos, mea, v)
 	if fe.trackRefs {
 		fe.assigned[fe.f.flagKey(pos, mea)] = true
 		if changed && (fe.f.Referenced(fe.gen, pos, mea) || fe.f.Referenced(1-fe.gen, pos, mea)) {
@@ -424,38 +432,49 @@ func (fe *frameEval) matchTargets(r *Rule) ([]int, error) {
 	}
 	// A predicate reads the candidate row as the right side reads its
 	// target: a bare column, also inside a nested cell reference's
-	// qualifier (c[t < s[t]]), reads the row.
+	// qualifier (c[t < s[t]]), reads the row. Only the columns the left
+	// side reads (r.matchCols) are boxed into it.
 	pctx := fe.targetCtx()
+	buf := fe.scanRow()
+	defer fe.doneRow()
 	out := fe.targets[:0]
-	var ferr error
-	fe.f.Each(func(pos int, row types.Row) bool {
-		if ferr = fe.tick(); ferr != nil {
-			return false
+cands:
+	for pos := range fe.f.Len() {
+		if err := fe.tick(); err != nil {
+			return nil, err
+		}
+		row := buf
+		switch {
+		case fe.spill || r.matchCols == nil:
+			row = fe.f.Row(pos, buf) // a spilling frame's stored row
+		default:
+			for _, c := range r.matchCols {
+				row[c] = fe.f.value(pos, c)
+			}
 		}
 		for i := range r.Quals {
 			q := &r.Quals[i]
-			var ok bool
+			ok := true
 			if q.Kind == sqlast.QualPred {
 				if fe.spill {
 					row = row.Clone() // alloc-ok: spilling stores only, once per candidate row
 				}
 				pctx.Binding.Row = row
-				ok, ferr = fe.evalBool(pctx, q.Pred)
+				var err error
+				if ok, err = fe.evalBool(pctx, q.Pred); err != nil {
+					return nil, err
+				}
 			} else {
 				ok = q.matches(&consts[i], row[fe.m.NPby+i])
 			}
-			if ferr != nil {
-				return false
-			}
 			if !ok {
-				return true
+				continue cands
 			}
 		}
 		out = append(out, pos)
-		return true
-	})
+	}
 	fe.targets = out
-	return out, ferr
+	return out, nil
 }
 
 // sortTargets orders existential targets by the rule's ORDER BY.

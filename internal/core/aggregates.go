@@ -269,6 +269,8 @@ func (inst *aggInstance) feed(fe *frameEval, pos int, row types.Row) error {
 // runProbe computes a probe-mode instance through the hash access structure.
 func (inst *aggInstance) runProbe(fe *frameEval) error {
 	dims := make([]types.Value, len(inst.lists))
+	buf := fe.scanRow()
+	defer fe.doneRow()
 	var walk func(d int) error
 	walk = func(d int) error {
 		if d == len(inst.lists) {
@@ -276,7 +278,7 @@ func (inst *aggInstance) runProbe(fe *frameEval) error {
 			if !ok {
 				return nil
 			}
-			return inst.feed(fe, pos, fe.f.Row(pos))
+			return inst.feed(fe, pos, fe.f.Row(pos, buf))
 		}
 		for _, v := range inst.lists[d] {
 			dims[d] = v

@@ -27,7 +27,7 @@ func TestFrameProbeDoesNotAllocate(t *testing.T) {
 		R("west", "tv", 1999, 30.0),
 		R("east", "dvd", 2000, 40.0),
 	}
-	ps, err := BuildPartitionsOpts(m, rows, 2, func() blockstore.Store { return blockstore.NewMem() }, BuildOptions{})
+	ps, err := BuildPartitionsOpts(m, rows, 2, nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,42 +79,49 @@ func TestFrameProbeDoesNotAllocate(t *testing.T) {
 }
 
 // TestRepeatWriteDoesNotAllocate pins the write path's steady state: the
-// first write to a shared row copies it into the store's arena, every later
-// write to that position — either measure — is in place and allocates
-// nothing. A formula engine writes every cell of a partition once per rule,
-// so an allocation here is cells × rules allocations per statement.
+// first write to a measure gathers its column from the input into the
+// bucket's vector, every later write — to that position or another, either
+// measure — is in place and allocates nothing. A formula engine writes every
+// cell of a partition once per rule, so an allocation here is cells × rules
+// allocations per statement. The input is never written, and a measure no
+// rule writes is never copied.
 func TestRepeatWriteDoesNotAllocate(t *testing.T) {
-	m := mustModel(t, `SELECT r, p, s, u FROM f
-		SPREADSHEET PBY(r) DBY(p) MEA(s, u)
+	m := mustModel(t, `SELECT r, p, s, u, w FROM f
+		SPREADSHEET PBY(r) DBY(p) MEA(s, u, w)
 		( s['dvd'] = 1 )`, nil)
-	rows := []types.Row{R("west", "dvd", 10.0, 1.0), R("west", "vcr", 20.0, 2.0)}
-	ps, err := BuildPartitionsOpts(m, rows, 1, func() blockstore.Store { return blockstore.NewMem() }, BuildOptions{ShareRows: true})
+	rows := []types.Row{R("west", "dvd", 10.0, 1.0, 5.0), R("west", "vcr", 20.0, 2.0, 6.0)}
+	ps, err := BuildPartitionsOpts(m, rows, 1, nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	f := ps.Buckets()[0].frames[0]
+	b := ps.Buckets()[0]
+	f := b.frames[0]
 	sCol, uCol := m.MeasureOrdinal("s"), m.MeasureOrdinal("u")
-	f.SetMeasure(0, sCol, V(11.0)) // first write: the copy
+	f.SetMeasure(0, sCol, V(11.0)) // first writes: the column copies
+	f.SetMeasure(0, uCol, V(12.0))
 	f.MarkUpdated(0)
 	n := 0
 	write := func() {
 		n++
 		f.MarkUpdated(0)
 		f.SetMeasure(0, sCol, types.NewFloat(float64(n)))
-		f.SetMeasure(0, uCol, types.NewFloat(float64(-n)))
+		f.SetMeasure(1, uCol, types.NewFloat(float64(-n)))
 	}
 	if avg := testing.AllocsPerRun(200, write); avg != 0 {
 		t.Errorf("repeat writes allocate %.2f times per run; want 0", avg)
 	}
-	if got := f.Row(0); got[sCol].F != float64(n) || got[uCol].F != float64(-n) {
-		t.Errorf("row after writes = %v", got)
+	if got := rowAt(f, 0); got[sCol].F != float64(n) || got[uCol].F != 12.0 {
+		t.Errorf("row 0 after writes = %v", got)
 	}
-	if rows[0][2].F != 10.0 || rows[0][3].F != 1.0 {
-		t.Errorf("writes reached the shared input row: %v", rows[0])
+	if got := rowAt(f, 1); got[sCol].F != 20.0 || got[uCol].F != float64(-n) {
+		t.Errorf("row 1 after writes = %v", got)
 	}
-	if &f.Row(1)[0] != &rows[1][0] {
-		t.Error("a row no rule wrote was copied")
+	if rows[0][2].F != 10.0 || rows[0][3].F != 1.0 || rows[1][3].F != 2.0 {
+		t.Errorf("writes reached the input rows: %v", rows)
+	}
+	if b.meas[2] != nil {
+		t.Error("a measure no rule wrote was copied")
 	}
 }
 
@@ -154,7 +161,7 @@ func TestFrameWritesSurviveEviction(t *testing.T) {
 			// target's block evicted (checked by the load count of the next
 			// access).
 			scan := func() {
-				f.Each(func(int, types.Row) bool { return true })
+				f.Each(nil, func(int, types.Row) bool { return true })
 			}
 			mustReload := func(step string, fn func()) {
 				t.Helper()
@@ -169,7 +176,7 @@ func TestFrameWritesSurviveEviction(t *testing.T) {
 			mustReload("second write", func() { f.SetMeasure(pos, sCol, V(200.0)) })
 			mustReload("other measure", func() { f.SetMeasure(pos, uCol, V(300.0)) })
 			mustReload("read back", func() {
-				if got := f.Row(pos); got[sCol].F != 200.0 || got[uCol].F != 300.0 {
+				if got := rowAt(f, pos); got[sCol].F != 200.0 || got[uCol].F != 300.0 {
 					t.Fatalf("row after writes and evictions = %v", got)
 				}
 			})

@@ -148,10 +148,9 @@ func (b *bucket) relayout() {
 	k.lay, k.layOwned = wordkey.NewLayout(width), true
 	for _, f := range b.frames {
 		t := make([]wordkey.Slot, wordkey.TableSize(f.Len()+1))
-		for pos := range f.ids {
-			row := f.Row(pos)
+		for pos := range f.Len() {
 			for d, dom := range k.doms {
-				k.tuple[d], _ = dom.Ord(row[k.npby+d])
+				k.tuple[d], _ = dom.Ord(f.value(pos, k.npby+d))
 			}
 			wordkey.Put(t, k.lay.Add(k.tuple, &k.buf), pos)
 		}

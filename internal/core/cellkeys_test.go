@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/types"
 )
@@ -91,8 +90,7 @@ func FuzzCellIndex(f *testing.F) {
 			}
 			cs.Cols[ord] = colstore.FromValues(vals, ord%2 == 0)
 		}
-		ps, err := BuildPartitionsOpts(m, rows, nb, func() blockstore.Store { return blockstore.NewMem() },
-			BuildOptions{Cols: cs, ShareRows: true})
+		ps, err := BuildPartitionsOpts(m, rows, nb, nil, BuildOptions{Cols: cs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +115,7 @@ func FuzzCellIndex(f *testing.F) {
 			for _, f := range frames(ps) {
 				r := ref{pos: map[string]int{}, built: f.builtLen}
 				for pos := 0; pos < f.Len(); pos++ {
-					r.pos[types.Key(f.Row(pos)[1:4]...)] = pos
+					r.pos[types.Key(rowAt(f, pos)[1:4]...)] = pos
 				}
 				out = append(out, r)
 			}
@@ -216,7 +214,7 @@ func FuzzCellIndex(f *testing.F) {
 				t.Fatalf("the original's frame %d changed from %d to %d rows under its clone", fi, len(atClone[fi].pos), f.Len())
 			}
 			for pos := 0; pos < f.Len(); pos++ {
-				check(f, atClone[fi], f.Row(pos)[1:4])
+				check(f, atClone[fi], rowAt(f, pos)[1:4])
 			}
 		}
 	})

@@ -194,6 +194,15 @@ type Rule struct {
 	// cellAggs caches the aggregate references on the right side
 	// (sqlast.CellRefs), which evaluation consults once per frame.
 	cellAggs []*sqlast.CellAgg
+	// readsRow marks a right side that reads its target's row: a bare
+	// column anywhere in it, or a subquery (which may correlate on one).
+	readsRow bool
+	// matchCols lists the columns an existential left side reads of each
+	// candidate row — its declarative qualifiers' dimensions and every
+	// bare column of its predicates — nil when a predicate holds a
+	// subquery or a name the working schema does not resolve (the whole
+	// row is boxed then).
+	matchCols []int
 	// lhsRect is the bounding rectangle of the cells the rule writes.
 	lhsRect Rect
 	// level index assigned by Analyze.
@@ -402,7 +411,34 @@ func (m *Model) compileRule(f *sqlast.Formula, idx int) (*Rule, error) {
 	r.reads = m.collectReads(r)
 	r.lhsRect = m.lhsRect(r)
 	_, r.cellAggs = sqlast.CellRefs(r.RHS)
+	r.readsRow = len(sqlast.ColumnRefs(r.RHS)) > 0 || sqlast.HasSubquery(r.RHS)
 	return r, nil
+}
+
+// matchCols computes r.matchCols (at buildCompiled: pruning may have
+// rewritten the left side since compileRule).
+func (m *Model) matchCols(r *Rule) []int {
+	cols := make([]int, 0, len(r.Quals))
+	for i := range r.Quals {
+		q := &r.Quals[i]
+		switch q.Kind {
+		case sqlast.QualStar:
+		case sqlast.QualPred:
+			if sqlast.HasSubquery(q.Pred) {
+				return nil
+			}
+			for _, c := range sqlast.ColumnRefs(q.Pred) {
+				ord, ok, err := m.bs.Resolve(c.Table, c.Name)
+				if !ok || err != nil {
+					return nil
+				}
+				cols = append(cols, ord)
+			}
+		default:
+			cols = append(cols, m.NPby+i)
+		}
+	}
+	return cols
 }
 
 // compileQuals binds positional qualifiers to DBY dimensions.
@@ -611,6 +647,7 @@ func (m *Model) buildCompiled() {
 		})
 	}
 	for _, r := range m.Rules {
+		r.matchCols = m.matchCols(r)
 		regTree(r.RHS)
 		for i := range r.Quals {
 			q := &r.Quals[i]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,10 +27,11 @@ import (
 //     needs no locking at all.
 //  2. Assemble: workers take whole first-level buckets. Each bucket walks the
 //     chunks in input order, finding frames through a word table in
-//     first-seen order and collecting its rows' positions, then appends each
-//     frame's rows to the bucket's private store in input order and fills the
-//     frame's cell table. Buckets share nothing but the read-only domains, so
-//     this phase is also lock-free.
+//     first-seen order and collecting its rows' positions, lays the positions
+//     out frame after frame (a budgeted bucket also appends each row, boxed,
+//     to its private store) and fills each frame's cell table. Buckets share
+//     nothing but the read-only input and domains, so this phase is also
+//     lock-free.
 //
 // Because chunk boundaries are a pure function of the input size and phase 2
 // visits rows in global input order regardless of which worker scanned them,
@@ -39,62 +41,59 @@ import (
 // buildMorsel is the number of rows one scan task encodes at a time.
 const buildMorsel = 4096
 
-// BuildOptions selects the build parallelism and how rows enter the stores.
+// BuildOptions selects the build parallelism and the input's columns.
 type BuildOptions struct {
 	// Workers is the number of build workers; <=1 builds serially. The
 	// output is identical for every value.
 	Workers int
 	// Cols, when non-nil, supplies columnar vectors for the working
-	// relation, so a dictionary-coded dimension keys by its codes and an INT
-	// one by arithmetic instead of numbering boxed row values.
+	// relation: a dictionary-coded dimension keys by its codes and an INT
+	// one by arithmetic instead of numbering boxed row values, and every
+	// column it covers is read from it rather than from rows, which may then
+	// be nil.
 	Cols *ColSource
-	// ShareRows stores input rows by reference instead of cloning them into
-	// the bucket stores, and hands stored rows out of PartitionSet.Rows by
-	// reference too (the unbudgeted in-memory fast path). Safe because a
-	// MemStore holding shared rows copies each one on its first write and
-	// only then writes in place (blockstore.MemStore.ShareAll), so the input
-	// relation never changes; the build ignores the option for any other
-	// store, which takes ownership of the rows it is handed.
-	ShareRows bool
 }
 
 // ColSource maps working-schema ordinals to columnar vectors. Cols is
-// indexed by ordinal (a nil entry falls back to the boxed row value);
-// RowIdx maps working-relation positions to vector rows (nil = identity).
+// indexed by ordinal (a nil entry, or one past its end, falls back to the
+// boxed row value); RowIdx maps working-relation positions to vector rows
+// (nil = identity).
 type ColSource struct {
 	Cols   []*colstore.Column
 	RowIdx []int32
 }
 
-// column returns ordinal ord's vector, nil when there is none.
-func (cs *ColSource) column(ord int) *colstore.Column {
-	if cs != nil && ord < len(cs.Cols) {
-		return cs.Cols[ord]
+// len is the number of working-relation positions the source covers.
+func (cs *ColSource) len() int {
+	if cs.RowIdx != nil {
+		return len(cs.RowIdx)
 	}
-	return nil
+	for _, c := range cs.Cols {
+		if c != nil {
+			return c.N
+		}
+	}
+	return 0
 }
 
-// appendKey appends the key bytes for working-relation position ri,
-// ordinal ord, preferring the typed vector when one is available.
-func (cs *ColSource) appendKey(buf []byte, rows []types.Row, ri, ord int) []byte {
-	if c := cs.column(ord); c != nil {
-		r := ri
-		if cs.RowIdx != nil {
-			r = int(cs.RowIdx[ri])
-		}
-		return c.AppendKey(buf, r)
+// Covers reports whether cs has a vector for every one of the first width
+// working columns, so the engine needs no boxed rows.
+func (cs *ColSource) Covers(width int) bool {
+	return cs != nil && len(cs.Cols) >= width && !slices.Contains(cs.Cols[:width], nil)
+}
+
+// appendKey appends the key bytes of column ord at working position p.
+func (in *input) appendKey(buf []byte, p, ord int) []byte {
+	if c := in.cols[ord]; c != nil {
+		return c.AppendKey(buf, in.imgRow(int32(p)))
 	}
-	return types.AppendKey(buf, rows[ri][ord]) // interp-ok: row fallback
+	return types.AppendKey(buf, in.rows[p][ord]) // interp-ok: row fallback
 }
 
 // reader builds working-schema column ord's domain over the input, reading
 // the typed vector when there is one.
-func (cs *ColSource) reader(rows []types.Row, ord int) wordkey.Reader {
-	var ridx []int32
-	if cs != nil {
-		ridx = cs.RowIdx
-	}
-	return wordkey.NewReader(cs.column(ord), ridx, rows, len(rows), ord)
+func (in *input) reader(ord int) wordkey.Reader {
+	return wordkey.NewReader(in.cols[ord], in.ridx, in.rows, in.n, ord)
 }
 
 // buildKeys holds a build's domains and word layouts.
@@ -106,26 +105,26 @@ type buildKeys struct {
 	pbyWords, dbyWords []uint64
 }
 
-func newBuildKeys(m *Model, rows []types.Row, cs *ColSource) *buildKeys {
+func newBuildKeys(m *Model, src *input) *buildKeys {
 	bk := &buildKeys{}
 	pw := make([]uint8, m.NPby)
 	for p := range pw {
-		rd := cs.reader(rows, p)
+		rd := src.reader(p)
 		bk.pby = append(bk.pby, rd)
 		pw[p] = wordkey.ExactWidth(rd.Dom.Size())
 	}
 	dw := make([]uint8, m.NDby)
 	for d := range dw {
-		rd := cs.reader(rows, m.NPby+d)
+		rd := src.reader(m.NPby + d)
 		bk.dby = append(bk.dby, rd)
 		dw[d] = wordkey.FieldWidth(rd.Dom.Size())
 	}
 	bk.pbyLay, bk.dbyLay = wordkey.NewLayout(pw), wordkey.NewLayout(dw)
 	if !bk.pbyLay.Packed() {
-		bk.pbyWords = wordkey.InternRows(rows, len(rows), bk.pby, bk.pbyLay)
+		bk.pbyWords = wordkey.InternRows(src.rows, src.n, bk.pby, bk.pbyLay)
 	}
 	if !bk.dbyLay.Packed() {
-		bk.dbyWords = wordkey.InternRows(rows, len(rows), bk.dby, bk.dbyLay)
+		bk.dbyWords = wordkey.InternRows(src.rows, src.n, bk.dby, bk.dbyLay)
 	}
 	return bk
 }
@@ -140,46 +139,52 @@ type buildChunk struct {
 	fword   []uint64
 	fbucket []int32
 	ffirst  []int32
-	// bytes sums blockstore.RowBytes per first-level bucket: the scan walks
-	// the input in order, the cheapest place to look at every row once.
-	bytes []int64
 }
 
-// BuildPartitionsOpts loads rows (working-schema layout) into the two-level
-// access structure. The paper requires DBY columns to uniquely identify a row
-// within each partition; duplicates are an error.
+// BuildPartitionsOpts loads the working relation — rows, or the columns of
+// o.Cols where it has them — into the two-level access structure. The paper
+// requires DBY columns to uniquely identify a row within each partition;
+// duplicates are an error.
 //
-// Rows are appended to each bucket's store clustered by frame ("the hash
-// access structure maintains records within a hash bucket clustered on PBY
-// and DBY column values"), so evaluating one spreadsheet partition touches
-// a contiguous run of blocks — the locality Fig. 5 depends on. Within a
-// frame rows keep input order.
+// Each bucket's rows are clustered by frame ("the hash access structure
+// maintains records within a hash bucket clustered on PBY and DBY column
+// values"), so evaluating one spreadsheet partition touches a contiguous run
+// of input positions, measure slots or store blocks — the locality Fig. 5
+// depends on. Within a frame rows keep input order. newStore, when non-nil,
+// gives every bucket a row store (a budgeted run); nil keeps the cells in
+// measure vectors over the input.
 func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore StoreFactory, o BuildOptions) (*PartitionSet, error) {
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	ps := &PartitionSet{model: m}
+	src := newInput(m, rows, o.Cols)
+	if rows == nil && src.n > 0 && !o.Cols.Covers(m.Schema.Len()) {
+		return nil, fmt.Errorf("core: no input rows, and the input image covers only part of the %d working columns", m.Schema.Len())
+	}
+	ps := &PartitionSet{model: m, src: src}
 	ps.buckets = make([]*bucket, nBuckets)
 	for i := range ps.buckets {
-		ps.buckets[i] = &bucket{store: newStore()}
-		if _, mem := ps.buckets[i].store.(*blockstore.MemStore); !mem {
-			o.ShareRows = false
+		b := &bucket{m: m, src: src}
+		if newStore != nil {
+			b.store = newStore()
+		} else {
+			b.meas = make([]*measVec, m.NMea)
 		}
+		ps.buckets[i] = b
 	}
-	ps.shareRows = o.ShareRows
-	bk := newBuildKeys(m, rows, o.Cols)
-	nChunks := (len(rows) + buildMorsel - 1) / buildMorsel
+	bk := newBuildKeys(m, src)
+	nChunks := (src.n + buildMorsel - 1) / buildMorsel
 	chunks := make([]*buildChunk, nChunks)
 	runBuildTasks(o.Workers, nChunks, func(ci int) {
 		lo := ci * buildMorsel
-		hi := min(lo+buildMorsel, len(rows))
-		chunks[ci] = scanChunk(m, rows, lo, hi, nBuckets, o.Cols, bk)
+		hi := min(lo+buildMorsel, src.n)
+		chunks[ci] = scanChunk(m, src, lo, hi, nBuckets, bk)
 	})
 	errs := make([]error, nBuckets)
 	runBuildTasks(o.Workers, nBuckets, func(bi int) {
 		b := ps.buckets[bi]
 		b.keys = newCellKeys(m, bk)
-		errs[bi] = assembleBucket(m, b, rows, chunks, int32(bi), o)
+		errs[bi] = assembleBucket(m, b, chunks, int32(bi))
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -235,18 +240,17 @@ func runBuildTasks(workers, n int, fn func(i int)) {
 // bucket of a frame is the FNV-1a hash of its PBY values' key bytes —
 // HashValue's function, a property of the values and not of this build's
 // domains — computed once per frame the chunk discovers.
-func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource, bk *buildKeys) *buildChunk {
+func scanChunk(m *Model, src *input, lo, hi, nBuckets int, bk *buildKeys) *buildChunk {
 	n := hi - lo
 	c := &buildChunk{
 		lo:    lo,
 		frame: make([]int32, n),
 		dby:   make([]uint64, n),
-		bytes: make([]int64, nBuckets),
 	}
 	scratch := make([]uint32, n)
 	pw := make([]uint64, n)
-	wordkey.RowWords(rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
-	wordkey.RowWords(rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
+	wordkey.RowWords(src.rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
+	wordkey.RowWords(src.rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
 	tbl := make([]wordkey.Slot, wordkey.TableSize(n))
 	var key []byte
 	for i, w := range pw {
@@ -254,7 +258,7 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 		if !seen {
 			h := uint32(fnvOffset32)
 			for p := 0; p < m.NPby; p++ {
-				key = cols.appendKey(key[:0], rows, lo+i, p)
+				key = src.appendKey(key[:0], lo+i, p)
 				h = hashExtend(h, key)
 			}
 			c.fword = append(c.fword, w)
@@ -262,21 +266,21 @@ func scanChunk(m *Model, rows []types.Row, lo, hi, nBuckets int, cols *ColSource
 			c.ffirst = append(c.ffirst, int32(i))
 		}
 		c.frame[i] = int32(fi)
-		c.bytes[c.fbucket[fi]] += blockstore.RowBytes(rows[lo+i])
 	}
 	return c
 }
 
 // assembleBucket routes the bucket's rows to frames (first-seen order, input
-// order within each frame), appends each frame's rows to the bucket store
-// in that order so partitions stay block-clustered, and fills each frame's
-// cell table.
+// order within each frame), lays their input positions out frame after frame
+// — the bucket's rows — and fills each frame's cell table. A budgeted bucket
+// also appends each row, boxed, to its store in that order, so partitions
+// stay block-clustered.
 //
-// Allocation is per bucket, not per frame or per row: the routed rows, the
-// Frame structs, the row ids and the cell tables each live in one flat block
-// that the frames slice up (a statement can have thousands of five-row
-// partitions).
-func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk, bi int32, o BuildOptions) error {
+// Allocation is per bucket, not per frame or per row: the input positions,
+// the Frame structs, their PBY values and the cell tables each live in one
+// flat block that the frames slice up (a statement can have thousands of
+// five-row partitions).
+func assembleBucket(m *Model, b *bucket, chunks []*buildChunk, bi int32) error {
 	// Pass 1: discover frames through a word table and count their rows.
 	local := make([][]int32, len(chunks)) // chunk-local frame -> frame number, -1 elsewhere
 	finder := make([]wordkey.Slot, wordkey.TableSize(16))
@@ -333,45 +337,60 @@ func assembleBucket(m *Model, b *bucket, rows []types.Row, chunks []*buildChunk,
 
 	frames := make([]Frame, len(first))
 	b.frames = make([]*Frame, len(first))
-	ids := make([]blockstore.RowID, 0, nrows)
 	slab := make([]wordkey.Slot, slots)
-	ms, _ := b.store.(*blockstore.MemStore)
-	if ms != nil {
-		ms.Reserve(nrows)
+	pbys := make([]types.Value, len(first)*m.NPby)
+	src := b.src
+	b.in = ris
+	w := m.Schema.Len()
+	if b.store != nil {
+		b.ids = make([]blockstore.RowID, 0, nrows)
 	}
-	b.bytes = 256 + int64(len(frames))*128 + int64(nrows)*(16+12) + int64(slots)*16
-	for _, c := range chunks {
-		b.bytes += c.bytes[bi]
+	// Each row's input position, plus what the row pins: its boxed input
+	// row where the input has rows, a row boxed into the store (less string
+	// payloads) for a budgeted bucket without them, else a word of each
+	// image column.
+	b.bytes = 256 + int64(len(frames))*int64(128+40*m.NPby) + int64(nrows)*(4+12) + int64(slots)*16
+	switch {
+	case src.rows != nil:
+		for _, p := range ris {
+			b.bytes += blockstore.RowBytes(src.rows[p])
+		}
+	case b.store != nil:
+		b.bytes += int64(nrows) * int64(24+40*w)
+	default:
+		b.bytes += int64(nrows) * int64(8*w)
 	}
 	for fi := range frames {
 		f := &frames[fi]
 		b.frames[fi] = f
 		f.b, f.ord = b, fi
-		// Input rows are never written (cloned below, or copied on first
-		// write), so the frame can alias its first row's PBY prefix.
-		f.pby = rows[first[fi]][:m.NPby:m.NPby]
+		f.pby = pbys[fi*m.NPby : (fi+1)*m.NPby : (fi+1)*m.NPby]
+		for p := range f.pby {
+			f.pby[p] = src.value(int32(first[fi]), p)
+		}
 		lo, hi := off[fi], off[fi+1]
 		ts := wordkey.TableSize(int(hi - lo))
 		f.cells, slab = slab[:ts:ts], slab[ts:]
-		base := len(ids)
 		for k := lo; k < hi; k++ {
-			r := rows[ris[k]]
-			if wordkey.Put(f.cells, words[k], len(ids)-base) {
+			if wordkey.Put(f.cells, words[k], int(k-lo)) {
+				dims := make(types.Row, m.NDby) // alloc-ok: once, for the duplicate-key error
+				for d := range dims {
+					dims[d] = src.value(ris[k], m.NPby+d)
+				}
 				return fmt.Errorf("spreadsheet: DBY columns (%s) do not uniquely identify row %v within its partition",
-					joinNames(m.DimNames()), r[m.NPby:m.NPby+m.NDby])
+					joinNames(m.DimNames()), dims)
 			}
-			if !o.ShareRows {
-				r = r.Clone() // alloc-ok: a store that does not share rows owns a copy of each (budgeted builds)
+			if b.store != nil {
+				row := make(types.Row, w) // alloc-ok: a budgeted bucket's store owns a copy of each row
+				for col := range row {
+					row[col] = src.value(ris[k], col)
+				}
+				b.ids = append(b.ids, b.store.Append(row))
 			}
-			ids = append(ids, b.store.Append(r))
 		}
-		// Capacity clipped: an Insert appends into the frame's own copy.
-		f.ids = ids[base:len(ids):len(ids)]
-		f.builtLen = len(f.ids)
+		f.base, f.builtLen = int(lo), int(hi-lo)
+		// Capacity clipped: the frame never appends to the bucket's array.
 		f.in = ris[lo:hi:hi]
-	}
-	if o.ShareRows { // only ever set for MemStore buckets
-		ms.ShareAll()
 	}
 	return nil
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sqlsheet/internal/blockstore"
+	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
@@ -52,6 +54,9 @@ func buildTestRows(n int, seed int64) []types.Row {
 	return rows
 }
 
+// rowAt is the row at pos, boxed into a fresh row.
+func rowAt(f *Frame, pos int) types.Row { return f.Row(pos, make(types.Row, f.b.m.Schema.Len())) }
+
 // samePartitionSet asserts two access structures are byte-identical:
 // same bucketing, frame discovery order, row clustering, index contents and
 // built lengths.
@@ -78,7 +83,7 @@ func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 			}
 			m := a.model
 			for pos := 0; pos < fa.Len(); pos++ {
-				ra, rb := fa.Row(pos), fb.Row(pos)
+				ra, rb := rowAt(fa, pos), rowAt(fb, pos)
 				if types.Key(ra...) != types.Key(rb...) {
 					t.Fatalf("bucket %d frame %d pos %d: %v vs %v", bi, fi, pos, ra, rb)
 				}
@@ -99,7 +104,7 @@ func samePartitionSet(t *testing.T, a, b *PartitionSet) {
 // including chunk boundaries (row counts straddling buildMorsel).
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	m := buildTestModel(t)
-	mem := func() blockstore.Store { return blockstore.NewMem() }
+	var mem StoreFactory // nil: measure vectors, no row store
 	for _, n := range []int{0, 1, 100, buildMorsel - 1, buildMorsel + 37} {
 		rows := buildTestRows(n, int64(n)+1)
 		for _, nb := range []int{1, 4, 13} {
@@ -124,7 +129,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 // duplicate-DBY error the serial build does, from the lowest bucket index.
 func TestParallelBuildDuplicateError(t *testing.T) {
 	m := buildTestModel(t)
-	mem := func() blockstore.Store { return blockstore.NewMem() }
+	var mem StoreFactory // nil: measure vectors, no row store
 	rows := buildTestRows(500, 3)
 	rows = append(rows, rows[123].Clone()) // exact duplicate partition+dims
 	serial, serr := BuildPartitionsOpts(m, rows, 8, mem, BuildOptions{Workers: 1})
@@ -142,10 +147,61 @@ func TestParallelBuildDuplicateError(t *testing.T) {
 	}
 }
 
+// TestBuildWithoutRowsNeedsEveryColumn checks a build given no rows refuses
+// an image that leaves a working column uncovered (short, or with a nil
+// entry) instead of reading the missing rows later.
+func TestBuildWithoutRowsNeedsEveryColumn(t *testing.T) {
+	m := buildTestModel(t)
+	rows := buildTestRows(50, 5)
+	col := func(ord int) *colstore.Column {
+		vals := make([]types.Value, len(rows))
+		for i, r := range rows {
+			vals[i] = r[ord]
+		}
+		return colstore.FromValues(vals, false)
+	}
+	full := []*colstore.Column{col(0), col(1), col(2), col(3), col(4)}
+	for name, cols := range map[string][]*colstore.Column{
+		"short": full[:3],
+		"nil":   {full[0], full[1], full[2], nil, full[4]},
+	} {
+		if ps, err := BuildPartitionsOpts(m, nil, 4, nil, BuildOptions{Cols: &ColSource{Cols: cols}}); err == nil {
+			ps.Close()
+			t.Errorf("%s: built without rows for an uncovered column", name)
+		}
+	}
+	ps, err := BuildPartitionsOpts(m, nil, 4, nil, BuildOptions{Cols: &ColSource{Cols: full}})
+	if err != nil {
+		t.Fatalf("full image: %v", err)
+	}
+	ps.Close()
+}
+
+// TestEstimateBytesCountsInputRows checks a structure built over boxed
+// input rows counts them, string payloads included: a cached structure keeps
+// them alive.
+func TestEstimateBytesCountsInputRows(t *testing.T) {
+	m := buildTestModel(t)
+	rows := buildTestRows(300, 9)
+	var want int64
+	for _, r := range rows {
+		r[0] = types.NewString(r[0].S + strings.Repeat("x", 1000))
+		want += blockstore.RowBytes(r)
+	}
+	ps, err := BuildPartitionsOpts(m, rows, 4, nil, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if got := ps.EstimateBytes(); got < want {
+		t.Fatalf("EstimateBytes = %d, below the input rows' %d", got, want)
+	}
+}
+
 func BenchmarkParallelBuild(b *testing.B) {
 	m := buildTestModel(b)
 	rows := buildTestRows(20000, 42)
-	mem := func() blockstore.Store { return blockstore.NewMem() }
+	var mem StoreFactory // nil: measure vectors, no row store
 	// -cpu sets GOMAXPROCS per run; scale the build workers with it so
 	// `-cpu 1,4` compares serial vs parallel build.
 	workers := runtime.GOMAXPROCS(0)

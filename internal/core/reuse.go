@@ -1,40 +1,43 @@
 package core
 
-import (
-	"sqlsheet/internal/blockstore"
-)
-
 // CloneForReuse returns an independent copy of a pristine — freshly built,
 // never evaluated — partition set, or nil when the structure is not
 // reusable (spill-backed stores). The serving-path cache
 // keeps one pristine copy per spreadsheet node and clones it again for each
 // execution, so formula evaluation always starts from build state.
 //
-// Nothing a frame holds is copied: rows, PBY values, row ids, the cell
-// tables and the bucket's DBY domains and word layout are all shared between
-// ps and the clone, and each side copies a piece only when it is about to
-// change it — a row on its first write (MemStore.CloneShallow), a cell table
-// on the frame's first Insert, a domain or the layout when an Insert adds a
-// value (bucket.wordGrow), ids by appending past a clipped capacity. ps
-// itself may therefore still be evaluated afterwards (a cache miss
-// evaluates the structure it has just published a clone of). ps is only
-// written when it has not been cloned before, so concurrent clones of the
-// cached pristine copy are safe.
+// Nothing a frame holds is copied: the input image and rows, the input
+// positions, PBY values, the cell tables and the bucket's DBY domains and
+// word layout are all shared between ps and the clone. The input is never
+// written; measures live in vectors each side creates on first use (the
+// vectors of an evaluated ps are copied); and each side copies a piece only
+// when it is about to change it — a cell table on the frame's first Insert,
+// a domain or the layout when an Insert adds a value (bucket.wordGrow), the
+// inserted cells' lists by appending past a clipped capacity. ps itself may
+// therefore still be evaluated afterwards (a cache miss evaluates the
+// structure it has just published a clone of). ps is only written when it
+// has not been cloned before, so concurrent clones of the cached pristine
+// copy are safe.
 func (ps *PartitionSet) CloneForReuse() *PartitionSet {
-	cp := &PartitionSet{model: ps.model, buckets: make([]*bucket, len(ps.buckets)), shareRows: ps.shareRows}
+	cp := &PartitionSet{model: ps.model, src: ps.src, buckets: make([]*bucket, len(ps.buckets))}
 	for bi, b := range ps.buckets {
-		ms, ok := b.store.(*blockstore.MemStore)
-		if !ok {
+		if b.store != nil {
 			return nil
 		}
-		nb := &bucket{store: ms.CloneShallow(), frames: make([]*Frame, len(b.frames)), keys: b.keys.share(), bytes: b.bytes}
+		nb := &bucket{m: b.m, src: b.src, frames: make([]*Frame, len(b.frames)), keys: b.keys.share(), bytes: b.bytes,
+			in: b.in, ins: b.ins[:len(b.ins):len(b.ins)], meas: make([]*measVec, len(b.meas))}
+		for k, v := range b.meas {
+			if v != nil {
+				nb.meas[k] = v.clone() // alloc-ok: an evaluated structure's vectors only; a pristine one has none
+			}
+		}
 		fs := make([]Frame, len(b.frames))
 		for fi, f := range b.frames {
 			if !f.cellsShared {
 				f.cellsShared = true
 			}
-			n := len(f.ids)
-			fs[fi] = Frame{b: nb, ord: fi, pby: f.pby, ids: f.ids[:n:n], cells: f.cells, cellsShared: true, builtLen: f.builtLen}
+			fs[fi] = Frame{b: nb, ord: fi, pby: f.pby, base: f.base, ext: f.ext[:len(f.ext):len(f.ext)], in: f.in,
+				cells: f.cells, cellsShared: true, builtLen: f.builtLen}
 			nb.frames[fi] = &fs[fi]
 		}
 		cp.buckets[bi] = nb
@@ -55,7 +58,8 @@ func (ps *PartitionSet) KeyNote() string {
 }
 
 // EstimateBytes approximates the structure's resident size at build time
-// for cache budgeting: stored rows plus the cell tables.
+// for cache budgeting: input positions (and the image they pin) or stored
+// rows, plus the cell tables.
 func (ps *PartitionSet) EstimateBytes() int64 {
 	var n int64
 	for _, b := range ps.buckets {

@@ -73,7 +73,9 @@ type RunOptions struct {
 	// BuildWorkers is the number of workers for the partition build; <=1
 	// builds serially. The structure produced is identical either way.
 	BuildWorkers int
-	// NewStore supplies the per-bucket row store; nil uses in-memory.
+	// NewStore, when non-nil, gives every first-level bucket a row store (a
+	// budgeted run: blockstore.SpillStore). Nil stores no rows: measures
+	// live in typed vectors per bucket and keys are read from the input.
 	NewStore StoreFactory
 	// Subquery executes subqueries inside formula expressions.
 	Subquery eval.SubqueryRunner
@@ -86,8 +88,10 @@ type RunOptions struct {
 	// (atomic; shared safely by parallel PEs).
 	Stats *VecStats
 	// Cols, when non-nil, supplies columnar vectors for the working
-	// relation's key columns; the partition build encodes PBY/DBY keys
-	// from them instead of boxed row values (byte-identical either way).
+	// relation's columns: the partition build encodes PBY/DBY keys from
+	// them instead of boxed row values, and the structure reads keys and
+	// unwritten measures from them (byte-identical either way). rows may be
+	// nil when it covers every column.
 	Cols *ColSource
 	// Prebuilt, when non-nil, skips the partition build and evaluates this
 	// structure instead. The caller must pass a private copy (see
@@ -102,11 +106,8 @@ type RunOptions struct {
 	// serve every column. Ignored with Prebuilt, whose structure has no
 	// input.
 	Image bool
-	// FastLocal shares rows across the store boundary instead of cloning
-	// them on the way in (partition build) and out (result assembly) — see
-	// BuildOptions.ShareRows. Only valid with memory-resident stores;
-	// callers gate it on the absence of a memory budget. Results are
-	// byte-identical either way.
+	// FastLocal is ignored: an unbudgeted structure holds no rows to share
+	// or clone. Kept so existing callers compile.
 	FastLocal bool
 }
 
@@ -141,10 +142,6 @@ func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Sta
 	if opts.Ablate.RulesVectorized() {
 		m.buildVecRules()
 	}
-	newStore := opts.NewStore
-	if newStore == nil {
-		newStore = func() blockstore.Store { return blockstore.NewMem() }
-	}
 	nb := opts.Ablate.Buckets
 	if nb <= 0 {
 		nb = opts.Parallel
@@ -155,10 +152,9 @@ func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Sta
 	ps := opts.Prebuilt
 	if ps == nil {
 		var err error
-		ps, err = BuildPartitionsOpts(m, rows, nb, newStore, BuildOptions{
-			Workers:   opts.BuildWorkers,
-			Cols:      opts.Cols,
-			ShareRows: opts.FastLocal,
+		ps, err = BuildPartitionsOpts(m, rows, nb, opts.NewStore, BuildOptions{
+			Workers: opts.BuildWorkers,
+			Cols:    opts.Cols,
 		})
 		if err != nil {
 			return nil, blockstore.Stats{}, err
@@ -185,15 +181,18 @@ func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Sta
 	// wherever positions and measure columns leave a column unserved.
 	out := &Output{}
 	if opts.Image && opts.Prebuilt == nil {
-		out = ps.output(m.ReturnUpdated, opts.BuildWorkers)
+		out = ps.output(m.ReturnUpdated)
 	}
 	if out.Pos == nil || out.Inserted || slices.Contains(out.Meas, nil) {
-		out.Rows = ps.Rows(m.ReturnUpdated)
+		out.Rows = ps.rows(m.ReturnUpdated, opts.BuildWorkers)
 	}
 	// Closing drains the stores' background writers: every spill I/O failure
 	// is known, and fails the statement (the rows may be wrong).
 	ps.Close()
 	for _, b := range ps.buckets {
+		if b.store == nil {
+			continue
+		}
 		if err := b.store.Err(); err != nil {
 			return nil, ps.Stats(), err
 		}
@@ -202,17 +201,16 @@ func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Sta
 }
 
 // evalBucket runs the model over one first-level bucket: its frames as one
-// run while its rows stay in memory, so a batchable rule fires once for every
-// partition of the bucket; frame by frame when its store spills, which keeps
-// one partition's blocks resident while its rules run (Fig. 5's regime) and
-// polls the store's I/O failure between frames. The choice depends on the
-// store alone, so the per-cell oracle runs the loop order the batch engine
-// runs.
+// run while its cells stay in memory, so a batchable rule fires once for
+// every partition of the bucket; frame by frame when it has a row store
+// (a budgeted run), which keeps one partition's blocks resident while its
+// rules run (Fig. 5's regime) and polls the store's I/O failure between
+// frames. The choice depends on the store alone, so the per-cell oracle runs
+// the loop order the batch engine runs.
 func (fe *frameEval) evalBucket(b *bucket) error {
 	defer fe.flushCounts()
-	_, mem := b.store.(*blockstore.MemStore)
-	fe.spill = !mem
-	if mem {
+	fe.spill = b.store != nil
+	if !fe.spill {
 		return fe.runModel(b.frames)
 	}
 	for i := range b.frames {
@@ -408,18 +406,24 @@ type frameEval struct {
 	// bindTarget); their hooks read fe.f and fe.cv at call time, so they
 	// follow the PE from frame to frame and from target to target.
 	padCtx, rowCtx *eval.Context
-	// spill records that the current bucket's store spills: a row it hands
-	// out may be recycled while the right side reads other cells.
+	// spill records that the current bucket has a row store, which spills:
+	// a row it hands out may be recycled while the right side reads other
+	// cells.
 	spill bool
+	// tgt is the row bindTarget boxes a target into; scanRows[:depth] are
+	// the rows the frame scans in progress box theirs into, one per nesting
+	// level (a scan's matcher may compute an aggregate that scans again).
+	tgt      types.Row
+	scanRows []types.Row
+	depth    int
 
 	// Scratch of matchTargets and qualConsts, which never nest: the
 	// qualifier constants and the target list of the existential rule
 	// being applied.
 	consts  []qualConst
 	targets []int
-	// imgNeed and imgTodo are image's column lists: what a batch scan
-	// reads, and which of those the bucket's cache lacks.
-	imgNeed, imgTodo []int
+	// imgNeed lists the columns a batch scan reads.
+	imgNeed []int
 	// refKeys is refColumn's ordinal scratch and dictionary translations.
 	refKeys cellKeys
 	// probes counts main-sheet cell probes, aliased the batch cell reads
@@ -485,8 +489,20 @@ func (m *Model) newFrameEval(opts *RunOptions) *frameEval {
 		bs:   m.bs,
 		cv:   make([]types.Value, m.NDby),
 		pad:  make(types.Row, m.Schema.Len()),
+		tgt:  make(types.Row, m.Schema.Len()),
 	}
 }
+
+// scanRow lends a scratch row to a frame scan; doneRow returns it.
+func (fe *frameEval) scanRow() types.Row {
+	if fe.depth == len(fe.scanRows) {
+		fe.scanRows = append(fe.scanRows, make(types.Row, fe.m.Schema.Len())) // alloc-ok: once per PE and scan nesting depth
+	}
+	fe.depth++
+	return fe.scanRows[fe.depth-1]
+}
+
+func (fe *frameEval) doneRow() { fe.depth-- }
 
 // tickN accounts for n rows at once, polling the context when the count
 // crosses a poll boundary.
@@ -564,11 +580,12 @@ func (fe *frameEval) constCtx() *eval.Context {
 // stands, at the top level or inside a cell reference's qualifier, so
 // s[t - 1] is s[cv(t) - 1]. cv() reads fe.cv, which the caller sets to the
 // target's dimension values. Aggregates without a prepared instance keep
-// the partition binding (constCtx). A spilling store's row is copied: the
-// store may recycle it while the right side reads other cells.
+// the partition binding (constCtx). The row is boxed into the PE's target
+// scratch; a spilling store's is copied: the store may recycle it while the
+// right side reads other cells.
 func (fe *frameEval) bindTarget(pos int) *eval.Context {
 	ctx := fe.targetCtx()
-	row := fe.f.Row(pos)
+	row := fe.f.Row(pos, fe.tgt)
 	if fe.spill {
 		row = row.Clone() // alloc-ok: spilling stores only, once per target
 	}
@@ -664,7 +681,7 @@ func (fe *frameEval) evalCellRef(ctx *eval.Context, c *sqlast.CellRef) (types.Va
 			if fe.trackRefs {
 				fe.f.MarkReferenced(fe.gen, pos, mea)
 			}
-			return fe.f.Row(pos)[mea], nil
+			return fe.f.value(pos, mea), nil
 		}
 	}
 	// Reference-sheet lookup.

@@ -47,7 +47,7 @@ import (
 //     gathers;
 //  4. the result vector is written back frame by frame with
 //     Frame.SetMeasureBulk, in the per-cell path's exact cell order with its
-//     exact compare-then-clone assignment semantics.
+//     exact compare-then-write assignment semantics.
 //
 // The decision is per rule and conservative: cyclic (SCC) rules, ORDER BY, IGNORE NAV, self-reading cell references,
 // cv() inside aggregate qualifiers and anything else off the kernel domain
@@ -823,6 +823,19 @@ func (fe *frameEval) keyCols(tbl *colstore.Table, lf *vecLeaf, sel []int32) (key
 	return keys, fe.identity(len(sel)), true
 }
 
+// bucketRows maps frame positions of the current frame (-1 stays -1) to
+// the span of its bucket rows.
+func (fe *frameEval) bucketRows(poss []int32) span {
+	rows := make([]int32, len(poss))
+	for i, p := range poss {
+		rows[i] = -1
+		if p >= 0 {
+			rows[i] = int32(fe.f.brow(int(p)))
+		}
+	}
+	return span{n: len(rows), rows: rows}
+}
+
 // identity returns 0, 1, ..., n-1 out of the PE's scratch (read-only).
 func (fe *frameEval) identity(n int) []int32 {
 	for len(fe.iota) < n {
@@ -844,7 +857,7 @@ func (fe *frameEval) constCell(lf *vecLeaf) (types.Value, bool) {
 	}
 	fe.probes++
 	if pos, ok := fe.f.Lookup(dims); ok {
-		return fe.f.Row(pos)[lf.mea], true
+		return fe.f.value(pos, lf.mea), true
 	}
 	return types.Null, true
 }
@@ -976,18 +989,9 @@ targets:
 	// cv()/cell/aggregate leaves gathers nothing here.
 	cols := make([]*colstore.Column, fe.m.Schema.Len())
 	if len(prog.cols) > 0 {
-		bufs := make([][]types.Value, len(prog.cols))
-		for i := range bufs {
-			bufs[i] = make([]types.Value, nb)
-		}
-		for k, pos := range poss {
-			row := fe.f.Row(int(pos))
-			for i, c := range prog.cols {
-				bufs[i][k] = row[c]
-			}
-		}
-		for i, c := range prog.cols {
-			if cols[c] = colstore.FromValues(bufs[i], true); cols[c] == nil {
+		tgt := fe.bucketRows(poss)
+		for _, c := range prog.cols {
+			if cols[c] = fe.f.b.column(c, tgt, true); cols[c] == nil {
 				return false, nil
 			}
 		}
@@ -1039,13 +1043,7 @@ targets:
 			fe.probes += int64(nb)
 			probed := make([]int32, nb)
 			fe.f.LookupBatch(keys, rows, probed)
-			vals := make([]types.Value, nb)
-			for k, pp := range probed {
-				if pp >= 0 {
-					vals[k] = fe.f.Row(int(pp))[lf.mea]
-				}
-			}
-			col = colstore.FromValues(vals, true)
+			col = fe.f.b.column(lf.mea, fe.bucketRows(probed), true)
 		}
 		if col == nil {
 			return false, nil

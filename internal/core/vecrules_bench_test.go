@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/types"
 )
 
@@ -60,8 +59,7 @@ func benchRuleLegs(b *testing.B, sql string, rows []types.Row, cold bool) {
 			}
 			m.buildCompiled()
 			m.buildVecRules()
-			pristine, err := BuildPartitionsOpts(m, rows, 1,
-				func() blockstore.Store { return blockstore.NewMem() }, BuildOptions{ShareRows: cold})
+			pristine, err := BuildPartitionsOpts(m, rows, 1, nil, BuildOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -172,94 +172,92 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 // bucket's frames in bucket order — laid out frame after frame, in which the
 // listed columns are materialised (any other column may be nil), and the
 // first image row of each frame (offs[i]; the last entry is the row count).
-// Columns are cached on the bucket (see bucket.img) and dropped when written
-// or when the row set changes, so a sequence of vectorized rules over the
-// same frames extracts each column it reads once, then again only after a
-// rule assigned it; a column no kernel reads is never extracted. Asking for
-// another run of frames replaces the cache. Extraction is one scan ticking
-// per row exactly like the row scans it replaces. A listed column whose
-// values mix kinds has no image: the cache remembers that (mixedColumn) until
-// the column is written, and the returned table is nil. Otherwise it owns its
-// Cols slice but shares the cached columns; callers treat images as
-// immutable (WithExtra copies before extending).
+// Key columns are gathered from the input once per run and cached on the
+// bucket (see bucket.img) until an Insert changes the row set or another run
+// replaces the cache. A measure column is the measure's vector (created on
+// first use), sliced when the run is a contiguous stretch of the bucket's
+// rows and gathered otherwise. A budgeted bucket reads its columns out of
+// its stored rows instead. The image ticks once per row, like the row scans
+// it replaces. A listed column whose values mix kinds has no image: the
+// returned table is nil. Otherwise it owns its Cols slice; callers treat
+// images as immutable (WithExtra copies before extending), and a measure
+// column is valid until the next write to its measure.
 func (fe *frameEval) image(fs []*Frame, need []int) (*colstore.Table, []int, error) {
 	b := fs[0].b
 	if b.img == nil || !slices.Equal(b.imgRun, fs) {
-		// Fresh offsets and run slices, never reused: a caller may still
-		// hold the previous offsets, and fs may be the driver's scratch.
-		offs := make([]int, len(fs)+1)
-		for i, f := range fs {
-			offs[i+1] = offs[i] + f.Len()
-		}
-		b.img, b.imgRun, b.imgOff = make([]*colstore.Column, fe.m.Schema.Len()), slices.Clone(fs), offs
+		b.cacheRun(fs)
 	}
-	n := b.imgOff[len(fs)]
-	todo := fe.imgTodo[:0]
-	for _, c := range need {
-		if b.img[c] == nil && !slices.Contains(todo, c) {
-			todo = append(todo, c)
-		}
-	}
-	fe.imgTodo = todo
-	if len(todo) == 0 {
-		// Cache hit: keep the cancellation polls of the scan this replaces.
-		if err := fe.tickN(n); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		flat := fe.boxedScratch(len(todo) * n)
-		vals := make([][]types.Value, len(todo))
-		for i := range vals {
-			vals[i] = flat[i*n : (i+1)*n : (i+1)*n]
-		}
-		var ferr error
-		for fi, f := range fs {
-			off := b.imgOff[fi]
-			f.Each(func(pos int, row types.Row) bool {
-				if ferr = fe.tick(); ferr != nil {
-					return false
-				}
-				for i, c := range todo {
-					vals[i][off+pos] = row[c]
-				}
-				return true
-			})
-			if ferr != nil {
-				clear(flat)
-				return nil, nil, ferr
-			}
-		}
-		for i, c := range todo {
-			if b.img[c] = fe.columnOf(vals[i]); b.img[c] == nil {
-				b.img[c] = mixedColumn
-			}
-		}
+	if err := fe.tickN(b.imgOff[len(fs)]); err != nil {
+		return nil, nil, err
 	}
 	return b.table(need), b.imgOff, nil
 }
 
-// mixedColumn stands, in a bucket's image cache, for a column whose values
-// mix kinds: it was examined, and has no image.
+// cacheRun makes fs the run the bucket's image cache covers, with fresh
+// offsets and run slices, never reused: a caller may still hold the
+// previous offsets, and fs may be the ITERATE loop's scratch (fe.active).
+func (b *bucket) cacheRun(fs []*Frame) {
+	offs := make([]int, len(fs)+1)
+	contiguous := true
+	for i, f := range fs {
+		offs[i+1] = offs[i] + f.Len()
+		contiguous = contiguous && len(f.ext) == 0 && f.base == fs[0].base+offs[i]
+	}
+	b.img, b.imgRun, b.imgOff = make([]*colstore.Column, b.nk()), slices.Clone(fs), offs
+	b.imgLo, b.imgRows = fs[0].base, nil
+	if !contiguous {
+		b.imgRows = make([]int32, 0, offs[len(fs)])
+		for _, f := range fs {
+			for pos := range f.Len() {
+				b.imgRows = append(b.imgRows, int32(f.brow(pos)))
+			}
+		}
+	}
+}
+
+// mixedColumn stands, in a bucket's image cache, for a key column whose
+// values mix kinds: it was examined, and has no image.
 var mixedColumn = new(colstore.Column)
 
-// table returns the cached image, nil when a listed column mixes kinds.
+// table returns the image of the cached run with the listed columns, nil
+// when one of them mixes kinds.
 func (b *bucket) table(need []int) *colstore.Table {
-	if slices.ContainsFunc(need, func(c int) bool { return b.img[c] == mixedColumn }) {
-		return nil
+	s := span{lo: b.imgLo, n: b.imgOff[len(b.imgOff)-1], rows: b.imgRows}
+	t := &colstore.Table{NRows: s.n, Cols: make([]*colstore.Column, b.m.Schema.Len())}
+	for _, c := range need {
+		if t.Cols[c] != nil {
+			continue
+		}
+		if c >= b.nk() {
+			if t.Cols[c] = b.column(c, s, true); t.Cols[c] == nil {
+				return nil
+			}
+			continue
+		}
+		if b.img[c] == nil {
+			if b.img[c] = b.column(c, s, true); b.img[c] == nil {
+				b.img[c] = mixedColumn
+			}
+		}
+		if b.img[c] == mixedColumn {
+			return nil
+		}
+		t.Cols[c] = b.img[c]
 	}
-	return &colstore.Table{NRows: b.imgOff[len(b.imgOff)-1], Cols: slices.Clone(b.img)}
+	return t
 }
 
 // frameImage returns a columnar image holding the current frame's rows at
 // [base, base+Len()) with the listed columns materialised: the bucket's
-// cached image when it covers the frame and every listed column, otherwise
-// an image of the frame alone (which the following scans of the frame then
-// share). As with image, img is nil when a listed column mixes kinds.
+// cached run when it covers the frame as a contiguous stretch of bucket
+// rows (its measure columns are slices then), otherwise an image of the
+// frame alone (which the following scans of the frame then share). As with
+// image, img is nil when a listed column mixes kinds.
 func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err error) {
 	f := fe.f
 	b := f.b
 	i, hit := slices.BinarySearchFunc(b.imgRun, f.ord, func(g *Frame, ord int) int { return g.ord - ord })
-	if hit && b.img != nil && !slices.ContainsFunc(need, func(c int) bool { return b.img[c] == nil }) {
+	if hit && b.img != nil && b.imgRows == nil {
 		if err := fe.tickN(f.Len()); err != nil {
 			return nil, 0, err
 		}

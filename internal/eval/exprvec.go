@@ -157,13 +157,16 @@ const (
 	opMul
 	opDiv
 	opConcat
+	opCase
 )
 
 type exprNode struct {
 	op   exprOp
 	ord  int         // opCol: schema ordinal
-	val  types.Value // opConst: folded constant
+	val  types.Value // opConst: folded constant; opCase: the ELSE arm
 	l, r *exprNode
+	// opCase: the WHEN constants and their THEN arms; l is the operand.
+	whens, thens []types.Value
 }
 
 // ExprKernel is a compiled vectorized compute expression. The zero value is
@@ -251,6 +254,8 @@ func compileExprNode(c *selCompiler, e sqlast.Expr) *exprNode {
 				return &exprNode{op: opNeg, l: l}
 			}
 		}
+	case *sqlast.Case:
+		return compileCaseNode(c, x)
 	case *sqlast.Binary:
 		var op exprOp
 		switch x.Op {
@@ -278,6 +283,62 @@ func compileExprNode(c *selCompiler, e sqlast.Expr) *exprNode {
 		return &exprNode{op: op, l: l, r: r}
 	}
 	return nil
+}
+
+// compileCaseNode lowers a simple CASE over a column whose WHEN values and
+// THEN/ELSE arms are constants, the arms of one kind (NULL arms aside): the
+// result is one arm per operand value. Anything else — a searched CASE,
+// a computed operand or arm, arms of two kinds — stays on the closure.
+func compileCaseNode(c *selCompiler, x *sqlast.Case) *exprNode {
+	if x.Operand == nil {
+		return nil
+	}
+	op := compileExprNode(c, x.Operand)
+	if op == nil || op.op != opCol {
+		return nil
+	}
+	n := &exprNode{op: opCase, l: op, val: types.Null}
+	kind := types.KindNull
+	arm := func(e sqlast.Expr) (types.Value, bool) {
+		v, ok := c.foldConst(e)
+		if !ok || v.K == types.KindNull {
+			return v, ok
+		}
+		if kind != types.KindNull && v.K != kind {
+			return v, false
+		}
+		kind = v.K
+		return v, true
+	}
+	for _, w := range x.Whens {
+		wv, ok := c.foldConst(w.Cond)
+		if !ok {
+			return nil
+		}
+		tv, ok := arm(w.Then)
+		if !ok {
+			return nil
+		}
+		n.whens, n.thens = append(n.whens, wv), append(n.thens, tv)
+	}
+	if x.Else != nil {
+		ev, ok := arm(x.Else)
+		if !ok {
+			return nil
+		}
+		n.val = ev
+	}
+	return n
+}
+
+// armKind is the kind of a CASE node's non-NULL arms, NULL when it has none.
+func (n *exprNode) armKind() types.Kind {
+	for _, v := range n.thens {
+		if v.K != types.KindNull {
+			return v.K
+		}
+	}
+	return n.val.K
 }
 
 func numericOrNull(k types.Kind) bool {
@@ -337,6 +398,11 @@ func (n *exprNode) kindIn(in *VecInput) (types.Kind, bool) {
 			return types.KindNull, true
 		}
 		return types.KindString, true
+	case opCase:
+		if _, ok := n.l.kindIn(in); !ok {
+			return 0, false
+		}
+		return n.armKind(), true
 	}
 	return 0, false
 }
@@ -383,6 +449,8 @@ func (n *exprNode) evalVec(in *VecInput, sel []int32) (*ExprVec, error) {
 			return nil, err
 		}
 		return negVec(l), nil
+	case opCase:
+		return caseVec(n, in.col(n.l.ord), in.RowIdx, sel), nil
 	case opConcat:
 		// Both operands evaluate unconditionally, like the closure path
 		// (concat and arithmetic never short-circuit), so a division by zero
@@ -407,6 +475,71 @@ func (n *exprNode) evalVec(in *VecInput, sel []int32) (*ExprVec, error) {
 		}
 		return arithVec(n.op, l, r)
 	}
+}
+
+// caseVec evaluates a simple CASE over column c at the selected rows. The
+// arm of an operand value is the first WHEN it equals as the closure
+// compares (neither side NULL, types.Equal), else the ELSE arm: computed once
+// per dictionary code over a dictionary column, once per row otherwise.
+func caseVec(n *exprNode, c *colstore.Column, ridx []int32, sel []int32) *ExprVec {
+	arms := append(append(make([]types.Value, 0, len(n.thens)+1), n.thens...), n.val)
+	armOf := func(v types.Value) int {
+		for i, w := range n.whens {
+			if !w.IsNull() && types.Equal(v, w) {
+				return i
+			}
+		}
+		return len(n.whens)
+	}
+	var byCode []int32
+	if c.IsDict() {
+		byCode = make([]int32, len(c.Dict))
+		for code, s := range c.Dict {
+			byCode[code] = int32(armOf(types.Value{K: types.KindString, S: s}))
+		}
+	}
+	m := len(sel)
+	out := &ExprVec{Kind: n.armKind(), n: m}
+	switch out.Kind {
+	case types.KindNull:
+		return out
+	case types.KindFloat:
+		out.Floats = make([]float64, m)
+	case types.KindString:
+		out.Strs = make([]string, m)
+	default: // INT, BOOL
+		out.Ints = make([]int64, m)
+	}
+	for k, p := range sel {
+		r := rowAt(ridx, p)
+		a := len(n.whens) // a NULL operand takes the ELSE arm
+		switch {
+		case c.IsNull(r):
+		case byCode != nil:
+			a = int(byCode[c.Codes[r]])
+		case c.Kind == types.KindFloat:
+			a = armOf(types.Value{K: types.KindFloat, F: c.Floats[r]})
+		case c.Kind == types.KindString:
+			a = armOf(types.Value{K: types.KindString, S: c.Strs[r]})
+		default: // INT, BOOL
+			a = armOf(types.Value{K: c.Kind, I: c.Ints[r]})
+		}
+		v := arms[a]
+		switch v.K {
+		case types.KindNull:
+			if out.Nulls == nil {
+				out.Nulls = make([]bool, m)
+			}
+			out.Nulls[k] = true
+		case types.KindFloat:
+			out.Floats[k] = v.F
+		case types.KindString:
+			out.Strs[k] = v.S
+		default: // INT, BOOL
+			out.Ints[k] = v.I
+		}
+	}
+	return out
 }
 
 // constVec broadcasts a folded constant across m slots.

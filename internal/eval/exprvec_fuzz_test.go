@@ -76,6 +76,16 @@ func FuzzExprKernel(f *testing.F) {
 		{"a * d + 1", 7, 0x00},
 		{"-b + a", 8, 0x05},
 		{"a - 7", 9, 0x20}, // empty relation
+		// Simple CASE: a NULL operand row (mask 0x01), no ELSE, a plain
+		// (non-dictionary) string column (mask 0x40), INT/FLOAT arms (one
+		// kind kernelizes, two stay on the closure), FLOAT WHEN values
+		// matching INT operands, a NULL WHEN.
+		{"CASE a WHEN 1 THEN 'one' WHEN -2 THEN 'minus' ELSE 'other' END", 10, 0x01},
+		{"CASE c WHEN 'dvd' THEN 1 WHEN 'west' THEN 2 END", 11, 0x00},
+		{"CASE c WHEN 'dvd' THEN 1.5 WHEN '' THEN 2.5 WHEN NULL THEN 9.5 ELSE 0.5 END", 12, 0x40},
+		{"CASE a WHEN 2.0 THEN 1 WHEN 3 THEN 2.5 ELSE 0 END", 13, 0x01},
+		{"CASE d WHEN 1.0 THEN 10 WHEN -1 THEN 20 ELSE NULL END", 14, 0x00},
+		{"CASE b WHEN 0.5 THEN 'half' WHEN 1 THEN 'one' END", 15, 0x06},
 	}
 	for _, s := range seeds {
 		f.Add(s.src, s.seed, s.mask)
@@ -97,6 +107,14 @@ func FuzzExprKernel(f *testing.F) {
 		tbl := colstore.FromRows(4, rows)
 		if tbl == nil {
 			t.Fatal("FromRows rejected rectangular rows")
+		}
+		if mask&0x40 != 0 && len(rows) > 0 {
+			// c as plain strings rather than a dictionary.
+			vals := make([]types.Value, len(rows))
+			for i, r := range rows {
+				vals[i] = r[2]
+			}
+			tbl.Cols[2] = colstore.FromValues(vals, false)
 		}
 		if _, ok := k.OutKind(tbl, nil); !ok || k.MinCols() > len(tbl.Cols) {
 			return // image representation unsupported: production would fall back
@@ -148,4 +166,32 @@ func FuzzExprKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCaseKernelShapes pins which simple CASE forms get a kernel: a column
+// operand with constant WHEN values and constant arms of one kind (NULL
+// arms aside). A searched CASE, a computed operand or arm and arms of two
+// kinds stay on the closure.
+func TestCaseKernelShapes(t *testing.T) {
+	bs := NewBoundSchema([]BoundCol{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}})
+	for src, want := range map[string]bool{
+		"CASE c WHEN 'dvd' THEN 1 WHEN 'west' THEN 2 END":            true,
+		"CASE a WHEN 1 THEN 'one' ELSE 'other' END":                  true,
+		"CASE d WHEN 1.0 THEN 10 WHEN -1 THEN 20 ELSE NULL END":      true,
+		"CASE c WHEN 'dvd' THEN NULL END":                            true,
+		"CASE a WHEN 2.0 THEN 1 WHEN 3 THEN 2.5 ELSE 0 END":          false, // INT and FLOAT arms
+		"CASE WHEN a > 1 THEN 1 ELSE 2 END":                          false, // searched
+		"CASE a + 1 WHEN 2 THEN 1 END":                               false, // computed operand
+		"CASE a WHEN 1 THEN b END":                                   false, // computed arm
+		"CASE a WHEN d THEN 1 END":                                   false, // computed WHEN
+		"CASE c WHEN 'dvd' THEN 'x' WHEN 'west' THEN 1 ELSE 'y' END": false,
+	} {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CompileExprKernel(bs, e).Valid(); got != want {
+			t.Errorf("%s: kernel %v, want %v", src, got, want)
+		}
+	}
 }

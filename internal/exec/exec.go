@@ -79,12 +79,9 @@ type Options struct {
 	// publishes after every mutating statement) — a statement never scans
 	// rows it is itself writing.
 	Snap *catalog.Snapshot
-	// FastLocalPath lets unbudgeted in-memory spreadsheet runs skip the
-	// defensive row clones at the chunk-store boundary (input rows into the
-	// access structure, result rows out of it). Safe because the access
-	// structure copies a shared row on its first write and only then writes
-	// in place (core.BuildOptions.ShareRows), and results are byte-identical
-	// either way. The DB layer sets it exactly when MemoryBudget is 0.
+	// FastLocalPath is ignored: an unbudgeted spreadsheet run keeps no rows
+	// to share or clone (its measures live in typed vectors). Kept so
+	// existing callers compile.
 	FastLocalPath bool
 }
 
@@ -278,12 +275,16 @@ func (ex *Executor) image(t *catalog.Table) *mvcc.Image {
 	return ex.Opts.Snap.Pin(t)
 }
 
+// execCTERef reads a CTE's result, run once per execution and cached as
+// the body left it — positions over an image where it has them. An
+// unfiltered reference shares the cached image and positions; a filtered
+// one, or a boxed result, scans rows (the cached result boxed once).
 func (ex *Executor) execCTERef(n *plan.CTERef, outer *eval.Binding) (*Result, error) {
 	ex.mu.Lock()
 	cached := ex.cteCache[n.Def]
 	ex.mu.Unlock()
 	if cached == nil {
-		res, err := ex.Execute(n.Def.Plan, nil)
+		res, err := ex.run(n.Def.Plan, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -291,6 +292,19 @@ func (ex *Executor) execCTERef(n *plan.CTERef, outer *eval.Binding) (*Result, er
 		ex.cteCache[n.Def] = res
 		cached = res
 		ex.mu.Unlock()
+	}
+	if cached.unboxed() {
+		if n.Filter == nil {
+			return &Result{Schema: n.Schema(), Img: cached.Img, RowIdx: cached.RowIdx, ColMap: cached.ColMap}, nil
+		}
+		boxed, err := ex.boxed(cached)
+		if err != nil {
+			return nil, err
+		}
+		ex.mu.Lock()
+		ex.cteCache[n.Def] = boxed
+		ex.mu.Unlock()
+		cached = boxed
 	}
 	return ex.scanRows(cached.Rows, n.Schema(), n.Filter, n.FilterC, outer)
 }

@@ -12,6 +12,7 @@ import (
 	"sqlsheet/internal/catalog"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/plan"
+	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
 )
 
@@ -329,4 +330,81 @@ func TestHashJoinAllocsFollowMorsels(t *testing.T) {
 		t.Errorf("allocations: %v for 100 keys, %v for 20,000; want them within 64", allocs[100], allocs[20000])
 	}
 	t.Logf("allocations: %v for 100 keys, %v for 20,000", allocs[100], allocs[20000])
+}
+
+// TestCTEReferencesShareTheResult: a CTE referenced twice runs once, and
+// an unfiltered reference hands on the body's positions over its image
+// rather than a copy of boxed rows. Over the 3,000 × 3,000 comma join (one
+// match per key), each reference is the cached image and positions, no row
+// exists, and reading a reference allocates no per-row slice (3,000 rows
+// would be 72 KB).
+func TestCTEReferencesShareTheResult(t *testing.T) {
+	const n = 3000
+	cat := catalog.New()
+	for _, tb := range []struct{ name, val string }{{"a", "x"}, {"b", "y"}} {
+		tbl, err := cat.Create(tb.name, types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: tb.val, Kind: types.KindFloat}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) / 4)}
+		}
+		if err := tbl.Insert(rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.PublishAll()
+	q := `WITH v AS (SELECT a.k, x, y FROM a, b WHERE a.k = b.k) SELECT l.k, r.y FROM v l, v r WHERE l.k = r.k`
+	stmts, err := parser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := New(cat, Options{Workers: 1})
+	ex.Opts.PlanOpts = &plan.Options{Exec: ex}
+	p, err := plan.Build(cat, stmts[0].(*sqlast.SelectStmt), ex.Opts.PlanOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []*plan.CTERef
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		if r, ok := n.(*plan.CTERef); ok {
+			refs = append(refs, r)
+			return
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(p)
+	if len(refs) != 2 {
+		t.Fatalf("want two CTE references:\n%s", plan.Explain(p))
+	}
+	first, err := ex.run(refs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := ex.run(refs[1], nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []*Result{first, second} {
+		if r.Rows != nil || r.Len() != n || r.Img != first.Img || unsafe.SliceData(r.RowIdx) != unsafe.SliceData(first.RowIdx) {
+			t.Fatalf("reference %d: rows %v, len %d, shared image %v", i, r.Rows != nil, r.Len(), r.Img == first.Img)
+		}
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 8*n {
+		t.Errorf("reading the second reference allocated %d bytes", b)
+	}
+	res, err := ex.ExecStatement(stmts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != n {
+		t.Fatalf("statement returned %d rows, want %d", len(res.Rows), n)
+	}
 }

@@ -13,9 +13,10 @@ import (
 	"sqlsheet/internal/types"
 )
 
-// execSpreadsheet materializes the working relation and reference sheets,
-// then hands off to the core engine with the configured store factory and
-// degree of parallelism.
+// execSpreadsheet runs the working relation — positions over its image
+// where the input has one, rows only when a column has none — and
+// materializes the reference sheets, then hands off to the core engine with
+// the configured store factory and degree of parallelism.
 func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*Result, error) {
 	// Serving-path structure reuse: when the plan is cached and a pristine
 	// access structure exists for this node, clone it and skip both the
@@ -32,20 +33,29 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	var inRows []types.Row
 	var inCols *core.ColSource
+	nIn := 0
 	// image: the output's key columns can be gathered from the input image
 	// (every one the output keeps is there), so the engine is asked for
 	// positions and measure columns rather than rows.
 	image, outNote := false, "rows(reused)"
 	if prebuilt == nil {
-		in, err := ex.Execute(n.Input, outer)
+		in, err := ex.run(n.Input, outer)
 		if err != nil {
 			return nil, err
 		}
-		inRows = in.Rows
-		// Only the leading PBY+DBY ordinals are key-encoded by the build.
+		nIn = in.Len()
+		// The engine reads every working column it has an image of from
+		// the image; rows are boxed only when some column has none (an
+		// image narrower than the schema, such as a window's, included).
+		inCols = ex.vecColSource(in, len(in.Schema.Cols))
+		if !inCols.Covers(len(in.Schema.Cols)) {
+			if in, err = ex.boxed(in); err != nil {
+				return nil, err
+			}
+			inRows = in.Rows
+		}
 		nk := n.Model.NPby + n.Model.NDby
-		inCols = ex.vecColSource(in, nk)
-		image = inCols != nil && len(inCols.Cols) == nk && !slices.Contains(inCols.Cols[n.DropCols:], nil)
+		image = inCols != nil && len(inCols.Cols) >= nk && !slices.Contains(inCols.Cols[n.DropCols:nk], nil)
 		if !image {
 			outNote = "rows(no-input-image)"
 		}
@@ -60,7 +70,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		}
 	}
 
-	newStore := func() blockstore.Store { return blockstore.NewMem() }
+	var newStore core.StoreFactory // unbudgeted: measure vectors, no row store
 	if ex.Opts.MemoryBudget > 0 {
 		budget, dir := ex.Opts.MemoryBudget, ex.Opts.SpillDir
 		async := !ex.Opts.Ablate.DisableAsyncSpill
@@ -73,7 +83,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	// order) stays deterministic regardless of budget grants.
 	engine := ex.Opts.Engine
 	if engine.Buckets <= 0 {
-		engine.Buckets = core.ChooseBuckets(len(inRows), 64, ex.Opts.MemoryBudget, ex.Opts.Parallel)
+		engine.Buckets = core.ChooseBuckets(nIn, 64, ex.Opts.MemoryBudget, ex.Opts.Parallel)
 	}
 	// Spreadsheet PEs and partition-build workers draw from the same core
 	// budget as the operator worker pools, so Workers>1 plus Parallel>1
@@ -126,11 +136,6 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 		OnBuilt:      onBuilt,
 		Stats:        &counts,
 		Image:        image,
-		// FastLocalPath is only set for unbudgeted sessions (see
-		// db.newExecutor), so the stores above are memory-resident and rows
-		// may cross the store boundary by reference; the MemoryBudget guard
-		// repeats the invariant for callers constructing Options directly.
-		FastLocal: ex.Opts.FastLocalPath && ex.Opts.MemoryBudget == 0,
 	})
 	ex.bud.release(granted)
 	if prebuilt != nil {
@@ -152,7 +157,7 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 	}
 	// How the cells were keyed and read, and the form of the output:
 	// EXPLAIN ANALYZE's spreadsheet line.
-	ex.recordOp(OpStat{Op: "spreadsheet", Rows: len(inRows), Workers: max(par, 1), Elapsed: time.Since(start),
+	ex.recordOp(OpStat{Op: "spreadsheet", Rows: nIn, Workers: max(par, 1), Elapsed: time.Since(start),
 		Note: fmt.Sprintf("keys=%s probes=%d aliased=%d out=%s", built.KeyNote(), counts.Probes.Load(), counts.Aliased.Load(), outNote)})
 	ex.mu.Lock()
 	ex.SheetStats.Add(stats)
@@ -162,9 +167,9 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 
 // sheetImage gives res, the spreadsheet's result, its image: the key
 // columns gathered from the input image's (keys) by each output row's input
-// position, sharing their dictionaries, and the measures the engine packed.
-// A column the image cannot serve is nil, and res keeps the rows the engine
-// handed out beside it. It returns the output note: out=image when res is
+// position, sharing their dictionaries, and the engine's measure columns
+// (its vectors). A column the image cannot serve is nil, and res keeps the
+// rows the engine handed out beside it. It returns the output note: out=image when res is
 // positions only, else the reason it keeps rows — the first absent
 // column's.
 func sheetImage(n *plan.Spreadsheet, keys *core.ColSource, out *core.Output, res *Result) string {

@@ -5,11 +5,12 @@ import (
 	"sqlsheet/internal/sqlast"
 )
 
-// optimize runs the optimization pipeline: spreadsheet-specific rewrites
-// first (they insert filters to push), then generic filter pushdown, then
-// the order rewrites (a window absorbs a matching ORDER BY, a LIMIT over a
-// sort becomes a top-k).
+// optimize runs the optimization pipeline: single-reference CTEs inlined
+// first, then spreadsheet-specific rewrites (they insert filters to push),
+// then generic filter pushdown, then the order rewrites (a window absorbs a
+// matching ORDER BY, a LIMIT over a sort becomes a top-k).
 func optimize(n Node, opts *Options) (Node, error) {
+	n = inlineCTEs(n)
 	var err error
 	n, err = optimizeSheets(n, opts)
 	if err != nil {
@@ -42,6 +43,41 @@ func rewrite(n Node, f func(Node) (Node, error)) (Node, error) {
 		return f(n)
 	}
 	return walk(n)
+}
+
+// inlineCTEs plans a CTE the plan references once as a derived table: its
+// one CTERef becomes an Alias over the body, so a predicate on it sinks into
+// the body — into a spreadsheet's PBY and its scan — as into a view. A CTE
+// referenced more than once stays materialized once per execution. (A
+// subquery expression is planned on its own, outside the statement's CTE
+// scope, so no reference hides there.)
+func inlineCTEs(n Node) Node {
+	refs := map[*CTEDef]int{}
+	seen := map[Node]bool{}
+	var count func(Node)
+	count = func(n Node) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		if r, ok := n.(*CTERef); ok {
+			refs[r.Def]++
+		}
+		for _, in := range n.Inputs() {
+			count(*in)
+		}
+	}
+	count(n)
+	if len(refs) == 0 {
+		return n
+	}
+	n, _ = rewrite(n, func(n Node) (Node, error) {
+		if r, ok := n.(*CTERef); ok && refs[r.Def] == 1 {
+			return &Alias{Input: r.Def.Plan, schema: r.schema}, nil
+		}
+		return n, nil
+	})
+	return n
 }
 
 // pushFilters sinks Filter nodes toward scans, splits conjuncts across

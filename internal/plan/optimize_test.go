@@ -66,3 +66,23 @@ func TestExplainReferenceLayout(t *testing.T) {
 		t.Errorf("got:\n%s\nwant:\n%s", out, want)
 	}
 }
+
+// TestSingleReferenceCTEInlined pins that a CTE referenced once is planned
+// as a derived table, so a predicate on it reaches the sheet's PBY and the
+// sheet's scan, while a CTE referenced twice stays one materialized CTE.
+func TestSingleReferenceCTEInlined(t *testing.T) {
+	sheet := `SELECT p, t, s FROM f SPREADSHEET PBY(p) DBY(t) MEA(s) (s[2000] = s[1999] + 1)`
+	once := Explain(mustPlan(t, `WITH v AS (`+sheet+`) SELECT p, t, s FROM v WHERE p = 'a'`, nil))
+	for _, want := range []string{"* pushed PBY predicate (p = 'a')", "Scan f filter=(p = 'a')"} {
+		if !strings.Contains(once, want) {
+			t.Errorf("once: no %q:\n%s", want, once)
+		}
+	}
+	if strings.Contains(once, "CTE v") {
+		t.Errorf("once: the CTE was not inlined:\n%s", once)
+	}
+	twice := Explain(mustPlan(t, `WITH v AS (`+sheet+`) SELECT a.p, b.t FROM v a, v b WHERE a.p = b.p AND a.t = b.t`, nil))
+	if strings.Count(twice, "CTE v as") != 2 || strings.Contains(twice, "pushed PBY predicate") {
+		t.Errorf("twice: want two CTE refs and no pushed predicate:\n%s", twice)
+	}
+}
