@@ -1144,6 +1144,23 @@ func returnsRows(t *testing.T, ref []outcome) {
 	}
 }
 
+// measureKindsDB: one kind per measure, with a STRING measure.
+func measureKindsDB(t testing.TB, db *sqlsheet.DB) {
+	db.MustExec(`CREATE TABLE mk (c TEXT, p TEXT, t INT, s FLOAT, n INT, name TEXT)`)
+	var rows [][]any
+	for ci, c := range []string{"a", "b", "c", "d"} {
+		for pi, p := range []string{"tv", "dvd", "vcr", "pc"} {
+			for y := 2000; y < 2008; y++ {
+				if (ci+pi+y)%5 == 1 {
+					continue
+				}
+				rows = append(rows, []any{c, p, y, float64(ci*7+pi*3+y%4+1) * 0.75, ci + pi*2 + y%3, p + "-" + c})
+			}
+		}
+	}
+	insert(t, db, "mk", rows...)
+}
+
 // sheetFramesScript is the sheet-frames case's statements.
 func sheetFramesScript() []string {
 	frames := `SELECT c, p, t, s, u, k FROM sf SPREADSHEET PBY (c) DBY (p, t) MEA (s, 0 u, 0 k) `
@@ -1517,7 +1534,7 @@ func diffCorpus() []diffCase {
 				for _, c := range []struct {
 					what, got, want string
 				}{
-					{"s[5] = 400 + 14", at(0, ` S"a" I5`, 2), "I414"},
+					{"s[5] = 400 + 14", at(0, ` S"a" I5`, 2), "F" + strconv.FormatUint(math.Float64bits(414), 16)},
 					{"s[5] = 1 + 0.2 + 1e16 + 0.3 - 1e16", at(1, ` S"b" I5`, 2), "F" + strconv.FormatUint(math.Float64bits(2), 16)},
 					{"SUM over the frame {1, 1}", at(bounded, ` S"a" I5`, 2), "F" + strconv.FormatUint(math.Float64bits(2), 16)},
 					{"SUM over the INT frame {2, 3}", at(bounded, ` S"a" I3`, 9), "I5"},
@@ -1533,9 +1550,10 @@ func diffCorpus() []diffCase {
 				}
 			}},
 		// Values mixing kinds are computed ones only: a CASE as a
-		// spreadsheet dimension and measure, which the batch rule cannot
-		// image and leaves per cell, and as a sort key the budgeted sort
-		// spills kind-tagged. A write of another kind than its column's is
+		// spreadsheet dimension, which the batch rule cannot image and
+		// leaves per cell, and as a sort key the budgeted sort spills
+		// kind-tagged; as a measure it is FLOAT, its INT arm converted at
+		// the sheet's input. A write of another kind than its column's is
 		// converted (x, z) or fails with the catalog's typed error (y, b),
 		// the same text on every path, leaving the table untouched.
 		diffCase{name: "mixed-kinds", fixture: mixedDB, configs: "exec served spill3", script: []string{
@@ -1911,6 +1929,62 @@ func diffCorpus() []diffCase {
 		// the plan group promotes; and the cache group's reused structures.
 		diffCase{name: "sheet-frames", fixture: sheetConsumersDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz",
 			script: sheetFramesScript(), check: returnsRows},
+		// One kind per measure: an INT default a rule assigns FLOAT on some
+		// cells under a pushed predicate, read by a filter above (the
+		// unassigned cells read 0.0); an INT table measure assigned by /; a
+		// CASE of INT and FLOAT arms; UPSERT and ITERATE; measures whose
+		// kind compile time cannot see (scalar subqueries) pinned, widened
+		// and refused at run time; and a STRING measure assigned FLOAT,
+		// refused at compile time with one text on every path.
+		diffCase{name: "measure-kinds", fixture: measureKindsDB, configs: "exec plan cache b1 b3 b16 spill3 move served fuzz",
+			script: []string{
+				`SELECT c, t, p, s, sh FROM (SELECT c, t, p, s, sh FROM mk
+					SPREADSHEET PBY (c, t) DBY (p) MEA (s, 0 sh) RULES UPDATE (sh['tv'] = s['tv'] / s['dvd'])) v
+					WHERE p IN ('tv', 'vcr') ORDER BY c, t, p`,
+				`SELECT c, t, p, s, sh FROM (SELECT c, t, p, s, sh FROM mk
+					SPREADSHEET PBY (c, t) DBY (p) MEA (s, 0 sh) RULES UPDATE (sh[*] = s[cv(p)] / s['tv'])) v
+					WHERE p IN ('tv', 'vcr') AND sh > 0.5 ORDER BY c, t, p`,
+				`SELECT c, p, t, n FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (n)
+					RULES UPDATE (n[t > 2004] = n[cv(t) - 1] / 2) ORDER BY c, p, t`,
+				`SELECT p, SUM(u), MIN(u), COUNT(*) FROM (SELECT c, p, t, s, u FROM mk SPREADSHEET PBY (c) DBY (p, t) MEA (s, 0 u)
+					(UPDATE u[*, *] = CASE WHEN t > 2005 THEN 1 ELSE 2.5 END)) v GROUP BY p ORDER BY p`,
+				`SELECT c, p, t, n, s FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (n, s)
+					RULES UPSERT (n[2020] = n[2004] * 0.5, n[2021] = n[2020] + 1, s[2021] = n[2021] * 2) ORDER BY c, p, t`,
+				`SELECT c, p, t, n, b FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (n, 0 b) ITERATE (3)
+					(UPDATE b[2005] = b[2005] / 2 + n[2005], UPDATE n[t < 2003] = n[cv(t) + 1] + 1) ORDER BY c, p, t`,
+				`SELECT c, p, t, q FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (NULL q)
+					(UPDATE q[2001] = (SELECT MAX(t) FROM mk), UPDATE q[2003] = (SELECT MAX(s) FROM mk)) ORDER BY c, p, t`,
+				`SELECT c, p, t, q FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (0 q)
+					(UPDATE q[2001] = (SELECT MAX(name) FROM mk)) ORDER BY c, p, t`,
+				`SELECT c, p, t, s, name FROM mk SPREADSHEET PBY (c, p) DBY (t) MEA (s, name)
+					(UPDATE name[2001] = s[2001] * 2) ORDER BY c, p, t`,
+			}, check: func(t *testing.T, ref []outcome) {
+				for i, want := range map[int]string{
+					7: "spreadsheet: measure q cannot hold both INT and STRING values",
+					8: "spreadsheet: measure name cannot hold both FLOAT and STRING values",
+				} {
+					if ref[i].err != want {
+						t.Errorf("statement %d: error %q, want %q", i, ref[i].err, want)
+					}
+				}
+				for i := range 7 {
+					if ref[i].err != "" || len(ref[i].rows) == 0 {
+						t.Errorf("statement %d: error %q, %d rows; want rows", i, ref[i].err, len(ref[i].rows))
+					}
+				}
+				// The unassigned cells of a FLOAT measure read 0.0; the
+				// subqueries' INT and FLOAT values leave one FLOAT measure.
+				for _, c := range []struct {
+					i         int
+					row, last string
+				}{{0, `S"vcr"`, "F0"}, {6, "I2001", "F"}, {6, "I2003", "F"}} {
+					for _, r := range ref[c.i].rows {
+						if f := strings.Fields(r); strings.Contains(r, c.row) && !strings.HasPrefix(f[len(f)-1], c.last) {
+							t.Errorf("statement %d: row %s, want its last value %s…", c.i, r, c.last)
+						}
+					}
+				}
+			}},
 		// A NaN key matches nothing on the hashed equality paths, as = says:
 		// the hash join (plain, two-key and computed keys, every join type)
 		// and IN over a subquery agree with the nested loop and the linear

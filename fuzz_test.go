@@ -111,7 +111,10 @@ func ruleFuzzDB(tb testing.TB, db *sqlsheet.DB) {
 // reference, the per-cell row path, twice: the sheet alone, and under a
 // filter, a GROUP BY and a sort that read the sheet's output image. Both
 // must agree on success (rowBits) and on failure (error text): the batch
-// path may only ever fall back, never change a result.
+// path may only ever fall back, never change a result. The measure u's
+// source is drawn too — the FLOAT column, or a default of another kind than
+// the rules' results (INT, NULL, STRING, BOOL), which decides u's kind with
+// them or fails the statement at compile time.
 func FuzzRuleKernel(f *testing.F) {
 	seeds := []string{
 		`UPDATE u[*, *] = s[cv(p), cv(t)] * 0.5 + s[cv(p), cv(t) - 1]`,
@@ -123,22 +126,20 @@ func FuzzRuleKernel(f *testing.F) {
 		`UPDATE s['tv', 2005] = s['tv', 1980] * 2`,
 		`UPDATE u[*, *] = s[ref[cv(p)], cv(t)]`,
 		`UPDATE u[*, *] = m2[cv(p)] * s[cv(p), cv(t)]`,
-		// u becomes INT and FLOAT per cell (CASE has no kernel); the batch
-		// rule reading it finds a measure it cannot image and falls back.
+		// A CASE of INT and FLOAT arms (no kernel): u is FLOAT on every
+		// cell, and the batch rule reading it images it.
 		`UPDATE u[*, *] = CASE WHEN t > 1995 THEN 1 ELSE 2.5 END, UPDATE s[*, *] = u[cv(p), cv(t)] * 2`,
 		// A bare column inside a qualifier reads the target row, as at the
 		// top level: existential, with and without an aggregate beside it.
 		`UPDATE u[*, t > 1980] = s[p, t - 1]`,
 		`UPDATE u[*, t > 1980] = s[p, t - 1] + 0 * sum(s)[*, *]`,
-		// u INT on the later cells, FLOAT on the others: the sheet's output
-		// has no column for it, and the consumer's SUM(u) takes its rows.
+		// An INT written to some cells of u: FLOAT like the others.
 		`UPDATE u[*, t > 1995] = 1`,
 		// A DBY value absent from the input's dictionary: inserted cells
 		// have no input position, and the output keeps its rows.
 		`UPSERT u['laser', 1999] = s['tv', 1999] * 2`,
-		// Measure vectors change kind: u FLOAT → INT on every cell, read by a
-		// later batch rule; INT on some cells only, left mixed and read per
-		// cell; inserted cells read by a later rule; a self-reading rule and
+		// INT values into u on every cell and on some, read by a later batch
+		// rule; inserted cells read by a later rule; a self-reading rule and
 		// a two-rule cycle, per cell.
 		`UPDATE u[*, *] = 1, UPDATE s[*, *] = u[cv(p), cv(t)] * s[cv(p), cv(t)]`,
 		`UPDATE u[*, t < 1995] = 2, UPDATE s[*, *] = u[cv(p), cv(t)] + 0.5`,
@@ -146,14 +147,18 @@ func FuzzRuleKernel(f *testing.F) {
 		`UPDATE u[*, t > 1980] = u[cv(p), cv(t) - 1] + s[cv(p), cv(t)]`,
 		`UPDATE u['tv', 1999] = s['tv', 1998] + 1, UPDATE s['tv', 1998] = u['tv', 1999] * 0 + 2`,
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	// Every seed runs with u sourced from the FLOAT column, then once more
+	// with one of the other defaults.
+	sources := []string{"u", "0 u", "NULL u", "'0' u", "TRUE u"}
+	for i, s := range seeds {
+		f.Add(s, uint8(0))
+		f.Add(s, uint8(1+i%(len(sources)-1)))
 	}
 	batch, row := differentialPair(f, "vec-min1", ruleFuzzDB)
-	f.Fuzz(func(t *testing.T, rules string) {
+	f.Fuzz(func(t *testing.T, rules string, source uint8) {
 		sheet := `SELECT r, p, t, s, u FROM rf SPREADSHEET
 			REFERENCE rs ON (SELECT p, ref, m2 FROM rd) DBY (p) MEA (ref, m2)
-			PBY(r) DBY (p, t) MEA (s, u) (` + rules + `)`
+			PBY(r) DBY (p, t) MEA (s, ` + sources[int(source)%len(sources)] + `) (` + rules + `)`
 		checkDifferential(t, batch, row, sheet+` ORDER BY r, p, t`)
 		// The consumers above the sheet: a filter, a GROUP BY on a DBY key
 		// with aggregates over measures, a sort.

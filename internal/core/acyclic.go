@@ -305,7 +305,10 @@ func (fe *frameEval) insertRow(dims []types.Value) int {
 // assignMeasure writes a measure, driving convergence detection.
 func (fe *frameEval) assignMeasure(pos, mea int, v types.Value) error {
 	fe.f.MarkUpdated(pos)
-	changed := fe.f.SetMeasure(pos, mea, v)
+	changed, err := fe.f.SetMeasure(pos, mea, v)
+	if err != nil {
+		return err
+	}
 	if fe.trackRefs {
 		fe.assigned[fe.f.flagKey(pos, mea)] = true
 		if changed && (fe.f.Referenced(fe.gen, pos, mea) || fe.f.Referenced(1-fe.gen, pos, mea)) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sqlsheet/internal/blockstore"
 	"sqlsheet/internal/colstore"
 	"sqlsheet/internal/eval"
@@ -40,9 +42,13 @@ type input struct {
 	cols []*colstore.Column
 	ridx []int32
 	rows []types.Row
+	// kinds is each measure's kind for the run (runKinds); conv[ord]
+	// marks a measure column whose INT values read as FLOAT.
+	kinds []types.Kind
+	conv  []bool
 }
 
-func newInput(m *Model, rows []types.Row, cs *ColSource) *input {
+func newInput(m *Model, rows []types.Row, cs *ColSource) (*input, error) {
 	in := &input{n: len(rows), cols: make([]*colstore.Column, m.Schema.Len()), rows: rows}
 	if cs != nil {
 		copy(in.cols, cs.Cols)
@@ -51,7 +57,7 @@ func newInput(m *Model, rows []types.Row, cs *ColSource) *input {
 			in.n = cs.len()
 		}
 	}
-	return in
+	return in, in.runKinds(m)
 }
 
 // imgRow is working position p's row in the image columns.
@@ -64,10 +70,16 @@ func (in *input) imgRow(p int32) int {
 
 // value is column ord of working position p.
 func (in *input) value(p int32, ord int) types.Value {
+	var v types.Value
 	if c := in.cols[ord]; c != nil {
-		return c.Value(in.imgRow(p)) // interp-ok: a per-cell read or a row boxed on demand
+		v = c.Value(in.imgRow(p)) // interp-ok: a per-cell read or a row boxed on demand
+	} else {
+		v = in.rows[p][ord]
 	}
-	return in.rows[p][ord]
+	if in.conv[ord] && v.K == types.KindInt {
+		return types.NewFloat(float64(v.I))
+	}
+	return v
 }
 
 type bucket struct {
@@ -146,7 +158,7 @@ func (b *bucket) valueAt(r, col int) types.Value {
 // vec returns measure k's vector, gathering it from the input on first use.
 func (b *bucket) vec(k int) *measVec {
 	if b.meas[k] == nil {
-		b.meas[k] = newMeasVec(b.src, b.in, b.nk()+k, b.nRows()-len(b.in))
+		b.meas[k] = newMeasVec(b.src, b.in, b.nk()+k, b.nRows()-len(b.in), b.src.kinds[k])
 	}
 	return b.meas[k]
 }
@@ -165,16 +177,17 @@ func (s span) at(i int) int {
 	return s.lo + i
 }
 
-// column returns column col over the span, nil when its values there mix
-// kinds. A key column is gathered from the input image wherever every row
-// of the span is a built one and the input has the column; a measure
-// column is its vector's (materialised when materialise is set, else
-// gathered from the input while no rule wrote it). What neither serves —
-// inserted keys, a column with no input image, a budgeted bucket's rows —
-// is read value by value.
+// column returns column col over the span; a key column's is nil when its
+// values there mix kinds, a measure's never is. A key column is gathered
+// from the input image wherever every row of the span is a built one and
+// the input has the column; a measure column is its vector's (materialised
+// when materialise is set or its input values convert, else gathered from
+// the input while no rule wrote it). What neither serves — inserted keys, a
+// column with no input image, a budgeted bucket's rows — is read value by
+// value.
 func (b *bucket) column(col int, s span, materialise bool) *colstore.Column {
 	nk := b.nk()
-	if b.store == nil && col >= nk && (b.meas[col-nk] != nil || materialise) {
+	if b.store == nil && col >= nk && (b.meas[col-nk] != nil || materialise || b.src.conv[col]) {
 		v := b.vec(col - nk)
 		if s.rows == nil {
 			return v.column(s.lo, s.n)
@@ -494,42 +507,58 @@ func (f *Frame) WasPresent(dims []types.Value) bool {
 }
 
 // SetMeasure assigns one measure of the row at pos and reports whether the
-// stored value changed: an equal value of the same kind is not written.
-// Every per-cell engine write goes through here — into the measure's vector
-// (created on the column's first write), or through a budgeted bucket's
-// Store.SetCol, which marks the block dirty — so nothing is allocated per
-// write; a row obtained from Row or Each before the call may be stale
-// after it.
-func (f *Frame) SetMeasure(pos, col int, v types.Value) bool {
+// stored value changed: an equal value is not written. The value is
+// converted to the measure's kind first (bucket.admit), a KindError when it
+// does not convert. Every per-cell engine write goes through here — into the
+// measure's vector (created on the column's first write), or through a
+// budgeted bucket's Store.SetCol, which marks the block dirty — so nothing
+// is allocated per write; a row obtained from Row or Each before the call
+// may be stale after it.
+func (f *Frame) SetMeasure(pos, col int, v types.Value) (bool, error) {
 	b := f.b
-	r := f.brow(pos)
+	r, k := f.brow(pos), col-b.nk()
+	v, err := b.admit(k, v)
+	if err != nil {
+		return false, err
+	}
 	if b.store == nil {
-		return b.vec(col-b.nk()).set(r, v)
+		return b.vec(k).set(r, v), nil
 	}
 	if old := b.store.Get(b.ids[r])[col]; old.K == v.K && types.Equal(old, v) {
-		return false
+		return false, nil
 	}
 	b.store.SetCol(b.ids[r], col, v)
-	return true
+	return true, nil
 }
 
 // SetMeasureBulk writes one measure column for a batch of frame positions,
 // pos[i] taking slot k0+i of a rule's result vector: the columnar writeback
 // of a vectorized rule. Positions are written in slice order — the same cell
 // order the per-cell path produces — with the same
-// mark-updated-then-compare-then-write semantics as a single assignment,
-// compared and written on the measure vector's typed payload. The call may
-// overwrite pos.
-func (f *Frame) SetMeasureBulk(pos []int32, col int, vec *eval.ExprVec, k0 int) {
+// mark-updated-then-convert-compare-then-write semantics as a single
+// assignment, compared and written on the measure vector's typed payload.
+// The call may overwrite pos.
+func (f *Frame) SetMeasureBulk(pos []int32, col int, vec *eval.ExprVec, k0 int) error {
 	for _, p := range pos {
 		f.MarkUpdated(int(p))
 	}
 	b := f.b
 	if b.store != nil {
 		for i, p := range pos {
-			f.SetMeasure(int(p), col, vec.BoxValue(k0+i))
+			if _, err := f.SetMeasure(int(p), col, vec.BoxValue(k0+i)); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
+	}
+	k := col - b.nk()
+	v := b.vec(k)
+	got := vec.Kind
+	if got != types.KindNull && vec.Nulls != nil && !slices.Contains(vec.Nulls[k0:k0+len(pos)], false) {
+		got = types.KindNull // no value to store, so none to convert
+	}
+	if err := b.admitKind(k, got); err != nil {
+		return err
 	}
 	if len(f.ext) > 0 {
 		rows := make([]int32, len(pos))
@@ -542,7 +571,8 @@ func (f *Frame) SetMeasureBulk(pos []int32, col int, vec *eval.ExprVec, k0 int) 
 			pos[i] += int32(f.base)
 		}
 	}
-	b.vec(col-b.nk()).setBulk(pos, vec, k0)
+	v.setBulk(pos, vec, k0)
+	return nil
 }
 
 // Insert adds a new row for the given dimension values: PBY columns take

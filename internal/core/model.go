@@ -71,6 +71,12 @@ type Model struct {
 	// bs resolves column names against Schema; immutable, so every frame
 	// evaluation and kernel compilation shares it.
 	bs *eval.BoundSchema
+
+	// kinds is each working column's static kind, a measure's as decided
+	// (kinds.go), and subKinds the kind of each scalar subquery a rule's
+	// right side holds, as Compile's caller typed it.
+	kinds    []types.Kind
+	subKinds map[*sqlast.SelectStmt]types.Kind
 }
 
 type refMeaBinding struct {
@@ -257,9 +263,13 @@ type access struct {
 var ErrUntilCV = errors.New("cv() is not allowed in UNTIL: no target cell is bound there")
 
 // Compile binds a spreadsheet clause against the working schema produced by
-// the query block underneath it. refs carries the already-planned reference
-// sheets (schema only; data is attached before Run).
-func Compile(clause *sqlast.SpreadsheetClause, working *types.Schema, refs []*RefMeta) (*Model, error) {
+// the query block underneath it, and decides each measure's kind (kinds.go)
+// from the schema's column kinds — eval's static kinds: KindNull a column
+// that only holds NULL, eval.KindUnseen one whose kind the caller cannot
+// tell. refs carries the already-planned reference sheets (schema only, its
+// column kinds read the same way; data is attached before Run). sub is a
+// scalar subquery's static kind (nil: unseen).
+func Compile(clause *sqlast.SpreadsheetClause, working *types.Schema, refs []*RefMeta, sub func(*sqlast.SelectStmt) types.Kind) (*Model, error) {
 	m := &Model{
 		Clause:        clause,
 		Schema:        working,
@@ -311,6 +321,9 @@ func Compile(clause *sqlast.SpreadsheetClause, working *types.Schema, refs []*Re
 		if sqlast.ContainsCurrentV(it.Until) {
 			return nil, fmt.Errorf("spreadsheet: %w", ErrUntilCV)
 		}
+	}
+	if err := m.decideKinds(sub); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

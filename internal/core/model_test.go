@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlsheet/internal/eval"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/sqlast"
 	"sqlsheet/internal/types"
@@ -65,11 +66,12 @@ func workingSchema(t testing.TB, sc *sqlast.SpreadsheetClause) *types.Schema {
 			if !ok {
 				t.Fatalf("test helper requires plain column refs, got %s", e)
 			}
-			cols = append(cols, types.Column{Name: c.Name})
+			cols = append(cols, types.Column{Name: c.Name, Kind: eval.KindUnseen})
 		}
 	}
+	// The tests' rows carry no declared kinds: every source is unseen.
 	for _, mi := range sc.MEA {
-		cols = append(cols, types.Column{Name: mi.Name()})
+		cols = append(cols, types.Column{Name: mi.Name(), Kind: eval.KindUnseen})
 	}
 	return types.NewSchema(cols...)
 }
@@ -102,7 +104,7 @@ func refMetaFor(t testing.TB, sc *sqlast.SpreadsheetClause, data map[string][]ty
 func mustModel(t testing.TB, sql string, refData map[string][]types.Row) *Model {
 	t.Helper()
 	sc := mustClause(t, sql)
-	m, err := Compile(sc, workingSchema(t, sc), refMetaFor(t, sc, refData))
+	m, err := Compile(sc, workingSchema(t, sc), refMetaFor(t, sc, refData), nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -161,7 +163,7 @@ func TestCompileErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sc := mustClause(t, c.sql)
-			_, err := Compile(sc, workingSchema(t, sc), nil)
+			_, err := Compile(sc, workingSchema(t, sc), nil, nil)
 			if err == nil {
 				t.Fatalf("expected error containing %q", c.want)
 			}
@@ -175,7 +177,7 @@ func TestCompileErrors(t *testing.T) {
 func TestCompileDuplicateColumns(t *testing.T) {
 	sc := mustClause(t, `SELECT 1 FROM f SPREADSHEET PBY(r) DBY (r) MEA (s) ( s[1] = 2 )`)
 	ws := types.NewSchemaNames("r", "r", "s")
-	if _, err := Compile(sc, ws, nil); err == nil {
+	if _, err := Compile(sc, ws, nil, nil); err == nil {
 		t.Fatal("duplicate columns must fail")
 	}
 }
@@ -607,7 +609,7 @@ func TestReferenceMeasureConflicts(t *testing.T) {
 		( s[1] = 1 )`)
 	ws := types.NewSchemaNames("m", "s")
 	refs := refMetaFor(t, sc, nil)
-	if _, err := Compile(sc, ws, refs); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+	if _, err := Compile(sc, ws, refs, nil); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("duplicate ref measures must fail: %v", err)
 	}
 }

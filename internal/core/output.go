@@ -20,17 +20,16 @@ import (
 type Output struct {
 	// Rows holds the result rows in output order. A run not asked for an
 	// image, or evaluating a reused structure, hands out rows only; an image
-	// run hands them out only where Pos and Meas cannot serve every column:
-	// a rule inserted a cell (Inserted: its keys have no input position) or
-	// a measure's values mix kinds (its Meas entry is nil).
+	// run hands them out beside Pos and Meas only when a rule inserted a
+	// cell (Inserted: its keys have no input position).
 	Rows []types.Row
 	// Pos[i] is output row i's position in the run's input, -1 for a cell a
 	// rule inserted; nil when the run handed out rows only.
 	Pos []int32
 	// Inserted reports that some output row is a cell a rule inserted.
 	Inserted bool
-	// Meas[k] is measure k's column over the output rows, nil when its
-	// values mix kinds; nil as a whole when Pos is.
+	// Meas[k] is measure k's column over the output rows, of the measure's
+	// kind (or all NULL); nil as a whole when Pos is.
 	Meas []*colstore.Column
 }
 
@@ -54,35 +53,25 @@ func (ps *PartitionSet) output(updatedOnly bool) *Output {
 	base := m.NPby + m.NDby
 	parts := make([]*colstore.Column, len(ps.buckets))
 	for k := range out.Meas {
-		mixed := false
 		for bi, b := range ps.buckets {
-			if parts[bi] = b.column(base+k, spans[bi], false); parts[bi] == nil {
-				mixed = true
-				break
-			}
+			parts[bi] = b.column(base+k, spans[bi], false)
 		}
-		if !mixed {
-			out.Meas[k] = concat(parts, len(out.Pos))
-		}
+		out.Meas[k] = concat(parts, len(out.Pos))
 	}
 	return out
 }
 
-// concat lays parts end to end in one column of n rows, nil when their
-// values mix kinds. A single part is returned as it is.
+// concat lays parts end to end in one column of n rows: each part is of
+// one kind, the measure's, or all NULL. A single part is returned as it is.
 func concat(parts []*colstore.Column, n int) *colstore.Column {
 	if len(parts) == 1 {
 		return parts[0]
 	}
 	kind := types.KindNull
 	for _, c := range parts {
-		if c.Kind == types.KindNull || c.Kind == kind {
-			continue
+		if c.Kind != types.KindNull {
+			kind = c.Kind
 		}
-		if kind != types.KindNull {
-			return nil
-		}
-		kind = c.Kind
 	}
 	if kind == types.KindNull {
 		return allNull(n)

@@ -157,7 +157,10 @@ func BuildPartitionsOpts(m *Model, rows []types.Row, nBuckets int, newStore Stor
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	src := newInput(m, rows, o.Cols)
+	src, err := newInput(m, rows, o.Cols)
+	if err != nil {
+		return nil, err
+	}
 	if rows == nil && src.n > 0 && !o.Cols.Covers(m.Schema.Len()) {
 		return nil, fmt.Errorf("core: no input rows, and the input image covers only part of the %d working columns", m.Schema.Len())
 	}
@@ -251,9 +254,14 @@ func scanChunk(m *Model, src *input, lo, hi, nBuckets int, bk *buildKeys) *build
 	pw := make([]uint64, n)
 	wordkey.RowWords(src.rows, bk.pby, bk.pbyLay, bk.pbyWords, lo, scratch, pw)
 	wordkey.RowWords(src.rows, bk.dby, bk.dbyLay, bk.dbyWords, lo, scratch, c.dby)
-	tbl := make([]wordkey.Slot, wordkey.TableSize(n))
+	// The frame table grows with the frames found, which are usually far
+	// fewer than the chunk's rows.
+	tbl := make([]wordkey.Slot, wordkey.TableSize(16))
 	var key []byte
 	for i, w := range pw {
+		if nf := len(c.fword) + 1; 2*nf > len(tbl) {
+			tbl = wordkey.Rehash(tbl, 2*nf)
+		}
 		fi, seen := wordkey.Intern(tbl, w, len(c.fword))
 		if !seen {
 			h := uint32(fnvOffset32)

@@ -25,9 +25,10 @@ func buildTestModel(tb testing.TB) *Model {
 	}
 	sc := q.Query.(*sqlast.SelectBody).Spreadsheet
 	m, err := Compile(sc, types.NewSchema(
-		types.Column{Name: "r"}, types.Column{Name: "p"}, types.Column{Name: "t"},
-		types.Column{Name: "s"}, types.Column{Name: "c"},
-	), nil)
+		types.Column{Name: "r", Kind: types.KindString}, types.Column{Name: "p", Kind: types.KindInt},
+		types.Column{Name: "t", Kind: types.KindInt}, types.Column{Name: "s", Kind: types.KindFloat},
+		types.Column{Name: "c", Kind: types.KindInt},
+	), nil, nil)
 	if err != nil {
 		tb.Fatalf("compile: %v", err)
 	}
@@ -213,5 +214,34 @@ func BenchmarkParallelBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		ps.Close()
+	}
+}
+
+// TestBuildBytesFollowFrames pins what one build allocates per input row
+// when a chunk of 4,096 rows holds a few dozen frames: each chunk's frame
+// table grows with the frames it finds instead of taking two slots per row
+// (128 KB a chunk, 114 bytes per row in all), so the build stays near the
+// per-row arrays it needs (words, frame numbers, positions, the frames'
+// cell tables): 85 bytes per row.
+func TestBuildBytesFollowFrames(t *testing.T) {
+	m := buildTestModel(t)
+	rows := buildTestRows(16384, 3)
+	build := func() {
+		ps, err := BuildPartitionsOpts(m, rows, 1, nil, BuildOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps.Close()
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(rows))
+	t.Logf("%.1f bytes per input row", perRow)
+	if perRow > 100 {
+		t.Errorf("a build allocates %.1f bytes per input row; want at most 100", perRow)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"sqlsheet/internal/blockstore"
@@ -178,12 +177,12 @@ func (m *Model) Exec(rows []types.Row, opts RunOptions) (*Output, blockstore.Sta
 		}
 	}
 	// A reused structure has no input, so no input positions. Rows go out
-	// wherever positions and measure columns leave a column unserved.
+	// where positions leave a key column unserved: an inserted cell's.
 	out := &Output{}
 	if opts.Image && opts.Prebuilt == nil {
 		out = ps.output(m.ReturnUpdated)
 	}
-	if out.Pos == nil || out.Inserted || slices.Contains(out.Meas, nil) {
+	if out.Pos == nil || out.Inserted {
 		out.Rows = ps.rows(m.ReturnUpdated, opts.BuildWorkers)
 	}
 	// Closing drains the stores' background writers: every spill I/O failure

@@ -625,7 +625,7 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 		return true, err // context cancellation; the scan ticked like the row path
 	}
 	if img == nil {
-		return false, nil // e.g. INT and FLOAT values in one measure: per cell
+		return false, nil // a key column mixing kinds: per cell
 	}
 	n := img.NRows
 
@@ -753,7 +753,9 @@ func (fe *frameEval) vecApplyExistential(r *Rule, fs []*Frame) (bool, error) {
 		for k := range run {
 			run[k] -= int32(offs[i])
 		}
-		f.SetMeasureBulk(run, r.Mea, vec, segs[i])
+		if err := f.SetMeasureBulk(run, r.Mea, vec, segs[i]); err != nil {
+			return true, err
+		}
 	}
 	return true, nil
 }
@@ -1057,6 +1059,5 @@ targets:
 	if kerr != nil {
 		return false, nil
 	}
-	fe.f.SetMeasureBulk(poss, r.Mea, vec, 0)
-	return true, nil
+	return true, fe.f.SetMeasureBulk(poss, r.Mea, vec, 0)
 }

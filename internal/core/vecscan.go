@@ -116,7 +116,7 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 		return true, err
 	}
 	if img == nil {
-		return false, nil // a column mixes kinds
+		return false, nil // a key column mixes kinds
 	}
 	// Argument vector kinds are a property of the image; resolve them and
 	// every batch accumulator before touching any instance, so a late
@@ -178,7 +178,7 @@ func (fe *frameEval) vecScanFeed(insts []*aggInstance) (bool, error) {
 // first use), sliced when the run is a contiguous stretch of the bucket's
 // rows and gathered otherwise. A budgeted bucket reads its columns out of
 // its stored rows instead. The image ticks once per row, like the row scans
-// it replaces. A listed column whose values mix kinds has no image: the
+// it replaces. A listed key column whose values mix kinds has no image: the
 // returned table is nil. Otherwise it owns its Cols slice; callers treat
 // images as immutable (WithExtra copies before extending), and a measure
 // column is valid until the next write to its measure.
@@ -220,7 +220,7 @@ func (b *bucket) cacheRun(fs []*Frame) {
 var mixedColumn = new(colstore.Column)
 
 // table returns the image of the cached run with the listed columns, nil
-// when one of them mixes kinds.
+// when a key column among them mixes kinds.
 func (b *bucket) table(need []int) *colstore.Table {
 	s := span{lo: b.imgLo, n: b.imgOff[len(b.imgOff)-1], rows: b.imgRows}
 	t := &colstore.Table{NRows: s.n, Cols: make([]*colstore.Column, b.m.Schema.Len())}
@@ -229,9 +229,7 @@ func (b *bucket) table(need []int) *colstore.Table {
 			continue
 		}
 		if c >= b.nk() {
-			if t.Cols[c] = b.column(c, s, true); t.Cols[c] == nil {
-				return nil
-			}
+			t.Cols[c] = b.column(c, s, true)
 			continue
 		}
 		if b.img[c] == nil {
@@ -252,7 +250,7 @@ func (b *bucket) table(need []int) *colstore.Table {
 // cached run when it covers the frame as a contiguous stretch of bucket
 // rows (its measure columns are slices then), otherwise an image of the
 // frame alone (which the following scans of the frame then share). As with
-// image, img is nil when a listed column mixes kinds.
+// image, img is nil when a listed key column mixes kinds.
 func (fe *frameEval) frameImage(need []int) (img *colstore.Table, base int, err error) {
 	f := fe.f
 	b := f.b

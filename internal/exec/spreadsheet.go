@@ -168,10 +168,10 @@ func (ex *Executor) execSpreadsheet(n *plan.Spreadsheet, outer *eval.Binding) (*
 // sheetImage gives res, the spreadsheet's result, its image: the key
 // columns gathered from the input image's (keys) by each output row's input
 // position, sharing their dictionaries, and the engine's measure columns
-// (its vectors). A column the image cannot serve is nil, and res keeps the
-// rows the engine handed out beside it. It returns the output note: out=image when res is
-// positions only, else the reason it keeps rows — the first absent
-// column's.
+// (its vectors). When a rule inserted a cell, the key columns are nil (an
+// inserted key has no input position) and res keeps the rows the engine
+// handed out beside the image. It returns the output note: out=image when
+// res is positions only, else rows(inserted).
 func sheetImage(n *plan.Spreadsheet, keys *core.ColSource, out *core.Output, res *Result) string {
 	m := n.Model
 	nk := m.NPby + m.NDby
@@ -196,12 +196,8 @@ func sheetImage(n *plan.Spreadsheet, keys *core.ColSource, out *core.Output, res
 			res.ColMap[j] = n.DropCols + j
 		}
 	}
-	switch {
-	case res.Rows == nil:
-		return "image"
-	case out.Inserted:
+	if out.Inserted {
 		return "rows(inserted)"
 	}
-	// Rows beside the image and nothing inserted: a measure mixes kinds.
-	return "rows(mixed:" + m.Schema.Cols[nk+slices.Index(out.Meas, nil)].Name + ")"
+	return "image"
 }

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"sqlsheet/internal/catalog"
+	"sqlsheet/internal/colstore"
+	"sqlsheet/internal/eval"
 	"sqlsheet/internal/parser"
 	"sqlsheet/internal/plan"
 	"sqlsheet/internal/types"
@@ -201,4 +204,49 @@ func TestGroupByAllocsFollowMorsels(t *testing.T) {
 		t.Errorf("allocations: %v for 100 groups, %v for 20,000; want them within 64", allocs[100], allocs[20000])
 	}
 	t.Logf("allocations: %v for 100 groups, %v for 20,000", allocs[100], allocs[20000])
+}
+
+// TestFilterBytesFollowKept pins the batch filter's allocation: each morsel
+// selects into a pooled buffer, so a filter that keeps 1/8 of 40,000 rows
+// allocates about its 5,000 kept positions (20 KB, the merged selection),
+// not a morsel-sized slice per morsel as well (160 KB more).
+func TestFilterBytesFollowKept(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	const rows = 40000
+	in := make([]types.Row, rows)
+	for i := range in {
+		in[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) * 0.5)}
+	}
+	bs := eval.NewBoundSchema([]eval.BoundCol{{Name: "k"}, {Name: "v"}})
+	cond, err := parser.ParseExpr(`v < 2500`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := eval.CompileSelKernel(bs, cond)
+	src := &Result{Schema: bs, Img: colstore.FromRows(2, in)}
+	ex := New(catalog.New(), Options{Workers: 1})
+	run := func() int {
+		res, err := ex.vecFilter(src, k, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Len()
+	}
+	if got := run(); got != rows/8 {
+		t.Fatalf("the filter kept %d rows, want %d", got, rows/8)
+	}
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.0f bytes per filter", perRun)
+	if want := 2 * 4 * rows / 8; perRun > float64(want) {
+		t.Errorf("the filter allocates %.0f bytes; want at most %d (twice its kept positions)", perRun, want)
+	}
 }

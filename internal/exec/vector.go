@@ -131,7 +131,17 @@ func (ex *Executor) execScanVec(n *plan.Scan) (*Result, error, bool) {
 // output, its positions only.
 func (ex *Executor) vecFilter(in *Result, k eval.SelKernel, schema *eval.BoundSchema) (*Result, error) {
 	n := in.Len()
-	runRange := func(lo, hi int) []int32 {
+	// Each morsel selects into a pooled buffer, given back once the parts
+	// are merged into ridx, the one exact-size allocation.
+	var bufs []*[]int32
+	defer func() {
+		for _, b := range bufs {
+			if b != nil {
+				colstore.PutSel(b)
+			}
+		}
+	}()
+	runRange := func(i, lo, hi int) []int32 {
 		selBuf := colstore.GetSel(hi - lo)
 		defer colstore.PutSel(selBuf)
 		sel := *selBuf
@@ -139,21 +149,22 @@ func (ex *Executor) vecFilter(in *Result, k eval.SelKernel, schema *eval.BoundSc
 			sel = append(sel, int32(p))
 		}
 		*selBuf = sel[:0]
-		out := make([]int32, 0, hi-lo)
-		return k.Run(in.Img, in.ColMap, in.RowIdx, sel, out)
+		bufs[i] = colstore.GetSel(hi - lo)
+		return k.Run(in.Img, in.ColMap, in.RowIdx, sel, *bufs[i])
 	}
 	var parts [][]int32
 	if nm := ex.morselCount(n); nm > 0 {
-		parts = make([][]int32, nm)
+		parts, bufs = make([][]int32, nm), make([]*[]int32, nm)
 		if _, err := ex.forEachMorsel("filter", n, func(_ int, m morsel) error {
-			parts[m.Idx] = runRange(m.Lo, m.Hi)
+			parts[m.Idx] = runRange(m.Idx, m.Lo, m.Hi)
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	} else {
 		start := time.Now()
-		parts = [][]int32{runRange(0, n)}
+		bufs = make([]*[]int32, 1)
+		parts = [][]int32{runRange(0, 0, n)}
 		ex.opLine("filter", n, 0, 1, start, "")
 	}
 	total := 0

@@ -118,6 +118,7 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		for _, note := range x.Notes {
 			fmt.Fprintf(b, "%s  * %s\n", pad, note)
 		}
+		fmt.Fprintf(b, "%s  %s\n", pad, m.KindsNote())
 		if err := m.Analyze(); err == nil {
 			steps, cyclic := m.Levels()
 			for li, step := range steps {

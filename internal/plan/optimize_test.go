@@ -53,6 +53,7 @@ func TestExplainReferenceLayout(t *testing.T) {
 		PBY(p) DBY(m) MEA(s) (s['x'] = s[m_yago['x']])`, nil))
 	want := `Project p, m, s vectorized=yes
   Spreadsheet PBY(p) DBY(m) MEA(s)
+    kinds: s input
     cycle 1:
       s['x'] = s[m_yago['x']] vectorized=no(cyclic)
     reference prior:

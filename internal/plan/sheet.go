@@ -20,6 +20,7 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 	}
 
 	var work []workCol
+	env := b.kindEnv(input)
 	addClassified := func(exprs []sqlast.Expr, what string) error {
 		for _, e := range exprs {
 			if err := checkResolvable(e, input.Schema()); err != nil {
@@ -29,7 +30,7 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 			if c, ok := e.(*sqlast.ColumnRef); ok {
 				name = c.Name
 			}
-			work = append(work, workCol{expr: e, name: name})
+			work = append(work, workCol{expr: e, name: name, kind: keyKind(e, env)})
 		}
 		return nil
 	}
@@ -51,7 +52,11 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 		} else if err := checkResolvable(expr, input.Schema()); err != nil {
 			return nil, fmt.Errorf("MEA %s: %v", name, err)
 		}
-		work = append(work, workCol{expr: expr, name: name})
+		kind, err := eval.StaticKind(expr, env)
+		if err != nil {
+			return nil, core.KindConflict(name, err)
+		}
+		work = append(work, workCol{expr: expr, name: name, kind: kind})
 	}
 
 	// Independent-dimension promotion (S4): duplicate one independent DBY
@@ -61,7 +66,7 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 	clause := sc
 	if b.opts.Parallel > 1 && b.opts.PromoteIndependentDims && len(sc.PBY) == 0 {
 		// Compile a probe model to run the independence analysis.
-		probe, err := core.Compile(sc, workSchemaOf(work), refMetas)
+		probe, err := core.Compile(sc, workSchemaOf(work), refMetas, b.subKind)
 		if err != nil {
 			return nil, err
 		}
@@ -80,22 +85,16 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 		}
 	}
 
-	exprs := make([]sqlast.Expr, len(work))
-	names := make([]string, len(work))
-	for i, wc := range work {
-		exprs[i] = wc.expr
-		names[i] = wc.name
-	}
-	cols := make([]eval.BoundCol, len(names))
-	for i, n := range names {
-		cols[i] = eval.BoundCol{Name: n}
-	}
-	workProj := &Project{Input: input, Exprs: exprs, schema: eval.NewBoundSchema(cols)}
-
-	model, err := core.Compile(clause, types.NewSchemaNames(names...), refMetas)
+	model, err := core.Compile(clause, workSchemaOf(work), refMetas, b.subKind)
 	if err != nil {
 		return nil, err
 	}
+	exprs := make([]sqlast.Expr, len(work))
+	cols := make([]eval.BoundCol, len(work))
+	for i, wc := range work {
+		exprs[i], cols[i] = wc.expr, eval.BoundCol{Name: wc.name}
+	}
+	workProj := &Project{Input: input, Exprs: exprs, schema: eval.NewBoundSchema(cols)}
 	sheet := &Spreadsheet{Input: workProj, Model: model, RefPlans: refPlans}
 	// Annotate only for an explicitly configured worker count (Workers=0
 	// resolves to the core count at run time, which would make EXPLAIN
@@ -122,14 +121,26 @@ func (b *builder) buildSpreadsheet(sc *sqlast.SpreadsheetClause, input Node) (*S
 type workCol struct {
 	expr sqlast.Expr
 	name string
+	kind types.Kind // static (eval.StaticKind)
 }
 
+// workSchemaOf is the working schema with each column's static kind.
 func workSchemaOf(work []workCol) *types.Schema {
-	names := make([]string, len(work))
+	cols := make([]types.Column, len(work))
 	for i, wc := range work {
-		names[i] = wc.name
+		cols[i] = types.Column{Name: wc.name, Kind: wc.kind}
 	}
-	return types.NewSchemaNames(names...)
+	return types.NewSchema(cols...)
+}
+
+// keyKind is a PBY or DBY expression's static kind; a key whose values mix
+// kinds is keyed as it is, so a conflict makes it unseen.
+func keyKind(e sqlast.Expr, env *eval.KindEnv) types.Kind {
+	k, err := eval.StaticKind(e, env)
+	if err != nil {
+		return eval.KindUnseen
+	}
+	return k
 }
 
 // buildRefSheets plans each REFERENCE subquery and normalizes its output to
@@ -170,8 +181,13 @@ func (b *builder) buildRefSheets(sc *sqlast.SpreadsheetClause) ([]Node, []*core.
 		for _, n := range append(append([]string{}, dims...), meas...) {
 			cols = append(cols, eval.BoundCol{Name: n})
 		}
-		plans = append(plans, &Project{Input: sub, Exprs: exprs, schema: eval.NewBoundSchema(cols)})
-		metas = append(metas, &core.RefMeta{Name: name, Src: rs, Dims: dims, Meas: meas})
+		proj := &Project{Input: sub, Exprs: exprs, schema: eval.NewBoundSchema(cols)}
+		typed := make([]types.Column, len(cols))
+		for i, k := range b.columnKinds(proj) {
+			typed[i] = types.Column{Name: cols[i].Name, Kind: k}
+		}
+		plans = append(plans, proj)
+		metas = append(metas, &core.RefMeta{Name: name, Src: rs, Dims: dims, Meas: meas, Schema: types.NewSchema(typed...)})
 	}
 	return plans, metas, nil
 }

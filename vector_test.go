@@ -9,6 +9,7 @@ import (
 
 	"sqlsheet"
 	"sqlsheet/internal/core"
+	"sqlsheet/internal/types"
 )
 
 // TestExplainVectorizedAnnotation checks EXPLAIN advertises kernel
@@ -241,13 +242,13 @@ func TestExplainSpreadsheetKeys(t *testing.T) {
 
 // TestExplainSheetOutput pins the form of the spreadsheet's output on its
 // EXPLAIN ANALYZE line, and the operators above it that read the image. A
-// sheet whose measures keep one kind and whose rules insert nothing emits
-// an image (out=image), and the GROUP BY above it packs its keys from the
-// gathered key columns; a measure assigned FLOAT on some cells and left INT
-// on others has no column, so the sheet keeps its rows beside the image
-// (out=rows(mixed:sh)) and the filter above it (the rule reads a cell the
-// filter drops, so it cannot be pushed) still runs over the key column;
-// an UPSERT inserts cells with no input position (out=rows(inserted)).
+// sheet whose rules insert nothing emits an image (out=image), and the
+// GROUP BY above it packs its keys from the gathered key columns; so does
+// one whose INT default a rule assigns FLOAT on some cells only: the
+// measure is FLOAT on every cell (EXPLAIN's kinds line), and the filter
+// above it (the rule reads a cell the filter drops, so it cannot be pushed)
+// runs over the image; an UPSERT inserts cells with no input position
+// (out=rows(inserted)).
 // Under DisableVectorizedExec the input carries no image
 // (out=rows(no-input-image)) and the GROUP BY keys rows; a structure reused
 // from the cache has no input at all (out=rows(reused)).
@@ -286,7 +287,7 @@ func TestExplainSheetOutput(t *testing.T) {
 		want     map[string]string // operator or plan node: its line's suffix ("" = only present)
 	}{
 		{cube, false, map[string]string{"spreadsheet": "out=image", "group-by": "keys=packed groups=4 partials=1"}},
-		{share, false, map[string]string{"spreadsheet": "out=rows(mixed:sh)", "filter": "", "Filter": ""}},
+		{share, false, map[string]string{"spreadsheet": "out=image", "filter": "", "Filter": "", "kinds:": "kinds: s FLOAT, sh FLOAT"}},
 		{upsert, false, map[string]string{"spreadsheet": "out=rows(inserted)"}},
 		{cube, true, map[string]string{"spreadsheet": "out=rows(no-input-image)", "group-by": "keys=row groups=4 partials=1"}},
 		{share, true, map[string]string{"spreadsheet": "out=rows(no-input-image)", "filter": "", "Filter": ""}},
@@ -309,5 +310,83 @@ func TestExplainSheetOutput(t *testing.T) {
 	}
 	if ls, out := lines(db, cube); !strings.HasSuffix(ls["spreadsheet"], "out=rows(reused)") {
 		t.Errorf("reused: spreadsheet line %q, want it to end in out=rows(reused):\n%s", ls["spreadsheet"], out)
+	}
+}
+
+// TestExplainS5ShareKinds pins the bench's s5_share shape over a small APB
+// dataset: its INT defaults, which the share rules assign FLOAT ratios under
+// the pushed product predicate, are FLOAT measures (EXPLAIN's kinds line),
+// so the sheet hands the filter above it an image (out=image) instead of
+// boxing every row to keep a few.
+func TestExplainS5ShareKinds(t *testing.T) {
+	db := sqlsheet.Open()
+	if _, err := db.InstallAPB(sqlsheet.APBScale{Seed: 7, ProductFanout: []int{2, 2, 2, 2}, Channels: 2, Customers: 2, Years: 1, Density: 1}); err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := db.Query(`SELECT p FROM product_dt WHERE lvl = (SELECT MAX(lvl) FROM product_dt) ORDER BY p LIMIT 4`)
+	if err != nil || len(leaves.Rows) < 4 {
+		t.Fatalf("leaf products: %v, %v", leaves, err)
+	}
+	var prods []string
+	for _, r := range leaves.Rows {
+		prods = append(prods, "'"+r[0].S+"'")
+	}
+	q := `SELECT c, h, t, p, s, share_1, share_2, share_3 FROM (SELECT c, h, t, p, s, share_1, share_2, share_3 FROM apb_cube
+		SPREADSHEET REFERENCE prod ON (SELECT p, parent1, parent2, parent3 FROM product_dt) DBY (p) MEA (parent1, parent2, parent3)
+		PBY (c, h, t) DBY (p) MEA (s, 0 share_1, 0 share_2, 0 share_3)
+		RULES UPDATE (F1: share_1[*] = s[cv(p)] / s[parent1[cv(p)]], F2: share_2[*] = s[cv(p)] / s[parent2[cv(p)]], F3: share_3[*] = s[cv(p)] / s[parent3[cv(p)]])) v
+		WHERE p IN (` + strings.Join(prods, ", ") + `) ORDER BY c, h, t, p`
+	db.Configure(sqlsheet.Config{Ablate: sqlsheet.Ablation{DisablePlanCache: true}})
+	out, err := db.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, " kinds: s FLOAT, share_1 FLOAT, share_2 FLOAT, share_3 FLOAT\n") {
+		t.Errorf("no kinds line for the four FLOAT measures:\n%s", out)
+	}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 0 && f[0] == "spreadsheet" && !strings.HasSuffix(l, "out=image") {
+			t.Errorf("spreadsheet line %q, want it to end in out=image:\n%s", l, out)
+		}
+	}
+	res, err := db.Query(q)
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("s5_share: %d rows, %v", len(res.Rows), err)
+	}
+	for _, r := range res.Rows {
+		for _, v := range r[5:] {
+			if !v.IsNull() && v.K != types.KindFloat {
+				t.Fatalf("row %v: a share of kind %s", r, v.K)
+			}
+		}
+	}
+}
+
+// TestExplainKindsOfSubqueriesAndWindows: the plan types a scalar subquery
+// by its one column and a window function by its result, so a measure they
+// feed is decided at compile time — a NULL measure two subqueries assign
+// INT and FLOAT is FLOAT, a SUM over an INT column INT, a rank INT, an AVG
+// FLOAT — and runs as decided.
+func TestExplainKindsOfSubqueriesAndWindows(t *testing.T) {
+	db := sqlsheet.Open()
+	db.MustExec(`CREATE TABLE kw (p TEXT, t INT, s FLOAT)`)
+	db.MustExec(`INSERT INTO kw VALUES ('a', 2000, 1.5), ('a', 2001, 2), ('b', 2000, 4)`)
+	for _, c := range []struct{ q, kinds string }{
+		{`SELECT p, t, q FROM kw SPREADSHEET PBY (p) DBY (t) MEA (NULL q)
+			(q[2000] = (SELECT MAX(t) FROM kw), q[2001] = (SELECT MAX(s) FROM kw)) ORDER BY p, t`, "kinds: q FLOAT"},
+		{`SELECT p, t, w, r, a FROM (SELECT p, t, SUM(t) OVER (PARTITION BY p) AS w,
+			rank() OVER (PARTITION BY p ORDER BY t) AS r, AVG(t) OVER (PARTITION BY p) AS a FROM kw) v
+			SPREADSHEET PBY (p) DBY (t) MEA (w, r, a) (w[2000] = r[2001] + 1) ORDER BY p, t`, "kinds: w INT, r INT, a FLOAT"},
+	} {
+		out, err := db.Explain(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, " "+c.kinds+"\n") {
+			t.Errorf("no line %q:\n%s", c.kinds, out)
+		}
+		if _, err := db.Query(c.q); err != nil {
+			t.Errorf("%s: %v", c.kinds, err)
+		}
 	}
 }
